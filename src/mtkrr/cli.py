@@ -81,8 +81,49 @@ def _fail_on(errors: list[str]) -> None:
         raise ConfigError(errors)
 
 
-def _derived_seed(seed: int, *path: int) -> int:
-    return int(np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(path)).generate_state(1, np.uint64)[0])
+def _run_size(section: configparser.SectionProxy, name: str, errors: list[str]) -> tuple[float, int]:
+    """The noise variance and replicate count every config-driven command needs."""
+    sigma2 = section.getfloat("sigma2", fallback=None)
+    if sigma2 is None or sigma2 <= 0:
+        errors.append(f"{name}.sigma2: missing or not positive")
+    n_rep = section.getint("n_rep", fallback=None)
+    if n_rep is None or n_rep < 1:
+        errors.append(f"{name}.n_rep: missing or not positive")
+    return sigma2, n_rep
+
+
+def _sweep(
+    section: configparser.SectionProxy,
+    name: str,
+    cells: list[tuple[str, tuple[int, ...], dict[str, float]]],
+    errors: list[str],
+    jobs: int,
+) -> tuple[list[experiments.ExperimentReport], str]:
+    """Run one experiment per (label, path, overrides) cell, in order; return the reports and out_csv.
+
+    Each cell is the section's scenario keys with ``overrides`` applied and
+    the seed ``derive_seed(seed, *path)``.  The caller's ``errors`` and the
+    sweep's own key errors are reported together, before any cell runs.
+    """
+    sigma2, n_rep = _run_size(section, name, errors)
+    seed = section.getint("seed", fallback=0)
+    out_csv = section.get("out_csv", fallback=None)
+    if out_csv is None:
+        errors.append(f"{name}.out_csv: missing")
+    _fail_on(errors)
+
+    base = {k: section.get(k) for k in _SCENARIO_KEYS if section.get(k) is not None}
+    reports = []
+    for label, path, overrides in cells:
+        cfg = dict(base, **{k: repr(v) for k, v in overrides.items()})
+        cfg["seed"] = str(scenarios.derive_seed(seed, *path))
+        cell_errors: list[str] = []
+        spec = _parse_scenario(cfg.get, cell_errors, prefix=f"{name}.{label.replace(' ', '')}.")
+        _fail_on(cell_errors)
+        settings = " ".join(f"{k}={v:g}" for k, v in overrides.items())
+        print(f"{label}: {settings} ...", file=sys.stderr)
+        reports.append(experiments.run_experiment(spec, sigma2, n_rep, jobs=jobs))
+    return reports, out_csv
 
 
 # ---------------------------------------------------------------------------
@@ -139,12 +180,7 @@ def cmd_experiment(args) -> int:
     section = _load_section(args.config, "experiment")
     errors: list[str] = []
     spec = _parse_scenario(section.get, errors, prefix="experiment.")
-    sigma2 = section.getfloat("sigma2", fallback=None)
-    if sigma2 is None or sigma2 <= 0:
-        errors.append("experiment.sigma2: missing or not positive")
-    n_rep = section.getint("n_rep", fallback=None)
-    if n_rep is None or n_rep < 1:
-        errors.append("experiment.n_rep: missing or not positive")
+    sigma2, n_rep = _run_size(section, "experiment", errors)
     pi2_scale = section.get("pi2_scale", fallback="N")
     if pi2_scale not in ("N", "n"):
         errors.append(f"experiment.pi2_scale: must be 'N' or 'n', got {pi2_scale!r}")
@@ -169,37 +205,15 @@ def cmd_experiment(args) -> int:
 def cmd_table(args) -> int:
     section = _load_section(args.config, "table")
     errors: list[str] = []
-    base = {k: section.get(k) for k in _SCENARIO_KEYS if section.get(k) is not None}
     c2_values = _float_list(section.get("c2_values", ""), "table.c2_values", errors)
     bm_values = _float_list(section.get("beta_or_m_values", section.get("beta_or_m", "")), "table.beta_or_m_values", errors)
     if not c2_values:
         errors.append("table.c2_values: missing or empty")
     if not bm_values:
         errors.append("table.beta_or_m_values: missing or empty")
-    sigma2 = section.getfloat("sigma2", fallback=None)
-    if sigma2 is None or sigma2 <= 0:
-        errors.append("table.sigma2: missing or not positive")
-    n_rep = section.getint("n_rep", fallback=None)
-    if n_rep is None or n_rep < 1:
-        errors.append("table.n_rep: missing or not positive")
-    seed = section.getint("seed", fallback=0)
-    out_csv = section.get("out_csv", fallback=None)
-    if out_csv is None:
-        errors.append("table.out_csv: missing")
-    _fail_on(errors)
-
-    reports = []
-    row = 0
-    for bm in bm_values:
-        for c2 in c2_values:
-            cfg = dict(base)
-            cfg.update(c2=repr(c2), beta_or_m=repr(bm), seed=str(_derived_seed(seed, row)))
-            row_errors: list[str] = []
-            spec = _parse_scenario(cfg.get, row_errors, prefix=f"table.row{row}.")
-            _fail_on(row_errors)
-            print(f"row {row}: c2={c2:g} beta_or_m={bm:g} ...", file=sys.stderr)
-            reports.append(experiments.run_experiment(spec, sigma2, n_rep, jobs=args.jobs))
-            row += 1
+    pairs = [(bm, c2) for bm in bm_values for c2 in c2_values]
+    cells = [(f"row {k}", (k,), {"c2": c2, "beta_or_m": bm}) for k, (bm, c2) in enumerate(pairs)]
+    reports, out_csv = _sweep(section, "table", cells, errors, args.jobs)
     experiments.emit_table(reports, out_csv)
     print(f"wrote {len(reports)} rows to {out_csv}")
     return 0
@@ -208,7 +222,6 @@ def cmd_table(args) -> int:
 def cmd_heatmap(args) -> int:
     section = _load_section(args.config, "heatmap")
     errors: list[str] = []
-    base = {k: section.get(k) for k in _SCENARIO_KEYS if section.get(k) is not None}
     row_param = section.get("row_param", fallback=None)
     col_param = section.get("col_param", fallback=None)
     allowed = {"c2", "delta2", "beta_or_m", "c1"}
@@ -220,38 +233,18 @@ def cmd_heatmap(args) -> int:
     col_values = _float_list(section.get("col_values", ""), "heatmap.col_values", errors)
     if not row_values or not col_values:
         errors.append("heatmap.row_values / col_values: must be nonempty lists")
-    sigma2 = section.getfloat("sigma2", fallback=None)
-    if sigma2 is None or sigma2 <= 0:
-        errors.append("heatmap.sigma2: missing or not positive")
-    n_rep = section.getint("n_rep", fallback=None)
-    if n_rep is None or n_rep < 1:
-        errors.append("heatmap.n_rep: missing or not positive")
-    seed = section.getint("seed", fallback=0)
-    out_csv = section.get("out_csv", fallback=None)
     out_svg = section.get("out_svg", fallback=None)
-    if out_csv is None:
-        errors.append("heatmap.out_csv: missing")
-    _fail_on(errors)
+    cells = [(f"cell ({i},{j})", (i, j), {row_param: rv, col_param: cv})
+             for i, rv in enumerate(row_values) for j, cv in enumerate(col_values)]
+    reports, out_csv = _sweep(section, "heatmap", cells, errors, args.jobs)
 
-    grid: list[list[experiments.ExperimentReport]] = []
-    for i, rv in enumerate(row_values):
-        grid_row = []
-        for j, cv in enumerate(col_values):
-            cfg = dict(base)
-            cfg[row_param] = repr(rv)
-            cfg[col_param] = repr(cv)
-            cfg["seed"] = str(_derived_seed(seed, i, j))
-            cell_errors: list[str] = []
-            spec = _parse_scenario(cfg.get, cell_errors, prefix=f"heatmap.cell({i},{j}).")
-            _fail_on(cell_errors)
-            print(f"cell ({i},{j}): {row_param}={rv:g} {col_param}={cv:g} ...", file=sys.stderr)
-            grid_row.append(experiments.run_experiment(spec, sigma2, n_rep, jobs=args.jobs))
-        grid.append(grid_row)
+    width = len(col_values)
+    grid = [reports[i * width:(i + 1) * width] for i in range(len(row_values))]
     experiments.emit_heatmap_csv(grid, row_param, row_values, col_param, col_values, out_csv)
     if out_svg:
         values = [[rep.mean_ratio for rep in row] for row in grid]
         halves = [[(rep.ci95[1] - rep.ci95[0]) / 2.0 for rep in row] for row in grid]
-        kind = base.get("kind", "scenario")
+        kind = section.get("kind", "scenario")
         svg_heatmap(values, halves, row_param, row_values, col_param, col_values,
                     f"mean oracle-risk ratio, {kind}", out_svg)
     print(f"wrote {len(row_values)}x{len(col_values)} grid to {out_csv}")
@@ -419,7 +412,7 @@ def main(argv: list[str] | None = None) -> int:
         for message in exc.messages:
             print(f"config error: {message}", file=sys.stderr)
         return 1
-    except (ValueError, FloatingPointError, OSError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

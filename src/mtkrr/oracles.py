@@ -19,9 +19,6 @@ from .estimators import mean_part_profile, single_task_profile, variance_part_pr
 from .optimize import minimize_profile
 from .spectral import KernelSpectrum, MeanVarianceProfile, TaskEnsemble, mean_variance_profile
 
-SEARCH_LO = 1e-12
-SEARCH_HI = 1e3
-
 
 class RatioSetting(enum.Enum):
     TWO_POINTS = "TWO_POINTS"
@@ -66,17 +63,10 @@ class RatioTheory:
     setting: RatioSetting
 
 
-def oracle_multitask(
-    spectrum: KernelSpectrum,
-    profile: MeanVarianceProfile,
-    sigma2: float,
-    p: int,
-    lo: float = SEARCH_LO,
-    hi: float = SEARCH_HI,
-) -> MTOracle:
+def oracle_multitask(spectrum: KernelSpectrum, profile: MeanVarianceProfile, sigma2: float, p: int) -> MTOracle:
     """Independently minimize the mean part over lam and the variance part over mu."""
-    mean = minimize_profile(mean_part_profile(spectrum, profile, sigma2, p), lo=lo, hi=hi)
-    var = minimize_profile(variance_part_profile(spectrum, profile, sigma2, p), lo=lo, hi=hi)
+    mean = minimize_profile(mean_part_profile(spectrum, profile, sigma2, p))
+    var = minimize_profile(variance_part_profile(spectrum, profile, sigma2, p))
     return MTOracle(
         lambda_star=mean.lam,
         mu_star=var.lam,
@@ -86,18 +76,12 @@ def oracle_multitask(
     )
 
 
-def oracle_singletask(
-    spectrum: KernelSpectrum,
-    tasks: TaskEnsemble,
-    sigma2: float,
-    lo: float = SEARCH_LO,
-    hi: float = SEARCH_HI,
-) -> STOracle:
+def oracle_singletask(spectrum: KernelSpectrum, tasks: TaskEnsemble, sigma2: float) -> STOracle:
     """Per-task oracle ridge risks, averaged over the p tasks."""
     lambdas = []
     risks = []
     for j in range(tasks.p):
-        best = minimize_profile(single_task_profile(spectrum, tasks.h[:, j], sigma2), lo=lo, hi=hi)
+        best = minimize_profile(single_task_profile(spectrum, tasks.h[:, j], sigma2))
         lambdas.append(best.lam)
         risks.append(best.value)
     return STOracle(lambdas=tuple(lambdas), risk=sum(risks) / tasks.p, per_task=tuple(risks))

@@ -254,13 +254,13 @@ def lower_bound(params: RiskParams, alpha: float) -> float:
     return min(rate, params.sigma2 / (4 * params.p))
 
 
-def minimize_template(params: RiskParams, n_grid: int = 64) -> ProfileMinimum:
+def minimize_template(params: RiskParams) -> ProfileMinimum:
     """Locate the template risk minimum over lam in [0, inf]."""
     try:
         hi = max(GRID_HI_DEFAULT, 2.0 * epsilon_cap(params))
     except NoEpsilonCapError:
         hi = GRID_HI_UNCAPPED
-    return minimize_profile(template_profile(params), lo=GRID_LO, hi=hi, n_grid=n_grid)
+    return minimize_profile(template_profile(params), lo=GRID_LO, hi=hi)
 
 
 def _classify(params: RiskParams, lambda_star: float, r_star: float) -> Regime:

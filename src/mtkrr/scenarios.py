@@ -102,16 +102,21 @@ def rng_for(seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(path))))
 
 
+def derive_seed(seed: int, *path: int) -> int:
+    """64-bit sub-seed addressed by (seed, path): the seed of a replicate or a sweep cell."""
+    key = tuple(int(k) for k in path)
+    return int(np.random.SeedSequence(entropy=int(seed), spawn_key=key).generate_state(1, np.uint64)[0])
+
+
 def replicate_spec(spec: ScenarioSpec, index: int) -> ScenarioSpec:
     """Spec for one Monte Carlo replicate: same parameters, derived sub-seed."""
-    sub = int(np.random.SeedSequence(entropy=int(spec.seed), spawn_key=(int(index),)).generate_state(1, np.uint64)[0])
-    return replace(spec, seed=sub)
+    return replace(spec, seed=derive_seed(spec.seed, index))
 
 
 def synth_spectrum(n: int, beta: float) -> KernelSpectrum:
-    """Polynomial-decay spectrum gamma_i = n i^(-2 beta) in the identity basis."""
+    """Polynomial-decay spectrum gamma_i = n i^(-2 beta) in the (implicit) identity basis."""
     i = np.arange(1, n + 1, dtype=float)
-    return KernelSpectrum(n=n, gamma=n * i ** (-2.0 * beta), basis=np.eye(n))
+    return KernelSpectrum(n=n, gamma=n * i ** (-2.0 * beta))
 
 
 def _decay(n: int, delta: float) -> np.ndarray:

@@ -27,36 +27,41 @@ class KernelSpectrum:
     """Eigendecomposition K = basis.T @ diag(gamma) @ basis.
 
     Rows of ``basis`` are the eigenvectors; ``gamma`` is sorted descending,
-    ties broken by original index, all entries nonnegative.
+    ties broken by original index, all entries nonnegative.  ``basis=None``
+    stands for the identity, so a spectrum given directly in its eigenbasis
+    (the synthetic settings) stores and checks no n x n matrix.
     """
 
     n: int
     gamma: np.ndarray
-    basis: np.ndarray
+    basis: np.ndarray | None = None
 
     def __post_init__(self):
         gamma = np.asarray(self.gamma, dtype=float)
-        basis = np.asarray(self.basis, dtype=float)
+        basis = None if self.basis is None else np.asarray(self.basis, dtype=float)
         n = self.n
         if n <= 0:
             raise ValueError("sample size must be positive")
-        if gamma.shape != (n,) or basis.shape != (n, n):
-            raise ValueError(f"inconsistent shapes: gamma {gamma.shape}, basis {basis.shape}, n={n}")
+        if gamma.shape != (n,) or (basis is not None and basis.shape != (n, n)):
+            raise ValueError(f"inconsistent shapes: gamma {gamma.shape}, basis {getattr(basis, 'shape', None)}, n={n}")
         if np.any(gamma < 0):
             raise NotPSDError(f"negative eigenvalue {gamma.min()!r}")
         if np.any(np.diff(gamma) > 0):
             raise ValueError("eigenvalues must be sorted in descending order")
-        if np.max(np.abs(basis @ basis.T - np.eye(n))) > ORTHOGONALITY_TOL:
+        if basis is not None and np.max(np.abs(basis @ basis.T - np.eye(n))) > ORTHOGONALITY_TOL:
             raise ValueError("basis rows are not orthonormal")
         gamma = gamma.copy()
-        basis = basis.copy()
         gamma.flags.writeable = False
-        basis.flags.writeable = False
         object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "basis", basis)
+        if basis is not None:
+            basis = basis.copy()
+            basis.flags.writeable = False
+            object.__setattr__(self, "basis", basis)
 
     def kernel_matrix(self) -> np.ndarray:
         """Reassemble K from the stored eigendecomposition."""
+        if self.basis is None:
+            return np.diag(self.gamma)
         return self.basis.T @ (self.gamma[:, None] * self.basis)
 
 
@@ -128,13 +133,15 @@ def project_tasks(spectrum: KernelSpectrum, F: np.ndarray) -> TaskEnsemble:
         F = F[:, None]
     if F.shape[0] != spectrum.n:
         raise ValueError(f"task values have {F.shape[0]} rows, spectrum has n={spectrum.n}")
-    return TaskEnsemble(n=spectrum.n, p=F.shape[1], h=spectrum.basis @ F)
+    return TaskEnsemble(n=spectrum.n, p=F.shape[1], h=F if spectrum.basis is None else spectrum.basis @ F)
 
 
 def reconstruct_tasks(spectrum: KernelSpectrum, tasks: TaskEnsemble) -> np.ndarray:
     """Inverse of project_tasks: recover the task values F from coefficients."""
     if tasks.n != spectrum.n:
         raise ValueError("spectrum and ensemble sample sizes differ")
+    if spectrum.basis is None:
+        return tasks.h.copy()
     return spectrum.basis.T @ tasks.h
 
 

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from mtkrr.cli import main
+from mtkrr.experiments import emit_heatmap_csv, emit_table, run_experiment
+from mtkrr.scenarios import ScenarioKind, ScenarioSpec
 
 
 def read_csv(path):
@@ -184,3 +186,98 @@ class TestArgumentHandling:
         out = capsys.readouterr().out
         for cmd in ("risk-curve", "oracle", "verify-bounds", "experiment", "table", "heatmap"):
             assert cmd in out
+
+
+def spawn_seed(seed, *path):
+    """Sub-seed of a sweep cell, computed with numpy alone."""
+    return int(np.random.SeedSequence(entropy=seed, spawn_key=path).generate_state(1, np.uint64)[0])
+
+
+class TestSweepSeeding:
+    """Every table row and heatmap cell reruns as a plain experiment on its derived seed."""
+
+    def test_table_row_k_is_the_experiment_on_spawn_key_k(self, tmp_path):
+        out = tmp_path / "table.csv"
+        cfg = tmp_path / "table.ini"
+        cfg.write_text(
+            "[table]\n"
+            "kind = setting_a\nn = 12\np = 3\nc1 = 1.0\ndelta1 = 2.0\n"
+            "c2_values = 0.1, 1.0\nbeta_or_m_values = 1.5, 2\n"
+            "sigma2 = 1.0\nn_rep = 3\nseed = 9\n"
+            f"out_csv = {out}\n"
+        )
+        assert main(["table", "--config", str(cfg), "--jobs", "1"]) == 0
+        reports = []
+        for k, (bm, c2) in enumerate([(1.5, 0.1), (1.5, 1.0), (2.0, 0.1), (2.0, 1.0)]):
+            spec = ScenarioSpec(kind=ScenarioKind.SETTING_A, n=12, p=3, c1=1.0, c2=c2, delta1=2.0,
+                                beta_or_m=bm, seed=spawn_seed(9, k))
+            reports.append(run_experiment(spec, 1.0, 3))
+        expected = tmp_path / "expected.csv"
+        emit_table(reports, str(expected))
+        assert out.read_bytes() == expected.read_bytes()
+
+    def test_heatmap_cell_ij_is_the_experiment_on_spawn_key_ij(self, tmp_path):
+        out = tmp_path / "grid.csv"
+        cfg = tmp_path / "heat.ini"
+        cfg.write_text(
+            "[heatmap]\n"
+            "kind = setting_c\nn = 12\np = 3\nc1 = 1.0\ndelta1 = 2.0\n"
+            "row_param = delta2\nrow_values = 1.5, 2.5\n"
+            "col_param = c2\ncol_values = 0.1, 0.5, 1.0\n"
+            "sigma2 = 1.0\nn_rep = 3\nseed = 4\n"
+            f"out_csv = {out}\n"
+        )
+        assert main(["heatmap", "--config", str(cfg), "--jobs", "1"]) == 0
+        grid = [
+            [run_experiment(ScenarioSpec(kind=ScenarioKind.SETTING_C, n=12, p=3, c1=1.0, c2=c2, delta1=2.0,
+                                         delta2=d2, seed=spawn_seed(4, i, j)), 1.0, 3)
+             for j, c2 in enumerate([0.1, 0.5, 1.0])]
+            for i, d2 in enumerate([1.5, 2.5])
+        ]
+        expected = tmp_path / "expected.csv"
+        emit_heatmap_csv(grid, "delta2", [1.5, 2.5], "c2", [0.1, 0.5, 1.0], str(expected))
+        assert out.read_bytes() == expected.read_bytes()
+
+
+class TestSweepConfigErrors:
+    def test_all_table_errors_are_listed(self, tmp_path, capsys):
+        cfg = tmp_path / "table.ini"
+        cfg.write_text("[table]\nkind = setting_a\nn = 12\np = 3\nc1 = 1.0\ndelta1 = 2.0\n"
+                       "beta_or_m_values = 2\nsigma2 = -1\n")
+        assert main(["table", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        for key in ("table.c2_values", "table.sigma2", "table.n_rep", "table.out_csv"):
+            assert key in err
+
+    def test_bad_cell_is_named_by_its_position(self, tmp_path, capsys):
+        cfg = tmp_path / "heat.ini"
+        cfg.write_text("[heatmap]\nkind = setting_c\nn = 12\np = 3\nc1 = 1.0\ndelta1 = 2.0\n"
+                       "row_param = delta2\nrow_values = 1.5\ncol_param = c2\ncol_values = 0.1, -1\n"
+                       f"sigma2 = 1.0\nn_rep = 2\nout_csv = {tmp_path / 'grid.csv'}\n")
+        assert main(["heatmap", "--config", str(cfg), "--jobs", "1"]) == 1
+        assert "heatmap.cell(0,1).scenario: amplitudes must be nonnegative" in capsys.readouterr().err
+
+    def test_all_heatmap_errors_are_listed(self, tmp_path, capsys):
+        cfg = tmp_path / "heat.ini"
+        cfg.write_text("[heatmap]\nkind = setting_c\nn = 12\np = 3\nc1 = 1.0\ndelta1 = 2.0\n"
+                       "row_param = n\ncol_param = c2\ncol_values = 0.1\nsigma2 = 0\nn_rep = 0\n")
+        assert main(["heatmap", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        for key in ("heatmap.row_param", "heatmap.row_values", "heatmap.sigma2", "heatmap.n_rep",
+                    "heatmap.out_csv"):
+            assert key in err
+
+
+class TestArithmeticErrors:
+    """A zero single-task oracle risk leaves the ratio undefined: exit 1, not a traceback."""
+
+    def test_oracle_with_zero_signal(self, tmp_path, capsys):
+        rc = main(["oracle", "--kind", "setting_a", "--n", "20", "--p", "3", "--c1", "0", "--c2", "0",
+                   "--delta1", "2", "--out", str(tmp_path / "o.json")])
+        assert rc == 1
+        assert "error: single-task oracle risk is zero" in capsys.readouterr().err
+
+    def test_experiment_with_zero_signal(self, tmp_path, capsys):
+        cfg = TestExperimentCommand().write_config(tmp_path, c1="0", c2="0")
+        assert main(["experiment", "--config", str(cfg), "--jobs", "1"]) == 1
+        assert "error: single-task oracle risk is zero" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from mtkrr.scenarios import (
     rng_for,
     synth_spectrum,
 )
-from mtkrr.spectral import mean_variance_profile
+from mtkrr.estimators import RegularizerAV, risk_direct, risk_spectral
+from mtkrr.spectral import mean_variance_profile, project_tasks, reconstruct_tasks
 
 
 def spec_of(kind, **kw):
@@ -32,7 +34,7 @@ class TestSynthSpectrum:
     def test_values(self):
         spec = synth_spectrum(4, 1.0)
         assert np.allclose(spec.gamma, [4.0, 1.0, 4 / 9, 0.25], atol=1e-15)
-        assert np.array_equal(spec.basis, np.eye(4))
+        assert spec.basis is None and np.array_equal(spec.kernel_matrix(), np.diag(spec.gamma))
 
     def test_flat_when_beta_zero(self):
         assert np.allclose(synth_spectrum(5, 0.0).gamma, 5.0)
@@ -40,6 +42,29 @@ class TestSynthSpectrum:
     @pytest.mark.parametrize("beta", [0.5, 1.0, 2.7])
     def test_descending(self, beta):
         assert np.all(np.diff(synth_spectrum(9, beta).gamma) < 0)
+
+    def test_projection_roundtrip_is_exact(self):
+        s = synth_spectrum(6, 1.5)
+        F = np.random.default_rng(3).normal(size=(6, 4))
+        assert np.array_equal(reconstruct_tasks(s, project_tasks(s, F)), F)
+
+    def test_dense_route_runs_through_the_implicit_basis(self):
+        spectrum, tasks = build_ensemble(spec_of(ScenarioKind.SETTING_A, n=7, p=3))
+        reg = RegularizerAV(p=3, lam=0.02, mu=0.3)
+        direct = risk_direct(spectrum, tasks, reg, 0.5)
+        spectral = risk_spectral(spectrum, mean_variance_profile(tasks), 0.02, 0.3, 0.5, 3)
+        assert direct.bias == pytest.approx(spectral.bias, rel=1e-10)
+        assert direct.variance == pytest.approx(spectral.variance, rel=1e-10)
+
+    def test_large_n_allocates_no_square_array(self):
+        tracemalloc.start()
+        try:
+            s = synth_spectrum(50_000, 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert s.basis is None
+        assert peak < 100 * 50_000 * 8  # a few length-n vectors, far below n^2 doubles
 
 
 class TestTwoClusters:
@@ -218,7 +243,7 @@ class TestSpecValidation:
     def test_build_ensemble_dispatch(self):
         spectrum, tasks = build_ensemble(spec_of(ScenarioKind.SETTING_A))
         assert spectrum.n == tasks.n == 8
-        assert np.array_equal(spectrum.basis, np.eye(8))
+        assert spectrum.basis is None and np.array_equal(spectrum.kernel_matrix(), np.diag(spectrum.gamma))
         spectrum_b, tasks_b = build_ensemble(spec_of(ScenarioKind.SETTING_B, n=10))
         assert spectrum_b.n == tasks_b.n == 10
         assert not np.array_equal(spectrum_b.basis, np.eye(10))
