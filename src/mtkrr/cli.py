@@ -33,30 +33,35 @@ class ConfigError(Exception):
         self.messages = messages
 
 
-def _parse_scenario(get, errors: list[str], prefix: str = "") -> scenarios.ScenarioSpec | None:
+def _scenario_fields(get, keys, errors: list[str], prefix: str) -> dict:
+    """Cast each of ``keys`` read through ``get``; one error per missing or unparsable key."""
     raw: dict = {}
-    casts = {"kind": str, "n": int, "p": int, "c1": float, "c2": float,
+    casts = {"kind": scenarios.ScenarioKind, "n": int, "p": int, "c1": float, "c2": float,
              "delta1": float, "delta2": float, "beta_or_m": float, "seed": int}
-    for key in _SCENARIO_KEYS:
+    for key in keys:
         value = get(key)
         if value is None:
-            if key in ("delta2",):
-                continue
-            if key in ("beta_or_m", "seed"):
-                continue  # defaulted by ScenarioSpec
-            errors.append(f"{prefix}{key}: missing")
+            if key not in ("delta2", "beta_or_m", "seed"):  # defaulted by ScenarioSpec
+                errors.append(f"{prefix}{key}: missing")
             continue
         try:
             raw[key] = casts[key](value)
         except (TypeError, ValueError):
             errors.append(f"{prefix}{key}: cannot parse {value!r}")
-    if errors:
-        return None
+    return raw
+
+
+def _build_spec(raw: dict, errors: list[str], prefix: str) -> scenarios.ScenarioSpec | None:
     try:
         return scenarios.ScenarioSpec.from_dict(raw)
     except (KeyError, ValueError) as exc:
         errors.append(f"{prefix}scenario: {exc}")
         return None
+
+
+def _parse_scenario(get, errors: list[str], prefix: str = "") -> scenarios.ScenarioSpec | None:
+    raw = _scenario_fields(get, _SCENARIO_KEYS, errors, prefix)
+    return None if errors else _build_spec(raw, errors, prefix)
 
 
 def _float_list(text: str, key: str, errors: list[str]) -> list[float]:
@@ -102,24 +107,31 @@ def _sweep(
     """Run one experiment per (label, path, overrides) cell, in order; return the reports and out_csv.
 
     Each cell is the section's scenario keys with ``overrides`` applied and
-    the seed ``derive_seed(seed, *path)``.  The caller's ``errors`` and the
-    sweep's own key errors are reported together, before any cell runs.
+    the seed ``derive_seed(seed, *path)``.  The caller's ``errors``, the
+    section's own key errors (a scenario key no cell overrides is checked
+    once, as ``{name}.{key}``) and every cell's errors are reported
+    together, before any cell runs.
     """
     sigma2, n_rep = _run_size(section, name, errors)
-    seed = section.getint("seed", fallback=0)
     out_csv = section.get("out_csv", fallback=None)
     if out_csv is None:
         errors.append(f"{name}.out_csv: missing")
+    overridden = {key for _, _, overrides in cells for key in overrides}
+    # without cells (an empty axis, already reported) only the keys present can be checked
+    shared_keys = [k for k in _SCENARIO_KEYS if k not in overridden and (cells or k in section)]
+    shared_errors: list[str] = []
+    shared = _scenario_fields(section.get, shared_keys, shared_errors, f"{name}.")
+    errors += shared_errors
+    specs = []
+    if not shared_errors:  # otherwise every cell would repeat them
+        seed = shared.get("seed", 0)
+        for label, path, overrides in cells:
+            raw = {**shared, **overrides, "seed": scenarios.derive_seed(seed, *path)}
+            specs.append(_build_spec(raw, errors, f"{name}.{label.replace(' ', '')}."))
     _fail_on(errors)
 
-    base = {k: section.get(k) for k in _SCENARIO_KEYS if section.get(k) is not None}
     reports = []
-    for label, path, overrides in cells:
-        cfg = dict(base, **{k: repr(v) for k, v in overrides.items()})
-        cfg["seed"] = str(scenarios.derive_seed(seed, *path))
-        cell_errors: list[str] = []
-        spec = _parse_scenario(cfg.get, cell_errors, prefix=f"{name}.{label.replace(' ', '')}.")
-        _fail_on(cell_errors)
+    for (label, _, overrides), spec in zip(cells, specs):
         settings = " ".join(f"{k}={v:g}" for k, v in overrides.items())
         print(f"{label}: {settings} ...", file=sys.stderr)
         reports.append(experiments.run_experiment(spec, sigma2, n_rep, jobs=jobs))
@@ -234,8 +246,9 @@ def cmd_heatmap(args) -> int:
     if not row_values or not col_values:
         errors.append("heatmap.row_values / col_values: must be nonempty lists")
     out_svg = section.get("out_svg", fallback=None)
-    cells = [(f"cell ({i},{j})", (i, j), {row_param: rv, col_param: cv})
-             for i, rv in enumerate(row_values) for j, cv in enumerate(col_values)]
+    # cells of a broken axis would only repeat its error
+    cells = [] if errors else [(f"cell ({i},{j})", (i, j), {row_param: rv, col_param: cv})
+                               for i, rv in enumerate(row_values) for j, cv in enumerate(col_values)]
     reports, out_csv = _sweep(section, "heatmap", cells, errors, args.jobs)
 
     width = len(col_values)

@@ -14,10 +14,9 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.special import zeta
 
 from .spectral import KernelSpectrum, TaskEnsemble, eigendecompose_kernel, project_tasks
-
-TRUNCATION_TERMS = 10_000  # series fallback for smoothness orders without a closed form
 
 
 class ScenarioKind(enum.Enum):
@@ -59,6 +58,8 @@ class ScenarioSpec:
             raise ValueError("delta1 must be positive")
         if self.kind is ScenarioKind.H2POINTS and self.p % 2:
             raise ValueError("the two-cluster configuration needs an even p")
+        if self.kind is ScenarioKind.SETTING_B and not (self.beta_or_m >= 1 and float(self.beta_or_m).is_integer()):
+            raise ValueError("setting B needs an integer smoothness order m >= 1")
         if self.kind in _NEEDS_DELTA2:
             if self.delta2 is None or self.delta2 <= 0:
                 raise ValueError(f"{self.kind.value} requires a positive delta2")
@@ -185,9 +186,14 @@ def gen_setting_d(spec: ScenarioSpec, cluster_amplitude: float = 1.0) -> TaskEns
 def periodic_kernel_value(theta: np.ndarray, m: int) -> np.ndarray:
     """Translation-invariant periodic-spline kernel 2 sum_k cos(k theta)/k^(2m).
 
-    Closed Bernoulli-polynomial forms for m in {1, 2}; for larger m a
-    truncated series whose tail is below 2 T^(1-2m)/(2m-1) < 1e-10 at the
-    default truncation length.
+    For theta in [-2 pi, 2 pi] this is the Bernoulli-polynomial closed form
+    (-1)^(m-1) (2 pi)^(2m) B_2m(|theta|/2 pi) / (2m)! (DLMF 24.8.1; Wahba 1990,
+    Spline Models for Observational Data, sec. 2.1).  In u = |theta| - pi it
+    reads -sum_{j=0..m} (-u^2)^j 2 eta(2m - 2j) / (2j)!, with the Dirichlet eta
+    function eta(s) = (1 - 2^(1-s)) zeta(s) and eta(0) = 1/2, and is evaluated
+    by Horner's rule in u^2.  Every integer m >= 1 is supported: for large m
+    the high-order coefficients underflow to zero and the kernel tends to
+    2 cos(theta).
     """
     if not float(m).is_integer() or m < 1:
         raise ValueError("smoothness order m must be an integer >= 1")
@@ -195,16 +201,12 @@ def periodic_kernel_value(theta: np.ndarray, m: int) -> np.ndarray:
     t = np.abs(np.asarray(theta, dtype=float))
     if np.any(t > 2 * np.pi + 1e-12):
         raise ValueError("angles must lie in [-2 pi, 2 pi]")
-    if m == 1:
-        return 2.0 * (np.pi**2 / 6 - np.pi * t / 2 + t**2 / 4)
-    if m == 2:
-        return 2.0 * (np.pi**4 / 90 - np.pi**2 * t**2 / 12 + np.pi * t**3 / 12 - t**4 / 48)
-    acc = np.zeros_like(t)
-    block = 512
-    for start in range(1, TRUNCATION_TERMS + 1, block):
-        ks = np.arange(start, min(start + block, TRUNCATION_TERMS + 1), dtype=float)
-        acc += np.tensordot(1.0 / ks ** (2 * m), np.cos(np.multiply.outer(ks, t)), axes=(0, 0))
-    return 2.0 * acc
+    j = np.arange(m + 1)
+    s = 2.0 * (m - j)
+    with np.errstate(under="ignore"):  # for large m, 1/(2j)! and the high-order terms fall below the smallest double
+        inv_fact = np.cumprod(np.concatenate(([1.0], 1.0 / ((2.0 * j[1:]) * (2.0 * j[1:] - 1.0)))))
+        coef = (-1.0) ** (j + 1) * (2.0 - np.exp2(2.0 - s)) * zeta(s) * inv_fact
+        return np.polynomial.polynomial.polyval((t - np.pi) ** 2, coef)
 
 
 def periodic_kernel_matrix(x: np.ndarray, m: int) -> np.ndarray:
@@ -219,13 +221,10 @@ def gen_setting_b(spec: ScenarioSpec) -> tuple[KernelSpectrum, TaskEnsemble]:
     field; builds the kernel matrix, eigendecomposes it, and projects the task
     values (sqrt(C1) + eps_i^j sqrt(C2)) |X_i| onto the kernel eigenbasis.
     """
-    m = spec.beta_or_m
-    if not float(m).is_integer() or m < 1:
-        raise ValueError("setting B needs an integer smoothness order m >= 1")
     rng = rng_for(spec.seed)
     x = rng.uniform(-np.pi, np.pi, spec.n)
     eps = _rademacher(rng, spec.n, spec.p)
-    spectrum = eigendecompose_kernel(periodic_kernel_matrix(x, int(m)))
+    spectrum = eigendecompose_kernel(periodic_kernel_matrix(x, int(spec.beta_or_m)))
     F = (math.sqrt(spec.c1) + eps * math.sqrt(spec.c2)) * np.abs(x)[:, None]
     return spectrum, project_tasks(spectrum, F)
 

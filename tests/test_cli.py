@@ -268,6 +268,65 @@ class TestSweepConfigErrors:
             assert key in err
 
 
+class TestSweepValidatesBeforeRunning:
+    """Shared keys are named by their section, and every cell is parsed before any cell runs."""
+
+    @staticmethod
+    def run_table(tmp_path, capsys, **keys):
+        out = tmp_path / "table.csv"
+        settings = dict(kind="setting_a", n="12", p="4", c1="1.0", delta1="2.0", c2_values="0.1",
+                        beta_or_m_values="2", sigma2="1.0", n_rep="2", out_csv=str(out))
+        settings.update(keys)
+        cfg = tmp_path / "table.ini"
+        cfg.write_text("[table]\n" + "".join(f"{k} = {v}\n" for k, v in settings.items()))
+        rc = main(["table", "--config", str(cfg), "--jobs", "1"])
+        return rc, capsys.readouterr().err, out
+
+    def test_shared_key_is_listed_with_the_section_errors(self, tmp_path, capsys):
+        rc, err, out = self.run_table(tmp_path, capsys, n="x", sigma2="-1")
+        assert rc == 1
+        assert "config error: table.sigma2:" in err
+        assert "config error: table.n: cannot parse 'x'" in err
+        assert not out.exists()
+
+    def test_shared_key_is_named_by_the_section(self, tmp_path, capsys):
+        rc, err, out = self.run_table(tmp_path, capsys, n="x")
+        assert rc == 1
+        assert "table.n: cannot parse 'x'" in err
+        assert "row0" not in err and not out.exists()
+
+    def test_every_bad_row_is_listed_before_any_row_runs(self, tmp_path, capsys):
+        rc, err, out = self.run_table(tmp_path, capsys, kind="h2points", c2_values="0.25, -1, 0.5, -2")
+        assert rc == 1
+        assert "table.row1.scenario: amplitudes must be nonnegative" in err
+        assert "table.row3.scenario: amplitudes must be nonnegative" in err
+        assert "row0" not in err and "row 0:" not in err and "row 2:" not in err
+        assert not out.exists()
+
+    def test_non_integer_spline_order_is_a_row_error(self, tmp_path, capsys):
+        rc, err, out = self.run_table(tmp_path, capsys, kind="setting_b", beta_or_m_values="1, 2, 3, 2.5")
+        assert rc == 1
+        assert "config error: table.row3.scenario: setting B needs an integer smoothness order" in err
+        assert "row 0:" not in err and not out.exists()
+
+    def test_bad_seed_and_kind_are_named_by_the_section(self, tmp_path, capsys):
+        rc, err, out = self.run_table(tmp_path, capsys, kind="setting_z", seed="s")
+        assert rc == 1
+        assert "table.kind: cannot parse 'setting_z'" in err and "table.seed: cannot parse 's'" in err
+        assert not out.exists()
+
+    def test_heatmap_shared_key_is_named_by_the_section(self, tmp_path, capsys):
+        out = tmp_path / "grid.csv"
+        cfg = tmp_path / "heat.ini"
+        cfg.write_text("[heatmap]\nkind = setting_c\nn = 12\np = x\nc1 = 1.0\ndelta1 = 2.0\n"
+                       "row_param = delta2\nrow_values = 1.5\ncol_param = c2\ncol_values = 0.1, -1\n"
+                       f"sigma2 = 1.0\nn_rep = 2\nout_csv = {out}\n")
+        assert main(["heatmap", "--config", str(cfg), "--jobs", "1"]) == 1
+        err = capsys.readouterr().err
+        assert "config error: heatmap.p: cannot parse 'x'" in err
+        assert "cell(" not in err and not out.exists()
+
+
 class TestArithmeticErrors:
     """A zero single-task oracle risk leaves the ratio undefined: exit 1, not a traceback."""
 

@@ -145,14 +145,56 @@ class TestSettingA:
         assert np.max(np.abs(prof.mu**2 / 5 - expected)) < 1e-10
 
 
+def _series_kernel(theta, m, terms=10_000):
+    """The defining series 2 sum_{k <= terms} cos(k theta)/k^(2m); its tail is below 2 terms^(1-2m)/(2m-1)."""
+    t = np.asarray(theta, dtype=float)
+    acc = np.zeros_like(t)
+    for start in range(1, terms + 1, 512):
+        ks = np.arange(start, min(start + 512, terms + 1), dtype=float)
+        acc += np.tensordot(ks ** (-2.0 * m), np.cos(np.multiply.outer(ks, t)), axes=(0, 0))
+    return 2.0 * acc
+
+
 class TestSettingB:
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_closed_form_matches_the_series(self, m):
+        theta = np.linspace(-2 * np.pi, 2 * np.pi, 2001)
+        terms = 10_000
+        tail = 2 * terms ** (1.0 - 2 * m) / (2 * m - 1)  # 2e-4 at m=1, below 1e-12 from m=2
+        assert np.max(np.abs(periodic_kernel_value(theta, m) - _series_kernel(theta, m, terms))) <= 1e-12 + tail
+
+    def test_closed_form_matches_the_low_order_polynomials(self):
+        # the m=1 and m=2 Bernoulli polynomials written out by hand
+        t = np.abs(np.linspace(-2 * np.pi, 2 * np.pi, 2001))
+        k1 = 2.0 * (np.pi**2 / 6 - np.pi * t / 2 + t**2 / 4)
+        k2 = 2.0 * (np.pi**4 / 90 - np.pi**2 * t**2 / 12 + np.pi * t**3 / 12 - t**4 / 48)
+        assert np.max(np.abs(periodic_kernel_value(t, 1) - k1)) < 1e-13
+        assert np.max(np.abs(periodic_kernel_value(t, 2) - k2)) < 1e-13
+
+    @pytest.mark.parametrize("m", [50, 1000])
+    def test_high_orders_tend_to_the_first_harmonics(self, m):
+        # the terms past k=2 sum to less than 2 * 3^(-2m) (2m)/(2m-1), far below a double's resolution
+        theta = np.linspace(-2 * np.pi, 2 * np.pi, 2001)
+        with np.errstate(all="raise"):
+            value = periodic_kernel_value(theta, m)
+            expected = 2 * np.cos(theta) + 2 * np.cos(2 * theta) * 0.25**m
+        assert np.max(np.abs(value - expected)) < 1e-14
+
+    def test_invalid_arguments_rejected(self):
+        with pytest.raises(ValueError, match="integer"):
+            periodic_kernel_value(np.array(0.0), 2.5)
+        with pytest.raises(ValueError, match="integer"):
+            periodic_kernel_value(np.array(0.0), 0)
+        with pytest.raises(ValueError, match="angles"):
+            periodic_kernel_value(np.array([7.0]), 2)
+
     def test_kernel_diagonal_is_twice_zeta(self):
         assert periodic_kernel_value(np.array(0.0), 1) == pytest.approx(math.pi**2 / 3, rel=1e-14)
         assert periodic_kernel_value(np.array(0.0), 2) == pytest.approx(2 * math.pi**4 / 90, rel=1e-14)
 
     def test_truncated_series_matches_bernoulli_closed_form(self):
         # independent closed form for 2 sum cos(k t)/k^6 via the degree-6
-        # Bernoulli polynomial; the package path truncates the series at m=3
+        # Bernoulli polynomial; the package path sums eta-weighted powers of (t - pi)
         t = np.linspace(0.0, 2 * np.pi, 9)
         x = t / (2 * np.pi)
         b6 = x**6 - 3 * x**5 + 2.5 * x**4 - 0.5 * x**2 + 1 / 42
@@ -235,6 +277,11 @@ class TestSpecValidation:
     def test_delta2_rejected_elsewhere(self):
         with pytest.raises(ValueError, match="delta2"):
             spec_of(ScenarioKind.SETTING_A, delta2=2.0)
+
+    @pytest.mark.parametrize("m", [0.0, 2.5, -1.0, math.nan, math.inf])
+    def test_spline_order_checked_by_the_spec(self, m):
+        with pytest.raises(ValueError, match="integer smoothness order"):
+            spec_of(ScenarioKind.SETTING_B, beta_or_m=m)
 
     def test_roundtrip_serialization(self):
         spec = spec_of(ScenarioKind.SETTING_D, delta2=3.0, seed=2**40)
