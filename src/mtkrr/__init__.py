@@ -17,7 +17,7 @@ from .estimators import (
     risk_spectral,
 )
 from .experiments import ExperimentReport, pvalue_pi1, pvalue_pi2, run_experiment
-from .optimize import ProfileMinimum, RidgeRiskProfile, minimize_profile
+from .optimize import ProfileMinimum, RidgeRiskProfile, minimize_profile, minimize_profiles
 from .oracles import (
     OracleResult,
     RatioSetting,

@@ -121,13 +121,22 @@ def _sweep(
     shared_keys = [k for k in _SCENARIO_KEYS if k not in overridden and (cells or k in section)]
     shared_errors: list[str] = []
     shared = _scenario_fields(section.get, shared_keys, shared_errors, f"{name}.")
+    seed = shared.get("seed", 0)
+    if not 0 <= seed < 2**64:
+        shared_errors.append(f"{name}.seed: must fit in 64 unsigned bits")
     errors += shared_errors
     specs = []
+    cell_errors: list[str] = []
     if not shared_errors:  # otherwise every cell would repeat them
-        seed = shared.get("seed", 0)
         for label, path, overrides in cells:
             raw = {**shared, **overrides, "seed": scenarios.derive_seed(seed, *path)}
-            specs.append(_build_spec(raw, errors, f"{name}.{label.replace(' ', '')}."))
+            specs.append(_build_spec(raw, cell_errors, f"{label.replace(' ', '')}."))
+    # an error every cell makes is the section's, reported once
+    messages = {message.split(".", 1)[1] for message in cell_errors}
+    if len(cell_errors) == len(cells) and len(messages) == 1:
+        errors.append(f"{name}.{messages.pop()}")
+    else:
+        errors += [f"{name}.{message}" for message in cell_errors]
     _fail_on(errors)
 
     reports = []
@@ -157,6 +166,13 @@ def cmd_risk_curve(args) -> int:
     return 0
 
 
+def _search_record(best) -> dict:
+    """How one oracle search ended: winning candidate, Newton evaluations, final |lam g'| / g."""
+    stationarity = best.stationarity
+    return {"source": best.source, "iterations": best.iterations,
+            "stationarity": None if math.isnan(stationarity) else stationarity}
+
+
 def cmd_oracle(args) -> int:
     errors: list[str] = []
     spec = _parse_scenario(lambda k: getattr(args, k, None), errors)
@@ -173,6 +189,11 @@ def cmd_oracle(args) -> int:
         "st_lambdas": list(result.st_lambdas),
         "rho": result.rho,
         "per_task_risks": list(result.diagnostics),
+        "search": {
+            "mean": _search_record(result.search[0]),
+            "variance": _search_record(result.search[1]),
+            "tasks": [_search_record(best) for best in result.search[2:]],
+        },
     }
     theory_kind = {
         scenarios.ScenarioKind.H2POINTS: oracles.RatioSetting.TWO_POINTS,

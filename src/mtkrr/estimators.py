@@ -131,14 +131,38 @@ def risk_direct(
     return RiskBreakdown.of(bias, variance)
 
 
+def multitask_rows(profile: MeanVarianceProfile, sigma2: float, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Signal rows and noise levels of the two multi-task risk curves.
+
+    Row 0 is the task-mean component, a curve in lam with effective noise
+    sigma2/p; row 1 the between-task component, a curve in mu with
+    effective noise (p-1) sigma2/p.
+    """
+    return np.vstack((profile.mu**2 / p, profile.varsigma2)), np.array([sigma2 / p, (p - 1) * sigma2 / p])
+
+
+def singletask_rows(tasks: TaskEnsemble, sigma2: float) -> tuple[np.ndarray, np.ndarray]:
+    """Signal rows and noise levels of the p single-task risk curves, one row per task."""
+    return tasks.h.T**2, np.full(tasks.p, float(sigma2))
+
+
+def comparison_rows(tasks: TaskEnsemble, sigma2: float) -> tuple[np.ndarray, np.ndarray]:
+    """Signal rows and noise levels of the p + 2 searches of one comparison: mean part, variance part, tasks."""
+    mt_signal, mt_noise = multitask_rows(mean_variance_profile(tasks), sigma2, tasks.p)
+    st_signal, st_noise = singletask_rows(tasks, sigma2)
+    return np.vstack((mt_signal, st_signal)), np.concatenate((mt_noise, st_noise))
+
+
 def mean_part_profile(spectrum: KernelSpectrum, profile: MeanVarianceProfile, sigma2: float, p: int) -> RidgeRiskProfile:
-    """Risk curve in lam for the task-mean component (effective noise sigma2/p)."""
-    return RidgeRiskProfile(n=spectrum.n, gamma=spectrum.gamma, signal=profile.mu**2 / p, noise=sigma2 / p)
+    """Risk curve in lam for the task-mean component (row 0 of ``multitask_rows``)."""
+    signal, noise = multitask_rows(profile, sigma2, p)
+    return RidgeRiskProfile(n=spectrum.n, gamma=spectrum.gamma, signal=signal[0], noise=noise[0])
 
 
 def variance_part_profile(spectrum: KernelSpectrum, profile: MeanVarianceProfile, sigma2: float, p: int) -> RidgeRiskProfile:
-    """Risk curve in mu for the between-task component (effective noise (p-1) sigma2/p)."""
-    return RidgeRiskProfile(n=spectrum.n, gamma=spectrum.gamma, signal=profile.varsigma2, noise=(p - 1) * sigma2 / p)
+    """Risk curve in mu for the between-task component (row 1 of ``multitask_rows``)."""
+    signal, noise = multitask_rows(profile, sigma2, p)
+    return RidgeRiskProfile(n=spectrum.n, gamma=spectrum.gamma, signal=signal[1], noise=noise[1])
 
 
 def risk_spectral(

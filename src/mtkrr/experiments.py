@@ -19,7 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oracles import compare_oracles
+from .estimators import comparison_rows
+from .optimize import minimize_profiles
+from .oracles import oracle_result
 from .scenarios import ScenarioSpec, build_ensemble, replicate_spec
 
 Z_975 = 1.959963984540054  # 97.5% standard normal quantile
@@ -65,14 +67,26 @@ def pvalue_pi2(mean_ratio: float, std_ratio: float, n_scale: int) -> float:
     return _phi(math.sqrt(n_scale) * (mean_ratio - 1.0) / std_ratio)
 
 
-def replicate_ratio(spec: ScenarioSpec, sigma2: float, index: int) -> float:
-    """Oracle-risk ratio of replicate ``index`` (derived sub-seed, fresh ensemble)."""
-    spectrum, tasks = build_ensemble(replicate_spec(spec, index))
-    return compare_oracles(spectrum, tasks, sigma2).rho
-
-
 def _ratio_slice(spec: ScenarioSpec, sigma2: float, indices: list[int]) -> list[float]:
-    return [replicate_ratio(spec, sigma2, i) for i in indices]
+    """Oracle-risk ratios of the given replicates, all p + 2 searches of each in one stacked search.
+
+    Replicate ``i`` draws a fresh ensemble from ``replicate_spec(spec, i)``.
+    Replicates with equal eigenvalues (every synthetic kind) share one
+    spectrum row of the stack.
+    """
+    rows = spec.p + 2
+    signal, noise = np.empty((len(indices) * rows, spec.n)), np.empty(len(indices) * rows)
+    spectra: dict[bytes, int] = {}
+    gammas, owners = [], []
+    for k, i in enumerate(indices):
+        spectrum, tasks = build_ensemble(replicate_spec(spec, i))
+        owner = spectra.setdefault(spectrum.gamma.tobytes(), len(spectra))
+        if owner == len(gammas):
+            gammas.append(spectrum.gamma)
+        owners.append(owner)
+        signal[k * rows:(k + 1) * rows], noise[k * rows:(k + 1) * rows] = comparison_rows(tasks, sigma2)
+    search = minimize_profiles(spec.n, np.vstack(gammas), signal, noise, spectrum=np.repeat(owners, rows))
+    return [oracle_result(search[k * rows:(k + 1) * rows]).rho for k in range(len(indices))]
 
 
 def _compute_ratios(spec: ScenarioSpec, sigma2: float, n_rep: int, jobs: int) -> list[float]:

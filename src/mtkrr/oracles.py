@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import mean_part_profile, single_task_profile, variance_part_profile
-from .optimize import minimize_profile
-from .spectral import KernelSpectrum, MeanVarianceProfile, TaskEnsemble, mean_variance_profile
+from .estimators import comparison_rows, multitask_rows, singletask_rows
+from .optimize import ProfileMinimum, minimize_profiles
+from .spectral import KernelSpectrum, MeanVarianceProfile, TaskEnsemble
 
 
 class RatioSetting(enum.Enum):
@@ -32,6 +32,7 @@ class MTOracle:
     risk: float
     mean_part: float
     var_part: float
+    search: tuple[ProfileMinimum, ProfileMinimum]  # the mean-part and variance-part searches
 
 
 @dataclass(frozen=True)
@@ -39,6 +40,7 @@ class STOracle:
     lambdas: tuple[float, ...]
     risk: float
     per_task: tuple[float, ...]
+    search: tuple[ProfileMinimum, ...]  # one search per task
 
 
 @dataclass(frozen=True)
@@ -52,6 +54,7 @@ class OracleResult:
     st_lambdas: tuple[float, ...]
     rho: float
     diagnostics: tuple[float, ...]  # per-task single-task oracle risks
+    search: tuple[ProfileMinimum, ...]  # mean part, variance part, then each task
 
 
 @dataclass(frozen=True)
@@ -63,35 +66,37 @@ class RatioTheory:
     setting: RatioSetting
 
 
-def oracle_multitask(spectrum: KernelSpectrum, profile: MeanVarianceProfile, sigma2: float, p: int) -> MTOracle:
-    """Independently minimize the mean part over lam and the variance part over mu."""
-    mean = minimize_profile(mean_part_profile(spectrum, profile, sigma2, p))
-    var = minimize_profile(variance_part_profile(spectrum, profile, sigma2, p))
+def _multitask(mean: ProfileMinimum, var: ProfileMinimum) -> MTOracle:
     return MTOracle(
         lambda_star=mean.lam,
         mu_star=var.lam,
         risk=mean.value + var.value,
         mean_part=mean.value,
         var_part=var.value,
+        search=(mean, var),
     )
+
+
+def _singletask(tasks: list[ProfileMinimum]) -> STOracle:
+    risks = [best.value for best in tasks]
+    return STOracle(lambdas=tuple(best.lam for best in tasks), risk=sum(risks) / len(tasks),
+                    per_task=tuple(risks), search=tuple(tasks))
+
+
+def oracle_multitask(spectrum: KernelSpectrum, profile: MeanVarianceProfile, sigma2: float, p: int) -> MTOracle:
+    """Independently minimize the mean part over lam and the variance part over mu."""
+    return _multitask(*minimize_profiles(spectrum.n, spectrum.gamma, *multitask_rows(profile, sigma2, p)))
 
 
 def oracle_singletask(spectrum: KernelSpectrum, tasks: TaskEnsemble, sigma2: float) -> STOracle:
     """Per-task oracle ridge risks, averaged over the p tasks."""
-    lambdas = []
-    risks = []
-    for j in range(tasks.p):
-        best = minimize_profile(single_task_profile(spectrum, tasks.h[:, j], sigma2))
-        lambdas.append(best.lam)
-        risks.append(best.value)
-    return STOracle(lambdas=tuple(lambdas), risk=sum(risks) / tasks.p, per_task=tuple(risks))
+    return _singletask(minimize_profiles(spectrum.n, spectrum.gamma, *singletask_rows(tasks, sigma2)))
 
 
-def compare_oracles(spectrum: KernelSpectrum, tasks: TaskEnsemble, sigma2: float) -> OracleResult:
-    """Run both oracles on the same ensemble and form the risk ratio."""
-    profile = mean_variance_profile(tasks)
-    mt = oracle_multitask(spectrum, profile, sigma2, tasks.p)
-    st = oracle_singletask(spectrum, tasks, sigma2)
+def oracle_result(search: list[ProfileMinimum]) -> OracleResult:
+    """Both oracles and their ratio from the p + 2 searches laid out by ``comparison_rows``."""
+    mt = _multitask(search[0], search[1])
+    st = _singletask(search[2:])
     if st.risk <= 0:
         raise ZeroDivisionError("single-task oracle risk is zero; the ratio is undefined")
     return OracleResult(
@@ -102,7 +107,13 @@ def compare_oracles(spectrum: KernelSpectrum, tasks: TaskEnsemble, sigma2: float
         st_lambdas=st.lambdas,
         rho=mt.risk / st.risk,
         diagnostics=st.per_task,
+        search=tuple(search),
     )
+
+
+def compare_oracles(spectrum: KernelSpectrum, tasks: TaskEnsemble, sigma2: float) -> OracleResult:
+    """Run both oracles on the same ensemble, in one stacked search, and form the risk ratio."""
+    return oracle_result(minimize_profiles(spectrum.n, spectrum.gamma, *comparison_rows(tasks, sigma2)))
 
 
 def rho_formula_2points(p: int, delta: float, r: float) -> float:

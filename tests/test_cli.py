@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -58,6 +59,18 @@ class TestOracleCommand:
         assert payload["rho_formula"] == pytest.approx(4 ** -0.75, rel=1e-12)
         assert math.isinf(payload["mu_star"])
         assert len(payload["st_lambdas"]) == 4
+
+    def test_search_diagnostics_are_written(self, tmp_path):
+        out = tmp_path / "o.json"
+        assert main(["oracle", "--kind", "h2points", "--n", "30", "--p", "4", "--c1", "1",
+                     "--c2", "0", "--delta1", "2", "--out", str(out)]) == 0
+        search = json.loads(out.read_text())["search"]
+        assert len(search["tasks"]) == 4
+        # identical tasks: the dispersion penalty costs nothing, so mu = +inf wins exactly
+        assert search["variance"] == {"source": "limit", "iterations": 0, "stationarity": None}
+        for record in [search["mean"], *search["tasks"]]:
+            assert record["source"] == "newton" and record["iterations"] >= 1
+            assert 0 <= record["stationarity"] <= 1e-10
 
     def test_missing_delta2_is_reported(self, tmp_path, capsys):
         rc = main(["oracle", "--kind", "setting_c", "--n", "10", "--p", "2", "--c1", "1",
@@ -315,6 +328,25 @@ class TestSweepValidatesBeforeRunning:
         assert "table.kind: cannot parse 'setting_z'" in err and "table.seed: cannot parse 's'" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("seed", ["-3", "18446744073709551616"])
+    def test_sweep_seed_outside_64_bits_is_listed_with_the_section_errors(self, tmp_path, capsys, seed):
+        rc, err, out = self.run_table(tmp_path, capsys, seed=seed, sigma2="-1")
+        assert rc == 1
+        assert "config error: table.seed: must fit in 64 unsigned bits" in err
+        assert "config error: table.sigma2:" in err
+        assert not out.exists()
+
+    def test_error_every_cell_shares_is_reported_once(self, tmp_path, capsys):
+        out = tmp_path / "grid.csv"
+        cfg = tmp_path / "heat.ini"
+        cfg.write_text("[heatmap]\nkind = h2points\nn = 12\np = 3\nc1 = 1.0\ndelta1 = 2.0\n"
+                       "row_param = c2\nrow_values = 0.1, 0.2\ncol_param = beta_or_m\ncol_values = 1.5, 2\n"
+                       f"sigma2 = 1.0\nn_rep = 2\nout_csv = {out}\n")
+        assert main(["heatmap", "--config", str(cfg), "--jobs", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err == "config error: heatmap.scenario: the two-cluster configuration needs an even p\n"
+        assert not out.exists()
+
     def test_heatmap_shared_key_is_named_by_the_section(self, tmp_path, capsys):
         out = tmp_path / "grid.csv"
         cfg = tmp_path / "heat.ini"
@@ -335,6 +367,15 @@ class TestArithmeticErrors:
                    "--delta1", "2", "--out", str(tmp_path / "o.json")])
         assert rc == 1
         assert "error: single-task oracle risk is zero" in capsys.readouterr().err
+
+    def test_oracle_with_a_non_finite_risk(self, tmp_path, capsys):
+        # the squared signal overflows: the search reports it instead of returning inf or nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            rc = main(["oracle", "--kind", "setting_a", "--n", "20", "--p", "3", "--c1", "1e308",
+                       "--c2", "0", "--delta1", "2", "--out", str(tmp_path / "o.json")])
+        assert rc == 1
+        assert "error: risk evaluation is not finite" in capsys.readouterr().err
 
     def test_experiment_with_zero_signal(self, tmp_path, capsys):
         cfg = TestExperimentCommand().write_config(tmp_path, c1="0", c2="0")

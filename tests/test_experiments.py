@@ -13,7 +13,8 @@ from mtkrr.experiments import (
     report_to_json,
     run_experiment,
 )
-from mtkrr.scenarios import ScenarioKind, ScenarioSpec
+from mtkrr.oracles import compare_oracles
+from mtkrr.scenarios import ScenarioKind, ScenarioSpec, build_ensemble, replicate_spec
 
 
 def quick_spec(**kw):
@@ -93,6 +94,16 @@ class TestRunExperiment:
         serial = run_experiment(spec, sigma2=1.0, n_rep=8, jobs=1)
         parallel = run_experiment(spec, sigma2=1.0, n_rep=8, jobs=2)
         assert serial.ratios == parallel.ratios
+
+    @pytest.mark.parametrize("kind, extra", [
+        (ScenarioKind.SETTING_C, dict(delta2=1.5)),
+        (ScenarioKind.SETTING_B, dict(beta_or_m=2.0, n=16)),  # every replicate has its own spectrum
+    ])
+    def test_stacked_replicates_equal_one_comparison_each(self, kind, extra):
+        spec = quick_spec(kind=kind, c2=0.3, seed=31, p=3, **extra)
+        report = run_experiment(spec, sigma2=0.5, n_rep=5)
+        alone = [compare_oracles(*build_ensemble(replicate_spec(spec, i)), 0.5).rho for i in range(5)]
+        assert list(report.ratios) == alone
 
     def test_pi2_scale_override(self):
         spec = quick_spec(kind=ScenarioKind.SETTING_A, c2=0.5, seed=5, n=30)

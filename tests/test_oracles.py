@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mtkrr.oracles import (
     RatioSetting,
@@ -16,7 +18,7 @@ from mtkrr.oracles import (
 )
 from mtkrr.riskfn import RiskParams, alpha_constant, kappa, minimize_risk
 from mtkrr.scenarios import ScenarioKind, ScenarioSpec, gen_h1out, gen_h2points, synth_spectrum
-from mtkrr.spectral import MeanVarianceProfile, mean_variance_profile
+from mtkrr.spectral import KernelSpectrum, MeanVarianceProfile, TaskEnsemble, mean_variance_profile
 
 
 def two_cluster_spec(n, p, c1, c2, delta, beta):
@@ -131,6 +133,38 @@ class TestCompareOracles:
         res = compare_oracles(spectrum, gen_h2points(spec), 1.0)
         formula = rho_formula_2points(p, 2.0, r)
         assert formula / 3 <= res.rho <= 3 * formula
+
+
+    def test_every_search_is_carried_through(self):
+        spec = two_cluster_spec(30, 4, 1.0, 0.5, 2.0, 2.0)
+        spectrum, tasks = synth_spectrum(30, 2.0), gen_h2points(spec)
+        res = compare_oracles(spectrum, tasks, 1.0)
+        assert len(res.search) == 6
+        assert [best.lam for best in res.search] == [res.lambda_star, res.mu_star, *res.st_lambdas]
+        assert [best.value for best in res.search[2:]] == list(res.diagnostics)
+        mt = oracle_multitask(spectrum, mean_variance_profile(tasks), 1.0, 4)
+        st_oracle = oracle_singletask(spectrum, tasks, 1.0)
+        assert mt.search == res.search[:2] and st_oracle.search == res.search[2:]
+        for best in res.search:
+            assert best.source == "newton" and 1 <= best.iterations and best.stationarity <= 1e-10
+
+    @given(st.integers(min_value=2, max_value=6), st.integers(min_value=0, max_value=2**32 - 1),
+           st.floats(min_value=-3.0, max_value=3.0), st.permutations(range(6)))
+    def test_permuting_the_tasks_changes_nothing(self, p, seed, log_sigma2, perm):
+        rng = np.random.default_rng(seed)
+        n = 25
+        i = np.arange(1, n + 1, dtype=float)
+        spectrum = KernelSpectrum(n=n, gamma=n * i ** -rng.uniform(1.0, 6.0))
+        h = np.sqrt(n) * i[:, None] ** -rng.uniform(0.5, 3.0, p) * rng.standard_normal((n, p))
+        order = [k for k in perm if k < p]
+        sigma2 = 10.0**log_sigma2
+        base = compare_oracles(spectrum, TaskEnsemble(n=n, p=p, h=h), sigma2)
+        permuted = compare_oracles(spectrum, TaskEnsemble(n=n, p=p, h=h[:, order]), sigma2)
+        assert permuted.mt_risk == pytest.approx(base.mt_risk, rel=1e-12)
+        assert permuted.rho == pytest.approx(base.rho, rel=1e-12)
+        # the single-task searches are the same rows in another order: bit-identical
+        assert permuted.diagnostics == tuple(base.diagnostics[k] for k in order)
+        assert permuted.st_lambdas == tuple(base.st_lambdas[k] for k in order)
 
 
 class TestRhoFormulas:
