@@ -15,10 +15,13 @@ Its minimum over lam obeys two-sided bounds built from the improper integrals
     I2(beta)        = int_0^inf u^(1/(2 beta) - 1) / (1+u)^2 du
 
 through the rate constant kappa(beta, delta).  Both integrals are instances
-of int_0^inf u^(a-1)/(1+u)^2 du with a in (0, 2); the production path is
-adaptive quadrature after the substitution u = v/(1-v) (which turns the
-integrand into v^(a-1) (1-v)^(1-a) on (0,1)), and the reflection closed form
-Gamma(a) Gamma(2-a) = (1-a) pi / sin(pi a) is kept as an independent oracle.
+of int_0^inf u^(a-1)/(1+u)^2 du = B(a, 2-a) with a in (0, 2) (DLMF 5.12.3),
+and by the reflection formula (DLMF 5.5.3) B(a, 2-a) = pi w / sin(pi w) with
+w = 1 - a.  The lower-bound constant alpha uses the mass fraction of u in
+[0, 1], which the substitution v = u/(1+u) turns into the regularized
+incomplete beta function I_(1/2)(a, 2-a) (DLMF 8.17.1).  Production
+evaluates these closed forms; the test suite checks them against adaptive
+numerical integration of v^(a-1) (1-v)^(1-a) over (0, 1) and (0, 1/2).
 """
 
 from __future__ import annotations
@@ -28,14 +31,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .optimize import ProfileMinimum, RidgeRiskProfile, minimize_profile
 
 GRID_LO = 1e-12
 GRID_HI_DEFAULT = 10.0
 GRID_HI_UNCAPPED = 1e3  # widened search interval when no localization cap exists
-QUAD_REL_TOL = 1e-10
 
 
 class DivergentIntegralError(ValueError):
@@ -120,25 +121,27 @@ def s2(n: int, lam: float, beta: float) -> float:
     return float(np.sum(1.0 / (1 + lam * i ** (2 * beta)) ** 2))
 
 
-def _tail_integral(a: float, v_upper: float = 1.0) -> float:
-    """int_0^{v/(1-v) bound} u^(a-1)/(1+u)^2 du via the v = u/(1+u) substitution."""
+def _tail_integral(a: float) -> float:
+    """int_0^inf u^(a-1)/(1+u)^2 du = B(a, 2-a) = pi w / sin(pi w) with w = 1 - a.
+
+    Written in w rather than as (1-a) pi / sin(pi a): near a = 1, sin(pi a)
+    carries the rounding of pi a relative to a value close to zero, while
+    1 - a is exact there.
+    """
     if not 0 < a < 2:
         raise DivergentIntegralError(f"exponent a={a!r} outside (0, 2); integral diverges")
-    out = quad(
-        lambda v: v ** (a - 1) * (1 - v) ** (1 - a),
-        0.0,
-        v_upper,
-        epsabs=0.0,
-        epsrel=QUAD_REL_TOL,
-        limit=200,
-        full_output=1,
-    )
-    val, abserr = float(out[0]), float(out[1])
-    # near the domain edges QUADPACK may stop on extrapolation roundoff; its own
-    # error estimate is authoritative, the target is 1e-8 relative
-    if not math.isfinite(val) or val <= 0 or abserr > 1e-8 * val:
-        raise FloatingPointError(f"quadrature failed for exponent a={a!r} (estimate {val!r}, error {abserr!r})")
-    return val
+    w = 1.0 - a
+    if w == 0.0:
+        return 1.0
+    x = math.pi * w
+    return x / math.sin(x)
+
+
+def _unit_fraction(a: float) -> float:
+    """Share of the tail integral carried by u in [0, 1]: I_(1/2)(a, 2-a)."""
+    from scipy.special import betainc  # imported here: the rest of the package needs numpy only
+
+    return float(betainc(a, 2.0 - a, 0.5))
 
 
 def _i1_exponent(beta: float, delta: float) -> float:
@@ -162,36 +165,13 @@ def integral_i2(beta: float) -> float:
     return _tail_integral(1 / (2 * beta))
 
 
-def integral_i1_closed_form(beta: float, delta: float) -> float:
-    """Reflection-formula value of I1; independent oracle for the quadrature."""
-    if delta == 0:
-        return integral_i2_closed_form(beta)
-    a = _i1_exponent(beta, delta)
-    if not 0 < a < 2:
-        raise DivergentIntegralError(f"exponent a={a!r} outside (0, 2); integral diverges")
-    if a == 1.0:
-        return 1.0
-    return (1 - a) * math.pi / math.sin(math.pi * a)
-
-
-def integral_i2_closed_form(beta: float) -> float:
-    a = 1 / (2 * beta)
-    if not 0 < a < 2:
-        raise DivergentIntegralError(f"exponent a={a!r} outside (0, 2); integral diverges")
-    return (1 - a) * math.pi / math.sin(math.pi * a)
-
-
-def kappa(beta: float, delta: float, *, closed_form: bool = False) -> float:
+def kappa(beta: float, delta: float) -> float:
     """Rate constant combining the two tail integrals.
 
     kappa = I1^(1/2d) I2^(1-1/2d) (2d-1)^(1/2d) d / (b (2d-1)), defined on the
-    minimax window.  ``closed_form=True`` switches both integrals to the
-    reflection-formula oracle.
+    minimax window.
     """
-    if closed_form:
-        i1, i2 = integral_i1_closed_form(beta, delta), integral_i2_closed_form(beta)
-    else:
-        i1, i2 = integral_i1(beta, delta), integral_i2(beta)
+    i1, i2 = integral_i1(beta, delta), integral_i2(beta)
     e = 1 / (2 * delta)
     return i1**e * i2 ** (1 - e) * (2 * delta - 1) ** e * delta / (beta * (2 * delta - 1))
 
@@ -208,16 +188,11 @@ def t_star(beta: float, delta: float, lam: float) -> float:
 def alpha_constant(beta: float, delta: float) -> float:
     """Lower-bound constant: smaller of the two unit-interval mass fractions.
 
-    Each fraction is int_0^1 / int_0^inf of the respective tail integrand; the
-    substitution maps u in [0, 1] to v in [0, 1/2].
+    Each fraction is int_0^1 / int_0^inf of the respective tail integrand.
     """
     if not 1 < 2 * delta < 4 * beta:
         raise ValueError("alpha constant requires 1 < 2 delta < 4 beta")
-
-    def fraction(a: float) -> float:
-        return _tail_integral(a, 0.5) / _tail_integral(a)
-
-    return min(fraction(1 / (2 * beta)), fraction(_i1_exponent(beta, delta)))
+    return min(_unit_fraction(1 / (2 * beta)), _unit_fraction(_i1_exponent(beta, delta)))
 
 
 def epsilon_cap(params: RiskParams) -> float:

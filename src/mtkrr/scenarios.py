@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import zeta
 
 from .spectral import KernelSpectrum, TaskEnsemble, eigendecompose_kernel, project_tasks
 
@@ -195,6 +194,8 @@ def periodic_kernel_value(theta: np.ndarray, m: int) -> np.ndarray:
     the high-order coefficients underflow to zero and the kernel tends to
     2 cos(theta).
     """
+    from scipy.special import zeta  # imported here: only setting B needs scipy
+
     if not float(m).is_integer() or m < 1:
         raise ValueError("smoothness order m must be an integer >= 1")
     m = int(m)

@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import random_psd
+from conftest import quad_kappa, random_psd
 
 from mtkrr.estimators import (
     RegularizerAV,
@@ -71,7 +71,7 @@ def test_criterion_02_integral_oracles():
         checks.append(abs(integral_i2(beta) - closed) <= 1e-6 * closed)
         checks.append(abs(integral_i1(beta, 0.0) - integral_i2(beta)) <= 1e-10 * integral_i2(beta))
     kq = kappa(2, 2)
-    kc = kappa(2, 2, closed_form=True)
+    kc = quad_kappa(2, 2)
     checks.append(abs(kq - kc) <= 1e-6 * kc)
     checks.append(abs(kq - 1.111) < 1.5e-3)
     _criterion(2, all(checks), f"I2 vs reflection formula on 5 betas; kappa(2,2) = {kq:.6f} both routes")

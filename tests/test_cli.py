@@ -1,11 +1,15 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import mtkrr
 from mtkrr.cli import main
 from mtkrr.experiments import emit_heatmap_csv, emit_table, run_experiment
 from mtkrr.scenarios import ScenarioKind, ScenarioSpec
@@ -381,3 +385,29 @@ class TestArithmeticErrors:
         cfg = TestExperimentCommand().write_config(tmp_path, c1="0", c2="0")
         assert main(["experiment", "--config", str(cfg), "--jobs", "1"]) == 1
         assert "error: single-task oracle risk is zero" in capsys.readouterr().err
+
+
+class TestStartUp:
+    """The CLI imports numpy only; scipy loads where setting B or alpha needs it, and never its integrators."""
+
+    @staticmethod
+    def fresh_python(code: str) -> str:
+        src = os.path.dirname(os.path.dirname(os.path.abspath(mtkrr.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return done.stdout.strip()
+
+    def test_import_leaves_scipy_unloaded(self):
+        out = self.fresh_python("import sys, mtkrr, mtkrr.cli\n"
+                                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        assert out == "[]"
+
+    def test_verify_bounds_never_loads_the_integrators(self, tmp_path):
+        out = self.fresh_python(
+            "import sys\nfrom mtkrr.cli import main\n"
+            "rc = main(['verify-bounds', '--n-values', '50', '--p-values', '1,4', '--c-values', '1',\n"
+            f"           '--bd-pairs', '2:2', '--out', {str(tmp_path / 'bounds.txt')!r}])\n"
+            "print(rc, 'scipy.integrate' in sys.modules)")
+        assert out.splitlines()[-1] == "0 False"
+        assert "PASS alpha constant" in (tmp_path / "bounds.txt").read_text()

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from mtkrr.optimize import RidgeRiskProfile
 from mtkrr.oracles import (
     RatioSetting,
     compare_oracles,
@@ -17,7 +18,7 @@ from mtkrr.oracles import (
     rho_formula_2points,
 )
 from mtkrr.riskfn import RiskParams, alpha_constant, kappa, minimize_risk
-from mtkrr.scenarios import ScenarioKind, ScenarioSpec, gen_h1out, gen_h2points, synth_spectrum
+from mtkrr.scenarios import ScenarioKind, ScenarioSpec, build_ensemble, gen_h1out, gen_h2points, synth_spectrum
 from mtkrr.spectral import KernelSpectrum, MeanVarianceProfile, TaskEnsemble, mean_variance_profile
 
 
@@ -165,6 +166,62 @@ class TestCompareOracles:
         # the single-task searches are the same rows in another order: bit-identical
         assert permuted.diagnostics == tuple(base.diagnostics[k] for k in order)
         assert permuted.st_lambdas == tuple(base.st_lambdas[k] for k in order)
+
+
+@st.composite
+def seeded_specs(draw, p):
+    """Small random-sign scenarios (settings A, C and D) with p tasks, and a noise level."""
+    kind = draw(st.sampled_from([ScenarioKind.SETTING_A, ScenarioKind.SETTING_C, ScenarioKind.SETTING_D]))
+    spec = ScenarioSpec(
+        kind=kind,
+        n=draw(st.integers(min_value=2, max_value=30)),
+        p=draw(p),
+        c1=draw(st.floats(min_value=0.01, max_value=4.0)),
+        c2=draw(st.floats(min_value=0.01, max_value=4.0)),
+        delta1=draw(st.floats(min_value=0.6, max_value=3.0)),
+        delta2=draw(st.floats(min_value=0.6, max_value=3.0)) if kind is not ScenarioKind.SETTING_A else None,
+        beta_or_m=draw(st.floats(min_value=0.6, max_value=4.0)),
+        seed=draw(st.integers(min_value=0, max_value=2**64 - 1)),
+    )
+    return spec, 10.0 ** draw(st.floats(min_value=-2.0, max_value=2.0))
+
+
+class TestOracleProperties:
+    @given(seeded_specs(st.just(1)))
+    def test_one_task_gives_ratio_one(self, case):
+        # at p = 1 the mean part is the task's own curve and the variance part is empty
+        spec, sigma2 = case
+        spectrum, tasks = build_ensemble(spec)
+        assume(np.any(tasks.h != 0))
+        res = compare_oracles(spectrum, tasks, sigma2)
+        assert res.mt_risk == res.st_risk
+        assert res.rho == 1.0
+
+    @given(seeded_specs(st.integers(min_value=2, max_value=6)))
+    def test_multitask_oracle_beats_every_shared_lambda(self, case):
+        # lam = mu is one single-task ridge with a common lambda, so the joint
+        # optimum is at most the best shared lambda; a grid minimum bounds that from above
+        spec, sigma2 = case
+        spectrum, tasks = build_ensemble(spec)
+        assume(np.any(tasks.h != 0))
+        res = compare_oracles(spectrum, tasks, sigma2)
+        n, gamma = spectrum.n, spectrum.gamma
+        grid = np.geomspace(gamma.min() / n * 1e-6, gamma.max() / n * 1e6, 4000)
+        shared = sum(RidgeRiskProfile(n=n, gamma=gamma, signal=h_j**2, noise=sigma2).value_grid(grid)
+                     for h_j in tasks.h.T) / tasks.p
+        assert res.mt_risk <= float(shared.min()) * (1 + 1e-12)
+
+    @given(st.integers(min_value=2, max_value=40), st.floats(min_value=0.01, max_value=4.0),
+           st.floats(min_value=0.0, max_value=4.0), st.floats(min_value=0.6, max_value=3.0),
+           st.floats(min_value=0.6, max_value=4.0), st.floats(min_value=-2.0, max_value=2.0))
+    def test_two_task_configurations_coincide(self, n, c1, c2, delta, beta, log_sigma2):
+        # at p = 2 the two-cluster and the one-outlier configurations build the same two tasks
+        fields = dict(n=n, p=2, c1=c1, c2=c2, delta1=delta, beta_or_m=beta)
+        spectrum, sigma2 = synth_spectrum(n, beta), 10.0**log_sigma2
+        two = compare_oracles(spectrum, gen_h2points(ScenarioSpec(kind=ScenarioKind.H2POINTS, **fields)), sigma2)
+        out = compare_oracles(spectrum, gen_h1out(ScenarioSpec(kind=ScenarioKind.H1OUT, **fields)), sigma2)
+        assert (out.mt_risk, out.st_risk, out.rho, out.diagnostics) == (two.mt_risk, two.st_risk, two.rho,
+                                                                         two.diagnostics)
 
 
 class TestRhoFormulas:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import quad_kappa, quad_tail_integral
 from scipy.integrate import quad
 
 from mtkrr.riskfn import (
@@ -9,13 +10,14 @@ from mtkrr.riskfn import (
     NoEpsilonCapError,
     Regime,
     RiskParams,
+    _i1_exponent,
+    _tail_integral,
+    _unit_fraction,
     alpha_constant,
     classify_regime,
     epsilon_cap,
     integral_i1,
-    integral_i1_closed_form,
     integral_i2,
-    integral_i2_closed_form,
     kappa,
     minimize_risk,
     minimize_template,
@@ -76,13 +78,31 @@ class TestIntegrals:
 
     def test_closed_forms_match_quadrature(self):
         for beta, delta in ((1.0, 1.0), (2.0, 2.0), (4.0, 2.0), (2.0, 1.5)):
-            assert integral_i1(beta, delta) == pytest.approx(integral_i1_closed_form(beta, delta), rel=1e-9)
-            assert integral_i2(beta) == pytest.approx(integral_i2_closed_form(beta), rel=1e-9)
+            assert integral_i1(beta, delta) == pytest.approx(quad_tail_integral(_i1_exponent(beta, delta)), rel=1e-9)
+            assert integral_i2(beta) == pytest.approx(quad_tail_integral(1 / (2 * beta)), rel=1e-9)
+
+    def test_closed_forms_match_quadrature_over_the_domain(self):
+        # 400 seeded exponents across the convergence domain, both the whole
+        # integral and the unit-interval fraction that alpha is built from
+        for a in np.random.default_rng(20261018).uniform(0.02, 1.98, 400):
+            a = float(a)
+            whole = quad_tail_integral(a)
+            assert _tail_integral(a) == pytest.approx(whole, rel=1e-8)
+            assert _unit_fraction(a) == pytest.approx(quad_tail_integral(a, 0.5) / whole, rel=1e-8)
+
+    @pytest.mark.parametrize("offset", [1e-12, -1e-12, 1e-9, -1e-9, 1e-6, -1e-6])
+    def test_no_cancellation_next_to_unit_exponent(self, offset):
+        # pi (1-a) / sin(pi (1-a)) = 1 + x^2/6 + 7 x^4/360 + O(x^6), x = pi (1-a);
+        # the reflection form (1-a) pi / sin(pi a) misses this by up to 2e-5 at 1e-12
+        a = 1.0 + offset
+        x = math.pi * (1.0 - a)
+        assert _tail_integral(a) == pytest.approx(1 + x**2 / 6 + 7 * x**4 / 360, rel=1e-15, abs=0)
+        assert _tail_integral(1.0) == 1.0
 
 
 class TestKappa:
     def test_both_routes_agree(self):
-        assert kappa(2, 2) == pytest.approx(kappa(2, 2, closed_form=True), rel=1e-6)
+        assert kappa(2, 2) == pytest.approx(quad_kappa(2, 2), rel=1e-6)
 
     def test_reference_value(self):
         assert kappa(2, 2) == pytest.approx(1.111, abs=1.5e-3)
