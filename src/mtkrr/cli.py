@@ -19,9 +19,10 @@ import sys
 
 import numpy as np
 
-from . import experiments, oracles, riskfn, scenarios
+from . import experiments, optimize, oracles, riskfn, scenarios
 from .render import svg_heatmap
 
+JOBS_HELP = "accepted for compatibility; every command runs as one stacked search in one process"
 _SCENARIO_KEYS = ("kind", "n", "p", "c1", "c2", "delta1", "delta2", "beta_or_m", "seed")
 
 
@@ -139,12 +140,19 @@ def _sweep(
         errors += [f"{name}.{message}" for message in cell_errors]
     _fail_on(errors)
 
-    reports = []
-    for (label, _, overrides), spec in zip(cells, specs):
-        settings = " ".join(f"{k}={v:g}" for k, v in overrides.items())
-        print(f"{label}: {settings} ...", file=sys.stderr)
-        reports.append(experiments.run_experiment(spec, sigma2, n_rep, jobs=jobs))
+    reports, search = experiments.run_experiments(specs, sigma2, n_rep, jobs)
+    print(_run_summary(search), file=sys.stderr)
     return reports, out_csv
+
+
+def _run_summary(search: list[optimize.ProfileMinimum]) -> str:
+    """One line on how a run's searches ended: winners by source, max_iter hits, Newton evaluations."""
+    sources = [best.source for best in search]
+    newton = sorted(best.iterations for best in search if best.source == "newton")
+    winners = ", ".join(f"{source} {sources.count(source)}" for source in optimize.SOURCES)
+    hits = sum(count >= optimize.DEFAULT_MAX_ITER for count in newton)
+    evaluations = f"median {np.median(newton):g}, max {newton[-1]}" if newton else "none"
+    return f"searches {len(search)}: {winners}; max_iter hits {hits}; newton evaluations {evaluations}"
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +230,8 @@ def cmd_experiment(args) -> int:
         errors.append("experiment.out_json: missing")
     _fail_on(errors)
 
-    report = experiments.run_experiment(spec, sigma2, n_rep, jobs=args.jobs, pi2_scale=pi2_scale)
+    [report], search = experiments.run_experiments([spec], sigma2, n_rep, args.jobs, pi2_scale)
+    print(_run_summary(search), file=sys.stderr)
     experiments.write_report_json(report, out_json)
     out_csv = section.get("out_csv", fallback=None)
     if out_csv:
@@ -422,17 +431,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     pe = sub.add_parser("experiment", help="replicated oracle comparison from a config file")
     pe.add_argument("--config", required=True)
-    pe.add_argument("--jobs", type=int, default=experiments.default_jobs())
+    pe.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     pe.set_defaults(func=cmd_experiment)
 
     pt = sub.add_parser("table", help="comparison table over (c2, beta_or_m) from a config file")
     pt.add_argument("--config", required=True)
-    pt.add_argument("--jobs", type=int, default=experiments.default_jobs())
+    pt.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     pt.set_defaults(func=cmd_table)
 
     ph = sub.add_parser("heatmap", help="mean-ratio heatmap over two scenario axes from a config file")
     ph.add_argument("--config", required=True)
-    ph.add_argument("--jobs", type=int, default=experiments.default_jobs())
+    ph.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     ph.set_defaults(func=cmd_heatmap)
 
     return parser

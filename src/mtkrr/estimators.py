@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .optimize import RidgeRiskProfile
-from .spectral import KernelSpectrum, MeanVarianceProfile, TaskEnsemble, mean_variance_profile, reconstruct_tasks
+from .spectral import (KernelSpectrum, MeanVarianceProfile, TaskEnsemble, mean_variance, mean_variance_profile,
+                       reconstruct_tasks)
 
 DENSE_SIZE_CAP = 512  # the O((np)^3) route exists only for cross-validation
 
@@ -131,37 +132,42 @@ def risk_direct(
     return RiskBreakdown.of(bias, variance)
 
 
-def multitask_rows(profile: MeanVarianceProfile, sigma2: float, p: int) -> tuple[np.ndarray, np.ndarray]:
+def multitask_rows(mu: np.ndarray, varsigma2: np.ndarray, sigma2: float, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Signal rows and noise levels of the two multi-task risk curves.
 
     Row 0 is the task-mean component, a curve in lam with effective noise
     sigma2/p; row 1 the between-task component, a curve in mu with
-    effective noise (p-1) sigma2/p.
+    effective noise (p-1) sigma2/p.  ``mu`` and ``varsigma2`` may carry
+    leading replicate axes; the rows are then the second-to-last axis.
     """
-    return np.vstack((profile.mu**2 / p, profile.varsigma2)), np.array([sigma2 / p, (p - 1) * sigma2 / p])
+    return np.stack((mu**2 / p, varsigma2), axis=-2), np.array([sigma2 / p, (p - 1) * sigma2 / p])
 
 
-def singletask_rows(tasks: TaskEnsemble, sigma2: float) -> tuple[np.ndarray, np.ndarray]:
-    """Signal rows and noise levels of the p single-task risk curves, one row per task."""
-    return tasks.h.T**2, np.full(tasks.p, float(sigma2))
+def singletask_rows(h: np.ndarray, sigma2: float) -> tuple[np.ndarray, np.ndarray]:
+    """Signal rows and noise levels of the p single-task risk curves of coefficients h (..., n, p), one row per task."""
+    return np.swapaxes(h, -1, -2) ** 2, np.full(h.shape[-1], float(sigma2))
 
 
-def comparison_rows(tasks: TaskEnsemble, sigma2: float) -> tuple[np.ndarray, np.ndarray]:
-    """Signal rows and noise levels of the p + 2 searches of one comparison: mean part, variance part, tasks."""
-    mt_signal, mt_noise = multitask_rows(mean_variance_profile(tasks), sigma2, tasks.p)
-    st_signal, st_noise = singletask_rows(tasks, sigma2)
-    return np.vstack((mt_signal, st_signal)), np.concatenate((mt_noise, st_noise))
+def comparison_rows(h: np.ndarray, sigma2: float) -> tuple[np.ndarray, np.ndarray]:
+    """Signal rows and noise levels of the p + 2 searches of one comparison: mean part, variance part, tasks.
+
+    ``h`` holds the task coefficients, n x p, or an (R, n, p) block of R replicates with signal
+    (R, p + 2, n), each replicate's rows bit-identical to those of its ensemble alone.
+    """
+    mt_signal, mt_noise = multitask_rows(*mean_variance(h), sigma2, h.shape[-1])
+    st_signal, st_noise = singletask_rows(h, sigma2)
+    return np.concatenate((mt_signal, st_signal), axis=-2), np.concatenate((mt_noise, st_noise))
 
 
 def mean_part_profile(spectrum: KernelSpectrum, profile: MeanVarianceProfile, sigma2: float, p: int) -> RidgeRiskProfile:
     """Risk curve in lam for the task-mean component (row 0 of ``multitask_rows``)."""
-    signal, noise = multitask_rows(profile, sigma2, p)
+    signal, noise = multitask_rows(profile.mu, profile.varsigma2, sigma2, p)
     return RidgeRiskProfile(n=spectrum.n, gamma=spectrum.gamma, signal=signal[0], noise=noise[0])
 
 
 def variance_part_profile(spectrum: KernelSpectrum, profile: MeanVarianceProfile, sigma2: float, p: int) -> RidgeRiskProfile:
     """Risk curve in mu for the between-task component (row 1 of ``multitask_rows``)."""
-    signal, noise = multitask_rows(profile, sigma2, p)
+    signal, noise = multitask_rows(profile.mu, profile.varsigma2, sigma2, p)
     return RidgeRiskProfile(n=spectrum.n, gamma=spectrum.gamma, signal=signal[1], noise=noise[1])
 
 
@@ -183,19 +189,12 @@ def risk_spectral(
     return RiskBreakdown.of(b1 + b2, v1 + v2)
 
 
-def single_task_profile(spectrum: KernelSpectrum, h_j: np.ndarray, sigma2: float) -> RidgeRiskProfile:
-    h_j = np.asarray(h_j, dtype=float)
-    if h_j.shape != (spectrum.n,):
-        raise ValueError(f"task coefficients have shape {h_j.shape}, expected ({spectrum.n},)")
-    return RidgeRiskProfile(n=spectrum.n, gamma=spectrum.gamma, signal=h_j**2, noise=sigma2)
-
-
 def risk_single_task(spectrum: KernelSpectrum, h_j: np.ndarray, lam: float, sigma2: float) -> RiskBreakdown:
     """Per-task ridge risk, normalized by n (the comparison harness averages over tasks)."""
     if sigma2 <= 0:
         raise ValueError("noise variance must be positive")
-    bias, var = single_task_profile(spectrum, h_j, sigma2).parts(lam)
-    return RiskBreakdown.of(bias, var)
+    profile = RidgeRiskProfile(n=spectrum.n, gamma=spectrum.gamma, signal=np.asarray(h_j, dtype=float) ** 2, noise=sigma2)
+    return RiskBreakdown.of(*profile.parts(lam))
 
 
 def risk_from_ensemble(

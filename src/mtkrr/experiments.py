@@ -3,26 +3,27 @@ Hoeffding / CLT test statistics summarizing them.
 
 Each replicate generates a fresh ensemble from a derived sub-seed, computes
 the exact multi-task and single-task oracle risks, and records their ratio.
-Aggregation is an ordered reduction over replicate index, so reports are
-bit-reproducible for a fixed (spec, sigma2, n_rep) regardless of how many
-worker processes are used.
+``run_experiments`` takes a command's whole work list (every spec, every
+replicate), draws each spec's replicates as one block, and minimizes all
+their risk curves in one ``minimize_profiles`` call, in one process.  Each
+search is bit-identical in any stack and aggregation is an ordered reduction
+over replicate index, so a spec's report is the same in any work list.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import json
 import math
-import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .estimators import comparison_rows
-from .optimize import minimize_profiles
+from .optimize import ProfileMinimum, minimize_profiles
 from .oracles import oracle_result
-from .scenarios import ScenarioSpec, build_ensemble, replicate_spec
+from .scenarios import (ScenarioKind, ScenarioSpec, derive_seed, gen_setting_b, replicate_spec, synth_spectrum,
+                        task_block)
 
 Z_975 = 1.959963984540054  # 97.5% standard normal quantile
 
@@ -67,60 +68,31 @@ def pvalue_pi2(mean_ratio: float, std_ratio: float, n_scale: int) -> float:
     return _phi(math.sqrt(n_scale) * (mean_ratio - 1.0) / std_ratio)
 
 
-def _ratio_slice(spec: ScenarioSpec, sigma2: float, indices: list[int]) -> list[float]:
-    """Oracle-risk ratios of the given replicates, all p + 2 searches of each in one stacked search.
+def _replicate_rows(spec: ScenarioSpec, sigma2: float, n_rep: int, spectra: dict, gammas: list):
+    """Signal rows, noise levels and spectrum indices of the p + 2 searches of each replicate of ``spec``.
 
-    Replicate ``i`` draws a fresh ensemble from ``replicate_spec(spec, i)``.
-    Replicates with equal eigenvalues (every synthetic kind) share one
-    spectrum row of the stack.
+    Replicate r draws from the stream of ``derive_seed(spec.seed, r)``.  A synthetic spectrum joins
+    ``gammas`` once per distinct (n, beta), indexed in ``spectra``; setting B adds each replicate's.
     """
+    if spec.kind is ScenarioKind.SETTING_B:
+        drawn = [gen_setting_b(replicate_spec(spec, r)) for r in range(n_rep)]
+        owners = np.arange(len(gammas), len(gammas) + n_rep)
+        gammas += [spectrum.gamma for spectrum, _ in drawn]
+        h = np.stack([tasks.h for _, tasks in drawn])
+    else:
+        if (spec.n, spec.beta_or_m) not in spectra:
+            spectra[spec.n, spec.beta_or_m] = len(gammas)
+            gammas.append(synth_spectrum(spec.n, spec.beta_or_m).gamma)
+        owners = np.full(n_rep, spectra[spec.n, spec.beta_or_m])
+        h = task_block(spec, [derive_seed(spec.seed, r) for r in range(n_rep)])
+    signal, noise = comparison_rows(h, sigma2)
+    return signal.reshape(-1, spec.n), np.tile(noise, n_rep), np.repeat(owners, spec.p + 2)
+
+
+def _report(spec: ScenarioSpec, sigma2: float, n_rep: int, search: list[ProfileMinimum], pi2_scale: str):
+    """Aggregate the searches of one spec's replicates, p + 2 per replicate, into its report."""
     rows = spec.p + 2
-    signal, noise = np.empty((len(indices) * rows, spec.n)), np.empty(len(indices) * rows)
-    spectra: dict[bytes, int] = {}
-    gammas, owners = [], []
-    for k, i in enumerate(indices):
-        spectrum, tasks = build_ensemble(replicate_spec(spec, i))
-        owner = spectra.setdefault(spectrum.gamma.tobytes(), len(spectra))
-        if owner == len(gammas):
-            gammas.append(spectrum.gamma)
-        owners.append(owner)
-        signal[k * rows:(k + 1) * rows], noise[k * rows:(k + 1) * rows] = comparison_rows(tasks, sigma2)
-    search = minimize_profiles(spec.n, np.vstack(gammas), signal, noise, spectrum=np.repeat(owners, rows))
-    return [oracle_result(search[k * rows:(k + 1) * rows]).rho for k in range(len(indices))]
-
-
-def _compute_ratios(spec: ScenarioSpec, sigma2: float, n_rep: int, jobs: int) -> list[float]:
-    indices = list(range(n_rep))
-    if jobs <= 1 or n_rep < 2 * jobs:
-        return _ratio_slice(spec, sigma2, indices)
-    chunks = [indices[k::jobs] for k in range(jobs)]
-    out: list[float | None] = [None] * n_rep
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(_ratio_slice, spec, sigma2, chunk) for chunk in chunks]
-        for chunk, fut in zip(chunks, futures):
-            for i, value in zip(chunk, fut.result()):
-                out[i] = value
-    return [v for v in out if v is not None]
-
-
-def run_experiment(
-    spec: ScenarioSpec,
-    sigma2: float,
-    n_rep: int,
-    jobs: int = 1,
-    pi2_scale: str = "N",
-) -> ExperimentReport:
-    """Replicate the oracle comparison n_rep times and aggregate the statistics.
-
-    ``pi2_scale`` selects the normalization inside the CLT statistic: "N"
-    (the replicate count, the statistically meaningful choice) or "n" (the
-    per-task sample size).  The choice is recorded in the report.
-    """
-    if n_rep < 1:
-        raise ValueError("n_rep must be positive")
-    if pi2_scale not in ("N", "n"):
-        raise ValueError("pi2_scale must be 'N' or 'n'")
-    ratios = _compute_ratios(spec, sigma2, n_rep, max(1, jobs))
+    ratios = [oracle_result(search[k * rows:(k + 1) * rows]).rho for k in range(n_rep)]
     if any(not math.isfinite(r) for r in ratios):
         bad = next(i for i, r in enumerate(ratios) if not math.isfinite(r))
         raise FloatingPointError(f"replicate {bad} produced a non-finite oracle ratio")
@@ -136,38 +108,49 @@ def run_experiment(
         ci95 = (mean - half, mean + half)
     else:
         # single replicate: dispersion and the CLT statistic are undefined
-        std = math.nan
-        pi2 = math.nan
+        std = pi2 = math.nan
         ci95 = (math.nan, math.nan)
-    return ExperimentReport(
-        spec=spec,
-        sigma2=sigma2,
-        n_rep=n_rep,
-        ratios=tuple(float(r) for r in ratios),
-        b_bar=b_bar,
-        pi1=pvalue_pi1(b_bar, n_rep),
-        mean_ratio=mean,
-        std_ratio=std,
-        pi2=pi2,
-        ci95=ci95,
-        pi2_scale=pi2_scale,
-    )
+    return ExperimentReport(spec=spec, sigma2=sigma2, n_rep=n_rep, ratios=tuple(ratios), b_bar=b_bar,
+                            pi1=pvalue_pi1(b_bar, n_rep), mean_ratio=mean, std_ratio=std, pi2=pi2, ci95=ci95,
+                            pi2_scale=pi2_scale)
+
+
+def run_experiments(specs: list[ScenarioSpec], sigma2: float, n_rep: int, jobs: int = 1,
+                    pi2_scale: str = "N") -> tuple[list[ExperimentReport], list[ProfileMinimum]]:
+    """Replicate the oracle comparison of every spec n_rep times, all in one stacked search.
+
+    The specs must share n and p.  Each spec's rows are dropped once joined, before the search.  Returns one report per spec and the
+    searches: p + 2 per replicate, replicate by replicate, spec by spec.
+    ``pi2_scale`` selects the normalization inside the CLT statistic: "N"
+    (the replicate count, the statistically meaningful choice) or "n" (the
+    per-task sample size); each report records it.  ``jobs`` is accepted for
+    compatibility only: a worker pool did not clearly beat one process.
+    """
+    if n_rep < 1:
+        raise ValueError("n_rep must be positive")
+    if pi2_scale not in ("N", "n"):
+        raise ValueError("pi2_scale must be 'N' or 'n'")
+    if len({(spec.n, spec.p) for spec in specs}) != 1:
+        raise ValueError("the specs of one run must share n and p")
+    spectra, gammas = {}, []
+    signal, noise, owner = map(np.concatenate, zip(*(_replicate_rows(spec, sigma2, n_rep, spectra, gammas)
+                                                     for spec in specs)))
+    search = minimize_profiles(specs[0].n, np.vstack(gammas), signal, noise, spectrum=owner)
+    size = n_rep * (specs[0].p + 2)
+    return [_report(spec, sigma2, n_rep, search[k * size:(k + 1) * size], pi2_scale)
+            for k, spec in enumerate(specs)], search
+
+
+def run_experiment(spec: ScenarioSpec, sigma2: float, n_rep: int, jobs: int = 1,
+                   pi2_scale: str = "N") -> ExperimentReport:
+    """Replicate the oracle comparison n_rep times and aggregate the statistics: ``run_experiments`` of one spec."""
+    return run_experiments([spec], sigma2, n_rep, jobs, pi2_scale)[0][0]
 
 
 def report_to_dict(report: ExperimentReport) -> dict:
-    return {
-        "spec": report.spec.to_dict(),
-        "sigma2": report.sigma2,
-        "n_rep": report.n_rep,
-        "b_bar": report.b_bar,
-        "pi1": report.pi1,
-        "mean_ratio": report.mean_ratio,
-        "std_ratio": report.std_ratio,
-        "pi2": report.pi2,
-        "ci95": list(report.ci95),
-        "pi2_scale": report.pi2_scale,
-        "ratios": list(report.ratios),
-    }
+    """The report's fields in declaration order, with the ratios moved to the end."""
+    fields_ = {field.name: getattr(report, field.name) for field in fields(report) if field.name != "ratios"}
+    return fields_ | {"spec": report.spec.to_dict(), "ci95": list(report.ci95), "ratios": list(report.ratios)}
 
 
 def report_to_json(report: ExperimentReport) -> str:
@@ -199,14 +182,8 @@ def emit_table(reports: list[ExperimentReport], path: str) -> None:
             )
 
 
-def emit_heatmap_csv(
-    grid: list[list[ExperimentReport]],
-    row_name: str,
-    row_values: list[float],
-    col_name: str,
-    col_values: list[float],
-    path: str,
-) -> None:
+def emit_heatmap_csv(grid: list[list[ExperimentReport]], row_name: str, row_values: list[float], col_name: str,
+                     col_values: list[float], path: str) -> None:
     """CSV grid of mean ratios followed by the matching grid of ci95 half-widths."""
     if not grid or any(len(row) != len(col_values) for row in grid) or len(grid) != len(row_values):
         raise ValueError("report grid does not match the declared axes")
@@ -221,7 +198,3 @@ def emit_heatmap_csv(
         writer.writerow(header)
         for rv, row in zip(row_values, grid):
             writer.writerow([repr(rv)] + [repr((rep.ci95[1] - rep.ci95[0]) / 2.0) for rep in row])
-
-
-def default_jobs() -> int:
-    return os.cpu_count() or 1

@@ -47,6 +47,7 @@ DEFAULT_MAX_ITER = 100
 BRACKET_DECADES = 10.0
 T_LIMIT = 600.0  # |log lam| cap: lam stays a normal double even one grid step past the bracket
 T_STEP_TOL = 1e-12  # a step in log lam this small ends a basin's search
+SOURCES = ("zero", "limit", "newton", "grid")  # the candidates of a search, in order of precedence
 BLOCK_ELEMENTS = 1 << 15  # doubles per temporary (256 KB): cache-sized, and memory stays flat whatever the stack
 
 
@@ -276,7 +277,8 @@ def minimize_profiles(
 
     # grid scan and boundary values, one spectrum at a time: b^2 and sum a^2 are shared by its
     # rows; grid points and rows go in blocks that keep every temporary cache-sized
-    vals = np.empty((rows, n_grid))
+    padded = np.full((rows, n_grid + 2), np.inf)  # +inf beyond both grid ends, for the basin search below
+    vals = padded[:, 1:-1]
     zero, limit = np.empty(rows), np.empty(rows)
     chunk = max(1, BLOCK_ELEMENTS // gamma.shape[1])
     for j, g in enumerate(gamma):
@@ -305,8 +307,6 @@ def minimize_profiles(
 
     # every grid-local minimum marks a basin worth refining; the grid argmin is one of them.
     # Newton starts at the vertex of the parabola through the basin's three grid values.
-    padded = np.full((rows, n_grid + 2), np.inf)
-    padded[:, 1:-1] = vals
     left, mid, right = padded[:, :-2], vals, padded[:, 2:]
     basin_row, basin_at = np.nonzero((mid <= left) & (mid <= right))
     f0, f1, f2 = left[basin_row, basin_at], mid[basin_row, basin_at], right[basin_row, basin_at]
@@ -322,32 +322,26 @@ def minimize_profiles(
     # per row: the first best basin; then zero, limit, newton and grid in that order of precedence
     order = np.lexsort((np.arange(len(basin_row)), r_end, basin_row))
     first = order[np.concatenate(([True], basin_row[order][1:] != basin_row[order][:-1]))]
+    candidates = np.array((zero, limit, r_end[first], vals.min(axis=1)))  # in the order of SOURCES
+    source = candidates.argmin(axis=0)  # the first of equal candidates wins
+    codes, t, g = source.tolist(), t_end[first], g_end[first]
+    if 3 in codes:  # rare, so the common case skips this evaluation
+        grid = np.flatnonzero(source == 3)
+        t[grid] = t_grid[spectrum[grid], np.argmin(vals[grid], axis=1)]
+        g[grid] = _curve(n, gamma, signal, noise, spectrum, grid, n * np.exp(t[grid]))[1]
     out = []
-    candidates = zip(zero.tolist(), limit.tolist(), vals.min(axis=1).tolist(), first.tolist())
-    for row, (z, lim, gv, nb) in enumerate(candidates):
-        best = ProfileMinimum(0.0, z, math.nan, 0, "zero")
-        if lim < best.value:
-            best = ProfileMinimum(math.inf, lim, math.nan, 0, "limit")
-        if r_end[nb] < best.value:
-            lam = math.exp(float(t_end[nb]))
-            best = ProfileMinimum(lam, float(r_end[nb]), float(g_end[nb]) / lam, int(iters[nb]), "newton")
-        if gv < best.value:
-            t = t_grid[spectrum[row], np.argmin(vals[row])]
-            g1 = _curve(n, gamma, signal, noise, spectrum, np.array([row]), n * np.exp(np.array([t])))[1, 0]
-            lam = math.exp(float(t))
-            best = ProfileMinimum(lam, gv, float(g1) / lam, 0, "grid")
-        out.append(best)
+    for code, values, x, d, k in zip(codes, candidates.T.tolist(), t.tolist(), g.tolist(), iters[first].tolist()):
+        if code < 2:
+            out.append(ProfileMinimum((0.0, math.inf)[code], values[code], math.nan, 0, SOURCES[code]))
+        else:
+            lam = math.exp(x)  # not np.exp, which may differ in the last bit
+            out.append(ProfileMinimum(lam, values[code], d / lam, k if code == 2 else 0, SOURCES[code]))
     return out
 
 
-def minimize_profile(
-    profile: RidgeRiskProfile,
-    lo: float | None = None,
-    hi: float | None = None,
-    n_grid: int = DEFAULT_GRID_POINTS,
-    grad_tol: float = DEFAULT_GRAD_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> ProfileMinimum:
+def minimize_profile(profile: RidgeRiskProfile, lo: float | None = None, hi: float | None = None,
+                     n_grid: int = DEFAULT_GRID_POINTS, grad_tol: float = DEFAULT_GRAD_TOL,
+                     max_iter: int = DEFAULT_MAX_ITER) -> ProfileMinimum:
     """Minimize one ridge risk curve over lam in [0, +inf]: a one-row ``minimize_profiles``."""
     return minimize_profiles(profile.n, profile.gamma, profile.signal[None, :], np.array([profile.noise]),
                              lo=lo, hi=hi, n_grid=n_grid, grad_tol=grad_tol, max_iter=max_iter)[0]

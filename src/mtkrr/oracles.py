@@ -85,12 +85,13 @@ def _singletask(tasks: list[ProfileMinimum]) -> STOracle:
 
 def oracle_multitask(spectrum: KernelSpectrum, profile: MeanVarianceProfile, sigma2: float, p: int) -> MTOracle:
     """Independently minimize the mean part over lam and the variance part over mu."""
-    return _multitask(*minimize_profiles(spectrum.n, spectrum.gamma, *multitask_rows(profile, sigma2, p)))
+    signal, noise = multitask_rows(profile.mu, profile.varsigma2, sigma2, p)
+    return _multitask(*minimize_profiles(spectrum.n, spectrum.gamma, signal, noise))
 
 
 def oracle_singletask(spectrum: KernelSpectrum, tasks: TaskEnsemble, sigma2: float) -> STOracle:
     """Per-task oracle ridge risks, averaged over the p tasks."""
-    return _singletask(minimize_profiles(spectrum.n, spectrum.gamma, *singletask_rows(tasks, sigma2)))
+    return _singletask(minimize_profiles(spectrum.n, spectrum.gamma, *singletask_rows(tasks.h, sigma2)))
 
 
 def oracle_result(search: list[ProfileMinimum]) -> OracleResult:
@@ -113,7 +114,7 @@ def oracle_result(search: list[ProfileMinimum]) -> OracleResult:
 
 def compare_oracles(spectrum: KernelSpectrum, tasks: TaskEnsemble, sigma2: float) -> OracleResult:
     """Run both oracles on the same ensemble, in one stacked search, and form the risk ratio."""
-    return oracle_result(minimize_profiles(spectrum.n, spectrum.gamma, *comparison_rows(tasks, sigma2)))
+    return oracle_result(minimize_profiles(spectrum.n, spectrum.gamma, *comparison_rows(tasks.h, sigma2)))
 
 
 def rho_formula_2points(p: int, delta: float, r: float) -> float:

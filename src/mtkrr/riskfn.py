@@ -124,17 +124,18 @@ def s2(n: int, lam: float, beta: float) -> float:
 def _tail_integral(a: float) -> float:
     """int_0^inf u^(a-1)/(1+u)^2 du = B(a, 2-a) = pi w / sin(pi w) with w = 1 - a.
 
-    Written in w rather than as (1-a) pi / sin(pi a): near a = 1, sin(pi a)
-    carries the rounding of pi a relative to a value close to zero, while
-    1 - a is exact there.
+    Written in w rather than as (1-a) pi / sin(pi a) on [1/2, 3/2]: near a = 1,
+    sin(pi a) carries the rounding of pi a relative to a value close to zero,
+    while 1 - a is exact there.  Near the ends of (0, 2) it is the other way
+    round, so there b = min(a, 2-a) (B is symmetric) gives pi (1-b) / sin(pi b).
     """
     if not 0 < a < 2:
         raise DivergentIntegralError(f"exponent a={a!r} outside (0, 2); integral diverges")
-    w = 1.0 - a
-    if w == 0.0:
-        return 1.0
-    x = math.pi * w
-    return x / math.sin(x)
+    b = min(a, 2.0 - a)
+    if b < 0.5:
+        return math.pi * (1.0 - b) / math.sin(math.pi * b)
+    x = math.pi * (1.0 - a)
+    return x / math.sin(x) if x else 1.0
 
 
 def _unit_fraction(a: float) -> float:

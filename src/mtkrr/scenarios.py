@@ -124,62 +124,73 @@ def _decay(n: int, delta: float) -> np.ndarray:
     return math.sqrt(n) * i ** (-delta)
 
 
-def gen_h2points(spec: ScenarioSpec) -> TaskEnsemble:
+def _h2points(spec: ScenarioSpec, seeds) -> np.ndarray:
     """Two equal clusters: first half amplitude sqrt(C1)+sqrt(C2), second half sqrt(C1)-sqrt(C2)."""
     if spec.p % 2:
         raise ValueError("the two-cluster configuration needs an even p")
-    base = _decay(spec.n, spec.delta1)
-    h = np.empty((spec.n, spec.p))
-    h[:, : spec.p // 2] = (base * (math.sqrt(spec.c1) + math.sqrt(spec.c2)))[:, None]
-    h[:, spec.p // 2 :] = (base * (math.sqrt(spec.c1) - math.sqrt(spec.c2)))[:, None]
-    return TaskEnsemble(n=spec.n, p=spec.p, h=h)
+    plus, minus = math.sqrt(spec.c1) + math.sqrt(spec.c2), math.sqrt(spec.c1) - math.sqrt(spec.c2)
+    return (_decay(spec.n, spec.delta1)[:, None] * np.repeat([plus, minus], spec.p // 2))[None]
 
 
-def gen_h1out(spec: ScenarioSpec) -> TaskEnsemble:
+def _h1out(spec: ScenarioSpec, seeds) -> np.ndarray:
     """p-1 identical tasks plus one outlier, balanced so the mean profile is exact."""
     if spec.p < 2:
         raise ValueError("the outlier configuration needs p >= 2")
-    base = _decay(spec.n, spec.delta1)
-    h = np.empty((spec.n, spec.p))
-    h[:, : spec.p - 1] = (base * (math.sqrt(spec.c1) + math.sqrt(spec.c2 / (spec.p - 1))))[:, None]
-    h[:, spec.p - 1] = base * (math.sqrt(spec.c1) - math.sqrt((spec.p - 1) * spec.c2))
-    return TaskEnsemble(n=spec.n, p=spec.p, h=h)
+    amplitudes = [math.sqrt(spec.c1) + math.sqrt(spec.c2 / (spec.p - 1))] * (spec.p - 1)
+    amplitudes.append(math.sqrt(spec.c1) - math.sqrt((spec.p - 1) * spec.c2))
+    return (_decay(spec.n, spec.delta1)[:, None] * np.array(amplitudes))[None]
 
 
 def _rademacher(rng: np.random.Generator, n: int, p: int) -> np.ndarray:
     return rng.integers(0, 2, size=(n, p)).astype(float) * 2.0 - 1.0
 
 
-def gen_setting_a(spec: ScenarioSpec) -> TaskEnsemble:
+def _signs(spec: ScenarioSpec, seeds) -> np.ndarray:
+    """(R, n, p) block of Rademacher signs: replicate r draws from its own stream rng_for(seeds[r])."""
+    return np.stack([_rademacher(rng_for(seed), spec.n, spec.p) for seed in seeds])
+
+
+def _setting_a(spec: ScenarioSpec, seeds) -> np.ndarray:
     """One diffuse cluster: h_i^j = sqrt(n) i^(-delta) (sqrt(C1) + eps_i^j sqrt(C2))."""
-    eps = _rademacher(rng_for(spec.seed), spec.n, spec.p)
-    h = _decay(spec.n, spec.delta1)[:, None] * (math.sqrt(spec.c1) + eps * math.sqrt(spec.c2))
-    return TaskEnsemble(n=spec.n, p=spec.p, h=h)
+    eps = _signs(spec, seeds)
+    return _decay(spec.n, spec.delta1)[:, None] * (math.sqrt(spec.c1) + eps * math.sqrt(spec.c2))
 
 
-def gen_setting_c(spec: ScenarioSpec) -> TaskEnsemble:
+def _setting_c(spec: ScenarioSpec, seeds) -> np.ndarray:
     """Cluster whose dispersion has its own decay: sqrt(n)(sqrt(C1) i^-d1 + eps sqrt(C2) i^-d2)."""
-    eps = _rademacher(rng_for(spec.seed), spec.n, spec.p)
+    eps = _signs(spec, seeds)
     i = np.arange(1, spec.n + 1, dtype=float)
-    h = math.sqrt(spec.n) * (
+    return math.sqrt(spec.n) * (
         math.sqrt(spec.c1) * (i ** -spec.delta1)[:, None]
         + eps * math.sqrt(spec.c2) * (i ** -spec.delta2)[:, None]
     )
-    return TaskEnsemble(n=spec.n, p=spec.p, h=h)
 
 
-def gen_setting_d(spec: ScenarioSpec, cluster_amplitude: float = 1.0) -> TaskEnsemble:
+def _setting_d(spec: ScenarioSpec, seeds, cluster_amplitude: float = 1.0) -> np.ndarray:
     """Cluster of p-1 sign-noise tasks around zero plus one outlier.
 
     Cluster columns use exponent 2 and unit amplitude (scaled by the optional
     knob); the outlier column has amplitude sqrt(n C2) and exponent delta2.
     """
-    eps = _rademacher(rng_for(spec.seed), spec.n, spec.p)
+    eps = _signs(spec, seeds)
     i = np.arange(1, spec.n + 1, dtype=float)
-    h = np.empty((spec.n, spec.p))
-    h[:, : spec.p - 1] = cluster_amplitude * math.sqrt(spec.n) * eps[:, : spec.p - 1] * (i**-2.0)[:, None]
-    h[:, spec.p - 1] = math.sqrt(spec.n * spec.c2) * eps[:, spec.p - 1] * i ** -spec.delta2
-    return TaskEnsemble(n=spec.n, p=spec.p, h=h)
+    h = np.empty(eps.shape)
+    h[..., : spec.p - 1] = cluster_amplitude * math.sqrt(spec.n) * eps[..., : spec.p - 1] * (i**-2.0)[:, None]
+    h[..., spec.p - 1] = math.sqrt(spec.n * spec.c2) * eps[..., spec.p - 1] * i ** -spec.delta2
+    return h
+
+
+def _one_replicate(block):
+    """The generator of one ensemble from a block formula: its block of the single seed ``spec.seed``."""
+    def generate(spec: ScenarioSpec, **knobs) -> TaskEnsemble:
+        return TaskEnsemble(n=spec.n, p=spec.p, h=block(spec, [spec.seed], **knobs)[0])
+    generate.__name__ = generate.__qualname__ = "gen" + block.__name__
+    generate.__doc__ = block.__doc__
+    return generate
+
+
+gen_h2points, gen_h1out = _one_replicate(_h2points), _one_replicate(_h1out)
+gen_setting_a, gen_setting_c, gen_setting_d = map(_one_replicate, (_setting_a, _setting_c, _setting_d))
 
 
 def periodic_kernel_value(theta: np.ndarray, m: int) -> np.ndarray:
@@ -230,19 +241,27 @@ def gen_setting_b(spec: ScenarioSpec) -> tuple[KernelSpectrum, TaskEnsemble]:
     return spectrum, project_tasks(spectrum, F)
 
 
+_TASK_BLOCKS = {ScenarioKind.H2POINTS: _h2points, ScenarioKind.H1OUT: _h1out, ScenarioKind.SETTING_A: _setting_a,
+                ScenarioKind.SETTING_C: _setting_c, ScenarioKind.SETTING_D: _setting_d}
+
+
+def task_block(spec: ScenarioSpec, seeds: list[int]) -> np.ndarray:
+    """Task coefficients of one replicate per seed, as an (R, n, p) block (synthetic kinds).
+
+    Replicate r draws from its own stream ``rng_for(seeds[r])``: its slice is the ensemble of ``spec``
+    with that seed, bit for bit.  The deterministic configurations give a read-only broadcast.
+    """
+    if spec.kind is ScenarioKind.SETTING_B:
+        raise ValueError("setting B draws its spectrum with its tasks; use gen_setting_b")
+    return np.broadcast_to(_TASK_BLOCKS[spec.kind](spec, seeds), (len(seeds), spec.n, spec.p))
+
+
 def build_ensemble(spec: ScenarioSpec) -> tuple[KernelSpectrum, TaskEnsemble]:
-    """Generate (spectrum, ensemble) for any scenario kind.
+    """Generate (spectrum, ensemble) for any scenario kind: the one-replicate case of ``task_block``.
 
     Synthetic kinds use the polynomial-decay spectrum with beta = beta_or_m;
     the periodic-spline setting derives both from the drawn inputs.
     """
     if spec.kind is ScenarioKind.SETTING_B:
         return gen_setting_b(spec)
-    generators = {
-        ScenarioKind.H2POINTS: gen_h2points,
-        ScenarioKind.H1OUT: gen_h1out,
-        ScenarioKind.SETTING_A: gen_setting_a,
-        ScenarioKind.SETTING_C: gen_setting_c,
-        ScenarioKind.SETTING_D: gen_setting_d,
-    }
-    return synth_spectrum(spec.n, spec.beta_or_m), generators[spec.kind](spec)
+    return synth_spectrum(spec.n, spec.beta_or_m), TaskEnsemble(n=spec.n, p=spec.p, h=task_block(spec, [spec.seed])[0])

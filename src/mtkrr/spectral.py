@@ -145,15 +145,18 @@ def reconstruct_tasks(spectrum: KernelSpectrum, tasks: TaskEnsemble) -> np.ndarr
     return spectrum.basis.T @ tasks.h
 
 
-def mean_variance_profile(tasks: TaskEnsemble) -> MeanVarianceProfile:
-    """Split an ensemble into its mean and between-task variance profiles.
+def mean_variance(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and between-task variance profiles of coefficients h (n x p, or (R, n, p) for R replicates).
 
     mu_i = sum_j h_i^j / sqrt(p) and varsigma2_i = (1/p) sum_j (h_i^j - hbar_i)^2
     with hbar_i the plain row mean (= mu_i / sqrt(p)).  Computed directly from
     row sums, never materializing the p x p rotation that diagonalizes the
-    task-coupling matrix.
+    task-coupling matrix.  Both reduce along the contiguous task axis, so each
+    replicate of a block gets the bits of its n x p slice alone.
     """
-    p = tasks.p
-    mu = tasks.h.sum(axis=1) / math.sqrt(p)
-    varsigma2 = np.var(tasks.h, axis=1)
-    return MeanVarianceProfile(mu=mu, varsigma2=varsigma2)
+    return h.sum(axis=-1) / math.sqrt(h.shape[-1]), np.var(h, axis=-1)
+
+
+def mean_variance_profile(tasks: TaskEnsemble) -> MeanVarianceProfile:
+    """Split an ensemble into its mean and between-task variance profiles (see ``mean_variance``)."""
+    return MeanVarianceProfile(*mean_variance(tasks.h))

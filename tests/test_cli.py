@@ -146,6 +146,13 @@ class TestTableCommand:
         assert [float(r[0]) for r in rows[1:]] == [0.1, 1.0]
         assert all(float(r[5]) > 0 for r in rows[1:])
 
+    def test_byte_identical_across_worker_counts(self, tmp_path):
+        self.test_small_table(tmp_path)
+        first = (tmp_path / "table.csv").read_bytes()
+        for jobs in (["--jobs", "2"], []):
+            assert main(["table", "--config", str(tmp_path / "table.ini"), *jobs]) == 0
+            assert (tmp_path / "table.csv").read_bytes() == first
+
 
 class TestHeatmapCommand:
     def test_small_grid_with_svg(self, tmp_path):
@@ -175,6 +182,13 @@ class TestHeatmapCommand:
         first = (tmp_path / "grid.svg").read_bytes()
         main(["heatmap", "--config", str(tmp_path / "heat.ini"), "--jobs", "1"])
         assert (tmp_path / "grid.svg").read_bytes() == first
+
+    def test_byte_identical_across_worker_counts(self, tmp_path):
+        self.test_small_grid_with_svg(tmp_path)
+        first = [(tmp_path / name).read_bytes() for name in ("grid.csv", "grid.svg")]
+        for jobs in (["--jobs", "2"], []):
+            assert main(["heatmap", "--config", str(tmp_path / "heat.ini"), *jobs]) == 0
+            assert [(tmp_path / name).read_bytes() for name in ("grid.csv", "grid.svg")] == first
 
 
 class TestVerifyBounds:
@@ -254,6 +268,81 @@ class TestSweepSeeding:
         expected = tmp_path / "expected.csv"
         emit_heatmap_csv(grid, "delta2", [1.5, 2.5], "c2", [0.1, 0.5, 1.0], str(expected))
         assert out.read_bytes() == expected.read_bytes()
+
+
+def write_heatmap_config(tmp_path, n_rep=3):
+    cfg = tmp_path / "heat.ini"
+    cfg.write_text(
+        "[heatmap]\n"
+        "kind = setting_c\nn = 12\np = 3\nc1 = 1.0\ndelta1 = 2.0\n"
+        "row_param = delta2\nrow_values = 1.5, 2.5\n"
+        "col_param = c2\ncol_values = 0.1, 0.5, 1.0\n"
+        f"sigma2 = 1.0\nn_rep = {n_rep}\nseed = 4\n"
+        f"out_csv = {tmp_path / 'grid.csv'}\n"
+    )
+    return cfg
+
+
+def write_table_config(tmp_path):
+    cfg = tmp_path / "table.ini"
+    cfg.write_text(
+        "[table]\n"
+        "kind = setting_b\nn = 10\np = 3\nc1 = 1.0\ndelta1 = 2.0\n"
+        "c2_values = 0.1, 1.0\nbeta_or_m_values = 1, 2\n"
+        f"sigma2 = 1.0\nn_rep = 2\nseed = 9\nout_csv = {tmp_path / 'table.csv'}\n"
+    )
+    return cfg
+
+
+class TestOneEngineCall:
+    """Every config-driven command minimizes all its risk curves in a single stacked search."""
+
+    @pytest.mark.parametrize("command", ["experiment", "table", "heatmap"])
+    def test_each_command_calls_the_engine_once(self, tmp_path, monkeypatch, command):
+        original, calls = mtkrr.optimize.minimize_profiles, []
+
+        def counted(*args, **kwargs):
+            calls.append(len(args[2]))
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "mtkrr" and getattr(module, "minimize_profiles", None) is original:
+                monkeypatch.setattr(module, "minimize_profiles", counted)
+        write = {"experiment": lambda path: TestExperimentCommand().write_config(path),
+                 "table": write_table_config, "heatmap": write_heatmap_config}[command]
+        for jobs in (["--jobs", "1"], ["--jobs", "2"], []):
+            calls.clear()
+            assert main([command, "--config", str(write(tmp_path)), *jobs]) == 0
+            assert len(calls) == 1
+        rows = {"experiment": 6 * (3 + 2), "table": 4 * 2 * (3 + 2), "heatmap": 6 * 3 * (3 + 2)}[command]
+        assert calls == [rows]
+
+
+class TestRunSummary:
+    def test_summary_counts_every_search_and_leaves_the_data_unchanged(self, tmp_path, capsys):
+        assert main(["heatmap", "--config", str(write_heatmap_config(tmp_path)), "--jobs", "1"]) == 0
+        captured = capsys.readouterr()
+        summary = captured.err.strip().splitlines()[-1]
+        assert summary.startswith("searches 90: zero ")
+        counts = dict(part.rsplit(" ", 1) for part in summary.split(": ", 1)[1].split("; ")[0].split(", "))
+        assert sorted(counts) == ["grid", "limit", "newton", "zero"] and sum(map(int, counts.values())) == 90
+        assert "max_iter hits 0; newton evaluations median " in summary
+        assert "searches" not in captured.out
+        # the same grid written straight from the library, which prints nothing
+        grid = [
+            [run_experiment(ScenarioSpec(kind=ScenarioKind.SETTING_C, n=12, p=3, c1=1.0, c2=c2, delta1=2.0,
+                                         delta2=d2, seed=spawn_seed(4, i, j)), 1.0, 3)
+             for j, c2 in enumerate([0.1, 0.5, 1.0])]
+            for i, d2 in enumerate([1.5, 2.5])
+        ]
+        emit_heatmap_csv(grid, "delta2", [1.5, 2.5], "c2", [0.1, 0.5, 1.0], str(tmp_path / "expected.csv"))
+        assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
+    def test_experiment_prints_the_summary_to_stderr(self, tmp_path, capsys):
+        cfg = TestExperimentCommand().write_config(tmp_path)
+        assert main(["experiment", "--config", str(cfg), "--jobs", "1"]) == 0
+        captured = capsys.readouterr()
+        assert "searches 30: zero " in captured.err and "searches" not in captured.out
 
 
 class TestSweepConfigErrors:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from conftest import random_psd
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from mtkrr.estimators import (
     RegularizerAV,
@@ -157,6 +159,19 @@ class TestRiskDirect:
         spectral = risk_spectral(spectrum, mean_variance_profile(tasks), lam, mu, sigma2, tasks.p)
         assert direct.total == pytest.approx(spectral.total, rel=1e-9)
         assert direct.bias == pytest.approx(spectral.bias, rel=1e-8, abs=1e-12)
+
+    @given(st.integers(min_value=1, max_value=64), st.integers(min_value=1, max_value=8),
+           st.integers(min_value=0, max_value=2**32 - 1), st.floats(min_value=-4.0, max_value=2.0),
+           st.floats(min_value=-4.0, max_value=2.0), st.floats(min_value=-1.0, max_value=1.0))
+    def test_agrees_with_spectral_route_on_random_instances(self, n, p, seed, log_lam, log_mu, log_sigma2):
+        assume(n * p <= 512)  # the dense operator's size cap
+        spectrum, tasks = random_instance(seed, n=n, p=p)
+        lam, mu, sigma2 = 10**log_lam, 10**log_mu, 10**log_sigma2
+        direct = risk_direct(spectrum, tasks, RegularizerAV(p=p, lam=lam, mu=mu), sigma2)
+        spectral = risk_spectral(spectrum, mean_variance_profile(tasks), lam, mu, sigma2, p)
+        assert direct.total == pytest.approx(spectral.total, rel=1e-9)
+        assert direct.bias == pytest.approx(spectral.bias, rel=1e-8, abs=1e-12)
+        assert direct.variance == pytest.approx(spectral.variance, rel=1e-9)
 
 
 class TestRiskSpectral:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from mtkrr.estimators import comparison_rows
 from mtkrr.experiments import (
     Z_975,
     emit_heatmap_csv,
@@ -12,9 +13,10 @@ from mtkrr.experiments import (
     pvalue_pi2,
     report_to_json,
     run_experiment,
+    run_experiments,
 )
 from mtkrr.oracles import compare_oracles
-from mtkrr.scenarios import ScenarioKind, ScenarioSpec, build_ensemble, replicate_spec
+from mtkrr.scenarios import ScenarioKind, ScenarioSpec, build_ensemble, derive_seed, replicate_spec, task_block
 
 
 def quick_spec(**kw):
@@ -104,6 +106,40 @@ class TestRunExperiment:
         report = run_experiment(spec, sigma2=0.5, n_rep=5)
         alone = [compare_oracles(*build_ensemble(replicate_spec(spec, i)), 0.5).rho for i in range(5)]
         assert list(report.ratios) == alone
+
+    @pytest.mark.parametrize("kind, extra", [
+        (ScenarioKind.SETTING_A, dict()),
+        (ScenarioKind.SETTING_C, dict(delta2=1.5)),
+        (ScenarioKind.SETTING_D, dict(delta2=2.5)),
+        (ScenarioKind.H2POINTS, dict(p=4)),
+        (ScenarioKind.H1OUT, dict()),
+    ])
+    def test_block_rows_are_each_replicates_comparison_rows(self, kind, extra):
+        spec = quick_spec(**{"kind": kind, "c2": 0.3, "seed": 71, "p": 3, **extra})
+        signal, noise = comparison_rows(task_block(spec, [derive_seed(spec.seed, r) for r in range(6)]), 0.5)
+        assert signal.shape == (6, spec.p + 2, spec.n)
+        for r in range(6):
+            alone_signal, alone_noise = comparison_rows(build_ensemble(replicate_spec(spec, r))[1].h, 0.5)
+            assert np.array_equal(signal[r], alone_signal)
+            assert np.array_equal(noise, alone_noise)
+
+    @pytest.mark.parametrize("kind, axis", [
+        (ScenarioKind.SETTING_A, [dict(c2=c2) for c2 in (0.1, 0.5, 1.0)]),
+        (ScenarioKind.SETTING_C, [dict(c2=c2, delta2=d2) for c2 in (0.1, 1.0) for d2 in (1.5, 2.5)]),
+        (ScenarioKind.SETTING_D, [dict(c2=c2, delta2=2.5) for c2 in (0.1, 1.0)]),
+        (ScenarioKind.H2POINTS, [dict(c2=c2, p=4) for c2 in (0.0, 0.5)]),
+        (ScenarioKind.SETTING_B, [dict(n=12, beta_or_m=m) for m in (1.0, 2.0, 3.0)]),
+        (ScenarioKind.SETTING_A, [dict(beta_or_m=b, c2=0.5) for b in (1.5, 2.0, 1.5)]),  # distinct spectra
+    ])
+    def test_whole_sweep_equals_each_cell_alone(self, kind, axis):
+        specs = [quick_spec(**{"kind": kind, "p": 3, "seed": derive_seed(8, k), **cell}) for k, cell in enumerate(axis)]
+        reports, search = run_experiments(specs, 0.7, 4)
+        assert reports == [run_experiment(spec, 0.7, 4) for spec in specs]
+        assert len(search) == len(specs) * 4 * (specs[0].p + 2)
+
+    def test_specs_of_one_run_share_n_and_p(self):
+        with pytest.raises(ValueError, match="share n and p"):
+            run_experiments([quick_spec(), quick_spec(n=21)], 1.0, 2)
 
     def test_pi2_scale_override(self):
         spec = quick_spec(kind=ScenarioKind.SETTING_A, c2=0.5, seed=5, n=30)

@@ -99,6 +99,14 @@ class TestIntegrals:
         assert _tail_integral(a) == pytest.approx(1 + x**2 / 6 + 7 * x**4 / 360, rel=1e-15, abs=0)
         assert _tail_integral(1.0) == 1.0
 
+    @pytest.mark.parametrize("a", [1e-9, 1e-6, 2 - 1e-6, 1.9])
+    def test_full_accuracy_next_to_the_ends_of_the_domain(self, a):
+        # the w-form pi w / sin(pi w) loses about 1e-16 / min(a, 2 - a) relative here
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            exact = float(mpmath.beta(mpmath.mpf(a), 2 - mpmath.mpf(a)))
+        assert _tail_integral(a) == pytest.approx(exact, rel=1e-15, abs=0)
+
 
 class TestKappa:
     def test_both_routes_agree(self):
