@@ -20,13 +20,9 @@ from .experiments import ExperimentReport, pvalue_pi1, pvalue_pi2, run_experimen
 from .optimize import ProfileMinimum, RidgeRiskProfile, minimize_profile, minimize_profiles
 from .oracles import (
     OracleResult,
-    RatioSetting,
-    RatioTheory,
     compare_oracles,
     df_and_bias,
     hm_bound_rhs,
-    oracle_multitask,
-    oracle_singletask,
     rho_formula_1out,
     rho_formula_2points,
 )
@@ -35,7 +31,6 @@ from .riskfn import (
     Regime,
     RiskParams,
     alpha_constant,
-    classify_regime,
     epsilon_cap,
     integral_i1,
     integral_i2,

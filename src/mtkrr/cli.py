@@ -103,7 +103,6 @@ def _sweep(
     name: str,
     cells: list[tuple[str, tuple[int, ...], dict[str, float]]],
     errors: list[str],
-    jobs: int,
 ) -> tuple[list[experiments.ExperimentReport], str]:
     """Run one experiment per (label, path, overrides) cell, in order; return the reports and out_csv.
 
@@ -140,7 +139,7 @@ def _sweep(
         errors += [f"{name}.{message}" for message in cell_errors]
     _fail_on(errors)
 
-    reports, search = experiments.run_experiments(specs, sigma2, n_rep, jobs)
+    reports, search = experiments.run_experiments(specs, sigma2, n_rep)
     print(_run_summary(search), file=sys.stderr)
     return reports, out_csv
 
@@ -203,13 +202,10 @@ def cmd_oracle(args) -> int:
             "tasks": [_search_record(best) for best in result.search[2:]],
         },
     }
-    theory_kind = {
-        scenarios.ScenarioKind.H2POINTS: oracles.RatioSetting.TWO_POINTS,
-        scenarios.ScenarioKind.H1OUT: oracles.RatioSetting.ONE_OUT,
-    }.get(spec.kind)
-    if theory_kind is not None and spec.c1 > 0:
-        theory = oracles.ratio_theory(theory_kind, spec.p, spec.delta1, spec.c2 / spec.c1)
-        payload["rho_formula"] = theory.rho_formula
+    formula = {scenarios.ScenarioKind.H2POINTS: oracles.rho_formula_2points,
+               scenarios.ScenarioKind.H1OUT: oracles.rho_formula_1out}.get(spec.kind)
+    if formula is not None and spec.c1 > 0:
+        payload["rho_formula"] = formula(spec.p, spec.delta1, spec.c2 / spec.c1)
     with open(args.out, "w", newline="") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
@@ -230,7 +226,7 @@ def cmd_experiment(args) -> int:
         errors.append("experiment.out_json: missing")
     _fail_on(errors)
 
-    [report], search = experiments.run_experiments([spec], sigma2, n_rep, args.jobs, pi2_scale)
+    [report], search = experiments.run_experiments([spec], sigma2, n_rep, pi2_scale)
     print(_run_summary(search), file=sys.stderr)
     experiments.write_report_json(report, out_json)
     out_csv = section.get("out_csv", fallback=None)
@@ -255,7 +251,7 @@ def cmd_table(args) -> int:
         errors.append("table.beta_or_m_values: missing or empty")
     pairs = [(bm, c2) for bm in bm_values for c2 in c2_values]
     cells = [(f"row {k}", (k,), {"c2": c2, "beta_or_m": bm}) for k, (bm, c2) in enumerate(pairs)]
-    reports, out_csv = _sweep(section, "table", cells, errors, args.jobs)
+    reports, out_csv = _sweep(section, "table", cells, errors)
     experiments.emit_table(reports, out_csv)
     print(f"wrote {len(reports)} rows to {out_csv}")
     return 0
@@ -279,7 +275,7 @@ def cmd_heatmap(args) -> int:
     # cells of a broken axis would only repeat its error
     cells = [] if errors else [(f"cell ({i},{j})", (i, j), {row_param: rv, col_param: cv})
                                for i, rv in enumerate(row_values) for j, cv in enumerate(col_values)]
-    reports, out_csv = _sweep(section, "heatmap", cells, errors, args.jobs)
+    reports, out_csv = _sweep(section, "heatmap", cells, errors)
 
     width = len(col_values)
     grid = [reports[i * width:(i + 1) * width] for i in range(len(row_values))]
@@ -349,8 +345,8 @@ def cmd_verify_bounds(args) -> int:
     # Property 4: a single regime flip along a p-sweep at fixed n
     labels = []
     for p in np.geomspace(1, 1e7, 13):
-        labels.append(riskfn.classify_regime(
-            riskfn.RiskParams(n=50, p=int(round(p)), sigma2=sigma2, beta=2, delta=2, c=1.0)))
+        labels.append(riskfn.minimize_risk(
+            riskfn.RiskParams(n=50, p=int(round(p)), sigma2=sigma2, beta=2, delta=2, c=1.0)).regime)
     collapsed = [lab for k, lab in enumerate(labels) if lab is not riskfn.Regime.UNDETERMINED
                  and (k == 0 or lab is not labels[k - 1])]
     dedup = [lab for k, lab in enumerate(collapsed) if k == 0 or lab is not collapsed[k - 1]]

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .optimize import RidgeRiskProfile
-from .spectral import (KernelSpectrum, MeanVarianceProfile, TaskEnsemble, mean_variance, mean_variance_profile,
-                       reconstruct_tasks)
+from .spectral import KernelSpectrum, MeanVarianceProfile, TaskEnsemble, mean_variance, reconstruct_tasks
 
 DENSE_SIZE_CAP = 512  # the O((np)^3) route exists only for cross-validation
 
@@ -159,18 +158,6 @@ def comparison_rows(h: np.ndarray, sigma2: float) -> tuple[np.ndarray, np.ndarra
     return np.concatenate((mt_signal, st_signal), axis=-2), np.concatenate((mt_noise, st_noise))
 
 
-def mean_part_profile(spectrum: KernelSpectrum, profile: MeanVarianceProfile, sigma2: float, p: int) -> RidgeRiskProfile:
-    """Risk curve in lam for the task-mean component (row 0 of ``multitask_rows``)."""
-    signal, noise = multitask_rows(profile.mu, profile.varsigma2, sigma2, p)
-    return RidgeRiskProfile(n=spectrum.n, gamma=spectrum.gamma, signal=signal[0], noise=noise[0])
-
-
-def variance_part_profile(spectrum: KernelSpectrum, profile: MeanVarianceProfile, sigma2: float, p: int) -> RidgeRiskProfile:
-    """Risk curve in mu for the between-task component (row 1 of ``multitask_rows``)."""
-    signal, noise = multitask_rows(profile.mu, profile.varsigma2, sigma2, p)
-    return RidgeRiskProfile(n=spectrum.n, gamma=spectrum.gamma, signal=signal[1], noise=noise[1])
-
-
 def risk_spectral(
     spectrum: KernelSpectrum,
     profile: MeanVarianceProfile,
@@ -184,8 +171,10 @@ def risk_spectral(
         raise ValueError("noise variance must be positive")
     if p < 1:
         raise ValueError("p must be a positive integer")
-    b1, v1 = mean_part_profile(spectrum, profile, sigma2, p).parts(lam)
-    b2, v2 = variance_part_profile(spectrum, profile, sigma2, p).parts(mu)
+    signal, noise = multitask_rows(profile.mu, profile.varsigma2, sigma2, p)
+    n, gamma = spectrum.n, spectrum.gamma
+    b1, v1 = RidgeRiskProfile(n=n, gamma=gamma, signal=signal[0], noise=noise[0]).parts(lam)  # mean part
+    b2, v2 = RidgeRiskProfile(n=n, gamma=gamma, signal=signal[1], noise=noise[1]).parts(mu)  # between-task part
     return RiskBreakdown.of(b1 + b2, v1 + v2)
 
 
@@ -196,9 +185,3 @@ def risk_single_task(spectrum: KernelSpectrum, h_j: np.ndarray, lam: float, sigm
     profile = RidgeRiskProfile(n=spectrum.n, gamma=spectrum.gamma, signal=np.asarray(h_j, dtype=float) ** 2, noise=sigma2)
     return RiskBreakdown.of(*profile.parts(lam))
 
-
-def risk_from_ensemble(
-    spectrum: KernelSpectrum, tasks: TaskEnsemble, lam: float, mu: float, sigma2: float
-) -> RiskBreakdown:
-    """Convenience wrapper: spectral risk straight from an ensemble."""
-    return risk_spectral(spectrum, mean_variance_profile(tasks), lam, mu, sigma2, tasks.p)

@@ -21,7 +21,6 @@ import numpy as np
 
 from .estimators import comparison_rows
 from .optimize import ProfileMinimum, minimize_profiles
-from .oracles import oracle_result
 from .scenarios import (ScenarioKind, ScenarioSpec, derive_seed, gen_setting_b, replicate_spec, synth_spectrum,
                         task_block)
 
@@ -90,14 +89,21 @@ def _replicate_rows(spec: ScenarioSpec, sigma2: float, n_rep: int, spectra: dict
 
 
 def _report(spec: ScenarioSpec, sigma2: float, n_rep: int, search: list[ProfileMinimum], pi2_scale: str):
-    """Aggregate the searches of one spec's replicates, p + 2 per replicate, into its report."""
-    rows = spec.p + 2
-    ratios = [oracle_result(search[k * rows:(k + 1) * rows]).rho for k in range(n_rep)]
-    if any(not math.isfinite(r) for r in ratios):
-        bad = next(i for i, r in enumerate(ratios) if not math.isfinite(r))
-        raise FloatingPointError(f"replicate {bad} produced a non-finite oracle ratio")
+    """Aggregate the searches of one spec's replicates, p + 2 per replicate, into its report.
 
-    arr = np.asarray(ratios)
+    Each replicate's ratio is formed as ``oracles.oracle_result`` forms it, bit for bit: the
+    single-task risk sums the task minima left to right (``accumulate``, not numpy's pairwise sum).
+    """
+    values = np.array([best.value for best in search]).reshape(n_rep, spec.p + 2)
+    st_risk = np.add.accumulate(values[:, 2:], axis=1)[:, -1] / spec.p
+    if (st_risk <= 0).any():
+        raise ZeroDivisionError("single-task oracle risk is zero; the ratio is undefined")
+    arr = (values[:, 0] + values[:, 1]) / st_risk
+    finite = np.isfinite(arr)
+    if not finite.all():
+        raise FloatingPointError(f"replicate {int(np.argmin(finite))} produced a non-finite oracle ratio")
+    ratios = arr.tolist()
+
     b_bar = float(np.mean(arr < 1.0))
     mean = float(arr.mean())
     scale = n_rep if pi2_scale == "N" else spec.n
@@ -115,7 +121,7 @@ def _report(spec: ScenarioSpec, sigma2: float, n_rep: int, search: list[ProfileM
                             pi2_scale=pi2_scale)
 
 
-def run_experiments(specs: list[ScenarioSpec], sigma2: float, n_rep: int, jobs: int = 1,
+def run_experiments(specs: list[ScenarioSpec], sigma2: float, n_rep: int,
                     pi2_scale: str = "N") -> tuple[list[ExperimentReport], list[ProfileMinimum]]:
     """Replicate the oracle comparison of every spec n_rep times, all in one stacked search.
 
@@ -123,8 +129,7 @@ def run_experiments(specs: list[ScenarioSpec], sigma2: float, n_rep: int, jobs: 
     searches: p + 2 per replicate, replicate by replicate, spec by spec.
     ``pi2_scale`` selects the normalization inside the CLT statistic: "N"
     (the replicate count, the statistically meaningful choice) or "n" (the
-    per-task sample size); each report records it.  ``jobs`` is accepted for
-    compatibility only: a worker pool did not clearly beat one process.
+    per-task sample size); each report records it.
     """
     if n_rep < 1:
         raise ValueError("n_rep must be positive")
@@ -141,10 +146,9 @@ def run_experiments(specs: list[ScenarioSpec], sigma2: float, n_rep: int, jobs: 
             for k, spec in enumerate(specs)], search
 
 
-def run_experiment(spec: ScenarioSpec, sigma2: float, n_rep: int, jobs: int = 1,
-                   pi2_scale: str = "N") -> ExperimentReport:
+def run_experiment(spec: ScenarioSpec, sigma2: float, n_rep: int, pi2_scale: str = "N") -> ExperimentReport:
     """Replicate the oracle comparison n_rep times and aggregate the statistics: ``run_experiments`` of one spec."""
-    return run_experiments([spec], sigma2, n_rep, jobs, pi2_scale)[0][0]
+    return run_experiments([spec], sigma2, n_rep, pi2_scale)[0][0]
 
 
 def report_to_dict(report: ExperimentReport) -> dict:

@@ -230,8 +230,6 @@ def minimize_profiles(
     signal: np.ndarray,
     noise: np.ndarray,
     spectrum: np.ndarray | None = None,
-    lo: float | None = None,
-    hi: float | None = None,
     n_grid: int = DEFAULT_GRID_POINTS,
     grad_tol: float = DEFAULT_GRAD_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
@@ -241,9 +239,7 @@ def minimize_profiles(
     Row k has signal ``signal[k]`` (rows x width), noise ``noise[k]`` and the
     eigenvalues ``gamma[spectrum[k]]``: ``gamma`` holds the distinct spectra
     (k x width, or one 1-D spectrum) and ``spectrum`` maps rows to them
-    (default: every row on spectrum 0).  ``lo``/``hi`` replace the
-    spectrum-derived grid bracket with an explicit one for every row.
-    ``grad_tol`` is the relative stopping tolerance on |lam g'| / g.
+    (default: every row on spectrum 0).  ``grad_tol`` is the relative stopping tolerance on |lam g'| / g.
     """
     gamma = np.atleast_2d(np.asarray(gamma, dtype=float))
     signal = np.asarray(signal, dtype=float)
@@ -260,17 +256,12 @@ def minimize_profiles(
         raise ValueError("eigenvalues, signal energies and noise must be nonnegative")
 
     # per-spectrum bracket in t = log lam
-    if lo is None and hi is None:
-        gmax = gamma.max(axis=1)
-        gmin = np.where(gamma > 0, gamma, np.inf).min(axis=1)
-        flat = gmax == 0  # no positive eigenvalue: the curve is constant in lam
-        gmin[flat] = gmax[flat] = n
-        widen = BRACKET_DECADES * math.log(10.0)
-        t_lo, t_hi = np.log(gmin / n) - widen, np.log(gmax / n) + widen
-    elif lo is not None and hi is not None and 0 < lo < hi:
-        t_lo, t_hi = np.full(len(gamma), math.log(lo)), np.full(len(gamma), math.log(hi))
-    else:
-        raise ValueError("give both lo and hi, with 0 < lo < hi")
+    gmax = gamma.max(axis=1)
+    gmin = np.where(gamma > 0, gamma, np.inf).min(axis=1)
+    flat = gmax == 0  # no positive eigenvalue: the curve is constant in lam
+    gmin[flat] = gmax[flat] = n
+    widen = BRACKET_DECADES * math.log(10.0)
+    t_lo, t_hi = np.log(gmin / n) - widen, np.log(gmax / n) + widen
     t_lo, t_hi = np.maximum(t_lo, -T_LIMIT), np.minimum(t_hi, T_LIMIT)
     delta = (t_hi - t_lo) / (n_grid - 1)
     t_grid = t_lo[:, None] + np.arange(n_grid) * delta[:, None]
@@ -339,9 +330,8 @@ def minimize_profiles(
     return out
 
 
-def minimize_profile(profile: RidgeRiskProfile, lo: float | None = None, hi: float | None = None,
-                     n_grid: int = DEFAULT_GRID_POINTS, grad_tol: float = DEFAULT_GRAD_TOL,
-                     max_iter: int = DEFAULT_MAX_ITER) -> ProfileMinimum:
+def minimize_profile(profile: RidgeRiskProfile, n_grid: int = DEFAULT_GRID_POINTS,
+                     grad_tol: float = DEFAULT_GRAD_TOL, max_iter: int = DEFAULT_MAX_ITER) -> ProfileMinimum:
     """Minimize one ridge risk curve over lam in [0, +inf]: a one-row ``minimize_profiles``."""
     return minimize_profiles(profile.n, profile.gamma, profile.signal[None, :], np.array([profile.noise]),
-                             lo=lo, hi=hi, n_grid=n_grid, grad_tol=grad_tol, max_iter=max_iter)[0]
+                             n_grid=n_grid, grad_tol=grad_tol, max_iter=max_iter)[0]

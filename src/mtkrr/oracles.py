@@ -1,4 +1,4 @@
-"""Multi-task vs single-task oracle risks and their theoretical ratio forms.
+"""Multi-task vs single-task oracle risks and their rate-form ratio predictions.
 
 The multi-task oracle separates exactly: the risk is a sum of a mean part in
 lam and a variance part in mu, each a one-dimensional ridge risk curve, so
@@ -9,38 +9,14 @@ observation (divided by n p), which makes their ratio rho dimensionless.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import comparison_rows, multitask_rows, singletask_rows
+from .estimators import comparison_rows
 from .optimize import ProfileMinimum, minimize_profiles
-from .spectral import KernelSpectrum, MeanVarianceProfile, TaskEnsemble
-
-
-class RatioSetting(enum.Enum):
-    TWO_POINTS = "TWO_POINTS"
-    ONE_OUT = "ONE_OUT"
-
-
-@dataclass(frozen=True)
-class MTOracle:
-    lambda_star: float
-    mu_star: float
-    risk: float
-    mean_part: float
-    var_part: float
-    search: tuple[ProfileMinimum, ProfileMinimum]  # the mean-part and variance-part searches
-
-
-@dataclass(frozen=True)
-class STOracle:
-    lambdas: tuple[float, ...]
-    risk: float
-    per_task: tuple[float, ...]
-    search: tuple[ProfileMinimum, ...]  # one search per task
+from .spectral import KernelSpectrum, TaskEnsemble
 
 
 @dataclass(frozen=True)
@@ -57,59 +33,21 @@ class OracleResult:
     search: tuple[ProfileMinimum, ...]  # mean part, variance part, then each task
 
 
-@dataclass(frozen=True)
-class RatioTheory:
-    """Closed-form ratio prediction for one of the two analyzed repartitions."""
-
-    r: float
-    rho_formula: float
-    setting: RatioSetting
-
-
-def _multitask(mean: ProfileMinimum, var: ProfileMinimum) -> MTOracle:
-    return MTOracle(
-        lambda_star=mean.lam,
-        mu_star=var.lam,
-        risk=mean.value + var.value,
-        mean_part=mean.value,
-        var_part=var.value,
-        search=(mean, var),
-    )
-
-
-def _singletask(tasks: list[ProfileMinimum]) -> STOracle:
-    risks = [best.value for best in tasks]
-    return STOracle(lambdas=tuple(best.lam for best in tasks), risk=sum(risks) / len(tasks),
-                    per_task=tuple(risks), search=tuple(tasks))
-
-
-def oracle_multitask(spectrum: KernelSpectrum, profile: MeanVarianceProfile, sigma2: float, p: int) -> MTOracle:
-    """Independently minimize the mean part over lam and the variance part over mu."""
-    signal, noise = multitask_rows(profile.mu, profile.varsigma2, sigma2, p)
-    return _multitask(*minimize_profiles(spectrum.n, spectrum.gamma, signal, noise))
-
-
-def oracle_singletask(spectrum: KernelSpectrum, tasks: TaskEnsemble, sigma2: float) -> STOracle:
-    """Per-task oracle ridge risks, averaged over the p tasks."""
-    return _singletask(minimize_profiles(spectrum.n, spectrum.gamma, *singletask_rows(tasks.h, sigma2)))
-
-
 def oracle_result(search: list[ProfileMinimum]) -> OracleResult:
-    """Both oracles and their ratio from the p + 2 searches laid out by ``comparison_rows``."""
-    mt = _multitask(search[0], search[1])
-    st = _singletask(search[2:])
-    if st.risk <= 0:
+    """Both oracles and their ratio from the p + 2 searches laid out by ``comparison_rows``.
+
+    The multi-task risk is the sum of the mean-part and variance-part minima;
+    the single-task risk is the mean of the p per-task minima.
+    """
+    mean, var, tasks = search[0], search[1], search[2:]
+    per_task = tuple(best.value for best in tasks)
+    st_risk = sum(per_task) / len(tasks)
+    if st_risk <= 0:
         raise ZeroDivisionError("single-task oracle risk is zero; the ratio is undefined")
-    return OracleResult(
-        mt_risk=mt.risk,
-        st_risk=st.risk,
-        lambda_star=mt.lambda_star,
-        mu_star=mt.mu_star,
-        st_lambdas=st.lambdas,
-        rho=mt.risk / st.risk,
-        diagnostics=st.per_task,
-        search=tuple(search),
-    )
+    mt_risk = mean.value + var.value
+    return OracleResult(mt_risk=mt_risk, st_risk=st_risk, lambda_star=mean.lam, mu_star=var.lam,
+                        st_lambdas=tuple(best.lam for best in tasks), rho=mt_risk / st_risk, diagnostics=per_task,
+                        search=tuple(search))
 
 
 def compare_oracles(spectrum: KernelSpectrum, tasks: TaskEnsemble, sigma2: float) -> OracleResult:
@@ -147,14 +85,6 @@ def rho_formula_1out(p: int, delta: float, r: float) -> float:
         1 - math.sqrt(r * (p - 1))
     ) ** (1 / delta)
     return num / den
-
-
-def ratio_theory(setting: RatioSetting, p: int, delta: float, r: float) -> RatioTheory:
-    if setting is RatioSetting.TWO_POINTS:
-        value = rho_formula_2points(p, delta, r)
-    else:
-        value = rho_formula_1out(p, delta, r)
-    return RatioTheory(r=r, rho_formula=value, setting=setting)
 
 
 def df_and_bias(spectrum: KernelSpectrum, h_j: np.ndarray, lam: float) -> tuple[float, float]:

@@ -34,10 +34,6 @@ import numpy as np
 
 from .optimize import ProfileMinimum, RidgeRiskProfile, minimize_profile
 
-GRID_LO = 1e-12
-GRID_HI_DEFAULT = 10.0
-GRID_HI_UNCAPPED = 1e3  # widened search interval when no localization cap exists
-
 
 class DivergentIntegralError(ValueError):
     """Integral parameters outside the convergence domain a in (0, 2)."""
@@ -196,57 +192,45 @@ def alpha_constant(beta: float, delta: float) -> float:
     return min(_unit_fraction(1 / (2 * beta)), _unit_fraction(_i1_exponent(beta, delta)))
 
 
-def epsilon_cap(params: RiskParams) -> float:
+def minimax_rate(params: RiskParams, kap: float) -> float:
+    """(np/sigma2)^(1/2d - 1) C^(1/2d) kappa: the rate shared by the bounds, the cap and the regime test."""
+    e = 1 / (2 * params.delta)
+    return (params.n * params.p / params.sigma2) ** (e - 1) * params.c ** e * kap
+
+
+def epsilon_cap(params: RiskParams, rate: float) -> float:
     """Exact localization cap: the optimizer of the template risk lies in [0, cap].
 
-    Solves C eps^2/(1+eps)^2 = 2^(1/2d) (np/sigma2)^(1/2d-1) C^(1/2d) kappa for
-    eps, which needs sqrt(A) (np/sigma2)^(1/4d - 1/2) < 1.
+    Solves C eps^2/(1+eps)^2 = 2^(1/2d) rate for eps, which needs
+    s = sqrt(2^(1/2d) rate / C) < 1.
     """
     if not params.satisfies_hm:
         raise NoEpsilonCapError("cap is defined only on the minimax window")
     if params.c == 0:
         raise NoEpsilonCapError("cap is undefined for a zero signal amplitude")
-    d = params.delta
-    x = params.n * params.p / params.sigma2
-    a_const = params.c ** (1 / (2 * d) - 1) * 2 ** (1 / (2 * d)) * kappa(params.beta, d)
-    s = math.sqrt(a_const) * x ** (1 / (4 * d) - 0.5)
+    s = math.sqrt(2 ** (1 / (2 * params.delta)) * rate / params.c)
     if s >= 1:
+        x = params.n * params.p / params.sigma2
         raise NoEpsilonCapError(f"np/sigma2 = {x!r} too small for the cap (coefficient {s!r} >= 1)")
     return s / (1 - s)
 
 
-def upper_bound(params: RiskParams) -> float:
+def upper_bound(params: RiskParams, rate: float) -> float:
     """min of the rate-form upper bound and the zero-regularization value sigma2/p."""
-    d = params.delta
-    x = params.n * params.p / params.sigma2
-    rate = 2 ** (1 / (2 * d)) * x ** (1 / (2 * d) - 1) * params.c ** (1 / (2 * d)) * kappa(params.beta, d)
-    return min(rate, params.sigma2 / params.p)
+    return min(2 ** (1 / (2 * params.delta)) * rate, params.sigma2 / params.p)
 
 
-def lower_bound(params: RiskParams, alpha: float) -> float:
-    d = params.delta
-    x = params.n * params.p / params.sigma2
-    rate = alpha * x ** (1 / (2 * d) - 1) * params.c ** (1 / (2 * d)) * kappa(params.beta, d)
-    return min(rate, params.sigma2 / (4 * params.p))
+def lower_bound(params: RiskParams, rate: float, alpha: float) -> float:
+    return min(alpha * rate, params.sigma2 / (4 * params.p))
 
 
 def minimize_template(params: RiskParams) -> ProfileMinimum:
-    """Locate the template risk minimum over lam in [0, inf]."""
-    try:
-        hi = max(GRID_HI_DEFAULT, 2.0 * epsilon_cap(params))
-    except NoEpsilonCapError:
-        hi = GRID_HI_UNCAPPED
-    return minimize_profile(template_profile(params), lo=GRID_LO, hi=hi)
+    """Locate the template risk minimum over lam in [0, inf], in the engine's spectrum bracket."""
+    return minimize_profile(template_profile(params))
 
 
-def _classify(params: RiskParams, lambda_star: float, r_star: float) -> Regime:
+def _classify(params: RiskParams, rate: float, lambda_star: float, r_star: float) -> Regime:
     threshold = float(params.n) ** (-2.0 * params.beta)
-    d = params.delta
-    rate = (
-        (params.sigma2 / (params.n * params.p)) ** (1 - 1 / (2 * d))
-        * params.c ** (1 / (2 * d))
-        * kappa(params.beta, d)
-    ) if params.satisfies_hm else math.nan
     if lambda_star >= threshold and math.isfinite(rate) and rate > 0 and rate / 4 <= r_star <= 4 * rate:
         return Regime.REGULARIZE
     if lambda_star <= threshold and params.sigma2 / (4 * params.p) <= r_star <= params.sigma2 / params.p:
@@ -255,33 +239,26 @@ def _classify(params: RiskParams, lambda_star: float, r_star: float) -> Regime:
 
 
 def minimize_risk(params: RiskParams) -> BoundReport:
-    """Optimize the template risk and attach the theoretical envelope.
+    """Optimize the template risk and attach the theoretical envelope and the regime.
 
     Bounds that require the minimax (resp. lower-bound) window are reported
     as nan outside it instead of being extrapolated.
     """
     best = minimize_template(params)
     kap = kappa(params.beta, params.delta) if params.satisfies_hm else math.nan
-    upper = upper_bound(params) if params.satisfies_hm else math.nan
+    rate = minimax_rate(params, kap)
     alpha = alpha_constant(params.beta, params.delta) if params.satisfies_lb else math.nan
-    lower = lower_bound(params, alpha) if params.satisfies_lb else math.nan
     try:
-        cap = epsilon_cap(params)
+        cap = epsilon_cap(params, rate)
     except NoEpsilonCapError:
         cap = math.nan
     return BoundReport(
         r_star=best.value,
         lambda_star=best.lam,
-        upper=upper,
-        lower=lower,
+        upper=upper_bound(params, rate) if params.satisfies_hm else math.nan,
+        lower=lower_bound(params, rate, alpha) if params.satisfies_lb else math.nan,
         epsilon_cap=cap,
-        regime=_classify(params, best.lam, best.value),
+        regime=_classify(params, rate, best.lam, best.value),
         kappa=kap,
         alpha=alpha,
     )
-
-
-def classify_regime(params: RiskParams) -> Regime:
-    """Regularization-useful vs noise-trivial classification of the optimum."""
-    best = minimize_template(params)
-    return _classify(params, best.lam, best.value)

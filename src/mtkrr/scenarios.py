@@ -166,24 +166,24 @@ def _setting_c(spec: ScenarioSpec, seeds) -> np.ndarray:
     )
 
 
-def _setting_d(spec: ScenarioSpec, seeds, cluster_amplitude: float = 1.0) -> np.ndarray:
+def _setting_d(spec: ScenarioSpec, seeds) -> np.ndarray:
     """Cluster of p-1 sign-noise tasks around zero plus one outlier.
 
-    Cluster columns use exponent 2 and unit amplitude (scaled by the optional
-    knob); the outlier column has amplitude sqrt(n C2) and exponent delta2.
+    Cluster columns use exponent 2 and unit amplitude; the outlier column has
+    amplitude sqrt(n C2) and exponent delta2.
     """
     eps = _signs(spec, seeds)
     i = np.arange(1, spec.n + 1, dtype=float)
     h = np.empty(eps.shape)
-    h[..., : spec.p - 1] = cluster_amplitude * math.sqrt(spec.n) * eps[..., : spec.p - 1] * (i**-2.0)[:, None]
+    h[..., : spec.p - 1] = math.sqrt(spec.n) * eps[..., : spec.p - 1] * (i**-2.0)[:, None]
     h[..., spec.p - 1] = math.sqrt(spec.n * spec.c2) * eps[..., spec.p - 1] * i ** -spec.delta2
     return h
 
 
 def _one_replicate(block):
     """The generator of one ensemble from a block formula: its block of the single seed ``spec.seed``."""
-    def generate(spec: ScenarioSpec, **knobs) -> TaskEnsemble:
-        return TaskEnsemble(n=spec.n, p=spec.p, h=block(spec, [spec.seed], **knobs)[0])
+    def generate(spec: ScenarioSpec) -> TaskEnsemble:
+        return TaskEnsemble(n=spec.n, p=spec.p, h=block(spec, [spec.seed])[0])
     generate.__name__ = generate.__qualname__ = "gen" + block.__name__
     generate.__doc__ = block.__doc__
     return generate

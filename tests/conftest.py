@@ -1,8 +1,13 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from hypothesis import settings
 from scipy.integrate import quad
+
+from mtkrr.estimators import multitask_rows, singletask_rows
+from mtkrr.optimize import ProfileMinimum, RidgeRiskProfile, minimize_profiles
+from mtkrr.spectral import KernelSpectrum, MeanVarianceProfile, TaskEnsemble
 
 # Property tests draw a fixed set of examples: the same ones on every run, no
 # example database, and no per-example deadline, so the suite stays
@@ -43,3 +48,53 @@ def quad_kappa(beta: float, delta: float) -> float:
     i2 = quad_tail_integral(1 / (2 * beta))
     e = 1 / (2 * delta)
     return i1**e * i2 ** (1 - e) * (2 * delta - 1) ** e * delta / (beta * (2 * delta - 1))
+
+
+# Each oracle searched alone: the reference the stacked search of
+# ``mtkrr.oracles.compare_oracles`` (all p + 2 curves in one pass) is compared against.
+
+
+def mean_part_profile(spectrum: KernelSpectrum, profile: MeanVarianceProfile, sigma2: float, p: int) -> RidgeRiskProfile:
+    """Risk curve in lam for the task-mean component (row 0 of ``multitask_rows``)."""
+    signal, noise = multitask_rows(profile.mu, profile.varsigma2, sigma2, p)
+    return RidgeRiskProfile(n=spectrum.n, gamma=spectrum.gamma, signal=signal[0], noise=noise[0])
+
+
+def variance_part_profile(spectrum: KernelSpectrum, profile: MeanVarianceProfile, sigma2: float, p: int) -> RidgeRiskProfile:
+    """Risk curve in mu for the between-task component (row 1 of ``multitask_rows``)."""
+    signal, noise = multitask_rows(profile.mu, profile.varsigma2, sigma2, p)
+    return RidgeRiskProfile(n=spectrum.n, gamma=spectrum.gamma, signal=signal[1], noise=noise[1])
+
+
+@dataclass(frozen=True)
+class MTOracle:
+    lambda_star: float
+    mu_star: float
+    risk: float
+    mean_part: float
+    var_part: float
+    search: tuple[ProfileMinimum, ProfileMinimum]  # the mean-part and variance-part searches
+
+
+@dataclass(frozen=True)
+class STOracle:
+    lambdas: tuple[float, ...]
+    risk: float
+    per_task: tuple[float, ...]
+    search: tuple[ProfileMinimum, ...]  # one search per task
+
+
+def oracle_multitask(spectrum: KernelSpectrum, profile: MeanVarianceProfile, sigma2: float, p: int) -> MTOracle:
+    """Independently minimize the mean part over lam and the variance part over mu."""
+    signal, noise = multitask_rows(profile.mu, profile.varsigma2, sigma2, p)
+    mean, var = minimize_profiles(spectrum.n, spectrum.gamma, signal, noise)
+    return MTOracle(lambda_star=mean.lam, mu_star=var.lam, risk=mean.value + var.value, mean_part=mean.value,
+                    var_part=var.value, search=(mean, var))
+
+
+def oracle_singletask(spectrum: KernelSpectrum, tasks: TaskEnsemble, sigma2: float) -> STOracle:
+    """Per-task oracle ridge risks, averaged over the p tasks."""
+    search = minimize_profiles(spectrum.n, spectrum.gamma, *singletask_rows(tasks.h, sigma2))
+    risks = [best.value for best in search]
+    return STOracle(lambdas=tuple(best.lam for best in search), risk=sum(risks) / len(search),
+                    per_task=tuple(risks), search=tuple(search))

@@ -13,17 +13,15 @@ import time
 
 import numpy as np
 import pytest
-from conftest import quad_kappa, random_psd
+from conftest import mean_part_profile, oracle_multitask, quad_kappa, random_psd, variance_part_profile
 
 from mtkrr.estimators import (
     RegularizerAV,
-    mean_part_profile,
     risk_direct,
     risk_spectral,
-    variance_part_profile,
 )
 from mtkrr.experiments import run_experiment
-from mtkrr.oracles import df_and_bias, oracle_multitask, rho_formula_1out, rho_formula_2points
+from mtkrr.oracles import df_and_bias, rho_formula_1out, rho_formula_2points
 from mtkrr.riskfn import (
     RiskParams,
     alpha_constant,

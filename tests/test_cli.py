@@ -1,13 +1,18 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import mtkrr
 from mtkrr.cli import main
@@ -201,6 +206,14 @@ class TestVerifyBounds:
         assert "PASS property-1 upper bound" in report
         assert "FAIL" not in report
         assert "PASS alpha constant" in capsys.readouterr().out
+
+    def test_template_optimum_far_below_1e_12_is_found(self, capsys):
+        # beta = 4, n = 1000: the optimum lies near lam = 1.3e-16, and a search
+        # stopped at a fixed floor of 1e-12 overshoots the upper bound fourfold
+        rc = main(["verify-bounds", "--n-values", "1000", "--p-values", "100", "--c-values", "1000",
+                   "--bd-pairs", "4:2"])
+        assert rc == 0
+        assert "FAIL" not in capsys.readouterr().out
 
 
 class TestArgumentHandling:
@@ -450,6 +463,65 @@ class TestSweepValidatesBeforeRunning:
         err = capsys.readouterr().err
         assert "config error: heatmap.p: cannot parse 'x'" in err
         assert "cell(" not in err and not out.exists()
+
+
+def _sweep_base(command: str) -> dict:
+    """A small valid config of ``command``; every degeneracy below breaks it."""
+    base = dict(kind="setting_a", n="8", p="2", c1="1.0", c2="0.1", delta1="2.0", beta_or_m="2.0", seed="1",
+                sigma2="1.0", n_rep="2")
+    if command == "experiment":
+        return base | {"out_json": "report.json"}
+    if command == "table":
+        del base["c2"], base["beta_or_m"]
+        return base | {"c2_values": "0.1", "beta_or_m_values": "2", "out_csv": "table.csv"}
+    del base["c2"], base["c1"]
+    return base | {"row_param": "c2", "row_values": "0.1", "col_param": "c1", "col_values": "1",
+                   "out_csv": "grid.csv"}
+
+
+def _degeneracies(command: str):
+    """Strategies of (key, value) edits that each make the config invalid."""
+    count = st.integers(0, 10**6)
+    edits = [
+        st.builds(lambda k: {"n_rep": str(-k)}, count),
+        st.builds(lambda x: {"sigma2": repr(-x)}, st.floats(0.0, 1e300)),
+        st.builds(lambda k: {"n": str(-k)}, count),
+        st.builds(lambda k: {"p": str(-k)}, count),
+        st.builds(lambda k: {"kind": "h2points", "p": str(2 * k + 1)}, st.integers(0, 3)),
+        st.builds(lambda m: {"kind": "setting_b", "beta_or_m_values" if command == "table" else "beta_or_m": repr(m)},
+                  st.floats(1.0, 6.0).filter(lambda m: not m.is_integer())),
+        st.builds(lambda k: {"seed": str(2**64 + k)}, count),
+    ]
+    if command != "experiment":
+        axes = ("c2_values", "beta_or_m_values") if command == "table" else ("row_values", "col_values")
+        empty = st.sampled_from(["", " ", ",", ";"])
+        edits.append(st.builds(lambda axis, text: {axis: text}, st.sampled_from(axes), empty))
+    return st.one_of(edits)
+
+
+class TestDegenerateConfigs:
+    """Degenerate configs fail with config or error lines on stderr and exit 1, never with a traceback."""
+
+    @given(st.data())
+    def test_degenerate_config_exits_1_with_error_lines(self, data):
+        command = data.draw(st.sampled_from(["experiment", "table", "heatmap"]))
+        keys = _sweep_base(command)
+        for edit in data.draw(st.lists(_degeneracies(command), min_size=1, max_size=3)):
+            keys.update(edit)
+        with tempfile.TemporaryDirectory() as tmp:
+            for key in ("out_json", "out_csv"):
+                if key in keys:
+                    keys[key] = os.path.join(tmp, keys[key])
+            cfg = os.path.join(tmp, f"{command}.ini")
+            with open(cfg, "w") as fh:
+                fh.write(f"[{command}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                rc = main([command, "--config", cfg])
+            assert sorted(os.listdir(tmp)) == [f"{command}.ini"]  # nothing ran
+        lines = err.getvalue().splitlines()
+        assert rc == 1
+        assert lines and all(line.startswith(("config error:", "error:")) for line in lines), lines
 
 
 class TestArithmeticErrors:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import random_psd
+from conftest import mean_part_profile, random_psd, variance_part_profile
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
@@ -9,13 +9,10 @@ from mtkrr.estimators import (
     RegularizerSD,
     SingularRegularizerError,
     build_operator,
-    mean_part_profile,
     penalty_value,
     risk_direct,
-    risk_from_ensemble,
     risk_single_task,
     risk_spectral,
-    variance_part_profile,
 )
 from mtkrr.spectral import TaskEnsemble, eigendecompose_kernel, mean_variance_profile, project_tasks
 
@@ -259,9 +256,3 @@ class TestRiskSingleTask:
         via_spectral = risk_spectral(spectrum, MeanVarianceProfile(mu=h, varsigma2=np.zeros(5)), 0.3, 7.0, 1.0, 1)
         assert direct.total == pytest.approx(via_spectral.total, rel=1e-12)
 
-
-def test_risk_from_ensemble_convenience():
-    spectrum, tasks = random_instance(10, n=4, p=2)
-    a = risk_from_ensemble(spectrum, tasks, 0.2, 0.4, 1.0)
-    b = risk_spectral(spectrum, mean_variance_profile(tasks), 0.2, 0.4, 1.0, 2)
-    assert a.total == b.total

@@ -91,12 +91,6 @@ class TestRunExperiment:
         assert a == b
         assert report_to_json(a) == report_to_json(b)
 
-    def test_worker_count_does_not_change_results(self):
-        spec = quick_spec(kind=ScenarioKind.SETTING_A, c2=0.5, seed=11)
-        serial = run_experiment(spec, sigma2=1.0, n_rep=8, jobs=1)
-        parallel = run_experiment(spec, sigma2=1.0, n_rep=8, jobs=2)
-        assert serial.ratios == parallel.ratios
-
     @pytest.mark.parametrize("kind, extra", [
         (ScenarioKind.SETTING_C, dict(delta2=1.5)),
         (ScenarioKind.SETTING_B, dict(beta_or_m=2.0, n=16)),  # every replicate has its own spectrum
@@ -105,6 +99,14 @@ class TestRunExperiment:
         spec = quick_spec(kind=kind, c2=0.3, seed=31, p=3, **extra)
         report = run_experiment(spec, sigma2=0.5, n_rep=5)
         alone = [compare_oracles(*build_ensemble(replicate_spec(spec, i)), 0.5).rho for i in range(5)]
+        assert list(report.ratios) == alone
+
+    @pytest.mark.parametrize("p", [8, 20])
+    def test_ratios_keep_the_left_to_right_task_sum(self, p):
+        # numpy's pairwise sum over the tasks can differ from Python's sum in the last bit from p = 8 on
+        spec = quick_spec(kind=ScenarioKind.SETTING_A, c2=0.3, seed=57, p=p)
+        report = run_experiment(spec, sigma2=0.5, n_rep=8)
+        alone = [compare_oracles(*build_ensemble(replicate_spec(spec, i)), 0.5).rho for i in range(8)]
         assert list(report.ratios) == alone
 
     @pytest.mark.parametrize("kind, extra", [

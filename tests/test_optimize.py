@@ -202,7 +202,5 @@ def test_stack_shape_and_sign_errors():
         minimize_profiles(3, np.ones(3), np.ones((2, 4)), np.ones(2))
     with pytest.raises(ValueError):
         minimize_profiles(3, np.ones(3), np.ones((2, 3)), np.array([1.0, -1.0]))
-    with pytest.raises(ValueError):
-        minimize_profiles(3, np.ones(3), np.ones((1, 3)), np.ones(1), lo=1.0, hi=0.5)
     with pytest.raises(ValueError, match="spectrum indices"):
         minimize_profiles(3, np.ones((2, 3)), np.ones((2, 3)), np.ones(2), spectrum=np.array([0, -1]))

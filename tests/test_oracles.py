@@ -3,17 +3,14 @@ import math
 import numpy as np
 import pytest
 from hypothesis import assume, given
+from conftest import oracle_multitask, oracle_singletask
 from hypothesis import strategies as st
 
 from mtkrr.optimize import RidgeRiskProfile
 from mtkrr.oracles import (
-    RatioSetting,
     compare_oracles,
     df_and_bias,
     hm_bound_rhs,
-    oracle_multitask,
-    oracle_singletask,
-    ratio_theory,
     rho_formula_1out,
     rho_formula_2points,
 )
@@ -57,7 +54,7 @@ class TestOracleMultitask:
         spectrum = synth_spectrum(n, 2.0)
         profile = mean_variance_profile(gen_h2points(spec))
         mt = oracle_multitask(spectrum, profile, 1.0, p)
-        from mtkrr.estimators import mean_part_profile, variance_part_profile
+        from conftest import mean_part_profile, variance_part_profile
 
         grid = np.geomspace(1e-9, 1e3, 200)
         g1 = mean_part_profile(spectrum, profile, 1.0, p).value_grid(grid)
@@ -252,12 +249,6 @@ class TestRhoFormulas:
         num = p ** (e - 1) + ((p - 1) / p) ** (1 - e) * r**e
         den = (p - 1) / p * (1 + math.sqrt(r / (p - 1))) ** (1 / delta)
         assert rho_formula_1out(p, delta, r) == pytest.approx(num / den, rel=1e-12)
-
-    def test_theory_wrapper(self):
-        t = ratio_theory(RatioSetting.TWO_POINTS, 4, 2.0, 0.5)
-        assert t.rho_formula == rho_formula_2points(4, 2.0, 0.5)
-        t = ratio_theory(RatioSetting.ONE_OUT, 4, 2.0, 0.5)
-        assert t.rho_formula == rho_formula_1out(4, 2.0, 0.5)
 
 
 class TestDfAndBias:

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 from conftest import quad_kappa, quad_tail_integral
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from mtkrr.riskfn import (
@@ -14,11 +16,11 @@ from mtkrr.riskfn import (
     _tail_integral,
     _unit_fraction,
     alpha_constant,
-    classify_regime,
     epsilon_cap,
     integral_i1,
     integral_i2,
     kappa,
+    minimax_rate,
     minimize_risk,
     minimize_template,
     risk_r,
@@ -26,6 +28,11 @@ from mtkrr.riskfn import (
     s2,
     template_profile,
 )
+
+
+def cap_of(params: RiskParams) -> float:
+    """The localization cap from the rate as ``minimize_risk`` forms it."""
+    return epsilon_cap(params, minimax_rate(params, kappa(params.beta, params.delta)))
 
 
 def gamma_oracle(a: float) -> float:
@@ -162,7 +169,7 @@ class TestTStar:
 class TestEpsilonCap:
     def test_matching_condition(self):
         params = RiskParams(n=50, p=5, sigma2=1.0, beta=2, delta=2, c=1.0)
-        eps = epsilon_cap(params)
+        eps = cap_of(params)
         d = params.delta
         x = params.n * params.p / params.sigma2
         lhs = params.c * eps**2 / (1 + eps) ** 2
@@ -170,8 +177,8 @@ class TestEpsilonCap:
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
     def test_decreasing_in_sample_size(self):
-        small = epsilon_cap(RiskParams(n=100, p=2, sigma2=1.0, beta=2, delta=2, c=1.0))
-        large = epsilon_cap(RiskParams(n=200, p=2, sigma2=1.0, beta=2, delta=2, c=1.0))
+        small = cap_of(RiskParams(n=100, p=2, sigma2=1.0, beta=2, delta=2, c=1.0))
+        large = cap_of(RiskParams(n=200, p=2, sigma2=1.0, beta=2, delta=2, c=1.0))
         assert large < small
 
     def test_optimizer_lives_under_the_cap(self):
@@ -182,7 +189,7 @@ class TestEpsilonCap:
 
     def test_no_cap_for_tiny_problems(self):
         with pytest.raises(NoEpsilonCapError):
-            epsilon_cap(RiskParams(n=1, p=1, sigma2=100.0, beta=2, delta=2, c=1.0))
+            cap_of(RiskParams(n=1, p=1, sigma2=100.0, beta=2, delta=2, c=1.0))
 
 
 class TestMinimizeRisk:
@@ -195,6 +202,17 @@ class TestMinimizeRisk:
         params = RiskParams(n=50, p=1, sigma2=1.0, beta=2, delta=2, c=1.0)
         report = minimize_risk(params)
         assert report.r_star <= 2 ** 0.25 * 50 ** -0.75 * kappa(2, 2) * (1 + 1e-12)
+
+    @pytest.mark.parametrize("beta, delta", [(2.0, 2.0), (1.0, 2.4), (0.3, 2.0)])  # lb window, hm only, neither
+    def test_kappa_runs_at_most_once(self, monkeypatch, beta, delta):
+        import mtkrr.riskfn as riskfn
+
+        calls = []
+        monkeypatch.setattr(riskfn, "kappa", lambda *args: calls.append(args) or kappa(*args))
+        params = RiskParams(n=50, p=5, sigma2=1.0, beta=beta, delta=delta, c=1.0)
+        report = minimize_risk(params)
+        assert len(calls) == (1 if params.satisfies_hm else 0)
+        assert report.kappa == kappa(beta, delta) if params.satisfies_hm else math.isnan(report.kappa)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_newton_result_beats_reference_grid(self, seed):
@@ -212,7 +230,7 @@ class TestMinimizeRisk:
         report = minimize_risk(params)
         profile = template_profile(params)
         try:
-            hi = max(10.0, 2 * epsilon_cap(params))
+            hi = max(10.0, 2 * cap_of(params))
         except NoEpsilonCapError:
             hi = 1e3
         grid = np.geomspace(1e-12, hi, 2000)
@@ -222,14 +240,15 @@ class TestMinimizeRisk:
 
 class TestRegimes:
     def test_moderate_problem_regularizes(self):
-        assert classify_regime(RiskParams(n=200, p=2, sigma2=1.0, beta=2, delta=2, c=1.0)) is Regime.REGULARIZE
+        assert minimize_risk(RiskParams(n=200, p=2, sigma2=1.0, beta=2, delta=2, c=1.0)).regime is Regime.REGULARIZE
 
     def test_huge_task_count_is_noise_trivial(self):
-        assert classify_regime(RiskParams(n=50, p=10**6, sigma2=1.0, beta=2, delta=2, c=1.0)) is Regime.TRIVIAL_NOISE
+        report = minimize_risk(RiskParams(n=50, p=10**6, sigma2=1.0, beta=2, delta=2, c=1.0))
+        assert report.regime is Regime.TRIVIAL_NOISE
 
     def test_single_flip_along_task_sweep(self):
         labels = [
-            classify_regime(RiskParams(n=50, p=int(round(p)), sigma2=1.0, beta=2, delta=2, c=1.0))
+            minimize_risk(RiskParams(n=50, p=int(round(p)), sigma2=1.0, beta=2, delta=2, c=1.0)).regime
             for p in np.geomspace(1, 1e7, 15)
         ]
         informative = [lab for lab in labels if lab is not Regime.UNDETERMINED]
@@ -304,6 +323,39 @@ def test_minimize_template_handles_missing_cap():
     params = RiskParams(n=2, p=1, sigma2=50.0, beta=2, delta=2, c=1.0)
     best = minimize_template(params)
     assert best.value <= min(risk_r(params, 0.0), risk_r(params, math.inf)) * (1 + 1e-12)
+
+
+def brute_force_minimum(params: RiskParams, points: int = 3000, chunk: int = 100) -> float:
+    """Smallest template risk over {0, +inf} and a log grid from 1e-6 n^(-2 beta) to 1e6.
+
+    The lower end lies six decades below the smallest eigenvalue scale n^(-2 beta),
+    wherever beta puts it; the grid is evaluated in chunks to keep memory small.
+    """
+    profile = template_profile(params)
+    grid = np.geomspace(1e-6 * float(params.n) ** (-2 * params.beta), 1e6, points)
+    best = min(profile.value(0.0), profile.value(math.inf))
+    for k in range(0, points, chunk):
+        best = min(best, float(profile.value_grid(grid[k:k + chunk]).min()))
+    return best
+
+
+class TestSpectrumBracket:
+    def test_optimum_below_the_old_fixed_bracket_is_found(self):
+        # the optimum sits near lam = 7.4e-14, under a fixed search floor of 1e-12
+        params = RiskParams(n=50, p=100, sigma2=1.0, beta=4, delta=2, c=1000.0)
+        report = minimize_risk(params)
+        assert report.r_star <= brute_force_minimum(params) * (1 + 1e-9)
+        assert report.regime is Regime.REGULARIZE
+        assert 0 < report.lambda_star < 1e-12
+
+    @given(n=st.integers(2, 3000), p=st.integers(1, 10**4), beta=st.floats(0.5, 4.0),
+           share=st.floats(0.01, 0.99), log_c=st.floats(-3.0, 3.0), log_sigma2=st.floats(-2.0, 2.0))
+    def test_never_above_brute_force_in_the_minimax_window(self, n, p, beta, share, log_c, log_sigma2):
+        # delta = 1/2 + share * 2 beta spans the window 1 < 2 delta < 4 beta + 1
+        params = RiskParams(n=n, p=p, sigma2=10.0**log_sigma2, beta=beta, delta=0.5 + share * 2 * beta,
+                            c=10.0**log_c)
+        assert params.satisfies_hm
+        assert minimize_risk(params).r_star <= brute_force_minimum(params) * (1 + 1e-9)
 
 
 def test_params_flags():

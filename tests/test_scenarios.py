@@ -261,13 +261,6 @@ class TestSettingD:
         i = np.arange(1.0, 11.0)
         assert np.sum(h[:, -1] ** 2) == pytest.approx(10 * 0.49 * np.sum(i**-5.0), rel=1e-12)
 
-    def test_cluster_amplitude_knob(self):
-        spec = spec_of(ScenarioKind.SETTING_D, delta2=2.5)
-        base = gen_setting_d(spec).h
-        scaled = gen_setting_d(spec, cluster_amplitude=2.0).h
-        assert np.allclose(scaled[:, :-1], 2 * base[:, :-1], atol=1e-14)
-        assert np.array_equal(scaled[:, -1], base[:, -1])
-
 
 class TestSpecValidation:
     def test_delta2_required_for_varying_regularity(self):
