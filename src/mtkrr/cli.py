@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import itertools
 import json
 import math
 import sys
@@ -162,7 +163,11 @@ def cmd_risk_curve(args) -> int:
     params = riskfn.RiskParams(n=args.n, p=args.p, sigma2=args.sigma2,
                                beta=args.beta, delta=args.delta, c=args.c)
     profile = riskfn.template_profile(params)
-    lams = [0.0] + [float(v) for v in np.geomspace(args.lambda_min, args.lambda_max, args.points)]
+    # a bound not given is that end of the oracle's search bracket, so the grid reaches the minimum
+    t_lo, t_hi = optimize.spectrum_bracket(profile.n, profile.gamma)
+    lam_min = math.exp(t_lo[0]) if args.lambda_min is None else args.lambda_min
+    lam_max = math.exp(t_hi[0]) if args.lambda_max is None else args.lambda_max
+    lams = [0.0] + [float(v) for v in np.geomspace(lam_min, lam_max, args.points)]
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["lambda", "risk", "bias", "variance"])
@@ -347,9 +352,7 @@ def cmd_verify_bounds(args) -> int:
     for p in np.geomspace(1, 1e7, 13):
         labels.append(riskfn.minimize_risk(
             riskfn.RiskParams(n=50, p=int(round(p)), sigma2=sigma2, beta=2, delta=2, c=1.0)).regime)
-    collapsed = [lab for k, lab in enumerate(labels) if lab is not riskfn.Regime.UNDETERMINED
-                 and (k == 0 or lab is not labels[k - 1])]
-    dedup = [lab for k, lab in enumerate(collapsed) if k == 0 or lab is not collapsed[k - 1]]
+    dedup = [lab for lab, _ in itertools.groupby(lab for lab in labels if lab is not riskfn.Regime.UNDETERMINED)]
     all_ok &= _check("property-4 regime flip", dedup == [riskfn.Regime.REGULARIZE, riskfn.Regime.TRIVIAL_NOISE],
                      f"sweep labels {[lab.value for lab in labels]}", lines)
 
@@ -363,8 +366,10 @@ def cmd_verify_bounds(args) -> int:
         lam = float(10 ** rng.uniform(-8, 2))
         i2 = riskfn.integral_i2(beta)
         i1 = riskfn.integral_i1(beta, delta)
-        s2_ok &= riskfn.s2(n, lam, beta) <= lam ** (-1 / (2 * beta)) / (2 * beta) * i2 * (1 + 1e-12)
-        s1_ok &= riskfn.s1(n, lam, beta, delta) <= lam ** ((2 * delta - 1) / (2 * beta)) / (beta * lam**2) * i1 * (1 + 1e-12)
+        # the template sums at C = sigma2 = p = 1: bias = lam^2 S1, variance = S2 / n
+        bias, var = riskfn.template_profile(riskfn.RiskParams(n, 1, 1.0, beta, delta, 1.0)).parts(lam)
+        s2_ok &= n * var <= lam ** (-1 / (2 * beta)) / (2 * beta) * i2 * (1 + 1e-12)
+        s1_ok &= bias / lam**2 <= lam ** ((2 * delta - 1) / (2 * beta)) / (beta * lam**2) * i1 * (1 + 1e-12)
     all_ok &= _check("s2 integral envelope", s2_ok, "40 random (n, lam, beta) draws", lines)
     all_ok &= _check("s1 integral envelope", s1_ok, "40 random (n, lam, beta, delta) draws", lines)
 
@@ -394,8 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--beta", type=float, required=True)
     pc.add_argument("--delta", type=float, required=True)
     pc.add_argument("--c", type=float, required=True)
-    pc.add_argument("--lambda-min", type=float, default=1e-12)
-    pc.add_argument("--lambda-max", type=float, default=10.0)
+    pc.add_argument("--lambda-min", type=float, default=None, help="default: low end of the search bracket")
+    pc.add_argument("--lambda-max", type=float, default=None, help="default: high end of the search bracket")
     pc.add_argument("--points", type=int, default=200)
     pc.add_argument("--out", required=True)
     pc.set_defaults(func=cmd_risk_curve)

@@ -21,6 +21,7 @@ import numpy as np
 
 from .estimators import comparison_rows
 from .optimize import ProfileMinimum, minimize_profiles
+from .oracles import oracle_ratios
 from .scenarios import (ScenarioKind, ScenarioSpec, derive_seed, gen_setting_b, replicate_spec, synth_spectrum,
                         task_block)
 
@@ -89,16 +90,8 @@ def _replicate_rows(spec: ScenarioSpec, sigma2: float, n_rep: int, spectra: dict
 
 
 def _report(spec: ScenarioSpec, sigma2: float, n_rep: int, search: list[ProfileMinimum], pi2_scale: str):
-    """Aggregate the searches of one spec's replicates, p + 2 per replicate, into its report.
-
-    Each replicate's ratio is formed as ``oracles.oracle_result`` forms it, bit for bit: the
-    single-task risk sums the task minima left to right (``accumulate``, not numpy's pairwise sum).
-    """
-    values = np.array([best.value for best in search]).reshape(n_rep, spec.p + 2)
-    st_risk = np.add.accumulate(values[:, 2:], axis=1)[:, -1] / spec.p
-    if (st_risk <= 0).any():
-        raise ZeroDivisionError("single-task oracle risk is zero; the ratio is undefined")
-    arr = (values[:, 0] + values[:, 1]) / st_risk
+    """Aggregate the searches of one spec's replicates, p + 2 per replicate, into its report."""
+    arr = oracle_ratios(np.array([best.value for best in search]).reshape(n_rep, spec.p + 2))[2]
     finite = np.isfinite(arr)
     if not finite.all():
         raise FloatingPointError(f"replicate {int(np.argmin(finite))} produced a non-finite oracle ratio")

@@ -84,10 +84,10 @@ class RidgeRiskProfile:
         energy as bias and contribute no variance.
         """
         n = self.n
-        if math.isinf(lam):
-            return float(self.signal.sum() / n), 0.0
         if lam < 0:
             raise ValueError("lam must be nonnegative")
+        if math.isinf(lam):
+            return float(self.signal.sum() / n), 0.0
         if lam == 0.0:
             null = self.gamma == 0.0
             bias = float(self.signal[null].sum() / n)
@@ -101,30 +101,6 @@ class RidgeRiskProfile:
     def value(self, lam: float) -> float:
         bias, var = self.parts(lam)
         return bias + var
-
-    def value_grid(self, lams: np.ndarray) -> np.ndarray:
-        """Vectorized risk evaluation over an array of strictly positive lam."""
-        lams = np.asarray(lams, dtype=float)
-        d = self.gamma[None, :] + self.n * lams[:, None]
-        bias = self.n * lams**2 * np.sum(self.signal[None, :] / d**2, axis=1)
-        var = self.noise / self.n * np.sum((self.gamma[None, :] / d) ** 2, axis=1)
-        return bias + var
-
-    def _log_derivatives(self, lam: float) -> tuple[float, float]:
-        """dg/dt and d2g/dt2 at t = log lam > -inf, from the search's own derivative code."""
-        row = np.zeros(1, dtype=np.intp)
-        out = _curve(self.n, self.gamma[None, :], self.signal[None, :], np.array([self.noise]), row, row,
-                     np.array([self.n * lam]))
-        return float(out[1, 0]), float(out[2, 0])
-
-    def grad(self, lam: float) -> float:
-        """g'(lam) = (dg/dt) / lam."""
-        return self._log_derivatives(lam)[0] / lam
-
-    def hess(self, lam: float) -> float:
-        """g''(lam) = (d2g/dt2 - dg/dt) / lam^2."""
-        first, second = self._log_derivatives(lam)
-        return (second - first) / lam**2
 
 
 @dataclass(frozen=True)
@@ -224,6 +200,18 @@ def _newton(n, gamma, signal, noise, spectrum, rows, a, x, b, tol, max_iter):
     return t_end, r_end, g_end, iterations
 
 
+def spectrum_bracket(n: int, gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The search bracket [t_lo, t_hi] in t = log lam of each spectrum (row of ``gamma``), capped at ``T_LIMIT``."""
+    gamma = np.atleast_2d(np.asarray(gamma, dtype=float))
+    gmax = gamma.max(axis=1)
+    gmin = np.where(gamma > 0, gamma, np.inf).min(axis=1)
+    flat = gmax == 0  # no positive eigenvalue: the curve is constant in lam
+    gmin[flat] = gmax[flat] = n
+    widen = BRACKET_DECADES * math.log(10.0)
+    t_lo, t_hi = np.log(gmin / n) - widen, np.log(gmax / n) + widen
+    return np.maximum(t_lo, -T_LIMIT), np.minimum(t_hi, T_LIMIT)
+
+
 def minimize_profiles(
     n: int,
     gamma: np.ndarray,
@@ -255,14 +243,7 @@ def minimize_profiles(
     if gamma.min() < 0 or signal.min() < 0 or noise.min() < 0:
         raise ValueError("eigenvalues, signal energies and noise must be nonnegative")
 
-    # per-spectrum bracket in t = log lam
-    gmax = gamma.max(axis=1)
-    gmin = np.where(gamma > 0, gamma, np.inf).min(axis=1)
-    flat = gmax == 0  # no positive eigenvalue: the curve is constant in lam
-    gmin[flat] = gmax[flat] = n
-    widen = BRACKET_DECADES * math.log(10.0)
-    t_lo, t_hi = np.log(gmin / n) - widen, np.log(gmax / n) + widen
-    t_lo, t_hi = np.maximum(t_lo, -T_LIMIT), np.minimum(t_hi, T_LIMIT)
+    t_lo, t_hi = spectrum_bracket(n, gamma)
     delta = (t_hi - t_lo) / (n_grid - 1)
     t_grid = t_lo[:, None] + np.arange(n_grid) * delta[:, None]
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import comparison_rows
-from .optimize import ProfileMinimum, minimize_profiles
+from .optimize import ProfileMinimum, RidgeRiskProfile, minimize_profiles
 from .spectral import KernelSpectrum, TaskEnsemble
 
 
@@ -33,26 +33,27 @@ class OracleResult:
     search: tuple[ProfileMinimum, ...]  # mean part, variance part, then each task
 
 
-def oracle_result(search: list[ProfileMinimum]) -> OracleResult:
-    """Both oracles and their ratio from the p + 2 searches laid out by ``comparison_rows``.
+def oracle_ratios(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Multi-task risk, single-task risk and rho per row of an (R, p + 2) array laid out by ``comparison_rows``.
 
-    The multi-task risk is the sum of the mean-part and variance-part minima;
-    the single-task risk is the mean of the p per-task minima.
+    The single-task risk sums the p task minima left to right (``accumulate``, not numpy's pairwise sum).
     """
-    mean, var, tasks = search[0], search[1], search[2:]
-    per_task = tuple(best.value for best in tasks)
-    st_risk = sum(per_task) / len(tasks)
-    if st_risk <= 0:
+    values = np.asarray(values, dtype=float)
+    st_risk = np.add.accumulate(values[:, 2:], axis=1)[:, -1] / (values.shape[1] - 2)
+    if (st_risk <= 0).any():
         raise ZeroDivisionError("single-task oracle risk is zero; the ratio is undefined")
-    mt_risk = mean.value + var.value
-    return OracleResult(mt_risk=mt_risk, st_risk=st_risk, lambda_star=mean.lam, mu_star=var.lam,
-                        st_lambdas=tuple(best.lam for best in tasks), rho=mt_risk / st_risk, diagnostics=per_task,
-                        search=tuple(search))
+    mt_risk = values[:, 0] + values[:, 1]
+    return mt_risk, st_risk, mt_risk / st_risk
 
 
 def compare_oracles(spectrum: KernelSpectrum, tasks: TaskEnsemble, sigma2: float) -> OracleResult:
     """Run both oracles on the same ensemble, in one stacked search, and form the risk ratio."""
-    return oracle_result(minimize_profiles(spectrum.n, spectrum.gamma, *comparison_rows(tasks.h, sigma2)))
+    search = minimize_profiles(spectrum.n, spectrum.gamma, *comparison_rows(tasks.h, sigma2))
+    values = [best.value for best in search]
+    mt_risk, st_risk, rho = (float(x[0]) for x in oracle_ratios([values]))
+    return OracleResult(mt_risk=mt_risk, st_risk=st_risk, lambda_star=search[0].lam, mu_star=search[1].lam,
+                        st_lambdas=tuple(best.lam for best in search[2:]), rho=rho, diagnostics=tuple(values[2:]),
+                        search=tuple(search))
 
 
 def rho_formula_2points(p: int, delta: float, r: float) -> float:
@@ -90,23 +91,15 @@ def rho_formula_1out(p: int, delta: float, r: float) -> float:
 def df_and_bias(spectrum: KernelSpectrum, h_j: np.ndarray, lam: float) -> tuple[float, float]:
     """Effective degrees of freedom tr(A_lam) and squared bias of one task.
 
-    df(lam) = sum gamma_i / (gamma_i + n lam); the bias is normalized by n.
-    At lam = 0 the smoother is the projector onto the kernel range, so df
-    counts the positive eigenvalues and the bias keeps only null-space energy.
+    df(lam) = sum gamma_i / (gamma_i + n lam); the bias, normalized by n, is
+    the bias part of the task's ridge risk curve.  At lam = 0 the smoother is
+    the projector onto the kernel range, so df counts the positive
+    eigenvalues and the bias keeps only null-space energy.
     """
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
-    h_j = np.asarray(h_j, dtype=float)
-    n, gamma = spectrum.n, spectrum.gamma
-    if math.isinf(lam):
-        return 0.0, float(np.sum(h_j**2)) / n
-    if lam == 0.0:
-        pos = gamma > 0
-        return float(np.count_nonzero(pos)), float(np.sum(h_j[~pos] ** 2)) / n
-    d = gamma + n * lam
-    df = float(np.sum(gamma / d))
-    b = float(np.sum((n * lam) ** 2 * h_j**2 / d**2)) / n
-    return df, b
+    gamma = spectrum.gamma
+    bias = RidgeRiskProfile(spectrum.n, gamma, np.asarray(h_j, dtype=float) ** 2, 0.0).parts(lam)[0]
+    df = np.divide(gamma, gamma + spectrum.n * lam, out=np.zeros_like(gamma), where=gamma > 0)
+    return float(np.sum(df)), bias
 
 
 def hm_bound_rhs(

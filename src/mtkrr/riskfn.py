@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .optimize import ProfileMinimum, RidgeRiskProfile, minimize_profile
+from .optimize import RidgeRiskProfile, minimize_profile
 
 
 class DivergentIntegralError(ValueError):
@@ -96,6 +96,7 @@ class BoundReport:
 
 
 def template_profile(params: RiskParams) -> RidgeRiskProfile:
+    """The template risk as a ridge risk curve: ``parts(lam)`` is (C lam^2 S1, sigma2 / (n p) S2)."""
     i = np.arange(1, params.n + 1, dtype=float)
     gamma = params.n * i ** (-2.0 * params.beta)
     signal = params.c * params.n * i ** (-2.0 * params.delta)
@@ -105,16 +106,6 @@ def template_profile(params: RiskParams) -> RidgeRiskProfile:
 def risk_r(params: RiskParams, lam: float) -> float:
     """Template risk at a single regularization value (lam may be 0 or inf)."""
     return template_profile(params).value(lam)
-
-
-def s1(n: int, lam: float, beta: float, delta: float) -> float:
-    i = np.arange(1, n + 1, dtype=float)
-    return float(np.sum(i ** (4 * beta - 2 * delta) / (1 + lam * i ** (2 * beta)) ** 2))
-
-
-def s2(n: int, lam: float, beta: float) -> float:
-    i = np.arange(1, n + 1, dtype=float)
-    return float(np.sum(1.0 / (1 + lam * i ** (2 * beta)) ** 2))
 
 
 def _tail_integral(a: float) -> float:
@@ -224,11 +215,6 @@ def lower_bound(params: RiskParams, rate: float, alpha: float) -> float:
     return min(alpha * rate, params.sigma2 / (4 * params.p))
 
 
-def minimize_template(params: RiskParams) -> ProfileMinimum:
-    """Locate the template risk minimum over lam in [0, inf], in the engine's spectrum bracket."""
-    return minimize_profile(template_profile(params))
-
-
 def _classify(params: RiskParams, rate: float, lambda_star: float, r_star: float) -> Regime:
     threshold = float(params.n) ** (-2.0 * params.beta)
     if lambda_star >= threshold and math.isfinite(rate) and rate > 0 and rate / 4 <= r_star <= 4 * rate:
@@ -244,7 +230,7 @@ def minimize_risk(params: RiskParams) -> BoundReport:
     Bounds that require the minimax (resp. lower-bound) window are reported
     as nan outside it instead of being extrapolated.
     """
-    best = minimize_template(params)
+    best = minimize_profile(template_profile(params))
     kap = kappa(params.beta, params.delta) if params.satisfies_hm else math.nan
     rate = minimax_rate(params, kap)
     alpha = alpha_constant(params.beta, params.delta) if params.satisfies_lb else math.nan

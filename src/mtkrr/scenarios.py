@@ -57,6 +57,8 @@ class ScenarioSpec:
             raise ValueError("delta1 must be positive")
         if self.kind is ScenarioKind.H2POINTS and self.p % 2:
             raise ValueError("the two-cluster configuration needs an even p")
+        if self.kind is ScenarioKind.H1OUT and self.p < 2:
+            raise ValueError("the outlier configuration needs p >= 2")
         if self.kind is ScenarioKind.SETTING_B and not (self.beta_or_m >= 1 and float(self.beta_or_m).is_integer()):
             raise ValueError("setting B needs an integer smoothness order m >= 1")
         if self.kind in _NEEDS_DELTA2:
@@ -126,16 +128,12 @@ def _decay(n: int, delta: float) -> np.ndarray:
 
 def _h2points(spec: ScenarioSpec, seeds) -> np.ndarray:
     """Two equal clusters: first half amplitude sqrt(C1)+sqrt(C2), second half sqrt(C1)-sqrt(C2)."""
-    if spec.p % 2:
-        raise ValueError("the two-cluster configuration needs an even p")
     plus, minus = math.sqrt(spec.c1) + math.sqrt(spec.c2), math.sqrt(spec.c1) - math.sqrt(spec.c2)
     return (_decay(spec.n, spec.delta1)[:, None] * np.repeat([plus, minus], spec.p // 2))[None]
 
 
 def _h1out(spec: ScenarioSpec, seeds) -> np.ndarray:
     """p-1 identical tasks plus one outlier, balanced so the mean profile is exact."""
-    if spec.p < 2:
-        raise ValueError("the outlier configuration needs p >= 2")
     amplitudes = [math.sqrt(spec.c1) + math.sqrt(spec.c2 / (spec.p - 1))] * (spec.p - 1)
     amplitudes.append(math.sqrt(spec.c1) - math.sqrt((spec.p - 1) * spec.c2))
     return (_decay(spec.n, spec.delta1)[:, None] * np.array(amplitudes))[None]
@@ -178,19 +176,6 @@ def _setting_d(spec: ScenarioSpec, seeds) -> np.ndarray:
     h[..., : spec.p - 1] = math.sqrt(spec.n) * eps[..., : spec.p - 1] * (i**-2.0)[:, None]
     h[..., spec.p - 1] = math.sqrt(spec.n * spec.c2) * eps[..., spec.p - 1] * i ** -spec.delta2
     return h
-
-
-def _one_replicate(block):
-    """The generator of one ensemble from a block formula: its block of the single seed ``spec.seed``."""
-    def generate(spec: ScenarioSpec) -> TaskEnsemble:
-        return TaskEnsemble(n=spec.n, p=spec.p, h=block(spec, [spec.seed])[0])
-    generate.__name__ = generate.__qualname__ = "gen" + block.__name__
-    generate.__doc__ = block.__doc__
-    return generate
-
-
-gen_h2points, gen_h1out = _one_replicate(_h2points), _one_replicate(_h1out)
-gen_setting_a, gen_setting_c, gen_setting_d = map(_one_replicate, (_setting_a, _setting_c, _setting_d))
 
 
 def periodic_kernel_value(theta: np.ndarray, m: int) -> np.ndarray:

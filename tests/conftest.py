@@ -50,6 +50,30 @@ def quad_kappa(beta: float, delta: float) -> float:
     return i1**e * i2 ** (1 - e) * (2 * delta - 1) ** e * delta / (beta * (2 * delta - 1))
 
 
+# Brute-force references: the template sums written out, and a risk curve on a whole lam grid.
+
+
+def s1(n: int, lam: float, beta: float, delta: float) -> float:
+    """S1(n, lam) = sum_{i<=n} i^(4 beta - 2 delta) / (1 + lam i^(2 beta))^2, summed directly."""
+    i = np.arange(1, n + 1, dtype=float)
+    return float(np.sum(i ** (4 * beta - 2 * delta) / (1 + lam * i ** (2 * beta)) ** 2))
+
+
+def s2(n: int, lam: float, beta: float) -> float:
+    """S2(n, lam) = sum_{i<=n} 1 / (1 + lam i^(2 beta))^2, summed directly."""
+    i = np.arange(1, n + 1, dtype=float)
+    return float(np.sum(1.0 / (1 + lam * i ** (2 * beta)) ** 2))
+
+
+def value_grid(profile: RidgeRiskProfile, lams: np.ndarray) -> np.ndarray:
+    """The risk curve of ``profile`` at every strictly positive lam of ``lams``, in one array pass."""
+    lams = np.asarray(lams, dtype=float)
+    d = profile.gamma[None, :] + profile.n * lams[:, None]
+    bias = profile.n * lams**2 * np.sum(profile.signal[None, :] / d**2, axis=1)
+    var = profile.noise / profile.n * np.sum((profile.gamma[None, :] / d) ** 2, axis=1)
+    return bias + var
+
+
 # Each oracle searched alone: the reference the stacked search of
 # ``mtkrr.oracles.compare_oracles`` (all p + 2 curves in one pass) is compared against.
 

@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import mean_part_profile, oracle_multitask, quad_kappa, random_psd, variance_part_profile
+from conftest import mean_part_profile, oracle_multitask, quad_kappa, random_psd, value_grid, variance_part_profile
 
 from mtkrr.estimators import (
     RegularizerAV,
@@ -30,7 +30,7 @@ from mtkrr.riskfn import (
     kappa,
     minimize_risk,
 )
-from mtkrr.scenarios import ScenarioKind, ScenarioSpec, gen_h1out, gen_h2points, synth_spectrum
+from mtkrr.scenarios import ScenarioKind, ScenarioSpec, build_ensemble, synth_spectrum
 from mtkrr.spectral import eigendecompose_kernel, mean_variance_profile, project_tasks
 
 FRESH_SEED = 20260810
@@ -216,12 +216,12 @@ def test_criterion_09_oracle_vs_grid():
                             c2=float(10 ** rng.uniform(-2, 2)), delta1=float(rng.uniform(1.1, 2.5)),
                             beta_or_m=float(rng.uniform(1.0, 3.0)))
         spectrum = synth_spectrum(n, spec.beta_or_m)
-        tasks = gen_h2points(spec) if kind is ScenarioKind.H2POINTS else gen_h1out(spec)
+        tasks = build_ensemble(spec)[1]
         profile = mean_variance_profile(tasks)
         mt = oracle_multitask(spectrum, profile, 1.0, p)
         grid = np.geomspace(1e-9, 1e3, 200)
-        g1 = mean_part_profile(spectrum, profile, 1.0, p).value_grid(grid)
-        g2 = variance_part_profile(spectrum, profile, 1.0, p).value_grid(grid)
+        g1 = value_grid(mean_part_profile(spectrum, profile, 1.0, p), grid)
+        g2 = value_grid(variance_part_profile(spectrum, profile, 1.0, p), grid)
         grid_min = float((g1[:, None] + g2[None, :]).min())
         worst = max(worst, (mt.risk - grid_min) / grid_min)
     _criterion(9, worst <= 1e-7, f"worst (optimizer - grid)/grid = {worst:.2e} over 20 instances")

@@ -57,6 +57,19 @@ class TestRiskCurve:
         assert abs(curve_min - mt_risk) < 1e-6
 
 
+    def test_default_grid_reaches_the_optimum(self, tmp_path):
+        # the optimum sits at lambda = 7.4e-14, below the fixed grid floor 1e-12 of earlier defaults;
+        # the default grid spans the oracle's search bracket (about 0.17 decades per point)
+        out = tmp_path / "curve.csv"
+        assert main(["risk-curve", "--n", "50", "--p", "100", "--beta", "4", "--delta", "2", "--c", "1000",
+                     "--out", str(out)]) == 0
+        risks = [float(row[1]) for row in read_csv(out)[1:]]
+        k = int(np.argmin(risks))
+        r_star = mtkrr.minimize_risk(mtkrr.RiskParams(n=50, p=100, sigma2=1.0, beta=4, delta=2, c=1000.0)).r_star
+        assert 1 < k < len(risks) - 1  # an interior grid point, not lambda = 0 or an end of the grid
+        assert r_star * (1 - 1e-12) <= risks[k] <= r_star * (1 + 1e-4)
+
+
 class TestOracleCommand:
     def test_identical_tasks_favor_multitask(self, tmp_path):
         out = tmp_path / "o.json"
@@ -452,6 +465,16 @@ class TestSweepValidatesBeforeRunning:
         err = capsys.readouterr().err
         assert err == "config error: heatmap.scenario: the two-cluster configuration needs an even p\n"
         assert not out.exists()
+
+    def test_outlier_configuration_with_one_task_is_a_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "heat.ini"
+        cfg.write_text("[heatmap]\nkind = h1out\nn = 12\np = 1\nc1 = 1.0\ndelta1 = 2.0\n"
+                       "row_param = c2\nrow_values = 0.1, 0.2\ncol_param = beta_or_m\ncol_values = 1.5, 2\n"
+                       f"sigma2 = 1.0\nn_rep = 2\nout_csv = {tmp_path / 'grid.csv'}\nout_svg = {tmp_path / 'grid.svg'}\n")
+        assert main(["heatmap", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err == "config error: heatmap.scenario: the outlier configuration needs p >= 2\n"
+        assert sorted(os.listdir(tmp_path)) == ["heat.ini"]
 
     def test_heatmap_shared_key_is_named_by_the_section(self, tmp_path, capsys):
         out = tmp_path / "grid.csv"

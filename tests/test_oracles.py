@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import assume, given
-from conftest import oracle_multitask, oracle_singletask
+from conftest import oracle_multitask, oracle_singletask, value_grid
 from hypothesis import strategies as st
 
 from mtkrr.optimize import RidgeRiskProfile
@@ -15,7 +15,7 @@ from mtkrr.oracles import (
     rho_formula_2points,
 )
 from mtkrr.riskfn import RiskParams, alpha_constant, kappa, minimize_risk
-from mtkrr.scenarios import ScenarioKind, ScenarioSpec, build_ensemble, gen_h1out, gen_h2points, synth_spectrum
+from mtkrr.scenarios import ScenarioKind, ScenarioSpec, build_ensemble, synth_spectrum
 from mtkrr.spectral import KernelSpectrum, MeanVarianceProfile, TaskEnsemble, mean_variance_profile
 
 
@@ -27,7 +27,7 @@ class TestOracleMultitask:
     def test_identical_tasks_shrink_the_variance_part_away(self):
         spec = two_cluster_spec(30, 4, 1.0, 0.0, 2.0, 2.0)
         spectrum = synth_spectrum(30, 2.0)
-        profile = mean_variance_profile(gen_h2points(spec))
+        profile = mean_variance_profile(build_ensemble(spec)[1])
         mt = oracle_multitask(spectrum, profile, 1.0, 4)
         assert math.isinf(mt.mu_star)
         assert mt.var_part == 0.0
@@ -38,7 +38,7 @@ class TestOracleMultitask:
         n, p, c, beta, delta = 200, 2, 1.0, 2.0, 2.0
         spec = two_cluster_spec(n, p, c, c, delta, beta)
         spectrum = synth_spectrum(n, beta)
-        profile = mean_variance_profile(gen_h2points(spec))
+        profile = mean_variance_profile(build_ensemble(spec)[1])
         mt = oracle_multitask(spectrum, profile, 1.0, p)
         kap = kappa(beta, delta)
         alpha = alpha_constant(beta, delta)
@@ -52,13 +52,13 @@ class TestOracleMultitask:
         n, p = 40, 4
         spec = two_cluster_spec(n, p, float(10 ** rng.uniform(-1, 1)), float(10 ** rng.uniform(-2, 2)), 2.0, 2.0)
         spectrum = synth_spectrum(n, 2.0)
-        profile = mean_variance_profile(gen_h2points(spec))
+        profile = mean_variance_profile(build_ensemble(spec)[1])
         mt = oracle_multitask(spectrum, profile, 1.0, p)
         from conftest import mean_part_profile, variance_part_profile
 
         grid = np.geomspace(1e-9, 1e3, 200)
-        g1 = mean_part_profile(spectrum, profile, 1.0, p).value_grid(grid)
-        g2 = variance_part_profile(spectrum, profile, 1.0, p).value_grid(grid)
+        g1 = value_grid(mean_part_profile(spectrum, profile, 1.0, p), grid)
+        g2 = value_grid(variance_part_profile(spectrum, profile, 1.0, p), grid)
         grid_min = float((g1[:, None] + g2[None, :]).min())
         assert mt.risk <= grid_min * (1 + 1e-7)
 
@@ -90,7 +90,7 @@ class TestOracleSingletask:
     def test_identical_tasks_get_identical_lambdas(self):
         spec = two_cluster_spec(20, 4, 1.0, 0.0, 2.0, 2.0)
         spectrum = synth_spectrum(20, 2.0)
-        st = oracle_singletask(spectrum, gen_h2points(spec), 1.0)
+        st = oracle_singletask(spectrum, build_ensemble(spec)[1], 1.0)
         assert len(set(st.lambdas)) == 1
         assert st.risk == pytest.approx(st.per_task[0], rel=1e-12)
 
@@ -98,7 +98,7 @@ class TestOracleSingletask:
         n, p, c1, c2, beta, delta = 50, 4, 1.0, 0.25, 2.0, 2.0
         spec = two_cluster_spec(n, p, c1, c2, delta, beta)
         spectrum = synth_spectrum(n, beta)
-        st = oracle_singletask(spectrum, gen_h2points(spec), 1.0)
+        st = oracle_singletask(spectrum, build_ensemble(spec)[1], 1.0)
         plus = minimize_risk(RiskParams(n=n, p=1, sigma2=1.0, beta=beta, delta=delta,
                                         c=(math.sqrt(c1) + math.sqrt(c2)) ** 2)).r_star
         minus = minimize_risk(RiskParams(n=n, p=1, sigma2=1.0, beta=beta, delta=delta,
@@ -114,7 +114,7 @@ class TestCompareOracles:
     def test_result_is_internally_consistent(self):
         spec = two_cluster_spec(30, 4, 1.0, 0.5, 2.0, 2.0)
         spectrum = synth_spectrum(30, 2.0)
-        tasks = gen_h2points(spec)
+        tasks = build_ensemble(spec)[1]
         res = compare_oracles(spectrum, tasks, 1.0)
         from mtkrr.estimators import risk_spectral
 
@@ -128,14 +128,14 @@ class TestCompareOracles:
         n, p = 50, 4
         spec = two_cluster_spec(n, p, 1.0, r, 2.0, 2.0)
         spectrum = synth_spectrum(n, 2.0)
-        res = compare_oracles(spectrum, gen_h2points(spec), 1.0)
+        res = compare_oracles(spectrum, build_ensemble(spec)[1], 1.0)
         formula = rho_formula_2points(p, 2.0, r)
         assert formula / 3 <= res.rho <= 3 * formula
 
 
     def test_every_search_is_carried_through(self):
         spec = two_cluster_spec(30, 4, 1.0, 0.5, 2.0, 2.0)
-        spectrum, tasks = synth_spectrum(30, 2.0), gen_h2points(spec)
+        spectrum, tasks = synth_spectrum(30, 2.0), build_ensemble(spec)[1]
         res = compare_oracles(spectrum, tasks, 1.0)
         assert len(res.search) == 6
         assert [best.lam for best in res.search] == [res.lambda_star, res.mu_star, *res.st_lambdas]
@@ -204,7 +204,7 @@ class TestOracleProperties:
         res = compare_oracles(spectrum, tasks, sigma2)
         n, gamma = spectrum.n, spectrum.gamma
         grid = np.geomspace(gamma.min() / n * 1e-6, gamma.max() / n * 1e6, 4000)
-        shared = sum(RidgeRiskProfile(n=n, gamma=gamma, signal=h_j**2, noise=sigma2).value_grid(grid)
+        shared = sum(value_grid(RidgeRiskProfile(n=n, gamma=gamma, signal=h_j**2, noise=sigma2), grid)
                      for h_j in tasks.h.T) / tasks.p
         assert res.mt_risk <= float(shared.min()) * (1 + 1e-12)
 
@@ -215,8 +215,8 @@ class TestOracleProperties:
         # at p = 2 the two-cluster and the one-outlier configurations build the same two tasks
         fields = dict(n=n, p=2, c1=c1, c2=c2, delta1=delta, beta_or_m=beta)
         spectrum, sigma2 = synth_spectrum(n, beta), 10.0**log_sigma2
-        two = compare_oracles(spectrum, gen_h2points(ScenarioSpec(kind=ScenarioKind.H2POINTS, **fields)), sigma2)
-        out = compare_oracles(spectrum, gen_h1out(ScenarioSpec(kind=ScenarioKind.H1OUT, **fields)), sigma2)
+        two = compare_oracles(spectrum, build_ensemble(ScenarioSpec(kind=ScenarioKind.H2POINTS, **fields))[1], sigma2)
+        out = compare_oracles(spectrum, build_ensemble(ScenarioSpec(kind=ScenarioKind.H1OUT, **fields))[1], sigma2)
         assert (out.mt_risk, out.st_risk, out.rho, out.diagnostics) == (two.mt_risk, two.st_risk, two.rho,
                                                                          two.diagnostics)
 

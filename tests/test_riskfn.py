@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from conftest import quad_kappa, quad_tail_integral
+from conftest import quad_kappa, quad_tail_integral, s1, s2, value_grid
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from mtkrr.optimize import minimize_profile
 from mtkrr.riskfn import (
     DivergentIntegralError,
     NoEpsilonCapError,
@@ -22,10 +23,7 @@ from mtkrr.riskfn import (
     kappa,
     minimax_rate,
     minimize_risk,
-    minimize_template,
     risk_r,
-    s1,
-    s2,
     template_profile,
 )
 
@@ -234,7 +232,7 @@ class TestMinimizeRisk:
         except NoEpsilonCapError:
             hi = 1e3
         grid = np.geomspace(1e-12, hi, 2000)
-        oracle = min(float(profile.value_grid(grid).min()), profile.value(0.0))
+        oracle = min(float(value_grid(profile, grid).min()), profile.value(0.0))
         assert report.r_star <= oracle * (1 + 1e-8)
 
 
@@ -302,6 +300,19 @@ class TestSumIntegralBounds:
         assert s1(n, lam, beta, delta) <= bound * (1 + 1e-12)
 
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_template_profile_parts_are_the_sums(self, seed):
+        # verify-bounds reads S1 and S2 from the template profile at C = sigma2 = p = 1
+        rng = np.random.default_rng(seed + 100)
+        beta = float(rng.uniform(0.8, 4.0))
+        delta = float(rng.uniform(0.6, min(2 * beta - 0.05, 3.0)))
+        n = int(rng.integers(5, 500))
+        lam = float(10 ** rng.uniform(-8, 2))
+        bias, var = template_profile(RiskParams(n, 1, 1.0, beta, delta, 1.0)).parts(lam)
+        assert bias / lam**2 == pytest.approx(s1(n, lam, beta, delta), rel=1e-13)
+        assert n * var == pytest.approx(s2(n, lam, beta), rel=1e-13)
+
+
 class TestSandwich:
     @pytest.mark.parametrize("n,p", [(100, 1), (100, 4), (400, 2), (800, 1)])
     @pytest.mark.parametrize("beta,delta", [(2.0, 2.0), (4.0, 2.0), (2.0, 1.5)])
@@ -321,7 +332,7 @@ class TestSandwich:
 
 def test_minimize_template_handles_missing_cap():
     params = RiskParams(n=2, p=1, sigma2=50.0, beta=2, delta=2, c=1.0)
-    best = minimize_template(params)
+    best = minimize_profile(template_profile(params))
     assert best.value <= min(risk_r(params, 0.0), risk_r(params, math.inf)) * (1 + 1e-12)
 
 
@@ -335,7 +346,7 @@ def brute_force_minimum(params: RiskParams, points: int = 3000, chunk: int = 100
     grid = np.geomspace(1e-6 * float(params.n) ** (-2 * params.beta), 1e6, points)
     best = min(profile.value(0.0), profile.value(math.inf))
     for k in range(0, points, chunk):
-        best = min(best, float(profile.value_grid(grid[k:k + chunk]).min()))
+        best = min(best, float(value_grid(profile, grid[k:k + chunk]).min()))
     return best
 
 

@@ -8,12 +8,7 @@ from mtkrr.scenarios import (
     ScenarioKind,
     ScenarioSpec,
     build_ensemble,
-    gen_h1out,
-    gen_h2points,
-    gen_setting_a,
     gen_setting_b,
-    gen_setting_c,
-    gen_setting_d,
     periodic_kernel_matrix,
     periodic_kernel_value,
     replicate_spec,
@@ -69,19 +64,19 @@ class TestSynthSpectrum:
 
 class TestTwoClusters:
     def test_zero_dispersion_means_identical_tasks(self):
-        h = gen_h2points(spec_of(ScenarioKind.H2POINTS, c2=0.0)).h
+        h = build_ensemble(spec_of(ScenarioKind.H2POINTS, c2=0.0))[1].h
         assert np.ptp(h, axis=1).max() == 0.0
 
     def test_hand_substitution(self):
         spec = spec_of(ScenarioKind.H2POINTS, n=3, p=2, c1=1.0, c2=1.0, delta1=1.0)
-        h = gen_h2points(spec).h
+        h = build_ensemble(spec)[1].h
         i = np.arange(1.0, 4.0)
         assert np.allclose(h[:, 0], 2 * math.sqrt(3) / i, atol=1e-14)
         assert np.allclose(h[:, 1], 0.0, atol=1e-14)
 
     def test_profile_identity(self):
         spec = spec_of(ScenarioKind.H2POINTS, n=6, p=4, c1=1.0, c2=0.25, delta1=2.0)
-        prof = mean_variance_profile(gen_h2points(spec))
+        prof = mean_variance_profile(build_ensemble(spec)[1])
         i = np.arange(1.0, 7.0)
         assert np.max(np.abs(prof.mu**2 / 4 - 6 * i**-4.0)) < 1e-12 * 6
         assert np.max(np.abs(prof.varsigma2 - 0.25 * 6 * i**-4.0)) < 1e-12 * 6
@@ -93,17 +88,17 @@ class TestTwoClusters:
 
 class TestOneOutlier:
     def test_zero_dispersion_means_identical_tasks(self):
-        h = gen_h1out(spec_of(ScenarioKind.H1OUT, c2=0.0)).h
+        h = build_ensemble(spec_of(ScenarioKind.H1OUT, c2=0.0))[1].h
         assert np.ptp(h, axis=1).max() == 0.0
 
     def test_two_tasks_reduce_to_the_two_cluster_form(self):
-        a = gen_h1out(spec_of(ScenarioKind.H1OUT, p=2)).h
-        b = gen_h2points(spec_of(ScenarioKind.H2POINTS, p=2)).h
+        a = build_ensemble(spec_of(ScenarioKind.H1OUT, p=2))[1].h
+        b = build_ensemble(spec_of(ScenarioKind.H2POINTS, p=2))[1].h
         assert np.max(np.abs(a - b)) < 1e-14
 
     def test_profile_identity(self):
         spec = spec_of(ScenarioKind.H1OUT, n=6, p=5)
-        prof = mean_variance_profile(gen_h1out(spec))
+        prof = mean_variance_profile(build_ensemble(spec)[1])
         i = np.arange(1.0, 7.0)
         assert np.max(np.abs(prof.mu**2 / 5 - 1.0 * 6 * i**-4.0)) < 1e-11 * 6
         assert np.max(np.abs(prof.varsigma2 - 0.25 * 6 * i**-4.0)) < 1e-11 * 6
@@ -111,22 +106,22 @@ class TestOneOutlier:
 
 class TestSettingA:
     def test_zero_dispersion_is_deterministic(self):
-        h = gen_setting_a(spec_of(ScenarioKind.SETTING_A, c2=0.0)).h
+        h = build_ensemble(spec_of(ScenarioKind.SETTING_A, c2=0.0))[1].h
         i = np.arange(1.0, 9.0)
         assert np.allclose(h, (math.sqrt(8) * i**-2.0)[:, None], atol=1e-14)
 
     def test_same_seed_reproduces(self):
         spec = spec_of(ScenarioKind.SETTING_A)
-        assert np.array_equal(gen_setting_a(spec).h, gen_setting_a(spec).h)
+        assert np.array_equal(build_ensemble(spec)[1].h, build_ensemble(spec)[1].h)
 
     def test_different_seeds_differ(self):
-        a = gen_setting_a(spec_of(ScenarioKind.SETTING_A, seed=1)).h
-        b = gen_setting_a(spec_of(ScenarioKind.SETTING_A, seed=2)).h
+        a = build_ensemble(spec_of(ScenarioKind.SETTING_A, seed=1))[1].h
+        b = build_ensemble(spec_of(ScenarioKind.SETTING_A, seed=2))[1].h
         assert not np.array_equal(a, b)
 
     def test_signs_are_rademacher(self):
         spec = spec_of(ScenarioKind.SETTING_A, n=10, p=6, c1=1.0, c2=0.49, delta1=1.5)
-        h = gen_setting_a(spec).h
+        h = build_ensemble(spec)[1].h
         i = np.arange(1.0, 11.0)
         eps = (h / (math.sqrt(10) * i**-1.5)[:, None] - 1.0) / 0.7
         assert np.allclose(np.abs(eps), 1.0, atol=1e-10)
@@ -137,7 +132,7 @@ class TestSettingA:
 
     def test_mean_profile_recomputes_from_recovered_signs(self):
         spec = spec_of(ScenarioKind.SETTING_A, n=12, p=5, c1=1.0, c2=0.25, delta1=2.0, seed=3)
-        tasks = gen_setting_a(spec)
+        tasks = build_ensemble(spec)[1]
         prof = mean_variance_profile(tasks)
         i = np.arange(1.0, 13.0)
         eps = (tasks.h / (math.sqrt(12) * i**-2.0)[:, None] - 1.0) / 0.5
@@ -228,17 +223,17 @@ class TestSettingB:
 
 class TestSettingC:
     def test_reduces_to_single_decay_when_exponents_match(self):
-        a = gen_setting_a(spec_of(ScenarioKind.SETTING_A, seed=7)).h
-        c = gen_setting_c(spec_of(ScenarioKind.SETTING_C, seed=7, delta2=2.0)).h
+        a = build_ensemble(spec_of(ScenarioKind.SETTING_A, seed=7))[1].h
+        c = build_ensemble(spec_of(ScenarioKind.SETTING_C, seed=7, delta2=2.0))[1].h
         assert np.max(np.abs(a - c)) < 1e-14
 
     def test_zero_dispersion_is_deterministic(self):
-        h = gen_setting_c(spec_of(ScenarioKind.SETTING_C, c2=0.0, delta2=3.0)).h
+        h = build_ensemble(spec_of(ScenarioKind.SETTING_C, c2=0.0, delta2=3.0))[1].h
         assert np.ptp(h, axis=1).max() == 0.0
 
     def test_hand_evaluation(self):
         spec = spec_of(ScenarioKind.SETTING_C, n=4, p=2, c1=1.0, c2=0.25, delta1=2.0, delta2=3.0, seed=11)
-        h = gen_setting_c(spec).h
+        h = build_ensemble(spec)[1].h
         eps = rng_for(11).integers(0, 2, size=(4, 2)) * 2 - 1
         i = np.arange(1.0, 5.0)
         expected = 2.0 * (i**-2.0)[:, None] + eps * (2.0 * 0.5) * (i**-3.0)[:, None]
@@ -247,17 +242,17 @@ class TestSettingC:
 
 class TestSettingD:
     def test_zero_amplitude_silences_the_outlier(self):
-        h = gen_setting_d(spec_of(ScenarioKind.SETTING_D, c2=0.0, delta2=3.0)).h
+        h = build_ensemble(spec_of(ScenarioKind.SETTING_D, c2=0.0, delta2=3.0))[1].h
         assert np.all(h[:, -1] == 0.0)
         assert np.any(h[:, 0] != 0.0)
 
     def test_minimal_pair(self):
-        h = gen_setting_d(spec_of(ScenarioKind.SETTING_D, p=2, delta2=2.5)).h
+        h = build_ensemble(spec_of(ScenarioKind.SETTING_D, p=2, delta2=2.5))[1].h
         assert h.shape == (8, 2)
 
     def test_outlier_energy_identity(self):
         spec = spec_of(ScenarioKind.SETTING_D, n=10, c2=0.49, delta2=2.5)
-        h = gen_setting_d(spec).h
+        h = build_ensemble(spec)[1].h
         i = np.arange(1.0, 11.0)
         assert np.sum(h[:, -1] ** 2) == pytest.approx(10 * 0.49 * np.sum(i**-5.0), rel=1e-12)
 
@@ -300,6 +295,6 @@ class TestReplicateDerivation:
 
     def test_replicates_change_the_draw(self):
         spec = spec_of(ScenarioKind.SETTING_A, seed=31337)
-        h0 = gen_setting_a(replicate_spec(spec, 0)).h
-        h1 = gen_setting_a(replicate_spec(spec, 1)).h
+        h0 = build_ensemble(replicate_spec(spec, 0))[1].h
+        h1 = build_ensemble(replicate_spec(spec, 1))[1].h
         assert not np.array_equal(h0, h1)
