@@ -55,8 +55,8 @@ def _scenario_fields(get, keys, errors: list[str], prefix: str) -> dict:
 
 def _build_spec(raw: dict, errors: list[str], prefix: str) -> scenarios.ScenarioSpec | None:
     try:
-        return scenarios.ScenarioSpec.from_dict(raw)
-    except (KeyError, ValueError) as exc:
+        return scenarios.ScenarioSpec(**raw)
+    except ValueError as exc:
         errors.append(f"{prefix}scenario: {exc}")
         return None
 
@@ -91,8 +91,8 @@ def _fail_on(errors: list[str]) -> None:
 def _run_size(section: configparser.SectionProxy, name: str, errors: list[str]) -> tuple[float, int]:
     """The noise variance and replicate count every config-driven command needs."""
     sigma2 = section.getfloat("sigma2", fallback=None)
-    if sigma2 is None or sigma2 <= 0:
-        errors.append(f"{name}.sigma2: missing or not positive")
+    if sigma2 is None or not 0 < sigma2 < math.inf:
+        errors.append(f"{name}.sigma2: missing, not positive or not finite")
     n_rep = section.getint("n_rep", fallback=None)
     if n_rep is None or n_rep < 1:
         errors.append(f"{name}.n_rep: missing or not positive")
@@ -188,6 +188,8 @@ def _search_record(best) -> dict:
 def cmd_oracle(args) -> int:
     errors: list[str] = []
     spec = _parse_scenario(lambda k: getattr(args, k, None), errors)
+    if not 0 < args.sigma2 < math.inf:
+        errors.append("sigma2: not positive or not finite")
     _fail_on(errors)
     spectrum, tasks = scenarios.build_ensemble(spec)
     result = oracles.compare_oracles(spectrum, tasks, args.sigma2)

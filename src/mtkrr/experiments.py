@@ -22,8 +22,7 @@ import numpy as np
 from .estimators import comparison_rows
 from .optimize import ProfileMinimum, minimize_profiles
 from .oracles import oracle_ratios
-from .scenarios import (ScenarioKind, ScenarioSpec, derive_seed, gen_setting_b, replicate_spec, synth_spectrum,
-                        task_block)
+from .scenarios import ScenarioSpec, derive_seed, draw
 
 Z_975 = 1.959963984540054  # 97.5% standard normal quantile
 
@@ -68,27 +67,6 @@ def pvalue_pi2(mean_ratio: float, std_ratio: float, n_scale: int) -> float:
     return _phi(math.sqrt(n_scale) * (mean_ratio - 1.0) / std_ratio)
 
 
-def _replicate_rows(spec: ScenarioSpec, sigma2: float, n_rep: int, spectra: dict, gammas: list):
-    """Signal rows, noise levels and spectrum indices of the p + 2 searches of each replicate of ``spec``.
-
-    Replicate r draws from the stream of ``derive_seed(spec.seed, r)``.  A synthetic spectrum joins
-    ``gammas`` once per distinct (n, beta), indexed in ``spectra``; setting B adds each replicate's.
-    """
-    if spec.kind is ScenarioKind.SETTING_B:
-        drawn = [gen_setting_b(replicate_spec(spec, r)) for r in range(n_rep)]
-        owners = np.arange(len(gammas), len(gammas) + n_rep)
-        gammas += [spectrum.gamma for spectrum, _ in drawn]
-        h = np.stack([tasks.h for _, tasks in drawn])
-    else:
-        if (spec.n, spec.beta_or_m) not in spectra:
-            spectra[spec.n, spec.beta_or_m] = len(gammas)
-            gammas.append(synth_spectrum(spec.n, spec.beta_or_m).gamma)
-        owners = np.full(n_rep, spectra[spec.n, spec.beta_or_m])
-        h = task_block(spec, [derive_seed(spec.seed, r) for r in range(n_rep)])
-    signal, noise = comparison_rows(h, sigma2)
-    return signal.reshape(-1, spec.n), np.tile(noise, n_rep), np.repeat(owners, spec.p + 2)
-
-
 def _report(spec: ScenarioSpec, sigma2: float, n_rep: int, search: list[ProfileMinimum], pi2_scale: str):
     """Aggregate the searches of one spec's replicates, p + 2 per replicate, into its report."""
     arr = oracle_ratios(np.array([best.value for best in search]).reshape(n_rep, spec.p + 2))[2]
@@ -130,10 +108,20 @@ def run_experiments(specs: list[ScenarioSpec], sigma2: float, n_rep: int,
         raise ValueError("pi2_scale must be 'N' or 'n'")
     if len({(spec.n, spec.p) for spec in specs}) != 1:
         raise ValueError("the specs of one run must share n and p")
-    spectra, gammas = {}, []
-    signal, noise, owner = map(np.concatenate, zip(*(_replicate_rows(spec, sigma2, n_rep, spectra, gammas)
-                                                     for spec in specs)))
-    search = minimize_profiles(specs[0].n, np.vstack(gammas), signal, noise, spectrum=owner)
+    gammas, rows = [], []
+    for spec in specs:
+        spectra, h = draw(spec, [derive_seed(spec.seed, r) for r in range(n_rep)])
+        signal, noise = comparison_rows(h, sigma2)
+        owner = len(gammas) + np.arange(n_rep) % len(spectra)  # replicate r searches on spectrum r % len(spectra)
+        gammas += [spectrum.gamma for spectrum in spectra]
+        rows.append((signal.reshape(-1, spec.n), np.tile(noise, n_rep), np.repeat(owner, spec.p + 2)))
+    del spectra, h  # the search needs only the rows and the eigenvalues: free the last block and its bases,
+    signal, noise, owner = map(np.concatenate, zip(*rows))
+    del rows  # and the per-spec rows once joined
+    # spectra equal bit for bit, such as every cell of a synthetic sweep at one (n, beta), share one grid scan
+    gamma = np.vstack(gammas)
+    _, first, which = np.unique(gamma.view(f"V{gamma.strides[0]}").ravel(), return_index=True, return_inverse=True)
+    search = minimize_profiles(specs[0].n, gamma[first], signal, noise, spectrum=which[owner])
     size = n_rep * (specs[0].p + 2)
     return [_report(spec, sigma2, n_rep, search[k * size:(k + 1) * size], pi2_scale)
             for k, spec in enumerate(specs)], search

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,6 +66,10 @@ class ScenarioSpec:
                 raise ValueError(f"{self.kind.value} requires a positive delta2")
         elif self.delta2 is not None:
             raise ValueError(f"delta2 is only meaningful for settings C and D, not {self.kind.value}")
+        nonfinite = [name for name in ("c1", "c2", "delta1", "delta2", "beta_or_m")
+                     if getattr(self, name) is not None and not math.isfinite(getattr(self, name))]
+        if nonfinite:
+            raise ValueError(f"{', '.join(nonfinite)} must be finite")
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
 
@@ -84,35 +88,16 @@ class ScenarioSpec:
             d["delta2"] = self.delta2
         return d
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ScenarioSpec":
-        return cls(
-            kind=ScenarioKind(d["kind"]),
-            n=int(d["n"]),
-            p=int(d["p"]),
-            c1=float(d["c1"]),
-            c2=float(d["c2"]),
-            delta1=float(d["delta1"]),
-            delta2=float(d["delta2"]) if "delta2" in d and d["delta2"] is not None else None,
-            beta_or_m=float(d.get("beta_or_m", 2.0)),
-            seed=int(d.get("seed", 0)),
-        )
 
-
-def rng_for(seed: int, *path: int) -> np.random.Generator:
-    """Philox stream keyed by (seed, path); path elements address sub-streams."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(path))))
+def rng_for(seed: int) -> np.random.Generator:
+    """Philox stream keyed by the seed."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=int(seed))))
 
 
 def derive_seed(seed: int, *path: int) -> int:
     """64-bit sub-seed addressed by (seed, path): the seed of a replicate or a sweep cell."""
     key = tuple(int(k) for k in path)
     return int(np.random.SeedSequence(entropy=int(seed), spawn_key=key).generate_state(1, np.uint64)[0])
-
-
-def replicate_spec(spec: ScenarioSpec, index: int) -> ScenarioSpec:
-    """Spec for one Monte Carlo replicate: same parameters, derived sub-seed."""
-    return replace(spec, seed=derive_seed(spec.seed, index))
 
 
 def synth_spectrum(n: int, beta: float) -> KernelSpectrum:
@@ -211,42 +196,43 @@ def periodic_kernel_matrix(x: np.ndarray, m: int) -> np.ndarray:
     return periodic_kernel_value(x[:, None] - x[None, :], m)
 
 
-def gen_setting_b(spec: ScenarioSpec) -> tuple[KernelSpectrum, TaskEnsemble]:
-    """Random-design periodic-spline setting.
+def _setting_b(spec: ScenarioSpec, seeds) -> tuple[list[KernelSpectrum], np.ndarray]:
+    """Random-design periodic-spline setting: each replicate draws its own spectrum.
 
-    Draws n inputs uniformly on [-pi, pi] (first), then the Rademacher sign
-    field; builds the kernel matrix, eigendecomposes it, and projects the task
-    values (sqrt(C1) + eps_i^j sqrt(C2)) |X_i| onto the kernel eigenbasis.
+    Replicate r draws n inputs uniformly on [-pi, pi] (first), then the
+    Rademacher sign field, from ``rng_for(seeds[r])``; builds the kernel
+    matrix, eigendecomposes it, and projects the task values
+    (sqrt(C1) + eps_i^j sqrt(C2)) |X_i| onto the kernel eigenbasis.
     """
-    rng = rng_for(spec.seed)
-    x = rng.uniform(-np.pi, np.pi, spec.n)
-    eps = _rademacher(rng, spec.n, spec.p)
-    spectrum = eigendecompose_kernel(periodic_kernel_matrix(x, int(spec.beta_or_m)))
-    F = (math.sqrt(spec.c1) + eps * math.sqrt(spec.c2)) * np.abs(x)[:, None]
-    return spectrum, project_tasks(spectrum, F)
+    spectra, h = [], []
+    for seed in seeds:
+        rng = rng_for(seed)
+        x = rng.uniform(-np.pi, np.pi, spec.n)
+        eps = _rademacher(rng, spec.n, spec.p)
+        spectra.append(eigendecompose_kernel(periodic_kernel_matrix(x, int(spec.beta_or_m))))
+        h.append(project_tasks(spectra[-1], (math.sqrt(spec.c1) + eps * math.sqrt(spec.c2)) * np.abs(x)[:, None]).h)
+    return spectra, np.stack(h)
 
 
 _TASK_BLOCKS = {ScenarioKind.H2POINTS: _h2points, ScenarioKind.H1OUT: _h1out, ScenarioKind.SETTING_A: _setting_a,
                 ScenarioKind.SETTING_C: _setting_c, ScenarioKind.SETTING_D: _setting_d}
 
 
-def task_block(spec: ScenarioSpec, seeds: list[int]) -> np.ndarray:
-    """Task coefficients of one replicate per seed, as an (R, n, p) block (synthetic kinds).
+def draw(spec: ScenarioSpec, seeds: list[int]) -> tuple[list[KernelSpectrum], np.ndarray]:
+    """Spectra and task coefficients of one replicate per seed, the coefficients as an (R, n, p) block.
 
     Replicate r draws from its own stream ``rng_for(seeds[r])``: its slice is the ensemble of ``spec``
-    with that seed, bit for bit.  The deterministic configurations give a read-only broadcast.
+    with that seed, bit for bit, on spectrum ``r % len(spectra)``.  The synthetic kinds share one
+    polynomial-decay spectrum with beta = beta_or_m (the deterministic configurations give a read-only
+    broadcast); the periodic-spline setting draws one spectrum per replicate.
     """
     if spec.kind is ScenarioKind.SETTING_B:
-        raise ValueError("setting B draws its spectrum with its tasks; use gen_setting_b")
-    return np.broadcast_to(_TASK_BLOCKS[spec.kind](spec, seeds), (len(seeds), spec.n, spec.p))
+        return _setting_b(spec, seeds)
+    h = np.broadcast_to(_TASK_BLOCKS[spec.kind](spec, seeds), (len(seeds), spec.n, spec.p))
+    return [synth_spectrum(spec.n, spec.beta_or_m)], h
 
 
 def build_ensemble(spec: ScenarioSpec) -> tuple[KernelSpectrum, TaskEnsemble]:
-    """Generate (spectrum, ensemble) for any scenario kind: the one-replicate case of ``task_block``.
-
-    Synthetic kinds use the polynomial-decay spectrum with beta = beta_or_m;
-    the periodic-spline setting derives both from the drawn inputs.
-    """
-    if spec.kind is ScenarioKind.SETTING_B:
-        return gen_setting_b(spec)
-    return synth_spectrum(spec.n, spec.beta_or_m), TaskEnsemble(n=spec.n, p=spec.p, h=task_block(spec, [spec.seed])[0])
+    """Generate (spectrum, ensemble) for any scenario kind: the one-replicate case of ``draw``."""
+    spectra, h = draw(spec, [spec.seed])
+    return spectra[0], TaskEnsemble(n=spec.n, p=spec.p, h=h[0])

@@ -547,6 +547,43 @@ class TestDegenerateConfigs:
         assert lines and all(line.startswith(("config error:", "error:")) for line in lines), lines
 
 
+class TestNonFiniteInputs:
+    """NaN passes every `<= 0` check, so each non-finite number is a config error named by its key."""
+
+    AXES = {"table": {"c2": "c2_values", "beta_or_m": "beta_or_m_values"},
+            "heatmap": {"c2": "row_values", "c1": "col_values"}}
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("oracle", "c1", "inf"), ("oracle", "c2", "nan"), ("oracle", "delta1", "inf"),
+        ("oracle", "sigma2", "-1"), ("oracle", "sigma2", "0"), ("oracle", "sigma2", "nan"), ("oracle", "sigma2", "inf"),
+        ("experiment", "c2", "nan"), ("experiment", "delta1", "inf"), ("experiment", "beta_or_m", "nan"),
+        ("experiment", "sigma2", "inf"), ("experiment", "sigma2", "nan"),
+        ("table", "c2", "nan"), ("table", "beta_or_m", "inf"), ("table", "sigma2", "nan"),
+        ("heatmap", "c2", "nan"), ("heatmap", "c1", "inf"), ("heatmap", "sigma2", "inf"),
+    ])
+    def test_rejected_before_anything_runs(self, tmp_path, capsys, command, key, value):
+        if command == "oracle":
+            argv = ["oracle", "--kind", "setting_a", "--n", "8", "--p", "2", "--c1", "1", "--c2", "0.1",
+                    "--delta1", "2", f"--{key}", value, "--out", str(tmp_path / "o.json")]
+        else:
+            keys = _sweep_base(command)
+            for out in ("out_json", "out_csv"):
+                if out in keys:
+                    keys[out] = str(tmp_path / keys[out])
+            axis = self.AXES.get(command, {}).get(key)
+            if axis:  # a second cell, after a valid one
+                keys[axis] += f", {value}"
+            else:
+                keys[key] = value
+            cfg = tmp_path / f"{command}.ini"
+            cfg.write_text(f"[{command}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()))
+            argv = [command, "--config", str(cfg)]
+        assert main(argv) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert any(line.startswith("config error:") and key in line for line in lines), lines
+        assert sorted(path.name for path in tmp_path.iterdir()) == ([] if command == "oracle" else [f"{command}.ini"])
+
+
 class TestArithmeticErrors:
     """A zero single-task oracle risk leaves the ratio undefined: exit 1, not a traceback."""
 

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from mtkrr.experiments import (
     run_experiments,
 )
 from mtkrr.oracles import compare_oracles
-from mtkrr.scenarios import ScenarioKind, ScenarioSpec, build_ensemble, derive_seed, replicate_spec, task_block
+from mtkrr.scenarios import ScenarioKind, ScenarioSpec, build_ensemble, derive_seed, draw
 
 
 def quick_spec(**kw):
@@ -98,7 +99,8 @@ class TestRunExperiment:
     def test_stacked_replicates_equal_one_comparison_each(self, kind, extra):
         spec = quick_spec(kind=kind, c2=0.3, seed=31, p=3, **extra)
         report = run_experiment(spec, sigma2=0.5, n_rep=5)
-        alone = [compare_oracles(*build_ensemble(replicate_spec(spec, i)), 0.5).rho for i in range(5)]
+        alone = [compare_oracles(*build_ensemble(replace(spec, seed=derive_seed(spec.seed, i))), 0.5).rho
+                 for i in range(5)]
         assert list(report.ratios) == alone
 
     @pytest.mark.parametrize("p", [8, 20])
@@ -106,7 +108,8 @@ class TestRunExperiment:
         # numpy's pairwise sum over the tasks can differ from Python's sum in the last bit from p = 8 on
         spec = quick_spec(kind=ScenarioKind.SETTING_A, c2=0.3, seed=57, p=p)
         report = run_experiment(spec, sigma2=0.5, n_rep=8)
-        alone = [compare_oracles(*build_ensemble(replicate_spec(spec, i)), 0.5).rho for i in range(8)]
+        alone = [compare_oracles(*build_ensemble(replace(spec, seed=derive_seed(spec.seed, i))), 0.5).rho
+                 for i in range(8)]
         assert list(report.ratios) == alone
 
     @pytest.mark.parametrize("kind, extra", [
@@ -115,15 +118,21 @@ class TestRunExperiment:
         (ScenarioKind.SETTING_D, dict(delta2=2.5)),
         (ScenarioKind.H2POINTS, dict(p=4)),
         (ScenarioKind.H1OUT, dict()),
+        (ScenarioKind.SETTING_B, dict(n=12)),  # one drawn spectrum per replicate
     ])
     def test_block_rows_are_each_replicates_comparison_rows(self, kind, extra):
         spec = quick_spec(**{"kind": kind, "c2": 0.3, "seed": 71, "p": 3, **extra})
-        signal, noise = comparison_rows(task_block(spec, [derive_seed(spec.seed, r) for r in range(6)]), 0.5)
+        spectra, h = draw(spec, [derive_seed(spec.seed, r) for r in range(6)])
+        signal, noise = comparison_rows(h, 0.5)
         assert signal.shape == (6, spec.p + 2, spec.n)
         for r in range(6):
-            alone_signal, alone_noise = comparison_rows(build_ensemble(replicate_spec(spec, r))[1].h, 0.5)
+            alone_spectrum, alone = build_ensemble(replace(spec, seed=derive_seed(spec.seed, r)))
+            alone_signal, alone_noise = comparison_rows(alone.h, 0.5)
             assert np.array_equal(signal[r], alone_signal)
             assert np.array_equal(noise, alone_noise)
+            spectrum = spectra[r % len(spectra)]
+            assert np.array_equal(spectrum.gamma, alone_spectrum.gamma)
+            assert np.array_equal(spectrum.basis, alone_spectrum.basis)  # None for the synthetic kinds
 
     @pytest.mark.parametrize("kind, axis", [
         (ScenarioKind.SETTING_A, [dict(c2=c2) for c2 in (0.1, 0.5, 1.0)]),

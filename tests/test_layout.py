@@ -1,4 +1,4 @@
-"""Layout guard: the package holds no code that only the tests use.
+"""Layout guards: the package holds no code that only the tests use, and one module forks on setting B.
 
 Every public function, class and method defined in ``src/mtkrr`` must be
 referenced somewhere else in the package or exported by ``mtkrr/__init__.py``.
@@ -57,3 +57,11 @@ def test_every_public_definition_is_used_by_the_package_or_exported():
     unused = [f"{path.stem}.{name}" for path, tree in trees.items()
               for name, bare in _definitions(tree, modules[path]) if not used[bare]]
     assert not unused, f"defined in src/mtkrr but used only outside it (move to tests/): {unused}"
+
+
+def test_only_scenarios_names_the_spline_setting():
+    """Setting B differs from the synthetic kinds only inside ``scenarios.draw``; no other module forks on it."""
+    forks = [path.name for path in sorted(PACKAGE.glob("*.py")) if path.name != "scenarios.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute) and node.attr == "SETTING_B"]
+    assert not forks, f"modules other than scenarios.py name ScenarioKind.SETTING_B: {forks}"
