@@ -159,14 +159,27 @@ def _run_summary(search: list[optimize.ProfileMinimum]) -> str:
 # subcommands
 
 
+def _risk_params(errors: list[str], **values) -> riskfn.RiskParams | None:
+    """The template parameters; an invalid value becomes a config error naming its key, reported once."""
+    try:
+        return riskfn.RiskParams(**values)
+    except ValueError as exc:
+        if str(exc) not in errors:
+            errors.append(str(exc))
+        return None
+
+
 def cmd_risk_curve(args) -> int:
-    params = riskfn.RiskParams(n=args.n, p=args.p, sigma2=args.sigma2,
-                               beta=args.beta, delta=args.delta, c=args.c)
+    errors: list[str] = []
+    params = _risk_params(errors, n=args.n, p=args.p, sigma2=args.sigma2, beta=args.beta, delta=args.delta, c=args.c)
+    _fail_on(errors)
     profile = riskfn.template_profile(params)
     # a bound not given is that end of the oracle's search bracket, so the grid reaches the minimum
     t_lo, t_hi = optimize.spectrum_bracket(profile.n, profile.gamma)
     lam_min = math.exp(t_lo[0]) if args.lambda_min is None else args.lambda_min
     lam_max = math.exp(t_hi[0]) if args.lambda_max is None else args.lambda_max
+    _fail_on([f"{key} must be positive and finite" for key, lam in (("lambda-min", lam_min), ("lambda-max", lam_max))
+              if not 0 < lam < math.inf])
     lams = [0.0] + [float(v) for v in np.geomspace(lam_min, lam_max, args.points)]
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -317,8 +330,10 @@ def cmd_verify_bounds(args) -> int:
             errors.append(f"--bd-pairs: cannot parse {tok!r} (expected beta:delta)")
     if not (n_values and p_values and c_values and bd_pairs):
         errors.append("verify-bounds: every grid axis needs at least one value")
-    _fail_on(errors)
     sigma2 = args.sigma2
+    grid = [_risk_params(errors, n=n, p=p, sigma2=sigma2, beta=beta, delta=delta, c=c)
+            for beta, delta in bd_pairs for n in n_values for p in p_values for c in c_values]
+    _fail_on(errors)
 
     lines: list[str] = []
     all_ok = True
@@ -328,20 +343,16 @@ def cmd_verify_bounds(args) -> int:
     worst_lower = math.inf
     cap_violations = 0
     lower_checked = 0
-    for beta, delta in bd_pairs:
-        for n in n_values:
-            for p in p_values:
-                for c in c_values:
-                    params = riskfn.RiskParams(n=n, p=p, sigma2=sigma2, beta=beta, delta=delta, c=c)
-                    report = riskfn.minimize_risk(params)
-                    if params.satisfies_hm and report.upper > 0:
-                        worst_upper = max(worst_upper, (report.r_star - report.upper) / report.upper)
-                    if math.isfinite(report.epsilon_cap) and report.lambda_star > report.epsilon_cap * (1 + 1e-9):
-                        cap_violations += 1
-                    if params.satisfies_lb and n * p / sigma2 >= args.lower_threshold:
-                        lower_checked += 1
-                        if report.lower > 0:
-                            worst_lower = min(worst_lower, (report.r_star - report.lower) / report.lower)
+    for params in grid:
+        report = riskfn.minimize_risk(params)
+        if params.satisfies_hm and report.upper > 0:
+            worst_upper = max(worst_upper, (report.r_star - report.upper) / report.upper)
+        if math.isfinite(report.epsilon_cap) and report.lambda_star > report.epsilon_cap * (1 + 1e-9):
+            cap_violations += 1
+        if params.satisfies_lb and params.n * params.p / sigma2 >= args.lower_threshold:
+            lower_checked += 1
+            if report.lower > 0:
+                worst_lower = min(worst_lower, (report.r_star - report.lower) / report.lower)
     all_ok &= _check("property-1 upper bound", worst_upper <= 1e-8,
                      f"worst relative excess {worst_upper:.3e}", lines)
     all_ok &= _check("property-2 localization", cap_violations == 0,

@@ -127,11 +127,6 @@ def run_experiments(specs: list[ScenarioSpec], sigma2: float, n_rep: int,
             for k, spec in enumerate(specs)], search
 
 
-def run_experiment(spec: ScenarioSpec, sigma2: float, n_rep: int, pi2_scale: str = "N") -> ExperimentReport:
-    """Replicate the oracle comparison n_rep times and aggregate the statistics: ``run_experiments`` of one spec."""
-    return run_experiments([spec], sigma2, n_rep, pi2_scale)[0][0]
-
-
 def report_to_dict(report: ExperimentReport) -> dict:
     """The report's fields in declaration order, with the ratios moved to the end."""
     fields_ = {field.name: getattr(report, field.name) for field in fields(report) if field.name != "ratios"}

@@ -100,30 +100,3 @@ def df_and_bias(spectrum: KernelSpectrum, h_j: np.ndarray, lam: float) -> tuple[
     bias = RidgeRiskProfile(spectrum.n, gamma, np.asarray(h_j, dtype=float) ** 2, 0.0).parts(lam)[0]
     df = np.divide(gamma, gamma + spectrum.n * lam, out=np.zeros_like(gamma), where=gamma > 0)
     return float(np.sum(df)), bias
-
-
-def hm_bound_rhs(
-    n: int,
-    p: int,
-    sigma2: float,
-    theta: float,
-    mt_oracle_risk: float,
-    f_sqnorm: float,
-    big_l: float = 1.0,
-) -> float:
-    """Right-hand side of the data-driven estimator's oracle inequality.
-
-    (1 + 1/ln n)^2 * mt_oracle_risk + L sigma2 (2+theta)^2 p ln(n)^3 / n
-    + p / n^(theta/2) * f_sqnorm / (n p).  The absolute constant L is not
-    specified by the theory; it is exposed as a knob with default 1.
-    """
-    if n < 3:
-        raise ValueError("need n >= 3 for the logarithmic terms")
-    if theta < 2:
-        raise ValueError("theta must be at least 2")
-    log_n = math.log(n)
-    return (
-        (1 + 1 / log_n) ** 2 * mt_oracle_risk
-        + big_l * sigma2 * (2 + theta) ** 2 * p * log_n**3 / n
-        + p / n ** (theta / 2) * f_sqnorm / (n * p)
-    )

@@ -63,12 +63,11 @@ class RiskParams:
     def __post_init__(self):
         if self.n < 1 or self.p < 1:
             raise ValueError("n and p must be positive integers")
-        if self.sigma2 <= 0:
-            raise ValueError("sigma2 must be positive")
-        if self.beta <= 0 or self.delta <= 0:
-            raise ValueError("beta and delta must be positive")
-        if self.c < 0:
-            raise ValueError("signal amplitude must be nonnegative")
+        for key in ("sigma2", "beta", "delta"):
+            if not 0 < getattr(self, key) < math.inf:
+                raise ValueError(f"{key} must be positive and finite")
+        if not 0 <= self.c < math.inf:
+            raise ValueError("c must be nonnegative and finite")
 
     @property
     def satisfies_hm(self) -> bool:
@@ -101,11 +100,6 @@ def template_profile(params: RiskParams) -> RidgeRiskProfile:
     gamma = params.n * i ** (-2.0 * params.beta)
     signal = params.c * params.n * i ** (-2.0 * params.delta)
     return RidgeRiskProfile(n=params.n, gamma=gamma, signal=signal, noise=params.sigma2 / params.p)
-
-
-def risk_r(params: RiskParams, lam: float) -> float:
-    """Template risk at a single regularization value (lam may be 0 or inf)."""
-    return template_profile(params).value(lam)
 
 
 def _tail_integral(a: float) -> float:
@@ -162,15 +156,6 @@ def kappa(beta: float, delta: float) -> float:
     i1, i2 = integral_i1(beta, delta), integral_i2(beta)
     e = 1 / (2 * delta)
     return i1**e * i2 ** (1 - e) * (2 * delta - 1) ** e * delta / (beta * (2 * delta - 1))
-
-
-def t_star(beta: float, delta: float, lam: float) -> float:
-    """Maximizer of t -> t^(4b-2d) / (1 + lam t^(2b))^2 on the positive axis."""
-    if 4 * beta <= 2 * delta:
-        raise ValueError("need 4 beta > 2 delta for an interior maximum")
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    return ((4 * beta - 2 * delta) / (2 * delta * lam)) ** (1 / (2 * beta))
 
 
 def alpha_constant(beta: float, delta: float) -> float:

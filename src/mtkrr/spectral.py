@@ -58,12 +58,6 @@ class KernelSpectrum:
             basis.flags.writeable = False
             object.__setattr__(self, "basis", basis)
 
-    def kernel_matrix(self) -> np.ndarray:
-        """Reassemble K from the stored eigendecomposition."""
-        if self.basis is None:
-            return np.diag(self.gamma)
-        return self.basis.T @ (self.gamma[:, None] * self.basis)
-
 
 @dataclass(frozen=True)
 class TaskEnsemble:
@@ -82,28 +76,6 @@ class TaskEnsemble:
         h = h.copy()
         h.flags.writeable = False
         object.__setattr__(self, "h", h)
-
-
-@dataclass(frozen=True)
-class MeanVarianceProfile:
-    """Task-mean profile mu_i and between-task variance profile varsigma2_i."""
-
-    mu: np.ndarray
-    varsigma2: np.ndarray
-
-    def __post_init__(self):
-        mu = np.asarray(self.mu, dtype=float)
-        vs = np.asarray(self.varsigma2, dtype=float)
-        if mu.ndim != 1 or vs.shape != mu.shape:
-            raise ValueError("mu and varsigma2 must be 1-D arrays of equal length")
-        if np.any(vs < 0):
-            raise ValueError("variance profile must be nonnegative")
-        mu = mu.copy()
-        vs = vs.copy()
-        mu.flags.writeable = False
-        vs.flags.writeable = False
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "varsigma2", vs)
 
 
 def eigendecompose_kernel(K: np.ndarray) -> KernelSpectrum:
@@ -136,15 +108,6 @@ def project_tasks(spectrum: KernelSpectrum, F: np.ndarray) -> TaskEnsemble:
     return TaskEnsemble(n=spectrum.n, p=F.shape[1], h=F if spectrum.basis is None else spectrum.basis @ F)
 
 
-def reconstruct_tasks(spectrum: KernelSpectrum, tasks: TaskEnsemble) -> np.ndarray:
-    """Inverse of project_tasks: recover the task values F from coefficients."""
-    if tasks.n != spectrum.n:
-        raise ValueError("spectrum and ensemble sample sizes differ")
-    if spectrum.basis is None:
-        return tasks.h.copy()
-    return spectrum.basis.T @ tasks.h
-
-
 def mean_variance(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mean and between-task variance profiles of coefficients h (n x p, or (R, n, p) for R replicates).
 
@@ -155,8 +118,3 @@ def mean_variance(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     replicate of a block gets the bits of its n x p slice alone.
     """
     return h.sum(axis=-1) / math.sqrt(h.shape[-1]), np.var(h, axis=-1)
-
-
-def mean_variance_profile(tasks: TaskEnsemble) -> MeanVarianceProfile:
-    """Split an ensemble into its mean and between-task variance profiles (see ``mean_variance``)."""
-    return MeanVarianceProfile(*mean_variance(tasks.h))

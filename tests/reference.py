@@ -1,0 +1,275 @@
+"""Reference implementations that only the tests use.
+
+The dense Kronecker route to the multi-task risk lives here, beside the
+tests it validates.  The multi-task smoother is A = T (T + np I)^{-1} with
+T = (M^{-1} x K) (Kronecker product), M being a p x p coupling matrix that
+penalizes the task mean with weight ``lam`` and the between-task variance
+with weight ``mu``.  ``risk_direct`` materializes the np x np operator and
+evaluates the bias-variance decomposition by brute force; ``risk_spectral``
+evaluates the same risk from the kernel eigenvalues and the mean/variance
+profiles in O(n).  The two must agree to floating-point accuracy, which is
+the central correctness check of the package (criterion 1).
+
+The spectral route is canonical: it is defined for lam = 0 and mu = 0 where
+the Kronecker-inverse formula is not, and it has no size cap.
+
+Also here: the one-spec form of ``mtkrr.experiments.run_experiments``, and
+the paper formulas no command evaluates (the template risk at one lambda,
+the maximizer ``t_star`` and the data-driven estimator's bound
+``hm_bound_rhs``), each kept with its checks.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from mtkrr.estimators import multitask_rows
+from mtkrr.experiments import ExperimentReport, run_experiments
+from mtkrr.optimize import RidgeRiskProfile
+from mtkrr.riskfn import RiskParams, template_profile
+from mtkrr.scenarios import ScenarioSpec
+from mtkrr.spectral import KernelSpectrum, TaskEnsemble, mean_variance
+
+DENSE_SIZE_CAP = 512  # the O((np)^3) route exists only for cross-validation
+
+
+# ---------------------------------------------------------------------------
+# spectra and profiles
+
+
+def kernel_matrix(spectrum: KernelSpectrum) -> np.ndarray:
+    """Reassemble K from the stored eigendecomposition."""
+    if spectrum.basis is None:
+        return np.diag(spectrum.gamma)
+    return spectrum.basis.T @ (spectrum.gamma[:, None] * spectrum.basis)
+
+
+@dataclass(frozen=True)
+class MeanVarianceProfile:
+    """Task-mean profile mu_i and between-task variance profile varsigma2_i."""
+
+    mu: np.ndarray
+    varsigma2: np.ndarray
+
+    def __post_init__(self):
+        mu = np.asarray(self.mu, dtype=float)
+        vs = np.asarray(self.varsigma2, dtype=float)
+        if mu.ndim != 1 or vs.shape != mu.shape:
+            raise ValueError("mu and varsigma2 must be 1-D arrays of equal length")
+        if np.any(vs < 0):
+            raise ValueError("variance profile must be nonnegative")
+        mu = mu.copy()
+        vs = vs.copy()
+        mu.flags.writeable = False
+        vs.flags.writeable = False
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "varsigma2", vs)
+
+
+def reconstruct_tasks(spectrum: KernelSpectrum, tasks: TaskEnsemble) -> np.ndarray:
+    """Inverse of project_tasks: recover the task values F from coefficients."""
+    if tasks.n != spectrum.n:
+        raise ValueError("spectrum and ensemble sample sizes differ")
+    if spectrum.basis is None:
+        return tasks.h.copy()
+    return spectrum.basis.T @ tasks.h
+
+
+def mean_variance_profile(tasks: TaskEnsemble) -> MeanVarianceProfile:
+    """Split an ensemble into its mean and between-task variance profiles (see ``mean_variance``)."""
+    return MeanVarianceProfile(*mean_variance(tasks.h))
+
+
+# ---------------------------------------------------------------------------
+# coupling matrices and the two routes to the multi-task risk
+
+
+class SingularRegularizerError(ValueError):
+    """The Kronecker route needs an invertible coupling matrix (lam, mu > 0)."""
+
+
+def _mean_projector(p: int) -> np.ndarray:
+    return np.full((p, p), 1.0 / p)
+
+
+@dataclass(frozen=True)
+class RegularizerAV:
+    """Coupling matrix penalizing the task mean (lam) and task variance (mu)."""
+
+    p: int
+    lam: float
+    mu: float
+
+    def __post_init__(self):
+        if self.p < 1:
+            raise ValueError("p must be a positive integer")
+        if self.lam < 0 or self.mu < 0:
+            raise ValueError("penalty weights must be nonnegative")
+
+    def matrix(self) -> np.ndarray:
+        J = _mean_projector(self.p)
+        return (self.lam / self.p) * J + (self.mu / self.p) * (np.eye(self.p) - J)
+
+
+@dataclass(frozen=True)
+class RegularizerSD:
+    """Coupling matrix penalizing individual norms (alpha) and pairwise differences (beta_pen).
+
+    Identical to RegularizerAV(alpha, alpha + p * beta_pen); kept as its own
+    type because the two parameterizations cover different nonnegative cones.
+    """
+
+    p: int
+    alpha: float
+    beta_pen: float
+
+    def __post_init__(self):
+        if self.p < 1:
+            raise ValueError("p must be a positive integer")
+        if self.alpha < 0 or self.beta_pen < 0:
+            raise ValueError("penalty weights must be nonnegative")
+
+    def matrix(self) -> np.ndarray:
+        return RegularizerAV(self.p, self.alpha, self.alpha + self.p * self.beta_pen).matrix()
+
+
+@dataclass(frozen=True)
+class RiskBreakdown:
+    bias: float
+    variance: float
+    total: float
+
+    @classmethod
+    def of(cls, bias: float, variance: float) -> "RiskBreakdown":
+        return cls(bias=bias, variance=variance, total=bias + variance)
+
+
+def penalty_value(reg: RegularizerAV | RegularizerSD, gram: np.ndarray) -> float:
+    """Quadratic penalty sum_{j,l} M_{jl} <g^j, g^l> from the task Gram matrix."""
+    gram = np.asarray(gram, dtype=float)
+    p = reg.p
+    if gram.shape != (p, p):
+        raise ValueError(f"gram matrix must be {p} x {p}, got {gram.shape}")
+    scale = max(1.0, float(np.max(np.abs(gram))))
+    if np.max(np.abs(gram - gram.T)) > 1e-10 * scale:
+        raise ValueError("gram matrix is not symmetric")
+    if np.linalg.eigvalsh(gram).min() < -1e-8 * scale:
+        raise ValueError("gram matrix is not positive semidefinite")
+    return float(np.sum(reg.matrix() * gram))
+
+
+def build_operator(spectrum: KernelSpectrum, reg: RegularizerAV) -> np.ndarray:
+    """Materialize the dense np x np multi-task smoother (validation path only)."""
+    if reg.lam == 0 or reg.mu == 0:
+        raise SingularRegularizerError("dense route requires lam > 0 and mu > 0; use the spectral route for zero penalties")
+    n, p = spectrum.n, reg.p
+    if n * p > DENSE_SIZE_CAP:
+        raise ValueError(f"dense operator of size {n * p} exceeds cap {DENSE_SIZE_CAP}")
+    K = kernel_matrix(spectrum)
+    Minv = np.linalg.inv(reg.matrix())
+    T = np.kron(Minv, K)
+    # T and (T + npI)^{-1} commute, so the product is symmetric
+    A = np.linalg.solve(T + n * p * np.eye(n * p), T)
+    return 0.5 * (A + A.T)
+
+
+def risk_direct(
+    spectrum: KernelSpectrum, tasks: TaskEnsemble, reg: RegularizerAV, sigma2: float
+) -> RiskBreakdown:
+    """Exact risk via the dense operator: ||(A - I) f||^2/np + sigma2 tr(A'A)/np."""
+    if sigma2 <= 0:
+        raise ValueError("noise variance must be positive")
+    if tasks.p != reg.p:
+        raise ValueError("ensemble and regularizer disagree on the number of tasks")
+    n, p = spectrum.n, tasks.p
+    A = build_operator(spectrum, reg)
+    F = reconstruct_tasks(spectrum, tasks)
+    f = F.T.ravel()  # tasks stacked one after another
+    bias = float(np.sum((A @ f - f) ** 2)) / (n * p)
+    variance = sigma2 * float(np.sum(A * A)) / (n * p)
+    return RiskBreakdown.of(bias, variance)
+
+
+def risk_spectral(
+    spectrum: KernelSpectrum,
+    profile: MeanVarianceProfile,
+    lam: float,
+    mu: float,
+    sigma2: float,
+    p: int,
+) -> RiskBreakdown:
+    """Exact risk from the spectral decomposition; valid for lam, mu in [0, inf]."""
+    if sigma2 <= 0:
+        raise ValueError("noise variance must be positive")
+    if p < 1:
+        raise ValueError("p must be a positive integer")
+    signal, noise = multitask_rows(profile.mu, profile.varsigma2, sigma2, p)
+    n, gamma = spectrum.n, spectrum.gamma
+    b1, v1 = RidgeRiskProfile(n=n, gamma=gamma, signal=signal[0], noise=noise[0]).parts(lam)  # mean part
+    b2, v2 = RidgeRiskProfile(n=n, gamma=gamma, signal=signal[1], noise=noise[1]).parts(mu)  # between-task part
+    return RiskBreakdown.of(b1 + b2, v1 + v2)
+
+
+def risk_single_task(spectrum: KernelSpectrum, h_j: np.ndarray, lam: float, sigma2: float) -> RiskBreakdown:
+    """Per-task ridge risk, normalized by n (the comparison harness averages over tasks)."""
+    if sigma2 <= 0:
+        raise ValueError("noise variance must be positive")
+    profile = RidgeRiskProfile(n=spectrum.n, gamma=spectrum.gamma, signal=np.asarray(h_j, dtype=float) ** 2, noise=sigma2)
+    return RiskBreakdown.of(*profile.parts(lam))
+
+
+# ---------------------------------------------------------------------------
+# one experiment
+
+
+def run_experiment(spec: ScenarioSpec, sigma2: float, n_rep: int, pi2_scale: str = "N") -> ExperimentReport:
+    """Replicate the oracle comparison n_rep times and aggregate the statistics: ``run_experiments`` of one spec."""
+    return run_experiments([spec], sigma2, n_rep, pi2_scale)[0][0]
+
+
+# ---------------------------------------------------------------------------
+# paper formulas no command evaluates
+
+
+def risk_r(params: RiskParams, lam: float) -> float:
+    """Template risk at a single regularization value (lam may be 0 or inf)."""
+    return template_profile(params).value(lam)
+
+
+def t_star(beta: float, delta: float, lam: float) -> float:
+    """Maximizer of t -> t^(4b-2d) / (1 + lam t^(2b))^2 on the positive axis."""
+    if 4 * beta <= 2 * delta:
+        raise ValueError("need 4 beta > 2 delta for an interior maximum")
+    if lam <= 0:
+        raise ValueError("lam must be positive")
+    return ((4 * beta - 2 * delta) / (2 * delta * lam)) ** (1 / (2 * beta))
+
+
+def hm_bound_rhs(
+    n: int,
+    p: int,
+    sigma2: float,
+    theta: float,
+    mt_oracle_risk: float,
+    f_sqnorm: float,
+    big_l: float = 1.0,
+) -> float:
+    """Right-hand side of the data-driven estimator's oracle inequality.
+
+    (1 + 1/ln n)^2 * mt_oracle_risk + L sigma2 (2+theta)^2 p ln(n)^3 / n
+    + p / n^(theta/2) * f_sqnorm / (n p).  The absolute constant L is not
+    specified by the theory; it is exposed as a knob with default 1.
+    """
+    if n < 3:
+        raise ValueError("need n >= 3 for the logarithmic terms")
+    if theta < 2:
+        raise ValueError("theta must be at least 2")
+    log_n = math.log(n)
+    return (
+        (1 + 1 / log_n) ** 2 * mt_oracle_risk
+        + big_l * sigma2 * (2 + theta) ** 2 * p * log_n**3 / n
+        + p / n ** (theta / 2) * f_sqnorm / (n * p)
+    )

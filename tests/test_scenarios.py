@@ -15,8 +15,8 @@ from mtkrr.scenarios import (
     rng_for,
     synth_spectrum,
 )
-from mtkrr.estimators import RegularizerAV, risk_direct, risk_spectral
-from mtkrr.spectral import mean_variance_profile, project_tasks, reconstruct_tasks
+from mtkrr.spectral import project_tasks
+from reference import RegularizerAV, kernel_matrix, mean_variance_profile, reconstruct_tasks, risk_direct, risk_spectral
 
 
 def spec_of(kind, **kw):
@@ -29,7 +29,7 @@ class TestSynthSpectrum:
     def test_values(self):
         spec = synth_spectrum(4, 1.0)
         assert np.allclose(spec.gamma, [4.0, 1.0, 4 / 9, 0.25], atol=1e-15)
-        assert spec.basis is None and np.array_equal(spec.kernel_matrix(), np.diag(spec.gamma))
+        assert spec.basis is None and np.array_equal(kernel_matrix(spec), np.diag(spec.gamma))
 
     def test_flat_when_beta_zero(self):
         assert np.allclose(synth_spectrum(5, 0.0).gamma, 5.0)
@@ -274,7 +274,7 @@ class TestSpecValidation:
     def test_build_ensemble_dispatch(self):
         spectrum, tasks = build_ensemble(spec_of(ScenarioKind.SETTING_A))
         assert spectrum.n == tasks.n == 8
-        assert spectrum.basis is None and np.array_equal(spectrum.kernel_matrix(), np.diag(spectrum.gamma))
+        assert spectrum.basis is None and np.array_equal(kernel_matrix(spectrum), np.diag(spectrum.gamma))
         spectrum_b, tasks_b = build_ensemble(spec_of(ScenarioKind.SETTING_B, n=10))
         assert spectrum_b.n == tasks_b.n == 10
         assert not np.array_equal(spectrum_b.basis, np.eye(10))
