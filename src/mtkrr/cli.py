@@ -74,8 +74,18 @@ def _float_list(text: str, key: str, errors: list[str]) -> list[float]:
         return []
 
 
+def _count_list(text: str, key: str, errors: list[str]) -> list[int]:
+    """A comma list of positive integers; a value that is not one is an error naming ``key``."""
+    values = _float_list(text, key, errors)
+    bad = [v for v in values if not (v.is_integer() and v >= 1)]  # nan and inf are not integers
+    if bad:
+        errors.append(f"{key}: {bad[0]!r} is not a positive integer")
+        return []
+    return [int(v) for v in values]
+
+
 def _load_section(path: str, section: str) -> configparser.SectionProxy:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))  # the README's "key = value  ; note" layout
     if not parser.read(path):
         raise ConfigError([f"cannot read config file {path!r}"])
     if section not in parser:
@@ -318,8 +328,8 @@ def _check(name: str, ok: bool, detail: str, lines: list[str]) -> bool:
 
 def cmd_verify_bounds(args) -> int:
     errors: list[str] = []
-    n_values = [int(v) for v in _float_list(args.n_values, "--n-values", errors)]
-    p_values = [int(v) for v in _float_list(args.p_values, "--p-values", errors)]
+    n_values = _count_list(args.n_values, "--n-values", errors)
+    p_values = _count_list(args.p_values, "--p-values", errors)
     c_values = _float_list(args.c_values, "--c-values", errors)
     bd_pairs = []
     for tok in args.bd_pairs.split(","):
@@ -330,6 +340,8 @@ def cmd_verify_bounds(args) -> int:
             errors.append(f"--bd-pairs: cannot parse {tok!r} (expected beta:delta)")
     if not (n_values and p_values and c_values and bd_pairs):
         errors.append("verify-bounds: every grid axis needs at least one value")
+    if not math.isfinite(args.lower_threshold):
+        errors.append(f"--lower-threshold: must be finite, got {args.lower_threshold!r}")
     sigma2 = args.sigma2
     grid = [_risk_params(errors, n=n, p=p, sigma2=sigma2, beta=beta, delta=delta, c=c)
             for beta, delta in bd_pairs for n in n_values for p in p_values for c in c_values]
@@ -343,8 +355,8 @@ def cmd_verify_bounds(args) -> int:
     worst_lower = math.inf
     cap_violations = 0
     lower_checked = 0
-    for params in grid:
-        report = riskfn.minimize_risk(params)
+    reports, search = riskfn.minimize_risks(grid)
+    for params, report in zip(grid, reports):
         if params.satisfies_hm and report.upper > 0:
             worst_upper = max(worst_upper, (report.r_star - report.upper) / report.upper)
         if math.isfinite(report.epsilon_cap) and report.lambda_star > report.epsilon_cap * (1 + 1e-9):
@@ -361,10 +373,11 @@ def cmd_verify_bounds(args) -> int:
                      f"worst relative margin {worst_lower:.3e} over {lower_checked} cells", lines)
 
     # Property 4: a single regime flip along a p-sweep at fixed n
-    labels = []
-    for p in np.geomspace(1, 1e7, 13):
-        labels.append(riskfn.minimize_risk(
-            riskfn.RiskParams(n=50, p=int(round(p)), sigma2=sigma2, beta=2, delta=2, c=1.0)).regime)
+    sweep, sweep_search = riskfn.minimize_risks(
+        [riskfn.RiskParams(n=50, p=int(round(p)), sigma2=sigma2, beta=2, delta=2, c=1.0)
+         for p in np.geomspace(1, 1e7, 13)])
+    print(_run_summary(search + sweep_search), file=sys.stderr)
+    labels = [report.regime for report in sweep]
     dedup = [lab for lab, _ in itertools.groupby(lab for lab in labels if lab is not riskfn.Regime.UNDETERMINED)]
     all_ok &= _check("property-4 regime flip", dedup == [riskfn.Regime.REGULARIZE, riskfn.Regime.TRIVIAL_NOISE],
                      f"sweep labels {[lab.value for lab in labels]}", lines)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .optimize import RidgeRiskProfile, minimize_profile
+from .optimize import ProfileMinimum, RidgeRiskProfile, minimize_profiles
 
 
 class DivergentIntegralError(ValueError):
@@ -209,27 +209,55 @@ def _classify(params: RiskParams, rate: float, lambda_star: float, r_star: float
     return Regime.UNDETERMINED
 
 
-def minimize_risk(params: RiskParams) -> BoundReport:
-    """Optimize the template risk and attach the theoretical envelope and the regime.
+def minimize_risks(grid: list[RiskParams]) -> tuple[list[BoundReport], list[ProfileMinimum]]:
+    """Optimize the template risk of every cell and attach its envelope and regime; return the reports and searches.
 
+    Cells of one n are searched in one ``minimize_profiles`` call, one
+    spectrum per distinct beta; each search is bit-identical to the cell's
+    search alone.  kappa and alpha run once per distinct (beta, delta).
     Bounds that require the minimax (resp. lower-bound) window are reported
     as nan outside it instead of being extrapolated.
     """
-    best = minimize_profile(template_profile(params))
-    kap = kappa(params.beta, params.delta) if params.satisfies_hm else math.nan
-    rate = minimax_rate(params, kap)
-    alpha = alpha_constant(params.beta, params.delta) if params.satisfies_lb else math.nan
-    try:
-        cap = epsilon_cap(params, rate)
-    except NoEpsilonCapError:
-        cap = math.nan
-    return BoundReport(
-        r_star=best.value,
-        lambda_star=best.lam,
-        upper=upper_bound(params, rate) if params.satisfies_hm else math.nan,
-        lower=lower_bound(params, rate, alpha) if params.satisfies_lb else math.nan,
-        epsilon_cap=cap,
-        regime=_classify(params, rate, best.lam, best.value),
-        kappa=kap,
-        alpha=alpha,
-    )
+    search: list[ProfileMinimum] = [None] * len(grid)
+    for n in dict.fromkeys(params.n for params in grid):
+        cells = [k for k, params in enumerate(grid) if params.n == n]
+        i = np.arange(1, n + 1, dtype=float)
+        betas = list(dict.fromkeys(grid[k].beta for k in cells))
+        powers = {delta: i ** (-2.0 * delta) for delta in dict.fromkeys(grid[k].delta for k in cells)}
+        signal = np.empty((len(cells), n))  # row by row as in template_profile: (c n) i^(-2 delta)
+        for row, k in enumerate(cells):
+            np.multiply(grid[k].c * n, powers[grid[k].delta], out=signal[row])
+        found = minimize_profiles(n, np.array([n * i ** (-2.0 * beta) for beta in betas]), signal,
+                                  np.array([grid[k].sigma2 / grid[k].p for k in cells]),
+                                  spectrum=np.array([betas.index(grid[k].beta) for k in cells]))
+        for k, best in zip(cells, found):
+            search[k] = best
+    constants: dict[tuple[float, float], tuple[float, float]] = {}
+    reports = []
+    for params, best in zip(grid, search):
+        pair = (params.beta, params.delta)
+        if pair not in constants:
+            constants[pair] = (kappa(*pair) if params.satisfies_hm else math.nan,
+                               alpha_constant(*pair) if params.satisfies_lb else math.nan)
+        kap, alpha = constants[pair]
+        rate = minimax_rate(params, kap)
+        try:
+            cap = epsilon_cap(params, rate)
+        except NoEpsilonCapError:
+            cap = math.nan
+        reports.append(BoundReport(
+            r_star=best.value,
+            lambda_star=best.lam,
+            upper=upper_bound(params, rate) if params.satisfies_hm else math.nan,
+            lower=lower_bound(params, rate, alpha) if params.satisfies_lb else math.nan,
+            epsilon_cap=cap,
+            regime=_classify(params, rate, best.lam, best.value),
+            kappa=kap,
+            alpha=alpha,
+        ))
+    return reports, search
+
+
+def minimize_risk(params: RiskParams) -> BoundReport:
+    """One cell of ``minimize_risks``: the template minimum with its envelope and regime."""
+    return minimize_risks([params])[0][0]

@@ -324,8 +324,9 @@ def write_table_config(tmp_path):
 class TestOneEngineCall:
     """Every config-driven command minimizes all its risk curves in a single stacked search."""
 
-    @pytest.mark.parametrize("command", ["experiment", "table", "heatmap"])
-    def test_each_command_calls_the_engine_once(self, tmp_path, monkeypatch, command):
+    @pytest.fixture
+    def engine_calls(self, monkeypatch):
+        """The row count of every ``minimize_profiles`` call made through a package module."""
         original, calls = mtkrr.optimize.minimize_profiles, []
 
         def counted(*args, **kwargs):
@@ -335,14 +336,23 @@ class TestOneEngineCall:
         for name, module in list(sys.modules.items()):
             if name.split(".")[0] == "mtkrr" and getattr(module, "minimize_profiles", None) is original:
                 monkeypatch.setattr(module, "minimize_profiles", counted)
+        return calls
+
+    @pytest.mark.parametrize("command", ["experiment", "table", "heatmap"])
+    def test_each_command_calls_the_engine_once(self, tmp_path, engine_calls, command):
         write = {"experiment": lambda path: TestExperimentCommand().write_config(path),
                  "table": write_table_config, "heatmap": write_heatmap_config}[command]
         for jobs in (["--jobs", "1"], ["--jobs", "2"], []):
-            calls.clear()
+            engine_calls.clear()
             assert main([command, "--config", str(write(tmp_path)), *jobs]) == 0
-            assert len(calls) == 1
+            assert len(engine_calls) == 1
         rows = {"experiment": 6 * (3 + 2), "table": 4 * 2 * (3 + 2), "heatmap": 6 * 3 * (3 + 2)}[command]
-        assert calls == [rows]
+        assert engine_calls == [rows]
+
+    def test_verify_bounds_calls_the_engine_once_per_n(self, tmp_path, engine_calls):
+        # the default grid: 3 pairs x 4 p x 3 c at each of n = 50, 200, 800; then the 13-cell p-sweep at n = 50
+        assert main(["verify-bounds", "--out", str(tmp_path / "bounds.txt")]) == 0
+        assert engine_calls == [36, 36, 36, 13]
 
 
 class TestRunSummary:
@@ -370,6 +380,25 @@ class TestRunSummary:
         assert main(["experiment", "--config", str(cfg), "--jobs", "1"]) == 0
         captured = capsys.readouterr()
         assert "searches 30: zero " in captured.err and "searches" not in captured.out
+
+    def test_verify_bounds_summary_counts_both_calls_and_leaves_the_output_unchanged(self, tmp_path, capsys,
+                                                                                     monkeypatch):
+        assert main(["verify-bounds", "--out", str(tmp_path / "stacked.txt")]) == 0
+        stacked = capsys.readouterr()
+        assert stacked.err.strip().splitlines()[-1].startswith("searches 121: zero ")
+        assert "searches" not in stacked.out
+        # the same command with every cell searched alone, as before the cells were stacked
+        original = mtkrr.riskfn.minimize_risks
+
+        def one_by_one(grid):
+            cells = [original([params]) for params in grid]
+            return [reports[0] for reports, _ in cells], [search[0] for _, search in cells]
+
+        monkeypatch.setattr(mtkrr.riskfn, "minimize_risks", one_by_one)
+        assert main(["verify-bounds", "--out", str(tmp_path / "alone.txt")]) == 0
+        alone = capsys.readouterr()
+        assert alone.err == stacked.err and alone.out == stacked.out
+        assert (tmp_path / "stacked.txt").read_bytes() == (tmp_path / "alone.txt").read_bytes()
 
 
 class TestSweepConfigErrors:
@@ -608,6 +637,29 @@ class TestTemplateParameters:
         captured = capsys.readouterr()
         assert any(line.startswith(f"config error: {key} must be") for line in captured.err.splitlines()), captured.err
         assert captured.out == "" and list(tmp_path.iterdir()) == []
+
+
+class TestGridAxes:
+    """``verify-bounds`` takes positive integers for n and p and a finite threshold: a config error naming the flag."""
+
+    @pytest.mark.parametrize("flag, value", [
+        *(("--n-values", f"50, {value}") for value in ("nan", "inf", "2.5", "0", "-3")),
+        *(("--p-values", f"1, {value}") for value in ("nan", "inf", "1.5", "0")),
+        *(("--lower-threshold", value) for value in ("nan", "inf", "-inf")),
+    ])
+    def test_rejected_before_anything_runs(self, tmp_path, capsys, flag, value):
+        argv = ["verify-bounds", "--n-values", "50", "--p-values", "1,4", "--c-values", "1", "--bd-pairs", "2:2"]
+        assert main([*argv, f"{flag}={value}", "--out", str(tmp_path / "v.txt")]) == 1
+        captured = capsys.readouterr()
+        assert any(line.startswith(f"config error: {flag}: ") for line in captured.err.splitlines()), captured.err
+        assert captured.out == "" and list(tmp_path.iterdir()) == []
+
+    def test_integral_floats_are_counts(self, tmp_path):
+        argv = ["--c-values", "1", "--bd-pairs", "2:2", "--out", str(tmp_path / "v.txt")]
+        assert main(["verify-bounds", "--n-values", "50.0, 2e2", "--p-values", "1, 4.0", *argv]) == 0
+        first = (tmp_path / "v.txt").read_bytes()
+        assert main(["verify-bounds", "--n-values", "50,200", "--p-values", "1,4", *argv]) == 0
+        assert (tmp_path / "v.txt").read_bytes() == first
 
 
 class TestArithmeticErrors:

@@ -11,11 +11,13 @@ most of it in ``tests/reference.py``.
 import ast
 import importlib
 import inspect
+import json
 import re
 from collections import Counter
 from pathlib import Path
 
 import mtkrr
+from mtkrr.cli import main
 
 PACKAGE = Path(mtkrr.__file__).parent
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -92,3 +94,13 @@ def test_readme_library_example_runs(capsys):
     code = re.search(r"```python\n(.*?)```", section, flags=re.S).group(1)
     exec(compile(code, "README.md (Library example)", "exec"), {})
     assert len(capsys.readouterr().out.splitlines()) == 2  # rho, then r_star, lambda_star and the regime
+
+
+def test_readme_config_schema_runs(tmp_path):
+    """The README's commented key = value schema, completed with the run keys, is a valid ``[experiment]`` config."""
+    schema = re.search(r"```ini\n(.*?)```", README.read_text(), flags=re.S).group(1)
+    assert ";" in schema and "[" not in schema  # the commented schema block, not the full example
+    config = tmp_path / "experiment.ini"
+    config.write_text(f"[experiment]\n{schema}sigma2 = 1.0\nn_rep = 2\nout_json = {tmp_path / 'report.json'}\n")
+    assert main(["experiment", "--config", str(config)]) == 0
+    assert json.loads((tmp_path / "report.json").read_text())["spec"]["kind"] == "setting_c"

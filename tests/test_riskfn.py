@@ -23,6 +23,7 @@ from mtkrr.riskfn import (
     kappa,
     minimax_rate,
     minimize_risk,
+    minimize_risks,
     template_profile,
 )
 from reference import risk_r
@@ -212,6 +213,21 @@ class TestMinimizeRisk:
         assert len(calls) == (1 if params.satisfies_hm else 0)
         assert report.kappa == kappa(beta, delta) if params.satisfies_hm else math.isnan(report.kappa)
 
+    def test_constants_run_once_per_pair_of_a_grid(self, monkeypatch):
+        import mtkrr.riskfn as riskfn
+
+        calls = {"kappa": [], "alpha_constant": []}
+        for name, original in (("kappa", kappa), ("alpha_constant", alpha_constant)):
+            monkeypatch.setattr(riskfn, name, lambda *args, log=calls[name], f=original: log.append(args) or f(*args))
+        pairs = [(2.0, 2.0), (1.0, 2.4), (0.3, 2.0)]  # lb window, hm only, neither
+        grid = [RiskParams(n=n, p=p, sigma2=1.0, beta=beta, delta=delta, c=c)
+                for n in (20, 50) for p in (1, 5) for beta, delta in pairs for c in (0.5, 2.0)]
+        reports, _ = riskfn.minimize_risks(grid)
+        assert sorted(calls["kappa"]) == [(1.0, 2.4), (2.0, 2.0)]
+        assert calls["alpha_constant"] == [(2.0, 2.0)]
+        for params, report in zip(grid, reports):
+            assert report.kappa == kappa(params.beta, params.delta) if params.satisfies_hm else math.isnan(report.kappa)
+
     @pytest.mark.parametrize("seed", range(20))
     def test_newton_result_beats_reference_grid(self, seed):
         rng = np.random.default_rng(seed + 500)
@@ -367,6 +383,42 @@ class TestSpectrumBracket:
                             c=10.0**log_c)
         assert params.satisfies_hm
         assert minimize_risk(params).r_star <= brute_force_minimum(params) * (1 + 1e-9)
+
+
+def _decades(lo: float, hi: float):
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+@st.composite
+def template_grids(draw):
+    """Lists of template cells: n from a small set, the rest over several decades, (beta, delta) from a few pairs."""
+    # beta >= 10^-0.5 keeps I2 convergent (beta > 1/4) wherever the minimax window asks for kappa
+    pairs = draw(st.lists(st.tuples(_decades(-0.5, 1.0), _decades(-1.0, 1.0)), min_size=1, max_size=3))
+    cell = st.builds(lambda n, pair, p, sigma2, c: RiskParams(n, p, sigma2, *pair, c),
+                     st.sampled_from([1, 2, 7, 50, 120]), st.sampled_from(pairs), st.integers(1, 10**6),
+                     _decades(-3.0, 3.0), st.one_of(st.just(0.0), _decades(-3.0, 3.0)))
+    return draw(st.lists(cell, min_size=1, max_size=8))
+
+
+class TestMinimizeRisks:
+    @given(grid=template_grids(), data=st.data())
+    def test_each_cell_as_alone_in_any_order(self, grid, data):
+        reports, search = minimize_risks(grid)
+        alone = [minimize_risks([params]) for params in grid]
+        # repr is exact for floats and equal for every nan: bit-equal, NaN-aware
+        assert repr(reports) == repr([cell_reports[0] for cell_reports, _ in alone])
+        assert repr(search) == repr([cell_search[0] for _, cell_search in alone])
+        # and the curve is the one risk-curve tabulates
+        assert repr(search) == repr([minimize_profile(template_profile(params)) for params in grid])
+        assert repr(minimize_risk(grid[0])) == repr(reports[0])
+        order = data.draw(st.permutations(range(len(grid))))
+        shuffled = minimize_risks([grid[k] for k in order])
+        assert repr(shuffled) == repr(([reports[k] for k in order], [search[k] for k in order]))
+        for params, report in zip(grid, reports):
+            assert report.r_star <= brute_force_minimum(params) * (1 + 1e-9)
+
+    def test_empty_grid(self):
+        assert minimize_risks([]) == ([], [])
 
 
 def test_params_flags():
