@@ -4,24 +4,22 @@ Subcommands wrap the library modules one-to-one: ``risk-curve`` and
 ``oracle`` take flags, ``experiment``, ``table`` and ``heatmap`` read an INI
 config file (flat key = value pairs inside a section named after the
 subcommand), and ``verify-bounds`` runs the theoretical-bound test suite.
-All data outputs go to files; stdout carries logs and the verify-bounds
-pass/fail lines only.  Exit codes: 0 success, 1 error, 2 bound violation.
+All data outputs go to files, written by ``render``; stdout carries logs
+and the verify-bounds pass/fail lines only.  Exit codes: 0 success, 1
+error, 2 bound violation.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import itertools
-import json
 import math
 import sys
 
 import numpy as np
 
-from . import experiments, optimize, oracles, riskfn, scenarios
-from .render import svg_heatmap
+from . import experiments, optimize, oracles, render, riskfn, scenarios
 
 JOBS_HELP = "accepted for compatibility; every command runs as one stacked search in one process"
 _SCENARIO_KEYS = ("kind", "n", "p", "c1", "c2", "delta1", "delta2", "beta_or_m", "seed")
@@ -68,7 +66,7 @@ def _parse_scenario(get, errors: list[str], prefix: str = "") -> scenarios.Scena
 
 def _float_list(text: str, key: str, errors: list[str]) -> list[float]:
     try:
-        return [float(tok) for tok in text.replace(";", ",").split(",") if tok.strip()]
+        return [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         errors.append(f"{key}: cannot parse list {text!r}")
         return []
@@ -191,12 +189,11 @@ def cmd_risk_curve(args) -> int:
     _fail_on([f"{key} must be positive and finite" for key, lam in (("lambda-min", lam_min), ("lambda-max", lam_max))
               if not 0 < lam < math.inf])
     lams = [0.0] + [float(v) for v in np.geomspace(lam_min, lam_max, args.points)]
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["lambda", "risk", "bias", "variance"])
-        for lam in lams:
-            bias, var = profile.parts(lam)
-            writer.writerow([repr(lam), repr(bias + var), repr(bias), repr(var)])
+    rows = [("lambda", "risk", "bias", "variance")]
+    for lam in lams:
+        bias, var = profile.parts(lam)
+        rows.append((lam, bias + var, bias, var))
+    render.write_csv(args.out, rows)
     print(f"wrote {len(lams)} rows to {args.out}")
     return 0
 
@@ -223,9 +220,9 @@ def cmd_oracle(args) -> int:
         "st_risk": result.st_risk,
         "lambda_star": result.lambda_star,
         "mu_star": result.mu_star,
-        "st_lambdas": list(result.st_lambdas),
+        "st_lambdas": result.st_lambdas,
         "rho": result.rho,
-        "per_task_risks": list(result.diagnostics),
+        "per_task_risks": result.diagnostics,
         "search": {
             "mean": _search_record(result.search[0]),
             "variance": _search_record(result.search[1]),
@@ -236,9 +233,7 @@ def cmd_oracle(args) -> int:
                scenarios.ScenarioKind.H1OUT: oracles.rho_formula_1out}.get(spec.kind)
     if formula is not None and spec.c1 > 0:
         payload["rho_formula"] = formula(spec.p, spec.delta1, spec.c2 / spec.c1)
-    with open(args.out, "w", newline="") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    render.write_json(args.out, payload)
     print(f"rho = {result.rho!r} -> {args.out}")
     return 0
 
@@ -258,14 +253,10 @@ def cmd_experiment(args) -> int:
 
     [report], search = experiments.run_experiments([spec], sigma2, n_rep, pi2_scale)
     print(_run_summary(search), file=sys.stderr)
-    experiments.write_report_json(report, out_json)
+    render.write_report_json(report, out_json)
     out_csv = section.get("out_csv", fallback=None)
     if out_csv:
-        with open(out_csv, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["replicate", "ratio"])
-            for i, r in enumerate(report.ratios):
-                writer.writerow([i, repr(r)])
+        render.write_csv(out_csv, [("replicate", "ratio"), *enumerate(report.ratios)])
     print(f"mean ratio {report.mean_ratio!r} over {n_rep} replicates -> {out_json}")
     return 0
 
@@ -274,7 +265,7 @@ def cmd_table(args) -> int:
     section = _load_section(args.config, "table")
     errors: list[str] = []
     c2_values = _float_list(section.get("c2_values", ""), "table.c2_values", errors)
-    bm_values = _float_list(section.get("beta_or_m_values", section.get("beta_or_m", "")), "table.beta_or_m_values", errors)
+    bm_values = _float_list(section.get("beta_or_m_values", ""), "table.beta_or_m_values", errors)
     if not c2_values:
         errors.append("table.c2_values: missing or empty")
     if not bm_values:
@@ -282,7 +273,7 @@ def cmd_table(args) -> int:
     pairs = [(bm, c2) for bm in bm_values for c2 in c2_values]
     cells = [(f"row {k}", (k,), {"c2": c2, "beta_or_m": bm}) for k, (bm, c2) in enumerate(pairs)]
     reports, out_csv = _sweep(section, "table", cells, errors)
-    experiments.emit_table(reports, out_csv)
+    render.emit_table(reports, out_csv)
     print(f"wrote {len(reports)} rows to {out_csv}")
     return 0
 
@@ -309,13 +300,13 @@ def cmd_heatmap(args) -> int:
 
     width = len(col_values)
     grid = [reports[i * width:(i + 1) * width] for i in range(len(row_values))]
-    experiments.emit_heatmap_csv(grid, row_param, row_values, col_param, col_values, out_csv)
+    render.emit_heatmap_csv(grid, row_param, row_values, col_param, col_values, out_csv)
     if out_svg:
         values = [[rep.mean_ratio for rep in row] for row in grid]
         halves = [[(rep.ci95[1] - rep.ci95[0]) / 2.0 for rep in row] for row in grid]
         kind = section.get("kind", "scenario")
-        svg_heatmap(values, halves, row_param, row_values, col_param, col_values,
-                    f"mean oracle-risk ratio, {kind}", out_svg)
+        render.svg_heatmap(values, halves, row_param, row_values, col_param, col_values,
+                           f"mean oracle-risk ratio, {kind}", out_svg)
     print(f"wrote {len(row_values)}x{len(col_values)} grid to {out_csv}")
     return 0
 
@@ -405,9 +396,7 @@ def cmd_verify_bounds(args) -> int:
     for line in lines:
         print(line)
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write("\n".join(lines))
-            fh.write("\n")
+        render.write_lines(args.out, lines)
     return 0 if all_ok else 2
 
 
@@ -482,7 +471,7 @@ def main(argv: list[str] | None = None) -> int:
         for message in exc.messages:
             print(f"config error: {message}", file=sys.stderr)
         return 1
-    except (ValueError, ArithmeticError, OSError) as exc:
+    except (ValueError, ArithmeticError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -12,10 +12,8 @@ over replicate index, so a spec's report is the same in any work list.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -126,55 +124,3 @@ def run_experiments(specs: list[ScenarioSpec], sigma2: float, n_rep: int,
     return [_report(spec, sigma2, n_rep, search[k * size:(k + 1) * size], pi2_scale)
             for k, spec in enumerate(specs)], search
 
-
-def report_to_dict(report: ExperimentReport) -> dict:
-    """The report's fields in declaration order, with the ratios moved to the end."""
-    fields_ = {field.name: getattr(report, field.name) for field in fields(report) if field.name != "ratios"}
-    return fields_ | {"spec": report.spec.to_dict(), "ci95": list(report.ci95), "ratios": list(report.ratios)}
-
-
-def report_to_json(report: ExperimentReport) -> str:
-    return json.dumps(report_to_dict(report), indent=2)
-
-
-def write_report_json(report: ExperimentReport, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(report_to_json(report))
-        fh.write("\n")
-
-
-TABLE_COLUMNS = ("C2", "r", "beta_or_m", "b_bar", "pi1", "mean_ratio", "std_ratio", "pi2")
-
-
-def emit_table(reports: list[ExperimentReport], path: str) -> None:
-    """Write one CSV row per report, in the layout of the comparison tables."""
-    if not reports:
-        raise ValueError("no reports to tabulate")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TABLE_COLUMNS)
-        for rep in reports:
-            s = rep.spec
-            r = s.c2 / s.c1 if s.c1 > 0 else math.inf
-            writer.writerow(
-                [repr(s.c2), repr(r), repr(s.beta_or_m), repr(rep.b_bar), repr(rep.pi1),
-                 repr(rep.mean_ratio), repr(rep.std_ratio), repr(rep.pi2)]
-            )
-
-
-def emit_heatmap_csv(grid: list[list[ExperimentReport]], row_name: str, row_values: list[float], col_name: str,
-                     col_values: list[float], path: str) -> None:
-    """CSV grid of mean ratios followed by the matching grid of ci95 half-widths."""
-    if not grid or any(len(row) != len(col_values) for row in grid) or len(grid) != len(row_values):
-        raise ValueError("report grid does not match the declared axes")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        header = [f"{row_name}\\{col_name}"] + [repr(v) for v in col_values]
-        writer.writerow(["# mean_ratio"])
-        writer.writerow(header)
-        for rv, row in zip(row_values, grid):
-            writer.writerow([repr(rv)] + [repr(rep.mean_ratio) for rep in row])
-        writer.writerow(["# ci95_halfwidth"])
-        writer.writerow(header)
-        for rv, row in zip(row_values, grid):
-            writer.writerow([repr(rv)] + [repr((rep.ci95[1] - rep.ci95[0]) / 2.0) for rep in row])

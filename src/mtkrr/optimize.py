@@ -167,27 +167,27 @@ def _sum(values: np.ndarray) -> np.ndarray:
     return np.add.reduce(values, axis=-1)
 
 
-def _newton(n, gamma, signal, noise, spectrum, rows, a, x, b, tol, max_iter):
+def _newton(n, gamma, signal, noise, spectrum, rows, a, x, b):
     """Safeguarded Newton on dR/dt for every basin (row, bracket [a, b], start x) at once.
 
     Returns the final t, R and dR/dt of each basin and its iteration count.
-    A basin stops when |dR/dt| <= tol R, when its step shrinks below
-    ``T_STEP_TOL``, or after ``max_iter`` evaluations.
+    A basin stops when |dR/dt| <= ``DEFAULT_GRAD_TOL`` R, when its step
+    shrinks below ``T_STEP_TOL``, or after ``DEFAULT_MAX_ITER`` evaluations.
     """
     m = len(rows)
     t_end, r_end, g_end = np.empty(m), np.empty(m), np.empty(m)
-    iterations = np.full(m, max_iter)
+    iterations = np.full(m, DEFAULT_MAX_ITER)
     live = np.arange(m)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for it in range(1, max_iter + 1):
+        for it in range(1, DEFAULT_MAX_ITER + 1):
             risk, g1, g2 = _curve(n, gamma, signal, noise, spectrum, rows[live], n * np.exp(x))
             up = g1 > 0
             a, b = np.where(up, a, x), np.where(up, x, b)
             # x is now an end of [a, b], so a step that is uphill (g2 <= 0) or too long falls outside
             step = x - g1 / g2
             step = np.where((a < step) & (step < b), step, 0.5 * (a + b))
-            done = (np.abs(g1) <= tol * risk) | (np.abs(step - x) <= T_STEP_TOL)
-            if it == max_iter:
+            done = (np.abs(g1) <= DEFAULT_GRAD_TOL * risk) | (np.abs(step - x) <= T_STEP_TOL)
+            if it == DEFAULT_MAX_ITER:
                 done[:] = True
             if done.any():
                 idx = live[done]
@@ -218,16 +218,13 @@ def minimize_profiles(
     signal: np.ndarray,
     noise: np.ndarray,
     spectrum: np.ndarray | None = None,
-    n_grid: int = DEFAULT_GRID_POINTS,
-    grad_tol: float = DEFAULT_GRAD_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> list[ProfileMinimum]:
     """Minimize a stack of ridge risk curves over lam in [0, +inf], one result per row.
 
     Row k has signal ``signal[k]`` (rows x width), noise ``noise[k]`` and the
     eigenvalues ``gamma[spectrum[k]]``: ``gamma`` holds the distinct spectra
     (k x width, or one 1-D spectrum) and ``spectrum`` maps rows to them
-    (default: every row on spectrum 0).  ``grad_tol`` is the relative stopping tolerance on |lam g'| / g.
+    (default: every row on spectrum 0).  A basin stops when |lam g'| <= ``DEFAULT_GRAD_TOL`` g.
     """
     gamma = np.atleast_2d(np.asarray(gamma, dtype=float))
     signal = np.asarray(signal, dtype=float)
@@ -238,24 +235,25 @@ def minimize_profiles(
         raise ValueError("need signal rows x width, noise and spectrum of length rows, gamma spectra x width")
     if rows and not 0 <= spectrum.min() <= spectrum.max() < len(gamma):
         raise ValueError(f"spectrum indices must lie in [0, {len(gamma)})")
-    if n <= 0 or n_grid < 3:
-        raise ValueError("need n > 0 and at least three grid points")
+    if n <= 0:
+        raise ValueError("n must be positive")
     if gamma.min() < 0 or signal.min() < 0 or noise.min() < 0:
         raise ValueError("eigenvalues, signal energies and noise must be nonnegative")
 
     t_lo, t_hi = spectrum_bracket(n, gamma)
-    delta = (t_hi - t_lo) / (n_grid - 1)
-    t_grid = t_lo[:, None] + np.arange(n_grid) * delta[:, None]
+    delta = (t_hi - t_lo) / (DEFAULT_GRID_POINTS - 1)
+    t_grid = t_lo[:, None] + np.arange(DEFAULT_GRID_POINTS) * delta[:, None]
 
     # grid scan and boundary values, one spectrum at a time: b^2 and sum a^2 are shared by its
     # rows; grid points and rows go in blocks that keep every temporary cache-sized
-    padded = np.full((rows, n_grid + 2), np.inf)  # +inf beyond both grid ends, for the basin search below
+    # +inf beyond both grid ends, for the basin search below
+    padded = np.full((rows, DEFAULT_GRID_POINTS + 2), np.inf)
     vals = padded[:, 1:-1]
     zero, limit = np.empty(rows), np.empty(rows)
     chunk = max(1, BLOCK_ELEMENTS // gamma.shape[1])
     for j, g in enumerate(gamma):
         mine = np.flatnonzero(spectrum == j) if len(gamma) > 1 else np.arange(rows)
-        for c in range(0, n_grid, chunk):
+        for c in range(0, DEFAULT_GRID_POINTS, chunk):
             x = n * np.exp(t_grid[j, c:c + chunk])[:, None]
             d = g + x
             a = g / d
@@ -288,8 +286,7 @@ def minimize_profiles(
     curved = (curvature > 0) & (curvature < np.inf)
     shift = np.where(curved, 0.5 * (f0 - f2) / np.where(curved, curvature, 1.0), 0.0)
     t_end, r_end, g_end, iters = _newton(n, gamma, signal, noise, spectrum, basin_row,
-                                         centre - width, centre + shift * width, centre + width,
-                                         grad_tol, max_iter)
+                                         centre - width, centre + shift * width, centre + width)
 
     # per row: the first best basin; then zero, limit, newton and grid in that order of precedence
     order = np.lexsort((np.arange(len(basin_row)), r_end, basin_row))
@@ -311,8 +308,6 @@ def minimize_profiles(
     return out
 
 
-def minimize_profile(profile: RidgeRiskProfile, n_grid: int = DEFAULT_GRID_POINTS,
-                     grad_tol: float = DEFAULT_GRAD_TOL, max_iter: int = DEFAULT_MAX_ITER) -> ProfileMinimum:
+def minimize_profile(profile: RidgeRiskProfile) -> ProfileMinimum:
     """Minimize one ridge risk curve over lam in [0, +inf]: a one-row ``minimize_profiles``."""
-    return minimize_profiles(profile.n, profile.gamma, profile.signal[None, :], np.array([profile.noise]),
-                             n_grid=n_grid, grad_tol=grad_tol, max_iter=max_iter)[0]
+    return minimize_profiles(profile.n, profile.gamma, profile.signal[None, :], np.array([profile.noise]))[0]

@@ -1,10 +1,18 @@
-"""Static SVG rendering of mean-ratio heatmaps.
+"""Every data file the commands write: the one place that decides their bytes.
 
-Hand-rolled on purpose: the output must be byte-identical across runs, which
-rules out plotting backends that embed hashed ids or timestamps.
+Rows end in "\\n" on every platform; floats are written as Python prints
+them, the shortest string that reads back to the same double; JSON is
+indented by 2 and ends in a newline.  The SVG heatmap is hand-rolled on
+purpose: the output must be byte-identical across runs, which rules out
+plotting backends that embed hashed ids or timestamps.
 """
 
 from __future__ import annotations
+
+import csv
+import json
+import math
+from dataclasses import fields
 
 CELL = 64
 MARGIN_LEFT = 110
@@ -76,6 +84,51 @@ def svg_heatmap(
         parts.append(f'<rect x="{lx}" y="{y}" width="20" height="20" fill="{_color(val, lo, hi)}" stroke="#888"/>')
         parts.append(f'<text x="{lx + 28}" y="{y + 14}">{label} = {val:.3f}</text>')
     parts.append("</svg>")
+    write_lines(path, parts)
+
+
+def write_lines(path: str, lines: list[str]) -> None:
+    """Write ``lines``, each ended by "\\n"."""
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join(parts))
+        fh.write("\n".join(lines))
         fh.write("\n")
+
+
+def write_csv(path: str, rows) -> None:
+    """Write ``rows`` as CSV; a cell is written by ``str``, for a Python float its shortest round-trip form."""
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
+def write_json(path: str, payload: dict) -> None:
+    """Write ``payload`` as JSON indented by 2; tuples become lists, nan and inf stay NaN and Infinity."""
+    write_lines(path, [json.dumps(payload, indent=2)])
+
+
+def write_report_json(report, path: str) -> None:
+    """An experiment report: its fields in declaration order, with the ratios moved to the end."""
+    payload = {field.name: getattr(report, field.name) for field in fields(report) if field.name != "ratios"}
+    write_json(path, payload | {"spec": report.spec.to_dict(), "ratios": report.ratios})
+
+
+def emit_table(reports, path: str) -> None:
+    """Write one CSV row per experiment report, in the layout of the comparison tables."""
+    if not reports:
+        raise ValueError("no reports to tabulate")
+    rows = [("C2", "r", "beta_or_m", "b_bar", "pi1", "mean_ratio", "std_ratio", "pi2")]
+    for rep in reports:
+        s = rep.spec
+        r = s.c2 / s.c1 if s.c1 > 0 else math.inf
+        rows.append((s.c2, r, s.beta_or_m, rep.b_bar, rep.pi1, rep.mean_ratio, rep.std_ratio, rep.pi2))
+    write_csv(path, rows)
+
+
+def emit_heatmap_csv(grid, row_name: str, row_values: list[float], col_name: str, col_values: list[float],
+                     path: str) -> None:
+    """CSV grid of the reports' mean ratios followed by the matching grid of ci95 half-widths."""
+    if not grid or any(len(row) != len(col_values) for row in grid) or len(grid) != len(row_values):
+        raise ValueError("report grid does not match the declared axes")
+    header = [f"{row_name}\\{col_name}", *col_values]
+    means = [[rv] + [rep.mean_ratio for rep in row] for rv, row in zip(row_values, grid)]
+    halves = [[rv] + [(rep.ci95[1] - rep.ci95[0]) / 2.0 for rep in row] for rv, row in zip(row_values, grid)]
+    write_csv(path, [["# mean_ratio"], header, *means, ["# ci95_halfwidth"], header, *halves])

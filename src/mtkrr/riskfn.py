@@ -71,8 +71,8 @@ class RiskParams:
 
     @property
     def satisfies_hm(self) -> bool:
-        """Minimax window 1 < 2 delta < 4 beta + 1."""
-        return 1 < 2 * self.delta < 4 * self.beta + 1
+        """Minimax window 1 < 2 delta < 4 beta + 1, with 4 beta > 1 so that I2 converges."""
+        return 1 < 2 * self.delta < 4 * self.beta + 1 and 4 * self.beta > 1
 
     @property
     def satisfies_lb(self) -> bool:
@@ -143,7 +143,7 @@ def integral_i1(beta: float, delta: float) -> float:
 
 
 def integral_i2(beta: float) -> float:
-    """Noise tail integral I2(beta); requires beta > 1/2."""
+    """Noise tail integral I2(beta); converges for beta > 1/4, where a = 1/(2 beta) lies in (0, 2)."""
     return _tail_integral(1 / (2 * beta))
 
 

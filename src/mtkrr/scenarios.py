@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -74,19 +74,10 @@ class ScenarioSpec:
             raise ValueError("seed must fit in 64 unsigned bits")
 
     def to_dict(self) -> dict:
-        d = {
-            "kind": self.kind.value,
-            "n": self.n,
-            "p": self.p,
-            "c1": self.c1,
-            "c2": self.c2,
-            "delta1": self.delta1,
-            "beta_or_m": self.beta_or_m,
-            "seed": self.seed,
-        }
-        if self.delta2 is not None:
-            d["delta2"] = self.delta2
-        return d
+        """The fields for a report, ``kind`` by its value and ``delta2`` last, only when set."""
+        ordered = sorted(fields(self), key=lambda field: field.name == "delta2")
+        values = {field.name: getattr(self, field.name) for field in ordered}
+        return {k: v for k, v in values.items() if v is not None} | {"kind": self.kind.value}
 
 
 def rng_for(seed: int) -> np.random.Generator:

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 import mtkrr
 from mtkrr.cli import main
-from mtkrr.experiments import emit_heatmap_csv, emit_table
+from mtkrr.render import emit_heatmap_csv, emit_table
 from mtkrr.scenarios import ScenarioKind, ScenarioSpec
 from reference import run_experiment
 
@@ -221,6 +222,12 @@ class TestVerifyBounds:
         assert "FAIL" not in report
         assert "PASS alpha constant" in capsys.readouterr().out
 
+    def test_divergent_noise_integral_is_a_cell_outside_the_window(self, tmp_path, capsys):
+        # beta = 0.2 passes 1 < 2 delta < 4 beta + 1, but I2 diverges: nan bounds, not an error
+        argv = ["verify-bounds", "--n-values", "50", "--bd-pairs", "0.2:0.7", "--out", str(tmp_path / "v.txt")]
+        assert main(argv) == 0
+        assert not any(line.startswith("error:") for line in capsys.readouterr().err.splitlines())
+
     def test_template_optimum_far_below_1e_12_is_found(self, capsys):
         # beta = 4, n = 1000: the optimum lies near lam = 1.3e-16, and a search
         # stopped at a fixed floor of 1e-12 overshoots the upper bound fourfold
@@ -410,6 +417,22 @@ class TestSweepConfigErrors:
         err = capsys.readouterr().err
         for key in ("table.c2_values", "table.sigma2", "table.n_rep", "table.out_csv"):
             assert key in err
+
+    def test_beta_or_m_does_not_stand_in_for_the_list(self, tmp_path, capsys):
+        cfg = tmp_path / "table.ini"
+        cfg.write_text("[table]\nkind = setting_a\nn = 12\np = 3\nc1 = 1.0\ndelta1 = 2.0\nc2_values = 0.1\n"
+                       f"beta_or_m = 2\nsigma2 = 1.0\nn_rep = 2\nout_csv = {tmp_path / 'table.csv'}\n")
+        assert main(["table", "--config", str(cfg)]) == 1
+        assert "config error: table.beta_or_m_values: missing or empty" in capsys.readouterr().err
+        assert not (tmp_path / "table.csv").exists()
+
+    def test_semicolon_is_not_a_list_separator(self, tmp_path, capsys):
+        cfg = tmp_path / "table.ini"
+        cfg.write_text("[table]\nkind = setting_a\nn = 12\np = 3\nc1 = 1.0\ndelta1 = 2.0\nc2_values = 0.1;0.5\n"
+                       f"beta_or_m_values = 2\nsigma2 = 1.0\nn_rep = 2\nout_csv = {tmp_path / 'table.csv'}\n")
+        assert main(["table", "--config", str(cfg)]) == 1
+        assert "config error: table.c2_values: cannot parse list '0.1;0.5'" in capsys.readouterr().err
+        assert not (tmp_path / "table.csv").exists()
 
     def test_bad_cell_is_named_by_its_position(self, tmp_path, capsys):
         cfg = tmp_path / "heat.ini"
@@ -684,6 +707,34 @@ class TestArithmeticErrors:
         cfg = TestExperimentCommand().write_config(tmp_path, c1="0", c2="0")
         assert main(["experiment", "--config", str(cfg), "--jobs", "1"]) == 1
         assert "error: single-task oracle risk is zero" in capsys.readouterr().err
+
+
+class TestOutOfMemory:
+    """A size whose arrays cannot be allocated is an ``error:`` line and exit 1, not a traceback.
+
+    Each command asks numpy for 7 to 15 TiB in one request.  The address space
+    is capped at 1 TiB while it runs, so the request fails at once, touching no
+    memory, whatever the host's overcommit policy.
+    """
+
+    @pytest.fixture(autouse=True)
+    def capped_address_space(self):
+        soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+        cap = 1 << 40
+        resource.setrlimit(resource.RLIMIT_AS, (cap if hard == resource.RLIM_INFINITY else min(cap, hard), hard))
+        yield
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+    @pytest.mark.parametrize("argv", [
+        ["verify-bounds", "--n-values", "1e12"],
+        ["risk-curve", "--n", "1000000000000", "--beta", "2", "--delta", "2", "--c", "1"],
+        ["oracle", "--kind", "setting_a", "--n", "1000000000000", "--p", "2", "--c1", "1", "--c2", "0.5",
+         "--delta1", "2"],
+    ], ids=["verify-bounds", "risk-curve", "oracle"])
+    def test_reported_as_an_error(self, tmp_path, capsys, argv):
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("error: Unable to allocate ")
+        assert not (tmp_path / "out").exists()
 
 
 class TestStartUp:

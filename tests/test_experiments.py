@@ -6,16 +6,9 @@ import numpy as np
 import pytest
 
 from mtkrr.estimators import comparison_rows
-from mtkrr.experiments import (
-    Z_975,
-    emit_heatmap_csv,
-    emit_table,
-    pvalue_pi1,
-    pvalue_pi2,
-    report_to_json,
-    run_experiments,
-)
+from mtkrr.experiments import Z_975, pvalue_pi1, pvalue_pi2, run_experiments
 from mtkrr.oracles import compare_oracles
+from mtkrr.render import emit_heatmap_csv, emit_table, write_report_json
 from mtkrr.scenarios import ScenarioKind, ScenarioSpec, build_ensemble, derive_seed, draw
 from reference import run_experiment
 
@@ -85,12 +78,14 @@ class TestRunExperiment:
         assert report.ci95[1] == pytest.approx(report.mean_ratio + half, rel=1e-12)
         assert abs(Z_975 - 1.959964) < 1e-6
 
-    def test_bit_reproducible(self):
+    def test_bit_reproducible(self, tmp_path):
         spec = quick_spec(kind=ScenarioKind.SETTING_A, c2=0.5, seed=777)
         a = run_experiment(spec, sigma2=1.0, n_rep=10)
         b = run_experiment(spec, sigma2=1.0, n_rep=10)
         assert a == b
-        assert report_to_json(a) == report_to_json(b)
+        write_report_json(a, str(tmp_path / "a.json"))
+        write_report_json(b, str(tmp_path / "b.json"))
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
     @pytest.mark.parametrize("kind, extra", [
         (ScenarioKind.SETTING_C, dict(delta2=1.5)),
@@ -218,9 +213,10 @@ class TestEmission:
         with pytest.raises(ValueError):
             emit_heatmap_csv(grid, "delta2", [1.0, 2.0], "c2", [0.1], str(tmp_path / "g.csv"))
 
-    def test_json_roundtrip_fields(self):
+    def test_json_roundtrip_fields(self, tmp_path):
         report = self.make_report()
-        payload = json.loads(report_to_json(report))
+        write_report_json(report, str(tmp_path / "report.json"))
+        payload = json.loads((tmp_path / "report.json").read_text())
         assert payload["n_rep"] == 5
         assert payload["pi2_scale"] == "N"
         assert len(payload["ratios"]) == 5

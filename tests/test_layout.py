@@ -1,4 +1,4 @@
-"""Layout guards: the package holds no code that only the tests use, keeps the dense route off the hot path, and one module forks on setting B.
+"""Layout guards: the package holds no code that only the tests use, keeps the dense route off the hot path, one module forks on setting B, and one module writes files.
 
 A public function, class or method defined in ``src/mtkrr`` counts as used
 only if a package module other than ``__init__.py`` references it, or the
@@ -86,6 +86,16 @@ def test_only_scenarios_names_the_spline_setting():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Attribute) and node.attr == "SETTING_B"]
     assert not forks, f"modules other than scenarios.py name ScenarioKind.SETTING_B: {forks}"
+
+
+def test_only_render_writes_files():
+    """``render`` decides the bytes of every data file: no other module calls ``open`` or imports csv or json."""
+    writers = [f"{path.name}: {ast.unparse(node)}" for path in sorted(PACKAGE.glob("*.py")) if path.name != "render.py"
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "open"
+               or isinstance(node, ast.Import) and {alias.name for alias in node.names} & {"csv", "json"}
+               or isinstance(node, ast.ImportFrom) and node.module in ("csv", "json")]
+    assert not writers, f"modules other than render.py write files or know a data format: {writers}"
 
 
 def test_readme_library_example_runs(capsys):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import value_grid
 
+from mtkrr import optimize
 from mtkrr.optimize import BRACKET_DECADES, RidgeRiskProfile, _curve, minimize_profile, minimize_profiles
 
 
@@ -95,9 +96,10 @@ def test_value_grid_matches_scalar_path():
         assert abs(prof.value(float(lam)) - v) < 1e-14 * max(1.0, v)
 
 
-def test_gradient_tolerance_is_respected():
+def test_gradient_tolerance_is_respected(monkeypatch):
     prof = sample_profile(9)
-    best = minimize_profile(prof, grad_tol=1e-5)
+    monkeypatch.setattr(optimize, "DEFAULT_GRAD_TOL", 1e-5)
+    best = minimize_profile(prof)
     if best.source == "newton":
         assert abs(best.grad) < 1e-5
 
@@ -112,11 +114,12 @@ def test_rejects_bad_inputs():
         prof.value(-0.5)
 
 
-def test_relative_stopping_rule_is_respected():
+def test_relative_stopping_rule_is_respected(monkeypatch):
     for seed in range(10):
         prof = sample_profile(seed)
         for tol in (1e-5, 1e-8):
-            best = minimize_profile(prof, grad_tol=tol)
+            monkeypatch.setattr(optimize, "DEFAULT_GRAD_TOL", tol)
+            best = minimize_profile(prof)
             assert best.source == "newton"
             assert abs(best.lam * best.grad) <= tol * best.value
             assert best.stationarity <= tol

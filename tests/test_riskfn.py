@@ -228,6 +228,12 @@ class TestMinimizeRisk:
         for params, report in zip(grid, reports):
             assert report.kappa == kappa(params.beta, params.delta) if params.satisfies_hm else math.isnan(report.kappa)
 
+    def test_divergent_noise_integral_leaves_the_envelope_nan(self):
+        # 1 < 2 delta < 4 beta + 1 holds, but I2 diverges for beta <= 1/4
+        report = minimize_risk(RiskParams(n=50, p=1, sigma2=1.0, beta=0.2, delta=0.7, c=1.0))
+        assert math.isnan(report.kappa) and math.isnan(report.upper) and math.isnan(report.epsilon_cap)
+        assert math.isfinite(report.r_star)
+
     @pytest.mark.parametrize("seed", range(20))
     def test_newton_result_beats_reference_grid(self, seed):
         rng = np.random.default_rng(seed + 500)
@@ -424,4 +430,5 @@ class TestMinimizeRisks:
 def test_params_flags():
     assert RiskParams(n=10, p=1, sigma2=1.0, beta=2, delta=2, c=1.0).satisfies_hm
     assert not RiskParams(n=10, p=1, sigma2=1.0, beta=0.6, delta=2, c=1.0).satisfies_hm
+    assert not RiskParams(n=10, p=1, sigma2=1.0, beta=0.2, delta=0.7, c=1.0).satisfies_hm
     assert not RiskParams(n=10, p=1, sigma2=1.0, beta=1, delta=2, c=1.0).satisfies_lb
