@@ -180,6 +180,8 @@ def _risk_params(errors: list[str], **values) -> riskfn.RiskParams | None:
 def cmd_risk_curve(args) -> int:
     errors: list[str] = []
     params = _risk_params(errors, n=args.n, p=args.p, sigma2=args.sigma2, beta=args.beta, delta=args.delta, c=args.c)
+    if args.points < 0:
+        errors.append(f"--points: must be nonnegative, got {args.points}")
     _fail_on(errors)
     profile = riskfn.template_profile(params)
     # a bound not given is that end of the oracle's search bracket, so the grid reaches the minimum
@@ -212,21 +214,21 @@ def cmd_oracle(args) -> int:
         errors.append("sigma2: not positive or not finite")
     _fail_on(errors)
     spectrum, tasks = scenarios.build_ensemble(spec)
-    result = oracles.compare_oracles(spectrum, tasks, args.sigma2)
+    mt_risk, st_risk, rho, search = oracles.compare(spec.n, spectrum.gamma, tasks.h[None], args.sigma2)
     payload = {
         "spec": spec.to_dict(),
         "sigma2": args.sigma2,
-        "mt_risk": result.mt_risk,
-        "st_risk": result.st_risk,
-        "lambda_star": result.lambda_star,
-        "mu_star": result.mu_star,
-        "st_lambdas": result.st_lambdas,
-        "rho": result.rho,
-        "per_task_risks": result.diagnostics,
+        "mt_risk": float(mt_risk[0]),
+        "st_risk": float(st_risk[0]),
+        "lambda_star": search[0].lam,
+        "mu_star": search[1].lam,
+        "st_lambdas": [best.lam for best in search[2:]],
+        "rho": float(rho[0]),
+        "per_task_risks": [best.value for best in search[2:]],
         "search": {
-            "mean": _search_record(result.search[0]),
-            "variance": _search_record(result.search[1]),
-            "tasks": [_search_record(best) for best in result.search[2:]],
+            "mean": _search_record(search[0]),
+            "variance": _search_record(search[1]),
+            "tasks": [_search_record(best) for best in search[2:]],
         },
     }
     formula = {scenarios.ScenarioKind.H2POINTS: oracles.rho_formula_2points,
@@ -234,7 +236,7 @@ def cmd_oracle(args) -> int:
     if formula is not None and spec.c1 > 0:
         payload["rho_formula"] = formula(spec.p, spec.delta1, spec.c2 / spec.c1)
     render.write_json(args.out, payload)
-    print(f"rho = {result.rho!r} -> {args.out}")
+    print(f"rho = {payload['rho']!r} -> {args.out}")
     return 0
 
 
@@ -292,26 +294,22 @@ def cmd_heatmap(args) -> int:
     col_values = _float_list(section.get("col_values", ""), "heatmap.col_values", errors)
     if not row_values or not col_values:
         errors.append("heatmap.row_values / col_values: must be nonempty lists")
-    out_svg = section.get("out_svg", fallback=None)
     # cells of a broken axis would only repeat its error
     cells = [] if errors else [(f"cell ({i},{j})", (i, j), {row_param: rv, col_param: cv})
                                for i, rv in enumerate(row_values) for j, cv in enumerate(col_values)]
     reports, out_csv = _sweep(section, "heatmap", cells, errors)
 
-    width = len(col_values)
-    grid = [reports[i * width:(i + 1) * width] for i in range(len(row_values))]
-    render.emit_heatmap_csv(grid, row_param, row_values, col_param, col_values, out_csv)
-    if out_svg:
-        values = [[rep.mean_ratio for rep in row] for row in grid]
-        halves = [[(rep.ci95[1] - rep.ci95[0]) / 2.0 for rep in row] for row in grid]
-        kind = section.get("kind", "scenario")
-        render.svg_heatmap(values, halves, row_param, row_values, col_param, col_values,
-                           f"mean oracle-risk ratio, {kind}", out_svg)
+    render.emit_heatmap(reports, row_param, row_values, col_param, col_values, out_csv, section.get("out_svg"),
+                        f"mean oracle-risk ratio, {section.get('kind', 'scenario')}")
     print(f"wrote {len(row_values)}x{len(col_values)} grid to {out_csv}")
     return 0
 
 
-def _check(name: str, ok: bool, detail: str, lines: list[str]) -> bool:
+def _check(name: str, ok: bool, detail: str, lines: list[str], cells: int | None = None) -> bool:
+    """Append the PASS or FAIL line of one property; a property given no ``cells`` to check is skipped instead."""
+    if cells == 0:
+        lines.append(f"SKIP {name}: no cell of the grid inside its window")
+        return True
     status = "PASS" if ok else "FAIL"
     lines.append(f"{status} {name}: {detail}")
     return ok
@@ -341,27 +339,26 @@ def cmd_verify_bounds(args) -> int:
     lines: list[str] = []
     all_ok = True
 
-    # Property 1/2/3: optimized risk against its envelope, cell by cell
-    worst_upper = -math.inf
-    worst_lower = math.inf
-    cap_violations = 0
-    lower_checked = 0
+    # Property 1/2/3: optimized risk against its envelope, over the cells inside each property's window
+    worst_upper, worst_lower = -math.inf, math.inf
+    cap_violations = upper_checked = cap_checked = lower_checked = 0
     reports, search = riskfn.minimize_risks(grid)
     for params, report in zip(grid, reports):
         if params.satisfies_hm and report.upper > 0:
+            upper_checked += 1
             worst_upper = max(worst_upper, (report.r_star - report.upper) / report.upper)
-        if math.isfinite(report.epsilon_cap) and report.lambda_star > report.epsilon_cap * (1 + 1e-9):
-            cap_violations += 1
-        if params.satisfies_lb and params.n * params.p / sigma2 >= args.lower_threshold:
+        if math.isfinite(report.epsilon_cap):
+            cap_checked += 1
+            cap_violations += report.lambda_star > report.epsilon_cap * (1 + 1e-9)
+        if params.satisfies_lb and params.n * params.p / sigma2 >= args.lower_threshold and report.lower > 0:
             lower_checked += 1
-            if report.lower > 0:
-                worst_lower = min(worst_lower, (report.r_star - report.lower) / report.lower)
+            worst_lower = min(worst_lower, (report.r_star - report.lower) / report.lower)
     all_ok &= _check("property-1 upper bound", worst_upper <= 1e-8,
-                     f"worst relative excess {worst_upper:.3e}", lines)
+                     f"worst relative excess {worst_upper:.3e}", lines, upper_checked)
     all_ok &= _check("property-2 localization", cap_violations == 0,
-                     f"{cap_violations} optimizer(s) above the cap", lines)
+                     f"{cap_violations} optimizer(s) above the cap", lines, cap_checked)
     all_ok &= _check("property-3 lower bound", worst_lower >= 0,
-                     f"worst relative margin {worst_lower:.3e} over {lower_checked} cells", lines)
+                     f"worst relative margin {worst_lower:.3e} over {lower_checked} cells", lines, lower_checked)
 
     # Property 4: a single regime flip along a p-sweep at fixed n
     sweep, sweep_search = riskfn.minimize_risks(

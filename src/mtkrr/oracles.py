@@ -10,50 +10,32 @@ observation (divided by n p), which makes their ratio rho dimensionless.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .estimators import comparison_rows
 from .optimize import ProfileMinimum, RidgeRiskProfile, minimize_profiles
-from .spectral import KernelSpectrum, TaskEnsemble
+from .spectral import KernelSpectrum
 
 
-@dataclass(frozen=True)
-class OracleResult:
-    """Joint outcome of the two oracle searches on one problem instance."""
+def compare(n: int, gamma: np.ndarray, h: np.ndarray, sigma2: float,
+            spectrum: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[ProfileMinimum]]:
+    """Both oracles and rho of each replicate of an (R, n, p) block, replicate r on ``gamma[spectrum[r]]``.
 
-    mt_risk: float
-    st_risk: float
-    lambda_star: float
-    mu_star: float
-    st_lambdas: tuple[float, ...]
-    rho: float
-    diagnostics: tuple[float, ...]  # per-task single-task oracle risks
-    search: tuple[ProfileMinimum, ...]  # mean part, variance part, then each task
-
-
-def oracle_ratios(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Multi-task risk, single-task risk and rho per row of an (R, p + 2) array laid out by ``comparison_rows``.
-
-    The single-task risk sums the p task minima left to right (``accumulate``, not numpy's pairwise sum).
+    Returns the multi-task risk, the single-task risk (the task minima summed left to right, not pairwise)
+    and rho, one per replicate, and the one stacked search: mean part, variance part, each task, per replicate.
+    Without ``spectrum`` every replicate searches on spectrum 0, as ``minimize_profiles`` does.
     """
-    values = np.asarray(values, dtype=float)
-    st_risk = np.add.accumulate(values[:, 2:], axis=1)[:, -1] / (values.shape[1] - 2)
+    reps, p = h.shape[0], h.shape[-1]
+    signal, noise = comparison_rows(h, sigma2)
+    owner = None if spectrum is None else np.repeat(spectrum, p + 2)
+    search = minimize_profiles(n, gamma, signal.reshape(-1, n), np.tile(noise, reps), spectrum=owner)
+    values = np.array([best.value for best in search]).reshape(reps, p + 2)
+    st_risk = np.add.accumulate(values[:, 2:], axis=1)[:, -1] / p
     if (st_risk <= 0).any():
         raise ZeroDivisionError("single-task oracle risk is zero; the ratio is undefined")
     mt_risk = values[:, 0] + values[:, 1]
-    return mt_risk, st_risk, mt_risk / st_risk
-
-
-def compare_oracles(spectrum: KernelSpectrum, tasks: TaskEnsemble, sigma2: float) -> OracleResult:
-    """Run both oracles on the same ensemble, in one stacked search, and form the risk ratio."""
-    search = minimize_profiles(spectrum.n, spectrum.gamma, *comparison_rows(tasks.h, sigma2))
-    values = [best.value for best in search]
-    mt_risk, st_risk, rho = (float(x[0]) for x in oracle_ratios([values]))
-    return OracleResult(mt_risk=mt_risk, st_risk=st_risk, lambda_star=search[0].lam, mu_star=search[1].lam,
-                        st_lambdas=tuple(best.lam for best in search[2:]), rho=rho, diagnostics=tuple(values[2:]),
-                        search=tuple(search))
+    return mt_risk, st_risk, mt_risk / st_risk, search
 
 
 def rho_formula_2points(p: int, delta: float, r: float) -> float:

@@ -123,12 +123,21 @@ def emit_table(reports, path: str) -> None:
     write_csv(path, rows)
 
 
-def emit_heatmap_csv(grid, row_name: str, row_values: list[float], col_name: str, col_values: list[float],
-                     path: str) -> None:
-    """CSV grid of the reports' mean ratios followed by the matching grid of ci95 half-widths."""
-    if not grid or any(len(row) != len(col_values) for row in grid) or len(grid) != len(row_values):
+def emit_heatmap(reports, row_name: str, row_values: list[float], col_name: str, col_values: list[float],
+                 path: str, svg_path: str | None = None, title: str = "") -> None:
+    """Write the heatmap of the reports, given row by row, as CSV and, with ``svg_path``, as SVG.
+
+    Both are drawn from one pair of grids: the CSV holds the grid of mean ratios followed by the matching
+    grid of ci95 half-widths, and the SVG prints each cell's mean +- half-width.
+    """
+    width = len(col_values)
+    if not reports or len(reports) != len(row_values) * width:
         raise ValueError("report grid does not match the declared axes")
+    grid = [reports[i * width:(i + 1) * width] for i in range(len(row_values))]
+    means = [[rep.mean_ratio for rep in row] for row in grid]
+    halves = [[(rep.ci95[1] - rep.ci95[0]) / 2.0 for rep in row] for row in grid]
     header = [f"{row_name}\\{col_name}", *col_values]
-    means = [[rv] + [rep.mean_ratio for rep in row] for rv, row in zip(row_values, grid)]
-    halves = [[rv] + [(rep.ci95[1] - rep.ci95[0]) / 2.0 for rep in row] for rv, row in zip(row_values, grid)]
-    write_csv(path, [["# mean_ratio"], header, *means, ["# ci95_halfwidth"], header, *halves])
+    write_csv(path, [["# mean_ratio"], header, *([rv, *row] for rv, row in zip(row_values, means)),
+                     ["# ci95_halfwidth"], header, *([rv, *row] for rv, row in zip(row_values, halves))])
+    if svg_path:
+        svg_heatmap(means, halves, row_name, row_values, col_name, col_values, title, svg_path)

@@ -7,6 +7,7 @@ from scipy.integrate import quad
 
 from mtkrr.estimators import multitask_rows, singletask_rows
 from mtkrr.optimize import ProfileMinimum, RidgeRiskProfile, minimize_profiles
+from mtkrr.oracles import compare
 from mtkrr.spectral import KernelSpectrum, TaskEnsemble
 from reference import MeanVarianceProfile
 
@@ -76,7 +77,13 @@ def value_grid(profile: RidgeRiskProfile, lams: np.ndarray) -> np.ndarray:
 
 
 # Each oracle searched alone: the reference the stacked search of
-# ``mtkrr.oracles.compare_oracles`` (all p + 2 curves in one pass) is compared against.
+# ``mtkrr.oracles.compare`` (all p + 2 curves of every replicate in one pass) is compared against.
+
+
+def compare_one(spectrum: KernelSpectrum, tasks: TaskEnsemble, sigma2: float):
+    """``compare`` on one ensemble: its multi-task risk, single-task risk and rho, and its p + 2 searches."""
+    mt_risk, st_risk, rho, search = compare(spectrum.n, spectrum.gamma, tasks.h[None], sigma2)
+    return float(mt_risk[0]), float(st_risk[0]), float(rho[0]), search
 
 
 def mean_part_profile(spectrum: KernelSpectrum, profile: MeanVarianceProfile, sigma2: float, p: int) -> RidgeRiskProfile:

@@ -17,8 +17,9 @@ from hypothesis import strategies as st
 
 import mtkrr
 from mtkrr.cli import main
-from mtkrr.render import emit_heatmap_csv, emit_table
-from mtkrr.scenarios import ScenarioKind, ScenarioSpec
+from mtkrr.render import emit_heatmap, emit_table
+from mtkrr.scenarios import ScenarioKind, ScenarioSpec, build_ensemble
+from conftest import compare_one
 from reference import run_experiment
 
 
@@ -45,6 +46,13 @@ class TestRiskCurve:
               "--c", "0", "--points", "50", "--out", str(out)])
         risks = [float(r[1]) for r in read_csv(out)[2:]]  # skip header and lambda=0
         assert all(b <= a + 1e-15 for a, b in zip(risks, risks[1:]))
+
+    def test_negative_point_count_is_a_config_error(self, tmp_path, capsys):
+        assert main(["risk-curve", "--n", "30", "--beta", "2", "--delta", "2", "--c", "1", "--points", "-3",
+                     "--out", str(tmp_path / "c.csv")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "config error: --points: must be nonnegative, got -3\n"
+        assert captured.out == "" and list(tmp_path.iterdir()) == []
 
     def test_curve_minimum_matches_oracle(self, tmp_path):
         curve = tmp_path / "curve.csv"
@@ -95,6 +103,17 @@ class TestOracleCommand:
         for record in [search["mean"], *search["tasks"]]:
             assert record["source"] == "newton" and record["iterations"] >= 1
             assert 0 <= record["stationarity"] <= 1e-10
+
+    def test_payload_is_the_library_comparison(self, tmp_path):
+        out = tmp_path / "o.json"
+        assert main(["oracle", "--kind", "setting_c", "--n", "30", "--p", "4", "--c1", "1", "--c2", "0.5",
+                     "--delta1", "2", "--delta2", "1.5", "--seed", "3", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        spec = ScenarioSpec(kind=ScenarioKind.SETTING_C, n=30, p=4, c1=1.0, c2=0.5, delta1=2.0, delta2=1.5, seed=3)
+        mt_risk, st_risk, rho, search = compare_one(*build_ensemble(spec), 1.0)
+        assert (payload["mt_risk"], payload["st_risk"], payload["rho"]) == (mt_risk, st_risk, rho)
+        assert [payload["lambda_star"], payload["mu_star"], *payload["st_lambdas"]] == [best.lam for best in search]
+        assert payload["per_task_risks"] == [best.value for best in search[2:]]
 
     def test_missing_delta2_is_reported(self, tmp_path, capsys):
         rc = main(["oracle", "--kind", "setting_c", "--n", "10", "--p", "2", "--c1", "1",
@@ -228,6 +247,26 @@ class TestVerifyBounds:
         assert main(argv) == 0
         assert not any(line.startswith("error:") for line in capsys.readouterr().err.splitlines())
 
+    def test_a_property_without_cells_is_skipped(self, tmp_path, capsys):
+        # beta = 0.2 puts every cell outside the windows of properties 1 to 3: nothing compared is no PASS
+        argv = ["verify-bounds", "--n-values", "50", "--bd-pairs", "0.2:0.7", "--out", str(tmp_path / "v.txt")]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:3] == [f"SKIP {name}: no cell of the grid inside its window"
+                             for name in ("property-1 upper bound", "property-2 localization", "property-3 lower bound")]
+        assert all(line.startswith("PASS ") for line in lines[3:])
+        assert (tmp_path / "v.txt").read_text().splitlines() == lines
+
+    def test_a_skipped_property_leaves_the_checked_lines_unchanged(self, capsys):
+        argv = ["verify-bounds", "--n-values", "50,200", "--p-values", "1,4", "--c-values", "1", "--bd-pairs", "2:2"]
+        assert main(argv) == 0
+        checked = capsys.readouterr().out.splitlines()
+        assert main([*argv, "--lower-threshold", "1e12"]) == 0  # no cell reaches n p / sigma2 = 1e12
+        lines = capsys.readouterr().out.splitlines()
+        assert checked[2].startswith("PASS property-3 lower bound: ")
+        assert lines == [*checked[:2], "SKIP property-3 lower bound: no cell of the grid inside its window",
+                         *checked[3:]]
+
     def test_template_optimum_far_below_1e_12_is_found(self, capsys):
         # beta = 4, n = 1000: the optimum lies near lam = 1.3e-16, and a search
         # stopped at a fixed floor of 1e-12 overshoots the upper bound fourfold
@@ -300,7 +339,7 @@ class TestSweepSeeding:
             for i, d2 in enumerate([1.5, 2.5])
         ]
         expected = tmp_path / "expected.csv"
-        emit_heatmap_csv(grid, "delta2", [1.5, 2.5], "c2", [0.1, 0.5, 1.0], str(expected))
+        emit_heatmap(sum(grid, []), "delta2", [1.5, 2.5], "c2", [0.1, 0.5, 1.0], str(expected))
         assert out.read_bytes() == expected.read_bytes()
 
 
@@ -379,7 +418,7 @@ class TestRunSummary:
              for j, c2 in enumerate([0.1, 0.5, 1.0])]
             for i, d2 in enumerate([1.5, 2.5])
         ]
-        emit_heatmap_csv(grid, "delta2", [1.5, 2.5], "c2", [0.1, 0.5, 1.0], str(tmp_path / "expected.csv"))
+        emit_heatmap(sum(grid, []), "delta2", [1.5, 2.5], "c2", [0.1, 0.5, 1.0], str(tmp_path / "expected.csv"))
         assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
     def test_experiment_prints_the_summary_to_stderr(self, tmp_path, capsys):

@@ -7,9 +7,9 @@ import pytest
 
 from mtkrr.estimators import comparison_rows
 from mtkrr.experiments import Z_975, pvalue_pi1, pvalue_pi2, run_experiments
-from mtkrr.oracles import compare_oracles
-from mtkrr.render import emit_heatmap_csv, emit_table, write_report_json
+from mtkrr.render import emit_heatmap, emit_table, write_report_json
 from mtkrr.scenarios import ScenarioKind, ScenarioSpec, build_ensemble, derive_seed, draw
+from conftest import compare_one
 from reference import run_experiment
 
 
@@ -94,7 +94,7 @@ class TestRunExperiment:
     def test_stacked_replicates_equal_one_comparison_each(self, kind, extra):
         spec = quick_spec(kind=kind, c2=0.3, seed=31, p=3, **extra)
         report = run_experiment(spec, sigma2=0.5, n_rep=5)
-        alone = [compare_oracles(*build_ensemble(replace(spec, seed=derive_seed(spec.seed, i))), 0.5).rho
+        alone = [compare_one(*build_ensemble(replace(spec, seed=derive_seed(spec.seed, i))), 0.5)[2]
                  for i in range(5)]
         assert list(report.ratios) == alone
 
@@ -103,7 +103,7 @@ class TestRunExperiment:
         # numpy's pairwise sum over the tasks can differ from Python's sum in the last bit from p = 8 on
         spec = quick_spec(kind=ScenarioKind.SETTING_A, c2=0.3, seed=57, p=p)
         report = run_experiment(spec, sigma2=0.5, n_rep=8)
-        alone = [compare_oracles(*build_ensemble(replace(spec, seed=derive_seed(spec.seed, i))), 0.5).rho
+        alone = [compare_one(*build_ensemble(replace(spec, seed=derive_seed(spec.seed, i))), 0.5)[2]
                  for i in range(8)]
         assert list(report.ratios) == alone
 
@@ -189,7 +189,7 @@ class TestEmission:
     def test_heatmap_grid(self, tmp_path):
         grid = [[self.make_report(seed=10 * i + j) for j in range(3)] for i in range(2)]
         path = tmp_path / "grid.csv"
-        emit_heatmap_csv(grid, "delta2", [1.5, 2.0], "c2", [0.1, 1.0, 10.0], str(path))
+        emit_heatmap(sum(grid, []), "delta2", [1.5, 2.0], "c2", [0.1, 1.0, 10.0], str(path))
         text = path.read_text()
         assert text.startswith("# mean_ratio\n")
         assert "# ci95_halfwidth" in text
@@ -205,13 +205,13 @@ class TestEmission:
                 row.append(run_experiment(spec, 1.0, 2))
             grid.append(row)
         path = tmp_path / "grid5.csv"
-        emit_heatmap_csv(grid, "row", list(range(5)), "col", list(range(5)), str(path))
+        emit_heatmap(sum(grid, []), "row", list(range(5)), "col", list(range(5)), str(path))
         assert all(math.isfinite(rep.mean_ratio) for row in grid for rep in row)
 
     def test_heatmap_shape_mismatch_rejected(self, tmp_path):
         grid = [[self.make_report()]]
         with pytest.raises(ValueError):
-            emit_heatmap_csv(grid, "delta2", [1.0, 2.0], "c2", [0.1], str(tmp_path / "g.csv"))
+            emit_heatmap(sum(grid, []), "delta2", [1.0, 2.0], "c2", [0.1], str(tmp_path / "g.csv"))
 
     def test_json_roundtrip_fields(self, tmp_path):
         report = self.make_report()

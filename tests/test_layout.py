@@ -1,4 +1,4 @@
-"""Layout guards: the package holds no code that only the tests use, keeps the dense route off the hot path, one module forks on setting B, and one module writes files.
+"""Layout guards: the package holds no code that only the tests use, keeps the dense route off the hot path, one module forks on setting B, one module lays out a comparison, and one module writes files.
 
 A public function, class or method defined in ``src/mtkrr`` counts as used
 only if a package module other than ``__init__.py`` references it, or the
@@ -86,6 +86,14 @@ def test_only_scenarios_names_the_spline_setting():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Attribute) and node.attr == "SETTING_B"]
     assert not forks, f"modules other than scenarios.py name ScenarioKind.SETTING_B: {forks}"
+
+
+def test_only_oracles_lays_out_a_comparison():
+    """Only ``oracles.compare`` reads the p + 2 layout of a comparison: no other module calls ``comparison_rows``."""
+    callers = [f"{path.name}: {ast.unparse(node)}" for path in sorted(PACKAGE.glob("*.py")) if path.name != "oracles.py"
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "comparison_rows"]
+    assert not callers, f"modules other than oracles.py call comparison_rows: {callers}"
 
 
 def test_only_render_writes_files():

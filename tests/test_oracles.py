@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 from hypothesis import assume, given
-from conftest import oracle_multitask, oracle_singletask, value_grid
+from conftest import compare_one, oracle_multitask, oracle_singletask, value_grid
 from hypothesis import strategies as st
 
 from mtkrr.optimize import RidgeRiskProfile
 from mtkrr.oracles import (
-    compare_oracles,
     df_and_bias,
     rho_formula_1out,
     rho_formula_2points,
@@ -110,40 +109,38 @@ class TestOracleSingletask:
         assert st.risk == pytest.approx((plus + minus) / 2, rel=1e-9)
 
 
-class TestCompareOracles:
+class TestCompare:
     def test_result_is_internally_consistent(self):
         spec = two_cluster_spec(30, 4, 1.0, 0.5, 2.0, 2.0)
         spectrum = synth_spectrum(30, 2.0)
         tasks = build_ensemble(spec)[1]
-        res = compare_oracles(spectrum, tasks, 1.0)
+        mt_risk, st_risk, rho, search = compare_one(spectrum, tasks, 1.0)
         from reference import risk_spectral
 
-        risk = risk_spectral(spectrum, mean_variance_profile(tasks), res.lambda_star, res.mu_star, 1.0, 4)
-        assert res.mt_risk == pytest.approx(risk.total, rel=1e-10)
-        assert res.st_risk == pytest.approx(sum(res.diagnostics) / 4, rel=1e-10)
-        assert res.rho == pytest.approx(res.mt_risk / res.st_risk, rel=1e-12)
+        risk = risk_spectral(spectrum, mean_variance_profile(tasks), search[0].lam, search[1].lam, 1.0, 4)
+        assert mt_risk == pytest.approx(risk.total, rel=1e-10)
+        assert st_risk == pytest.approx(sum(best.value for best in search[2:]) / 4, rel=1e-10)
+        assert rho == pytest.approx(mt_risk / st_risk, rel=1e-12)
 
     @pytest.mark.parametrize("r", [0.01, 0.1, 1.0, 10.0])
     def test_measured_ratio_tracks_the_formula_within_rate_constants(self, r):
         n, p = 50, 4
         spec = two_cluster_spec(n, p, 1.0, r, 2.0, 2.0)
         spectrum = synth_spectrum(n, 2.0)
-        res = compare_oracles(spectrum, build_ensemble(spec)[1], 1.0)
+        rho = compare_one(spectrum, build_ensemble(spec)[1], 1.0)[2]
         formula = rho_formula_2points(p, 2.0, r)
-        assert formula / 3 <= res.rho <= 3 * formula
+        assert formula / 3 <= rho <= 3 * formula
 
 
     def test_every_search_is_carried_through(self):
         spec = two_cluster_spec(30, 4, 1.0, 0.5, 2.0, 2.0)
         spectrum, tasks = synth_spectrum(30, 2.0), build_ensemble(spec)[1]
-        res = compare_oracles(spectrum, tasks, 1.0)
-        assert len(res.search) == 6
-        assert [best.lam for best in res.search] == [res.lambda_star, res.mu_star, *res.st_lambdas]
-        assert [best.value for best in res.search[2:]] == list(res.diagnostics)
+        search = compare_one(spectrum, tasks, 1.0)[3]
+        assert len(search) == 6
         mt = oracle_multitask(spectrum, mean_variance_profile(tasks), 1.0, 4)
         st_oracle = oracle_singletask(spectrum, tasks, 1.0)
-        assert mt.search == res.search[:2] and st_oracle.search == res.search[2:]
-        for best in res.search:
+        assert mt.search == tuple(search[:2]) and st_oracle.search == tuple(search[2:])
+        for best in search:
             assert best.source == "newton" and 1 <= best.iterations and best.stationarity <= 1e-10
 
     @given(st.integers(min_value=2, max_value=6), st.integers(min_value=0, max_value=2**32 - 1),
@@ -156,13 +153,13 @@ class TestCompareOracles:
         h = np.sqrt(n) * i[:, None] ** -rng.uniform(0.5, 3.0, p) * rng.standard_normal((n, p))
         order = [k for k in perm if k < p]
         sigma2 = 10.0**log_sigma2
-        base = compare_oracles(spectrum, TaskEnsemble(n=n, p=p, h=h), sigma2)
-        permuted = compare_oracles(spectrum, TaskEnsemble(n=n, p=p, h=h[:, order]), sigma2)
-        assert permuted.mt_risk == pytest.approx(base.mt_risk, rel=1e-12)
-        assert permuted.rho == pytest.approx(base.rho, rel=1e-12)
+        base_mt, _, base_rho, base = compare_one(spectrum, TaskEnsemble(n=n, p=p, h=h), sigma2)
+        permuted_mt, _, permuted_rho, permuted = compare_one(spectrum, TaskEnsemble(n=n, p=p, h=h[:, order]), sigma2)
+        assert permuted_mt == pytest.approx(base_mt, rel=1e-12)
+        assert permuted_rho == pytest.approx(base_rho, rel=1e-12)
         # the single-task searches are the same rows in another order: bit-identical
-        assert permuted.diagnostics == tuple(base.diagnostics[k] for k in order)
-        assert permuted.st_lambdas == tuple(base.st_lambdas[k] for k in order)
+        assert [best.value for best in permuted[2:]] == [base[2 + k].value for k in order]
+        assert [best.lam for best in permuted[2:]] == [base[2 + k].lam for k in order]
 
 
 @st.composite
@@ -190,9 +187,9 @@ class TestOracleProperties:
         spec, sigma2 = case
         spectrum, tasks = build_ensemble(spec)
         assume(np.any(tasks.h != 0))
-        res = compare_oracles(spectrum, tasks, sigma2)
-        assert res.mt_risk == res.st_risk
-        assert res.rho == 1.0
+        mt_risk, st_risk, rho, _ = compare_one(spectrum, tasks, sigma2)
+        assert mt_risk == st_risk
+        assert rho == 1.0
 
     @given(seeded_specs(st.integers(min_value=2, max_value=6)))
     def test_multitask_oracle_beats_every_shared_lambda(self, case):
@@ -201,12 +198,12 @@ class TestOracleProperties:
         spec, sigma2 = case
         spectrum, tasks = build_ensemble(spec)
         assume(np.any(tasks.h != 0))
-        res = compare_oracles(spectrum, tasks, sigma2)
+        mt_risk = compare_one(spectrum, tasks, sigma2)[0]
         n, gamma = spectrum.n, spectrum.gamma
         grid = np.geomspace(gamma.min() / n * 1e-6, gamma.max() / n * 1e6, 4000)
         shared = sum(value_grid(RidgeRiskProfile(n=n, gamma=gamma, signal=h_j**2, noise=sigma2), grid)
                      for h_j in tasks.h.T) / tasks.p
-        assert res.mt_risk <= float(shared.min()) * (1 + 1e-12)
+        assert mt_risk <= float(shared.min()) * (1 + 1e-12)
 
     @given(st.integers(min_value=2, max_value=40), st.floats(min_value=0.01, max_value=4.0),
            st.floats(min_value=0.0, max_value=4.0), st.floats(min_value=0.6, max_value=3.0),
@@ -215,10 +212,10 @@ class TestOracleProperties:
         # at p = 2 the two-cluster and the one-outlier configurations build the same two tasks
         fields = dict(n=n, p=2, c1=c1, c2=c2, delta1=delta, beta_or_m=beta)
         spectrum, sigma2 = synth_spectrum(n, beta), 10.0**log_sigma2
-        two = compare_oracles(spectrum, build_ensemble(ScenarioSpec(kind=ScenarioKind.H2POINTS, **fields))[1], sigma2)
-        out = compare_oracles(spectrum, build_ensemble(ScenarioSpec(kind=ScenarioKind.H1OUT, **fields))[1], sigma2)
-        assert (out.mt_risk, out.st_risk, out.rho, out.diagnostics) == (two.mt_risk, two.st_risk, two.rho,
-                                                                         two.diagnostics)
+        two = compare_one(spectrum, build_ensemble(ScenarioSpec(kind=ScenarioKind.H2POINTS, **fields))[1], sigma2)
+        out = compare_one(spectrum, build_ensemble(ScenarioSpec(kind=ScenarioKind.H1OUT, **fields))[1], sigma2)
+        assert out[:3] == two[:3]
+        assert [best.value for best in out[3][2:]] == [best.value for best in two[3][2:]]
 
 
 class TestRhoFormulas:
