@@ -7,8 +7,8 @@ scenario generators used by the Monte Carlo comparison harness.
 """
 
 from .experiments import ExperimentReport, pvalue_pi1, pvalue_pi2
-from .optimize import ProfileMinimum, RidgeRiskProfile, minimize_profile, minimize_profiles
-from .oracles import compare, df_and_bias, rho_formula_1out, rho_formula_2points
+from .optimize import ProfileMinimum, RidgeRiskProfile, minimize_profiles
+from .oracles import compare, rho_formula_1out, rho_formula_2points
 from .riskfn import (
     BoundReport,
     Regime,

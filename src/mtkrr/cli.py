@@ -23,6 +23,9 @@ from . import experiments, optimize, oracles, render, riskfn, scenarios
 
 JOBS_HELP = "accepted for compatibility; every command runs as one stacked search in one process"
 _SCENARIO_KEYS = ("kind", "n", "p", "c1", "c2", "delta1", "delta2", "beta_or_m", "seed")
+_CASTS = {"kind": scenarios.ScenarioKind, "n": int, "p": int, "c1": float, "c2": float, "delta1": float,
+          "delta2": float, "beta_or_m": float, "seed": int, "sigma2": float, "n_rep": int, "out_json": str,
+          "out_csv": str}
 
 
 class ConfigError(Exception):
@@ -33,20 +36,18 @@ class ConfigError(Exception):
         self.messages = messages
 
 
-def _scenario_fields(get, keys, errors: list[str], prefix: str) -> dict:
-    """Cast each of ``keys`` read through ``get``; one error per missing or unparsable key."""
+def _fields(section: configparser.SectionProxy, keys, errors: list[str], prefix: str) -> dict:
+    """Cast each of ``keys`` the section holds; one error per missing or unparsable key."""
     raw: dict = {}
-    casts = {"kind": scenarios.ScenarioKind, "n": int, "p": int, "c1": float, "c2": float,
-             "delta1": float, "delta2": float, "beta_or_m": float, "seed": int}
     for key in keys:
-        value = get(key)
+        value = section.get(key)
         if value is None:
             if key not in ("delta2", "beta_or_m", "seed"):  # defaulted by ScenarioSpec
                 errors.append(f"{prefix}{key}: missing")
             continue
         try:
-            raw[key] = casts[key](value)
-        except (TypeError, ValueError):
+            raw[key] = _CASTS[key](value)
+        except ValueError:
             errors.append(f"{prefix}{key}: cannot parse {value!r}")
     return raw
 
@@ -57,11 +58,6 @@ def _build_spec(raw: dict, errors: list[str], prefix: str) -> scenarios.Scenario
     except ValueError as exc:
         errors.append(f"{prefix}scenario: {exc}")
         return None
-
-
-def _parse_scenario(get, errors: list[str], prefix: str = "") -> scenarios.ScenarioSpec | None:
-    raw = _scenario_fields(get, _SCENARIO_KEYS, errors, prefix)
-    return None if errors else _build_spec(raw, errors, prefix)
 
 
 def _float_list(text: str, key: str, errors: list[str]) -> list[float]:
@@ -96,40 +92,35 @@ def _fail_on(errors: list[str]) -> None:
         raise ConfigError(errors)
 
 
-def _run_size(section: configparser.SectionProxy, name: str, errors: list[str]) -> tuple[float, int]:
-    """The noise variance and replicate count every config-driven command needs."""
-    sigma2 = section.getfloat("sigma2", fallback=None)
-    if sigma2 is None or not 0 < sigma2 < math.inf:
-        errors.append(f"{name}.sigma2: missing, not positive or not finite")
-    n_rep = section.getint("n_rep", fallback=None)
-    if n_rep is None or n_rep < 1:
-        errors.append(f"{name}.n_rep: missing or not positive")
-    return sigma2, n_rep
-
-
 def _sweep(
     section: configparser.SectionProxy,
     name: str,
     cells: list[tuple[str, tuple[int, ...], dict[str, float]]],
     errors: list[str],
-) -> tuple[list[experiments.ExperimentReport], str]:
-    """Run one experiment per (label, path, overrides) cell, in order; return the reports and out_csv.
+    pi2_scale: str = "N",
+) -> list[experiments.ExperimentReport]:
+    """Run one experiment per (label, path, overrides) cell, in order, and return the reports.
 
-    Each cell is the section's scenario keys with ``overrides`` applied and
-    the seed ``derive_seed(seed, *path)``.  The caller's ``errors``, the
-    section's own key errors (a scenario key no cell overrides is checked
-    once, as ``{name}.{key}``) and every cell's errors are reported
-    together, before any cell runs.
+    ``experiment``, ``table`` and ``heatmap`` all run through here;
+    ``experiment`` is the one-cell case, with no overrides and the empty
+    path.  Each cell is the section's scenario keys with ``overrides``
+    applied and the seed ``derive_seed(seed, *path)``, or the section's seed
+    itself for the empty path.  ``sigma2`` and ``n_rep`` are read by
+    ``_fields`` like every other key.  The caller's ``errors`` (its own
+    keys: outputs, axes), the section's key errors (a scenario key no cell
+    overrides is checked once, as ``{name}.{key}``) and every cell's errors
+    are reported together, before any cell runs.
     """
-    sigma2, n_rep = _run_size(section, name, errors)
-    out_csv = section.get("out_csv", fallback=None)
-    if out_csv is None:
-        errors.append(f"{name}.out_csv: missing")
+    size = _fields(section, ("sigma2", "n_rep"), errors, f"{name}.")
+    if not 0 < size.get("sigma2", 1.0) < math.inf:  # a missing or unparsable value is already reported
+        errors.append(f"{name}.sigma2: not positive or not finite")
+    if size.get("n_rep", 1) < 1:
+        errors.append(f"{name}.n_rep: not positive")
     overridden = {key for _, _, overrides in cells for key in overrides}
     # without cells (an empty axis, already reported) only the keys present can be checked
     shared_keys = [k for k in _SCENARIO_KEYS if k not in overridden and (cells or k in section)]
     shared_errors: list[str] = []
-    shared = _scenario_fields(section.get, shared_keys, shared_errors, f"{name}.")
+    shared = _fields(section, shared_keys, shared_errors, f"{name}.")
     seed = shared.get("seed", 0)
     if not 0 <= seed < 2**64:
         shared_errors.append(f"{name}.seed: must fit in 64 unsigned bits")
@@ -138,7 +129,7 @@ def _sweep(
     cell_errors: list[str] = []
     if not shared_errors:  # otherwise every cell would repeat them
         for label, path, overrides in cells:
-            raw = {**shared, **overrides, "seed": scenarios.derive_seed(seed, *path)}
+            raw = {**shared, **overrides, "seed": scenarios.derive_seed(seed, *path) if path else seed}
             specs.append(_build_spec(raw, cell_errors, f"{label.replace(' ', '')}."))
     # an error every cell makes is the section's, reported once
     messages = {message.split(".", 1)[1] for message in cell_errors}
@@ -148,9 +139,9 @@ def _sweep(
         errors += [f"{name}.{message}" for message in cell_errors]
     _fail_on(errors)
 
-    reports, search = experiments.run_experiments(specs, sigma2, n_rep)
+    reports, search = experiments.run_experiments(specs, size["sigma2"], size["n_rep"], pi2_scale)
     print(_run_summary(search), file=sys.stderr)
-    return reports, out_csv
+    return reports
 
 
 def _run_summary(search: list[optimize.ProfileMinimum]) -> str:
@@ -209,7 +200,8 @@ def _search_record(best) -> dict:
 
 def cmd_oracle(args) -> int:
     errors: list[str] = []
-    spec = _parse_scenario(lambda k: getattr(args, k, None), errors)
+    raw = {key: getattr(args, key) for key in _SCENARIO_KEYS} | {"kind": scenarios.ScenarioKind(args.kind)}
+    spec = _build_spec(raw, errors, "")
     if not 0 < args.sigma2 < math.inf:
         errors.append("sigma2: not positive or not finite")
     _fail_on(errors)
@@ -243,23 +235,16 @@ def cmd_oracle(args) -> int:
 def cmd_experiment(args) -> int:
     section = _load_section(args.config, "experiment")
     errors: list[str] = []
-    spec = _parse_scenario(section.get, errors, prefix="experiment.")
-    sigma2, n_rep = _run_size(section, "experiment", errors)
     pi2_scale = section.get("pi2_scale", fallback="N")
     if pi2_scale not in ("N", "n"):
         errors.append(f"experiment.pi2_scale: must be 'N' or 'n', got {pi2_scale!r}")
-    out_json = section.get("out_json", fallback=None)
-    if out_json is None:
-        errors.append("experiment.out_json: missing")
-    _fail_on(errors)
-
-    [report], search = experiments.run_experiments([spec], sigma2, n_rep, pi2_scale)
-    print(_run_summary(search), file=sys.stderr)
+    out_json = _fields(section, ("out_json",), errors, "experiment.").get("out_json")
+    [report] = _sweep(section, "experiment", [("", (), {})], errors, pi2_scale)
     render.write_report_json(report, out_json)
-    out_csv = section.get("out_csv", fallback=None)
+    out_csv = section.get("out_csv")
     if out_csv:
         render.write_csv(out_csv, [("replicate", "ratio"), *enumerate(report.ratios)])
-    print(f"mean ratio {report.mean_ratio!r} over {n_rep} replicates -> {out_json}")
+    print(f"mean ratio {report.mean_ratio!r} over {report.n_rep} replicates -> {out_json}")
     return 0
 
 
@@ -274,7 +259,8 @@ def cmd_table(args) -> int:
         errors.append("table.beta_or_m_values: missing or empty")
     pairs = [(bm, c2) for bm in bm_values for c2 in c2_values]
     cells = [(f"row {k}", (k,), {"c2": c2, "beta_or_m": bm}) for k, (bm, c2) in enumerate(pairs)]
-    reports, out_csv = _sweep(section, "table", cells, errors)
+    out_csv = _fields(section, ("out_csv",), errors, "table.").get("out_csv")
+    reports = _sweep(section, "table", cells, errors)
     render.emit_table(reports, out_csv)
     print(f"wrote {len(reports)} rows to {out_csv}")
     return 0
@@ -297,7 +283,8 @@ def cmd_heatmap(args) -> int:
     # cells of a broken axis would only repeat its error
     cells = [] if errors else [(f"cell ({i},{j})", (i, j), {row_param: rv, col_param: cv})
                                for i, rv in enumerate(row_values) for j, cv in enumerate(col_values)]
-    reports, out_csv = _sweep(section, "heatmap", cells, errors)
+    out_csv = _fields(section, ("out_csv",), errors, "heatmap.").get("out_csv")
+    reports = _sweep(section, "heatmap", cells, errors)
 
     render.emit_heatmap(reports, row_param, row_values, col_param, col_values, out_csv, section.get("out_svg"),
                         f"mean oracle-risk ratio, {section.get('kind', 'scenario')}")
@@ -344,13 +331,13 @@ def cmd_verify_bounds(args) -> int:
     cap_violations = upper_checked = cap_checked = lower_checked = 0
     reports, search = riskfn.minimize_risks(grid)
     for params, report in zip(grid, reports):
-        if params.satisfies_hm and report.upper > 0:
+        if report.upper > 0:  # nan outside the minimax window
             upper_checked += 1
             worst_upper = max(worst_upper, (report.r_star - report.upper) / report.upper)
         if math.isfinite(report.epsilon_cap):
             cap_checked += 1
             cap_violations += report.lambda_star > report.epsilon_cap * (1 + 1e-9)
-        if params.satisfies_lb and params.n * params.p / sigma2 >= args.lower_threshold and report.lower > 0:
+        if params.n * params.p / sigma2 >= args.lower_threshold and report.lower > 0:  # nan outside its window
             lower_checked += 1
             worst_lower = min(worst_lower, (report.r_star - report.lower) / report.lower)
     all_ok &= _check("property-1 upper bound", worst_upper <= 1e-8,
@@ -442,20 +429,15 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--out", default=None)
     pv.set_defaults(func=cmd_verify_bounds)
 
-    pe = sub.add_parser("experiment", help="replicated oracle comparison from a config file")
-    pe.add_argument("--config", required=True)
-    pe.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
-    pe.set_defaults(func=cmd_experiment)
-
-    pt = sub.add_parser("table", help="comparison table over (c2, beta_or_m) from a config file")
-    pt.add_argument("--config", required=True)
-    pt.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
-    pt.set_defaults(func=cmd_table)
-
-    ph = sub.add_parser("heatmap", help="mean-ratio heatmap over two scenario axes from a config file")
-    ph.add_argument("--config", required=True)
-    ph.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
-    ph.set_defaults(func=cmd_heatmap)
+    for name, func, help_text in (
+        ("experiment", cmd_experiment, "replicated oracle comparison from a config file"),
+        ("table", cmd_table, "comparison table over (c2, beta_or_m) from a config file"),
+        ("heatmap", cmd_heatmap, "mean-ratio heatmap over two scenario axes from a config file"),
+    ):
+        pc = sub.add_parser(name, help=help_text)
+        pc.add_argument("--config", required=True)
+        pc.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
+        pc.set_defaults(func=func)
 
     return parser
 

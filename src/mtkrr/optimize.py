@@ -306,8 +306,3 @@ def minimize_profiles(
             lam = math.exp(x)  # not np.exp, which may differ in the last bit
             out.append(ProfileMinimum(lam, values[code], d / lam, k if code == 2 else 0, SOURCES[code]))
     return out
-
-
-def minimize_profile(profile: RidgeRiskProfile) -> ProfileMinimum:
-    """Minimize one ridge risk curve over lam in [0, +inf]: a one-row ``minimize_profiles``."""
-    return minimize_profiles(profile.n, profile.gamma, profile.signal[None, :], np.array([profile.noise]))[0]

@@ -14,8 +14,7 @@ import math
 import numpy as np
 
 from .estimators import comparison_rows
-from .optimize import ProfileMinimum, RidgeRiskProfile, minimize_profiles
-from .spectral import KernelSpectrum
+from .optimize import ProfileMinimum, minimize_profiles
 
 
 def compare(n: int, gamma: np.ndarray, h: np.ndarray, sigma2: float,
@@ -68,17 +67,3 @@ def rho_formula_1out(p: int, delta: float, r: float) -> float:
         1 - math.sqrt(r * (p - 1))
     ) ** (1 / delta)
     return num / den
-
-
-def df_and_bias(spectrum: KernelSpectrum, h_j: np.ndarray, lam: float) -> tuple[float, float]:
-    """Effective degrees of freedom tr(A_lam) and squared bias of one task.
-
-    df(lam) = sum gamma_i / (gamma_i + n lam); the bias, normalized by n, is
-    the bias part of the task's ridge risk curve.  At lam = 0 the smoother is
-    the projector onto the kernel range, so df counts the positive
-    eigenvalues and the bias keeps only null-space energy.
-    """
-    gamma = spectrum.gamma
-    bias = RidgeRiskProfile(spectrum.n, gamma, np.asarray(h_j, dtype=float) ** 2, 0.0).parts(lam)[0]
-    df = np.divide(gamma, gamma + spectrum.n * lam, out=np.zeros_like(gamma), where=gamma > 0)
-    return float(np.sum(df)), bias

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .optimize import ProfileMinimum, RidgeRiskProfile, minimize_profiles
+from .scenarios import synth_spectrum
 
 
 class DivergentIntegralError(ValueError):
@@ -97,9 +98,9 @@ class BoundReport:
 def template_profile(params: RiskParams) -> RidgeRiskProfile:
     """The template risk as a ridge risk curve: ``parts(lam)`` is (C lam^2 S1, sigma2 / (n p) S2)."""
     i = np.arange(1, params.n + 1, dtype=float)
-    gamma = params.n * i ** (-2.0 * params.beta)
     signal = params.c * params.n * i ** (-2.0 * params.delta)
-    return RidgeRiskProfile(n=params.n, gamma=gamma, signal=signal, noise=params.sigma2 / params.p)
+    return RidgeRiskProfile(n=params.n, gamma=synth_spectrum(params.n, params.beta).gamma, signal=signal,
+                            noise=params.sigma2 / params.p)
 
 
 def _tail_integral(a: float) -> float:
@@ -227,7 +228,7 @@ def minimize_risks(grid: list[RiskParams]) -> tuple[list[BoundReport], list[Prof
         signal = np.empty((len(cells), n))  # row by row as in template_profile: (c n) i^(-2 delta)
         for row, k in enumerate(cells):
             np.multiply(grid[k].c * n, powers[grid[k].delta], out=signal[row])
-        found = minimize_profiles(n, np.array([n * i ** (-2.0 * beta) for beta in betas]), signal,
+        found = minimize_profiles(n, np.array([synth_spectrum(n, beta).gamma for beta in betas]), signal,
                                   np.array([grid[k].sigma2 / grid[k].p for k in cells]),
                                   spectrum=np.array([betas.index(grid[k].beta) for k in cells]))
         for k, best in zip(cells, found):

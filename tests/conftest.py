@@ -67,6 +67,11 @@ def s2(n: int, lam: float, beta: float) -> float:
     return float(np.sum(1.0 / (1 + lam * i ** (2 * beta)) ** 2))
 
 
+def minimize_profile(profile: RidgeRiskProfile) -> ProfileMinimum:
+    """Minimize one ridge risk curve over lam in [0, +inf]: a one-row ``minimize_profiles``."""
+    return minimize_profiles(profile.n, profile.gamma, profile.signal[None, :], np.array([profile.noise]))[0]
+
+
 def value_grid(profile: RidgeRiskProfile, lams: np.ndarray) -> np.ndarray:
     """The risk curve of ``profile`` at every strictly positive lam of ``lams``, in one array pass."""
     lams = np.asarray(lams, dtype=float)

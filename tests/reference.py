@@ -13,10 +13,11 @@ the central correctness check of the package (criterion 1).
 The spectral route is canonical: it is defined for lam = 0 and mu = 0 where
 the Kronecker-inverse formula is not, and it has no size cap.
 
-Also here: the one-spec form of ``mtkrr.experiments.run_experiments``, and
-the paper formulas no command evaluates (the template risk at one lambda,
-the maximizer ``t_star`` and the data-driven estimator's bound
-``hm_bound_rhs``), each kept with its checks.
+Also here: the one-spec form of ``mtkrr.experiments.run_experiments``, the
+degrees-of-freedom diagnostic ``df_and_bias``, and the paper formulas no
+command evaluates (the template risk at one lambda, the maximizer ``t_star``
+and the data-driven estimator's bound ``hm_bound_rhs``), each kept with its
+checks.
 """
 
 from __future__ import annotations
@@ -219,6 +220,20 @@ def risk_single_task(spectrum: KernelSpectrum, h_j: np.ndarray, lam: float, sigm
         raise ValueError("noise variance must be positive")
     profile = RidgeRiskProfile(n=spectrum.n, gamma=spectrum.gamma, signal=np.asarray(h_j, dtype=float) ** 2, noise=sigma2)
     return RiskBreakdown.of(*profile.parts(lam))
+
+
+def df_and_bias(spectrum: KernelSpectrum, h_j: np.ndarray, lam: float) -> tuple[float, float]:
+    """Effective degrees of freedom tr(A_lam) and squared bias of one task.
+
+    df(lam) = sum gamma_i / (gamma_i + n lam); the bias, normalized by n, is
+    the bias part of the task's ridge risk curve.  At lam = 0 the smoother is
+    the projector onto the kernel range, so df counts the positive
+    eigenvalues and the bias keeps only null-space energy.
+    """
+    gamma = spectrum.gamma
+    bias = RidgeRiskProfile(spectrum.n, gamma, np.asarray(h_j, dtype=float) ** 2, 0.0).parts(lam)[0]
+    df = np.divide(gamma, gamma + spectrum.n * lam, out=np.zeros_like(gamma), where=gamma > 0)
+    return float(np.sum(df)), bias
 
 
 # ---------------------------------------------------------------------------

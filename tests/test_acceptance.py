@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from conftest import mean_part_profile, oracle_multitask, quad_kappa, random_psd, value_grid, variance_part_profile
 
-from mtkrr.oracles import df_and_bias, rho_formula_1out, rho_formula_2points
+from mtkrr.oracles import rho_formula_1out, rho_formula_2points
 from mtkrr.riskfn import (
     RiskParams,
     alpha_constant,
@@ -26,7 +26,7 @@ from mtkrr.riskfn import (
 )
 from mtkrr.scenarios import ScenarioKind, ScenarioSpec, build_ensemble, synth_spectrum
 from mtkrr.spectral import eigendecompose_kernel, project_tasks
-from reference import RegularizerAV, mean_variance_profile, risk_direct, risk_spectral, run_experiment
+from reference import RegularizerAV, df_and_bias, mean_variance_profile, risk_direct, risk_spectral, run_experiment
 
 FRESH_SEED = 20260810
 

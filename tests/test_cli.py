@@ -600,6 +600,8 @@ def _degeneracies(command: str):
     edits = [
         st.builds(lambda k: {"n_rep": str(-k)}, count),
         st.builds(lambda x: {"sigma2": repr(-x)}, st.floats(0.0, 1e300)),
+        st.builds(lambda k: {"n_rep": f"{k}.5"}, count),
+        st.builds(lambda text: {"sigma2": text}, st.sampled_from(["abc", "1,0", "1.0.0", "one"])),
         st.builds(lambda k: {"n": str(-k)}, count),
         st.builds(lambda k: {"p": str(-k)}, count),
         st.builds(lambda k: {"kind": "h2points", "p": str(2 * k + 1)}, st.integers(0, 3)),
@@ -637,6 +639,21 @@ class TestDegenerateConfigs:
         lines = err.getvalue().splitlines()
         assert rc == 1
         assert lines and all(line.startswith(("config error:", "error:")) for line in lines), lines
+
+    @pytest.mark.parametrize("command", ["experiment", "table", "heatmap"])
+    def test_unparsable_run_size_is_named_with_the_other_errors(self, tmp_path, capsys, command):
+        keys = _sweep_base(command) | {"sigma2": "abc", "n_rep": "1.5", "n": "x"}
+        for key in ("out_json", "out_csv"):
+            if key in keys:
+                keys[key] = str(tmp_path / keys[key])
+        cfg = tmp_path / f"{command}.ini"
+        cfg.write_text(f"[{command}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()))
+        assert main([command, "--config", str(cfg)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [f"config error: {command}.sigma2: cannot parse 'abc'",
+                         f"config error: {command}.n_rep: cannot parse '1.5'",
+                         f"config error: {command}.n: cannot parse 'x'"]
+        assert sorted(path.name for path in tmp_path.iterdir()) == [f"{command}.ini"]
 
 
 class TestNonFiniteInputs:

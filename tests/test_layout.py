@@ -1,9 +1,11 @@
-"""Layout guards: the package holds no code that only the tests use, keeps the dense route off the hot path, one module forks on setting B, one module lays out a comparison, and one module writes files.
+"""Layout guards: the package holds no code that only the tests use, keeps the dense route off the hot path, one module forks on setting B, one module lays out a comparison, one function reads the sweep configs, and one module writes files.
 
 A public function, class or method defined in ``src/mtkrr`` counts as used
-only if a package module other than ``__init__.py`` references it, or the
-README names it in code.  Exporting it from ``mtkrr/__init__.py`` is not a
-use.  Validation-only code (the dense Kronecker route, reference evaluators,
+only if a package module other than ``__init__.py`` references it, or a
+fenced code block of the README (the library example, the config schema and
+example, the shell commands) names it.  Exporting it from
+``mtkrr/__init__.py`` or naming it in README prose is not a use.
+Validation-only code (the dense Kronecker route, reference evaluators,
 brute-force searches, formulas no command evaluates) belongs in ``tests/``,
 most of it in ``tests/reference.py``.
 """
@@ -56,8 +58,8 @@ def _references(tree: ast.Module) -> Counter:
 
 
 def _readme_names() -> set[str]:
-    """Every identifier the README writes as code: in fenced blocks and in inline code spans."""
-    code = re.findall(r"```.*?```|`[^`\n]+`", README.read_text(), flags=re.S)
+    """Every identifier of the README's fenced code blocks; an inline code span is prose, not a use."""
+    code = re.findall(r"```.*?```", README.read_text(), flags=re.S)
     return set(re.findall(r"[A-Za-z_]\w*", " ".join(code)))
 
 
@@ -94,6 +96,23 @@ def test_only_oracles_lays_out_a_comparison():
                for node in ast.walk(ast.parse(path.read_text()))
                if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "comparison_rows"]
     assert not callers, f"modules other than oracles.py call comparison_rows: {callers}"
+
+
+def test_only_the_sweep_runs_experiments():
+    """``experiment``, ``table`` and ``heatmap`` read their configs through ``cli._sweep``: no other code calls ``run_experiments``."""
+    callers, sweep_calls = [], 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        sweep = {id(node) for top in tree.body if path.name == "cli.py" and getattr(top, "name", None) == "_sweep"
+                 for node in ast.walk(top)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "run_experiments":
+                if id(node) in sweep:
+                    sweep_calls += 1
+                else:
+                    callers.append(f"{path.name}: {ast.unparse(node)}")
+    assert sweep_calls == 1, "cli._sweep no longer runs the experiments"
+    assert not callers, f"package code outside cli._sweep calls run_experiments: {callers}"
 
 
 def test_only_render_writes_files():

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import value_grid
+from conftest import minimize_profile, value_grid
 
 from mtkrr import optimize
-from mtkrr.optimize import BRACKET_DECADES, RidgeRiskProfile, _curve, minimize_profile, minimize_profiles
+from mtkrr.optimize import BRACKET_DECADES, RidgeRiskProfile, _curve, minimize_profiles
 
 
 def sample_profile(seed: int, n: int = 30) -> RidgeRiskProfile:

@@ -7,15 +7,11 @@ from conftest import compare_one, oracle_multitask, oracle_singletask, value_gri
 from hypothesis import strategies as st
 
 from mtkrr.optimize import RidgeRiskProfile
-from mtkrr.oracles import (
-    df_and_bias,
-    rho_formula_1out,
-    rho_formula_2points,
-)
+from mtkrr.oracles import rho_formula_1out, rho_formula_2points
 from mtkrr.riskfn import RiskParams, alpha_constant, kappa, minimize_risk
 from mtkrr.scenarios import ScenarioKind, ScenarioSpec, build_ensemble, synth_spectrum
 from mtkrr.spectral import KernelSpectrum, TaskEnsemble
-from reference import MeanVarianceProfile, hm_bound_rhs, mean_variance_profile
+from reference import MeanVarianceProfile, df_and_bias, hm_bound_rhs, mean_variance_profile
 
 
 def two_cluster_spec(n, p, c1, c2, delta, beta):

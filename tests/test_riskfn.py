@@ -2,12 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from conftest import quad_kappa, quad_tail_integral, s1, s2, value_grid
+from conftest import minimize_profile, quad_kappa, quad_tail_integral, s1, s2, value_grid
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from mtkrr.optimize import minimize_profile
 from mtkrr.riskfn import (
     DivergentIntegralError,
     NoEpsilonCapError,
