@@ -7,7 +7,7 @@ scenario generators used by the Monte Carlo comparison harness.
 """
 
 from .experiments import ExperimentReport, pvalue_pi1, pvalue_pi2
-from .optimize import ProfileMinimum, RidgeRiskProfile, minimize_profiles
+from .optimize import RidgeRiskProfile, Search, minimize_profiles
 from .oracles import compare, rho_formula_1out, rho_formula_2points
 from .riskfn import (
     BoundReport,

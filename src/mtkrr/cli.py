@@ -144,14 +144,15 @@ def _sweep(
     return reports
 
 
-def _run_summary(search: list[optimize.ProfileMinimum]) -> str:
+def _run_summary(*searches: optimize.Search) -> str:
     """One line on how a run's searches ended: winners by source, max_iter hits, Newton evaluations."""
-    sources = [best.source for best in search]
-    newton = sorted(best.iterations for best in search if best.source == "newton")
-    winners = ", ".join(f"{source} {sources.count(source)}" for source in optimize.SOURCES)
-    hits = sum(count >= optimize.DEFAULT_MAX_ITER for count in newton)
-    evaluations = f"median {np.median(newton):g}, max {newton[-1]}" if newton else "none"
-    return f"searches {len(search)}: {winners}; max_iter hits {hits}; newton evaluations {evaluations}"
+    source = np.concatenate([search.source for search in searches])
+    newton = np.concatenate([search.iterations for search in searches])[source == optimize.SOURCES.index("newton")]
+    counts = np.bincount(source, minlength=len(optimize.SOURCES)).tolist()
+    winners = ", ".join(f"{name} {count}" for name, count in zip(optimize.SOURCES, counts))
+    hits = np.count_nonzero(newton >= optimize.DEFAULT_MAX_ITER)
+    evaluations = f"median {np.median(newton):g}, max {newton.max()}" if newton.size else "none"
+    return f"searches {len(source)}: {winners}; max_iter hits {hits}; newton evaluations {evaluations}"
 
 
 # ---------------------------------------------------------------------------
@@ -191,13 +192,6 @@ def cmd_risk_curve(args) -> int:
     return 0
 
 
-def _search_record(best) -> dict:
-    """How one oracle search ended: winning candidate, Newton evaluations, final |lam g'| / g."""
-    stationarity = best.stationarity
-    return {"source": best.source, "iterations": best.iterations,
-            "stationarity": None if math.isnan(stationarity) else stationarity}
-
-
 def cmd_oracle(args) -> int:
     errors: list[str] = []
     raw = {key: getattr(args, key) for key in _SCENARIO_KEYS} | {"kind": scenarios.ScenarioKind(args.kind)}
@@ -207,21 +201,21 @@ def cmd_oracle(args) -> int:
     _fail_on(errors)
     spectrum, tasks = scenarios.build_ensemble(spec)
     mt_risk, st_risk, rho, search = oracles.compare(spec.n, spectrum.gamma, tasks.h[None], args.sigma2)
+    lam, value = search.lam.tolist(), search.value.tolist()
+    # how each search ended: winning candidate, Newton evaluations, final |lam g'| / g (null at a boundary)
+    records = [{"source": optimize.SOURCES[code], "iterations": k, "stationarity": None if math.isnan(s) else s}
+               for code, k, s in zip(search.source.tolist(), search.iterations.tolist(), search.stationarity.tolist())]
     payload = {
         "spec": spec.to_dict(),
         "sigma2": args.sigma2,
         "mt_risk": float(mt_risk[0]),
         "st_risk": float(st_risk[0]),
-        "lambda_star": search[0].lam,
-        "mu_star": search[1].lam,
-        "st_lambdas": [best.lam for best in search[2:]],
+        "lambda_star": lam[0],
+        "mu_star": lam[1],
+        "st_lambdas": lam[2:],
         "rho": float(rho[0]),
-        "per_task_risks": [best.value for best in search[2:]],
-        "search": {
-            "mean": _search_record(search[0]),
-            "variance": _search_record(search[1]),
-            "tasks": [_search_record(best) for best in search[2:]],
-        },
+        "per_task_risks": value[2:],
+        "search": {"mean": records[0], "variance": records[1], "tasks": records[2:]},
     }
     formula = {scenarios.ScenarioKind.H2POINTS: oracles.rho_formula_2points,
                scenarios.ScenarioKind.H1OUT: oracles.rho_formula_1out}.get(spec.kind)
@@ -351,7 +345,7 @@ def cmd_verify_bounds(args) -> int:
     sweep, sweep_search = riskfn.minimize_risks(
         [riskfn.RiskParams(n=50, p=int(round(p)), sigma2=sigma2, beta=2, delta=2, c=1.0)
          for p in np.geomspace(1, 1e7, 13)])
-    print(_run_summary(search + sweep_search), file=sys.stderr)
+    print(_run_summary(search, sweep_search), file=sys.stderr)
     labels = [report.regime for report in sweep]
     dedup = [lab for lab, _ in itertools.groupby(lab for lab in labels if lab is not riskfn.Regime.UNDETERMINED)]
     all_ok &= _check("property-4 regime flip", dedup == [riskfn.Regime.REGULARIZE, riskfn.Regime.TRIVIAL_NOISE],

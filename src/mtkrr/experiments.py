@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .optimize import ProfileMinimum
+from .optimize import Search
 from .oracles import compare
 from .scenarios import ScenarioSpec, derive_seed, draw
 
@@ -87,13 +87,14 @@ def _report(spec: ScenarioSpec, sigma2: float, n_rep: int, arr: np.ndarray, pi2_
 
 
 def run_experiments(specs: list[ScenarioSpec], sigma2: float, n_rep: int,
-                    pi2_scale: str = "N") -> tuple[list[ExperimentReport], list[ProfileMinimum]]:
+                    pi2_scale: str = "N") -> tuple[list[ExperimentReport], Search]:
     """Replicate the oracle comparison of every spec n_rep times: draw, one ``compare`` call, report.
 
     The specs must share n and p.  Returns one report per spec, each from its slice of the ratios, and
-    the searches: p + 2 per replicate, replicate by replicate, spec by spec.  ``pi2_scale`` selects the
-    normalization inside the CLT statistic: "N" (the replicate count, the statistically meaningful
-    choice) or "n" (the per-task sample size); each report records it.
+    the one ``Search`` of the comparison: p + 2 rows per replicate, replicate by replicate, spec by spec.
+    Only ``compare`` holds the (R, n, p) block of all replicates, and frees it once its rows are built.
+    ``pi2_scale`` selects the normalization inside the CLT statistic: "N" (the replicate count, the
+    statistically meaningful choice) or "n" (the per-task sample size); each report records it.
     """
     if n_rep < 1:
         raise ValueError("n_rep must be positive")
@@ -107,12 +108,12 @@ def run_experiments(specs: list[ScenarioSpec], sigma2: float, n_rep: int,
         owners.append(len(gammas) + np.arange(n_rep) % len(spectra))  # replicate r on spectrum r % len(spectra)
         gammas += [spectrum.gamma for spectrum in spectra]
         blocks.append(h)
-    del spectra  # the search needs only the blocks and the eigenvalues: free the last spectra's bases
+    del spectra, h  # free the last spectra's bases; from here on only ``blocks`` holds the task blocks
     # spectra equal bit for bit, such as every cell of a synthetic sweep at one (n, beta), share one grid scan
     gamma = np.vstack(gammas)
     _, first, which = np.unique(gamma.view(f"V{gamma.strides[0]}").ravel(), return_index=True, return_inverse=True)
-    h = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)  # one spec's block goes uncopied
-    del blocks
-    _, _, rho, search = compare(specs[0].n, gamma[first], h, sigma2, spectrum=which[np.concatenate(owners)])
+    # one spec's block goes uncopied; once popped, the block's one reference is compare's argument
+    blocks = [blocks[0] if len(blocks) == 1 else np.concatenate(blocks)]
+    _, _, rho, search = compare(specs[0].n, gamma[first], blocks.pop(), sigma2, spectrum=which[np.concatenate(owners)])
     return [_report(spec, sigma2, n_rep, rho[k * n_rep:(k + 1) * n_rep], pi2_scale)
             for k, spec in enumerate(specs)], search

@@ -12,13 +12,14 @@ effective noise variance.  The multi-task mean part, the multi-task variance
 part, each single-task risk, and the polynomial-decay template risk are all
 instances of this family; they differ only in ``s`` and ``v``.
 
-``minimize_profiles`` minimizes a stack of such curves in one pass.  It
-works in t = log lam.  Each spectrum's bracket is [g_min+/n, g_max/n]
-(smallest positive and largest eigenvalue) widened by ``BRACKET_DECADES``
-on each side, so the search follows the scale of the spectrum.  A log grid
-over the bracket locates every candidate basin of every row; all basins are
-then refined together by a safeguarded Newton iteration on dR/dt (a step
-that would leave the basin's bracket, or meets unusable curvature, becomes a
+``minimize_profiles`` minimizes a stack of such curves in one pass and
+returns one ``Search``: one array per field, entry k for row k.  It works in
+t = log lam.  Each spectrum's bracket is [g_min+/n, g_max/n] (smallest
+positive and largest eigenvalue) widened by ``BRACKET_DECADES`` on each
+side, so the search follows the scale of the spectrum.  A log grid over the
+bracket locates every candidate basin of every row; all basins are then
+refined together by a safeguarded Newton iteration on dR/dt (a step that
+would leave the basin's bracket, or meets unusable curvature, becomes a
 bisection).  A basin stops on the relative rule |lam g'(lam)| <= tol g(lam),
 which reads the same at every scale of the eigenvalues, the signal and the
 noise.  The exact limits lam = 0 and lam = +inf compete with the interior
@@ -104,27 +105,27 @@ class RidgeRiskProfile:
 
 
 @dataclass(frozen=True)
-class ProfileMinimum:
-    """Result of a one-dimensional oracle search.
+class Search:
+    """Results of a stack of oracle searches: one array per field, entry k for row k.
 
-    ``lam`` may be 0.0 or math.inf when a boundary dominates every interior
-    stationary point (for example a pure-noise profile is minimized in the
-    full-shrinkage limit).  ``grad`` is g'(lam), nan at a boundary;
-    ``iterations`` counts the Newton evaluations of the winning basin.
+    ``lam`` is 0.0 or inf where a boundary beats every interior stationary
+    point (a pure-noise profile, say, is minimized in the full-shrinkage
+    limit).  ``grad`` is g'(lam), nan at a boundary; ``iterations`` counts the
+    Newton evaluations of the winning basin; ``source`` indexes ``SOURCES``.
     """
 
-    lam: float
-    value: float
-    grad: float
-    iterations: int
-    source: str  # "newton", "grid", "zero" or "limit"
+    lam: np.ndarray
+    value: np.ndarray
+    grad: np.ndarray
+    iterations: np.ndarray
+    source: np.ndarray
 
     @property
-    def stationarity(self) -> float:
+    def stationarity(self) -> np.ndarray:
         """|lam g'(lam)| / g(lam), the quantity the stopping rule bounds; nan at a boundary."""
-        if not math.isfinite(self.grad) or self.value <= 0:
-            return math.nan
-        return abs(self.lam * self.grad) / self.value
+        with np.errstate(all="ignore"):  # boundary rows: nan grad, inf lam, or zero value
+            ratio = np.abs(self.lam * self.grad) / self.value
+        return np.where(np.isfinite(self.grad) & (self.value > 0), ratio, np.nan)
 
 
 def _curve(n: int, gamma, signal, noise, spectrum, rows, x):
@@ -218,8 +219,8 @@ def minimize_profiles(
     signal: np.ndarray,
     noise: np.ndarray,
     spectrum: np.ndarray | None = None,
-) -> list[ProfileMinimum]:
-    """Minimize a stack of ridge risk curves over lam in [0, +inf], one result per row.
+) -> Search:
+    """Minimize a stack of ridge risk curves over lam in [0, +inf]; row k's result is entry k of each column.
 
     Row k has signal ``signal[k]`` (rows x width), noise ``noise[k]`` and the
     eigenvalues ``gamma[spectrum[k]]``: ``gamma`` holds the distinct spectra
@@ -293,16 +294,13 @@ def minimize_profiles(
     first = order[np.concatenate(([True], basin_row[order][1:] != basin_row[order][:-1]))]
     candidates = np.array((zero, limit, r_end[first], vals.min(axis=1)))  # in the order of SOURCES
     source = candidates.argmin(axis=0)  # the first of equal candidates wins
-    codes, t, g = source.tolist(), t_end[first], g_end[first]
-    if 3 in codes:  # rare, so the common case skips this evaluation
-        grid = np.flatnonzero(source == 3)
+    t, g = t_end[first], g_end[first]
+    grid = np.flatnonzero(source == 3)
+    if grid.size:  # rare, so the common case skips this evaluation
         t[grid] = t_grid[spectrum[grid], np.argmin(vals[grid], axis=1)]
         g[grid] = _curve(n, gamma, signal, noise, spectrum, grid, n * np.exp(t[grid]))[1]
-    out = []
-    for code, values, x, d, k in zip(codes, candidates.T.tolist(), t.tolist(), g.tolist(), iters[first].tolist()):
-        if code < 2:
-            out.append(ProfileMinimum((0.0, math.inf)[code], values[code], math.nan, 0, SOURCES[code]))
-        else:
-            lam = math.exp(x)  # not np.exp, which may differ in the last bit
-            out.append(ProfileMinimum(lam, values[code], d / lam, k if code == 2 else 0, SOURCES[code]))
-    return out
+    lam, grad = np.where(source == 0, 0.0, math.inf), np.full(rows, math.nan)
+    inner = np.flatnonzero(source >= 2)
+    lam[inner] = [math.exp(x) for x in t[inner].tolist()]  # not np.exp, which may differ in the last bit
+    grad[inner] = g[inner] / lam[inner]
+    return Search(lam, candidates[source, np.arange(rows)], grad, np.where(source == 2, iters[first], 0), source)

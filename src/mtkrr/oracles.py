@@ -14,22 +14,24 @@ import math
 import numpy as np
 
 from .estimators import comparison_rows
-from .optimize import ProfileMinimum, minimize_profiles
+from .optimize import Search, minimize_profiles
 
 
 def compare(n: int, gamma: np.ndarray, h: np.ndarray, sigma2: float,
-            spectrum: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[ProfileMinimum]]:
+            spectrum: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray, Search]:
     """Both oracles and rho of each replicate of an (R, n, p) block, replicate r on ``gamma[spectrum[r]]``.
 
     Returns the multi-task risk, the single-task risk (the task minima summed left to right, not pairwise)
-    and rho, one per replicate, and the one stacked search: mean part, variance part, each task, per replicate.
-    Without ``spectrum`` every replicate searches on spectrum 0, as ``minimize_profiles`` does.
+    and rho, one per replicate, and the one stacked ``Search``: mean part, variance part, each task, per
+    replicate.  Without ``spectrum`` every replicate searches on spectrum 0, as ``minimize_profiles`` does.
+    A block the caller holds no reference to is freed once its rows are built, before the search.
     """
     reps, p = h.shape[0], h.shape[-1]
     signal, noise = comparison_rows(h, sigma2)
+    del h
     owner = None if spectrum is None else np.repeat(spectrum, p + 2)
     search = minimize_profiles(n, gamma, signal.reshape(-1, n), np.tile(noise, reps), spectrum=owner)
-    values = np.array([best.value for best in search]).reshape(reps, p + 2)
+    values = search.value.reshape(reps, p + 2)
     st_risk = np.add.accumulate(values[:, 2:], axis=1)[:, -1] / p
     if (st_risk <= 0).any():
         raise ZeroDivisionError("single-task oracle risk is zero; the ratio is undefined")

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .optimize import ProfileMinimum, RidgeRiskProfile, minimize_profiles
+from .optimize import RidgeRiskProfile, Search, minimize_profiles
 from .scenarios import synth_spectrum
 
 
@@ -210,16 +210,18 @@ def _classify(params: RiskParams, rate: float, lambda_star: float, r_star: float
     return Regime.UNDETERMINED
 
 
-def minimize_risks(grid: list[RiskParams]) -> tuple[list[BoundReport], list[ProfileMinimum]]:
-    """Optimize the template risk of every cell and attach its envelope and regime; return the reports and searches.
+def minimize_risks(grid: list[RiskParams]) -> tuple[list[BoundReport], Search]:
+    """Optimize the template risk of every cell and attach its envelope and regime; return the reports and the search.
 
     Cells of one n are searched in one ``minimize_profiles`` call, one
-    spectrum per distinct beta; each search is bit-identical to the cell's
-    search alone.  kappa and alpha run once per distinct (beta, delta).
-    Bounds that require the minimax (resp. lower-bound) window are reported
-    as nan outside it instead of being extrapolated.
+    spectrum per distinct beta; the returned ``Search`` holds every cell's
+    row in grid order, each bit-identical to the cell's search alone.
+    kappa and alpha run once per distinct (beta, delta).  Bounds that
+    require the minimax (resp. lower-bound) window are reported as nan
+    outside it instead of being extrapolated.
     """
-    search: list[ProfileMinimum] = [None] * len(grid)
+    lam, value, grad = np.empty((3, len(grid)))
+    iterations, source = np.empty((2, len(grid)), dtype=np.intp)
     for n in dict.fromkeys(params.n for params in grid):
         cells = [k for k, params in enumerate(grid) if params.n == n]
         i = np.arange(1, n + 1, dtype=float)
@@ -231,11 +233,11 @@ def minimize_risks(grid: list[RiskParams]) -> tuple[list[BoundReport], list[Prof
         found = minimize_profiles(n, np.array([synth_spectrum(n, beta).gamma for beta in betas]), signal,
                                   np.array([grid[k].sigma2 / grid[k].p for k in cells]),
                                   spectrum=np.array([betas.index(grid[k].beta) for k in cells]))
-        for k, best in zip(cells, found):
-            search[k] = best
+        lam[cells], value[cells], grad[cells] = found.lam, found.value, found.grad
+        iterations[cells], source[cells] = found.iterations, found.source
     constants: dict[tuple[float, float], tuple[float, float]] = {}
     reports = []
-    for params, best in zip(grid, search):
+    for params, r_star, lambda_star in zip(grid, value.tolist(), lam.tolist()):
         pair = (params.beta, params.delta)
         if pair not in constants:
             constants[pair] = (kappa(*pair) if params.satisfies_hm else math.nan,
@@ -247,16 +249,16 @@ def minimize_risks(grid: list[RiskParams]) -> tuple[list[BoundReport], list[Prof
         except NoEpsilonCapError:
             cap = math.nan
         reports.append(BoundReport(
-            r_star=best.value,
-            lambda_star=best.lam,
+            r_star=r_star,
+            lambda_star=lambda_star,
             upper=upper_bound(params, rate) if params.satisfies_hm else math.nan,
             lower=lower_bound(params, rate, alpha) if params.satisfies_lb else math.nan,
             epsilon_cap=cap,
-            regime=_classify(params, rate, best.lam, best.value),
+            regime=_classify(params, rate, lambda_star, r_star),
             kappa=kap,
             alpha=alpha,
         ))
-    return reports, search
+    return reports, Search(lam, value, grad, iterations, source)
 
 
 def minimize_risk(params: RiskParams) -> BoundReport:

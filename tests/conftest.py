@@ -1,12 +1,13 @@
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 from hypothesis import settings
 from scipy.integrate import quad
 
 from mtkrr.estimators import multitask_rows, singletask_rows
-from mtkrr.optimize import ProfileMinimum, RidgeRiskProfile, minimize_profiles
+from mtkrr.optimize import SOURCES, RidgeRiskProfile, Search, minimize_profiles
 from mtkrr.oracles import compare
 from mtkrr.spectral import KernelSpectrum, TaskEnsemble
 from reference import MeanVarianceProfile
@@ -67,9 +68,42 @@ def s2(n: int, lam: float, beta: float) -> float:
     return float(np.sum(1.0 / (1 + lam * i ** (2 * beta)) ** 2))
 
 
-def minimize_profile(profile: RidgeRiskProfile) -> ProfileMinimum:
+class Row(NamedTuple):
+    """One row of a ``Search``, with its source by name."""
+
+    lam: float
+    value: float
+    grad: float
+    iterations: int
+    source: str
+    stationarity: float
+
+
+def rows(search: Search) -> list[Row]:
+    """The rows of ``search``: its columns zipped."""
+    return [Row(*row) for row in zip(search.lam.tolist(), search.value.tolist(), search.grad.tolist(),
+                                     search.iterations.tolist(), [SOURCES[code] for code in search.source.tolist()],
+                                     search.stationarity.tolist())]
+
+
+def bits(search: Search, index=slice(None)) -> tuple[bytes, ...]:
+    """The raw bytes of every column of ``search`` at ``index``: equal only if bit for bit equal (-0.0 and nan too)."""
+    return tuple(getattr(search, field.name)[index].tobytes() for field in fields(search))
+
+
+def stack(searches: list[Search]) -> Search:
+    """One ``Search`` holding the rows of ``searches`` in order."""
+    return Search(*(np.concatenate([getattr(search, field.name) for search in searches]) for field in fields(Search)))
+
+
+def search_one(profile: RidgeRiskProfile) -> Search:
     """Minimize one ridge risk curve over lam in [0, +inf]: a one-row ``minimize_profiles``."""
-    return minimize_profiles(profile.n, profile.gamma, profile.signal[None, :], np.array([profile.noise]))[0]
+    return minimize_profiles(profile.n, profile.gamma, profile.signal[None, :], np.array([profile.noise]))
+
+
+def minimize_profile(profile: RidgeRiskProfile) -> Row:
+    """The one row of ``search_one``."""
+    return rows(search_one(profile))[0]
 
 
 def value_grid(profile: RidgeRiskProfile, lams: np.ndarray) -> np.ndarray:
@@ -110,7 +144,7 @@ class MTOracle:
     risk: float
     mean_part: float
     var_part: float
-    search: tuple[ProfileMinimum, ProfileMinimum]  # the mean-part and variance-part searches
+    search: Search  # the mean-part and variance-part searches
 
 
 @dataclass(frozen=True)
@@ -118,20 +152,21 @@ class STOracle:
     lambdas: tuple[float, ...]
     risk: float
     per_task: tuple[float, ...]
-    search: tuple[ProfileMinimum, ...]  # one search per task
+    search: Search  # one search per task
 
 
 def oracle_multitask(spectrum: KernelSpectrum, profile: MeanVarianceProfile, sigma2: float, p: int) -> MTOracle:
     """Independently minimize the mean part over lam and the variance part over mu."""
     signal, noise = multitask_rows(profile.mu, profile.varsigma2, sigma2, p)
-    mean, var = minimize_profiles(spectrum.n, spectrum.gamma, signal, noise)
-    return MTOracle(lambda_star=mean.lam, mu_star=var.lam, risk=mean.value + var.value, mean_part=mean.value,
-                    var_part=var.value, search=(mean, var))
+    search = minimize_profiles(spectrum.n, spectrum.gamma, signal, noise)
+    (lambda_star, mu_star), (mean, var) = search.lam.tolist(), search.value.tolist()
+    return MTOracle(lambda_star=lambda_star, mu_star=mu_star, risk=mean + var, mean_part=mean, var_part=var,
+                    search=search)
 
 
 def oracle_singletask(spectrum: KernelSpectrum, tasks: TaskEnsemble, sigma2: float) -> STOracle:
     """Per-task oracle ridge risks, averaged over the p tasks."""
     search = minimize_profiles(spectrum.n, spectrum.gamma, *singletask_rows(tasks.h, sigma2))
-    risks = [best.value for best in search]
-    return STOracle(lambdas=tuple(best.lam for best in search), risk=sum(risks) / len(search),
-                    per_task=tuple(risks), search=tuple(search))
+    risks = search.value.tolist()
+    return STOracle(lambdas=tuple(search.lam.tolist()), risk=sum(risks) / len(risks), per_task=tuple(risks),
+                    search=search)

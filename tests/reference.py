@@ -13,8 +13,10 @@ the central correctness check of the package (criterion 1).
 The spectral route is canonical: it is defined for lam = 0 and mu = 0 where
 the Kronecker-inverse formula is not, and it has no size cap.
 
-Also here: the one-spec form of ``mtkrr.experiments.run_experiments``, the
-degrees-of-freedom diagnostic ``df_and_bias``, and the paper formulas no
+Also here: a certifier of the engine's global minima
+(``certified_lower_bound``), the one-spec form of
+``mtkrr.experiments.run_experiments``, the degrees-of-freedom diagnostic
+``df_and_bias``, and the paper formulas no
 command evaluates (the template risk at one lambda, the maximizer ``t_star``
 and the data-driven estimator's bound ``hm_bound_rhs``), each kept with its
 checks.
@@ -234,6 +236,58 @@ def df_and_bias(spectrum: KernelSpectrum, h_j: np.ndarray, lam: float) -> tuple[
     bias = RidgeRiskProfile(spectrum.n, gamma, np.asarray(h_j, dtype=float) ** 2, 0.0).parts(lam)[0]
     df = np.divide(gamma, gamma + spectrum.n * lam, out=np.zeros_like(gamma), where=gamma > 0)
     return float(np.sum(df)), bias
+
+
+# ---------------------------------------------------------------------------
+# certified global minimum of a risk curve
+
+CERTIFY_DECADES = 20.0  # the bisected range: the spectrum's scale widened by this many decades on each side
+
+
+def _bias_variance(profile: RidgeRiskProfile, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bias and variance of ``profile`` at every lam > 0 of ``lam``, as ``RidgeRiskProfile.parts`` forms them."""
+    x = profile.n * lam[:, None]
+    d = profile.gamma + x
+    b, a = x / d, profile.gamma / d
+    return np.sum(profile.signal * b * b, axis=1) / profile.n, profile.noise / profile.n * np.sum(a * a, axis=1)
+
+
+def certified_lower_bound(profile: RidgeRiskProfile, value: float, gap: float = 1e-6,
+                          max_evaluations: int = 200_000) -> tuple[float, int]:
+    """A lower bound on the minimum of the curve over lam in [0, +inf], refined until it reaches value / (1 + gap).
+
+    Branch and bound in t = log lam on the bias-variance monotonicity of
+    ridge shrinkage (Hoerl and Kennard, Technometrics 1970): the bias B does
+    not decrease as lam grows and the variance V does not increase, so
+    R >= B(lam_a) + V(lam_b) on every cell [lam_a, lam_b].  The two end
+    cells are bounded by B(0) + V(lam_0) on [0, lam_0] and by B(lam_last)
+    on [lam_last, +inf].  Every cell whose bound is below the target is
+    bisected, all at once, until none is or ``max_evaluations`` points are
+    spent.  The bound is rigorous up to rounding; with it the engine's
+    ``value`` is within a factor 1 + gap of the global minimum.  Returns the
+    bound and the number of points evaluated.
+    """
+    positive = profile.gamma[profile.gamma > 0]
+    widen = CERTIFY_DECADES * math.log(10.0)
+    t = np.linspace(math.log(positive.min() / profile.n) - widen, math.log(positive.max() / profile.n) + widen, 65)
+    bias, var = _bias_variance(profile, np.exp(t))
+    ends = min(profile.parts(0.0)[0] + var[0], bias[-1])
+    target = value / (1 + gap)
+    lo, hi, bias_lo, var_hi = t[:-1], t[1:], bias[:-1], var[1:]
+    closed, evaluations = math.inf, len(t)
+    while True:
+        bound = bias_lo + var_hi
+        open_ = bound < target
+        closed = min(closed, bound[~open_].min(initial=math.inf))
+        lo, hi, bias_lo, var_hi = lo[open_], hi[open_], bias_lo[open_], var_hi[open_]
+        if not lo.size or evaluations >= max_evaluations:
+            break
+        mid = 0.5 * (lo + hi)
+        bias_mid, var_mid = _bias_variance(profile, np.exp(mid))
+        evaluations += len(mid)
+        lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
+        bias_lo, var_hi = np.concatenate((bias_lo, bias_mid)), np.concatenate((var_mid, var_hi))
+    return min(ends, closed, float((bias_lo + var_hi).min(initial=math.inf))), evaluations
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ import mtkrr
 from mtkrr.cli import main
 from mtkrr.render import emit_heatmap, emit_table
 from mtkrr.scenarios import ScenarioKind, ScenarioSpec, build_ensemble
-from conftest import compare_one
+from conftest import compare_one, stack
 from reference import run_experiment
 
 
@@ -112,8 +112,8 @@ class TestOracleCommand:
         spec = ScenarioSpec(kind=ScenarioKind.SETTING_C, n=30, p=4, c1=1.0, c2=0.5, delta1=2.0, delta2=1.5, seed=3)
         mt_risk, st_risk, rho, search = compare_one(*build_ensemble(spec), 1.0)
         assert (payload["mt_risk"], payload["st_risk"], payload["rho"]) == (mt_risk, st_risk, rho)
-        assert [payload["lambda_star"], payload["mu_star"], *payload["st_lambdas"]] == [best.lam for best in search]
-        assert payload["per_task_risks"] == [best.value for best in search[2:]]
+        assert [payload["lambda_star"], payload["mu_star"], *payload["st_lambdas"]] == search.lam.tolist()
+        assert payload["per_task_risks"] == search.value[2:].tolist()
 
     def test_missing_delta2_is_reported(self, tmp_path, capsys):
         rc = main(["oracle", "--kind", "setting_c", "--n", "10", "--p", "2", "--c1", "1",
@@ -438,7 +438,7 @@ class TestRunSummary:
 
         def one_by_one(grid):
             cells = [original([params]) for params in grid]
-            return [reports[0] for reports, _ in cells], [search[0] for _, search in cells]
+            return [reports[0] for reports, _ in cells], stack([search for _, search in cells])
 
         monkeypatch.setattr(mtkrr.riskfn, "minimize_risks", one_by_one)
         assert main(["verify-bounds", "--out", str(tmp_path / "alone.txt")]) == 0

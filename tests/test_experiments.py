@@ -141,7 +141,7 @@ class TestRunExperiment:
         specs = [quick_spec(**{"kind": kind, "p": 3, "seed": derive_seed(8, k), **cell}) for k, cell in enumerate(axis)]
         reports, search = run_experiments(specs, 0.7, 4)
         assert reports == [run_experiment(spec, 0.7, 4) for spec in specs]
-        assert len(search) == len(specs) * 4 * (specs[0].p + 2)
+        assert len(search.value) == len(specs) * 4 * (specs[0].p + 2)
 
     def test_specs_of_one_run_share_n_and_p(self):
         with pytest.raises(ValueError, match="share n and p"):

@@ -1,4 +1,4 @@
-"""Layout guards: the package holds no code that only the tests use, keeps the dense route off the hot path, one module forks on setting B, one module lays out a comparison, one function reads the sweep configs, and one module writes files.
+"""Layout guards: the package holds no code that only the tests use, keeps the dense route off the hot path, one module forks on setting B, one module lays out a comparison, one function reads the sweep configs, one module writes files, and a search has one columnar result type.
 
 A public function, class or method defined in ``src/mtkrr`` counts as used
 only if a package module other than ``__init__.py`` references it, or a
@@ -123,6 +123,12 @@ def test_only_render_writes_files():
                or isinstance(node, ast.Import) and {alias.name for alias in node.names} & {"csv", "json"}
                or isinstance(node, ast.ImportFrom) and node.module in ("csv", "json")]
     assert not writers, f"modules other than render.py write files or know a data format: {writers}"
+
+
+def test_a_search_result_is_columnar():
+    """``minimize_profiles`` returns one ``Search`` of arrays: no module defines or names the per-row ``ProfileMinimum``."""
+    named = [path.name for path in sorted(PACKAGE.glob("*.py")) if re.search(r"\bProfileMinimum\b", path.read_text())]
+    assert not named, f"modules of src/mtkrr define or name ProfileMinimum: {named}"
 
 
 def test_readme_library_example_runs(capsys):

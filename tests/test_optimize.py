@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from conftest import minimize_profile, value_grid
+from conftest import bits, minimize_profile, rows, search_one, value_grid
+from reference import certified_lower_bound
 
 from mtkrr import optimize
 from mtkrr.optimize import BRACKET_DECADES, RidgeRiskProfile, _curve, minimize_profiles
@@ -180,34 +181,101 @@ def test_scaling_gamma_and_lambda_together_leaves_the_oracle_unchanged(prof, log
 
 @given(st.integers(min_value=2, max_value=30).flatmap(
     lambda n: st.lists(profiles(n=n), min_size=2, max_size=6)), st.randoms(use_true_random=False))
-def test_each_row_is_bit_identical_alone_in_any_stack_and_order(rows, rnd):
-    n = rows[0].n
-    gammas = np.vstack([prof.gamma for prof in rows])
-    signal = np.vstack([prof.signal for prof in rows])
-    noise = np.array([prof.noise for prof in rows])
-    # repr compares every field exactly: it round-trips floats, and nan == nan
-    alone = [repr(minimize_profile(prof)) for prof in rows]
-    stacked = [repr(best) for best in minimize_profiles(n, gammas, signal, noise, spectrum=np.arange(len(rows)))]
-    order = list(range(len(rows)))
+def test_each_row_is_bit_identical_alone_in_any_stack_and_order(profs, rnd):
+    n = profs[0].n
+    gammas = np.vstack([prof.gamma for prof in profs])
+    signal = np.vstack([prof.signal for prof in profs])
+    noise = np.array([prof.noise for prof in profs])
+    # the raw bytes of every column: bit for bit, -0.0 apart from 0.0, and every nan alike
+    alone = [bits(search_one(prof)) for prof in profs]
+    stacked = minimize_profiles(n, gammas, signal, noise, spectrum=np.arange(len(profs)))
+    order = list(range(len(profs)))
     rnd.shuffle(order)
     shuffled = minimize_profiles(n, gammas, signal[order], noise[order], spectrum=np.array(order))
-    assert stacked == alone
-    assert [repr(best) for best in shuffled] == [alone[k] for k in order]
+    assert [bits(stacked, [k]) for k in range(len(profs))] == alone
+    assert [bits(shuffled, [k]) for k in range(len(profs))] == [alone[k] for k in order]
     # every row on one shared spectrum
     shared = minimize_profiles(n, gammas[0], signal, noise)
-    assert [repr(best) for best in shared] == [
-        repr(minimize_profile(RidgeRiskProfile(n=n, gamma=gammas[0], signal=prof.signal, noise=prof.noise)))
-        for prof in rows]
+    assert [bits(shared, [k]) for k in range(len(profs))] == [
+        bits(search_one(RidgeRiskProfile(n=n, gamma=gammas[0], signal=prof.signal, noise=prof.noise)))
+        for prof in profs]
+
+
+# ---------------------------------------------------------------------------
+# certified global minima
+
+CERTIFY_GAP = 1e-6  # relative: open cells near the optimum grow like gap^(-1/2)
+
+
+@st.composite
+def two_cluster_profiles(draw, n):
+    """Two-basin curves: signal on the leading direction and on a pair far down a steep spectrum, little noise."""
+    i = np.arange(1, n + 1, dtype=float)
+    gamma = 10.0 ** draw(decades) * i ** (-2.0 * draw(st.floats(min_value=2.5, max_value=3.5)))
+    scale = 10.0 ** draw(decades)
+    signal = np.zeros(n)
+    signal[0] = scale * 10.0 ** draw(st.floats(min_value=-2.0, max_value=0.0))
+    at = draw(st.integers(min_value=n // 2, max_value=n - 3))
+    signal[at:at + 2] = scale
+    return RidgeRiskProfile(n=n, gamma=gamma, signal=signal,
+                            noise=scale * 10.0 ** draw(st.floats(min_value=-3.0, max_value=-2.0)))
+
+
+def grid_minima(prof: RidgeRiskProfile) -> np.ndarray:
+    """The values of the curve's local minima on a dense log grid over the spectrum's scale, both limits included."""
+    positive = prof.gamma[prof.gamma > 0]
+    lams = np.geomspace(positive.min() / prof.n * 1e-6, positive.max() / prof.n * 1e6, 20_000)
+    v = np.concatenate(([prof.value(0.0)], value_grid(prof, lams), [prof.value(math.inf)]))
+    return v[1:-1][(v[1:-1] < v[:-2]) & (v[1:-1] <= v[2:])]
+
+
+def assert_certified(profs: list[RidgeRiskProfile]):
+    """Every value of one stacked search of ``profs`` is within 1 + ``CERTIFY_GAP`` of its curve's global minimum."""
+    search = minimize_profiles(profs[0].n, np.vstack([prof.gamma for prof in profs]),
+                               np.vstack([prof.signal for prof in profs]), np.array([prof.noise for prof in profs]),
+                               spectrum=np.arange(len(profs)))
+    for prof, value in zip(profs, search.value.tolist()):
+        lower, evaluations = certified_lower_bound(prof, value, CERTIFY_GAP)
+        assert value <= (1 + CERTIFY_GAP) * lower, (value, lower, evaluations)
+
+
+@given(st.integers(min_value=2, max_value=40).flatmap(lambda n: st.lists(profiles(n=n), min_size=1, max_size=4)))
+def test_every_value_of_a_stack_is_certified_globally_minimal(profs):
+    assert_certified(profs)
+
+
+@given(st.integers(min_value=20, max_value=40).flatmap(
+    lambda n: st.lists(two_cluster_profiles(n), min_size=1, max_size=4)))
+def test_every_value_of_a_multi_basin_stack_is_certified_globally_minimal(profs):
+    assume(all(len(grid_minima(prof)) >= 2 for prof in profs))
+    assert_certified(profs)
+
+
+def test_the_certifier_refutes_the_minimum_of_the_other_basin():
+    # two basins, near lam = 1e-11 (risk 0.0029) and 2e-3 (risk 0.067): the engine's value is certified, and the
+    # higher basin's minimum is not, because the cell holding the global minimizer never closes under it
+    n = 30
+    signal = np.zeros(n)
+    signal[0], signal[20:22] = 0.1, 1.0
+    prof = RidgeRiskProfile(n=n, gamma=np.arange(1, n + 1, dtype=float) ** -6.0, signal=signal, noise=3e-3)
+    local = grid_minima(prof)
+    assert len(local) == 2
+    found = minimize_profile(prof).value
+    assert found <= (1 + CERTIFY_GAP) * certified_lower_bound(prof, found, CERTIFY_GAP)[0]
+    lower, evaluations = certified_lower_bound(prof, float(local.max()), CERTIFY_GAP, max_evaluations=20_000)
+    assert local.max() > 20 * (1 + CERTIFY_GAP) * lower and evaluations >= 20_000
 
 
 def test_degenerate_rows_resolve_to_their_limits():
     n = 12
     gamma = n * np.arange(1, n + 1, dtype=float) ** -3.0
     signal = np.vstack([np.zeros(n), np.ones(n), np.ones(n)])
-    zero_signal, zero_noise, flat = minimize_profiles(
-        n, np.vstack([gamma, gamma, np.zeros(n)]), signal, np.array([1.0, 0.0, 1.0]), spectrum=np.arange(3))
+    zero_signal, zero_noise, flat = rows(minimize_profiles(
+        n, np.vstack([gamma, gamma, np.zeros(n)]), signal, np.array([1.0, 0.0, 1.0]), spectrum=np.arange(3)))
     assert (zero_signal.lam, zero_signal.value, zero_signal.source) == (math.inf, 0.0, "limit")
     assert (zero_noise.lam, zero_noise.value, zero_noise.source) == (0.0, 0.0, "zero")
+    # a boundary row has no stationarity: nan grad, inf lam and zero value raise no warning
+    assert math.isnan(zero_signal.stationarity) and math.isnan(zero_noise.stationarity)
     # no positive eigenvalue: the curve is flat at sum(s)/n and a boundary wins
     assert flat.source in ("zero", "limit") and flat.value == pytest.approx(1.0)
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import minimize_profile, quad_kappa, quad_tail_integral, s1, s2, value_grid
+from conftest import bits, minimize_profile, quad_kappa, quad_tail_integral, rows, s1, s2, search_one, value_grid
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad
@@ -410,20 +410,23 @@ class TestMinimizeRisks:
     def test_each_cell_as_alone_in_any_order(self, grid, data):
         reports, search = minimize_risks(grid)
         alone = [minimize_risks([params]) for params in grid]
-        # repr is exact for floats and equal for every nan: bit-equal, NaN-aware
+        # repr is exact for floats and equal for every nan: bit-equal, NaN-aware; so are a search's column bytes
         assert repr(reports) == repr([cell_reports[0] for cell_reports, _ in alone])
-        assert repr(search) == repr([cell_search[0] for _, cell_search in alone])
+        cells = [bits(search, [k]) for k in range(len(grid))]
+        assert cells == [bits(cell_search) for _, cell_search in alone]
         # and the curve is the one risk-curve tabulates
-        assert repr(search) == repr([minimize_profile(template_profile(params)) for params in grid])
+        assert cells == [bits(search_one(template_profile(params))) for params in grid]
         assert repr(minimize_risk(grid[0])) == repr(reports[0])
         order = data.draw(st.permutations(range(len(grid))))
-        shuffled = minimize_risks([grid[k] for k in order])
-        assert repr(shuffled) == repr(([reports[k] for k in order], [search[k] for k in order]))
+        shuffled_reports, shuffled = minimize_risks([grid[k] for k in order])
+        assert repr(shuffled_reports) == repr([reports[k] for k in order])
+        assert bits(shuffled) == bits(search, order)
         for params, report in zip(grid, reports):
             assert report.r_star <= brute_force_minimum(params) * (1 + 1e-9)
 
     def test_empty_grid(self):
-        assert minimize_risks([]) == ([], [])
+        reports, search = minimize_risks([])
+        assert reports == [] and rows(search) == []
 
 
 def test_params_flags():
