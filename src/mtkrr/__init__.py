@@ -20,7 +20,7 @@ from .riskfn import (
     kappa,
     minimize_risk,
 )
-from .scenarios import ScenarioKind, ScenarioSpec, build_ensemble, synth_spectrum
+from .scenarios import ScenarioKind, ScenarioSpec, build_ensemble, derive_seed, synth_spectrum
 from .spectral import KernelSpectrum, TaskEnsemble, eigendecompose_kernel, project_tasks
 
 __version__ = "0.1.0"

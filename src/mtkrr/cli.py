@@ -16,6 +16,8 @@ import configparser
 import itertools
 import math
 import sys
+import time
+from collections.abc import Callable
 
 import numpy as np
 
@@ -97,19 +99,22 @@ def _sweep(
     name: str,
     cells: list[tuple[str, tuple[int, ...], dict[str, float]]],
     errors: list[str],
+    write: Callable[[list[experiments.ExperimentReport]], None],
     pi2_scale: str = "N",
 ) -> list[experiments.ExperimentReport]:
-    """Run one experiment per (label, path, overrides) cell, in order, and return the reports.
+    """Run one experiment per (label, path, overrides) cell, in order, ``write`` the reports and return them.
 
     ``experiment``, ``table`` and ``heatmap`` all run through here;
     ``experiment`` is the one-cell case, with no overrides and the empty
     path.  Each cell is the section's scenario keys with ``overrides``
     applied and the seed ``derive_seed(seed, *path)``, or the section's seed
-    itself for the empty path.  ``sigma2`` and ``n_rep`` are read by
+    itself for the empty path; the cells share one path length, so their
+    seeds are one ``derive_seeds`` pass.  ``sigma2`` and ``n_rep`` are read by
     ``_fields`` like every other key.  The caller's ``errors`` (its own
     keys: outputs, axes), the section's key errors (a scenario key no cell
     overrides is checked once, as ``{name}.{key}``) and every cell's errors
-    are reported together, before any cell runs.
+    are reported together, before any cell runs.  Once the reports are
+    written, one stderr line sums up the searches and times the stages.
     """
     size = _fields(section, ("sigma2", "n_rep"), errors, f"{name}.")
     if not 0 < size.get("sigma2", 1.0) < math.inf:  # a missing or unparsable value is already reported
@@ -128,8 +133,11 @@ def _sweep(
     specs = []
     cell_errors: list[str] = []
     if not shared_errors:  # otherwise every cell would repeat them
-        for label, path, overrides in cells:
-            raw = {**shared, **overrides, "seed": scenarios.derive_seed(seed, *path) if path else seed}
+        paths = np.array([path for _, path, _ in cells], dtype=np.uint64).T  # one column per cell
+        seeds = [seed] * len(cells) if not len(paths) else \
+            scenarios.derive_seeds(np.full(len(cells), seed, dtype=np.uint64), paths).tolist()
+        for (label, _, overrides), cell_seed in zip(cells, seeds):
+            raw = {**shared, **overrides, "seed": cell_seed}
             specs.append(_build_spec(raw, cell_errors, f"{label.replace(' ', '')}."))
     # an error every cell makes is the section's, reported once
     messages = {message.split(".", 1)[1] for message in cell_errors}
@@ -139,8 +147,12 @@ def _sweep(
         errors += [f"{name}.{message}" for message in cell_errors]
     _fail_on(errors)
 
-    reports, search = experiments.run_experiments(specs, size["sigma2"], size["n_rep"], pi2_scale)
-    print(_run_summary(search), file=sys.stderr)
+    reports, search, times = experiments.run_experiments(specs, size["sigma2"], size["n_rep"], pi2_scale)
+    start = time.perf_counter()
+    write(reports)
+    times["render"] = time.perf_counter() - start
+    stages = ", ".join(f"{stage} {1e3 * seconds:.1f}" for stage, seconds in times.items())
+    print(f"{_run_summary(search)}; stage ms {stages}", file=sys.stderr)
     return reports
 
 
@@ -233,11 +245,14 @@ def cmd_experiment(args) -> int:
     if pi2_scale not in ("N", "n"):
         errors.append(f"experiment.pi2_scale: must be 'N' or 'n', got {pi2_scale!r}")
     out_json = _fields(section, ("out_json",), errors, "experiment.").get("out_json")
-    [report] = _sweep(section, "experiment", [("", (), {})], errors, pi2_scale)
-    render.write_report_json(report, out_json)
     out_csv = section.get("out_csv")
-    if out_csv:
-        render.write_csv(out_csv, [("replicate", "ratio"), *enumerate(report.ratios)])
+
+    def write(reports):
+        render.write_report_json(reports[0], out_json)
+        if out_csv:
+            render.write_csv(out_csv, [("replicate", "ratio"), *enumerate(reports[0].ratios)])
+
+    [report] = _sweep(section, "experiment", [("", (), {})], errors, write, pi2_scale)
     print(f"mean ratio {report.mean_ratio!r} over {report.n_rep} replicates -> {out_json}")
     return 0
 
@@ -254,8 +269,7 @@ def cmd_table(args) -> int:
     pairs = [(bm, c2) for bm in bm_values for c2 in c2_values]
     cells = [(f"row {k}", (k,), {"c2": c2, "beta_or_m": bm}) for k, (bm, c2) in enumerate(pairs)]
     out_csv = _fields(section, ("out_csv",), errors, "table.").get("out_csv")
-    reports = _sweep(section, "table", cells, errors)
-    render.emit_table(reports, out_csv)
+    reports = _sweep(section, "table", cells, errors, lambda reports: render.emit_table(reports, out_csv))
     print(f"wrote {len(reports)} rows to {out_csv}")
     return 0
 
@@ -278,10 +292,9 @@ def cmd_heatmap(args) -> int:
     cells = [] if errors else [(f"cell ({i},{j})", (i, j), {row_param: rv, col_param: cv})
                                for i, rv in enumerate(row_values) for j, cv in enumerate(col_values)]
     out_csv = _fields(section, ("out_csv",), errors, "heatmap.").get("out_csv")
-    reports = _sweep(section, "heatmap", cells, errors)
-
-    render.emit_heatmap(reports, row_param, row_values, col_param, col_values, out_csv, section.get("out_svg"),
-                        f"mean oracle-risk ratio, {section.get('kind', 'scenario')}")
+    _sweep(section, "heatmap", cells, errors, lambda reports: render.emit_heatmap(
+        reports, row_param, row_values, col_param, col_values, out_csv, section.get("out_svg"),
+        f"mean oracle-risk ratio, {section.get('kind', 'scenario')}"))
     print(f"wrote {len(row_values)}x{len(col_values)} grid to {out_csv}")
     return 0
 

@@ -4,7 +4,7 @@ Hoeffding / CLT test statistics summarizing them.
 Each replicate generates a fresh ensemble from a derived sub-seed, computes
 the exact multi-task and single-task oracle risks, and records their ratio.
 ``run_experiments`` takes a command's whole work list (every spec, every
-replicate), draws each spec's replicates as one block, and compares them
+replicate), draws all its replicates as one block, and compares them
 all in one ``oracles.compare`` call, one stacked search, in one process.  Each
 search is bit-identical in any stack and aggregation is an ordered reduction
 over replicate index, so a spec's report is the same in any work list.
@@ -13,13 +13,14 @@ over replicate index, so a spec's report is the same in any work list.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .optimize import Search
 from .oracles import compare
-from .scenarios import ScenarioSpec, derive_seed, draw
+from .scenarios import ScenarioSpec, derive_seeds, draw
 
 Z_975 = 1.959963984540054  # 97.5% standard normal quantile
 
@@ -87,12 +88,14 @@ def _report(spec: ScenarioSpec, sigma2: float, n_rep: int, arr: np.ndarray, pi2_
 
 
 def run_experiments(specs: list[ScenarioSpec], sigma2: float, n_rep: int,
-                    pi2_scale: str = "N") -> tuple[list[ExperimentReport], Search]:
+                    pi2_scale: str = "N") -> tuple[list[ExperimentReport], Search, dict[str, float]]:
     """Replicate the oracle comparison of every spec n_rep times: draw, one ``compare`` call, report.
 
-    The specs must share n and p.  Returns one report per spec, each from its slice of the ratios, and
-    the one ``Search`` of the comparison: p + 2 rows per replicate, replicate by replicate, spec by spec.
-    Only ``compare`` holds the (R, n, p) block of all replicates, and frees it once its rows are built.
+    The specs must share n and p.  Every replicate's sub-seed is derived in one hash pass and the work list
+    is drawn as one block.  Returns one report per spec, each from its slice of the ratios, the one
+    ``Search`` of the comparison (p + 2 rows per replicate, replicate by replicate, spec by spec), and the
+    wall time in seconds of each stage: ``draw``, ``rows``, ``search`` and ``report``.  Only ``compare``
+    holds the (R, n, p) block of all replicates, and frees it once its rows are built.
     ``pi2_scale`` selects the normalization inside the CLT statistic: "N" (the replicate count, the
     statistically meaningful choice) or "n" (the per-task sample size); each report records it.
     """
@@ -102,18 +105,18 @@ def run_experiments(specs: list[ScenarioSpec], sigma2: float, n_rep: int,
         raise ValueError("pi2_scale must be 'N' or 'n'")
     if len({(spec.n, spec.p) for spec in specs}) != 1:
         raise ValueError("the specs of one run must share n and p")
-    gammas, blocks, owners = [], [], []
-    for spec in specs:
-        spectra, h = draw(spec, [derive_seed(spec.seed, r) for r in range(n_rep)])
-        owners.append(len(gammas) + np.arange(n_rep) % len(spectra))  # replicate r on spectrum r % len(spectra)
-        gammas += [spectrum.gamma for spectrum in spectra]
-        blocks.append(h)
-    del spectra, h  # free the last spectra's bases; from here on only ``blocks`` holds the task blocks
+    start = time.perf_counter()
+    seeds = derive_seeds(np.repeat(np.array([spec.seed for spec in specs], dtype=np.uint64), n_rep),
+                         np.tile(np.arange(n_rep), len(specs)))
+    # replicate r of spec k on spectrum owner[k n_rep + r]; once popped, the block's one reference is compare's
+    spectra, owner, *block = draw(specs, seeds.reshape(len(specs), n_rep))
     # spectra equal bit for bit, such as every cell of a synthetic sweep at one (n, beta), share one grid scan
-    gamma = np.vstack(gammas)
+    gamma = np.vstack([spectrum.gamma for spectrum in spectra])
+    del spectra  # free setting B's bases before the search
     _, first, which = np.unique(gamma.view(f"V{gamma.strides[0]}").ravel(), return_index=True, return_inverse=True)
-    # one spec's block goes uncopied; once popped, the block's one reference is compare's argument
-    blocks = [blocks[0] if len(blocks) == 1 else np.concatenate(blocks)]
-    _, _, rho, search = compare(specs[0].n, gamma[first], blocks.pop(), sigma2, spectrum=which[np.concatenate(owners)])
-    return [_report(spec, sigma2, n_rep, rho[k * n_rep:(k + 1) * n_rep], pi2_scale)
-            for k, spec in enumerate(specs)], search
+    times = {"draw": time.perf_counter() - start}
+    _, _, rho, search = compare(specs[0].n, gamma[first], block.pop(), sigma2, spectrum=which[owner], times=times)
+    start = time.perf_counter()
+    reports = [_report(spec, sigma2, n_rep, rho[k * n_rep:(k + 1) * n_rep], pi2_scale) for k, spec in enumerate(specs)]
+    times["report"] = time.perf_counter() - start
+    return reports, search, times

@@ -4,7 +4,9 @@ seeded simulation settings.
 All random settings draw from a counter-based Philox generator keyed by the
 scenario seed, so streams are reproducible across runs and platforms.
 Replicate sub-streams are derived by spawn-key hashing of (seed, replicate
-index), never by jumping a shared stream.
+index), never by jumping a shared stream.  The hash is numpy's
+``SeedSequence`` written as array code, so every sub-seed and Philox key of
+a work list comes from one pass, bit for bit numpy's.
 """
 
 from __future__ import annotations
@@ -81,14 +83,76 @@ class ScenarioSpec:
 
 
 def rng_for(seed: int) -> np.random.Generator:
-    """Philox stream keyed by the seed."""
+    """Philox stream keyed by the seed: the stream of setting B's replicates."""
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=int(seed))))
 
 
+# numpy's SeedSequence hash (NEP 19, after O'Neill's seed_seq_fe): 32-bit words mixed into a pool of four
+_POOL, _MASK, _MAX_PATH = 4, 0xFFFFFFFF, 8
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_OTHERS = [np.array([dst for dst in range(_POOL) if dst != src]) for src in range(_POOL)]
+
+
+def _constants(init: int, mult: int, steps: int) -> np.ndarray:
+    """The hash constant before each step k = 0..steps, init mult^k mod 2^32, as a column."""
+    return np.array([init * pow(mult, k, 2**32) & _MASK for k in range(steps + 1)], dtype=np.uint64)[:, None]
+
+
+_ENTROPY_CONSTANTS = _constants(0x43B0D7E5, 0x931E8875, _POOL * _POOL + _POOL * _MAX_PATH)
+_OUTPUT_CONSTANTS = _constants(0x8B51F9DD, 0x58F38DED, 4)
+
+
+def _hashmix(value: np.ndarray, constants: np.ndarray) -> np.ndarray:
+    """One hash step per row of ``constants`` but the last: xor a constant, multiply by the next, xor-shift.
+
+    Words are held in uint64 arrays: a 32-bit word times a 32-bit constant cannot wrap, and is masked.
+    """
+    value = (value ^ constants[:-1]) * constants[1:] & _MASK
+    return value ^ value >> 16
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    value = (_MIX_L * x - _MIX_R * y) & _MASK  # an array difference wraps modulo 2^64, silently and harmlessly
+    return value ^ value >> 16
+
+
+def _seed_hash(seeds: np.ndarray, path: np.ndarray, words: int) -> np.ndarray:
+    """``SeedSequence(entropy=seeds[r], spawn_key=path[:, r]).generate_state(words, np.uint64)`` of every r: (words, R).
+
+    ``path`` is a (K, R) array of 32-bit words, K = 0 for no spawn key; ``words`` is 1 or 2.  A seed is its
+    low and high 32-bit words, zero-padded to the pool: numpy pads the entropy to the pool before a spawn
+    key and hashes a missing pool word as a zero word, so one-word and two-word seeds take the same path.
+    Each step numpy runs word by word is vectorized over the pool words it updates and over the columns.
+    """
+    pool = np.zeros((_POOL, seeds.size), dtype=np.uint64)
+    pool[0], pool[1] = seeds & _MASK, seeds >> 32
+    pool = _hashmix(pool, _ENTROPY_CONSTANTS[:_POOL + 1])
+    step = _POOL
+    for src, others in enumerate(_OTHERS):  # every pool word into every other, source by source
+        pool[others] = _mix(pool[others], _hashmix(pool[src], _ENTROPY_CONSTANTS[step:step + _POOL]))
+        step += _POOL - 1
+    for word in path:  # then each spawn-key word into every pool word
+        pool = _mix(pool, _hashmix(word, _ENTROPY_CONSTANTS[step:step + _POOL + 1]))
+        step += _POOL
+    out = _hashmix(pool[:2 * words], _OUTPUT_CONSTANTS[:2 * words + 1])
+    return out[0::2] | out[1::2] << 32  # two 32-bit words per uint64, low first
+
+
+def derive_seeds(seeds, path) -> np.ndarray:
+    """The 64-bit sub-seed of every column (seeds[r], path[:, r]) of a work list, as one array pass.
+
+    ``path`` holds K rows of 32-bit indices (replicate, table row, or heatmap row and column), K <= 8.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    path = np.asarray(path, dtype=np.uint64).reshape(-1, seeds.size)
+    if len(path) > _MAX_PATH or (path >> 32).any():
+        raise ValueError(f"a seed path holds at most {_MAX_PATH} indices of 32 unsigned bits")
+    return _seed_hash(seeds, path, 1)[0]
+
+
 def derive_seed(seed: int, *path: int) -> int:
-    """64-bit sub-seed addressed by (seed, path): the seed of a replicate or a sweep cell."""
-    key = tuple(int(k) for k in path)
-    return int(np.random.SeedSequence(entropy=int(seed), spawn_key=key).generate_state(1, np.uint64)[0])
+    """64-bit sub-seed addressed by (seed, path): the seed of a replicate or a sweep cell; ``derive_seeds`` of one."""
+    return int(derive_seeds([seed], [[k] for k in path])[0])
 
 
 def synth_spectrum(n: int, beta: float) -> KernelSpectrum:
@@ -102,56 +166,74 @@ def _decay(n: int, delta: float) -> np.ndarray:
     return math.sqrt(n) * i ** (-delta)
 
 
-def _h2points(spec: ScenarioSpec, seeds) -> np.ndarray:
+def _h2points(spec: ScenarioSpec, h: np.ndarray) -> None:
     """Two equal clusters: first half amplitude sqrt(C1)+sqrt(C2), second half sqrt(C1)-sqrt(C2)."""
     plus, minus = math.sqrt(spec.c1) + math.sqrt(spec.c2), math.sqrt(spec.c1) - math.sqrt(spec.c2)
-    return (_decay(spec.n, spec.delta1)[:, None] * np.repeat([plus, minus], spec.p // 2))[None]
+    h[...] = _decay(spec.n, spec.delta1)[:, None] * np.repeat([plus, minus], spec.p // 2)
 
 
-def _h1out(spec: ScenarioSpec, seeds) -> np.ndarray:
+def _h1out(spec: ScenarioSpec, h: np.ndarray) -> None:
     """p-1 identical tasks plus one outlier, balanced so the mean profile is exact."""
     amplitudes = [math.sqrt(spec.c1) + math.sqrt(spec.c2 / (spec.p - 1))] * (spec.p - 1)
     amplitudes.append(math.sqrt(spec.c1) - math.sqrt((spec.p - 1) * spec.c2))
-    return (_decay(spec.n, spec.delta1)[:, None] * np.array(amplitudes))[None]
+    h[...] = _decay(spec.n, spec.delta1)[:, None] * np.array(amplitudes)
 
 
 def _rademacher(rng: np.random.Generator, n: int, p: int) -> np.ndarray:
     return rng.integers(0, 2, size=(n, p)).astype(float) * 2.0 - 1.0
 
 
-def _signs(spec: ScenarioSpec, seeds) -> np.ndarray:
-    """(R, n, p) block of Rademacher signs: replicate r draws from its own stream rng_for(seeds[r])."""
-    return np.stack([_rademacher(rng_for(seed), spec.n, spec.p) for seed in seeds])
+def _signs(seeds: np.ndarray, n: int, p: int) -> np.ndarray:
+    """(R, n, p) block of Rademacher signs, replicate r bit for bit ``_rademacher(rng_for(seeds[r]), n, p)``.
+
+    ``rng_for`` keys Philox (Salmon et al., SC 2011) with the seed's hash, and ``integers(0, 2)`` takes
+    numpy's 32-bit Lemire path, which never rejects for two values: each sign is the top bit of the next
+    32-bit output, the low half and then the high half of each 64-bit Philox output.  So replicate r is
+    one ``random_raw`` call from its key at counter 0 with an empty buffer, and all keys are one hash pass.
+    """
+    keys = _seed_hash(seeds, np.empty((0, seeds.size), dtype=np.uint64), 2).T
+    raw = np.empty((seeds.size, -(-n * p // 2)), dtype=np.uint64)
+    bitgen = np.random.Philox(key=0)
+    state = bitgen.state  # counter 0, empty buffer
+    for r, key in enumerate(keys):
+        state["state"]["key"] = key
+        bitgen.state = state
+        raw[r] = bitgen.random_raw(raw.shape[1])
+    top = np.right_shift(raw.astype("<u8", copy=False).view("<u4")[:, : n * p], 31)
+    del raw
+    signs = np.multiply(top, 2.0).reshape(-1, n, p)
+    signs -= 1.0
+    return signs
 
 
-def _setting_a(spec: ScenarioSpec, seeds) -> np.ndarray:
-    """One diffuse cluster: h_i^j = sqrt(n) i^(-delta) (sqrt(C1) + eps_i^j sqrt(C2))."""
-    eps = _signs(spec, seeds)
-    return _decay(spec.n, spec.delta1)[:, None] * (math.sqrt(spec.c1) + eps * math.sqrt(spec.c2))
+def _setting_a(spec: ScenarioSpec, eps: np.ndarray) -> None:
+    """One diffuse cluster: h_i^j = sqrt(n) i^(-delta) (sqrt(C1) + eps_i^j sqrt(C2)), scaled from the signs in place."""
+    eps *= math.sqrt(spec.c2)
+    eps += math.sqrt(spec.c1)
+    eps *= _decay(spec.n, spec.delta1)[:, None]
 
 
-def _setting_c(spec: ScenarioSpec, seeds) -> np.ndarray:
-    """Cluster whose dispersion has its own decay: sqrt(n)(sqrt(C1) i^-d1 + eps sqrt(C2) i^-d2)."""
-    eps = _signs(spec, seeds)
+def _setting_c(spec: ScenarioSpec, eps: np.ndarray) -> None:
+    """Cluster whose dispersion has its own decay: sqrt(n)(sqrt(C1) i^-d1 + eps sqrt(C2) i^-d2), in place."""
     i = np.arange(1, spec.n + 1, dtype=float)
-    return math.sqrt(spec.n) * (
-        math.sqrt(spec.c1) * (i ** -spec.delta1)[:, None]
-        + eps * math.sqrt(spec.c2) * (i ** -spec.delta2)[:, None]
-    )
+    eps *= math.sqrt(spec.c2)
+    eps *= (i ** -spec.delta2)[:, None]
+    eps += math.sqrt(spec.c1) * (i ** -spec.delta1)[:, None]
+    eps *= math.sqrt(spec.n)
 
 
-def _setting_d(spec: ScenarioSpec, seeds) -> np.ndarray:
-    """Cluster of p-1 sign-noise tasks around zero plus one outlier.
+def _setting_d(spec: ScenarioSpec, eps: np.ndarray) -> None:
+    """Cluster of p-1 sign-noise tasks around zero plus one outlier, in place.
 
     Cluster columns use exponent 2 and unit amplitude; the outlier column has
     amplitude sqrt(n C2) and exponent delta2.
     """
-    eps = _signs(spec, seeds)
     i = np.arange(1, spec.n + 1, dtype=float)
-    h = np.empty(eps.shape)
-    h[..., : spec.p - 1] = math.sqrt(spec.n) * eps[..., : spec.p - 1] * (i**-2.0)[:, None]
-    h[..., spec.p - 1] = math.sqrt(spec.n * spec.c2) * eps[..., spec.p - 1] * i ** -spec.delta2
-    return h
+    cluster, outlier = eps[..., : spec.p - 1], eps[..., spec.p - 1]
+    cluster *= math.sqrt(spec.n)
+    cluster *= (i**-2.0)[:, None]
+    outlier *= math.sqrt(spec.n * spec.c2)
+    outlier *= i ** -spec.delta2
 
 
 def periodic_kernel_value(theta: np.ndarray, m: int) -> np.ndarray:
@@ -187,43 +269,61 @@ def periodic_kernel_matrix(x: np.ndarray, m: int) -> np.ndarray:
     return periodic_kernel_value(x[:, None] - x[None, :], m)
 
 
-def _setting_b(spec: ScenarioSpec, seeds) -> tuple[list[KernelSpectrum], np.ndarray]:
-    """Random-design periodic-spline setting: each replicate draws its own spectrum.
+def _setting_b(spec: ScenarioSpec, seeds, h: np.ndarray) -> list[KernelSpectrum]:
+    """Random-design periodic-spline setting: each replicate draws its own spectrum, and h[r] its coefficients.
 
     Replicate r draws n inputs uniformly on [-pi, pi] (first), then the
     Rademacher sign field, from ``rng_for(seeds[r])``; builds the kernel
     matrix, eigendecomposes it, and projects the task values
     (sqrt(C1) + eps_i^j sqrt(C2)) |X_i| onto the kernel eigenbasis.
     """
-    spectra, h = [], []
-    for seed in seeds:
+    spectra = []
+    for r, seed in enumerate(seeds.tolist()):
         rng = rng_for(seed)
         x = rng.uniform(-np.pi, np.pi, spec.n)
         eps = _rademacher(rng, spec.n, spec.p)
         spectra.append(eigendecompose_kernel(periodic_kernel_matrix(x, int(spec.beta_or_m))))
-        h.append(project_tasks(spectra[-1], (math.sqrt(spec.c1) + eps * math.sqrt(spec.c2)) * np.abs(x)[:, None]).h)
-    return spectra, np.stack(h)
+        h[r] = project_tasks(spectra[-1], (math.sqrt(spec.c1) + eps * math.sqrt(spec.c2)) * np.abs(x)[:, None]).h
+    return spectra
 
 
+_SIGNED = {ScenarioKind.SETTING_A, ScenarioKind.SETTING_C, ScenarioKind.SETTING_D}
 _TASK_BLOCKS = {ScenarioKind.H2POINTS: _h2points, ScenarioKind.H1OUT: _h1out, ScenarioKind.SETTING_A: _setting_a,
                 ScenarioKind.SETTING_C: _setting_c, ScenarioKind.SETTING_D: _setting_d}
 
 
-def draw(spec: ScenarioSpec, seeds: list[int]) -> tuple[list[KernelSpectrum], np.ndarray]:
-    """Spectra and task coefficients of one replicate per seed, the coefficients as an (R, n, p) block.
+def draw(specs: list[ScenarioSpec], seeds) -> tuple[list[KernelSpectrum], np.ndarray, np.ndarray]:
+    """Spectra, each replicate's spectrum index and the (S R, n, p) task block of a work list, spec by spec.
 
-    Replicate r draws from its own stream ``rng_for(seeds[r])``: its slice is the ensemble of ``spec``
-    with that seed, bit for bit, on spectrum ``r % len(spectra)``.  The synthetic kinds share one
-    polynomial-decay spectrum with beta = beta_or_m (the deterministic configurations give a read-only
-    broadcast); the periodic-spline setting draws one spectrum per replicate.
+    ``seeds`` is an (S, R) array: replicate r of ``specs[k]`` draws from its own stream ``rng_for(seeds[k, r])``,
+    and its slice is the ensemble of that spec with that seed, bit for bit.  The specs share n and p.  The
+    signs of every replicate of settings A, C and D are one block, which each spec scales in place; each
+    synthetic spec gets one polynomial-decay spectrum with beta = beta_or_m, and the periodic-spline
+    setting draws one spectrum per replicate.
     """
-    if spec.kind is ScenarioKind.SETTING_B:
-        return _setting_b(spec, seeds)
-    h = np.broadcast_to(_TASK_BLOCKS[spec.kind](spec, seeds), (len(seeds), spec.n, spec.p))
-    return [synth_spectrum(spec.n, spec.beta_or_m)], h
+    seeds = np.asarray(seeds, dtype=np.uint64).reshape(len(specs), -1)
+    reps, n, p = seeds.shape[1], specs[0].n, specs[0].p
+    signed = np.repeat([spec.kind in _SIGNED for spec in specs], reps)
+    if signed.all():  # the sign block becomes the task block
+        h = _signs(seeds.ravel(), n, p)
+    else:
+        h = np.empty((seeds.size, n, p))
+        if signed.any():
+            h[signed] = _signs(seeds.ravel()[signed], n, p)
+    spectra, owner = [], []
+    for k, spec in enumerate(specs):
+        block = h[k * reps:(k + 1) * reps]
+        if spec.kind is ScenarioKind.SETTING_B:
+            owner += range(len(spectra), len(spectra) + reps)
+            spectra += _setting_b(spec, seeds[k], block)
+        else:
+            _TASK_BLOCKS[spec.kind](spec, block)
+            owner += [len(spectra)] * reps
+            spectra.append(synth_spectrum(n, spec.beta_or_m))
+    return spectra, np.array(owner), h
 
 
 def build_ensemble(spec: ScenarioSpec) -> tuple[KernelSpectrum, TaskEnsemble]:
     """Generate (spectrum, ensemble) for any scenario kind: the one-replicate case of ``draw``."""
-    spectra, h = draw(spec, [spec.seed])
+    spectra, _, h = draw([spec], [[spec.seed]])
     return spectra[0], TaskEnsemble(n=spec.n, p=spec.p, h=h[0])

@@ -117,7 +117,7 @@ class TestRunExperiment:
     ])
     def test_block_rows_are_each_replicates_comparison_rows(self, kind, extra):
         spec = quick_spec(**{"kind": kind, "c2": 0.3, "seed": 71, "p": 3, **extra})
-        spectra, h = draw(spec, [derive_seed(spec.seed, r) for r in range(6)])
+        spectra, owner, h = draw([spec], [[derive_seed(spec.seed, r) for r in range(6)]])
         signal, noise = comparison_rows(h, 0.5)
         assert signal.shape == (6, spec.p + 2, spec.n)
         for r in range(6):
@@ -125,7 +125,7 @@ class TestRunExperiment:
             alone_signal, alone_noise = comparison_rows(alone.h, 0.5)
             assert np.array_equal(signal[r], alone_signal)
             assert np.array_equal(noise, alone_noise)
-            spectrum = spectra[r % len(spectra)]
+            spectrum = spectra[owner[r]]
             assert np.array_equal(spectrum.gamma, alone_spectrum.gamma)
             assert np.array_equal(spectrum.basis, alone_spectrum.basis)  # None for the synthetic kinds
 
@@ -139,7 +139,7 @@ class TestRunExperiment:
     ])
     def test_whole_sweep_equals_each_cell_alone(self, kind, axis):
         specs = [quick_spec(**{"kind": kind, "p": 3, "seed": derive_seed(8, k), **cell}) for k, cell in enumerate(axis)]
-        reports, search = run_experiments(specs, 0.7, 4)
+        reports, search, _ = run_experiments(specs, 0.7, 4)
         assert reports == [run_experiment(spec, 0.7, 4) for spec in specs]
         assert len(search.value) == len(specs) * 4 * (specs[0].p + 2)
 

@@ -1,4 +1,4 @@
-"""Layout guards: the package holds no code that only the tests use, keeps the dense route off the hot path, one module forks on setting B, one module lays out a comparison, one function reads the sweep configs, one module writes files, and a search has one columnar result type.
+"""Layout guards: the package holds no code that only the tests use, keeps the dense route off the hot path, one module forks on setting B, one module lays out a comparison, one function reads the sweep configs, one module writes files, a search has one columnar result type, and only setting B draws from a numpy stream.
 
 A public function, class or method defined in ``src/mtkrr`` counts as used
 only if a package module other than ``__init__.py`` references it, or a
@@ -129,6 +129,27 @@ def test_a_search_result_is_columnar():
     """``minimize_profiles`` returns one ``Search`` of arrays: no module defines or names the per-row ``ProfileMinimum``."""
     named = [path.name for path in sorted(PACKAGE.glob("*.py")) if re.search(r"\bProfileMinimum\b", path.read_text())]
     assert not named, f"modules of src/mtkrr define or name ProfileMinimum: {named}"
+
+
+def test_only_setting_b_draws_from_a_numpy_stream():
+    """The synthetic kinds draw their signs from hashed Philox keys, never from a per-replicate numpy stream.
+
+    Only ``scenarios._setting_b`` names ``rng_for``, and only ``rng_for`` builds a numpy ``SeedSequence`` or
+    ``Generator``: the hash is the one seed derivation.
+    """
+    streams, builds = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            where = f"{path.stem}.{getattr(top, 'name', '<module>')}"
+            for node in ast.walk(top):
+                name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+                if name == "rng_for" and where != "scenarios._setting_b":
+                    streams.append(where)
+                called = ast.unparse(node.func).split(".")[-1] if isinstance(node, ast.Call) else None
+                if called in ("SeedSequence", "Generator") and where != "scenarios.rng_for":
+                    builds.append(f"{where}: {ast.unparse(node)}")
+    assert not streams, f"code other than setting B draws from rng_for: {streams}"
+    assert not builds, f"code other than rng_for builds a numpy seed sequence or generator: {builds}"
 
 
 def test_readme_library_example_runs(capsys):

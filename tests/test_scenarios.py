@@ -4,12 +4,19 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from mtkrr.scenarios import (
     ScenarioKind,
     ScenarioSpec,
+    _rademacher,
+    _seed_hash,
+    _signs,
     build_ensemble,
     derive_seed,
+    derive_seeds,
+    draw,
     periodic_kernel_matrix,
     periodic_kernel_value,
     rng_for,
@@ -127,7 +134,11 @@ class TestSettingA:
         assert np.allclose(np.abs(eps), 1.0, atol=1e-10)
 
     def test_sign_field_is_balanced_in_the_long_run(self):
-        draws = rng_for(123).integers(0, 2, size=100_000) * 2 - 1
+        # 400 replicates of 50 x 5 signs; with c1 = 0 and c2 = 1 each coefficient carries its sign
+        spec = spec_of(ScenarioKind.SETTING_A, n=50, p=5, c1=0.0, c2=1.0, seed=123)
+        _, _, h = draw([spec], [[derive_seed(spec.seed, r) for r in range(400)]])
+        draws = np.sign(h)
+        assert draws.size == 100_000 and np.all(np.abs(draws) == 1.0)
         assert abs(draws.mean()) < 0.02
 
     def test_mean_profile_recomputes_from_recovered_signs(self):
@@ -278,6 +289,68 @@ class TestSpecValidation:
         spectrum_b, tasks_b = build_ensemble(spec_of(ScenarioKind.SETTING_B, n=10))
         assert spectrum_b.n == tasks_b.n == 10
         assert not np.array_equal(spectrum_b.basis, np.eye(10))
+
+
+def numpy_seed(seed, *path):
+    """Sub-seed of (seed, path) computed by numpy's own SeedSequence."""
+    return int(np.random.SeedSequence(entropy=seed, spawn_key=path).generate_state(1, np.uint64)[0])
+
+
+# one-word and two-word seeds at both ends of each word count, then any 64-bit seed
+EDGE_SEEDS = [0, 2**32 - 1, 2**32, 2**63 + 12345, 2**64 - 1]
+seeds_64 = st.sampled_from(EDGE_SEEDS) | st.integers(min_value=0, max_value=2**64 - 1)
+
+
+class TestSeedHashAgainstNumpy:
+    """The array hash, the Philox keys and the sign block are numpy's SeedSequence, Philox and integers, bit for bit."""
+
+    @pytest.mark.parametrize("seed", EDGE_SEEDS)
+    @pytest.mark.parametrize("path", [(), (0,), (7,), (2**32 - 1,), (3, 4), (0, 2**32 - 1), tuple(range(8))])
+    def test_edge_seeds_and_paths(self, seed, path):
+        assert derive_seed(seed, *path) == numpy_seed(seed, *path)
+
+    @given(columns=st.lists(st.tuples(seeds_64, st.lists(st.integers(min_value=0, max_value=2**32 - 1),
+                                                         min_size=3, max_size=3)), min_size=1, max_size=8),
+           length=st.integers(min_value=0, max_value=3))
+    def test_sub_seeds_of_a_work_list_in_one_pass(self, columns, length):
+        seeds = [seed for seed, _ in columns]
+        paths = [tuple(path[:length]) for _, path in columns]
+        block = derive_seeds(seeds, np.array(paths, dtype=np.uint64).reshape(len(seeds), length).T)
+        assert block.dtype == np.uint64
+        assert block.tolist() == [numpy_seed(seed, *path) for seed, path in zip(seeds, paths)]
+
+    @given(seeds=st.lists(seeds_64, min_size=1, max_size=8))
+    @example(seeds=EDGE_SEEDS)
+    def test_keys_are_the_philox_keys_numpy_derives(self, seeds):
+        keys = _seed_hash(np.array(seeds, dtype=np.uint64), np.empty((0, len(seeds)), dtype=np.uint64), 2)
+        for r, seed in enumerate(seeds):
+            sequence = np.random.SeedSequence(entropy=seed)
+            assert np.array_equal(keys[:, r], sequence.generate_state(2, np.uint64))
+            assert np.array_equal(keys[:, r], np.random.Philox(sequence).state["state"]["key"])
+
+    @given(seed=seeds_64, length=st.sampled_from([1, 2]), cells=st.integers(min_value=1, max_value=3),
+           reps=st.integers(min_value=1, max_value=4), n=st.integers(min_value=1, max_value=9),
+           p=st.integers(min_value=1, max_value=5))
+    @example(seed=2**63 + 12345, length=2, cells=1, reps=1, n=3, p=3)  # odd n p: the last high half goes unused
+    @example(seed=2**32 - 1, length=1, cells=2, reps=1, n=1, p=1)
+    def test_sign_block_is_each_replicates_numpy_draw(self, seed, length, cells, reps, n, p):
+        # a work list as the sweep makes it: cells on paths of one length (table rows 1, heatmap cells 2),
+        # then the replicates of every cell
+        paths = [(k,) if length == 1 else divmod(k, 2) for k in range(cells)]
+        cell_seeds = derive_seeds(np.full(cells, seed, dtype=np.uint64), np.array(paths, dtype=np.uint64).T)
+        assert cell_seeds.tolist() == [numpy_seed(seed, *path) for path in paths]
+        replicate_seeds = derive_seeds(np.repeat(cell_seeds, reps), np.tile(np.arange(reps), cells))
+        block = _signs(replicate_seeds, n, p)
+        expected = np.stack([_rademacher(rng_for(numpy_seed(cell, r)), n, p)
+                             for cell in cell_seeds.tolist() for r in range(reps)])
+        assert block.shape == (cells * reps, n, p)
+        assert np.array_equal(block, expected)
+
+    def test_a_path_entry_past_32_bits_is_rejected(self):
+        with pytest.raises(ValueError, match="32 unsigned bits"):
+            derive_seed(5, 2**32)
+        with pytest.raises(ValueError, match="at most 8"):
+            derive_seed(5, *range(9))
 
 
 class TestReplicateDerivation:
