@@ -151,20 +151,26 @@ def _sweep(
     start = time.perf_counter()
     write(reports)
     times["render"] = time.perf_counter() - start
-    stages = ", ".join(f"{stage} {1e3 * seconds:.1f}" for stage, seconds in times.items())
-    print(f"{_run_summary(search)}; stage ms {stages}", file=sys.stderr)
+    print(_run_summary(search) + _stage_times(times), file=sys.stderr)
     return reports
 
 
 def _run_summary(*searches: optimize.Search) -> str:
-    """One line on how a run's searches ended: winners by source, max_iter hits, Newton evaluations."""
+    """One line on how a run's searches ended: winners by source, max_iter hits, Newton evaluations, open cells."""
     source = np.concatenate([search.source for search in searches])
     newton = np.concatenate([search.iterations for search in searches])[source == optimize.SOURCES.index("newton")]
     counts = np.bincount(source, minlength=len(optimize.SOURCES)).tolist()
     winners = ", ".join(f"{name} {count}" for name, count in zip(optimize.SOURCES, counts))
     hits = np.count_nonzero(newton >= optimize.DEFAULT_MAX_ITER)
     evaluations = f"median {np.median(newton):g}, max {newton.max()}" if newton.size else "none"
-    return f"searches {len(source)}: {winners}; max_iter hits {hits}; newton evaluations {evaluations}"
+    with_open_cells = sum(np.count_nonzero(search.open_cells) for search in searches)
+    return (f"searches {len(source)}: {winners}; max_iter hits {hits}; newton evaluations {evaluations}; "
+            f"open-cell searches {with_open_cells}")
+
+
+def _stage_times(times: dict[str, float]) -> str:
+    """The summary line's ending: each stage's wall time in milliseconds."""
+    return "; stage ms " + ", ".join(f"{stage} {1e3 * seconds:.1f}" for stage, seconds in times.items())
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +342,9 @@ def cmd_verify_bounds(args) -> int:
     # Property 1/2/3: optimized risk against its envelope, over the cells inside each property's window
     worst_upper, worst_lower = -math.inf, math.inf
     cap_violations = upper_checked = cap_checked = lower_checked = 0
+    start = time.perf_counter()
     reports, search = riskfn.minimize_risks(grid)
+    times = {"grid": time.perf_counter() - start}
     for params, report in zip(grid, reports):
         if report.upper > 0:  # nan outside the minimax window
             upper_checked += 1
@@ -355,10 +363,11 @@ def cmd_verify_bounds(args) -> int:
                      f"worst relative margin {worst_lower:.3e} over {lower_checked} cells", lines, lower_checked)
 
     # Property 4: a single regime flip along a p-sweep at fixed n
+    start = time.perf_counter()
     sweep, sweep_search = riskfn.minimize_risks(
         [riskfn.RiskParams(n=50, p=int(round(p)), sigma2=sigma2, beta=2, delta=2, c=1.0)
          for p in np.geomspace(1, 1e7, 13)])
-    print(_run_summary(search, sweep_search), file=sys.stderr)
+    times["sweep"] = time.perf_counter() - start
     labels = [report.regime for report in sweep]
     dedup = [lab for lab, _ in itertools.groupby(lab for lab in labels if lab is not riskfn.Regime.UNDETERMINED)]
     all_ok &= _check("property-4 regime flip", dedup == [riskfn.Regime.REGULARIZE, riskfn.Regime.TRIVIAL_NOISE],
@@ -386,8 +395,11 @@ def cmd_verify_bounds(args) -> int:
 
     for line in lines:
         print(line)
+    start = time.perf_counter()
     if args.out:
         render.write_lines(args.out, lines)
+    times["render"] = time.perf_counter() - start
+    print(_run_summary(search, sweep_search) + _stage_times(times), file=sys.stderr)
     return 0 if all_ok else 2
 
 

@@ -221,7 +221,7 @@ def minimize_risks(grid: list[RiskParams]) -> tuple[list[BoundReport], Search]:
     outside it instead of being extrapolated.
     """
     lam, value, grad = np.empty((3, len(grid)))
-    iterations, source = np.empty((2, len(grid)), dtype=np.intp)
+    iterations, source, open_cells = np.empty((3, len(grid)), dtype=np.intp)
     for n in dict.fromkeys(params.n for params in grid):
         cells = [k for k, params in enumerate(grid) if params.n == n]
         i = np.arange(1, n + 1, dtype=float)
@@ -234,7 +234,7 @@ def minimize_risks(grid: list[RiskParams]) -> tuple[list[BoundReport], Search]:
                                   np.array([grid[k].sigma2 / grid[k].p for k in cells]),
                                   spectrum=np.array([betas.index(grid[k].beta) for k in cells]))
         lam[cells], value[cells], grad[cells] = found.lam, found.value, found.grad
-        iterations[cells], source[cells] = found.iterations, found.source
+        iterations[cells], source[cells], open_cells[cells] = found.iterations, found.source, found.open_cells
     constants: dict[tuple[float, float], tuple[float, float]] = {}
     reports = []
     for params, r_star, lambda_star in zip(grid, value.tolist(), lam.tolist()):
@@ -258,7 +258,7 @@ def minimize_risks(grid: list[RiskParams]) -> tuple[list[BoundReport], Search]:
             kappa=kap,
             alpha=alpha,
         ))
-    return reports, Search(lam, value, grad, iterations, source)
+    return reports, Search(lam, value, grad, iterations, source, open_cells)
 
 
 def minimize_risk(params: RiskParams) -> BoundReport:

@@ -14,7 +14,8 @@ The spectral route is canonical: it is defined for lam = 0 and mu = 0 where
 the Kronecker-inverse formula is not, and it has no size cap.
 
 Also here: a certifier of the engine's global minima
-(``certified_lower_bound``), the one-spec form of
+(``certified_lower_bound``), the oracle search with the unpruned 64-point
+grid scan (``full_scan_minimize_profiles``), the one-spec form of
 ``mtkrr.experiments.run_experiments``, the degrees-of-freedom diagnostic
 ``df_and_bias``, and the paper formulas no
 command evaluates (the template risk at one lambda, the maximizer ``t_star``
@@ -31,7 +32,8 @@ import numpy as np
 
 from mtkrr.estimators import multitask_rows
 from mtkrr.experiments import ExperimentReport, run_experiments
-from mtkrr.optimize import RidgeRiskProfile
+from mtkrr import optimize
+from mtkrr.optimize import RidgeRiskProfile, Search
 from mtkrr.riskfn import RiskParams, template_profile
 from mtkrr.scenarios import ScenarioSpec
 from mtkrr.spectral import KernelSpectrum, TaskEnsemble, mean_variance
@@ -288,6 +290,95 @@ def certified_lower_bound(profile: RidgeRiskProfile, value: float, gap: float = 
         lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
         bias_lo, var_hi = np.concatenate((bias_lo, bias_mid)), np.concatenate((var_mid, var_hi))
     return min(ends, closed, float((bias_lo + var_hi).min(initial=math.inf))), evaluations
+
+
+# ---------------------------------------------------------------------------
+# the oracle search with the full grid scan
+
+
+def full_scan_minimize_profiles(n: int, gamma: np.ndarray, signal: np.ndarray, noise: np.ndarray,
+                                spectrum: np.ndarray | None = None) -> Search:
+    """``optimize.minimize_profiles`` with every one of the 64 grid points of every row evaluated.
+
+    This is the search as it was before the grid scan was pruned by the
+    bias-variance bound: one spectrum at a time, in blocks of grid points and
+    rows, and every grid-local minimum refined by the engine's own Newton
+    iteration.  (That search summed the signal of null directions over a
+    column-major gather, so with null eigenvalues its lam = 0 risk depended
+    on the stack; here, as in the engine, each row's sum is its own.)  ``open_cells`` is counted over the whole grid: a cell is open
+    when it lies more than two steps from the winner and its bound
+    B(t_i) + V(t_i+1) is below the value.  The pruned engine must agree with
+    it bit for bit, column by column.
+    """
+    points = optimize.DEFAULT_GRID_POINTS
+    gamma = np.atleast_2d(np.asarray(gamma, dtype=float))
+    signal, noise = np.asarray(signal, dtype=float), np.asarray(noise, dtype=float)
+    rows = len(signal)
+    spectrum = np.zeros(rows, dtype=np.intp) if spectrum is None else np.asarray(spectrum, dtype=np.intp)
+    t_lo, t_hi = optimize.spectrum_bracket(n, gamma)
+    delta = (t_hi - t_lo) / (points - 1)
+    t_grid = t_lo[:, None] + np.arange(points) * delta[:, None]
+
+    padded = np.full((rows, points + 2), np.inf)
+    vals = padded[:, 1:-1]
+    bias, var, zero, limit = np.empty((rows, points)), np.empty((rows, points)), np.empty(rows), np.empty(rows)
+    chunk = max(1, optimize.BLOCK_ELEMENTS // gamma.shape[1])
+    for j, g in enumerate(gamma):
+        mine = np.flatnonzero(spectrum == j)
+        for c in range(0, points, chunk):
+            x = n * np.exp(t_grid[j, c:c + chunk])[:, None]
+            d = g + x
+            a = g / d
+            bb = np.divide(x, d, out=d)
+            bb *= bb
+            aa = optimize._sum(np.multiply(a, a, out=a))
+            block = max(1, optimize.BLOCK_ELEMENTS // bb.size)
+            for k in range(0, len(mine), block):
+                r = mine[k:k + block]
+                bias[r, c:c + chunk] = optimize._sum(signal[r][:, None, :] * bb)
+                var[r, c:c + chunk] = noise[r, None] * aa
+        null = g == 0
+        kept = optimize._sum(np.ascontiguousarray(signal[mine][:, null]))  # row by row, pairwise, whatever the stack
+        zero[mine] = kept / n + noise[mine] / n * float(len(g) - np.count_nonzero(null))
+        limit[mine] = optimize._sum(signal[mine]) / n
+    vals[...] = (bias + var) / n
+    finite = np.isfinite(vals).all(axis=1) & np.isfinite(zero) & np.isfinite(limit)
+    if not finite.all():
+        raise FloatingPointError(f"risk evaluation is not finite on row {int(np.flatnonzero(~finite)[0])}")
+
+    left, mid, right = padded[:, :-2], vals, padded[:, 2:]
+    basin_row, basin_at = np.nonzero((mid <= left) & (mid <= right))
+    f0, f1, f2 = left[basin_row, basin_at], mid[basin_row, basin_at], right[basin_row, basin_at]
+    width = delta[spectrum[basin_row]]
+    centre = t_grid[spectrum[basin_row], basin_at]
+    curvature = f0 - 2.0 * f1 + f2
+    curved = (curvature > 0) & (curvature < np.inf)
+    shift = np.where(curved, 0.5 * (f0 - f2) / np.where(curved, curvature, 1.0), 0.0)
+    t_end, r_end, g_end, iters = optimize._newton(n, gamma, signal, noise, spectrum, basin_row,
+                                                  centre - width, centre + shift * width, centre + width)
+
+    order = np.lexsort((np.arange(len(basin_row)), r_end, basin_row))
+    first = order[np.concatenate(([True], basin_row[order][1:] != basin_row[order][:-1]))]
+    candidates = np.array((zero, limit, r_end[first], vals.min(axis=1)))
+    source = candidates.argmin(axis=0)
+    t, g = t_end[first], g_end[first]
+    at = np.where(source == 0, -math.inf, math.inf)  # the winner's position in grid steps
+    at[source == 2] = ((t - t_lo[spectrum]) / delta[spectrum])[source == 2]
+    grid = np.flatnonzero(source == 3)
+    if grid.size:
+        at[grid] = np.argmin(vals[grid], axis=1)
+        t[grid] = t_grid[spectrum[grid], np.argmin(vals[grid], axis=1)]
+        g[grid] = optimize._curve(n, gamma, signal, noise, spectrum, grid, n * np.exp(t[grid]))[1]
+    lam, grad = np.where(source == 0, 0.0, math.inf), np.full(rows, math.nan)
+    inner = np.flatnonzero(source >= 2)
+    lam[inner] = [math.exp(x) for x in t[inner].tolist()]
+    grad[inner] = g[inner] / lam[inner]
+    value = candidates[source, np.arange(rows)]
+    cell = np.arange(points - 1)
+    far = (cell + 1 < at[:, None] - 2) | (cell > at[:, None] + 2)
+    below = (bias[:, :-1] + var[:, 1:]) / n < value[:, None] * (1 - optimize.BOUND_MARGIN)
+    return Search(lam, value, grad, np.where(source == 2, iters[first], 0), source,
+                  np.count_nonzero(far & below, axis=1))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Layout guards: the package holds no code that only the tests use, keeps the dense route off the hot path, one module forks on setting B, one module lays out a comparison, one function reads the sweep configs, one module writes files, a search has one columnar result type, and only setting B draws from a numpy stream.
+"""Layout guards: the package holds no code that only the tests use, keeps the dense route off the hot path, one module forks on setting B, one module lays out a comparison, one function reads the sweep configs, one module writes files, a search has one columnar result type and one pruned grid scan, and only setting B draws from a numpy stream.
 
 A public function, class or method defined in ``src/mtkrr`` counts as used
 only if a package module other than ``__init__.py`` references it, or a
@@ -129,6 +129,31 @@ def test_a_search_result_is_columnar():
     """``minimize_profiles`` returns one ``Search`` of arrays: no module defines or names the per-row ``ProfileMinimum``."""
     named = [path.name for path in sorted(PACKAGE.glob("*.py")) if re.search(r"\bProfileMinimum\b", path.read_text())]
     assert not named, f"modules of src/mtkrr define or name ProfileMinimum: {named}"
+
+
+def test_the_search_keeps_its_signature_and_one_pruned_grid_scan():
+    """``minimize_profiles`` takes no pruning or grid knob, and the package scans the risk grid in one place.
+
+    Grid values are formed only by ``optimize._squares`` inside ``optimize._scan``, and ``_scan`` runs only
+    in ``minimize_profiles``: once over the ``COARSE`` points and once over the ``FINE`` points.  The
+    unpruned 64-point scan is a validation oracle in ``tests/reference.py``.
+    """
+    from mtkrr.optimize import minimize_profiles
+
+    parameters = inspect.signature(minimize_profiles).parameters
+    assert list(parameters) == ["n", "gamma", "signal", "noise", "spectrum"]
+    assert parameters["spectrum"].default is None
+    calls = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] in ("_squares", "_scan"):
+                    calls.append((f"{path.stem}.{getattr(top, 'name', '<module>')}", ast.unparse(node.func),
+                                  ast.unparse(node.args[4]) if len(node.args) > 4 else None))
+    squares = sorted(where for where, func, _ in calls if func.endswith("_squares"))
+    scans = sorted((where, points) for where, func, points in calls if func.endswith("_scan"))
+    assert squares == ["optimize._scan"], f"grid values formed outside optimize._scan: {squares}"
+    assert scans == [("optimize.minimize_profiles", "COARSE"), ("optimize.minimize_profiles", "FINE")], scans
 
 
 def test_only_setting_b_draws_from_a_numpy_stream():

@@ -6,10 +6,12 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from conftest import bits, minimize_profile, rows, search_one, value_grid
-from reference import certified_lower_bound
+from reference import certified_lower_bound, full_scan_minimize_profiles
 
 from mtkrr import optimize
-from mtkrr.optimize import BRACKET_DECADES, RidgeRiskProfile, _curve, minimize_profiles
+from mtkrr.estimators import comparison_rows
+from mtkrr.optimize import BRACKET_DECADES, COARSE, DEFAULT_GRID_POINTS, RidgeRiskProfile, _curve, minimize_profiles
+from mtkrr.scenarios import ScenarioKind, ScenarioSpec, build_ensemble
 
 
 def sample_profile(seed: int, n: int = 30) -> RidgeRiskProfile:
@@ -289,6 +291,27 @@ def test_non_finite_risk_is_an_arithmetic_error(bad):
         minimize_profiles(n, np.linspace(2.0, 1.0, n), signal, np.ones(2))
 
 
+def test_a_signal_near_the_largest_double_that_overflows_is_an_arithmetic_error():
+    n = 5
+    signal = np.ones((2, n))
+    signal[1] = 1e308  # finite, but the bias sums overflow
+    with pytest.raises(ArithmeticError, match="not finite on row 1"):
+        minimize_profiles(n, np.linspace(2.0, 1.0, n), signal, np.ones(2))
+
+
+def test_an_overflow_between_the_coarse_points_is_an_arithmetic_error():
+    # bias and variance sums are finite at both grid ends and at every coarse point, and so are both
+    # limits; only grid points 36 to 39, inside cells the bound prunes, overflow.  Such a row keeps its
+    # whole grid, so the check sees what the full scan sees.
+    big = np.finfo(float).max
+    gamma = np.array([1.0, 1e-10, 1e-16])
+    signal = np.array([[1.0, 1.0, 1.0], [0.05 * big, 0.9 * big, 0.0]])
+    noise = np.array([1.0, 0.1001 * big])
+    for search in (minimize_profiles, full_scan_minimize_profiles):
+        with pytest.raises(ArithmeticError, match="not finite on row 1"), np.errstate(over="ignore"):
+            search(3, gamma, signal, noise)
+
+
 def test_stack_shape_and_sign_errors():
     with pytest.raises(ValueError):
         minimize_profiles(3, np.ones(3), np.ones((2, 4)), np.ones(2))
@@ -296,3 +319,172 @@ def test_stack_shape_and_sign_errors():
         minimize_profiles(3, np.ones(3), np.ones((2, 3)), np.array([1.0, -1.0]))
     with pytest.raises(ValueError, match="spectrum indices"):
         minimize_profiles(3, np.ones((2, 3)), np.ones((2, 3)), np.ones(2), spectrum=np.array([0, -1]))
+
+
+# ---------------------------------------------------------------------------
+# the pruned grid scan against the full 64-point scan
+
+
+@st.composite
+def spectra(draw, n):
+    """A polynomial-decay spectrum over 1e-6..1e6, the same with a tail of null eigenvalues, or no positive one."""
+    i = np.arange(1, n + 1, dtype=float)
+    gamma = 10.0 ** draw(decades) * i ** (-2.0 * draw(st.floats(min_value=0.5, max_value=3.5)))
+    kind = draw(st.sampled_from(("decay", "null tail", "flat")))
+    if kind == "null tail":
+        gamma[draw(st.integers(min_value=1, max_value=n - 1)):] = 0.0
+    return gamma if kind != "flat" else np.zeros(n)
+
+
+@st.composite
+def signals(draw, n):
+    """A row's signal and noise: random decay, two separated clusters, zero signal or zero noise."""
+    i = np.arange(1, n + 1, dtype=float)
+    scale = 10.0 ** draw(decades)
+    kind = draw(st.sampled_from(("decay", "two clusters", "zero signal", "zero noise")))
+    if kind == "two clusters":
+        signal = np.zeros(n)
+        signal[0] = scale * 10.0 ** draw(st.floats(min_value=-2.0, max_value=0.0))
+        at = draw(st.integers(min_value=n // 2, max_value=n - 1))
+        signal[at:at + 2] = scale
+        return signal, scale * 10.0 ** draw(st.floats(min_value=-3.0, max_value=-2.0))
+    weights = np.array(draw(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=n, max_size=n)))
+    signal = scale * i ** (-2.0 * draw(st.floats(min_value=0.3, max_value=3.0))) * weights
+    noise = 10.0 ** draw(decades)
+    return signal * (kind != "zero signal"), noise * (kind != "zero noise")
+
+
+@st.composite
+def stacks(draw):
+    """(n, spectra, signal, noise, spectrum): rows of every kind of ``signals`` on one to four ``spectra``."""
+    n = draw(st.integers(min_value=2, max_value=40))
+    gamma = np.array(draw(st.lists(spectra(n), min_size=1, max_size=4)))
+    drawn = draw(st.lists(signals(n), min_size=1, max_size=8))
+    spectrum = np.array(draw(st.lists(st.integers(min_value=0, max_value=len(gamma) - 1),
+                                      min_size=len(drawn), max_size=len(drawn))))
+    return n, gamma, np.array([signal for signal, _ in drawn]), np.array([noise for _, noise in drawn]), spectrum
+
+
+@st.composite
+def multi_basin_stacks(draw):
+    """Stacks of ``two_cluster_profiles`` whose curves each have at least two local minima."""
+    n = draw(st.integers(min_value=20, max_value=40))
+    profs = draw(st.lists(two_cluster_profiles(n), min_size=1, max_size=4))
+    assume(all(len(grid_minima(prof)) >= 2 for prof in profs))
+    return (n, np.array([prof.gamma for prof in profs]), np.array([prof.signal for prof in profs]),
+            np.array([prof.noise for prof in profs]), np.arange(len(profs)))
+
+
+def assert_as_the_full_scan(n, gamma, signal, noise, spectrum):
+    """Every column of the search, the open-cell count included, is bit for bit the full scan's."""
+    pruned = minimize_profiles(n, gamma, signal, noise, spectrum=spectrum)
+    full = full_scan_minimize_profiles(n, gamma, signal, noise, spectrum=spectrum)
+    for field in ("lam", "value", "grad", "iterations", "source", "open_cells"):
+        assert getattr(pruned, field).tobytes() == getattr(full, field).tobytes(), field
+
+
+@given(stacks())
+def test_the_pruned_scan_finds_what_the_full_scan_finds(stack):
+    assert_as_the_full_scan(*stack)
+
+
+@given(multi_basin_stacks())
+def test_the_pruned_scan_finds_what_the_full_scan_finds_on_multi_basin_curves(stack):
+    assert_as_the_full_scan(*stack)
+
+
+@pytest.mark.parametrize("width, spectra_count", [(300, 12), (3000, 2)])
+def test_the_pruned_scan_finds_what_the_full_scan_finds_in_blocks(width, spectra_count):
+    # wide rows split the coarse pass into blocks of spectra and rows, and the fine pass into chunks of points
+    rng = np.random.default_rng(width)
+    i = np.arange(1, width + 1, dtype=float)
+    gamma = np.array([10.0 ** rng.uniform(-3, 3) * i ** -rng.uniform(1.0, 6.0) for _ in range(spectra_count)])
+    rows = 3 * spectra_count
+    signal = 10.0 ** rng.uniform(-3, 3, (rows, 1)) * i ** -rng.uniform(0.6, 6.0, (rows, 1))
+    signal[::5, width // 2:width // 2 + 2] = 1e3 * signal[::5, :1]  # a second cluster: two basins
+    spectrum = rng.integers(0, spectra_count, rows)
+    assert_as_the_full_scan(width, gamma, signal, 10.0 ** rng.uniform(-4, 1, rows), spectrum)
+
+
+@pytest.mark.parametrize("m", [2.0, 3.0])
+def test_open_cells_count_the_cells_a_periodic_spline_search_leaves_open(m):
+    # the smooth periodic-spline spectra leave cells far from the winner whose bound lies below the value
+    spec = ScenarioSpec(kind=ScenarioKind.SETTING_B, n=40, p=5, c1=1.0, c2=0.25, delta1=2.0, beta_or_m=m, seed=0)
+    spectrum, tasks = build_ensemble(spec)
+    signal, noise = comparison_rows(tasks.h[None], 1.0)
+    assert_as_the_full_scan(40, spectrum.gamma, signal.reshape(-1, 40), noise, np.zeros(len(noise), dtype=np.intp))
+    assert minimize_profiles(40, spectrum.gamma, signal.reshape(-1, 40), noise).open_cells.max() > 1
+
+
+def test_a_row_with_null_eigenvalues_is_bit_identical_alone_and_stacked():
+    # the lam = 0 risk sums the signal of the null directions row by row, however many rows share the spectrum
+    n = 25
+    gamma = np.zeros(n)
+    gamma[0] = 1.0
+    signal = np.zeros((6, n))
+    signal[:, 0] = 1.0
+    signal[:, -3:] = [0.005977840567426049, 0.00549006538223677, 0.002529822128134704]
+    noise = np.array([0.01, 1.0, 1.0, 0.01, 0.01, 0.0])
+    stacked = minimize_profiles(n, gamma, signal, noise)
+    assert [bits(stacked, [k]) for k in range(6)] == [
+        bits(search_one(RidgeRiskProfile(n=n, gamma=gamma, signal=signal[k], noise=noise[k]))) for k in range(6)]
+
+
+@given(stacks())
+def test_pruned_cells_hold_nothing_below_the_winner_and_open_cells_keep_their_basins(stack):
+    """What the pruning drops: cells the bound keeps above the value, and basins whose brackets lie in them.
+
+    The bound B(t_i) + V(t_i+1) of every grid cell inside a pruned coarse cell, evaluated afresh, is at or
+    above the value found.  Around every open coarse cell [c, c'], each grid point from c - 1 to c' + 1 is
+    evaluated with both its neighbours, so a basin whose Newton bracket meets the cell is refined.
+    """
+    n, gamma, signal, noise, spectrum = stack
+    opened, scanned = [], []
+    open_coarse_cells, scan = optimize._open_coarse_cells, optimize._scan
+
+    def spy_open(*args):
+        opened.append(open_coarse_cells(*args))
+        return opened[-1]
+
+    def spy_scan(gamma, signal, spectrum, x_grid, points, first, stop, *out):
+        scanned.append((points, first.copy(), stop.copy()))
+        scan(gamma, signal, spectrum, x_grid, points, first, stop, *out)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(optimize, "_open_coarse_cells", spy_open)
+        patch.setattr(optimize, "_scan", spy_scan)
+        found = minimize_profiles(n, gamma, signal, noise, spectrum=spectrum)
+    [open_] = opened
+    t_lo, t_hi = optimize.spectrum_bracket(n, gamma)
+    t_grid = t_lo[:, None] + np.arange(DEFAULT_GRID_POINTS) * ((t_hi - t_lo) / (DEFAULT_GRID_POINTS - 1))[:, None]
+    for k, value in enumerate(found.value.tolist()):
+        x = n * np.exp(t_grid[spectrum[k]])[:, None]
+        d = gamma[spectrum[k]] + x
+        bias = np.sum(signal[k] * (x / d) ** 2, axis=1) / n
+        var = noise[k] * np.sum((gamma[spectrum[k]] / d) ** 2, axis=1) / n
+        evaluated = np.ones(DEFAULT_GRID_POINTS + 2, dtype=bool)  # the padding beyond both grid ends counts
+        evaluated[1:-1] = False
+        for points, first, stop in scanned:
+            evaluated[1 + points[first[k]:stop[k]]] = True
+        for cell in range(len(COARSE) - 1):
+            if open_[k, cell]:
+                i = np.arange(max(COARSE[cell] - 1, 0), min(COARSE[cell + 1] + 2, DEFAULT_GRID_POINTS))
+                assert (evaluated[i] & evaluated[i + 1] & evaluated[i + 2]).all(), (k, cell)
+            else:
+                i = np.arange(COARSE[cell], COARSE[cell + 1])
+                assert (bias[i] + var[i + 1] >= value).all(), (k, cell)
+
+
+def test_the_grid_scan_is_pruned(monkeypatch):
+    """A smooth curve's search evaluates the risk at fewer than two thirds of the grid points."""
+    evaluated = []
+    squares = optimize._squares
+
+    def count(gamma, x):
+        evaluated.append(x.size)
+        return squares(gamma, x)
+
+    monkeypatch.setattr(optimize, "_squares", count)
+    prof = sample_profile(0)
+    assert minimize_profile(prof).source == "newton"
+    assert sum(evaluated) < DEFAULT_GRID_POINTS * 2 / 3
