@@ -1,19 +1,18 @@
-"""Signal rows and noise levels of the risk curves one oracle comparison searches.
+"""Signal rows and noise levels of the risk curves of each estimator.
 
 The multi-task risk separates exactly into a task-mean part, a curve in
 ``lam``, and a between-task part, a curve in ``mu``; the single-task risk is
 one curve per task.  Each curve is a ridge risk curve on the kernel
 eigenvalues, given here by its squared signal coefficients (one row) and its
-noise level, and searched by ``optimize.minimize_profiles``.  The dense
-Kronecker smoother that cross-checks these rows lives in the test suite
-(``tests/reference.py``).
+noise level, and searched by ``optimize.minimize_profiles``.
+``oracles.comparison_rows`` lays out the rows of both estimators for one
+comparison.  The dense Kronecker smoother that cross-checks these rows lives
+in the test suite (``tests/reference.py``).
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .spectral import mean_variance
 
 
 def multitask_rows(mu: np.ndarray, varsigma2: np.ndarray, sigma2: float, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -30,14 +29,3 @@ def multitask_rows(mu: np.ndarray, varsigma2: np.ndarray, sigma2: float, p: int)
 def singletask_rows(h: np.ndarray, sigma2: float) -> tuple[np.ndarray, np.ndarray]:
     """Signal rows and noise levels of the p single-task risk curves of coefficients h (..., n, p), one row per task."""
     return np.swapaxes(h, -1, -2) ** 2, np.full(h.shape[-1], float(sigma2))
-
-
-def comparison_rows(h: np.ndarray, sigma2: float) -> tuple[np.ndarray, np.ndarray]:
-    """Signal rows and noise levels of the p + 2 searches of one comparison: mean part, variance part, tasks.
-
-    ``h`` holds the task coefficients, n x p, or an (R, n, p) block of R replicates with signal
-    (R, p + 2, n), each replicate's rows bit-identical to those of its ensemble alone.
-    """
-    mt_signal, mt_noise = multitask_rows(*mean_variance(h), sigma2, h.shape[-1])
-    st_signal, st_noise = singletask_rows(h, sigma2)
-    return np.concatenate((mt_signal, st_signal), axis=-2), np.concatenate((mt_noise, st_noise))

@@ -91,11 +91,11 @@ def run_experiments(specs: list[ScenarioSpec], sigma2: float, n_rep: int,
                     pi2_scale: str = "N") -> tuple[list[ExperimentReport], Search, dict[str, float]]:
     """Replicate the oracle comparison of every spec n_rep times: draw, one ``compare`` call, report.
 
-    The specs must share n and p.  Every replicate's sub-seed is derived in one hash pass and the work list
-    is drawn as one block.  Returns one report per spec, each from its slice of the ratios, the one
-    ``Search`` of the comparison (p + 2 rows per replicate, replicate by replicate, spec by spec), and the
-    wall time in seconds of each stage: ``draw``, ``rows``, ``search`` and ``report``.  Only ``compare``
-    holds the (R, n, p) block of all replicates, and frees it once its rows are built.
+    The specs must share their kind, n and p.  Every replicate's sub-seed is derived in one hash pass and
+    the work list is drawn as one block.  Returns one report per spec, each from its slice of the ratios,
+    the one ``Search`` of the comparison (p + 2 rows per replicate, replicate by replicate, spec by spec),
+    and the wall time in seconds of each stage: ``draw``, ``rows``, ``search`` and ``report``.  Only
+    ``compare`` holds the (R, n, p) block of all replicates, and frees it once its rows are built.
     ``pi2_scale`` selects the normalization inside the CLT statistic: "N" (the replicate count, the
     statistically meaningful choice) or "n" (the per-task sample size); each report records it.
     """
@@ -103,8 +103,8 @@ def run_experiments(specs: list[ScenarioSpec], sigma2: float, n_rep: int,
         raise ValueError("n_rep must be positive")
     if pi2_scale not in ("N", "n"):
         raise ValueError("pi2_scale must be 'N' or 'n'")
-    if len({(spec.n, spec.p) for spec in specs}) != 1:
-        raise ValueError("the specs of one run must share n and p")
+    if len({(spec.kind, spec.n, spec.p) for spec in specs}) != 1:
+        raise ValueError("the specs of one run must share n and p and their kind")
     start = time.perf_counter()
     seeds = derive_seeds(np.repeat(np.array([spec.seed for spec in specs], dtype=np.uint64), n_rep),
                          np.tile(np.arange(n_rep), len(specs)))

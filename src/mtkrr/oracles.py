@@ -14,8 +14,20 @@ import time
 
 import numpy as np
 
-from .estimators import comparison_rows
+from .estimators import multitask_rows, singletask_rows
 from .optimize import Search, minimize_profiles
+from .spectral import mean_variance
+
+
+def comparison_rows(h: np.ndarray, sigma2: float) -> tuple[np.ndarray, np.ndarray]:
+    """Signal rows and noise levels of the p + 2 searches of one comparison: mean part, variance part, tasks.
+
+    ``h`` holds the task coefficients, n x p, or an (R, n, p) block of R replicates with signal
+    (R, p + 2, n), each replicate's rows bit-identical to those of its ensemble alone.
+    """
+    mt_signal, mt_noise = multitask_rows(*mean_variance(h), sigma2, h.shape[-1])
+    st_signal, st_noise = singletask_rows(h, sigma2)
+    return np.concatenate((mt_signal, st_signal), axis=-2), np.concatenate((mt_noise, st_noise))
 
 
 def compare(n: int, gamma: np.ndarray, h: np.ndarray, sigma2: float, spectrum: np.ndarray | None = None,

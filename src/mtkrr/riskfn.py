@@ -243,7 +243,7 @@ def minimize_risks(grid: list[RiskParams]) -> tuple[list[BoundReport], Search]:
             constants[pair] = (kappa(*pair) if params.satisfies_hm else math.nan,
                                alpha_constant(*pair) if params.satisfies_lb else math.nan)
         kap, alpha = constants[pair]
-        rate = minimax_rate(params, kap)
+        rate = minimax_rate(params, kap) if params.satisfies_hm else math.nan  # outside, its power may overflow
         try:
             cap = epsilon_cap(params, rate)
         except NoEpsilonCapError:

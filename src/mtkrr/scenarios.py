@@ -6,7 +6,9 @@ scenario seed, so streams are reproducible across runs and platforms.
 Replicate sub-streams are derived by spawn-key hashing of (seed, replicate
 index), never by jumping a shared stream.  The hash is numpy's
 ``SeedSequence`` written as array code, so every sub-seed and Philox key of
-a work list comes from one pass, bit for bit numpy's.
+a work list comes from one pass, bit for bit numpy's, and every replicate's
+stream is one block of raw Philox words: the same numbers numpy's
+``Generator`` would draw from that key.
 """
 
 from __future__ import annotations
@@ -63,6 +65,8 @@ class ScenarioSpec:
             raise ValueError("the outlier configuration needs p >= 2")
         if self.kind is ScenarioKind.SETTING_B and not (self.beta_or_m >= 1 and float(self.beta_or_m).is_integer()):
             raise ValueError("setting B needs an integer smoothness order m >= 1")
+        if self.beta_or_m < 0:
+            raise ValueError("beta_or_m must be nonnegative")
         if self.kind in _NEEDS_DELTA2:
             if self.delta2 is None or self.delta2 <= 0:
                 raise ValueError(f"{self.kind.value} requires a positive delta2")
@@ -80,11 +84,6 @@ class ScenarioSpec:
         ordered = sorted(fields(self), key=lambda field: field.name == "delta2")
         values = {field.name: getattr(self, field.name) for field in ordered}
         return {k: v for k, v in values.items() if v is not None} | {"kind": self.kind.value}
-
-
-def rng_for(seed: int) -> np.random.Generator:
-    """Philox stream keyed by the seed: the stream of setting B's replicates."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=int(seed))))
 
 
 # numpy's SeedSequence hash (NEP 19, after O'Neill's seed_seq_fe): 32-bit words mixed into a pool of four
@@ -179,31 +178,29 @@ def _h1out(spec: ScenarioSpec, h: np.ndarray) -> None:
     h[...] = _decay(spec.n, spec.delta1)[:, None] * np.array(amplitudes)
 
 
-def _rademacher(rng: np.random.Generator, n: int, p: int) -> np.ndarray:
-    return rng.integers(0, 2, size=(n, p)).astype(float) * 2.0 - 1.0
+def _stream(seeds: np.ndarray, lead: int, n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each replicate's first ``lead`` 64-bit words, (R, lead), then its (R, n, p) block of Rademacher signs.
 
-
-def _signs(seeds: np.ndarray, n: int, p: int) -> np.ndarray:
-    """(R, n, p) block of Rademacher signs, replicate r bit for bit ``_rademacher(rng_for(seeds[r]), n, p)``.
-
-    ``rng_for`` keys Philox (Salmon et al., SC 2011) with the seed's hash, and ``integers(0, 2)`` takes
-    numpy's 32-bit Lemire path, which never rejects for two values: each sign is the top bit of the next
-    32-bit output, the low half and then the high half of each 64-bit Philox output.  So replicate r is
-    one ``random_raw`` call from its key at counter 0 with an empty buffer, and all keys are one hash pass.
+    Replicate r draws from Philox (Salmon et al., SC 2011) keyed as ``Philox(SeedSequence(seeds[r]))`` is,
+    at counter 0 with an empty buffer: one ``random_raw`` call per replicate, all keys from one hash pass.
+    The words are what ``next_double`` reads, one each.  The signs are numpy's ``integers(0, 2)`` after
+    them: its 32-bit Lemire path never rejects for two values, so each sign is the top bit of the next
+    32-bit output, the low half and then the high half of each 64-bit word from word ``lead`` on.
     """
     keys = _seed_hash(seeds, np.empty((0, seeds.size), dtype=np.uint64), 2).T
-    raw = np.empty((seeds.size, -(-n * p // 2)), dtype=np.uint64)
+    raw = np.empty((seeds.size, lead + -(-n * p // 2)), dtype=np.uint64)
     bitgen = np.random.Philox(key=0)
     state = bitgen.state  # counter 0, empty buffer
     for r, key in enumerate(keys):
         state["state"]["key"] = key
         bitgen.state = state
         raw[r] = bitgen.random_raw(raw.shape[1])
-    top = np.right_shift(raw.astype("<u8", copy=False).view("<u4")[:, : n * p], 31)
-    del raw
+    words = raw[:, :lead].copy()
+    top = np.right_shift(raw.astype("<u8", copy=False).view("<u4")[:, 2 * lead:2 * lead + n * p], 31)
+    del raw  # the words go before the float block is allocated
     signs = np.multiply(top, 2.0).reshape(-1, n, p)
     signs -= 1.0
-    return signs
+    return words, signs
 
 
 def _setting_a(spec: ScenarioSpec, eps: np.ndarray) -> None:
@@ -269,25 +266,27 @@ def periodic_kernel_matrix(x: np.ndarray, m: int) -> np.ndarray:
     return periodic_kernel_value(x[:, None] - x[None, :], m)
 
 
-def _setting_b(spec: ScenarioSpec, seeds, h: np.ndarray) -> list[KernelSpectrum]:
-    """Random-design periodic-spline setting: each replicate draws its own spectrum, and h[r] its coefficients.
+def _uniform(words: np.ndarray, low: float, high: float) -> np.ndarray:
+    """numpy's ``uniform(low, high)`` of each word: ``low + (high - low) next_double``, 53 bits per double."""
+    return low + (high - low) * ((words >> 11) * 2.0**-53)
 
-    Replicate r draws n inputs uniformly on [-pi, pi] (first), then the
-    Rademacher sign field, from ``rng_for(seeds[r])``; builds the kernel
-    matrix, eigendecomposes it, and projects the task values
-    (sqrt(C1) + eps_i^j sqrt(C2)) |X_i| onto the kernel eigenbasis.
+
+def _setting_b(spec: ScenarioSpec, words: np.ndarray, eps: np.ndarray) -> list[KernelSpectrum]:
+    """Random-design periodic-spline setting: each replicate draws its own spectrum, and eps[r] its coefficients.
+
+    Replicate r's stream gives n inputs uniformly on [-pi, pi] (``words[r]``), then the Rademacher sign
+    field ``eps[r]``; it builds the kernel matrix, eigendecomposes it, and overwrites its signs with the
+    task values (sqrt(C1) + eps_i^j sqrt(C2)) |X_i| projected onto the kernel eigenbasis.
     """
     spectra = []
-    for r, seed in enumerate(seeds.tolist()):
-        rng = rng_for(seed)
-        x = rng.uniform(-np.pi, np.pi, spec.n)
-        eps = _rademacher(rng, spec.n, spec.p)
+    for r, row in enumerate(words):
+        x = _uniform(row, -np.pi, np.pi)
         spectra.append(eigendecompose_kernel(periodic_kernel_matrix(x, int(spec.beta_or_m))))
-        h[r] = project_tasks(spectra[-1], (math.sqrt(spec.c1) + eps * math.sqrt(spec.c2)) * np.abs(x)[:, None]).h
+        eps[r] = project_tasks(spectra[-1], (math.sqrt(spec.c1) + eps[r] * math.sqrt(spec.c2)) * np.abs(x)[:, None]).h
     return spectra
 
 
-_SIGNED = {ScenarioKind.SETTING_A, ScenarioKind.SETTING_C, ScenarioKind.SETTING_D}
+_RANDOM = {ScenarioKind.SETTING_A, ScenarioKind.SETTING_B, ScenarioKind.SETTING_C, ScenarioKind.SETTING_D}
 _TASK_BLOCKS = {ScenarioKind.H2POINTS: _h2points, ScenarioKind.H1OUT: _h1out, ScenarioKind.SETTING_A: _setting_a,
                 ScenarioKind.SETTING_C: _setting_c, ScenarioKind.SETTING_D: _setting_d}
 
@@ -295,29 +294,28 @@ _TASK_BLOCKS = {ScenarioKind.H2POINTS: _h2points, ScenarioKind.H1OUT: _h1out, Sc
 def draw(specs: list[ScenarioSpec], seeds) -> tuple[list[KernelSpectrum], np.ndarray, np.ndarray]:
     """Spectra, each replicate's spectrum index and the (S R, n, p) task block of a work list, spec by spec.
 
-    ``seeds`` is an (S, R) array: replicate r of ``specs[k]`` draws from its own stream ``rng_for(seeds[k, r])``,
-    and its slice is the ensemble of that spec with that seed, bit for bit.  The specs share n and p.  The
-    signs of every replicate of settings A, C and D are one block, which each spec scales in place; each
-    synthetic spec gets one polynomial-decay spectrum with beta = beta_or_m, and the periodic-spline
-    setting draws one spectrum per replicate.
+    ``seeds`` is an (S, R) array: replicate r of ``specs[k]`` draws from its own stream keyed by
+    ``seeds[k, r]``, and its slice is the ensemble of that spec with that seed, bit for bit.  The specs
+    share one kind, n and p.  The streams of every replicate are one block (``_stream``), whose signs
+    become the task block of a random kind: settings A, C and D scale their slices in place, and the
+    periodic-spline setting, which reads n input words first, overwrites each slice with its projected
+    coefficients.  Each synthetic spec gets one polynomial-decay spectrum with beta = beta_or_m, and the
+    periodic-spline setting draws one spectrum per replicate.
     """
     seeds = np.asarray(seeds, dtype=np.uint64).reshape(len(specs), -1)
-    reps, n, p = seeds.shape[1], specs[0].n, specs[0].p
-    signed = np.repeat([spec.kind in _SIGNED for spec in specs], reps)
-    if signed.all():  # the sign block becomes the task block
-        h = _signs(seeds.ravel(), n, p)
+    kind, reps, n, p = specs[0].kind, seeds.shape[1], specs[0].n, specs[0].p
+    if kind in _RANDOM:  # the sign block becomes the task block
+        words, h = _stream(seeds.ravel(), n if kind is ScenarioKind.SETTING_B else 0, n, p)
     else:
         h = np.empty((seeds.size, n, p))
-        if signed.any():
-            h[signed] = _signs(seeds.ravel()[signed], n, p)
     spectra, owner = [], []
     for k, spec in enumerate(specs):
-        block = h[k * reps:(k + 1) * reps]
-        if spec.kind is ScenarioKind.SETTING_B:
+        rows = slice(k * reps, (k + 1) * reps)
+        if kind is ScenarioKind.SETTING_B:
             owner += range(len(spectra), len(spectra) + reps)
-            spectra += _setting_b(spec, seeds[k], block)
+            spectra += _setting_b(spec, words[rows], h[rows])
         else:
-            _TASK_BLOCKS[spec.kind](spec, block)
+            _TASK_BLOCKS[kind](spec, h[rows])
             owner += [len(spectra)] * reps
             spectra.append(synth_spectrum(n, spec.beta_or_m))
     return spectra, np.array(owner), h

@@ -17,7 +17,8 @@ Also here: a certifier of the engine's global minima
 (``certified_lower_bound``), the oracle search with the unpruned 64-point
 grid scan (``full_scan_minimize_profiles``), the one-spec form of
 ``mtkrr.experiments.run_experiments``, the degrees-of-freedom diagnostic
-``df_and_bias``, and the paper formulas no
+``df_and_bias``, numpy's own per-replicate streams (``rng_for``, ``rademacher``
+and the setting-B ensemble ``numpy_setting_b``), and the paper formulas no
 command evaluates (the template risk at one lambda, the maximizer ``t_star``
 and the data-driven estimator's bound ``hm_bound_rhs``), each kept with its
 checks.
@@ -35,8 +36,8 @@ from mtkrr.experiments import ExperimentReport, run_experiments
 from mtkrr import optimize
 from mtkrr.optimize import RidgeRiskProfile, Search
 from mtkrr.riskfn import RiskParams, template_profile
-from mtkrr.scenarios import ScenarioSpec
-from mtkrr.spectral import KernelSpectrum, TaskEnsemble, mean_variance
+from mtkrr.scenarios import ScenarioSpec, periodic_kernel_matrix
+from mtkrr.spectral import KernelSpectrum, TaskEnsemble, eigendecompose_kernel, mean_variance, project_tasks
 
 DENSE_SIZE_CAP = 512  # the O((np)^3) route exists only for cross-validation
 
@@ -388,6 +389,33 @@ def full_scan_minimize_profiles(n: int, gamma: np.ndarray, signal: np.ndarray, n
 def run_experiment(spec: ScenarioSpec, sigma2: float, n_rep: int, pi2_scale: str = "N") -> ExperimentReport:
     """Replicate the oracle comparison n_rep times and aggregate the statistics: ``run_experiments`` of one spec."""
     return run_experiments([spec], sigma2, n_rep, pi2_scale)[0][0]
+
+
+# ---------------------------------------------------------------------------
+# numpy's own streams: the oracle of scenarios._stream
+
+
+def rng_for(seed: int) -> np.random.Generator:
+    """numpy's Philox stream keyed by the seed, the stream ``scenarios.draw`` reads for a replicate of that seed."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=int(seed))))
+
+
+def rademacher(rng: np.random.Generator, n: int, p: int) -> np.ndarray:
+    """An n x p field of signs +-1.0 drawn as ``integers(0, 2)``."""
+    return rng.integers(0, 2, size=(n, p)).astype(float) * 2.0 - 1.0
+
+
+def numpy_setting_b(spec: ScenarioSpec, seed: int) -> tuple[KernelSpectrum, np.ndarray]:
+    """The periodic-spline setting's spectrum and coefficients for one seed, drawn from numpy's ``Generator``.
+
+    n inputs uniform on [-pi, pi] first, then the sign field; the task values (sqrt(C1) + eps sqrt(C2)) |X|
+    are projected onto the kernel eigenbasis.
+    """
+    rng = rng_for(seed)
+    x = rng.uniform(-np.pi, np.pi, spec.n)
+    eps = rademacher(rng, spec.n, spec.p)
+    spectrum = eigendecompose_kernel(periodic_kernel_matrix(x, int(spec.beta_or_m)))
+    return spectrum, project_tasks(spectrum, (math.sqrt(spec.c1) + eps * math.sqrt(spec.c2)) * np.abs(x)[:, None]).h
 
 
 # ---------------------------------------------------------------------------

@@ -122,6 +122,14 @@ class TestOracleCommand:
         assert rc == 1
         assert "delta2" in capsys.readouterr().err
 
+    def test_negative_decay_is_a_config_error(self, tmp_path, capsys):
+        # before the spec checked it, the flipped spectrum failed inside the search with no key named
+        rc = main(["oracle", "--kind", "setting_a", "--n", "8", "--p", "2", "--c1", "1", "--c2", "0.1",
+                   "--delta1", "2", "--beta-or-m", "-5", "--out", str(tmp_path / "o.json")])
+        assert rc == 1
+        assert capsys.readouterr().err == "config error: scenario: beta_or_m must be nonnegative\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestExperimentCommand:
     def write_config(self, tmp_path, **overrides):
@@ -267,6 +275,18 @@ class TestVerifyBounds:
         assert checked[2].startswith("PASS property-3 lower bound: ")
         assert lines == [*checked[:2], "SKIP property-3 lower bound: no cell of the grid inside its window",
                          *checked[3:]]
+
+    def test_a_delta_far_outside_the_window_is_skipped(self, tmp_path, capsys):
+        # the minimax rate (n p / sigma2)^(1/(2 delta) - 1) overflows at delta = 1e-300; outside the window
+        # it is not computed, so every windowed property is skipped instead of the command failing
+        argv = ["verify-bounds", "--bd-pairs", "2:1e-300", "--n-values", "50", "--p-values", "1", "--c-values", "1"]
+        assert main([*argv, "--out", str(tmp_path / "v.txt")]) == 0
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert lines[:3] == [f"SKIP {name}: no cell of the grid inside its window"
+                             for name in ("property-1 upper bound", "property-2 localization", "property-3 lower bound")]
+        assert all(line.startswith("PASS ") for line in lines[3:])
+        assert not any(line.startswith("error:") for line in captured.err.splitlines())
 
     def test_template_optimum_far_below_1e_12_is_found(self, capsys):
         # beta = 4, n = 1000: the optimum lies near lam = 1.3e-16, and a search
@@ -537,6 +557,12 @@ class TestSweepValidatesBeforeRunning:
         assert rc == 1
         assert "config error: table.row3.scenario: setting B needs an integer smoothness order" in err
         assert "row 0:" not in err and not out.exists()
+
+    def test_negative_decay_is_a_row_error(self, tmp_path, capsys):
+        rc, err, out = self.run_table(tmp_path, capsys, beta_or_m_values="2.0, -1.0")
+        assert rc == 1
+        assert err == "config error: table.row1.scenario: beta_or_m must be nonnegative\n"
+        assert not out.exists()
 
     def test_bad_seed_and_kind_are_named_by_the_section(self, tmp_path, capsys):
         rc, err, out = self.run_table(tmp_path, capsys, kind="setting_z", seed="s")

@@ -5,8 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mtkrr.estimators import comparison_rows
 from mtkrr.experiments import Z_975, pvalue_pi1, pvalue_pi2, run_experiments
+from mtkrr.oracles import comparison_rows
 from mtkrr.render import emit_heatmap, emit_table, write_report_json
 from mtkrr.scenarios import ScenarioKind, ScenarioSpec, build_ensemble, derive_seed, draw
 from conftest import compare_one
@@ -146,6 +146,14 @@ class TestRunExperiment:
     def test_specs_of_one_run_share_n_and_p(self):
         with pytest.raises(ValueError, match="share n and p"):
             run_experiments([quick_spec(), quick_spec(n=21)], 1.0, 2)
+
+    def test_specs_of_one_run_share_their_kind(self):
+        # the draw serves one kind per work list: its sign block is the task block of every spec
+        with pytest.raises(ValueError, match="share n and p and their kind"):
+            run_experiments([quick_spec(kind=ScenarioKind.SETTING_A), quick_spec(kind=ScenarioKind.SETTING_C,
+                                                                               delta2=1.5)], 1.0, 2)
+        with pytest.raises(ValueError, match="share n and p and their kind"):
+            run_experiments([quick_spec(), quick_spec(kind=ScenarioKind.SETTING_B, n=20, beta_or_m=2.0)], 1.0, 2)
 
     def test_pi2_scale_override(self):
         spec = quick_spec(kind=ScenarioKind.SETTING_A, c2=0.5, seed=5, n=30)

@@ -1,4 +1,4 @@
-"""Layout guards: the package holds no code that only the tests use, keeps the dense route off the hot path, one module forks on setting B, one module lays out a comparison, one function reads the sweep configs, one module writes files, a search has one columnar result type and one pruned grid scan, and only setting B draws from a numpy stream.
+"""Layout guards: the package holds no code that only the tests use, keeps the dense route off the hot path, one module forks on setting B, one module lays out a comparison, one function reads the sweep configs, one module writes files, a search has one columnar result type and one pruned grid scan, and no module draws from a per-replicate numpy stream.
 
 A public function, class or method defined in ``src/mtkrr`` counts as used
 only if a package module other than ``__init__.py`` references it, or a
@@ -156,25 +156,20 @@ def test_the_search_keeps_its_signature_and_one_pruned_grid_scan():
     assert scans == [("optimize.minimize_profiles", "COARSE"), ("optimize.minimize_profiles", "FINE")], scans
 
 
-def test_only_setting_b_draws_from_a_numpy_stream():
-    """The synthetic kinds draw their signs from hashed Philox keys, never from a per-replicate numpy stream.
+def test_no_module_draws_from_a_numpy_stream():
+    """Every random setting draws from hashed Philox keys as one block, never from a per-replicate numpy stream.
 
-    Only ``scenarios._setting_b`` names ``rng_for``, and only ``rng_for`` builds a numpy ``SeedSequence`` or
-    ``Generator``: the hash is the one seed derivation.
+    No package module names ``rng_for`` or ``_rademacher`` or calls a numpy ``SeedSequence`` or ``Generator``:
+    the hash is the one seed derivation, and numpy's own streams are the test oracle in ``tests/reference.py``.
     """
-    streams, builds = [], []
+    streams = []
     for path in sorted(PACKAGE.glob("*.py")):
-        for top in ast.parse(path.read_text()).body:
-            where = f"{path.stem}.{getattr(top, 'name', '<module>')}"
-            for node in ast.walk(top):
-                name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
-                if name == "rng_for" and where != "scenarios._setting_b":
-                    streams.append(where)
-                called = ast.unparse(node.func).split(".")[-1] if isinstance(node, ast.Call) else None
-                if called in ("SeedSequence", "Generator") and where != "scenarios.rng_for":
-                    builds.append(f"{where}: {ast.unparse(node)}")
-    assert not streams, f"code other than setting B draws from rng_for: {streams}"
-    assert not builds, f"code other than rng_for builds a numpy seed sequence or generator: {builds}"
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+            called = ast.unparse(node.func).split(".")[-1] if isinstance(node, ast.Call) else None
+            if name in ("rng_for", "_rademacher") or called in ("SeedSequence", "Generator"):
+                streams.append(f"{path.name}: {name or called}")
+    assert not streams, f"package code draws from a per-replicate numpy stream: {streams}"
 
 
 def test_readme_library_example_runs(capsys):

@@ -10,20 +10,29 @@ from hypothesis import strategies as st
 from mtkrr.scenarios import (
     ScenarioKind,
     ScenarioSpec,
-    _rademacher,
     _seed_hash,
-    _signs,
+    _stream,
+    _uniform,
     build_ensemble,
     derive_seed,
     derive_seeds,
     draw,
     periodic_kernel_matrix,
     periodic_kernel_value,
-    rng_for,
     synth_spectrum,
 )
 from mtkrr.spectral import project_tasks
-from reference import RegularizerAV, kernel_matrix, mean_variance_profile, reconstruct_tasks, risk_direct, risk_spectral
+from reference import (
+    RegularizerAV,
+    kernel_matrix,
+    mean_variance_profile,
+    numpy_setting_b,
+    rademacher,
+    reconstruct_tasks,
+    risk_direct,
+    risk_spectral,
+    rng_for,
+)
 
 
 def spec_of(kind, **kw):
@@ -282,6 +291,14 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="integer smoothness order"):
             spec_of(ScenarioKind.SETTING_B, beta_or_m=m)
 
+    @pytest.mark.parametrize("kind", [kind for kind in ScenarioKind if kind is not ScenarioKind.SETTING_B])
+    def test_negative_decay_rejected_and_a_flat_spectrum_kept(self, kind):
+        extra = dict(delta2=2.0) if kind in (ScenarioKind.SETTING_C, ScenarioKind.SETTING_D) else {}
+        with pytest.raises(ValueError, match="beta_or_m must be nonnegative"):
+            spec_of(kind, beta_or_m=-1.0, **extra)
+        spectrum, _ = build_ensemble(spec_of(kind, beta_or_m=0.0, **extra))
+        assert np.all(spectrum.gamma == 8.0)
+
     def test_build_ensemble_dispatch(self):
         spectrum, tasks = build_ensemble(spec_of(ScenarioKind.SETTING_A))
         assert spectrum.n == tasks.n == 8
@@ -302,7 +319,10 @@ seeds_64 = st.sampled_from(EDGE_SEEDS) | st.integers(min_value=0, max_value=2**6
 
 
 class TestSeedHashAgainstNumpy:
-    """The array hash, the Philox keys and the sign block are numpy's SeedSequence, Philox and integers, bit for bit."""
+    """The array hash, the Philox keys, the sign block and setting B's inputs are numpy's, bit for bit.
+
+    numpy's ``SeedSequence``, ``Philox``, ``Generator.integers`` and ``Generator.uniform`` are the oracle.
+    """
 
     @pytest.mark.parametrize("seed", EDGE_SEEDS)
     @pytest.mark.parametrize("path", [(), (0,), (7,), (2**32 - 1,), (3, 4), (0, 2**32 - 1), tuple(range(8))])
@@ -340,11 +360,46 @@ class TestSeedHashAgainstNumpy:
         cell_seeds = derive_seeds(np.full(cells, seed, dtype=np.uint64), np.array(paths, dtype=np.uint64).T)
         assert cell_seeds.tolist() == [numpy_seed(seed, *path) for path in paths]
         replicate_seeds = derive_seeds(np.repeat(cell_seeds, reps), np.tile(np.arange(reps), cells))
-        block = _signs(replicate_seeds, n, p)
-        expected = np.stack([_rademacher(rng_for(numpy_seed(cell, r)), n, p)
+        words, block = _stream(replicate_seeds, 0, n, p)
+        expected = np.stack([rademacher(rng_for(numpy_seed(cell, r)), n, p)
                              for cell in cell_seeds.tolist() for r in range(reps)])
-        assert block.shape == (cells * reps, n, p)
+        assert words.shape == (cells * reps, 0) and block.shape == (cells * reps, n, p)
         assert np.array_equal(block, expected)
+
+    @pytest.mark.parametrize("seed", EDGE_SEEDS)
+    @pytest.mark.parametrize("n, p", [(1, 1), (1, 4), (3, 3), (12, 4), (7, 5)])  # odd n p leaves a high half unused
+    def test_setting_b_stream_at_edge_seeds(self, seed, n, p):
+        self.assert_setting_b_stream([seed], n, p)
+
+    @given(seeds=st.lists(seeds_64, min_size=1, max_size=6), n=st.integers(min_value=1, max_value=12),
+           p=st.integers(min_value=1, max_value=5))
+    @example(seeds=EDGE_SEEDS, n=1, p=1)
+    def test_setting_b_stream_is_numpys_uniform_then_integers(self, seeds, n, p):
+        self.assert_setting_b_stream(seeds, n, p)
+
+    @staticmethod
+    def assert_setting_b_stream(seeds, n, p):
+        """n words read as ``uniform(-pi, pi, n)``, then the signs of ``integers(0, 2, (n, p))``, per replicate."""
+        words, signs = _stream(np.array(seeds, dtype=np.uint64), n, n, p)
+        assert words.dtype == np.uint64 and words.shape == (len(seeds), n) and signs.shape == (len(seeds), n, p)
+        for r, seed in enumerate(seeds):
+            rng = rng_for(seed)
+            assert np.array_equal(_uniform(words[r], -np.pi, np.pi), rng.uniform(-np.pi, np.pi, n))
+            assert np.array_equal(signs[r], rademacher(rng, n, p))
+
+    @pytest.mark.parametrize("n, p, m", [(1, 1, 1), (5, 3, 2), (12, 4, 3)])
+    def test_setting_b_work_list_is_each_replicates_numpy_ensemble(self, n, p, m):
+        specs = [spec_of(ScenarioKind.SETTING_B, n=n, p=p, beta_or_m=float(m), c2=c2, seed=derive_seed(4, k))
+                 for k, c2 in enumerate((0.25, 1.0))]
+        seeds = derive_seeds(np.repeat([spec.seed for spec in specs], 3), np.tile(np.arange(3), 2)).reshape(2, 3)
+        spectra, owner, h = draw(specs, seeds)
+        assert owner.tolist() == list(range(6)) and h.shape == (6, n, p)
+        for k, spec in enumerate(specs):
+            for r, seed in enumerate(seeds[k].tolist()):
+                spectrum, expected = numpy_setting_b(spec, seed)
+                assert np.array_equal(spectra[3 * k + r].gamma, spectrum.gamma)
+                assert np.array_equal(spectra[3 * k + r].basis, spectrum.basis)
+                assert np.array_equal(h[3 * k + r], expected)
 
     def test_a_path_entry_past_32_bits_is_rejected(self):
         with pytest.raises(ValueError, match="32 unsigned bits"):
