@@ -155,17 +155,15 @@ def _sweep(
     return reports
 
 
-def _run_summary(*searches: optimize.Search) -> str:
+def _run_summary(search: optimize.Search) -> str:
     """One line on how a run's searches ended: winners by source, max_iter hits, Newton evaluations, open cells."""
-    source = np.concatenate([search.source for search in searches])
-    newton = np.concatenate([search.iterations for search in searches])[source == optimize.SOURCES.index("newton")]
-    counts = np.bincount(source, minlength=len(optimize.SOURCES)).tolist()
+    newton = search.iterations[search.source == optimize.SOURCES.index("newton")]
+    counts = np.bincount(search.source, minlength=len(optimize.SOURCES)).tolist()
     winners = ", ".join(f"{name} {count}" for name, count in zip(optimize.SOURCES, counts))
     hits = np.count_nonzero(newton >= optimize.DEFAULT_MAX_ITER)
     evaluations = f"median {np.median(newton):g}, max {newton.max()}" if newton.size else "none"
-    with_open_cells = sum(np.count_nonzero(search.open_cells) for search in searches)
-    return (f"searches {len(source)}: {winners}; max_iter hits {hits}; newton evaluations {evaluations}; "
-            f"open-cell searches {with_open_cells}")
+    return (f"searches {len(search.source)}: {winners}; max_iter hits {hits}; newton evaluations {evaluations}; "
+            f"open-cell searches {np.count_nonzero(search.open_cells)}")
 
 
 def _stage_times(times: dict[str, float]) -> str:
@@ -335,6 +333,9 @@ def cmd_verify_bounds(args) -> int:
     grid = [_risk_params(errors, n=n, p=p, sigma2=sigma2, beta=beta, delta=delta, c=c)
             for beta, delta in bd_pairs for n in n_values for p in p_values for c in c_values]
     _fail_on(errors)
+    # property 4's p-sweep at fixed n, searched in the grid's call: one engine call per n
+    sweep_params = [riskfn.RiskParams(n=50, p=int(round(p)), sigma2=sigma2, beta=2, delta=2, c=1.0)
+                    for p in np.geomspace(1, 1e7, 13)]
 
     lines: list[str] = []
     all_ok = True
@@ -343,8 +344,9 @@ def cmd_verify_bounds(args) -> int:
     worst_upper, worst_lower = -math.inf, math.inf
     cap_violations = upper_checked = cap_checked = lower_checked = 0
     start = time.perf_counter()
-    reports, search = riskfn.minimize_risks(grid)
+    reports, search = riskfn.minimize_risks(grid + sweep_params)
     times = {"grid": time.perf_counter() - start}
+    reports, sweep = reports[:len(grid)], reports[len(grid):]
     for params, report in zip(grid, reports):
         if report.upper > 0:  # nan outside the minimax window
             upper_checked += 1
@@ -362,12 +364,7 @@ def cmd_verify_bounds(args) -> int:
     all_ok &= _check("property-3 lower bound", worst_lower >= 0,
                      f"worst relative margin {worst_lower:.3e} over {lower_checked} cells", lines, lower_checked)
 
-    # Property 4: a single regime flip along a p-sweep at fixed n
-    start = time.perf_counter()
-    sweep, sweep_search = riskfn.minimize_risks(
-        [riskfn.RiskParams(n=50, p=int(round(p)), sigma2=sigma2, beta=2, delta=2, c=1.0)
-         for p in np.geomspace(1, 1e7, 13)])
-    times["sweep"] = time.perf_counter() - start
+    # Property 4: a single regime flip along the p-sweep
     labels = [report.regime for report in sweep]
     dedup = [lab for lab, _ in itertools.groupby(lab for lab in labels if lab is not riskfn.Regime.UNDETERMINED)]
     all_ok &= _check("property-4 regime flip", dedup == [riskfn.Regime.REGULARIZE, riskfn.Regime.TRIVIAL_NOISE],
@@ -399,70 +396,101 @@ def cmd_verify_bounds(args) -> int:
     if args.out:
         render.write_lines(args.out, lines)
     times["render"] = time.perf_counter() - start
-    print(_run_summary(search, sweep_search) + _stage_times(times), file=sys.stderr)
+    print(_run_summary(search) + _stage_times(times), file=sys.stderr)
     return 0 if all_ok else 2
 
 
+def _risk_curve_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--n", type=int, required=True)
+    parser.add_argument("--p", type=int, default=1)
+    parser.add_argument("--sigma2", type=float, default=1.0)
+    parser.add_argument("--beta", type=float, required=True)
+    parser.add_argument("--delta", type=float, required=True)
+    parser.add_argument("--c", type=float, required=True)
+    parser.add_argument("--lambda-min", type=float, default=None, help="default: low end of the search bracket")
+    parser.add_argument("--lambda-max", type=float, default=None, help="default: high end of the search bracket")
+    parser.add_argument("--points", type=int, default=200)
+    parser.add_argument("--out", required=True)
+
+
+def _oracle_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--kind", required=True, choices=[k.value for k in scenarios.ScenarioKind])
+    parser.add_argument("--n", type=int, required=True)
+    parser.add_argument("--p", type=int, required=True)
+    parser.add_argument("--c1", type=float, required=True)
+    parser.add_argument("--c2", type=float, required=True)
+    parser.add_argument("--delta1", type=float, required=True)
+    parser.add_argument("--delta2", type=float, default=None)
+    parser.add_argument("--beta-or-m", type=float, default=2.0, dest="beta_or_m")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--sigma2", type=float, default=1.0)
+    parser.add_argument("--out", required=True)
+
+
+def _verify_bounds_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--n-values", default="50,200,800")
+    parser.add_argument("--p-values", default="1,2,5,10")
+    parser.add_argument("--c-values", default="0.5,1,2")
+    parser.add_argument("--bd-pairs", default="2:2,4:2,2:1.5", help="comma list of beta:delta pairs")
+    parser.add_argument("--sigma2", type=float, default=1.0)
+    parser.add_argument("--lower-threshold", type=float, default=200.0,
+                        help="assert the lower bound only when n p / sigma2 reaches this")
+    parser.add_argument("--out", default=None)
+
+
+def _config_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--config", required=True)
+    parser.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
+
+
+# every subcommand once, in the order of the top-level help: (name, help, add its arguments, run it)
+SUBCOMMANDS = (
+    ("risk-curve", "tabulate the template risk over a lambda grid", _risk_curve_arguments, cmd_risk_curve),
+    ("oracle", "multi-task vs single-task oracle on one scenario", _oracle_arguments, cmd_oracle),
+    ("verify-bounds", "run the theoretical-bound verification suite", _verify_bounds_arguments, cmd_verify_bounds),
+    ("experiment", "replicated oracle comparison from a config file", _config_arguments, cmd_experiment),
+    ("table", "comparison table over (c2, beta_or_m) from a config file", _config_arguments, cmd_table),
+    ("heatmap", "mean-ratio heatmap over two scenario axes from a config file", _config_arguments, cmd_heatmap),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand: it prints the top-level usage, help and errors."""
     parser = argparse.ArgumentParser(
         prog="mtkrr",
         description="Exact oracle risks for multi-task kernel ridge regression.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    pc = sub.add_parser("risk-curve", help="tabulate the template risk over a lambda grid")
-    pc.add_argument("--n", type=int, required=True)
-    pc.add_argument("--p", type=int, default=1)
-    pc.add_argument("--sigma2", type=float, default=1.0)
-    pc.add_argument("--beta", type=float, required=True)
-    pc.add_argument("--delta", type=float, required=True)
-    pc.add_argument("--c", type=float, required=True)
-    pc.add_argument("--lambda-min", type=float, default=None, help="default: low end of the search bracket")
-    pc.add_argument("--lambda-max", type=float, default=None, help="default: high end of the search bracket")
-    pc.add_argument("--points", type=int, default=200)
-    pc.add_argument("--out", required=True)
-    pc.set_defaults(func=cmd_risk_curve)
-
-    po = sub.add_parser("oracle", help="multi-task vs single-task oracle on one scenario")
-    po.add_argument("--kind", required=True, choices=[k.value for k in scenarios.ScenarioKind])
-    po.add_argument("--n", type=int, required=True)
-    po.add_argument("--p", type=int, required=True)
-    po.add_argument("--c1", type=float, required=True)
-    po.add_argument("--c2", type=float, required=True)
-    po.add_argument("--delta1", type=float, required=True)
-    po.add_argument("--delta2", type=float, default=None)
-    po.add_argument("--beta-or-m", type=float, default=2.0, dest="beta_or_m")
-    po.add_argument("--seed", type=int, default=0)
-    po.add_argument("--sigma2", type=float, default=1.0)
-    po.add_argument("--out", required=True)
-    po.set_defaults(func=cmd_oracle)
-
-    pv = sub.add_parser("verify-bounds", help="run the theoretical-bound verification suite")
-    pv.add_argument("--n-values", default="50,200,800")
-    pv.add_argument("--p-values", default="1,2,5,10")
-    pv.add_argument("--c-values", default="0.5,1,2")
-    pv.add_argument("--bd-pairs", default="2:2,4:2,2:1.5", help="comma list of beta:delta pairs")
-    pv.add_argument("--sigma2", type=float, default=1.0)
-    pv.add_argument("--lower-threshold", type=float, default=200.0,
-                    help="assert the lower bound only when n p / sigma2 reaches this")
-    pv.add_argument("--out", default=None)
-    pv.set_defaults(func=cmd_verify_bounds)
-
-    for name, func, help_text in (
-        ("experiment", cmd_experiment, "replicated oracle comparison from a config file"),
-        ("table", cmd_table, "comparison table over (c2, beta_or_m) from a config file"),
-        ("heatmap", cmd_heatmap, "mean-ratio heatmap over two scenario axes from a config file"),
-    ):
-        pc = sub.add_parser(name, help=help_text)
-        pc.add_argument("--config", required=True)
-        pc.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
-        pc.set_defaults(func=func)
-
+    for name, help_text, add_arguments, func in SUBCOMMANDS:
+        subparser = sub.add_parser(name, help=help_text)
+        add_arguments(subparser)
+        subparser.set_defaults(func=func)
     return parser
 
 
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, building only the named subcommand's parser when it can.
+
+    That parser is the one ``add_parser`` would make (prog ``mtkrr <name>``),
+    so its help, usage and errors are the same.  Arguments it does not know
+    are reported by the top-level parser, as before, and so is everything
+    when ``argv`` starts with no subcommand name.
+    """
+    argv = sys.argv[1:] if argv is None else argv
+    for name, _, add_arguments, func in SUBCOMMANDS:
+        if argv[:1] == [name]:
+            parser = argparse.ArgumentParser(prog=f"mtkrr {name}")
+            add_arguments(parser)
+            args, unknown = parser.parse_known_args(argv[1:])
+            if unknown:
+                break
+            args.command, args.func = name, func
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -17,7 +18,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import mtkrr
-from mtkrr.cli import main
+from mtkrr.cli import build_parser, main, parse_args
 from mtkrr.render import emit_heatmap, emit_table
 from mtkrr.scenarios import ScenarioKind, ScenarioSpec, build_ensemble
 from conftest import compare_one, stack
@@ -313,6 +314,104 @@ class TestArgumentHandling:
             assert cmd in out
 
 
+TOP_USAGE = """\
+usage: mtkrr [-h]
+             {risk-curve,oracle,verify-bounds,experiment,table,heatmap} ...
+"""
+TOP_HELP = TOP_USAGE + """
+Exact oracle risks for multi-task kernel ridge regression.
+
+positional arguments:
+  {risk-curve,oracle,verify-bounds,experiment,table,heatmap}
+    risk-curve          tabulate the template risk over a lambda grid
+    oracle              multi-task vs single-task oracle on one scenario
+    verify-bounds       run the theoretical-bound verification suite
+    experiment          replicated oracle comparison from a config file
+    table               comparison table over (c2, beta_or_m) from a config
+                        file
+    heatmap             mean-ratio heatmap over two scenario axes from a
+                        config file
+
+options:
+  -h, --help            show this help message and exit
+"""
+RISK_CURVE = ["risk-curve", "--n", "10", "--beta", "2", "--delta", "2", "--c", "1", "--out", "x.csv"]
+ORACLE = ["oracle", "--kind", "h2points", "--n", "12", "--p", "3", "--c1", "1", "--c2", "0.5", "--delta1", "2",
+          "--out", "o.json"]
+# per subcommand: a valid argv, then argvs that must fail (missing required argument, unknown option, bad value;
+# verify-bounds requires no argument, so an option without its value stands in for the first)
+PARSER_CASES = {
+    "risk-curve": (RISK_CURVE + ["--points", "7", "--lambda-min", "1e-3"],
+                   [RISK_CURVE[:-2], RISK_CURVE + ["--bogus", "1"], RISK_CURVE + ["--n", "ten"]]),
+    "oracle": (ORACLE + ["--beta-or-m", "3", "--seed", "5"],
+               [ORACLE[:3] + ORACLE[5:], ORACLE + ["--bogus"], ORACLE + ["--p", "1.5"],
+                ["oracle", "--kind", "nope", *ORACLE[3:]]]),
+    "verify-bounds": (["verify-bounds", "--n-values", "50", "--sigma2", "0.5", "--out", "b.txt"],
+                      [["verify-bounds", "--bogus"], ["verify-bounds", "--sigma2", "x"], ["verify-bounds", "--out"]]),
+    **{name: ([name, "--conf", "c.ini", "--jobs", "2"],
+              [[name], [name, "--config", "c.ini", "extra"], [name, "--config", "c.ini", "--jobs", "two"]])
+       for name in ("experiment", "table", "heatmap")},
+}
+
+
+def parse_outcome(parse, argv, capsys):
+    """What parsing ``argv`` gives: the namespace, or the exit code with stdout and stderr."""
+    try:
+        return parse(argv)
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        return exc.code, captured.out, captured.err
+
+
+class TestParser:
+    """``main`` builds only the named subcommand's parser; what it parses and prints is the full parser's."""
+
+    @pytest.fixture(autouse=True)
+    def fixed_width(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+
+    @pytest.mark.parametrize("name", PARSER_CASES)
+    def test_namespace_help_and_errors_match_the_full_parser(self, name, capsys):
+        valid, invalid = PARSER_CASES[name]
+        args = parse_args(valid)
+        assert args == build_parser().parse_args(valid) and args.command == name
+        code, out, err = parse_outcome(main, [name, "-h"], capsys)
+        assert (code, out, err) == parse_outcome(build_parser().parse_args, [name, "-h"], capsys)
+        assert code == 0 and out.startswith(f"usage: mtkrr {name} [-h]") and err == ""
+        for argv in invalid:
+            code, out, err = parse_outcome(main, argv, capsys)
+            assert (code, out, err) == parse_outcome(build_parser().parse_args, argv, capsys)
+            assert code == 2 and out == "" and " error: " in err
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["--help"], (0, TOP_HELP, "")),
+        ([], (2, "", TOP_USAGE + "mtkrr: error: the following arguments are required: command\n")),
+        (["nope"], (2, "", TOP_USAGE + "mtkrr: error: argument command: invalid choice: 'nope' (choose from "
+                    "'risk-curve', 'oracle', 'verify-bounds', 'experiment', 'table', 'heatmap')\n")),
+    ])
+    def test_no_subcommand_prints_the_top_level_text(self, argv, expected, capsys):
+        assert parse_outcome(main, argv, capsys) == expected
+
+    def test_unknown_option_is_reported_by_the_top_level_parser(self, capsys):
+        code, out, err = parse_outcome(main, ["table", "--config", "c.ini", "--bogus"], capsys)
+        assert (code, out) == (2, "") and err == TOP_USAGE + "mtkrr: error: unrecognized arguments: --bogus\n"
+
+    def test_one_command_builds_one_parser(self, tmp_path, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        assert main(["table", "--config", str(write_table_config(tmp_path))]) == 0
+        assert built == ["mtkrr table"]
+        built.clear()
+        build_parser()
+        assert len(built) == 7  # the full parser: the top level and six subcommands
+
+
 def spawn_seed(seed, *path):
     """Sub-seed of a sweep cell, computed with numpy alone."""
     return int(np.random.SeedSequence(entropy=seed, spawn_key=path).generate_state(1, np.uint64)[0])
@@ -417,9 +516,13 @@ class TestOneEngineCall:
         assert engine_calls == [rows]
 
     def test_verify_bounds_calls_the_engine_once_per_n(self, tmp_path, engine_calls):
-        # the default grid: 3 pairs x 4 p x 3 c at each of n = 50, 200, 800; then the 13-cell p-sweep at n = 50
+        # the default grid: 3 pairs x 4 p x 3 c at each of n = 50, 200, 800, with the 13-cell p-sweep at n = 50
         assert main(["verify-bounds", "--out", str(tmp_path / "bounds.txt")]) == 0
-        assert engine_calls == [36, 36, 36, 13]
+        assert engine_calls == [36 + 13, 36, 36]
+        # a grid with no n = 50 cell: the sweep gets a call of its own
+        engine_calls.clear()
+        assert main(["verify-bounds", "--n-values", "200,800", "--out", str(tmp_path / "bounds.txt")]) == 0
+        assert engine_calls == [36, 36, 13]
 
 
 class TestRunSummary:
@@ -449,14 +552,20 @@ class TestRunSummary:
         captured = capsys.readouterr()
         assert "searches 30: zero " in captured.err and "searches" not in captured.out
 
-    def test_verify_bounds_summary_counts_both_calls_and_leaves_the_output_unchanged(self, tmp_path, capsys,
-                                                                                     monkeypatch):
-        assert main(["verify-bounds", "--out", str(tmp_path / "stacked.txt")]) == 0
+    @pytest.mark.parametrize("grid, searches, code", [
+        ([], 121, 0),  # the default grid
+        (["--bd-pairs", "3:5.5", "--n-values", "50,200"], 37, 2),  # property 3 fails (worst margin -2.248e-01)
+        (["--n-values", "200,800"], 85, 0),  # no n = 50 cell: the sweep is searched on its own
+    ])
+    def test_verify_bounds_summary_counts_every_search_and_leaves_the_output_unchanged(
+            self, tmp_path, capsys, monkeypatch, grid, searches, code):
+        assert main(["verify-bounds", *grid, "--out", str(tmp_path / "stacked.txt")]) == code
         stacked = capsys.readouterr()
         summary = stacked.err.strip().splitlines()[-1]
-        assert summary.startswith("searches 121: zero ")
-        assert re.search(r"; open-cell searches \d+; stage ms grid [\d.]+, sweep [\d.]+, render [\d.]+$", summary)
+        assert summary.startswith(f"searches {searches}: zero ")
+        assert re.search(r"; open-cell searches \d+; stage ms grid [\d.]+, render [\d.]+$", summary)
         assert "searches" not in stacked.out
+        assert code == 0 or "FAIL property-3 lower bound: worst relative margin -2.248e-01 " in stacked.out
         # the same command with every cell searched alone, as before the cells were stacked
         original = mtkrr.riskfn.minimize_risks
 
@@ -465,7 +574,7 @@ class TestRunSummary:
             return [reports[0] for reports, _ in cells], stack([search for _, search in cells])
 
         monkeypatch.setattr(mtkrr.riskfn, "minimize_risks", one_by_one)
-        assert main(["verify-bounds", "--out", str(tmp_path / "alone.txt")]) == 0
+        assert main(["verify-bounds", *grid, "--out", str(tmp_path / "alone.txt")]) == code
         alone = capsys.readouterr()
         # the same summary up to the stage times, which are wall times
         assert alone.err.split("; stage ms ")[0] == stacked.err.split("; stage ms ")[0] and alone.out == stacked.out

@@ -1,13 +1,16 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
-from conftest import bits, minimize_profile, quad_kappa, quad_tail_integral, rows, s1, s2, search_one, value_grid
+from conftest import (bits, minimize_profile, quad_kappa, quad_tail_integral, rows, s1, s2, search_one, stack,
+                      value_grid)
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from mtkrr.riskfn import (
+    BoundReport,
     DivergentIntegralError,
     NoEpsilonCapError,
     Regime,
@@ -26,6 +29,9 @@ from mtkrr.riskfn import (
     template_profile,
 )
 from reference import risk_r
+
+
+FLOAT_FIELDS = [field.name for field in fields(BoundReport) if field.name != "regime"]
 
 
 def cap_of(params: RiskParams) -> float:
@@ -226,6 +232,24 @@ class TestMinimizeRisk:
         assert calls["alpha_constant"] == [(2.0, 2.0)]
         for params, report in zip(grid, reports):
             assert report.kappa == kappa(params.beta, params.delta) if params.satisfies_hm else math.isnan(report.kappa)
+
+    @pytest.mark.parametrize("pairs, n_values", [
+        ([(2, 2), (4, 2), (2, 1.5)], (50, 200, 800)),  # verify-bounds' default grid
+        ([(3, 5.5)], (50, 200)),
+        ([(2, 2), (4, 2), (2, 1.5)], (200, 800)),  # no n = 50 cell
+    ])
+    def test_grid_and_sweep_in_one_call_are_the_two_calls(self, pairs, n_values):
+        # verify-bounds' grid and its p-sweep at n = 50, searched together and apart
+        grid = [RiskParams(n=n, p=p, sigma2=1.0, beta=beta, delta=delta, c=c)
+                for beta, delta in pairs for n in n_values for p in (1, 2, 5, 10) for c in (0.5, 1, 2)]
+        sweep = [RiskParams(n=50, p=int(round(p)), sigma2=1.0, beta=2, delta=2, c=1.0) for p in np.geomspace(1, 1e7, 13)]
+        (grid_reports, grid_search), (sweep_reports, sweep_search) = minimize_risks(grid), minimize_risks(sweep)
+        reports, search = minimize_risks(grid + sweep)
+        assert bits(search) == bits(stack([grid_search, sweep_search]))
+        for merged, apart in zip(reports, grid_reports + sweep_reports, strict=True):
+            assert merged.regime is apart.regime
+            assert [np.float64(getattr(merged, key)).tobytes() for key in FLOAT_FIELDS] == \
+                [np.float64(getattr(apart, key)).tobytes() for key in FLOAT_FIELDS]
 
     def test_divergent_noise_integral_leaves_the_envelope_nan(self):
         # 1 < 2 delta < 4 beta + 1 holds, but I2 diverges for beta <= 1/4
