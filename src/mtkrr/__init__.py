@@ -21,6 +21,6 @@ from .riskfn import (
     minimize_risk,
 )
 from .scenarios import ScenarioKind, ScenarioSpec, build_ensemble, derive_seed, synth_spectrum
-from .spectral import KernelSpectrum, TaskEnsemble, eigendecompose_kernel, project_tasks
+from .spectral import KernelSpectrum, TaskEnsemble
 
 __version__ = "0.1.0"

@@ -109,10 +109,8 @@ def run_experiments(specs: list[ScenarioSpec], sigma2: float, n_rep: int,
     seeds = derive_seeds(np.repeat(np.array([spec.seed for spec in specs], dtype=np.uint64), n_rep),
                          np.tile(np.arange(n_rep), len(specs)))
     # replicate r of spec k on spectrum owner[k n_rep + r]; once popped, the block's one reference is compare's
-    spectra, owner, *block = draw(specs, seeds.reshape(len(specs), n_rep))
+    gamma, owner, *block = draw(specs, seeds.reshape(len(specs), n_rep))
     # spectra equal bit for bit, such as every cell of a synthetic sweep at one (n, beta), share one grid scan
-    gamma = np.vstack([spectrum.gamma for spectrum in spectra])
-    del spectra  # free setting B's bases before the search
     _, first, which = np.unique(gamma.view(f"V{gamma.strides[0]}").ravel(), return_index=True, return_inverse=True)
     times = {"draw": time.perf_counter() - start}
     _, _, rho, search = compare(specs[0].n, gamma[first], block.pop(), sigma2, spectrum=which[owner], times=times)

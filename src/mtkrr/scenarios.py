@@ -14,12 +14,14 @@ stream is one block of raw Philox words: the same numbers numpy's
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .spectral import KernelSpectrum, TaskEnsemble, eigendecompose_kernel, project_tasks
+from .optimize import BLOCK_ELEMENTS
+from .spectral import KernelSpectrum, TaskEnsemble, eigendecompose_kernels
 
 
 class ScenarioKind(enum.Enum):
@@ -154,10 +156,14 @@ def derive_seed(seed: int, *path: int) -> int:
     return int(derive_seeds([seed], [[k] for k in path])[0])
 
 
+def _power_law(n: int, beta: float) -> np.ndarray:
+    i = np.arange(1, n + 1, dtype=float)
+    return n * i ** (-2.0 * beta)
+
+
 def synth_spectrum(n: int, beta: float) -> KernelSpectrum:
     """Polynomial-decay spectrum gamma_i = n i^(-2 beta) in the (implicit) identity basis."""
-    i = np.arange(1, n + 1, dtype=float)
-    return KernelSpectrum(n=n, gamma=n * i ** (-2.0 * beta))
+    return KernelSpectrum(n=n, gamma=_power_law(n, beta))
 
 
 def _decay(n: int, delta: float) -> np.ndarray:
@@ -233,6 +239,36 @@ def _setting_d(spec: ScenarioSpec, eps: np.ndarray) -> None:
     outlier *= i ** -spec.delta2
 
 
+# pi to 110 digits: the rational arithmetic of zeta(2k) below stays far inside a double's rounding
+_PI_DIGITS = ("3.14159265358979323846264338327950288419716939937510"
+              "58209749445923078164062862089986280348253421170679821480865")
+_ZETA_ONE = 54  # from this even s on, zeta(s) - 1 < 2^-53 and zeta(s) rounds to 1.0
+
+
+@functools.cache
+def _spline_coefficients(m: int) -> np.ndarray:
+    """Horner coefficients of the order-m kernel in (|theta| - pi)^2, constant first: -(-1)^j 2 eta(2m - 2j) / (2j)!.
+
+    zeta(2k) = (-1)^(k+1) B_2k (2 pi)^(2k) / (2 (2k)!) (DLMF 25.6.2; zeta(0) = -1/2), from the Bernoulli
+    numbers in rational arithmetic, rounded once: the doubles ``scipy.special.zeta`` gives.  Read-only.
+    """
+    from fractions import Fraction  # imported here: only setting B needs it, and it costs start-up time
+
+    bernoulli = [Fraction(1)]
+    for k in range(1, min(2 * m, _ZETA_ONE - 2) + 1):
+        bernoulli.append(-sum(math.comb(k + 1, i) * b for i, b in enumerate(bernoulli)) / (k + 1))
+    two_pi = 2 * Fraction(_PI_DIGITS)
+    zeta = [float((-1) ** (k + 1) * bernoulli[2 * k] * two_pi ** (2 * k) / (2 * math.factorial(2 * k)))
+            if 2 * k < _ZETA_ONE else 1.0 for k in range(m, -1, -1)]
+    j = np.arange(m + 1)
+    s = 2.0 * (m - j)
+    with np.errstate(under="ignore"):  # for large m, 1/(2j)! and the high-order terms fall below the smallest double
+        inv_fact = np.cumprod(np.concatenate(([1.0], 1.0 / ((2.0 * j[1:]) * (2.0 * j[1:] - 1.0)))))
+        coef = (-1.0) ** (j + 1) * (2.0 - np.exp2(2.0 - s)) * np.array(zeta) * inv_fact
+    coef.flags.writeable = False
+    return coef
+
+
 def periodic_kernel_value(theta: np.ndarray, m: int) -> np.ndarray:
     """Translation-invariant periodic-spline kernel 2 sum_k cos(k theta)/k^(2m).
 
@@ -241,29 +277,26 @@ def periodic_kernel_value(theta: np.ndarray, m: int) -> np.ndarray:
     Spline Models for Observational Data, sec. 2.1).  In u = |theta| - pi it
     reads -sum_{j=0..m} (-u^2)^j 2 eta(2m - 2j) / (2j)!, with the Dirichlet eta
     function eta(s) = (1 - 2^(1-s)) zeta(s) and eta(0) = 1/2, and is evaluated
-    by Horner's rule in u^2.  Every integer m >= 1 is supported: for large m
-    the high-order coefficients underflow to zero and the kernel tends to
-    2 cos(theta).
+    by Horner's rule in u^2 on coefficients computed once per m, in place and
+    step for step as numpy's ``polyval``.  Every integer m >= 1 is supported:
+    for large m the high-order coefficients underflow to zero and the kernel
+    tends to 2 cos(theta).
     """
-    from scipy.special import zeta  # imported here: only setting B needs scipy
-
     if not float(m).is_integer() or m < 1:
         raise ValueError("smoothness order m must be an integer >= 1")
-    m = int(m)
-    t = np.abs(np.asarray(theta, dtype=float))
-    if np.any(t > 2 * np.pi + 1e-12):
+    u = np.abs(np.asarray(theta, dtype=float))
+    if np.any(u > 2 * np.pi + 1e-12):
         raise ValueError("angles must lie in [-2 pi, 2 pi]")
-    j = np.arange(m + 1)
-    s = 2.0 * (m - j)
-    with np.errstate(under="ignore"):  # for large m, 1/(2j)! and the high-order terms fall below the smallest double
-        inv_fact = np.cumprod(np.concatenate(([1.0], 1.0 / ((2.0 * j[1:]) * (2.0 * j[1:] - 1.0)))))
-        coef = (-1.0) ** (j + 1) * (2.0 - np.exp2(2.0 - s)) * zeta(s) * inv_fact
-        return np.polynomial.polynomial.polyval((t - np.pi) ** 2, coef)
-
-
-def periodic_kernel_matrix(x: np.ndarray, m: int) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    return periodic_kernel_value(x[:, None] - x[None, :], m)
+    u -= np.pi
+    u *= u  # the bits of (|theta| - pi) ** 2
+    coef = _spline_coefficients(int(m))
+    value = u * 0.0
+    with np.errstate(under="ignore"):  # for large m the high-order terms fall below the smallest double
+        value += coef[-1]
+        for c in coef[-2::-1]:  # polyval's c + value u
+            value *= u
+            value += c
+    return value
 
 
 def _uniform(words: np.ndarray, low: float, high: float) -> np.ndarray:
@@ -271,19 +304,33 @@ def _uniform(words: np.ndarray, low: float, high: float) -> np.ndarray:
     return low + (high - low) * ((words >> 11) * 2.0**-53)
 
 
-def _setting_b(spec: ScenarioSpec, words: np.ndarray, eps: np.ndarray) -> list[KernelSpectrum]:
-    """Random-design periodic-spline setting: each replicate draws its own spectrum, and eps[r] its coefficients.
+def _setting_b(specs: list[ScenarioSpec], words: np.ndarray, eps: np.ndarray):
+    """Random-design periodic-spline setting in blocks of replicates: yields each block's rows, gamma and bases.
 
-    Replicate r's stream gives n inputs uniformly on [-pi, pi] (``words[r]``), then the Rademacher sign
-    field ``eps[r]``; it builds the kernel matrix, eigendecomposes it, and overwrites its signs with the
-    task values (sqrt(C1) + eps_i^j sqrt(C2)) |X_i| projected onto the kernel eigenbasis.
+    Replicate r (of spec r // R) reads n inputs uniformly on [-pi, pi] from ``words[r]`` and overwrites its
+    sign field ``eps[r]`` with the task values (sqrt(C1) + eps_i^j sqrt(C2)) |X_i| projected onto the
+    eigenbasis of its kernel matrix.  A block is BLOCK_ELEMENTS // n^2 replicates (at least one), across
+    specs, with one ``eigh`` and one ``matmul``; each replicate gets the bits of its own decomposition.
     """
-    spectra = []
-    for r, row in enumerate(words):
-        x = _uniform(row, -np.pi, np.pi)
-        spectra.append(eigendecompose_kernel(periodic_kernel_matrix(x, int(spec.beta_or_m))))
-        eps[r] = project_tasks(spectra[-1], (math.sqrt(spec.c1) + eps[r] * math.sqrt(spec.c2)) * np.abs(x)[:, None]).h
-    return spectra
+    reps, n = len(words) // len(specs), eps.shape[1]
+    x = _uniform(words, -np.pi, np.pi)
+    per = max(1, BLOCK_ELEMENTS // (n * n))
+    for start in range(0, len(x), per):
+        rows = slice(start, min(start + per, len(x)))
+        kernels = np.empty((rows.stop - start, n, n))
+        for k in range(start // reps, -(-rows.stop // reps)):  # the specs this block meets
+            spec, part = specs[k], slice(max(start, k * reps), min(rows.stop, (k + 1) * reps))
+            kernels[part.start - start:part.stop - start] = periodic_kernel_value(
+                x[part, :, None] - x[part, None, :], int(spec.beta_or_m))
+            values = eps[part]
+            values *= math.sqrt(spec.c2)
+            values += math.sqrt(spec.c1)
+            values *= np.abs(x[part])[:, :, None]
+        gamma, basis = eigendecompose_kernels(kernels)
+        del kernels
+        eps[rows] = np.matmul(basis, eps[rows])
+        yield rows, gamma, basis
+        del basis
 
 
 _RANDOM = {ScenarioKind.SETTING_A, ScenarioKind.SETTING_B, ScenarioKind.SETTING_C, ScenarioKind.SETTING_D}
@@ -291,8 +338,8 @@ _TASK_BLOCKS = {ScenarioKind.H2POINTS: _h2points, ScenarioKind.H1OUT: _h1out, Sc
                 ScenarioKind.SETTING_C: _setting_c, ScenarioKind.SETTING_D: _setting_d}
 
 
-def draw(specs: list[ScenarioSpec], seeds) -> tuple[list[KernelSpectrum], np.ndarray, np.ndarray]:
-    """Spectra, each replicate's spectrum index and the (S R, n, p) task block of a work list, spec by spec.
+def draw(specs: list[ScenarioSpec], seeds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Spectra (k, n), each replicate's spectrum index and the (S R, n, p) task block of a work list, spec by spec.
 
     ``seeds`` is an (S, R) array: replicate r of ``specs[k]`` draws from its own stream keyed by
     ``seeds[k, r]``, and its slice is the ensemble of that spec with that seed, bit for bit.  The specs
@@ -300,28 +347,28 @@ def draw(specs: list[ScenarioSpec], seeds) -> tuple[list[KernelSpectrum], np.nda
     become the task block of a random kind: settings A, C and D scale their slices in place, and the
     periodic-spline setting, which reads n input words first, overwrites each slice with its projected
     coefficients.  Each synthetic spec gets one polynomial-decay spectrum with beta = beta_or_m, and the
-    periodic-spline setting draws one spectrum per replicate.
+    periodic-spline setting draws one spectrum per replicate, in blocks (``_setting_b``) whose bases it
+    drops: ``build_ensemble`` keeps the basis of one replicate.
     """
     seeds = np.asarray(seeds, dtype=np.uint64).reshape(len(specs), -1)
     kind, reps, n, p = specs[0].kind, seeds.shape[1], specs[0].n, specs[0].p
-    if kind in _RANDOM:  # the sign block becomes the task block
-        words, h = _stream(seeds.ravel(), n if kind is ScenarioKind.SETTING_B else 0, n, p)
-    else:
-        h = np.empty((seeds.size, n, p))
-    spectra, owner = [], []
+    if kind is ScenarioKind.SETTING_B:
+        words, h = _stream(seeds.ravel(), n, n, p)
+        gamma = np.concatenate([block for _, block, _ in _setting_b(specs, words, h)])
+        return gamma, np.arange(seeds.size), h
+    # the sign block of a random kind becomes the task block
+    h = _stream(seeds.ravel(), 0, n, p)[1] if kind in _RANDOM else np.empty((seeds.size, n, p))
     for k, spec in enumerate(specs):
-        rows = slice(k * reps, (k + 1) * reps)
-        if kind is ScenarioKind.SETTING_B:
-            owner += range(len(spectra), len(spectra) + reps)
-            spectra += _setting_b(spec, words[rows], h[rows])
-        else:
-            _TASK_BLOCKS[kind](spec, h[rows])
-            owner += [len(spectra)] * reps
-            spectra.append(synth_spectrum(n, spec.beta_or_m))
-    return spectra, np.array(owner), h
+        _TASK_BLOCKS[kind](spec, h[k * reps:(k + 1) * reps])
+    gamma = np.array([_power_law(n, spec.beta_or_m) for spec in specs])
+    return gamma, np.repeat(np.arange(len(specs)), reps), h
 
 
 def build_ensemble(spec: ScenarioSpec) -> tuple[KernelSpectrum, TaskEnsemble]:
-    """Generate (spectrum, ensemble) for any scenario kind: the one-replicate case of ``draw``."""
-    spectra, _, h = draw([spec], [[spec.seed]])
-    return spectra[0], TaskEnsemble(n=spec.n, p=spec.p, h=h[0])
+    """Generate (spectrum, ensemble) for any scenario kind: the one-replicate case of ``draw``, with its basis."""
+    if spec.kind is ScenarioKind.SETTING_B:
+        words, h = _stream(np.array([spec.seed], dtype=np.uint64), spec.n, spec.n, spec.p)
+        [(_, gamma, basis)] = _setting_b([spec], words, h)
+    else:
+        (gamma, _, h), basis = draw([spec], [[spec.seed]]), [None]
+    return KernelSpectrum(n=spec.n, gamma=gamma[0], basis=basis[0]), TaskEnsemble(n=spec.n, p=spec.p, h=h[0])

@@ -78,34 +78,29 @@ class TaskEnsemble:
         object.__setattr__(self, "h", h)
 
 
-def eigendecompose_kernel(K: np.ndarray) -> KernelSpectrum:
-    """Diagonalize a symmetric PSD kernel matrix.
+def eigendecompose_kernels(K: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonalize a (b, n, n) stack of symmetric PSD kernel matrices with one ``eigh`` call: gamma and bases.
 
-    Eigenvalues are returned in descending order (stable ties); values in
-    [-1e-8, 0) are clamped to zero, anything more negative raises NotPSDError.
+    Each matrix gets the bits of its own call and is checked on its own, as ``KernelSpectrum`` checks one:
+    symmetric to ``SYMMETRY_TOL`` times its largest entry (at least 1), eigenvalues in [-1e-8, 0) clamped
+    to zero and anything lower a ``NotPSDError``, an orthonormal basis.  gamma (b, n) is sorted descending
+    with stable ties; basis[r] holds the eigenvectors as rows, C-contiguous, so that ``basis @ F`` gives
+    each slice the bits of its own product.
     """
-    K = np.asarray(K, dtype=float)
-    if K.ndim != 2 or K.shape[0] != K.shape[1]:
-        raise ValueError(f"kernel matrix must be square, got shape {K.shape}")
-    scale = max(1.0, float(np.max(np.abs(K)))) if K.size else 1.0
-    if np.max(np.abs(K - K.T)) > SYMMETRY_TOL * scale:
+    skew = np.abs(K - K.swapaxes(1, 2)).max(axis=(1, 2))
+    if np.any(skew > SYMMETRY_TOL * np.maximum(1.0, np.abs(K).max(axis=(1, 2)))):
         raise ValueError("kernel matrix is not symmetric")
     w, v = np.linalg.eigh(K)
-    if w.min() < -EIGENVALUE_CLAMP:
+    if np.any(w[:, :1] < -EIGENVALUE_CLAMP):  # eigh sorts ascending
         raise NotPSDError(f"kernel matrix is not positive semidefinite (min eigenvalue {w.min()!r})")
-    w = np.maximum(w, 0.0)
-    order = np.argsort(-w, kind="stable")
-    return KernelSpectrum(n=K.shape[0], gamma=w[order], basis=v[:, order].T)
-
-
-def project_tasks(spectrum: KernelSpectrum, F: np.ndarray) -> TaskEnsemble:
-    """Rotate task values F (one column per task) into the kernel eigenbasis."""
-    F = np.asarray(F, dtype=float)
-    if F.ndim == 1:
-        F = F[:, None]
-    if F.shape[0] != spectrum.n:
-        raise ValueError(f"task values have {F.shape[0]} rows, spectrum has n={spectrum.n}")
-    return TaskEnsemble(n=spectrum.n, p=F.shape[1], h=F if spectrum.basis is None else spectrum.basis @ F)
+    order = np.argsort(-np.maximum(w, 0.0, out=w), axis=1, kind="stable")
+    basis = np.ascontiguousarray(np.take_along_axis(v.swapaxes(1, 2), order[:, :, None], axis=1))
+    del v
+    gram = basis @ basis.swapaxes(1, 2)
+    gram -= np.eye(K.shape[-1])
+    if np.any(np.abs(gram, out=gram).max(axis=(1, 2)) > ORTHOGONALITY_TOL):
+        raise ValueError("basis rows are not orthonormal")
+    return np.take_along_axis(w, order, axis=1), basis
 
 
 def mean_variance(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -18,7 +18,9 @@ Also here: a certifier of the engine's global minima
 grid scan (``full_scan_minimize_profiles``), the one-spec form of
 ``mtkrr.experiments.run_experiments``, the degrees-of-freedom diagnostic
 ``df_and_bias``, numpy's own per-replicate streams (``rng_for``, ``rademacher``
-and the setting-B ensemble ``numpy_setting_b``), and the paper formulas no
+and the setting-B ensemble ``numpy_setting_b``), the one-matrix eigendecomposition
+and projection with the per-replicate setting-B draw (``eigendecompose_kernel``,
+``project_tasks``, ``per_replicate_setting_b``), and the paper formulas no
 command evaluates (the template risk at one lambda, the maximizer ``t_star``
 and the data-driven estimator's bound ``hm_bound_rhs``), each kept with its
 checks.
@@ -36,8 +38,15 @@ from mtkrr.experiments import ExperimentReport, run_experiments
 from mtkrr import optimize
 from mtkrr.optimize import RidgeRiskProfile, Search
 from mtkrr.riskfn import RiskParams, template_profile
-from mtkrr.scenarios import ScenarioSpec, periodic_kernel_matrix
-from mtkrr.spectral import KernelSpectrum, TaskEnsemble, eigendecompose_kernel, mean_variance, project_tasks
+from mtkrr.scenarios import ScenarioSpec, _uniform, periodic_kernel_value
+from mtkrr.spectral import (
+    EIGENVALUE_CLAMP,
+    SYMMETRY_TOL,
+    KernelSpectrum,
+    NotPSDError,
+    TaskEnsemble,
+    mean_variance,
+)
 
 DENSE_SIZE_CAP = 512  # the O((np)^3) route exists only for cross-validation
 
@@ -73,6 +82,42 @@ class MeanVarianceProfile:
         vs.flags.writeable = False
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "varsigma2", vs)
+
+
+def eigendecompose_kernel(K: np.ndarray) -> KernelSpectrum:
+    """Diagonalize one symmetric PSD kernel matrix: the per-matrix oracle of ``spectral.eigendecompose_kernels``.
+
+    Eigenvalues are returned in descending order (stable ties); values in
+    [-1e-8, 0) are clamped to zero, anything more negative raises NotPSDError.
+    """
+    K = np.asarray(K, dtype=float)
+    if K.ndim != 2 or K.shape[0] != K.shape[1]:
+        raise ValueError(f"kernel matrix must be square, got shape {K.shape}")
+    scale = max(1.0, float(np.max(np.abs(K)))) if K.size else 1.0
+    if np.max(np.abs(K - K.T)) > SYMMETRY_TOL * scale:
+        raise ValueError("kernel matrix is not symmetric")
+    w, v = np.linalg.eigh(K)
+    if w.min() < -EIGENVALUE_CLAMP:
+        raise NotPSDError(f"kernel matrix is not positive semidefinite (min eigenvalue {w.min()!r})")
+    w = np.maximum(w, 0.0)
+    order = np.argsort(-w, kind="stable")
+    return KernelSpectrum(n=K.shape[0], gamma=w[order], basis=v[:, order].T)
+
+
+def project_tasks(spectrum: KernelSpectrum, F: np.ndarray) -> TaskEnsemble:
+    """Rotate task values F (one column per task) into the kernel eigenbasis."""
+    F = np.asarray(F, dtype=float)
+    if F.ndim == 1:
+        F = F[:, None]
+    if F.shape[0] != spectrum.n:
+        raise ValueError(f"task values have {F.shape[0]} rows, spectrum has n={spectrum.n}")
+    return TaskEnsemble(n=spectrum.n, p=F.shape[1], h=F if spectrum.basis is None else spectrum.basis @ F)
+
+
+def periodic_kernel_matrix(x: np.ndarray, m: int) -> np.ndarray:
+    """The periodic-spline kernel matrix of inputs x, one matrix at a time."""
+    x = np.asarray(x, dtype=float)
+    return periodic_kernel_value(x[:, None] - x[None, :], m)
 
 
 def reconstruct_tasks(spectrum: KernelSpectrum, tasks: TaskEnsemble) -> np.ndarray:
@@ -416,6 +461,21 @@ def numpy_setting_b(spec: ScenarioSpec, seed: int) -> tuple[KernelSpectrum, np.n
     eps = rademacher(rng, spec.n, spec.p)
     spectrum = eigendecompose_kernel(periodic_kernel_matrix(x, int(spec.beta_or_m)))
     return spectrum, project_tasks(spectrum, (math.sqrt(spec.c1) + eps * math.sqrt(spec.c2)) * np.abs(x)[:, None]).h
+
+
+def per_replicate_setting_b(specs: list[ScenarioSpec], words: np.ndarray, eps: np.ndarray) -> list[KernelSpectrum]:
+    """The periodic-spline setting one replicate at a time: the oracle of the block draw ``scenarios._setting_b``.
+
+    Replicate r (spec r // R) reads its inputs from ``words[r]``, builds its kernel matrix, eigendecomposes
+    it alone and overwrites ``eps[r]`` with its task values projected onto the basis; returns the spectra.
+    """
+    reps, spectra = len(words) // len(specs), []
+    for r, row in enumerate(words):
+        spec = specs[r // reps]
+        x = _uniform(row, -np.pi, np.pi)
+        spectra.append(eigendecompose_kernel(periodic_kernel_matrix(x, int(spec.beta_or_m))))
+        eps[r] = project_tasks(spectra[-1], (math.sqrt(spec.c1) + eps[r] * math.sqrt(spec.c2)) * np.abs(x)[:, None]).h
+    return spectra
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,16 @@ from mtkrr.riskfn import (
     minimize_risk,
 )
 from mtkrr.scenarios import ScenarioKind, ScenarioSpec, build_ensemble, synth_spectrum
-from mtkrr.spectral import eigendecompose_kernel, project_tasks
-from reference import RegularizerAV, df_and_bias, mean_variance_profile, risk_direct, risk_spectral, run_experiment
+from reference import (
+    RegularizerAV,
+    df_and_bias,
+    eigendecompose_kernel,
+    mean_variance_profile,
+    project_tasks,
+    risk_direct,
+    risk_spectral,
+    run_experiment,
+)
 
 FRESH_SEED = 20260810
 

@@ -934,7 +934,7 @@ class TestOutOfMemory:
 
 
 class TestStartUp:
-    """The CLI imports numpy only; scipy loads where setting B or alpha needs it, and never its integrators."""
+    """The CLI imports numpy only; scipy loads only where alpha needs it, and never its integrators."""
 
     @staticmethod
     def fresh_python(code: str) -> str:
@@ -948,6 +948,21 @@ class TestStartUp:
         out = self.fresh_python("import sys, mtkrr, mtkrr.cli\n"
                                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         assert out == "[]"
+
+    def test_setting_b_commands_leave_scipy_unloaded(self, tmp_path):
+        # the spline kernel's zeta values come from Bernoulli numbers: only riskfn's alpha needs scipy
+        config = tmp_path / "table.ini"
+        config.write_text(f"[table]\nkind = setting_b\nn = 12\np = 3\nc1 = 1.0\ndelta1 = 2.0\n"
+                          f"beta_or_m_values = 1, 3\nc2_values = 0.25\nsigma2 = 1.0\nn_rep = 2\nseed = 5\n"
+                          f"out_csv = {tmp_path / 'table.csv'}\n")
+        out = self.fresh_python(
+            "import sys\nfrom mtkrr.cli import main\n"
+            "rc = main(['oracle', '--kind', 'setting_b', '--n', '12', '--p', '3', '--c1', '1', '--c2', '0.5',\n"
+            f"           '--delta1', '2', '--beta-or-m', '2', '--out', {str(tmp_path / 'oracle.json')!r}])\n"
+            f"rc += main(['table', '--config', {str(config)!r}])\n"
+            "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        assert out.splitlines()[-1] == "0 []"
+        assert (tmp_path / "oracle.json").exists() and (tmp_path / "table.csv").exists()
 
     def test_verify_bounds_never_loads_the_integrators(self, tmp_path):
         out = self.fresh_python(

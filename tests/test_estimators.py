@@ -4,15 +4,17 @@ from conftest import mean_part_profile, random_psd, variance_part_profile
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from mtkrr.spectral import TaskEnsemble, eigendecompose_kernel, project_tasks
+from mtkrr.spectral import TaskEnsemble
 from reference import (
     RegularizerAV,
     RegularizerSD,
     SingularRegularizerError,
     build_operator,
+    eigendecompose_kernel,
     kernel_matrix,
     mean_variance_profile,
     penalty_value,
+    project_tasks,
     risk_direct,
     risk_single_task,
     risk_spectral,

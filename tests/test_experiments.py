@@ -10,7 +10,7 @@ from mtkrr.oracles import comparison_rows
 from mtkrr.render import emit_heatmap, emit_table, write_report_json
 from mtkrr.scenarios import ScenarioKind, ScenarioSpec, build_ensemble, derive_seed, draw
 from conftest import compare_one
-from reference import run_experiment
+from reference import numpy_setting_b, run_experiment
 
 
 def quick_spec(**kw):
@@ -117,17 +117,20 @@ class TestRunExperiment:
     ])
     def test_block_rows_are_each_replicates_comparison_rows(self, kind, extra):
         spec = quick_spec(**{"kind": kind, "c2": 0.3, "seed": 71, "p": 3, **extra})
-        spectra, owner, h = draw([spec], [[derive_seed(spec.seed, r) for r in range(6)]])
+        gamma, owner, h = draw([spec], [[derive_seed(spec.seed, r) for r in range(6)]])
         signal, noise = comparison_rows(h, 0.5)
         assert signal.shape == (6, spec.p + 2, spec.n)
         for r in range(6):
-            alone_spectrum, alone = build_ensemble(replace(spec, seed=derive_seed(spec.seed, r)))
+            seed = derive_seed(spec.seed, r)
+            alone_spectrum, alone = build_ensemble(replace(spec, seed=seed))
             alone_signal, alone_noise = comparison_rows(alone.h, 0.5)
             assert np.array_equal(signal[r], alone_signal)
             assert np.array_equal(noise, alone_noise)
-            spectrum = spectra[owner[r]]
-            assert np.array_equal(spectrum.gamma, alone_spectrum.gamma)
-            assert np.array_equal(spectrum.basis, alone_spectrum.basis)  # None for the synthetic kinds
+            assert np.array_equal(gamma[owner[r]], alone_spectrum.gamma)
+            assert np.array_equal(h[r], alone.h)
+            # the basis draw drops, kept by build_ensemble: numpy's own draw of it, None for the synthetic kinds
+            basis = numpy_setting_b(spec, seed)[0].basis if kind is ScenarioKind.SETTING_B else None
+            assert np.array_equal(alone_spectrum.basis, basis)
 
     @pytest.mark.parametrize("kind, axis", [
         (ScenarioKind.SETTING_A, [dict(c2=c2) for c2 in (0.1, 0.5, 1.0)]),

@@ -7,26 +7,30 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from mtkrr import scenarios
 from mtkrr.scenarios import (
     ScenarioKind,
     ScenarioSpec,
     _seed_hash,
+    _setting_b,
+    _spline_coefficients,
     _stream,
     _uniform,
     build_ensemble,
     derive_seed,
     derive_seeds,
     draw,
-    periodic_kernel_matrix,
     periodic_kernel_value,
     synth_spectrum,
 )
-from mtkrr.spectral import project_tasks
 from reference import (
     RegularizerAV,
     kernel_matrix,
     mean_variance_profile,
     numpy_setting_b,
+    per_replicate_setting_b,
+    periodic_kernel_matrix,
+    project_tasks,
     rademacher,
     reconstruct_tasks,
     risk_direct,
@@ -241,6 +245,94 @@ class TestSettingB:
             build_ensemble(spec_of(ScenarioKind.SETTING_B, beta_or_m=1.5))
 
 
+class TestSettingBBlocks:
+    """The block draw of setting B gives every replicate the bits of the per-replicate path, in any block size."""
+
+    @staticmethod
+    def work_list(n, p, orders, reps):
+        specs = [spec_of(ScenarioKind.SETTING_B, n=n, p=p, beta_or_m=float(m), c2=0.1 + 0.3 * k,
+                         seed=derive_seed(11, k)) for k, m in enumerate(orders)]
+        seeds = derive_seeds(np.repeat([spec.seed for spec in specs], reps), np.tile(np.arange(reps), len(specs)))
+        return specs, seeds
+
+    def assert_blocks_match_each_replicate(self, n, p, orders, reps):
+        specs, seeds = self.work_list(n, p, orders, reps)
+        words, h = _stream(seeds, n, n, p)
+        expected_h = h.copy()
+        expected = per_replicate_setting_b(specs, words, expected_h)
+        rows_seen = []
+        for rows, gamma, basis in _setting_b(specs, words, h):
+            assert basis.flags.c_contiguous and gamma.shape == (rows.stop - rows.start, n)
+            for r in range(rows.start, rows.stop):
+                assert np.array_equal(gamma[r - rows.start], expected[r].gamma)
+                assert np.array_equal(basis[r - rows.start], expected[r].basis)
+            rows_seen += range(rows.start, rows.stop)
+        assert rows_seen == list(range(len(seeds)))
+        assert np.array_equal(h, expected_h)
+        gamma, owner, block = draw(specs, seeds.reshape(len(specs), reps))
+        assert np.array_equal(gamma[owner], np.array([spectrum.gamma for spectrum in expected]))
+        assert np.array_equal(block, expected_h)
+
+    @pytest.mark.parametrize("n, p, orders, reps", [
+        (1, 1, (1, 2), 3),
+        (2, 2, (1, 2, 3, 4, 5, 6), 2),
+        (12, 3, (1, 3), 2),
+        (12, 4, (6, 5, 4, 3, 2, 1), 17),
+        (40, 5, (1, 2, 3), 2),
+        (40, 5, (1,), 100),  # five blocks of 20 inside one spec
+        (40, 2, (3, 1, 2), 9),  # a block boundary inside the third spec
+        (50, 3, (2, 3), 4),
+        (200, 5, (2,), 6),  # one replicate per block
+        (400, 2, (2,), 3),
+    ])
+    def test_block_draw_is_the_per_replicate_path(self, n, p, orders, reps):
+        self.assert_blocks_match_each_replicate(n, p, orders, reps)
+
+    @given(n=st.integers(min_value=1, max_value=24), p=st.integers(min_value=1, max_value=4),
+           orders=st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=4),
+           reps=st.integers(min_value=1, max_value=7), per=st.integers(min_value=1, max_value=9))
+    def test_any_block_size_gives_the_same_bits(self, n, p, orders, reps, per):
+        saved = scenarios.BLOCK_ELEMENTS
+        scenarios.BLOCK_ELEMENTS = per * n * n  # blocks of ``per`` replicates, whatever the specs
+        try:
+            self.assert_blocks_match_each_replicate(n, p, orders, reps)
+        finally:
+            scenarios.BLOCK_ELEMENTS = saved
+
+    def test_draw_holds_about_one_block(self):
+        n, reps = 200, 24  # one replicate per block; every basis kept would be 24 n^2 doubles
+        specs, seeds = self.work_list(n, 5, (2,), reps)
+        draw(specs[:1], seeds[:1].reshape(1, 1))  # the coefficients of m = 2 are cached outside the measure
+        tracemalloc.start()
+        try:
+            gamma, _, h = draw(specs, seeds.reshape(1, reps))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gamma.shape == (reps, n) and h.shape == (reps, n, 5)
+        assert peak < 8 * n * n * 8
+
+    def test_zeta_coefficients_are_scipys_bits(self):
+        # scipy's zeta is correctly rounded at the even integers; the Bernoulli route must give the same doubles
+        from scipy.special import zeta
+
+        for m in range(1, 100):  # every even s from 0 to 198
+            j = np.arange(m + 1)
+            s = 2.0 * (m - j)
+            with np.errstate(under="ignore"):
+                inv_fact = np.cumprod(np.concatenate(([1.0], 1.0 / ((2.0 * j[1:]) * (2.0 * j[1:] - 1.0)))))
+                expected = (-1.0) ** (j + 1) * (2.0 - np.exp2(2.0 - s)) * zeta(s) * inv_fact
+            assert np.array_equal(_spline_coefficients(m), expected), m
+        assert not _spline_coefficients(3).flags.writeable
+
+    def test_kernel_is_numpys_polyval_of_the_coefficients(self):
+        theta = np.linspace(-2 * np.pi, 2 * np.pi, 4001)
+        for m in (1, 2, 3, 7, 30):
+            with np.errstate(under="ignore"):
+                expected = np.polynomial.polynomial.polyval((np.abs(theta) - np.pi) ** 2, _spline_coefficients(m))
+            assert np.array_equal(periodic_kernel_value(theta, m), expected)
+
+
 class TestSettingC:
     def test_reduces_to_single_decay_when_exponents_match(self):
         a = build_ensemble(spec_of(ScenarioKind.SETTING_A, seed=7))[1].h
@@ -392,13 +484,13 @@ class TestSeedHashAgainstNumpy:
         specs = [spec_of(ScenarioKind.SETTING_B, n=n, p=p, beta_or_m=float(m), c2=c2, seed=derive_seed(4, k))
                  for k, c2 in enumerate((0.25, 1.0))]
         seeds = derive_seeds(np.repeat([spec.seed for spec in specs], 3), np.tile(np.arange(3), 2)).reshape(2, 3)
-        spectra, owner, h = draw(specs, seeds)
-        assert owner.tolist() == list(range(6)) and h.shape == (6, n, p)
+        gamma, owner, h = draw(specs, seeds)
+        assert owner.tolist() == list(range(6)) and gamma.shape == (6, n) and h.shape == (6, n, p)
         for k, spec in enumerate(specs):
             for r, seed in enumerate(seeds[k].tolist()):
                 spectrum, expected = numpy_setting_b(spec, seed)
-                assert np.array_equal(spectra[3 * k + r].gamma, spectrum.gamma)
-                assert np.array_equal(spectra[3 * k + r].basis, spectrum.basis)
+                assert np.array_equal(gamma[3 * k + r], spectrum.gamma)
+                assert np.array_equal(build_ensemble(replace(spec, seed=seed))[0].basis, spectrum.basis)
                 assert np.array_equal(h[3 * k + r], expected)
 
     def test_a_path_entry_past_32_bits_is_rejected(self):

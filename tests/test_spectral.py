@@ -4,14 +4,8 @@ import numpy as np
 import pytest
 from conftest import random_orthogonal, random_psd
 
-from mtkrr.spectral import (
-    KernelSpectrum,
-    NotPSDError,
-    TaskEnsemble,
-    eigendecompose_kernel,
-    project_tasks,
-)
-from reference import kernel_matrix, mean_variance_profile, reconstruct_tasks
+from mtkrr.spectral import KernelSpectrum, NotPSDError, TaskEnsemble, eigendecompose_kernels
+from reference import eigendecompose_kernel, kernel_matrix, mean_variance_profile, project_tasks, reconstruct_tasks
 
 
 def charpoly_eigenvalues(K: np.ndarray) -> np.ndarray:
@@ -73,6 +67,39 @@ class TestEigendecompose:
     def test_descending_order_with_stable_ties(self):
         spec = eigendecompose_kernel(np.diag([2.0, 5.0, 2.0]))
         assert np.all(np.diff(spec.gamma) <= 0)
+
+
+class TestEigendecomposeStack:
+    """``eigendecompose_kernels``: one ``eigh`` call for a stack, each matrix checked and decomposed on its own."""
+
+    def test_each_matrix_gets_the_bits_of_its_own_decomposition(self):
+        rng = np.random.default_rng(11)
+        K = np.stack([random_psd(rng, 7, scale=scale) for scale in (0.5, 1.0, 4.0, 1e3)])
+        gamma, basis = eigendecompose_kernels(K)
+        assert basis.flags.c_contiguous and gamma.shape == (4, 7) and basis.shape == (4, 7, 7)
+        for r in range(4):
+            alone = eigendecompose_kernel(K[r])
+            assert np.array_equal(gamma[r], alone.gamma)
+            assert np.array_equal(basis[r], alone.basis)
+
+    def test_symmetry_is_checked_against_each_matrix_scale(self):
+        # an asymmetry of 1e-7 passes beside entries of 1e6 but not beside entries of 1
+        big = np.diag([1e6, 1e6]) + np.array([[0.0, 1e-7], [0.0, 0.0]])
+        small = np.diag([1.0, 1.0]) + np.array([[0.0, 1e-7], [0.0, 0.0]])
+        assert eigendecompose_kernels(big[None])[0].shape == (1, 2)
+        with pytest.raises(ValueError, match="symmetric"):
+            eigendecompose_kernels(np.stack([big, small]))
+
+    def test_clamp_and_rejection_per_matrix(self):
+        gamma, _ = eigendecompose_kernels(np.stack([np.diag([1.0, -5e-9]), np.diag([3.0, 2.0])]))
+        assert gamma[0, -1] == 0.0 and np.array_equal(gamma[1], [3.0, 2.0])
+        with pytest.raises(NotPSDError):
+            eigendecompose_kernels(np.stack([np.eye(2), np.diag([1.0, -1e-6])]))
+
+    def test_descending_order_with_stable_ties(self):
+        gamma, basis = eigendecompose_kernels(np.stack([np.diag([2.0, 5.0, 2.0]), np.diag([1.0, 1.0, 3.0])]))
+        assert np.allclose(gamma, [[5.0, 2.0, 2.0], [3.0, 1.0, 1.0]], rtol=0, atol=1e-12)
+        assert np.allclose(np.abs(basis[:, 0]), np.eye(3)[[1, 2]], rtol=0, atol=1e-12)  # the top eigenvectors
 
 
 class TestProjectTasks:
