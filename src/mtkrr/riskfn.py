@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .optimize import RidgeRiskProfile, Search, minimize_profiles
-from .scenarios import synth_spectrum
+from .scenarios import power_law, synth_spectrum
 
 
 class DivergentIntegralError(ValueError):
@@ -226,11 +226,11 @@ def minimize_risks(grid: list[RiskParams]) -> tuple[list[BoundReport], Search]:
         cells = [k for k, params in enumerate(grid) if params.n == n]
         i = np.arange(1, n + 1, dtype=float)
         betas = list(dict.fromkeys(grid[k].beta for k in cells))
-        powers = {delta: i ** (-2.0 * delta) for delta in dict.fromkeys(grid[k].delta for k in cells)}
-        signal = np.empty((len(cells), n))  # row by row as in template_profile: (c n) i^(-2 delta)
-        for row, k in enumerate(cells):
-            np.multiply(grid[k].c * n, powers[grid[k].delta], out=signal[row])
-        found = minimize_profiles(n, np.array([synth_spectrum(n, beta).gamma for beta in betas]), signal,
+        deltas = list(dict.fromkeys(grid[k].delta for k in cells))
+        powers = np.array([i ** (-2.0 * delta) for delta in deltas])
+        signal = (np.array([grid[k].c * n for k in cells])[:, None]  # (c n) i^(-2 delta), as in template_profile
+                  * powers[[deltas.index(grid[k].delta) for k in cells]])
+        found = minimize_profiles(n, np.array([power_law(n, beta) for beta in betas]), signal,
                                   np.array([grid[k].sigma2 / grid[k].p for k in cells]),
                                   spectrum=np.array([betas.index(grid[k].beta) for k in cells]))
         lam[cells], value[cells], grad[cells] = found.lam, found.value, found.grad

@@ -156,14 +156,15 @@ def derive_seed(seed: int, *path: int) -> int:
     return int(derive_seeds([seed], [[k] for k in path])[0])
 
 
-def _power_law(n: int, beta: float) -> np.ndarray:
+def power_law(n: int, beta: float) -> np.ndarray:
+    """gamma_i = n i^(-2 beta) for i = 1..n: the synthetic kinds' and the risk template's spectrum."""
     i = np.arange(1, n + 1, dtype=float)
     return n * i ** (-2.0 * beta)
 
 
 def synth_spectrum(n: int, beta: float) -> KernelSpectrum:
     """Polynomial-decay spectrum gamma_i = n i^(-2 beta) in the (implicit) identity basis."""
-    return KernelSpectrum(n=n, gamma=_power_law(n, beta))
+    return KernelSpectrum(n=n, gamma=power_law(n, beta))
 
 
 def _decay(n: int, delta: float) -> np.ndarray:
@@ -360,7 +361,7 @@ def draw(specs: list[ScenarioSpec], seeds) -> tuple[np.ndarray, np.ndarray, np.n
     h = _stream(seeds.ravel(), 0, n, p)[1] if kind in _RANDOM else np.empty((seeds.size, n, p))
     for k, spec in enumerate(specs):
         _TASK_BLOCKS[kind](spec, h[k * reps:(k + 1) * reps])
-    gamma = np.array([_power_law(n, spec.beta_or_m) for spec in specs])
+    gamma = np.array([power_law(n, spec.beta_or_m) for spec in specs])
     return gamma, np.repeat(np.arange(len(specs)), reps), h
 
 

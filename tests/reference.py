@@ -20,7 +20,8 @@ grid scan (``full_scan_minimize_profiles``), the one-spec form of
 ``df_and_bias``, numpy's own per-replicate streams (``rng_for``, ``rademacher``
 and the setting-B ensemble ``numpy_setting_b``), the one-matrix eigendecomposition
 and projection with the per-replicate setting-B draw (``eigendecompose_kernel``,
-``project_tasks``, ``per_replicate_setting_b``), and the paper formulas no
+``project_tasks``, ``per_replicate_setting_b``), the per-draw sum-vs-integral
+envelope of ``verify-bounds`` (``envelope_per_draw``), and the paper formulas no
 command evaluates (the template risk at one lambda, the maximizer ``t_star``
 and the data-driven estimator's bound ``hm_bound_rhs``), each kept with its
 checks.
@@ -37,7 +38,7 @@ from mtkrr.estimators import multitask_rows
 from mtkrr.experiments import ExperimentReport, run_experiments
 from mtkrr import optimize
 from mtkrr.optimize import RidgeRiskProfile, Search
-from mtkrr.riskfn import RiskParams, template_profile
+from mtkrr.riskfn import RiskParams, integral_i1, integral_i2, template_profile
 from mtkrr.scenarios import ScenarioSpec, _uniform, periodic_kernel_value
 from mtkrr.spectral import (
     EIGENVALUE_CLAMP,
@@ -476,6 +477,32 @@ def per_replicate_setting_b(specs: list[ScenarioSpec], words: np.ndarray, eps: n
         spectra.append(eigendecompose_kernel(periodic_kernel_matrix(x, int(spec.beta_or_m))))
         eps[r] = project_tasks(spectra[-1], (math.sqrt(spec.c1) + eps[r] * math.sqrt(spec.c2)) * np.abs(x)[:, None]).h
     return spectra
+
+
+# ---------------------------------------------------------------------------
+# the sum-vs-integral envelope one draw at a time: the oracle of the block ``cli._envelope``
+
+
+def envelope_per_draw(rng: np.random.Generator, draws: int = 40) -> tuple[tuple[bool, bool], np.ndarray]:
+    """The two envelope checks of ``verify-bounds`` (S2, then S1) and the sums (n var, bias / lam^2) of each draw.
+
+    Each draw builds the template profile at C = sigma2 = p = 1, so bias = lam^2 S1 and variance = S2 / n;
+    ``sums`` has one column per draw.
+    """
+    s1_ok = s2_ok = True
+    sums = np.empty((2, draws))
+    for k in range(draws):
+        beta = float(rng.uniform(0.8, 4.0))
+        delta = float(rng.uniform(0.6, min(2 * beta - 0.05, 3.0)))
+        n = int(rng.integers(5, 400))
+        lam = float(10 ** rng.uniform(-8, 2))
+        i2 = integral_i2(beta)
+        i1 = integral_i1(beta, delta)
+        bias, var = template_profile(RiskParams(n, 1, 1.0, beta, delta, 1.0)).parts(lam)
+        sums[:, k] = n * var, bias / lam**2
+        s2_ok &= n * var <= lam ** (-1 / (2 * beta)) / (2 * beta) * i2 * (1 + 1e-12)
+        s1_ok &= bias / lam**2 <= lam ** ((2 * delta - 1) / (2 * beta)) / (beta * lam**2) * i1 * (1 + 1e-12)
+    return (s2_ok, s1_ok), sums
 
 
 # ---------------------------------------------------------------------------

@@ -18,11 +18,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import mtkrr
-from mtkrr.cli import build_parser, main, parse_args
+from mtkrr.cli import _envelope, build_parser, main, parse_args
 from mtkrr.render import emit_heatmap, emit_table
 from mtkrr.scenarios import ScenarioKind, ScenarioSpec, build_ensemble
 from conftest import compare_one, stack
-from reference import run_experiment
+from reference import envelope_per_draw, run_experiment
 
 
 def read_csv(path):
@@ -297,6 +297,44 @@ class TestVerifyBounds:
         assert rc == 0
         assert "FAIL" not in capsys.readouterr().out
 
+    def test_default_output_is_pinned(self, tmp_path, capsys):
+        # a change of numerics (alpha without scipy, say) has to edit these lines, and declare it
+        assert main(["verify-bounds", "--out", str(tmp_path / "v.txt")]) == 0
+        assert capsys.readouterr().out.splitlines() == DEFAULT_BOUNDS_OUTPUT
+        assert (tmp_path / "v.txt").read_text().splitlines() == DEFAULT_BOUNDS_OUTPUT
+
+
+DEFAULT_BOUNDS_OUTPUT = [
+    "PASS property-1 upper bound: worst relative excess -1.913e-01",
+    "PASS property-2 localization: 0 optimizer(s) above the cap",
+    "PASS property-3 lower bound: worst relative margin 1.596e+00 over 90 cells",
+    "PASS property-4 regime flip: sweep labels " + str(["REGULARIZE"] * 9 + ["TRIVIAL_NOISE"] * 4),
+    "PASS s2 integral envelope: 40 random (n, lam, beta) draws",
+    "PASS s1 integral envelope: 40 random (n, lam, beta, delta) draws",
+    "PASS alpha constant: alpha(2,2) = 0.33039176809103693",
+]
+
+
+class TestEnvelope:
+    """The envelope's block of 40 padded draws against each draw's own template profile (``envelope_per_draw``)."""
+
+    @staticmethod
+    def check(seed):
+        sums, caps = _envelope(np.random.default_rng(seed))
+        ok, expected = envelope_per_draw(np.random.default_rng(seed))
+        assert sums.shape == caps.shape == expected.shape == (2, 40)
+        assert tuple((sums <= caps).all(axis=1).tolist()) == ok
+        # the padding adds exact zeros, so only the order of the additions differs (measured 5e-16)
+        np.testing.assert_allclose(sums, expected, rtol=1e-13, atol=0)
+        return ok
+
+    def test_default_sample_passes_as_each_draw_alone(self):
+        assert self.check(20240811) == (True, True)
+
+    @given(seed=st.integers(0, 2**64 - 1))
+    def test_any_generator_seed_matches_each_draw_alone(self, seed):
+        self.check(seed)
+
 
 class TestArgumentHandling:
     def test_unknown_flag_is_a_hard_error(self):
@@ -563,7 +601,7 @@ class TestRunSummary:
         stacked = capsys.readouterr()
         summary = stacked.err.strip().splitlines()[-1]
         assert summary.startswith(f"searches {searches}: zero ")
-        assert re.search(r"; open-cell searches \d+; stage ms grid [\d.]+, render [\d.]+$", summary)
+        assert re.search(r"; open-cell searches \d+; stage ms grid [\d.]+, envelope [\d.]+, render [\d.]+$", summary)
         assert "searches" not in stacked.out
         assert code == 0 or "FAIL property-3 lower bound: worst relative margin -2.248e-01 " in stacked.out
         # the same command with every cell searched alone, as before the cells were stacked

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from mtkrr.optimize import RidgeRiskProfile, minimize_profiles
 from mtkrr.riskfn import (
     BoundReport,
     DivergentIntegralError,
@@ -347,7 +348,8 @@ class TestSumIntegralBounds:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_template_profile_parts_are_the_sums(self, seed):
-        # verify-bounds reads S1 and S2 from the template profile at C = sigma2 = p = 1
+        # the envelope's per-draw oracle, reference.envelope_per_draw, reads S1 and S2 from the template profile
+        # at C = sigma2 = p = 1
         rng = np.random.default_rng(seed + 100)
         beta = float(rng.uniform(0.8, 4.0))
         delta = float(rng.uniform(0.6, min(2 * beta - 0.05, 3.0)))
@@ -418,14 +420,22 @@ def _decades(lo: float, hi: float):
     return st.floats(lo, hi).map(lambda e: 10.0**e)
 
 
+# (beta, delta) inside both windows, the minimax window only, and neither (the last three)
+WINDOW_PAIRS = [(2.0, 2.0), (1.0, 2.4), (0.3, 2.0), (0.2, 0.7), (4.0, 0.4)]
+
+
 @st.composite
 def template_grids(draw):
-    """Lists of template cells: n from a small set, the rest over several decades, (beta, delta) from a few pairs."""
+    """Lists of template cells: n from a small set, the rest over several decades, (beta, delta) from a few pairs.
+
+    A pair is one of ``WINDOW_PAIRS`` or drawn over decades; c = 0 and c = 1 are among the amplitudes.
+    """
     # beta >= 10^-0.5 keeps I2 convergent (beta > 1/4) wherever the minimax window asks for kappa
-    pairs = draw(st.lists(st.tuples(_decades(-0.5, 1.0), _decades(-1.0, 1.0)), min_size=1, max_size=3))
+    pairs = draw(st.lists(st.one_of(st.sampled_from(WINDOW_PAIRS), st.tuples(_decades(-0.5, 1.0), _decades(-1.0, 1.0))),
+                          min_size=1, max_size=3))
     cell = st.builds(lambda n, pair, p, sigma2, c: RiskParams(n, p, sigma2, *pair, c),
                      st.sampled_from([1, 2, 7, 50, 120]), st.sampled_from(pairs), st.integers(1, 10**6),
-                     _decades(-3.0, 3.0), st.one_of(st.just(0.0), _decades(-3.0, 3.0)))
+                     _decades(-3.0, 3.0), st.one_of(st.just(0.0), st.just(1.0), _decades(-3.0, 3.0)))
     return draw(st.lists(cell, min_size=1, max_size=8))
 
 
@@ -451,6 +461,45 @@ class TestMinimizeRisks:
     def test_empty_grid(self):
         reports, search = minimize_risks([])
         assert reports == [] and rows(search) == []
+
+
+class TestEngineInputs:
+    @given(grid=template_grids())
+    def test_rows_spectra_and_noise_are_each_cells_template_profile(self, grid):
+        import mtkrr.riskfn as riskfn
+
+        calls = []
+
+        def capture(n, gamma, signal, noise, spectrum=None):
+            calls.append((n, gamma.copy(), signal.copy(), noise.copy(), spectrum.copy()))
+            return minimize_profiles(n, gamma, signal, noise, spectrum)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(riskfn, "minimize_profiles", capture)
+            minimize_risks(grid)
+        assert [n for n, *_ in calls] == list(dict.fromkeys(params.n for params in grid))
+        for n, gamma, signal, noise, spectrum in calls:
+            cells = [params for params in grid if params.n == n]
+            assert signal.shape == (len(cells), n) and noise.shape == spectrum.shape == (len(cells),)
+            for row, params in enumerate(cells):
+                profile = template_profile(params)
+                assert signal[row].tobytes() == profile.signal.tobytes()
+                assert gamma[spectrum[row]].tobytes() == profile.gamma.tobytes()
+                assert noise[row] == params.sigma2 / params.p
+
+    def test_verify_bounds_builds_no_spectrum_and_no_profile(self, monkeypatch, tmp_path):
+        from mtkrr.cli import main
+        from mtkrr.spectral import KernelSpectrum
+
+        built = []
+        for cls in (KernelSpectrum, RidgeRiskProfile, RiskParams):
+            monkeypatch.setattr(cls, "__post_init__",
+                                lambda self, f=cls.__post_init__: built.append(type(self).__name__) or f(self))
+        template_profile(RiskParams(n=5, p=1, sigma2=1.0, beta=2.0, delta=2.0, c=1.0))  # the counter sees them
+        assert built == ["RiskParams", "KernelSpectrum", "RidgeRiskProfile"]
+        built.clear()
+        assert main(["verify-bounds", "--out", str(tmp_path / "v.txt")]) == 0
+        assert built == ["RiskParams"] * 121  # the 108 grid cells and the 13 sweep cells, none per envelope draw
 
 
 def test_params_flags():
