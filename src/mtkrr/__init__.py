@@ -7,7 +7,7 @@ scenario generators used by the Monte Carlo comparison harness.
 """
 
 from .experiments import ExperimentReport, pvalue_pi1, pvalue_pi2
-from .optimize import RidgeRiskProfile, Search, minimize_profiles
+from .optimize import Search, minimize_profiles
 from .oracles import compare, rho_formula_1out, rho_formula_2points
 from .riskfn import (
     BoundReport,
@@ -20,7 +20,7 @@ from .riskfn import (
     kappa,
     minimize_risk,
 )
-from .scenarios import ScenarioKind, ScenarioSpec, build_ensemble, derive_seed, synth_spectrum
+from .scenarios import ScenarioKind, ScenarioSpec, build_ensemble, derive_seed
 from .spectral import KernelSpectrum, TaskEnsemble
 
 __version__ = "0.1.0"

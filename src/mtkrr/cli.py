@@ -191,19 +191,16 @@ def cmd_risk_curve(args) -> int:
     if args.points < 0:
         errors.append(f"--points: must be nonnegative, got {args.points}")
     _fail_on(errors)
-    profile = riskfn.template_profile(params)
     # a bound not given is that end of the oracle's search bracket, so the grid reaches the minimum
-    t_lo, t_hi = optimize.spectrum_bracket(profile.n, profile.gamma)
+    t_lo, t_hi = optimize.spectrum_bracket(params.n, scenarios.power_law(params.n, params.beta))
     lam_min = math.exp(t_lo[0]) if args.lambda_min is None else args.lambda_min
     lam_max = math.exp(t_hi[0]) if args.lambda_max is None else args.lambda_max
     _fail_on([f"{key} must be positive and finite" for key, lam in (("lambda-min", lam_min), ("lambda-max", lam_max))
               if not 0 < lam < math.inf])
     lams = [0.0] + [float(v) for v in np.geomspace(lam_min, lam_max, args.points)]
-    rows = [("lambda", "risk", "bias", "variance")]
-    for lam in lams:
-        bias, var = profile.parts(lam)
-        rows.append((lam, bias + var, bias, var))
-    render.write_csv(args.out, rows)
+    bias, var = riskfn.template_parts(params.n, lams, params.beta, params.delta, params.c, params.sigma2 / params.p)
+    render.write_csv(args.out, [("lambda", "risk", "bias", "variance"),
+                                *zip(lams, (bias + var).tolist(), bias.tolist(), var.tolist())])
     print(f"wrote {len(lams)} rows to {args.out}")
     return 0
 
@@ -322,12 +319,9 @@ def _envelope(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         n, lam = int(rng.integers(5, 400)), float(10 ** rng.uniform(-8, 2))
         draws.append((n, lam, beta, delta, lam ** (-1 / (2 * beta)) / (2 * beta) * riskfn.integral_i2(beta),
                       lam ** ((2 * delta - 1) / (2 * beta)) / (beta * lam**2) * riskfn.integral_i1(beta, delta)))
-    n, lam, beta, delta, *caps = np.array(draws).T[:, :, None]
-    i = np.arange(1.0, n.max() + 1)
-    gamma, signal = np.where(i <= n, n * i ** (-2.0 * np.array([beta, delta])), 0.0)  # 0 past n: adds exact zeros
-    d = gamma + n * lam
-    return np.array([np.sum((gamma / d) ** 2, axis=1), n[:, 0] * np.sum(signal / d**2, axis=1)]), \
-        np.array(caps)[:, :, 0] * (1 + 1e-12)
+    n, lam, beta, delta, *caps = np.array(draws).T
+    bias, var = riskfn.template_parts(n, lam, beta, delta, 1.0, 1.0)
+    return np.array([n * var, bias / lam**2]), np.array(caps) * (1 + 1e-12)
 
 
 def cmd_verify_bounds(args) -> int:

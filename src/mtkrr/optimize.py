@@ -77,58 +77,6 @@ FINE = np.array([i for i in range(DEFAULT_GRID_POINTS) if i not in _coarse])  # 
 
 
 @dataclass(frozen=True)
-class RidgeRiskProfile:
-    """Coefficients (g_i, s_i, v, n) of a one-parameter ridge risk curve."""
-
-    n: int
-    gamma: np.ndarray
-    signal: np.ndarray
-    noise: float
-
-    def __post_init__(self):
-        gamma = np.asarray(self.gamma, dtype=float)
-        signal = np.asarray(self.signal, dtype=float)
-        if gamma.ndim != 1 or signal.shape != gamma.shape:
-            raise ValueError("gamma and signal must be 1-D arrays of equal length")
-        if self.n <= 0:
-            raise ValueError("n must be positive")
-        if np.any(gamma < 0) or np.any(signal < 0) or self.noise < 0:
-            raise ValueError("eigenvalues, signal energies and noise must be nonnegative")
-        gamma = gamma.copy()
-        signal = signal.copy()
-        gamma.flags.writeable = False
-        signal.flags.writeable = False
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "signal", signal)
-
-    def parts(self, lam: float) -> tuple[float, float]:
-        """Return (bias, variance) at ``lam``; lam may be 0 or +inf.
-
-        At lam = 0 the smoother acts as the orthogonal projector onto the
-        range of the kernel: directions with g_i = 0 keep their full signal
-        energy as bias and contribute no variance.
-        """
-        n = self.n
-        if lam < 0:
-            raise ValueError("lam must be nonnegative")
-        if math.isinf(lam):
-            return float(self.signal.sum() / n), 0.0
-        if lam == 0.0:
-            null = self.gamma == 0.0
-            bias = float(self.signal[null].sum() / n)
-            var = self.noise / n * float(np.count_nonzero(~null))
-            return bias, var
-        d = self.gamma + n * lam
-        bias = n * lam * lam * float(np.sum(self.signal / d**2))
-        var = self.noise / n * float(np.sum((self.gamma / d) ** 2))
-        return bias, var
-
-    def value(self, lam: float) -> float:
-        bias, var = self.parts(lam)
-        return bias + var
-
-
-@dataclass(frozen=True)
 class Search:
     """Results of a stack of oracle searches: one array per field, entry k for row k.
 

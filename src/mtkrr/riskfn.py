@@ -32,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .optimize import RidgeRiskProfile, Search, minimize_profiles
-from .scenarios import power_law, synth_spectrum
+from .optimize import BLOCK_ELEMENTS, Search, minimize_profiles
+from .scenarios import power_law
 
 
 class DivergentIntegralError(ValueError):
@@ -95,12 +95,38 @@ class BoundReport:
     alpha: float
 
 
-def template_profile(params: RiskParams) -> RidgeRiskProfile:
-    """The template risk as a ridge risk curve: ``parts(lam)`` is (C lam^2 S1, sigma2 / (n p) S2)."""
-    i = np.arange(1, params.n + 1, dtype=float)
-    signal = params.c * params.n * i ** (-2.0 * params.delta)
-    return RidgeRiskProfile(n=params.n, gamma=synth_spectrum(params.n, params.beta).gamma, signal=signal,
-                            noise=params.sigma2 / params.p)
+def template_parts(n, lam, beta, delta, c, noise) -> tuple[np.ndarray, np.ndarray]:
+    """Bias n lam^2 S1 and variance noise / n S2 of the template at every lam of the 1-D ``lam``: the one evaluator of its sums.
+
+    S1 = sum_i s_i / d_i^2 and S2 = sum_i (gamma_i / d_i)^2, with d_i = gamma_i + n lam, gamma_i = n i^(-2 beta)
+    and s_i = (c n) i^(-2 delta); noise is sigma2 / p.  The other arguments are scalars or arrays of the
+    length of ``lam``, one template per row, and each row is 0 past its own n, so the padding adds exact
+    zeros.  A row at lam = 0 is the projector onto the range of the kernel: directions whose eigenvalue
+    underflows to 0 keep their signal as bias and add no variance.  An unpadded row is the scalar formula
+    at its lam, operation for operation and so bit for bit; temporaries stay within ``BLOCK_ELEMENTS`` doubles.
+    """
+    lam = np.asarray(lam, dtype=float)
+    n, beta, delta, c, noise = (np.asarray(v, dtype=float).reshape(-1, 1) for v in (n, beta, delta, c, noise))
+    i = np.arange(1.0, n.max() + 1)
+    inside = i <= n
+    gamma = np.broadcast_to(np.where(inside, n * i ** (-2.0 * beta), 0.0), (len(lam), len(i)))
+    signal = np.broadcast_to(np.where(inside, c * n * i ** (-2.0 * delta), 0.0), gamma.shape)
+    n, noise = np.broadcast_to(n[:, 0], lam.shape), np.broadcast_to(noise[:, 0], lam.shape)
+    zero = np.flatnonzero(lam == 0)
+    x = n * lam
+    x[zero] = math.inf  # every term of a lam = 0 row is then 0, without a warning; the projector replaces it below
+    bias, var = np.empty(len(lam)), np.empty(len(lam))
+    step = max(1, BLOCK_ELEMENTS // len(i))
+    for lo in range(0, len(lam), step):
+        r = slice(lo, lo + step)
+        d = gamma[r] + x[r, None]
+        terms = np.square(d)  # then every step in place: two temporaries per block
+        bias[r] = n[r] * lam[r] * lam[r] * np.sum(np.divide(signal[r], terms, out=terms), axis=1)
+        var[r] = noise[r] / n[r] * np.sum(np.square(np.divide(gamma[r], d, out=d), out=d), axis=1)
+    for k in zero.tolist():
+        g, s = gamma[k, :int(n[k])], signal[k, :int(n[k])]
+        bias[k], var[k] = s[g == 0].sum() / n[k], noise[k] / n[k] * np.count_nonzero(g)
+    return bias, var
 
 
 def _tail_integral(a: float) -> float:
@@ -228,7 +254,7 @@ def minimize_risks(grid: list[RiskParams]) -> tuple[list[BoundReport], Search]:
         betas = list(dict.fromkeys(grid[k].beta for k in cells))
         deltas = list(dict.fromkeys(grid[k].delta for k in cells))
         powers = np.array([i ** (-2.0 * delta) for delta in deltas])
-        signal = (np.array([grid[k].c * n for k in cells])[:, None]  # (c n) i^(-2 delta), as in template_profile
+        signal = (np.array([grid[k].c * n for k in cells])[:, None]  # (c n) i^(-2 delta), as in template_parts
                   * powers[[deltas.index(grid[k].delta) for k in cells]])
         found = minimize_profiles(n, np.array([power_law(n, beta) for beta in betas]), signal,
                                   np.array([grid[k].sigma2 / grid[k].p for k in cells]),

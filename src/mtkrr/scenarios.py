@@ -162,11 +162,6 @@ def power_law(n: int, beta: float) -> np.ndarray:
     return n * i ** (-2.0 * beta)
 
 
-def synth_spectrum(n: int, beta: float) -> KernelSpectrum:
-    """Polynomial-decay spectrum gamma_i = n i^(-2 beta) in the (implicit) identity basis."""
-    return KernelSpectrum(n=n, gamma=power_law(n, beta))
-
-
 def _decay(n: int, delta: float) -> np.ndarray:
     i = np.arange(1, n + 1, dtype=float)
     return math.sqrt(n) * i ** (-delta)
@@ -306,7 +301,7 @@ def _uniform(words: np.ndarray, low: float, high: float) -> np.ndarray:
 
 
 def _setting_b(specs: list[ScenarioSpec], words: np.ndarray, eps: np.ndarray):
-    """Random-design periodic-spline setting in blocks of replicates: yields each block's rows, gamma and bases.
+    """Random-design periodic-spline setting in blocks of replicates: yields each block's gamma and bases, in order.
 
     Replicate r (of spec r // R) reads n inputs uniformly on [-pi, pi] from ``words[r]`` and overwrites its
     sign field ``eps[r]`` with the task values (sqrt(C1) + eps_i^j sqrt(C2)) |X_i| projected onto the
@@ -330,7 +325,7 @@ def _setting_b(specs: list[ScenarioSpec], words: np.ndarray, eps: np.ndarray):
         gamma, basis = eigendecompose_kernels(kernels)
         del kernels
         eps[rows] = np.matmul(basis, eps[rows])
-        yield rows, gamma, basis
+        yield gamma, basis
         del basis
 
 
@@ -355,7 +350,7 @@ def draw(specs: list[ScenarioSpec], seeds) -> tuple[np.ndarray, np.ndarray, np.n
     kind, reps, n, p = specs[0].kind, seeds.shape[1], specs[0].n, specs[0].p
     if kind is ScenarioKind.SETTING_B:
         words, h = _stream(seeds.ravel(), n, n, p)
-        gamma = np.concatenate([block for _, block, _ in _setting_b(specs, words, h)])
+        gamma = np.concatenate([block for block, _ in _setting_b(specs, words, h)])
         return gamma, np.arange(seeds.size), h
     # the sign block of a random kind becomes the task block
     h = _stream(seeds.ravel(), 0, n, p)[1] if kind in _RANDOM else np.empty((seeds.size, n, p))
@@ -369,7 +364,7 @@ def build_ensemble(spec: ScenarioSpec) -> tuple[KernelSpectrum, TaskEnsemble]:
     """Generate (spectrum, ensemble) for any scenario kind: the one-replicate case of ``draw``, with its basis."""
     if spec.kind is ScenarioKind.SETTING_B:
         words, h = _stream(np.array([spec.seed], dtype=np.uint64), spec.n, spec.n, spec.p)
-        [(_, gamma, basis)] = _setting_b([spec], words, h)
+        [(gamma, basis)] = _setting_b([spec], words, h)
     else:
         (gamma, _, h), basis = draw([spec], [[spec.seed]]), [None]
     return KernelSpectrum(n=spec.n, gamma=gamma[0], basis=basis[0]), TaskEnsemble(n=spec.n, p=spec.p, h=h[0])

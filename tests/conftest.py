@@ -7,10 +7,10 @@ from hypothesis import settings
 from scipy.integrate import quad
 
 from mtkrr.estimators import multitask_rows, singletask_rows
-from mtkrr.optimize import SOURCES, RidgeRiskProfile, Search, minimize_profiles
+from mtkrr.optimize import SOURCES, Search, minimize_profiles
 from mtkrr.oracles import compare
 from mtkrr.spectral import KernelSpectrum, TaskEnsemble
-from reference import MeanVarianceProfile
+from reference import MeanVarianceProfile, RidgeRiskProfile
 
 # Property tests draw a fixed set of examples: the same ones on every run, no
 # example database, and no per-example deadline, so the suite stays

@@ -21,7 +21,11 @@ grid scan (``full_scan_minimize_profiles``), the one-spec form of
 and the setting-B ensemble ``numpy_setting_b``), the one-matrix eigendecomposition
 and projection with the per-replicate setting-B draw (``eigendecompose_kernel``,
 ``project_tasks``, ``per_replicate_setting_b``), the per-draw sum-vs-integral
-envelope of ``verify-bounds`` (``envelope_per_draw``), and the paper formulas no
+envelope of ``verify-bounds`` (``envelope_per_draw``), the scalar evaluator of a
+ridge risk curve (``RidgeRiskProfile``, whose ``parts`` gives the bias and
+variance at one lambda, 0 and +inf included), the template as such a curve
+(``template_profile``, on the spectrum ``synth_spectrum``) and the ``risk-curve``
+table one lambda at a time (``risk_curve_rows``), and the paper formulas no
 command evaluates (the template risk at one lambda, the maximizer ``t_star``
 and the data-driven estimator's bound ``hm_bound_rhs``), each kept with its
 checks.
@@ -37,9 +41,9 @@ import numpy as np
 from mtkrr.estimators import multitask_rows
 from mtkrr.experiments import ExperimentReport, run_experiments
 from mtkrr import optimize
-from mtkrr.optimize import RidgeRiskProfile, Search
-from mtkrr.riskfn import RiskParams, integral_i1, integral_i2, template_profile
-from mtkrr.scenarios import ScenarioSpec, _uniform, periodic_kernel_value
+from mtkrr.optimize import Search
+from mtkrr.riskfn import RiskParams, integral_i1, integral_i2
+from mtkrr.scenarios import ScenarioSpec, _uniform, periodic_kernel_value, power_law
 from mtkrr.spectral import (
     EIGENVALUE_CLAMP,
     SYMMETRY_TOL,
@@ -54,6 +58,71 @@ DENSE_SIZE_CAP = 512  # the O((np)^3) route exists only for cross-validation
 
 # ---------------------------------------------------------------------------
 # spectra and profiles
+
+
+def synth_spectrum(n: int, beta: float) -> KernelSpectrum:
+    """Polynomial-decay spectrum gamma_i = n i^(-2 beta) in the (implicit) identity basis."""
+    return KernelSpectrum(n=n, gamma=power_law(n, beta))
+
+
+@dataclass(frozen=True)
+class RidgeRiskProfile:
+    """Coefficients (g_i, s_i, v, n) of a one-parameter ridge risk curve."""
+
+    n: int
+    gamma: np.ndarray
+    signal: np.ndarray
+    noise: float
+
+    def __post_init__(self):
+        gamma = np.asarray(self.gamma, dtype=float)
+        signal = np.asarray(self.signal, dtype=float)
+        if gamma.ndim != 1 or signal.shape != gamma.shape:
+            raise ValueError("gamma and signal must be 1-D arrays of equal length")
+        if self.n <= 0:
+            raise ValueError("n must be positive")
+        if np.any(gamma < 0) or np.any(signal < 0) or self.noise < 0:
+            raise ValueError("eigenvalues, signal energies and noise must be nonnegative")
+        gamma = gamma.copy()
+        signal = signal.copy()
+        gamma.flags.writeable = False
+        signal.flags.writeable = False
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "signal", signal)
+
+    def parts(self, lam: float) -> tuple[float, float]:
+        """Return (bias, variance) at ``lam``; lam may be 0 or +inf.
+
+        At lam = 0 the smoother acts as the orthogonal projector onto the
+        range of the kernel: directions with g_i = 0 keep their full signal
+        energy as bias and contribute no variance.
+        """
+        n = self.n
+        if lam < 0:
+            raise ValueError("lam must be nonnegative")
+        if math.isinf(lam):
+            return float(self.signal.sum() / n), 0.0
+        if lam == 0.0:
+            null = self.gamma == 0.0
+            bias = float(self.signal[null].sum() / n)
+            var = self.noise / n * float(np.count_nonzero(~null))
+            return bias, var
+        d = self.gamma + n * lam
+        bias = n * lam * lam * float(np.sum(self.signal / d**2))
+        var = self.noise / n * float(np.sum((self.gamma / d) ** 2))
+        return bias, var
+
+    def value(self, lam: float) -> float:
+        bias, var = self.parts(lam)
+        return bias + var
+
+
+def template_profile(params: RiskParams) -> RidgeRiskProfile:
+    """The template risk as a ridge risk curve: ``parts(lam)`` is (C lam^2 S1, sigma2 / (n p) S2)."""
+    i = np.arange(1, params.n + 1, dtype=float)
+    signal = params.c * params.n * i ** (-2.0 * params.delta)
+    return RidgeRiskProfile(n=params.n, gamma=synth_spectrum(params.n, params.beta).gamma, signal=signal,
+                            noise=params.sigma2 / params.p)
 
 
 def kernel_matrix(spectrum: KernelSpectrum) -> np.ndarray:
@@ -503,6 +572,28 @@ def envelope_per_draw(rng: np.random.Generator, draws: int = 40) -> tuple[tuple[
         s2_ok &= n * var <= lam ** (-1 / (2 * beta)) / (2 * beta) * i2 * (1 + 1e-12)
         s1_ok &= bias / lam**2 <= lam ** ((2 * delta - 1) / (2 * beta)) / (beta * lam**2) * i1 * (1 + 1e-12)
     return (s2_ok, s1_ok), sums
+
+
+# ---------------------------------------------------------------------------
+# the risk curve one lambda at a time: the oracle of ``riskfn.template_parts`` behind ``risk-curve``
+
+
+def risk_curve_rows(params: RiskParams, points: int, lambda_min: float | None = None,
+                    lambda_max: float | None = None) -> list[tuple]:
+    """The rows of the ``risk-curve`` CSV, header first: lambda = 0, then ``points`` log-spaced lambdas.
+
+    A bound not given is that end of the oracle's search bracket.  Each row is (lambda, risk, bias,
+    variance) from ``template_profile(params).parts(lam)``, one lambda at a time.
+    """
+    profile = template_profile(params)
+    t_lo, t_hi = optimize.spectrum_bracket(profile.n, profile.gamma)
+    lam_min = math.exp(t_lo[0]) if lambda_min is None else lambda_min
+    lam_max = math.exp(t_hi[0]) if lambda_max is None else lambda_max
+    rows = [("lambda", "risk", "bias", "variance")]
+    for lam in [0.0] + [float(v) for v in np.geomspace(lam_min, lam_max, points)]:
+        bias, var = profile.parts(lam)
+        rows.append((lam, bias + var, bias, var))
+    return rows
 
 
 # ---------------------------------------------------------------------------

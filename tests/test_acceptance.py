@@ -24,7 +24,7 @@ from mtkrr.riskfn import (
     kappa,
     minimize_risk,
 )
-from mtkrr.scenarios import ScenarioKind, ScenarioSpec, build_ensemble, synth_spectrum
+from mtkrr.scenarios import ScenarioKind, ScenarioSpec, build_ensemble
 from reference import (
     RegularizerAV,
     df_and_bias,
@@ -34,6 +34,7 @@ from reference import (
     risk_direct,
     risk_spectral,
     run_experiment,
+    synth_spectrum,
 )
 
 FRESH_SEED = 20260810

@@ -19,10 +19,11 @@ from hypothesis import strategies as st
 
 import mtkrr
 from mtkrr.cli import _envelope, build_parser, main, parse_args
-from mtkrr.render import emit_heatmap, emit_table
+from mtkrr.render import emit_heatmap, emit_table, write_csv
+from mtkrr.riskfn import RiskParams
 from mtkrr.scenarios import ScenarioKind, ScenarioSpec, build_ensemble
 from conftest import compare_one, stack
-from reference import envelope_per_draw, run_experiment
+from reference import envelope_per_draw, risk_curve_rows, run_experiment
 
 
 def read_csv(path):
@@ -80,6 +81,45 @@ class TestRiskCurve:
         r_star = mtkrr.minimize_risk(mtkrr.RiskParams(n=50, p=100, sigma2=1.0, beta=4, delta=2, c=1000.0)).r_star
         assert 1 < k < len(risks) - 1  # an interior grid point, not lambda = 0 or an end of the grid
         assert r_star * (1 - 1e-12) <= risks[k] <= r_star * (1 + 1e-4)
+
+
+class TestRiskCurveIsTheScalarCurve:
+    """The ``risk-curve`` CSV is, byte for byte, ``RidgeRiskProfile.parts`` one lambda at a time (``risk_curve_rows``)."""
+
+    @staticmethod
+    def check(n, p, sigma2, beta, delta, c, points, lambda_min=None, lambda_max=None):
+        argv = ["risk-curve", "--n", str(n), "--p", str(p), "--sigma2", repr(sigma2), "--beta", repr(beta),
+                "--delta", repr(delta), "--c", repr(c), "--points", str(points)]
+        argv += [] if lambda_min is None else ["--lambda-min", repr(lambda_min)]
+        argv += [] if lambda_max is None else ["--lambda-max", repr(lambda_max)]
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+            out, expected = os.path.join(tmp, "curve.csv"), os.path.join(tmp, "expected.csv")
+            assert main([*argv, "--out", out]) == 0
+            write_csv(expected, risk_curve_rows(RiskParams(n, p, sigma2, beta, delta, c), points,
+                                                lambda_min, lambda_max))
+            with open(out, "rb") as got, open(expected, "rb") as want:
+                assert got.read() == want.read()
+
+    @pytest.mark.parametrize("n, p, sigma2, beta, delta, c, points, lambda_min, lambda_max", [
+        (40, 5, 2.0, 2.0, 2.0, 1.0, 200, None, None),  # the defaults
+        (30, 1, 1.0, 2.0, 2.0, 0.0, 50, None, None),  # c = 0: pure noise
+        (50, 3, 1.0, 100.0, 2.0, 1.0, 20, 1e-3, 1.0),  # eigenvalues from i = 42 on underflow to 0: the lam = 0 row
+        (50, 3, 1.0, 100.0, 2.0, 0.0, 5, 1e-3, 1.0),
+        (12, 2, 0.5, 1.5, 1.0, 3.0, 0, None, None),  # --points 0: the lam = 0 row alone
+        (50, 4, 1.0, 2.0, 2.0, 1.0, 101, 1e-3, 1.0),  # explicit bounds
+        (60, 2, 1.0, 0.5, 0.5, 1e3, 33, 10.0, 1e-6),  # a descending grid, and exponents of -1
+        (2000, 1, 1.0, 1.0, 1.5, 1.0, 7, None, None),  # blocks of 16 lambdas
+        (20000, 1, 1.0, 0.75, 1.0, 1.0, 3, None, None),  # one lambda per block, longer than numpy's buffer
+    ])
+    def test_pinned_templates(self, n, p, sigma2, beta, delta, c, points, lambda_min, lambda_max):
+        self.check(n, p, sigma2, beta, delta, c, points, lambda_min, lambda_max)
+
+    @given(n=st.integers(1, 400), p=st.integers(1, 20), log_sigma2=st.floats(-2, 2), beta=st.floats(0.3, 6),
+           delta=st.floats(0.3, 6), c=st.one_of(st.sampled_from([0.0, 1e-3, 1.0, 1e3]), st.floats(0, 10)),
+           points=st.integers(0, 40), bounds=st.one_of(st.none(), st.tuples(st.floats(-8, 4), st.floats(-8, 4))))
+    def test_any_template(self, n, p, log_sigma2, beta, delta, c, points, bounds):
+        lambda_min, lambda_max = (None, None) if bounds is None else (10.0 ** bounds[0], 10.0 ** bounds[1])
+        self.check(n, p, 10.0**log_sigma2, beta, delta, c, points, lambda_min, lambda_max)
 
 
 class TestOracleCommand:

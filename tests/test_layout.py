@@ -1,4 +1,4 @@
-"""Layout guards: the package holds no code that only the tests use, keeps the dense route off the hot path, one module forks on setting B, one module imports scipy, one module lays out a comparison, one function reads the sweep configs, one module writes files, a search has one columnar result type and one pruned grid scan, and no module draws from a numpy stream but for verify-bounds' fixed envelope sample.
+"""Layout guards: the package holds no code that only the tests use, keeps the dense route off the hot path, one module forks on setting B, one module imports scipy, one module lays out a comparison, one function reads the sweep configs, one module writes files, a search has one columnar result type and one pruned grid scan, the template has one array evaluator, and no module draws from a numpy stream but for verify-bounds' fixed envelope sample.
 
 A public function, class or method defined in ``src/mtkrr`` counts as used
 only if a package module other than ``__init__.py`` references it, or a
@@ -138,6 +138,18 @@ def test_a_search_result_is_columnar():
     """``minimize_profiles`` returns one ``Search`` of arrays: no module defines or names the per-row ``ProfileMinimum``."""
     named = [path.name for path in sorted(PACKAGE.glob("*.py")) if re.search(r"\bProfileMinimum\b", path.read_text())]
     assert not named, f"modules of src/mtkrr define or name ProfileMinimum: {named}"
+
+
+def test_the_template_has_one_array_evaluator():
+    """``riskfn.template_parts`` forms the template's sums: no module defines or names the scalar references.
+
+    ``RidgeRiskProfile`` (one curve at one lambda), ``template_profile`` and ``synth_spectrum`` are
+    validation oracles in ``tests/reference.py``.
+    """
+    named = [(path.name, name) for path in sorted(PACKAGE.glob("*.py"))
+             for name in ("RidgeRiskProfile", "template_profile", "synth_spectrum")
+             if re.search(rf"\b{name}\b", path.read_text())]
+    assert not named, f"modules of src/mtkrr define or name a scalar template reference: {named}"
 
 
 def test_the_search_keeps_its_signature_and_one_pruned_grid_scan():

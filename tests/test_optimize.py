@@ -6,10 +6,10 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from conftest import bits, minimize_profile, rows, search_one, value_grid
-from reference import certified_lower_bound, full_scan_minimize_profiles
+from reference import RidgeRiskProfile, certified_lower_bound, full_scan_minimize_profiles
 
 from mtkrr import optimize
-from mtkrr.optimize import BRACKET_DECADES, COARSE, DEFAULT_GRID_POINTS, RidgeRiskProfile, _curve, minimize_profiles
+from mtkrr.optimize import BRACKET_DECADES, COARSE, DEFAULT_GRID_POINTS, _curve, minimize_profiles
 from mtkrr.oracles import comparison_rows
 from mtkrr.scenarios import ScenarioKind, ScenarioSpec, build_ensemble
 

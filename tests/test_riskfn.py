@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from mtkrr.optimize import RidgeRiskProfile, minimize_profiles
+from mtkrr.optimize import minimize_profiles
 from mtkrr.riskfn import (
     BoundReport,
     DivergentIntegralError,
@@ -27,9 +27,8 @@ from mtkrr.riskfn import (
     minimax_rate,
     minimize_risk,
     minimize_risks,
-    template_profile,
 )
-from reference import risk_r
+from reference import RidgeRiskProfile, risk_r, template_profile
 
 
 FLOAT_FIELDS = [field.name for field in fields(BoundReport) if field.name != "regime"]

@@ -21,7 +21,6 @@ from mtkrr.scenarios import (
     derive_seeds,
     draw,
     periodic_kernel_value,
-    synth_spectrum,
 )
 from reference import (
     RegularizerAV,
@@ -36,6 +35,7 @@ from reference import (
     risk_direct,
     risk_spectral,
     rng_for,
+    synth_spectrum,
 )
 
 
@@ -260,14 +260,14 @@ class TestSettingBBlocks:
         words, h = _stream(seeds, n, n, p)
         expected_h = h.copy()
         expected = per_replicate_setting_b(specs, words, expected_h)
-        rows_seen = []
-        for rows, gamma, basis in _setting_b(specs, words, h):
-            assert basis.flags.c_contiguous and gamma.shape == (rows.stop - rows.start, n)
-            for r in range(rows.start, rows.stop):
-                assert np.array_equal(gamma[r - rows.start], expected[r].gamma)
-                assert np.array_equal(basis[r - rows.start], expected[r].basis)
-            rows_seen += range(rows.start, rows.stop)
-        assert rows_seen == list(range(len(seeds)))
+        start = 0
+        for gamma, basis in _setting_b(specs, words, h):  # in order: each block starts where the one before ended
+            assert basis.flags.c_contiguous and gamma.shape[1:] == (n,) and len(gamma) > 0
+            for k, r in enumerate(range(start, start + len(gamma))):
+                assert np.array_equal(gamma[k], expected[r].gamma)
+                assert np.array_equal(basis[k], expected[r].basis)
+            start += len(gamma)
+        assert start == len(seeds)
         assert np.array_equal(h, expected_h)
         gamma, owner, block = draw(specs, seeds.reshape(len(specs), reps))
         assert np.array_equal(gamma[owner], np.array([spectrum.gamma for spectrum in expected]))
