@@ -198,9 +198,15 @@ def cmd_risk_curve(args) -> int:
     _fail_on([f"{key} must be positive and finite" for key, lam in (("lambda-min", lam_min), ("lambda-max", lam_max))
               if not 0 < lam < math.inf])
     lams = [0.0] + [float(v) for v in np.geomspace(lam_min, lam_max, args.points)]
-    bias, var = riskfn.template_parts(params.n, lams, params.beta, params.delta, params.c, params.sigma2 / params.p)
+    with np.errstate(all="ignore"):  # a row that is not finite is reported below, and nothing is written
+        bias, var = riskfn.template_parts(params.n, lams, params.beta, params.delta, params.c, params.sigma2 / params.p)
+        risk = bias + var
+    finite = np.isfinite(risk) & np.isfinite(bias) & np.isfinite(var)
+    if not finite.all():
+        raise FloatingPointError(f"the template risk is not finite at lambda {lams[int(np.argmin(finite))]!r}; "
+                                 "narrow the lambda range")
     render.write_csv(args.out, [("lambda", "risk", "bias", "variance"),
-                                *zip(lams, (bias + var).tolist(), bias.tolist(), var.tolist())])
+                                *zip(lams, risk.tolist(), bias.tolist(), var.tolist())])
     print(f"wrote {len(lams)} rows to {args.out}")
     return 0
 

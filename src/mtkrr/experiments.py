@@ -4,8 +4,8 @@ Hoeffding / CLT test statistics summarizing them.
 Each replicate generates a fresh ensemble from a derived sub-seed, computes
 the exact multi-task and single-task oracle risks, and records their ratio.
 ``run_experiments`` takes a command's whole work list (every spec, every
-replicate), draws all its replicates as one block, and compares them
-all in one ``oracles.compare`` call, one stacked search, in one process.  Each
+replicate), draws its replicates in chunks straight into one block of search
+rows, and compares them all in one stacked search, in one process.  Each
 search is bit-identical in any stack and aggregation is an ordered reduction
 over replicate index, so a spec's report is the same in any work list.
 """
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .optimize import Search
-from .oracles import compare
+from .oracles import search_comparisons, stacked_rows
 from .scenarios import ScenarioSpec, derive_seeds, draw
 
 Z_975 = 1.959963984540054  # 97.5% standard normal quantile
@@ -89,13 +89,14 @@ def _report(spec: ScenarioSpec, sigma2: float, n_rep: int, arr: np.ndarray, pi2_
 
 def run_experiments(specs: list[ScenarioSpec], sigma2: float, n_rep: int,
                     pi2_scale: str = "N") -> tuple[list[ExperimentReport], Search, dict[str, float]]:
-    """Replicate the oracle comparison of every spec n_rep times: draw, one ``compare`` call, report.
+    """Replicate the oracle comparison of every spec n_rep times: draw, rows, one stacked search, report.
 
-    The specs must share their kind, n and p.  Every replicate's sub-seed is derived in one hash pass and
-    the work list is drawn as one block.  Returns one report per spec, each from its slice of the ratios,
-    the one ``Search`` of the comparison (p + 2 rows per replicate, replicate by replicate, spec by spec),
-    and the wall time in seconds of each stage: ``draw``, ``rows``, ``search`` and ``report``.  Only
-    ``compare`` holds the (R, n, p) block of all replicates, and frees it once its rows are built.
+    The specs must share their kind, n and p.  Every replicate's sub-seed is derived in one hash pass, and
+    the work list is drawn in chunks (``scenarios.draw``) whose rows ``oracles.stacked_rows`` writes into
+    one (R, p + 2, n) block, so no (R, n, p) block of all replicates is ever built.  Returns one report per
+    spec, each from its slice of the ratios, the one ``Search`` of the comparison (p + 2 rows per
+    replicate, replicate by replicate, spec by spec), and the wall time in seconds of each stage, summed
+    over the chunks: ``draw``, ``rows``, ``search`` and ``report``.
     ``pi2_scale`` selects the normalization inside the CLT statistic: "N" (the replicate count, the
     statistically meaningful choice) or "n" (the per-task sample size); each report records it.
     """
@@ -108,12 +109,15 @@ def run_experiments(specs: list[ScenarioSpec], sigma2: float, n_rep: int,
     start = time.perf_counter()
     seeds = derive_seeds(np.repeat(np.array([spec.seed for spec in specs], dtype=np.uint64), n_rep),
                          np.tile(np.arange(n_rep), len(specs)))
-    # replicate r of spec k on spectrum owner[k n_rep + r]; once popped, the block's one reference is compare's
-    gamma, owner, *block = draw(specs, seeds.reshape(len(specs), n_rep))
-    # spectra equal bit for bit, such as every cell of a synthetic sweep at one (n, beta), share one grid scan
-    _, first, which = np.unique(gamma.view(f"V{gamma.strides[0]}").ravel(), return_index=True, return_inverse=True)
+    # replicate r of spec k on spectrum owner[k n_rep + r]; setting B's spectra are complete once every chunk is drawn
+    gamma, owner, chunks = draw(specs, seeds.reshape(len(specs), n_rep))
     times = {"draw": time.perf_counter() - start}
-    _, _, rho, search = compare(specs[0].n, gamma[first], block.pop(), sigma2, spectrum=which[owner], times=times)
+    signal, noise = stacked_rows(chunks, len(owner), specs[0].n, specs[0].p, sigma2, times)
+    # spectra equal bit for bit, such as every cell of a synthetic sweep at one (n, beta), share one grid scan
+    start = time.perf_counter()
+    _, first, which = np.unique(gamma.view(f"V{gamma.strides[0]}").ravel(), return_index=True, return_inverse=True)
+    times["draw"] += time.perf_counter() - start
+    _, _, rho, search = search_comparisons(specs[0].n, gamma[first], signal, noise, spectrum=which[owner], times=times)
     start = time.perf_counter()
     reports = [_report(spec, sigma2, n_rep, rho[k * n_rep:(k + 1) * n_rep], pi2_scale) for k, spec in enumerate(specs)]
     times["report"] = time.perf_counter() - start

@@ -353,9 +353,10 @@ def minimize_profiles(
             upper = np.minimum(np.minimum(zero[r], limit[r]), grid_min[r]) * (1 - BOUND_MARGIN)
             row, cell = np.nonzero(bound < upper[:, None])
             candidates.append((row + k, cell, bound[row, cell]))
+            del var, bound
     row, cell, row_bound = (np.concatenate(part) for part in zip(*candidates))
-    del candidates
     _check_finite(vals, lo, hi, zero, limit)
+    del candidates, x_grid, squares, everywhere, open_, lo, hi  # the scan's arrays go before Newton's
 
     # every grid-local minimum among the evaluated points (nan compares false) marks a basin worth refining;
     # the grid argmin is one of them unless a limit wins the row.  Newton starts at the vertex of the parabola

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -19,42 +20,86 @@ from .optimize import Search, minimize_profiles
 from .spectral import mean_variance
 
 
-def comparison_rows(h: np.ndarray, sigma2: float) -> tuple[np.ndarray, np.ndarray]:
+def comparison_rows(h: np.ndarray, sigma2: float, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Signal rows and noise levels of the p + 2 searches of one comparison: mean part, variance part, tasks.
 
     ``h`` holds the task coefficients, n x p, or an (R, n, p) block of R replicates with signal
-    (R, p + 2, n), each replicate's rows bit-identical to those of its ensemble alone.
+    (R, p + 2, n), each replicate's rows bit-identical to those of its ensemble alone.  The rows are
+    written into ``out`` when it is given; no temporary is larger than ``h``.
     """
-    mt_signal, mt_noise = multitask_rows(*mean_variance(h), sigma2, h.shape[-1])
-    st_signal, st_noise = singletask_rows(h, sigma2)
-    return np.concatenate((mt_signal, st_signal), axis=-2), np.concatenate((mt_noise, st_noise))
+    p = h.shape[-1]
+    signal = np.empty(h.shape[:-2] + (p + 2, h.shape[-2])) if out is None else out
+    _, mt_noise = multitask_rows(*mean_variance(h), sigma2, p, out=signal[..., :2, :])
+    _, st_noise = singletask_rows(h, sigma2, out=signal[..., 2:, :])
+    return signal, np.concatenate((mt_noise, st_noise))
 
 
-def compare(n: int, gamma: np.ndarray, h: np.ndarray, sigma2: float, spectrum: np.ndarray | None = None,
-            times: dict[str, float] | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray, Search]:
-    """Both oracles and rho of each replicate of an (R, n, p) block, replicate r on ``gamma[spectrum[r]]``.
+def stacked_rows(chunks: Iterable[tuple[slice, np.ndarray]], reps: int, n: int, p: int, sigma2: float,
+                 times: dict[str, float] | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of ``reps`` comparisons whose coefficients come in chunks: signal (reps, p + 2, n) and noise.
 
-    Returns the multi-task risk, the single-task risk (the task minima summed left to right, not pairwise)
-    and rho, one per replicate, and the one stacked ``Search``: mean part, variance part, each task, per
-    replicate.  Without ``spectrum`` every replicate searches on spectrum 0, as ``minimize_profiles`` does.
-    A block the caller holds no reference to is freed once its rows are built, before the search.  With
-    ``times``, the wall times in seconds of the row build and of the search go in as ``rows`` and ``search``.
+    ``chunks`` yields (rows, h), replicates ``rows`` (a slice) and their (len, n, p) coefficients, as
+    ``scenarios.draw`` does.  ``comparison_rows`` writes each chunk's rows into their slice of the one
+    block, so only the block grows with ``reps``, and each chunk is released before the next is drawn.
+    With ``times``, the seconds spent drawing the chunks are added to ``draw``, and those spent building
+    their rows go in as ``rows``.
+    """
+    signal, noise = np.empty((reps, p + 2, n)), None
+    drawn = built = 0.0
+    start = time.perf_counter()
+    for rows, h in chunks:
+        middle = time.perf_counter()
+        _, noise = comparison_rows(h, sigma2, out=signal[rows])
+        del h
+        end = time.perf_counter()
+        drawn, built, start = drawn + middle - start, built + end - middle, end
+    if times is not None:
+        times["draw"] = times.get("draw", 0.0) + drawn + time.perf_counter() - start
+        times["rows"] = built
+    return signal, noise
+
+
+def search_comparisons(n: int, gamma: np.ndarray, signal: np.ndarray, noise: np.ndarray,
+                       spectrum: np.ndarray | None = None, times: dict[str, float] | None = None
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray, Search]:
+    """Both oracles and rho of each replicate from its rows, ``signal`` (R, p + 2, n) and ``noise`` (p + 2,).
+
+    Replicate r searches on ``gamma[spectrum[r]]``, or on spectrum 0 without ``spectrum``.  Returns the
+    multi-task risk, the single-task risk (the task minima summed left to right, not pairwise) and rho,
+    one per replicate, and the one stacked ``Search``: mean part, variance part, each task, per replicate.
+    With ``times``, the wall time in seconds of the search goes in as ``search``.
     """
     start = time.perf_counter()
-    reps, p = h.shape[0], h.shape[-1]
-    signal, noise = comparison_rows(h, sigma2)
-    del h
-    rows = time.perf_counter()
+    reps, p = signal.shape[0], signal.shape[1] - 2
     owner = None if spectrum is None else np.repeat(spectrum, p + 2)
     search = minimize_profiles(n, gamma, signal.reshape(-1, n), np.tile(noise, reps), spectrum=owner)
     if times is not None:
-        times.update(rows=rows - start, search=time.perf_counter() - rows)
+        times["search"] = time.perf_counter() - start
     values = search.value.reshape(reps, p + 2)
     st_risk = np.add.accumulate(values[:, 2:], axis=1)[:, -1] / p
     if (st_risk <= 0).any():
         raise ZeroDivisionError("single-task oracle risk is zero; the ratio is undefined")
     mt_risk = values[:, 0] + values[:, 1]
     return mt_risk, st_risk, mt_risk / st_risk, search
+
+
+def compare(n: int, gamma: np.ndarray, h: np.ndarray, sigma2: float, spectrum: np.ndarray | None = None,
+            times: dict[str, float] | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray, Search]:
+    """Both oracles and rho of each replicate of an (R, n, p) block, replicate r on ``gamma[spectrum[r]]``.
+
+    The rows of the whole block (``comparison_rows``) go to ``search_comparisons``, which returns the
+    multi-task risk, the single-task risk and rho of each replicate and the one stacked ``Search``; a
+    work list drawn in chunks takes ``stacked_rows`` instead.  Without ``spectrum`` every replicate
+    searches on spectrum 0.  A block the caller holds no reference to is freed once its rows are built,
+    before the search.  With ``times``, the wall times in seconds of the row build and of the search go
+    in as ``rows`` and ``search``.
+    """
+    start = time.perf_counter()
+    signal, noise = comparison_rows(h, sigma2)
+    del h
+    if times is not None:
+        times["rows"] = time.perf_counter() - start
+    return search_comparisons(n, gamma, signal, noise, spectrum, times)
 
 
 def rho_formula_2points(p: int, delta: float, r: float) -> float:

@@ -8,7 +8,8 @@ index), never by jumping a shared stream.  The hash is numpy's
 ``SeedSequence`` written as array code, so every sub-seed and Philox key of
 a work list comes from one pass, bit for bit numpy's, and every replicate's
 stream is one block of raw Philox words: the same numbers numpy's
-``Generator`` would draw from that key.
+``Generator`` would draw from that key.  A replicate's words depend on its
+key alone, so ``draw`` gives a work list in chunks of replicates.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -180,17 +182,22 @@ def _h1out(spec: ScenarioSpec, h: np.ndarray) -> None:
     h[...] = _decay(spec.n, spec.delta1)[:, None] * np.array(amplitudes)
 
 
-def _stream(seeds: np.ndarray, lead: int, n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+def _keys(seeds: np.ndarray) -> np.ndarray:
+    """The Philox key of every seed, (R, 2): the key ``Philox(SeedSequence(seed))`` takes, all from one hash pass."""
+    return _seed_hash(seeds, np.empty((0, seeds.size), dtype=np.uint64), 2).T
+
+
+def _stream(keys: np.ndarray, lead: int, n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Each replicate's first ``lead`` 64-bit words, (R, lead), then its (R, n, p) block of Rademacher signs.
 
-    Replicate r draws from Philox (Salmon et al., SC 2011) keyed as ``Philox(SeedSequence(seeds[r]))`` is,
-    at counter 0 with an empty buffer: one ``random_raw`` call per replicate, all keys from one hash pass.
-    The words are what ``next_double`` reads, one each.  The signs are numpy's ``integers(0, 2)`` after
-    them: its 32-bit Lemire path never rejects for two values, so each sign is the top bit of the next
-    32-bit output, the low half and then the high half of each 64-bit word from word ``lead`` on.
+    Replicate r draws from Philox (Salmon et al., SC 2011) keyed by ``keys[r]`` (``_keys``), at counter 0
+    with an empty buffer: one ``random_raw`` call per replicate.  Its words depend on its key alone, so a
+    work list can be drawn in chunks of replicates.  The words are what ``next_double`` reads, one each.
+    The signs are numpy's ``integers(0, 2)`` after them: its 32-bit Lemire path never rejects for two
+    values, so each sign is the top bit of the next 32-bit output, the low half and then the high half
+    of each 64-bit word from word ``lead`` on.
     """
-    keys = _seed_hash(seeds, np.empty((0, seeds.size), dtype=np.uint64), 2).T
-    raw = np.empty((seeds.size, lead + -(-n * p // 2)), dtype=np.uint64)
+    raw = np.empty((len(keys), lead + -(-n * p // 2)), dtype=np.uint64)
     bitgen = np.random.Philox(key=0)
     state = bitgen.state  # counter 0, empty buffer
     for r, key in enumerate(keys):
@@ -198,9 +205,11 @@ def _stream(seeds: np.ndarray, lead: int, n: int, p: int) -> tuple[np.ndarray, n
         bitgen.state = state
         raw[r] = bitgen.random_raw(raw.shape[1])
     words = raw[:, :lead].copy()
-    top = np.right_shift(raw.astype("<u8", copy=False).view("<u4")[:, 2 * lead:2 * lead + n * p], 31)
-    del raw  # the words go before the float block is allocated
-    signs = np.multiply(top, 2.0).reshape(-1, n, p)
+    signs = np.empty((len(keys), n, p))
+    np.right_shift(raw.astype("<u8", copy=False).view("<u4")[:, 2 * lead:2 * lead + n * p], 31,
+                   out=signs.reshape(len(keys), -1), casting="unsafe")
+    del raw
+    signs *= 2.0
     signs -= 1.0
     return words, signs
 
@@ -300,33 +309,33 @@ def _uniform(words: np.ndarray, low: float, high: float) -> np.ndarray:
     return low + (high - low) * ((words >> 11) * 2.0**-53)
 
 
-def _setting_b(specs: list[ScenarioSpec], words: np.ndarray, eps: np.ndarray):
-    """Random-design periodic-spline setting in blocks of replicates: yields each block's gamma and bases, in order.
+def _setting_b(segments: Iterable[tuple[ScenarioSpec, slice]], words: np.ndarray,
+               eps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Random-design periodic-spline setting of one block of replicates: its spectra, bases and coefficients.
 
-    Replicate r (of spec r // R) reads n inputs uniformly on [-pi, pi] from ``words[r]`` and overwrites its
-    sign field ``eps[r]`` with the task values (sqrt(C1) + eps_i^j sqrt(C2)) |X_i| projected onto the
-    eigenbasis of its kernel matrix.  A block is BLOCK_ELEMENTS // n^2 replicates (at least one), across
-    specs, with one ``eigh`` and one ``matmul``; each replicate gets the bits of its own decomposition.
+    ``segments`` gives each spec the block its replicates take (``_segments``).  Replicate r reads n inputs
+    uniformly on [-pi, pi] from ``words[r]``, turns its sign field ``eps[r]`` in place into the task values
+    (sqrt(C1) + eps_i^j sqrt(C2)) |X_i| and projects them onto the eigenbasis of its kernel matrix.  The
+    block takes one ``eigh`` and one ``matmul``, and each replicate gets the bits of its own decomposition.
     """
-    reps, n = len(words) // len(specs), eps.shape[1]
+    n = eps.shape[1]
     x = _uniform(words, -np.pi, np.pi)
-    per = max(1, BLOCK_ELEMENTS // (n * n))
-    for start in range(0, len(x), per):
-        rows = slice(start, min(start + per, len(x)))
-        kernels = np.empty((rows.stop - start, n, n))
-        for k in range(start // reps, -(-rows.stop // reps)):  # the specs this block meets
-            spec, part = specs[k], slice(max(start, k * reps), min(rows.stop, (k + 1) * reps))
-            kernels[part.start - start:part.stop - start] = periodic_kernel_value(
-                x[part, :, None] - x[part, None, :], int(spec.beta_or_m))
-            values = eps[part]
-            values *= math.sqrt(spec.c2)
-            values += math.sqrt(spec.c1)
-            values *= np.abs(x[part])[:, :, None]
-        gamma, basis = eigendecompose_kernels(kernels)
-        del kernels
-        eps[rows] = np.matmul(basis, eps[rows])
-        yield gamma, basis
-        del basis
+    kernels = np.empty((len(x), n, n))
+    for spec, part in segments:
+        kernels[part] = periodic_kernel_value(x[part, :, None] - x[part, None, :], int(spec.beta_or_m))
+        values = eps[part]
+        values *= math.sqrt(spec.c2)
+        values += math.sqrt(spec.c1)
+        values *= np.abs(x[part])[:, :, None]
+    gamma, basis = eigendecompose_kernels(kernels)
+    del kernels
+    return gamma, basis, np.matmul(basis, eps)
+
+
+def _segments(specs: list[ScenarioSpec], reps: int, start: int, stop: int) -> Iterator[tuple[ScenarioSpec, slice]]:
+    """(spec, slice) of every spec that replicates start..stop of a work list meet, the slice local to them."""
+    for k in range(start // reps, -(-stop // reps)):
+        yield specs[k], slice(max(start, k * reps) - start, min(stop, (k + 1) * reps) - start)
 
 
 _RANDOM = {ScenarioKind.SETTING_A, ScenarioKind.SETTING_B, ScenarioKind.SETTING_C, ScenarioKind.SETTING_D}
@@ -334,37 +343,55 @@ _TASK_BLOCKS = {ScenarioKind.H2POINTS: _h2points, ScenarioKind.H1OUT: _h1out, Sc
                 ScenarioKind.SETTING_C: _setting_c, ScenarioKind.SETTING_D: _setting_d}
 
 
-def draw(specs: list[ScenarioSpec], seeds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Spectra (k, n), each replicate's spectrum index and the (S R, n, p) task block of a work list, spec by spec.
+def draw(specs: list[ScenarioSpec], seeds) -> tuple[np.ndarray, np.ndarray, Iterator[tuple[slice, np.ndarray]]]:
+    """Spectra (k, n), each replicate's spectrum index, and the task coefficients of a work list in chunks.
 
-    ``seeds`` is an (S, R) array: replicate r of ``specs[k]`` draws from its own stream keyed by
-    ``seeds[k, r]``, and its slice is the ensemble of that spec with that seed, bit for bit.  The specs
-    share one kind, n and p.  The streams of every replicate are one block (``_stream``), whose signs
-    become the task block of a random kind: settings A, C and D scale their slices in place, and the
-    periodic-spline setting, which reads n input words first, overwrites each slice with its projected
-    coefficients.  Each synthetic spec gets one polynomial-decay spectrum with beta = beta_or_m, and the
-    periodic-spline setting draws one spectrum per replicate, in blocks (``_setting_b``) whose bases it
-    drops: ``build_ensemble`` keeps the basis of one replicate.
+    ``seeds`` is an (S, R) array: replicate r of ``specs[k]`` is replicate k R + r of the work list, drawn
+    from its own stream keyed by ``seeds[k, r]``, and its coefficients are the ensemble of that spec with
+    that seed, bit for bit.  The specs share one kind, n and p, and every Philox key is hashed in one pass.
+    The chunks come in order, each a slice of replicates and their (len, n, p) coefficients, and a chunk
+    may span specs: about ``BLOCK_ELEMENTS`` task values (at least one replicate) for the synthetic kinds,
+    whose sign block each spec scales in place on its own segment, and the blocks of ``BLOCK_ELEMENTS``
+    // n^2 replicates of the periodic-spline setting, which reads n input words first and projects.  A
+    chunk is dropped by the draw once the next is asked for.  Each synthetic spec gets one polynomial-decay
+    spectrum with beta = beta_or_m; the periodic-spline setting draws one spectrum per replicate and
+    writes it into its row of the spectra as its chunk is drawn, dropping the basis (``build_ensemble``
+    keeps the basis of one replicate).
     """
     seeds = np.asarray(seeds, dtype=np.uint64).reshape(len(specs), -1)
-    kind, reps, n, p = specs[0].kind, seeds.shape[1], specs[0].n, specs[0].p
+    kind, n, p = specs[0].kind, specs[0].n, specs[0].p
     if kind is ScenarioKind.SETTING_B:
-        words, h = _stream(seeds.ravel(), n, n, p)
-        gamma = np.concatenate([block for block, _ in _setting_b(specs, words, h)])
-        return gamma, np.arange(seeds.size), h
-    # the sign block of a random kind becomes the task block
-    h = _stream(seeds.ravel(), 0, n, p)[1] if kind in _RANDOM else np.empty((seeds.size, n, p))
-    for k, spec in enumerate(specs):
-        _TASK_BLOCKS[kind](spec, h[k * reps:(k + 1) * reps])
-    gamma = np.array([power_law(n, spec.beta_or_m) for spec in specs])
-    return gamma, np.repeat(np.arange(len(specs)), reps), h
+        gamma, owner, per = np.empty((seeds.size, n)), np.arange(seeds.size), max(1, BLOCK_ELEMENTS // (n * n))
+    else:
+        gamma = np.array([power_law(n, spec.beta_or_m) for spec in specs])
+        owner, per = np.repeat(np.arange(len(specs)), seeds.shape[1]), max(1, BLOCK_ELEMENTS // (n * p))
+    keys = _keys(seeds.ravel()) if kind in _RANDOM else None
+    return gamma, owner, _chunks(specs, seeds.shape[1], keys, per, gamma)
+
+
+def _chunks(specs: list[ScenarioSpec], reps: int, keys: np.ndarray | None, per: int, gamma: np.ndarray):
+    """The chunks of ``draw``, ``per`` replicates each; setting B writes its spectra into ``gamma``."""
+    kind, n, p = specs[0].kind, specs[0].n, specs[0].p
+    for start in range(0, len(specs) * reps, per):
+        stop = min(start + per, len(specs) * reps)
+        segments = _segments(specs, reps, start, stop)
+        if kind is ScenarioKind.SETTING_B:
+            gamma[start:stop], basis, h = _setting_b(segments, *_stream(keys[start:stop], n, n, p))
+            del basis  # only build_ensemble keeps a basis
+        else:  # the sign block of a random kind becomes the task block
+            h = _stream(keys[start:stop], 0, n, p)[1] if keys is not None else np.empty((stop - start, n, p))
+            for spec, part in segments:
+                _TASK_BLOCKS[kind](spec, h[part])
+        yield slice(start, stop), h
+        del h
 
 
 def build_ensemble(spec: ScenarioSpec) -> tuple[KernelSpectrum, TaskEnsemble]:
     """Generate (spectrum, ensemble) for any scenario kind: the one-replicate case of ``draw``, with its basis."""
     if spec.kind is ScenarioKind.SETTING_B:
-        words, h = _stream(np.array([spec.seed], dtype=np.uint64), spec.n, spec.n, spec.p)
-        [(gamma, basis)] = _setting_b([spec], words, h)
+        keys = _keys(np.array([spec.seed], dtype=np.uint64))
+        gamma, basis, h = _setting_b([(spec, slice(0, 1))], *_stream(keys, spec.n, spec.n, spec.p))
     else:
-        (gamma, _, h), basis = draw([spec], [[spec.seed]]), [None]
+        gamma, _, chunks = draw([spec], [[spec.seed]])
+        [(_, h)], basis = chunks, [None]
     return KernelSpectrum(n=spec.n, gamma=gamma[0], basis=basis[0]), TaskEnsemble(n=spec.n, p=spec.p, h=h[0])

@@ -16,7 +16,8 @@ the Kronecker-inverse formula is not, and it has no size cap.
 Also here: a certifier of the engine's global minima
 (``certified_lower_bound``), the oracle search with the unpruned 64-point
 grid scan (``full_scan_minimize_profiles``), the one-spec form of
-``mtkrr.experiments.run_experiments``, the degrees-of-freedom diagnostic
+``mtkrr.experiments.run_experiments`` and the chunks of ``scenarios.draw``
+joined into one block (``draw_block``), the degrees-of-freedom diagnostic
 ``df_and_bias``, numpy's own per-replicate streams (``rng_for``, ``rademacher``
 and the setting-B ensemble ``numpy_setting_b``), the one-matrix eigendecomposition
 and projection with the per-replicate setting-B draw (``eigendecompose_kernel``,
@@ -43,7 +44,7 @@ from mtkrr.experiments import ExperimentReport, run_experiments
 from mtkrr import optimize
 from mtkrr.optimize import Search
 from mtkrr.riskfn import RiskParams, integral_i1, integral_i2
-from mtkrr.scenarios import ScenarioSpec, _uniform, periodic_kernel_value, power_law
+from mtkrr.scenarios import ScenarioSpec, _uniform, draw, periodic_kernel_value, power_law
 from mtkrr.spectral import (
     EIGENVALUE_CLAMP,
     SYMMETRY_TOL,
@@ -504,6 +505,21 @@ def full_scan_minimize_profiles(n: int, gamma: np.ndarray, signal: np.ndarray, n
 def run_experiment(spec: ScenarioSpec, sigma2: float, n_rep: int, pi2_scale: str = "N") -> ExperimentReport:
     """Replicate the oracle comparison n_rep times and aggregate the statistics: ``run_experiments`` of one spec."""
     return run_experiments([spec], sigma2, n_rep, pi2_scale)[0][0]
+
+
+def draw_block(specs: list[ScenarioSpec], seeds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``scenarios.draw`` with its chunks joined: the spectra, the owners and the (S R, n, p) task block.
+
+    Checks on the way that the chunks cover the replicates in order, none of them empty.
+    """
+    gamma, owner, chunks = draw(specs, seeds)
+    parts, start = [], 0
+    for rows, h in chunks:
+        assert rows.start == start < rows.stop and h.shape[0] == rows.stop - start
+        parts.append(h)
+        start = rows.stop
+    assert start == len(owner)
+    return gamma, owner, np.concatenate(parts)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,8 @@ import mtkrr
 from mtkrr.cli import _envelope, build_parser, main, parse_args
 from mtkrr.render import emit_heatmap, emit_table, write_csv
 from mtkrr.riskfn import RiskParams
-from mtkrr.scenarios import ScenarioKind, ScenarioSpec, build_ensemble
+from mtkrr.optimize import spectrum_bracket
+from mtkrr.scenarios import ScenarioKind, ScenarioSpec, build_ensemble, power_law
 from conftest import compare_one, stack
 from reference import envelope_per_draw, risk_curve_rows, run_experiment
 
@@ -81,6 +82,20 @@ class TestRiskCurve:
         r_star = mtkrr.minimize_risk(mtkrr.RiskParams(n=50, p=100, sigma2=1.0, beta=4, delta=2, c=1000.0)).r_star
         assert 1 < k < len(risks) - 1  # an interior grid point, not lambda = 0 or an end of the grid
         assert r_star * (1 - 1e-12) <= risks[k] <= r_star * (1 + 1e-4)
+
+    def test_a_risk_that_is_not_finite_is_an_error(self, tmp_path, capsys):
+        # beta = 100: at the default bracket's low end, exp(-600), d_i^2 underflows to 0 and the bias is inf or nan
+        out = tmp_path / "curve.csv"
+        argv = ["risk-curve", "--n", "50", "--p", "3", "--beta", "100", "--delta", "2", "--c", "1", "--out", str(out)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        lam_min = math.exp(spectrum_bracket(50, power_law(50, 100.0))[0][0])
+        assert captured.err == (f"error: the template risk is not finite at lambda {lam_min!r}; "
+                                "narrow the lambda range\n")
+        assert captured.out == "" and list(tmp_path.iterdir()) == []
+        # the same template on a finite range is written
+        assert main([*argv, "--lambda-min", "1e-3", "--lambda-max", "1"]) == 0
+        assert all(math.isfinite(float(value)) for row in read_csv(out)[1:] for value in row)
 
 
 class TestRiskCurveIsTheScalarCurve:

@@ -1,16 +1,19 @@
 import json
 import math
-from dataclasses import replace
+import tracemalloc
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from mtkrr import scenarios
 from mtkrr.experiments import Z_975, pvalue_pi1, pvalue_pi2, run_experiments
+from mtkrr.optimize import Search
 from mtkrr.oracles import comparison_rows
 from mtkrr.render import emit_heatmap, emit_table, write_report_json
-from mtkrr.scenarios import ScenarioKind, ScenarioSpec, build_ensemble, derive_seed, draw
+from mtkrr.scenarios import ScenarioKind, ScenarioSpec, build_ensemble, derive_seed, derive_seeds, draw
 from conftest import compare_one
-from reference import numpy_setting_b, run_experiment
+from reference import draw_block, numpy_setting_b, run_experiment
 
 
 def quick_spec(**kw):
@@ -117,7 +120,7 @@ class TestRunExperiment:
     ])
     def test_block_rows_are_each_replicates_comparison_rows(self, kind, extra):
         spec = quick_spec(**{"kind": kind, "c2": 0.3, "seed": 71, "p": 3, **extra})
-        gamma, owner, h = draw([spec], [[derive_seed(spec.seed, r) for r in range(6)]])
+        gamma, owner, h = draw_block([spec], [[derive_seed(spec.seed, r) for r in range(6)]])
         signal, noise = comparison_rows(h, 0.5)
         assert signal.shape == (6, spec.p + 2, spec.n)
         for r in range(6):
@@ -165,6 +168,42 @@ class TestRunExperiment:
         assert by_reps.ratios == by_sample.ratios
         assert by_reps.pi2 == pytest.approx(pvalue_pi2(by_reps.mean_ratio, by_reps.std_ratio, 12), rel=1e-12)
         assert by_sample.pi2 == pytest.approx(pvalue_pi2(by_sample.mean_ratio, by_sample.std_ratio, 30), rel=1e-12)
+
+
+class TestChunkedDraw:
+    """A work list is drawn in replicate chunks straight into the search's rows: where chunks end changes nothing."""
+
+    @pytest.mark.parametrize("kind, axis", [
+        (ScenarioKind.SETTING_A, [dict(c2=c2) for c2 in (0.1, 0.5, 1.0)]),
+        (ScenarioKind.SETTING_B, [dict(beta_or_m=m, c2=0.3) for m in (1.0, 2.0, 3.0)]),
+        (ScenarioKind.SETTING_C, [dict(c2=c2, delta2=d2) for c2, d2 in ((0.1, 1.5), (1.0, 2.5), (0.5, 2.0))]),
+        (ScenarioKind.SETTING_D, [dict(c2=c2, delta2=2.5) for c2 in (0.1, 1.0, 0.5)]),
+        (ScenarioKind.H1OUT, [dict(c2=c2) for c2 in (0.1, 1.0, 0.5)]),
+    ])
+    def test_chunk_boundaries_change_no_report_and_no_search(self, kind, axis, monkeypatch):
+        specs = [quick_spec(**{"kind": kind, "n": 12, "p": 3, "seed": derive_seed(9, k), **cell})
+                 for k, cell in enumerate(axis)]
+        reports, search, _ = run_experiments(specs, 0.7, 4)  # one chunk: 12 replicates are far below a block
+        # three replicates per chunk: four chunks, two of them across specs, and 4 replicates per spec
+        monkeypatch.setattr(scenarios, "BLOCK_ELEMENTS", 3 * 12 * (12 if kind is ScenarioKind.SETTING_B else 3))
+        seeds = derive_seeds(np.repeat([spec.seed for spec in specs], 4), np.tile(np.arange(4), 3)).reshape(3, 4)
+        assert [(rows.start, rows.stop) for rows, _ in draw(specs, seeds)[2]] == [(0, 3), (3, 6), (6, 9), (9, 12)]
+        chunked_reports, chunked, _ = run_experiments(specs, 0.7, 4)
+        assert chunked_reports == reports
+        for column in fields(Search):
+            assert np.array_equal(getattr(chunked, column.name), getattr(search, column.name), equal_nan=True)
+
+    def test_a_run_holds_little_beyond_its_row_block(self):
+        spec = quick_spec(kind=ScenarioKind.SETTING_A, n=500, p=20, c2=0.5, seed=5)
+        run_experiments([spec], 1.0, 2)  # caches filled outside the measure
+        tracemalloc.start()
+        try:
+            run_experiments([spec], 1.0, 40)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = 40 * (20 + 2) * 500 * 8  # the (R, p + 2, n) rows the search reads
+        assert peak < 1.5 * block + 2**20
 
 
 class TestEmission:

@@ -11,7 +11,9 @@ from mtkrr import scenarios
 from mtkrr.scenarios import (
     ScenarioKind,
     ScenarioSpec,
+    _keys,
     _seed_hash,
+    _segments,
     _setting_b,
     _spline_coefficients,
     _stream,
@@ -24,6 +26,7 @@ from mtkrr.scenarios import (
 )
 from reference import (
     RegularizerAV,
+    draw_block,
     kernel_matrix,
     mean_variance_profile,
     numpy_setting_b,
@@ -149,7 +152,7 @@ class TestSettingA:
     def test_sign_field_is_balanced_in_the_long_run(self):
         # 400 replicates of 50 x 5 signs; with c1 = 0 and c2 = 1 each coefficient carries its sign
         spec = spec_of(ScenarioKind.SETTING_A, n=50, p=5, c1=0.0, c2=1.0, seed=123)
-        _, _, h = draw([spec], [[derive_seed(spec.seed, r) for r in range(400)]])
+        _, _, h = draw_block([spec], [[derive_seed(spec.seed, r) for r in range(400)]])
         draws = np.sign(h)
         assert draws.size == 100_000 and np.all(np.abs(draws) == 1.0)
         assert abs(draws.mean()) < 0.02
@@ -257,21 +260,25 @@ class TestSettingBBlocks:
 
     def assert_blocks_match_each_replicate(self, n, p, orders, reps):
         specs, seeds = self.work_list(n, p, orders, reps)
-        words, h = _stream(seeds, n, n, p)
-        expected_h = h.copy()
+        words, expected_h = _stream(_keys(seeds), n, n, p)
         expected = per_replicate_setting_b(specs, words, expected_h)
+        per = max(1, scenarios.BLOCK_ELEMENTS // (n * n))
+        gamma, owner, chunks = draw(specs, seeds.reshape(len(specs), reps))
         start = 0
-        for gamma, basis in _setting_b(specs, words, h):  # in order: each block starts where the one before ended
-            assert basis.flags.c_contiguous and gamma.shape[1:] == (n,) and len(gamma) > 0
-            for k, r in enumerate(range(start, start + len(gamma))):
-                assert np.array_equal(gamma[k], expected[r].gamma)
+        for rows, block in chunks:  # in order: each block starts where the one before ended
+            assert rows == slice(start, min(start + per, len(seeds)))
+            # the block again, with the bases the draw drops
+            spectra, basis, projected = _setting_b(list(_segments(specs, reps, rows.start, rows.stop)),
+                                                   *_stream(_keys(seeds[rows]), n, n, p))
+            assert basis.flags.c_contiguous and spectra.shape == (rows.stop - start, n)
+            for k, r in enumerate(range(rows.start, rows.stop)):
+                assert np.array_equal(spectra[k], expected[r].gamma)
                 assert np.array_equal(basis[k], expected[r].basis)
-            start += len(gamma)
+                assert np.array_equal(gamma[r], expected[r].gamma)  # written before the block is given
+            assert np.array_equal(block, expected_h[rows]) and np.array_equal(projected, block)
+            start = rows.stop
         assert start == len(seeds)
-        assert np.array_equal(h, expected_h)
-        gamma, owner, block = draw(specs, seeds.reshape(len(specs), reps))
         assert np.array_equal(gamma[owner], np.array([spectrum.gamma for spectrum in expected]))
-        assert np.array_equal(block, expected_h)
 
     @pytest.mark.parametrize("n, p, orders, reps", [
         (1, 1, (1, 2), 3),
@@ -302,14 +309,15 @@ class TestSettingBBlocks:
     def test_draw_holds_about_one_block(self):
         n, reps = 200, 24  # one replicate per block; every basis kept would be 24 n^2 doubles
         specs, seeds = self.work_list(n, 5, (2,), reps)
-        draw(specs[:1], seeds[:1].reshape(1, 1))  # the coefficients of m = 2 are cached outside the measure
+        draw_block(specs[:1], seeds[:1].reshape(1, 1))  # the coefficients of m = 2 are cached outside the measure
         tracemalloc.start()
         try:
-            gamma, _, h = draw(specs, seeds.reshape(1, reps))
+            gamma, _, chunks = draw(specs, seeds.reshape(1, reps))
+            shapes = [h.shape for _, h in chunks]  # each chunk dropped before the next is drawn
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert gamma.shape == (reps, n) and h.shape == (reps, n, 5)
+        assert gamma.shape == (reps, n) and shapes == [(1, n, 5)] * reps
         assert peak < 8 * n * n * 8
 
     def test_zeta_coefficients_are_scipys_bits(self):
@@ -452,7 +460,7 @@ class TestSeedHashAgainstNumpy:
         cell_seeds = derive_seeds(np.full(cells, seed, dtype=np.uint64), np.array(paths, dtype=np.uint64).T)
         assert cell_seeds.tolist() == [numpy_seed(seed, *path) for path in paths]
         replicate_seeds = derive_seeds(np.repeat(cell_seeds, reps), np.tile(np.arange(reps), cells))
-        words, block = _stream(replicate_seeds, 0, n, p)
+        words, block = _stream(_keys(replicate_seeds), 0, n, p)
         expected = np.stack([rademacher(rng_for(numpy_seed(cell, r)), n, p)
                              for cell in cell_seeds.tolist() for r in range(reps)])
         assert words.shape == (cells * reps, 0) and block.shape == (cells * reps, n, p)
@@ -472,7 +480,7 @@ class TestSeedHashAgainstNumpy:
     @staticmethod
     def assert_setting_b_stream(seeds, n, p):
         """n words read as ``uniform(-pi, pi, n)``, then the signs of ``integers(0, 2, (n, p))``, per replicate."""
-        words, signs = _stream(np.array(seeds, dtype=np.uint64), n, n, p)
+        words, signs = _stream(_keys(np.array(seeds, dtype=np.uint64)), n, n, p)
         assert words.dtype == np.uint64 and words.shape == (len(seeds), n) and signs.shape == (len(seeds), n, p)
         for r, seed in enumerate(seeds):
             rng = rng_for(seed)
@@ -484,7 +492,7 @@ class TestSeedHashAgainstNumpy:
         specs = [spec_of(ScenarioKind.SETTING_B, n=n, p=p, beta_or_m=float(m), c2=c2, seed=derive_seed(4, k))
                  for k, c2 in enumerate((0.25, 1.0))]
         seeds = derive_seeds(np.repeat([spec.seed for spec in specs], 3), np.tile(np.arange(3), 2)).reshape(2, 3)
-        gamma, owner, h = draw(specs, seeds)
+        gamma, owner, h = draw_block(specs, seeds)
         assert owner.tolist() == list(range(6)) and gamma.shape == (6, n) and h.shape == (6, n, p)
         for k, spec in enumerate(specs):
             for r, seed in enumerate(seeds[k].tolist()):
