@@ -11,14 +11,15 @@ from .optimize import Search, minimize_profiles
 from .oracles import compare, rho_formula_1out, rho_formula_2points
 from .riskfn import (
     BoundReport,
+    Bounds,
     Regime,
     RiskParams,
     alpha_constant,
-    epsilon_cap,
     integral_i1,
     integral_i2,
     kappa,
     minimize_risk,
+    minimize_risks,
 )
 from .scenarios import ScenarioKind, ScenarioSpec, build_ensemble, derive_seed
 from .spectral import KernelSpectrum, TaskEnsemble

@@ -347,42 +347,41 @@ def cmd_verify_bounds(args) -> int:
     if not math.isfinite(args.lower_threshold):
         errors.append(f"--lower-threshold: must be finite, got {args.lower_threshold!r}")
     sigma2 = args.sigma2
-    grid = [_risk_params(errors, n=n, p=p, sigma2=sigma2, beta=beta, delta=delta, c=c)
-            for beta, delta in bd_pairs for n in n_values for p in p_values for c in c_values]
+    # a cell's first error depends on its curve (beta, delta, c) alone: one RiskParams per curve lists them in order
+    if n_values and p_values:
+        for beta, delta, c in dict.fromkeys((beta, delta, c) for beta, delta in bd_pairs for c in c_values):
+            _risk_params(errors, n=n_values[0], p=p_values[0], sigma2=sigma2, beta=beta, delta=delta, c=c)
     _fail_on(errors)
-    # property 4's p-sweep at fixed n, searched in the grid's call: one engine call per n
-    sweep_params = [riskfn.RiskParams(n=50, p=int(round(p)), sigma2=sigma2, beta=2, delta=2, c=1.0)
-                    for p in np.geomspace(1, 1e7, 13)]
+    # the grid's cells in the order beta:delta, n, p, c, then property 4's p-sweep at fixed n, as columns
+    grid = np.array([(n, p, beta, delta, c) for beta, delta in bd_pairs for n in n_values for p in p_values
+                     for c in c_values] + [(50, int(round(p)), 2.0, 2.0, 1.0) for p in np.geomspace(1, 1e7, 13)])
+    n, p = grid[:, :2].T
+    cells = len(grid) - 13
 
     lines: list[str] = []
     all_ok = True
 
     # Property 1/2/3: optimized risk against its envelope, over the cells inside each property's window
-    worst_upper, worst_lower = -math.inf, math.inf
-    cap_violations = upper_checked = cap_checked = lower_checked = 0
     start = time.perf_counter()
-    reports, search = riskfn.minimize_risks(grid + sweep_params)
+    bounds, search = riskfn.minimize_risks(n, p, np.full(len(grid), sigma2), *grid[:, 2:].T)  # one engine call per n
     times = {"grid": time.perf_counter() - start}
-    reports, sweep = reports[:len(grid)], reports[len(grid):]
-    for params, report in zip(grid, reports):
-        if report.upper > 0:  # nan outside the minimax window
-            upper_checked += 1
-            worst_upper = max(worst_upper, (report.r_star - report.upper) / report.upper)
-        if math.isfinite(report.epsilon_cap):
-            cap_checked += 1
-            cap_violations += report.lambda_star > report.epsilon_cap * (1 + 1e-9)
-        if params.n * params.p / sigma2 >= args.lower_threshold and report.lower > 0:  # nan outside its window
-            lower_checked += 1
-            worst_lower = min(worst_lower, (report.r_star - report.lower) / report.lower)
+    r_star, lam, upper, lower, cap = (column[:cells] for column in (
+        bounds.r_star, bounds.lambda_star, bounds.upper, bounds.lower, bounds.epsilon_cap))
+    upper_cells, cap_cells = upper > 0, np.isfinite(cap)  # the bounds are nan outside their windows
+    lower_cells = (n[:cells] * p[:cells] / sigma2 >= args.lower_threshold) & (lower > 0)
+    worst_upper = float(np.max((r_star - upper)[upper_cells] / upper[upper_cells], initial=-math.inf))
+    worst_lower = float(np.min((r_star - lower)[lower_cells] / lower[lower_cells], initial=math.inf))
+    cap_violations = np.count_nonzero(lam[cap_cells] > cap[cap_cells] * (1 + 1e-9))
+    lower_checked = np.count_nonzero(lower_cells)
     all_ok &= _check("property-1 upper bound", worst_upper <= 1e-8,
-                     f"worst relative excess {worst_upper:.3e}", lines, upper_checked)
+                     f"worst relative excess {worst_upper:.3e}", lines, np.count_nonzero(upper_cells))
     all_ok &= _check("property-2 localization", cap_violations == 0,
-                     f"{cap_violations} optimizer(s) above the cap", lines, cap_checked)
+                     f"{cap_violations} optimizer(s) above the cap", lines, np.count_nonzero(cap_cells))
     all_ok &= _check("property-3 lower bound", worst_lower >= 0,
                      f"worst relative margin {worst_lower:.3e} over {lower_checked} cells", lines, lower_checked)
 
     # Property 4: a single regime flip along the p-sweep
-    labels = [report.regime for report in sweep]
+    labels = [riskfn.REGIMES[code] for code in bounds.regime[cells:].tolist()]
     dedup = [lab for lab, _ in itertools.groupby(lab for lab in labels if lab is not riskfn.Regime.UNDETERMINED)]
     all_ok &= _check("property-4 regime flip", dedup == [riskfn.Regime.REGULARIZE, riskfn.Regime.TRIVIAL_NOISE],
                      f"sweep labels {[lab.value for lab in labels]}", lines)

@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .optimize import Search
 from .oracles import search_comparisons, stacked_rows
-from .scenarios import ScenarioSpec, derive_seeds, draw
+from .scenarios import RANDOM_KINDS, ScenarioSpec, derive_seeds, draw
 
 Z_975 = 1.959963984540054  # 97.5% standard normal quantile
 
@@ -93,7 +93,9 @@ def run_experiments(specs: list[ScenarioSpec], sigma2: float, n_rep: int,
 
     The specs must share their kind, n and p.  Every replicate's sub-seed is derived in one hash pass, and
     the work list is drawn in chunks (``scenarios.draw``) whose rows ``oracles.stacked_rows`` writes into
-    one (R, p + 2, n) block, so no (R, n, p) block of all replicates is ever built.  Returns one report per
+    one (R, p + 2, n) block, so no (R, n, p) block of all replicates is ever built.  The replicates of a
+    deterministic kind (not in ``RANDOM_KINDS``) are all equal, so one per spec is drawn and searched, and
+    its ratio and searches stand for every replicate.  Returns one report per
     spec, each from its slice of the ratios, the one ``Search`` of the comparison (p + 2 rows per
     replicate, replicate by replicate, spec by spec), and the wall time in seconds of each stage, summed
     over the chunks: ``draw``, ``rows``, ``search`` and ``report``.
@@ -107,10 +109,11 @@ def run_experiments(specs: list[ScenarioSpec], sigma2: float, n_rep: int,
     if len({(spec.kind, spec.n, spec.p) for spec in specs}) != 1:
         raise ValueError("the specs of one run must share n and p and their kind")
     start = time.perf_counter()
-    seeds = derive_seeds(np.repeat(np.array([spec.seed for spec in specs], dtype=np.uint64), n_rep),
-                         np.tile(np.arange(n_rep), len(specs)))
-    # replicate r of spec k on spectrum owner[k n_rep + r]; setting B's spectra are complete once every chunk is drawn
-    gamma, owner, chunks = draw(specs, seeds.reshape(len(specs), n_rep))
+    reps = n_rep if specs[0].kind in RANDOM_KINDS else 1  # one replicate stands for all of a deterministic kind's
+    seeds = derive_seeds(np.repeat(np.array([spec.seed for spec in specs], dtype=np.uint64), reps),
+                         np.tile(np.arange(reps), len(specs)))
+    # replicate r of spec k on spectrum owner[k reps + r]; setting B's spectra are complete once every chunk is drawn
+    gamma, owner, chunks = draw(specs, seeds.reshape(len(specs), reps))
     times = {"draw": time.perf_counter() - start}
     signal, noise = stacked_rows(chunks, len(owner), specs[0].n, specs[0].p, sigma2, times)
     # spectra equal bit for bit, such as every cell of a synthetic sweep at one (n, beta), share one grid scan
@@ -119,6 +122,10 @@ def run_experiments(specs: list[ScenarioSpec], sigma2: float, n_rep: int,
     times["draw"] += time.perf_counter() - start
     _, _, rho, search = search_comparisons(specs[0].n, gamma[first], signal, noise, spectrum=which[owner], times=times)
     start = time.perf_counter()
+    if reps < n_rep:  # each spec's ratio and p + 2 searches, repeated for its every replicate
+        rho = np.repeat(rho, n_rep)
+        columns = (getattr(search, column.name).reshape(len(specs), -1) for column in fields(Search))
+        search = Search(*(np.tile(column, n_rep).ravel() for column in columns))
     reports = [_report(spec, sigma2, n_rep, rho[k * n_rep:(k + 1) * n_rep], pi2_scale) for k, spec in enumerate(specs)]
     times["report"] = time.perf_counter() - start
     return reports, search, times

@@ -44,7 +44,10 @@ Each row's arithmetic depends on that row alone: reductions run over the
 contiguous eigen-axis, never through BLAS, the grid depends only on the
 row's spectrum, and the points evaluated depend only on the row's own
 coarse values.  A row therefore gets bit-identical results alone, in any
-stack, and in any order.
+stack, and in any order.  Rows that the caller names with one signal row
+(``curve``) and one spectrum differ only in their noise, so their bias sums
+are formed once, over the union of their windows; each row then keeps only
+its own window's values, and gets the bits and basins it gets alone.
 """
 
 from __future__ import annotations
@@ -104,7 +107,7 @@ class Search:
         return np.where(np.isfinite(self.grad) & (self.value > 0), ratio, np.nan)
 
 
-def _curve(n: int, gamma, signal, noise, spectrum, rows, x):
+def _curve(n: int, gamma, signal, noise, spectrum, curve, rows, x):
     """R, dR/dt and d2R/dt2 (t = log lam) of stack rows ``rows`` at x = n lam, one point per row.
 
     With a = g/(g + x) and b = x/(g + x):  R = (sum s b^2 + v sum a^2)/n,
@@ -116,7 +119,7 @@ def _curve(n: int, gamma, signal, noise, spectrum, rows, x):
     block = max(1, BLOCK_ELEMENTS // (4 * gamma.shape[1]))  # the buffer of the four summands is one block
     for lo in range(0, len(rows), block):
         r = rows[lo:lo + block]
-        g, s, v = gamma[spectrum[r]], signal[r], noise[r, None]
+        g, s, v = gamma[spectrum[r]], signal[curve[r]], noise[r, None]
         xx = x[lo:lo + block, None]
         terms = np.empty((4,) + g.shape)  # the four summands, reduced in one call
         d = g + xx
@@ -144,7 +147,7 @@ def _sum(values: np.ndarray) -> np.ndarray:
     return np.add.reduce(values, axis=-1)
 
 
-def _newton(n, gamma, signal, noise, spectrum, rows, a, x, b):
+def _newton(n, gamma, signal, noise, spectrum, curve, rows, a, x, b):
     """Safeguarded Newton on dR/dt for every basin (row, bracket [a, b], start x) at once.
 
     Returns the final t, R and dR/dt of each basin and its iteration count.
@@ -157,7 +160,7 @@ def _newton(n, gamma, signal, noise, spectrum, rows, a, x, b):
     live = np.arange(m)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for it in range(1, DEFAULT_MAX_ITER + 1):
-            risk, g1, g2 = _curve(n, gamma, signal, noise, spectrum, rows[live], n * np.exp(x))
+            risk, g1, g2 = _curve(n, gamma, signal, noise, spectrum, curve, rows[live], n * np.exp(x))
             up = g1 > 0
             a, b = np.where(up, a, x), np.where(up, x, b)
             # x is now an end of [a, b], so a step that is uphill (g2 <= 0) or too long falls outside
@@ -191,15 +194,25 @@ def _squares(gamma: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return bb, _sum(np.multiply(a, a, out=a))
 
 
-def _scan(gamma, signal, spectrum, x_grid, points, first, stop, bias, squares) -> None:
+def _scan(gamma, signal, spectrum, x_grid, points, first, stop, bias, squares, curve, pairs=None) -> None:
     """Fill ``bias`` (sum s b^2 of each row) and ``squares`` (sum a^2 of each spectrum) at the grid points of windows.
 
     Row k is evaluated at the grid points ``points[first[k]:stop[k]]``.  Rows go in groups of one window
     and one block of spectra, sorted by window start; a block's b^2 is formed once, in chunks of points,
     over the union of its windows, and each group takes its slice: one spectrum's b^2 broadcasts over
     the group's rows, several are gathered row by row.  Every temporary stays within ``BLOCK_ELEMENTS``.
+    With ``pairs`` (the first row of each distinct (curve, spectrum) pair, and each row's pair), each pair's
+    bias sums are formed once, over the union of its rows' windows, and each row takes those of its own.
     """
     live = np.flatnonzero(stop > first)
+    if pairs is not None:  # from here on, the rows are the pairs, each at the first row of its pair
+        head, pair = pairs
+        own, target = (first, stop), bias
+        first, stop = np.full(len(head), len(points)), np.zeros(len(head), dtype=np.intp)
+        np.minimum.at(first, pair[live], own[0][live])
+        np.maximum.at(stop, pair[live], own[1][live])
+        spectrum, curve, bias = spectrum[head], curve[head], np.full((len(head), DEFAULT_GRID_POINTS), np.nan)
+        live = np.flatnonzero(stop > first)
     if not live.size:
         return
     per = max(1, BLOCK_ELEMENTS // (len(points) * gamma.shape[1]))  # spectra per block
@@ -226,10 +239,14 @@ def _scan(gamma, signal, spectrum, x_grid, points, first, stop, bias, squares) -
                 for k in range(k0, k1, step):
                     r = order[k:min(k + step, k1)]
                     table = part[0] if hi - lo == 1 else part[spectrum[r] - lo]
-                    bias[r[:, None], points[a:b]] = _sum(signal[r][:, None, :] * table)
+                    bias[r[:, None], points[a:b]] = _sum(signal[curve[r]][:, None, :] * table)
+    if pairs is not None:  # each row takes its pair's sums over its own window
+        at = np.arange(len(points))
+        row, at = np.nonzero((own[0][:, None] <= at) & (at < own[1][:, None]))
+        target[row, points[at]] = bias[pair[row], points[at]]
 
 
-def _limits(n, gamma, signal, noise, spectrum) -> tuple[np.ndarray, np.ndarray]:
+def _limits(n, gamma, signal, noise, spectrum, curve) -> tuple[np.ndarray, np.ndarray]:
     """The exact risks at lam = 0 and lam = +inf of every row.
 
     At lam = 0 directions with g = 0 keep their signal as bias and every other direction
@@ -238,11 +255,11 @@ def _limits(n, gamma, signal, noise, spectrum) -> tuple[np.ndarray, np.ndarray]:
     """
     null = gamma == 0
     rank = (gamma.shape[1] - np.count_nonzero(null, axis=1)).astype(float)
-    kept = np.zeros(len(signal))
+    kept = np.zeros(len(noise))
     for j in np.flatnonzero(null.any(axis=1)):
         mine = np.flatnonzero(spectrum == j)
-        kept[mine] = _sum(signal[mine[:, None], np.flatnonzero(null[j])])
-    return kept / n + noise / n * rank[spectrum], _sum(signal) / n
+        kept[mine] = _sum(signal[curve[mine][:, None], np.flatnonzero(null[j])])
+    return kept / n + noise / n * rank[spectrum], _sum(signal)[curve] / n
 
 
 def _open_coarse_cells(n, bias, var, zero, limit) -> np.ndarray:
@@ -293,23 +310,31 @@ def minimize_profiles(
     signal: np.ndarray,
     noise: np.ndarray,
     spectrum: np.ndarray | None = None,
+    curve: np.ndarray | None = None,
 ) -> Search:
     """Minimize a stack of ridge risk curves over lam in [0, +inf]; row k's result is entry k of each column.
 
-    Row k has signal ``signal[k]`` (rows x width), noise ``noise[k]`` and the
-    eigenvalues ``gamma[spectrum[k]]``: ``gamma`` holds the distinct spectra
-    (k x width, or one 1-D spectrum) and ``spectrum`` maps rows to them
-    (default: every row on spectrum 0).  A basin stops when |lam g'| <= ``DEFAULT_GRAD_TOL`` g.
+    Row k has noise ``noise[k]``, the eigenvalues ``gamma[spectrum[k]]`` and
+    the signal ``signal[curve[k]]``: ``gamma`` holds the distinct spectra (k x
+    width, or one 1-D spectrum) and ``spectrum`` maps rows to them (default:
+    every row on spectrum 0); ``signal`` holds signal rows (curves x width)
+    and ``curve`` maps rows to them (default: row k on signal row k).  Rows
+    named with one curve and one spectrum share their grid scan.  A basin
+    stops when |lam g'| <= ``DEFAULT_GRAD_TOL`` g.
     """
     gamma = np.atleast_2d(np.asarray(gamma, dtype=float))
     signal = np.asarray(signal, dtype=float)
     noise = np.asarray(noise, dtype=float)
-    rows = len(signal)
+    named = curve is not None
+    curve = np.asarray(curve, dtype=np.intp) if named else np.arange(len(signal))
+    rows = len(curve)
     spectrum = np.zeros(rows, dtype=np.intp) if spectrum is None else np.asarray(spectrum, dtype=np.intp)
-    if signal.ndim != 2 or signal.shape[1] != gamma.shape[1] or noise.shape != (rows,) or spectrum.shape != (rows,):
-        raise ValueError("need signal rows x width, noise and spectrum of length rows, gamma spectra x width")
-    if rows and not 0 <= spectrum.min() <= spectrum.max() < len(gamma):
-        raise ValueError(f"spectrum indices must lie in [0, {len(gamma)})")
+    if (signal.ndim != 2 or signal.shape[1] != gamma.shape[1]
+            or not noise.shape == spectrum.shape == curve.shape == (rows,)):
+        raise ValueError("need signal curves x width, gamma spectra x width, and noise, spectrum and curve per row")
+    for index, count, name in ((spectrum, len(gamma), "spectrum"), (curve, len(signal), "curve")):
+        if rows and not 0 <= index.min() <= index.max() < count:
+            raise ValueError(f"{name} indices must lie in [0, {count})")
     if n <= 0:
         raise ValueError("n must be positive")
     if gamma.min() < 0 or signal.min() < 0 or noise.min() < 0:
@@ -327,17 +352,20 @@ def minimize_profiles(
     bias = vals = padded[:, 1:-1]
     bias[...] = np.nan
     squares = np.full((len(gamma), DEFAULT_GRID_POINTS), np.nan)
+    # named rows of one (curve, spectrum) pair share a scan: the first row of each pair, and each row's pair
+    pairs = np.unique(curve * len(gamma) + spectrum, return_index=True, return_inverse=True)[1:] if named else None
     with np.errstate(over="ignore", invalid="ignore"):  # a row that is not finite is reported below
         everywhere = np.zeros(rows, dtype=np.intp)
-        _scan(gamma, signal, spectrum, x_grid, COARSE, everywhere, everywhere + len(COARSE), bias, squares)
-        zero, limit = _limits(n, gamma, signal, noise, spectrum)
+        _scan(gamma, signal, spectrum, x_grid, COARSE, everywhere, everywhere + len(COARSE), bias, squares, curve,
+              pairs)
+        zero, limit = _limits(n, gamma, signal, noise, spectrum, curve)
         open_ = _open_coarse_cells(n, bias[:, COARSE], noise[:, None] * squares[:, COARSE][spectrum], zero, limit)
         # each row's window: its first open coarse cell to its last, widened by the halo; lo > hi if none is open
         lo = np.maximum(COARSE[open_.argmax(axis=1)] - HALO, 0)
         hi = np.minimum(COARSE[open_.shape[1] - open_[:, ::-1].argmax(axis=1)] + HALO, DEFAULT_GRID_POINTS - 1)
         hi[~open_.any(axis=1)] = -1
         _scan(gamma, signal, spectrum, x_grid, FINE, np.searchsorted(FINE, lo), np.searchsorted(FINE, hi, side="right"),
-              bias, squares)
+              bias, squares, curve, pairs)
         # in row blocks: each cell's bound B(t_i) + V(t_i+1), nan where an end was not evaluated, then the values
         # over the bias sums.  Only a cell whose bound is below every candidate but Newton's can end up open.
         grid_min, candidates = np.empty(rows), []
@@ -369,7 +397,7 @@ def minimize_profiles(
     curvature = f0 - 2.0 * f1 + f2  # +inf at a grid end: that basin starts at the end point
     curved = (curvature > 0) & (curvature < np.inf)
     shift = np.where(curved, 0.5 * (f0 - f2) / np.where(curved, curvature, 1.0), 0.0)
-    t_end, r_end, g_end, iters = _newton(n, gamma, signal, noise, spectrum, basin_row,
+    t_end, r_end, g_end, iters = _newton(n, gamma, signal, noise, spectrum, curve, basin_row,
                                          centre - width, centre + shift * width, centre + width)
 
     # per row: the first best basin; then zero, limit, newton and grid in that order of precedence.  A row
@@ -392,7 +420,7 @@ def minimize_profiles(
     if grid.size:  # rare, so the common case skips this evaluation
         at[grid] = np.nanargmin(vals[grid], axis=1)
         t[grid] = t_grid[spectrum[grid], at[grid].astype(np.intp)]
-        g[grid] = _curve(n, gamma, signal, noise, spectrum, grid, n * np.exp(t[grid]))[1]
+        g[grid] = _curve(n, gamma, signal, noise, spectrum, curve, grid, n * np.exp(t[grid]))[1]
     lam, grad = np.where(source == 0, 0.0, math.inf), np.full(rows, math.nan)
     inner = np.flatnonzero(source >= 2)
     lam[inner] = [math.exp(x) for x in t[inner].tolist()]  # not np.exp, which may differ in the last bit

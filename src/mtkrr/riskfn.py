@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -38,10 +38,6 @@ from .scenarios import power_law
 
 class DivergentIntegralError(ValueError):
     """Integral parameters outside the convergence domain a in (0, 2)."""
-
-
-class NoEpsilonCapError(RuntimeError):
-    """The localization cap is undefined because n p / sigma2 is too small."""
 
 
 class Regime(enum.Enum):
@@ -70,15 +66,15 @@ class RiskParams:
         if not 0 <= self.c < math.inf:
             raise ValueError("c must be nonnegative and finite")
 
-    @property
-    def satisfies_hm(self) -> bool:
-        """Minimax window 1 < 2 delta < 4 beta + 1, with 4 beta > 1 so that I2 converges."""
-        return 1 < 2 * self.delta < 4 * self.beta + 1 and 4 * self.beta > 1
 
-    @property
-    def satisfies_lb(self) -> bool:
-        """Stricter window 1 < 2 delta < 4 beta required by the lower bound."""
-        return 1 < 2 * self.delta < 4 * self.beta
+def minimax_window(beta, delta):
+    """Whether 1 < 2 delta < 4 beta + 1, with 4 beta > 1 so that I2 converges: scalars, or columns cell by cell."""
+    return (1 < 2 * delta) & (2 * delta < 4 * beta + 1) & (4 * beta > 1)
+
+
+def lower_bound_window(beta, delta):
+    """Whether 1 < 2 delta < 4 beta, the stricter window of the lower bound: scalars, or columns cell by cell."""
+    return (1 < 2 * delta) & (2 * delta < 4 * beta)
 
 
 @dataclass(frozen=True)
@@ -93,6 +89,31 @@ class BoundReport:
     regime: Regime
     kappa: float
     alpha: float
+
+
+REGIMES = tuple(Regime)  # the regime of each code in ``Bounds.regime``
+
+
+@dataclass(frozen=True)
+class Bounds:
+    """Optimized template risks with their envelopes: one array per ``BoundReport`` field, entry k for cell k.
+
+    ``regime`` holds codes into ``REGIMES``.
+    """
+
+    r_star: np.ndarray
+    lambda_star: np.ndarray
+    upper: np.ndarray
+    lower: np.ndarray
+    epsilon_cap: np.ndarray
+    regime: np.ndarray
+    kappa: np.ndarray
+    alpha: np.ndarray
+
+    def report(self, k: int) -> BoundReport:
+        """Cell k as a ``BoundReport``."""
+        cell = {field.name: getattr(self, field.name)[k].item() for field in fields(self)}
+        return BoundReport(**{**cell, "regime": REGIMES[cell["regime"]]})
 
 
 def template_parts(n, lam, beta, delta, c, noise) -> tuple[np.ndarray, np.ndarray]:
@@ -190,103 +211,65 @@ def alpha_constant(beta: float, delta: float) -> float:
 
     Each fraction is int_0^1 / int_0^inf of the respective tail integrand.
     """
-    if not 1 < 2 * delta < 4 * beta:
+    if not lower_bound_window(beta, delta):
         raise ValueError("alpha constant requires 1 < 2 delta < 4 beta")
     return min(_unit_fraction(1 / (2 * beta)), _unit_fraction(_i1_exponent(beta, delta)))
 
 
-def minimax_rate(params: RiskParams, kap: float) -> float:
-    """(np/sigma2)^(1/2d - 1) C^(1/2d) kappa: the rate shared by the bounds, the cap and the regime test."""
-    e = 1 / (2 * params.delta)
-    return (params.n * params.p / params.sigma2) ** (e - 1) * params.c ** e * kap
+def minimize_risks(n, p, sigma2, beta, delta, c) -> tuple[Bounds, Search]:
+    """Optimize the template risk of every cell and attach its envelope and regime; return the bounds and the search.
 
-
-def epsilon_cap(params: RiskParams, rate: float) -> float:
-    """Exact localization cap: the optimizer of the template risk lies in [0, cap].
-
-    Solves C eps^2/(1+eps)^2 = 2^(1/2d) rate for eps, which needs
-    s = sqrt(2^(1/2d) rate / C) < 1.
+    Cell k is (n[k], p[k], sigma2[k], beta[k], delta[k], c[k]), from equal-length columns of valid
+    ``RiskParams`` values.  Cells of one n are searched in one ``minimize_profiles`` call, one spectrum per
+    distinct beta and one signal row per distinct (beta, delta, c), which names the cells' shared curve;
+    the returned ``Search`` holds every cell's row in grid order, each bit-identical to the cell's search
+    alone.  kappa and alpha run once per distinct (beta, delta).  The bounds are the bits of the scalar
+    formulas: their powers are Python's ``**``, cell by cell (numpy's may differ in the last bit), and the
+    rest is correctly rounded in both, so it runs on the columns.  Bounds that require the minimax (resp.
+    lower-bound) window are nan outside it instead of being extrapolated.
     """
-    if not params.satisfies_hm:
-        raise NoEpsilonCapError("cap is defined only on the minimax window")
-    if params.c == 0:
-        raise NoEpsilonCapError("cap is undefined for a zero signal amplitude")
-    s = math.sqrt(2 ** (1 / (2 * params.delta)) * rate / params.c)
-    if s >= 1:
-        x = params.n * params.p / params.sigma2
-        raise NoEpsilonCapError(f"np/sigma2 = {x!r} too small for the cap (coefficient {s!r} >= 1)")
-    return s / (1 - s)
-
-
-def upper_bound(params: RiskParams, rate: float) -> float:
-    """min of the rate-form upper bound and the zero-regularization value sigma2/p."""
-    return min(2 ** (1 / (2 * params.delta)) * rate, params.sigma2 / params.p)
-
-
-def lower_bound(params: RiskParams, rate: float, alpha: float) -> float:
-    return min(alpha * rate, params.sigma2 / (4 * params.p))
-
-
-def _classify(params: RiskParams, rate: float, lambda_star: float, r_star: float) -> Regime:
-    threshold = float(params.n) ** (-2.0 * params.beta)
-    if lambda_star >= threshold and math.isfinite(rate) and rate > 0 and rate / 4 <= r_star <= 4 * rate:
-        return Regime.REGULARIZE
-    if lambda_star <= threshold and params.sigma2 / (4 * params.p) <= r_star <= params.sigma2 / params.p:
-        return Regime.TRIVIAL_NOISE
-    return Regime.UNDETERMINED
-
-
-def minimize_risks(grid: list[RiskParams]) -> tuple[list[BoundReport], Search]:
-    """Optimize the template risk of every cell and attach its envelope and regime; return the reports and the search.
-
-    Cells of one n are searched in one ``minimize_profiles`` call, one
-    spectrum per distinct beta; the returned ``Search`` holds every cell's
-    row in grid order, each bit-identical to the cell's search alone.
-    kappa and alpha run once per distinct (beta, delta).  Bounds that
-    require the minimax (resp. lower-bound) window are reported as nan
-    outside it instead of being extrapolated.
-    """
-    lam, value, grad = np.empty((3, len(grid)))
-    iterations, source, open_cells = np.empty((3, len(grid)), dtype=np.intp)
-    for n in dict.fromkeys(params.n for params in grid):
-        cells = [k for k, params in enumerate(grid) if params.n == n]
-        i = np.arange(1, n + 1, dtype=float)
-        betas = list(dict.fromkeys(grid[k].beta for k in cells))
-        deltas = list(dict.fromkeys(grid[k].delta for k in cells))
-        powers = np.array([i ** (-2.0 * delta) for delta in deltas])
-        signal = (np.array([grid[k].c * n for k in cells])[:, None]  # (c n) i^(-2 delta), as in template_parts
-                  * powers[[deltas.index(grid[k].delta) for k in cells]])
-        found = minimize_profiles(n, np.array([power_law(n, beta) for beta in betas]), signal,
-                                  np.array([grid[k].sigma2 / grid[k].p for k in cells]),
-                                  spectrum=np.array([betas.index(grid[k].beta) for k in cells]))
+    # n and p as floats: every product and quotient of them is then the scalar formula's, rounded once
+    n, p, sigma2, beta, delta, c = (np.asarray(v, dtype=float) for v in (n, p, sigma2, beta, delta, c))
+    if not (np.all((n >= 1) & (p >= 1) & (c >= 0)) and np.all(np.isfinite([sigma2, beta, delta, c]))
+            and np.all(np.minimum(np.minimum(sigma2, beta), delta) > 0)):
+        raise ValueError("each cell needs n, p >= 1, positive finite sigma2, beta and delta, and a finite c >= 0")
+    lam, value, grad = np.empty((3, len(n)))
+    iterations, source, open_cells = np.empty((3, len(n)), dtype=np.intp)
+    curves = np.stack((beta, delta, c), axis=1).view("V24").ravel()
+    for size in dict.fromkeys(n.tolist()):
+        cells = np.flatnonzero(n == size)
+        i = np.arange(1, size + 1, dtype=float)
+        betas, spectrum = np.unique(beta[cells], return_inverse=True)
+        _, head, curve = np.unique(curves[cells], return_index=True, return_inverse=True)
+        deltas, power = np.unique(delta[cells[head]], return_inverse=True)
+        signal = (c[cells[head]] * size)[:, None] * np.array([i ** (-2.0 * d) for d in deltas.tolist()])[power]
+        found = minimize_profiles(size, np.array([power_law(size, b) for b in betas.tolist()]), signal,
+                                  sigma2[cells] / p[cells], spectrum=spectrum, curve=curve)
         lam[cells], value[cells], grad[cells] = found.lam, found.value, found.grad
         iterations[cells], source[cells], open_cells[cells] = found.iterations, found.source, found.open_cells
-    constants: dict[tuple[float, float], tuple[float, float]] = {}
-    reports = []
-    for params, r_star, lambda_star in zip(grid, value.tolist(), lam.tolist()):
-        pair = (params.beta, params.delta)
-        if pair not in constants:
-            constants[pair] = (kappa(*pair) if params.satisfies_hm else math.nan,
-                               alpha_constant(*pair) if params.satisfies_lb else math.nan)
-        kap, alpha = constants[pair]
-        rate = minimax_rate(params, kap) if params.satisfies_hm else math.nan  # outside, its power may overflow
-        try:
-            cap = epsilon_cap(params, rate)
-        except NoEpsilonCapError:
-            cap = math.nan
-        reports.append(BoundReport(
-            r_star=r_star,
-            lambda_star=lambda_star,
-            upper=upper_bound(params, rate) if params.satisfies_hm else math.nan,
-            lower=lower_bound(params, rate, alpha) if params.satisfies_lb else math.nan,
-            epsilon_cap=cap,
-            regime=_classify(params, rate, lambda_star, r_star),
-            kappa=kap,
-            alpha=alpha,
-        ))
-    return reports, Search(lam, value, grad, iterations, source, open_cells)
+    hm, lb = minimax_window(beta, delta), lower_bound_window(beta, delta)
+    pairs = list(zip(beta.tolist(), delta.tolist()))
+    constants = {pair: (kappa(*pair) if inside_hm else math.nan, alpha_constant(*pair) if inside_lb else math.nan)
+                 for pair, (inside_hm, inside_lb) in dict(zip(pairs, zip(hm.tolist(), lb.tolist()))).items()}
+    kap, alpha = np.array([constants[pair] for pair in pairs]).reshape(-1, 2).T
+    e = 1 / (2 * delta)
+    # the minimax rate (n p / sigma2)^(1/2d - 1) C^(1/2d) kappa, nan outside its window, where its power may overflow
+    rate = np.array([x ** (f - 1) * amplitude ** f * k if inside else math.nan for x, f, amplitude, k, inside
+                     in zip((n * p / sigma2).tolist(), e.tolist(), c.tolist(), kap.tolist(), hm.tolist())])
+    coefficient = np.array([2 ** f if inside else math.nan for f, inside in zip(e.tolist(), hm.tolist())])  # 2^(1/2d)
+    threshold = np.array([float(size) ** (-2.0 * b) for size, b in zip(n.tolist(), beta.tolist())])  # n^(-2 beta)
+    with np.errstate(divide="ignore", invalid="ignore"):  # c = 0 and cells outside the window give nan
+        s = np.sqrt(coefficient * rate / c)
+        cap = np.where(s < 1, s / (1 - s), math.nan)  # the cap solves C eps^2 / (1 + eps)^2 = 2^(1/2d) rate
+    regularize = (lam >= threshold) & np.isfinite(rate) & (rate > 0) & (rate / 4 <= value) & (value <= 4 * rate)
+    trivial = (lam <= threshold) & (sigma2 / (4 * p) <= value) & (value <= sigma2 / p)
+    return Bounds(r_star=value, lambda_star=lam,
+                  upper=np.where(hm, np.minimum(coefficient * rate, sigma2 / p), math.nan),
+                  lower=np.where(lb, np.minimum(alpha * rate, sigma2 / (4 * p)), math.nan),
+                  epsilon_cap=cap, regime=np.select((regularize, trivial), (0, 1), 2),  # codes into REGIMES
+                  kappa=kap, alpha=alpha), Search(lam, value, grad, iterations, source, open_cells)
 
 
 def minimize_risk(params: RiskParams) -> BoundReport:
     """One cell of ``minimize_risks``: the template minimum with its envelope and regime."""
-    return minimize_risks([params])[0][0]
+    return minimize_risks(*([value] for value in astuple(params)))[0].report(0)

@@ -338,7 +338,8 @@ def _segments(specs: list[ScenarioSpec], reps: int, start: int, stop: int) -> It
         yield specs[k], slice(max(start, k * reps) - start, min(stop, (k + 1) * reps) - start)
 
 
-_RANDOM = {ScenarioKind.SETTING_A, ScenarioKind.SETTING_B, ScenarioKind.SETTING_C, ScenarioKind.SETTING_D}
+# the kinds drawn from their seeds; every replicate of another kind's spec has the same tasks
+RANDOM_KINDS = {ScenarioKind.SETTING_A, ScenarioKind.SETTING_B, ScenarioKind.SETTING_C, ScenarioKind.SETTING_D}
 _TASK_BLOCKS = {ScenarioKind.H2POINTS: _h2points, ScenarioKind.H1OUT: _h1out, ScenarioKind.SETTING_A: _setting_a,
                 ScenarioKind.SETTING_C: _setting_c, ScenarioKind.SETTING_D: _setting_d}
 
@@ -365,7 +366,7 @@ def draw(specs: list[ScenarioSpec], seeds) -> tuple[np.ndarray, np.ndarray, Iter
     else:
         gamma = np.array([power_law(n, spec.beta_or_m) for spec in specs])
         owner, per = np.repeat(np.arange(len(specs)), seeds.shape[1]), max(1, BLOCK_ELEMENTS // (n * p))
-    keys = _keys(seeds.ravel()) if kind in _RANDOM else None
+    keys = _keys(seeds.ravel()) if kind in RANDOM_KINDS else None
     return gamma, owner, _chunks(specs, seeds.shape[1], keys, per, gamma)
 
 

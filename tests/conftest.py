@@ -9,6 +9,7 @@ from scipy.integrate import quad
 from mtkrr.estimators import multitask_rows, singletask_rows
 from mtkrr.optimize import SOURCES, Search, minimize_profiles
 from mtkrr.oracles import compare
+from mtkrr.riskfn import BoundReport, Bounds, RiskParams
 from mtkrr.spectral import KernelSpectrum, TaskEnsemble
 from reference import MeanVarianceProfile, RidgeRiskProfile
 
@@ -91,9 +92,20 @@ def bits(search: Search, index=slice(None)) -> tuple[bytes, ...]:
     return tuple(getattr(search, field.name)[index].tobytes() for field in fields(search))
 
 
-def stack(searches: list[Search]) -> Search:
-    """One ``Search`` holding the rows of ``searches`` in order."""
-    return Search(*(np.concatenate([getattr(search, field.name) for search in searches]) for field in fields(Search)))
+def stack(results: list):
+    """One result of columns (a ``Search`` or ``Bounds``) holding the rows of ``results`` in order."""
+    return type(results[0])(*(np.concatenate([getattr(result, field.name) for result in results])
+                              for field in fields(results[0])))
+
+
+def columns(grid: list[RiskParams]) -> tuple[np.ndarray, ...]:
+    """The template cells of ``grid`` as the columns (n, p, sigma2, beta, delta, c) that ``minimize_risks`` takes."""
+    return tuple(np.array([getattr(params, field.name) for params in grid]) for field in fields(RiskParams))
+
+
+def bound_reports(bounds: Bounds) -> list[BoundReport]:
+    """The cells of ``bounds``, one ``BoundReport`` each."""
+    return [bounds.report(k) for k in range(len(bounds.r_star))]
 
 
 def search_one(profile: RidgeRiskProfile) -> Search:

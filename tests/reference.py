@@ -22,7 +22,9 @@ joined into one block (``draw_block``), the degrees-of-freedom diagnostic
 and the setting-B ensemble ``numpy_setting_b``), the one-matrix eigendecomposition
 and projection with the per-replicate setting-B draw (``eigendecompose_kernel``,
 ``project_tasks``, ``per_replicate_setting_b``), the per-draw sum-vs-integral
-envelope of ``verify-bounds`` (``envelope_per_draw``), the scalar evaluator of a
+envelope of ``verify-bounds`` (``envelope_per_draw``), the envelope and regime
+of one template cell in Python floats (``scalar_report``, with the rate
+``minimax_rate`` and the cap ``epsilon_cap``), the scalar evaluator of a
 ridge risk curve (``RidgeRiskProfile``, whose ``parts`` gives the bias and
 variance at one lambda, 0 and +inf included), the template as such a curve
 (``template_profile``, on the spectrum ``synth_spectrum``) and the ``risk-curve``
@@ -43,7 +45,8 @@ from mtkrr.estimators import multitask_rows
 from mtkrr.experiments import ExperimentReport, run_experiments
 from mtkrr import optimize
 from mtkrr.optimize import Search
-from mtkrr.riskfn import RiskParams, integral_i1, integral_i2
+from mtkrr.riskfn import (BoundReport, Regime, RiskParams, alpha_constant, integral_i1, integral_i2, kappa,
+                          lower_bound_window, minimax_window)
 from mtkrr.scenarios import ScenarioSpec, _uniform, draw, periodic_kernel_value, power_law
 from mtkrr.spectral import (
     EIGENVALUE_CLAMP,
@@ -471,7 +474,7 @@ def full_scan_minimize_profiles(n: int, gamma: np.ndarray, signal: np.ndarray, n
     curvature = f0 - 2.0 * f1 + f2
     curved = (curvature > 0) & (curvature < np.inf)
     shift = np.where(curved, 0.5 * (f0 - f2) / np.where(curved, curvature, 1.0), 0.0)
-    t_end, r_end, g_end, iters = optimize._newton(n, gamma, signal, noise, spectrum, basin_row,
+    t_end, r_end, g_end, iters = optimize._newton(n, gamma, signal, noise, spectrum, np.arange(rows), basin_row,
                                                   centre - width, centre + shift * width, centre + width)
 
     order = np.lexsort((np.arange(len(basin_row)), r_end, basin_row))
@@ -485,7 +488,7 @@ def full_scan_minimize_profiles(n: int, gamma: np.ndarray, signal: np.ndarray, n
     if grid.size:
         at[grid] = np.argmin(vals[grid], axis=1)
         t[grid] = t_grid[spectrum[grid], np.argmin(vals[grid], axis=1)]
-        g[grid] = optimize._curve(n, gamma, signal, noise, spectrum, grid, n * np.exp(t[grid]))[1]
+        g[grid] = optimize._curve(n, gamma, signal, noise, spectrum, np.arange(rows), grid, n * np.exp(t[grid]))[1]
     lam, grad = np.where(source == 0, 0.0, math.inf), np.full(rows, math.nan)
     inner = np.flatnonzero(source >= 2)
     lam[inner] = [math.exp(x) for x in t[inner].tolist()]
@@ -610,6 +613,64 @@ def risk_curve_rows(params: RiskParams, points: int, lambda_min: float | None = 
         bias, var = profile.parts(lam)
         rows.append((lam, bias + var, bias, var))
     return rows
+
+
+# ---------------------------------------------------------------------------
+# the envelope of one template cell in scalar arithmetic: the oracle of ``riskfn.minimize_risks``' columns
+
+
+class NoEpsilonCapError(RuntimeError):
+    """The localization cap is undefined because n p / sigma2 is too small."""
+
+
+def minimax_rate(params: RiskParams, kap: float) -> float:
+    """(np/sigma2)^(1/2d - 1) C^(1/2d) kappa: the rate shared by the bounds, the cap and the regime test."""
+    e = 1 / (2 * params.delta)
+    return (params.n * params.p / params.sigma2) ** (e - 1) * params.c ** e * kap
+
+
+def epsilon_cap(params: RiskParams, rate: float) -> float:
+    """Exact localization cap: the optimizer of the template risk lies in [0, cap].
+
+    Solves C eps^2/(1+eps)^2 = 2^(1/2d) rate for eps, which needs
+    s = sqrt(2^(1/2d) rate / C) < 1.
+    """
+    if not minimax_window(params.beta, params.delta):
+        raise NoEpsilonCapError("cap is defined only on the minimax window")
+    if params.c == 0:
+        raise NoEpsilonCapError("cap is undefined for a zero signal amplitude")
+    s = math.sqrt(2 ** (1 / (2 * params.delta)) * rate / params.c)
+    if s >= 1:
+        x = params.n * params.p / params.sigma2
+        raise NoEpsilonCapError(f"np/sigma2 = {x!r} too small for the cap (coefficient {s!r} >= 1)")
+    return s / (1 - s)
+
+
+def scalar_report(params: RiskParams, r_star: float, lambda_star: float) -> BoundReport:
+    """The envelope and regime of one cell with the minimum (r_star, lambda_star), one Python float at a time.
+
+    Bounds that require the minimax (resp. lower-bound) window are nan outside it; so is the cap where
+    ``epsilon_cap`` raises.
+    """
+    hm, lb = minimax_window(params.beta, params.delta), lower_bound_window(params.beta, params.delta)
+    kap = kappa(params.beta, params.delta) if hm else math.nan
+    alpha = alpha_constant(params.beta, params.delta) if lb else math.nan
+    rate = minimax_rate(params, kap) if hm else math.nan  # outside, its power may overflow
+    try:
+        cap = epsilon_cap(params, rate)
+    except NoEpsilonCapError:
+        cap = math.nan
+    threshold = float(params.n) ** (-2.0 * params.beta)
+    if lambda_star >= threshold and math.isfinite(rate) and rate > 0 and rate / 4 <= r_star <= 4 * rate:
+        regime = Regime.REGULARIZE
+    elif lambda_star <= threshold and params.sigma2 / (4 * params.p) <= r_star <= params.sigma2 / params.p:
+        regime = Regime.TRIVIAL_NOISE
+    else:
+        regime = Regime.UNDETERMINED
+    return BoundReport(r_star=r_star, lambda_star=lambda_star,
+                       upper=min(2 ** (1 / (2 * params.delta)) * rate, params.sigma2 / params.p) if hm else math.nan,
+                       lower=min(alpha * rate, params.sigma2 / (4 * params.p)) if lb else math.nan,
+                       epsilon_cap=cap, regime=regime, kappa=kap, alpha=alpha)
 
 
 # ---------------------------------------------------------------------------

@@ -344,6 +344,34 @@ class TestVerifyBounds:
         assert all(line.startswith("PASS ") for line in lines[3:])
         assert not any(line.startswith("error:") for line in captured.err.splitlines())
 
+    # property 3 fails on this grid: the sum-versus-integral gap at a few effective dimensions (an open finding)
+    FOUND_GRID_LINES = [
+        'PASS property-1 upper bound: worst relative excess -2.627e-01',
+        'PASS property-2 localization: 0 optimizer(s) above the cap',
+        'FAIL property-3 lower bound: worst relative margin -2.248e-01 over 18 cells',
+        f"PASS property-4 regime flip: sweep labels {['REGULARIZE'] * 9 + ['TRIVIAL_NOISE'] * 4}",
+        'PASS s2 integral envelope: 40 random (n, lam, beta) draws',
+        'PASS s1 integral envelope: 40 random (n, lam, beta, delta) draws',
+        'PASS alpha constant: alpha(2,2) = 0.33039176809103693',
+    ]
+
+    def test_the_found_grid_fails_property_3_with_these_lines(self, tmp_path, capsys):
+        argv = ["verify-bounds", "--bd-pairs", "3:5.5", "--n-values", "50,200", "--out", str(tmp_path / "v.txt")]
+        assert main(argv) == 2
+        out = capsys.readouterr().out
+        assert out.splitlines() == self.FOUND_GRID_LINES
+        assert (tmp_path / "v.txt").read_text() == out
+
+    @pytest.mark.parametrize("argv, errors", [
+        (["--bd-pairs", "0:2,2:2", "--c-values=1,-1"],
+         ["beta must be positive and finite", "c must be nonnegative and finite"]),
+        (["--sigma2", "-1"], ["sigma2 must be positive and finite"]),
+    ])
+    def test_a_bad_grid_value_is_one_config_error_in_grid_order(self, capsys, argv, errors):
+        assert main(["verify-bounds", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "".join(f"config error: {error}\n" for error in errors)
+
     def test_template_optimum_far_below_1e_12_is_found(self, capsys):
         # beta = 4, n = 1000: the optimum lies near lam = 1.3e-16, and a search
         # stopped at a fixed floor of 1e-12 overshoots the upper bound fourfold
@@ -585,11 +613,11 @@ class TestOneEngineCall:
 
     @pytest.fixture
     def engine_calls(self, monkeypatch):
-        """The row count of every ``minimize_profiles`` call made through a package module."""
+        """The row count (the length of ``noise``) of every ``minimize_profiles`` call made through a package module."""
         original, calls = mtkrr.optimize.minimize_profiles, []
 
         def counted(*args, **kwargs):
-            calls.append(len(args[2]))
+            calls.append(len(args[3]))
             return original(*args, **kwargs)
 
         for name, module in list(sys.modules.items()):
@@ -662,9 +690,9 @@ class TestRunSummary:
         # the same command with every cell searched alone, as before the cells were stacked
         original = mtkrr.riskfn.minimize_risks
 
-        def one_by_one(grid):
-            cells = [original([params]) for params in grid]
-            return [reports[0] for reports, _ in cells], stack([search for _, search in cells])
+        def one_by_one(*grid):
+            cells = [original(*(column[k:k + 1] for column in grid)) for k in range(len(grid[0]))]
+            return stack([bounds for bounds, _ in cells]), stack([search for _, search in cells])
 
         monkeypatch.setattr(mtkrr.riskfn, "minimize_risks", one_by_one)
         assert main(["verify-bounds", *grid, "--out", str(tmp_path / "alone.txt")]) == code

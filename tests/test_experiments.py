@@ -6,13 +6,13 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from mtkrr import scenarios
+from mtkrr import oracles, scenarios
 from mtkrr.experiments import Z_975, pvalue_pi1, pvalue_pi2, run_experiments
 from mtkrr.optimize import Search
-from mtkrr.oracles import comparison_rows
+from mtkrr.oracles import compare, comparison_rows
 from mtkrr.render import emit_heatmap, emit_table, write_report_json
 from mtkrr.scenarios import ScenarioKind, ScenarioSpec, build_ensemble, derive_seed, derive_seeds, draw
-from conftest import compare_one
+from conftest import bits, compare_one
 from reference import draw_block, numpy_setting_b, run_experiment
 
 
@@ -192,6 +192,22 @@ class TestChunkedDraw:
         assert chunked_reports == reports
         for column in fields(Search):
             assert np.array_equal(getattr(chunked, column.name), getattr(search, column.name), equal_nan=True)
+
+    @pytest.mark.parametrize("kind, p", [(ScenarioKind.H2POINTS, 4), (ScenarioKind.H1OUT, 3)])
+    def test_a_deterministic_kind_searches_p_plus_2_rows_per_spec(self, kind, p, monkeypatch):
+        # every replicate of an h2points or h1out spec is the same: one is searched, and stands for all four
+        specs = [quick_spec(kind=kind, n=12, p=p, c2=c2, seed=derive_seed(9, k))
+                 for k, c2 in enumerate((0.1, 1.0, 0.5))]
+        seeds = derive_seeds(np.repeat([spec.seed for spec in specs], 4), np.tile(np.arange(4), 3)).reshape(3, 4)
+        gamma, owner, h = draw_block(specs, seeds)
+        _, _, rho, every = compare(12, gamma, h, 0.7, spectrum=owner)  # every replicate drawn and searched
+        rows, original = [], oracles.minimize_profiles
+        monkeypatch.setattr(oracles, "minimize_profiles",
+                            lambda *args, **kwargs: rows.append(len(args[3])) or original(*args, **kwargs))
+        reports, search, _ = run_experiments(specs, 0.7, 4)
+        assert rows == [len(specs) * (p + 2)]
+        assert bits(search) == bits(every)
+        assert [report.ratios for report in reports] == [tuple(rho[4 * k:4 * k + 4].tolist()) for k in range(3)]
 
     def test_a_run_holds_little_beyond_its_row_block(self):
         spec = quick_spec(kind=ScenarioKind.SETTING_A, n=500, p=20, c2=0.5, seed=5)

@@ -162,8 +162,8 @@ def test_the_search_keeps_its_signature_and_one_pruned_grid_scan():
     from mtkrr.optimize import minimize_profiles
 
     parameters = inspect.signature(minimize_profiles).parameters
-    assert list(parameters) == ["n", "gamma", "signal", "noise", "spectrum"]
-    assert parameters["spectrum"].default is None
+    assert list(parameters) == ["n", "gamma", "signal", "noise", "spectrum", "curve"]
+    assert parameters["spectrum"].default is None and parameters["curve"].default is None
     calls = []
     for path in sorted(PACKAGE.glob("*.py")):
         for top in ast.parse(path.read_text()).body:

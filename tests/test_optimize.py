@@ -25,7 +25,7 @@ def sample_profile(seed: int, n: int = 30) -> RidgeRiskProfile:
 def log_derivatives(prof: RidgeRiskProfile, lam: float) -> tuple[float, float]:
     """dg/dt and d2g/dt2 at t = log lam > -inf, from the search's own derivative code."""
     row = np.zeros(1, dtype=np.intp)
-    out = _curve(prof.n, prof.gamma[None, :], prof.signal[None, :], np.array([prof.noise]), row, row,
+    out = _curve(prof.n, prof.gamma[None, :], prof.signal[None, :], np.array([prof.noise]), row, row, row,
                  np.array([prof.n * lam]))
     return float(out[1, 0]), float(out[2, 0])
 
@@ -473,6 +473,57 @@ def test_pruned_cells_hold_nothing_below_the_winner_and_open_cells_keep_their_ba
             else:
                 i = np.arange(COARSE[cell], COARSE[cell + 1])
                 assert (bias[i] + var[i + 1] >= value).all(), (k, cell)
+
+
+@st.composite
+def shared_curve_stacks(draw):
+    """(n, spectra, signal, noise, spectrum, curve): rows on a few (signal, spectrum) pairs, each with its own noise.
+
+    The signals and spectra are those of ``profiles`` and of the two-basin ``two_cluster_profiles``.  A row's
+    noise is 0 or 1e-5 to 10 times its signal's largest entry, so the rows of one pair have windows of many
+    widths, and a basin that one row's window holds may lie in cells that another row's bound prunes.
+    """
+    n = draw(st.integers(min_value=20, max_value=40))
+    profs = draw(st.lists(st.one_of(profiles(n=n), two_cluster_profiles(n)), min_size=1, max_size=3))
+    gamma, signal = np.array([prof.gamma for prof in profs]), np.array([prof.signal for prof in profs])
+    cell = st.tuples(st.integers(0, len(profs) - 1), st.integers(0, len(profs) - 1),
+                     st.one_of(st.none(), st.floats(min_value=-5.0, max_value=1.0)))
+    curve, spectrum, level = zip(*draw(st.lists(cell, min_size=2, max_size=10)))
+    noise = [0.0 if u is None else signal[k].max() * 10.0**u for k, u in zip(curve, level)]
+    return n, gamma, signal, np.array(noise), np.array(spectrum), np.array(curve)
+
+
+def search_and_basins(search) -> tuple[optimize.Search, list[bytes]]:
+    """The ``Search`` that calling ``search`` returns, and the bytes of each row's Newton basins (bracket, start)."""
+    calls, newton = [], optimize._newton
+
+    def spy(n, gamma, signal, noise, spectrum, curve, rows, a, x, b):
+        calls.append((rows.copy(), np.array((a, x, b)).T.copy()))
+        return newton(n, gamma, signal, noise, spectrum, curve, rows, a, x, b)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(optimize, "_newton", spy)
+        found = search()
+    [(rows, basins)] = calls
+    return found, [basins[rows == k].tobytes() for k in range(len(found.value))]
+
+
+@given(shared_curve_stacks())
+def test_rows_sharing_a_curve_and_a_spectrum_get_what_each_gets_alone(stack):
+    """Named rows of one (curve, spectrum) pair share one grid scan over the union of their windows; each row
+    still gets the bits of its search alone, and the same Newton basins: its values outside its own window
+    are never seen."""
+    n, gamma, signal, noise, spectrum, curve = stack
+    named, named_basins = search_and_basins(
+        lambda: minimize_profiles(n, gamma, signal, noise, spectrum=spectrum, curve=curve))
+    repeated, repeated_basins = search_and_basins(
+        lambda: minimize_profiles(n, gamma, signal[curve], noise, spectrum=spectrum))
+    alone = [search_and_basins(lambda k=k: minimize_profiles(n, gamma[spectrum[k]], signal[curve[k]][None],
+                                                               noise[k:k + 1]))
+             for k in range(len(noise))]
+    assert bits(named) == bits(repeated)
+    assert [bits(named, [k]) for k in range(len(noise))] == [bits(search) for search, _ in alone]
+    assert named_basins == repeated_basins == [basins for _, [basins] in alone]
 
 
 def test_the_grid_scan_is_pruned(monkeypatch):

@@ -1,37 +1,32 @@
 import math
-from dataclasses import fields
 
 import numpy as np
 import pytest
-from conftest import (bits, minimize_profile, quad_kappa, quad_tail_integral, rows, s1, s2, search_one, stack,
-                      value_grid)
+from conftest import (bits, bound_reports, columns, minimize_profile, quad_kappa, quad_tail_integral, rows, s1, s2,
+                      search_one, stack, value_grid)
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from mtkrr.optimize import minimize_profiles
 from mtkrr.riskfn import (
-    BoundReport,
     DivergentIntegralError,
-    NoEpsilonCapError,
     Regime,
     RiskParams,
     _i1_exponent,
     _tail_integral,
     _unit_fraction,
     alpha_constant,
-    epsilon_cap,
     integral_i1,
     integral_i2,
     kappa,
-    minimax_rate,
+    lower_bound_window,
+    minimax_window,
     minimize_risk,
     minimize_risks,
 )
-from reference import RidgeRiskProfile, risk_r, template_profile
-
-
-FLOAT_FIELDS = [field.name for field in fields(BoundReport) if field.name != "regime"]
+from reference import (NoEpsilonCapError, RidgeRiskProfile, epsilon_cap, minimax_rate, risk_r, scalar_report,
+                       template_profile)
 
 
 def cap_of(params: RiskParams) -> float:
@@ -215,8 +210,8 @@ class TestMinimizeRisk:
         monkeypatch.setattr(riskfn, "kappa", lambda *args: calls.append(args) or kappa(*args))
         params = RiskParams(n=50, p=5, sigma2=1.0, beta=beta, delta=delta, c=1.0)
         report = minimize_risk(params)
-        assert len(calls) == (1 if params.satisfies_hm else 0)
-        assert report.kappa == kappa(beta, delta) if params.satisfies_hm else math.isnan(report.kappa)
+        assert len(calls) == (1 if minimax_window(beta, delta) else 0)
+        assert report.kappa == kappa(beta, delta) if minimax_window(beta, delta) else math.isnan(report.kappa)
 
     def test_constants_run_once_per_pair_of_a_grid(self, monkeypatch):
         import mtkrr.riskfn as riskfn
@@ -227,11 +222,12 @@ class TestMinimizeRisk:
         pairs = [(2.0, 2.0), (1.0, 2.4), (0.3, 2.0)]  # lb window, hm only, neither
         grid = [RiskParams(n=n, p=p, sigma2=1.0, beta=beta, delta=delta, c=c)
                 for n in (20, 50) for p in (1, 5) for beta, delta in pairs for c in (0.5, 2.0)]
-        reports, _ = riskfn.minimize_risks(grid)
+        bounds, _ = riskfn.minimize_risks(*columns(grid))
         assert sorted(calls["kappa"]) == [(1.0, 2.4), (2.0, 2.0)]
         assert calls["alpha_constant"] == [(2.0, 2.0)]
-        for params, report in zip(grid, reports):
-            assert report.kappa == kappa(params.beta, params.delta) if params.satisfies_hm else math.isnan(report.kappa)
+        for params, report in zip(grid, bound_reports(bounds), strict=True):
+            inside = minimax_window(params.beta, params.delta)
+            assert report.kappa == kappa(params.beta, params.delta) if inside else math.isnan(report.kappa)
 
     @pytest.mark.parametrize("pairs, n_values", [
         ([(2, 2), (4, 2), (2, 1.5)], (50, 200, 800)),  # verify-bounds' default grid
@@ -243,13 +239,12 @@ class TestMinimizeRisk:
         grid = [RiskParams(n=n, p=p, sigma2=1.0, beta=beta, delta=delta, c=c)
                 for beta, delta in pairs for n in n_values for p in (1, 2, 5, 10) for c in (0.5, 1, 2)]
         sweep = [RiskParams(n=50, p=int(round(p)), sigma2=1.0, beta=2, delta=2, c=1.0) for p in np.geomspace(1, 1e7, 13)]
-        (grid_reports, grid_search), (sweep_reports, sweep_search) = minimize_risks(grid), minimize_risks(sweep)
-        reports, search = minimize_risks(grid + sweep)
+        (grid_bounds, grid_search), (sweep_bounds, sweep_search) = (minimize_risks(*columns(grid)),
+                                                                    minimize_risks(*columns(sweep)))
+        bounds, search = minimize_risks(*columns(grid + sweep))
         assert bits(search) == bits(stack([grid_search, sweep_search]))
-        for merged, apart in zip(reports, grid_reports + sweep_reports, strict=True):
-            assert merged.regime is apart.regime
-            assert [np.float64(getattr(merged, key)).tobytes() for key in FLOAT_FIELDS] == \
-                [np.float64(getattr(apart, key)).tobytes() for key in FLOAT_FIELDS]
+        # every column's bytes: the regime codes, and each float field bit for bit
+        assert bits(bounds) == bits(stack([grid_bounds, sweep_bounds]))
 
     def test_divergent_noise_integral_leaves_the_envelope_nan(self):
         # 1 < 2 delta < 4 beta + 1 holds, but I2 diverges for beta <= 1/4
@@ -364,7 +359,7 @@ class TestSandwich:
     @pytest.mark.parametrize("beta,delta", [(2.0, 2.0), (4.0, 2.0), (2.0, 1.5)])
     def test_bounds_bracket_the_optimum(self, n, p, beta, delta):
         params = RiskParams(n=n, p=p, sigma2=1.0, beta=beta, delta=delta, c=1.0)
-        assert params.satisfies_hm and params.satisfies_lb and n * p >= 100
+        assert minimax_window(beta, delta) and lower_bound_window(beta, delta) and n * p >= 100
         report = minimize_risk(params)
         assert report.lower <= report.r_star <= report.upper * (1 + 1e-8)
 
@@ -411,7 +406,7 @@ class TestSpectrumBracket:
         # delta = 1/2 + share * 2 beta spans the window 1 < 2 delta < 4 beta + 1
         params = RiskParams(n=n, p=p, sigma2=10.0**log_sigma2, beta=beta, delta=0.5 + share * 2 * beta,
                             c=10.0**log_c)
-        assert params.satisfies_hm
+        assert minimax_window(params.beta, params.delta)
         assert minimize_risk(params).r_star <= brute_force_minimum(params) * (1 + 1e-9)
 
 
@@ -441,25 +436,42 @@ def template_grids(draw):
 class TestMinimizeRisks:
     @given(grid=template_grids(), data=st.data())
     def test_each_cell_as_alone_in_any_order(self, grid, data):
-        reports, search = minimize_risks(grid)
-        alone = [minimize_risks([params]) for params in grid]
+        bounds, search = minimize_risks(*columns(grid))
+        reports = bound_reports(bounds)
+        alone = [minimize_risks(*columns([params])) for params in grid]
         # repr is exact for floats and equal for every nan: bit-equal, NaN-aware; so are a search's column bytes
-        assert repr(reports) == repr([cell_reports[0] for cell_reports, _ in alone])
+        assert repr(reports) == repr([cell_bounds.report(0) for cell_bounds, _ in alone])
         cells = [bits(search, [k]) for k in range(len(grid))]
         assert cells == [bits(cell_search) for _, cell_search in alone]
         # and the curve is the one risk-curve tabulates
         assert cells == [bits(search_one(template_profile(params))) for params in grid]
         assert repr(minimize_risk(grid[0])) == repr(reports[0])
         order = data.draw(st.permutations(range(len(grid))))
-        shuffled_reports, shuffled = minimize_risks([grid[k] for k in order])
-        assert repr(shuffled_reports) == repr([reports[k] for k in order])
+        shuffled_bounds, shuffled = minimize_risks(*columns([grid[k] for k in order]))
+        assert repr(bound_reports(shuffled_bounds)) == repr([reports[k] for k in order])
         assert bits(shuffled) == bits(search, order)
         for params, report in zip(grid, reports):
             assert report.r_star <= brute_force_minimum(params) * (1 + 1e-9)
 
+    @given(grid=template_grids())
+    def test_every_column_is_the_scalar_arithmetic_of_its_cell(self, grid):
+        # the powers cell by cell with Python's **, the rest on the columns: each bound is the scalar formula's bits
+        bounds, _ = minimize_risks(*columns(grid))
+        assert repr(bound_reports(bounds)) == repr([
+            scalar_report(params, r_star, lambda_star)
+            for params, r_star, lambda_star in zip(grid, bounds.r_star.tolist(), bounds.lambda_star.tolist())])
+
+    @pytest.mark.parametrize("column, bad", [(0, 0), (1, 0), (2, 0.0), (2, math.inf), (3, -1.0), (4, math.nan),
+                                             (5, -1.0), (5, math.inf)])
+    def test_a_cell_that_is_no_risk_params_is_an_error(self, column, bad):
+        cells = [[50, 50], [1, 2], [1.0, 1.0], [2.0, 2.0], [2.0, 2.0], [1.0, 1.0]]
+        cells[column][1] = bad
+        with pytest.raises(ValueError, match="each cell needs"):
+            minimize_risks(*cells)
+
     def test_empty_grid(self):
-        reports, search = minimize_risks([])
-        assert reports == [] and rows(search) == []
+        bounds, search = minimize_risks(*columns([]))
+        assert bound_reports(bounds) == [] and rows(search) == []
 
 
 class TestEngineInputs:
@@ -469,20 +481,22 @@ class TestEngineInputs:
 
         calls = []
 
-        def capture(n, gamma, signal, noise, spectrum=None):
-            calls.append((n, gamma.copy(), signal.copy(), noise.copy(), spectrum.copy()))
-            return minimize_profiles(n, gamma, signal, noise, spectrum)
+        def capture(n, gamma, signal, noise, spectrum=None, curve=None):
+            calls.append((n, gamma.copy(), signal.copy(), noise.copy(), spectrum.copy(), curve.copy()))
+            return minimize_profiles(n, gamma, signal, noise, spectrum, curve)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(riskfn, "minimize_profiles", capture)
-            minimize_risks(grid)
+            minimize_risks(*columns(grid))
         assert [n for n, *_ in calls] == list(dict.fromkeys(params.n for params in grid))
-        for n, gamma, signal, noise, spectrum in calls:
+        for n, gamma, signal, noise, spectrum, curve in calls:
             cells = [params for params in grid if params.n == n]
-            assert signal.shape == (len(cells), n) and noise.shape == spectrum.shape == (len(cells),)
+            # one signal row per distinct curve (beta, delta, c), which its cells name
+            assert signal.shape == (len({(params.beta, params.delta, params.c) for params in cells}), n)
+            assert noise.shape == spectrum.shape == curve.shape == (len(cells),)
             for row, params in enumerate(cells):
                 profile = template_profile(params)
-                assert signal[row].tobytes() == profile.signal.tobytes()
+                assert signal[curve[row]].tobytes() == profile.signal.tobytes()
                 assert gamma[spectrum[row]].tobytes() == profile.gamma.tobytes()
                 assert noise[row] == params.sigma2 / params.p
 
@@ -498,11 +512,15 @@ class TestEngineInputs:
         assert built == ["RiskParams", "KernelSpectrum", "RidgeRiskProfile"]
         built.clear()
         assert main(["verify-bounds", "--out", str(tmp_path / "v.txt")]) == 0
-        assert built == ["RiskParams"] * 121  # the 108 grid cells and the 13 sweep cells, none per envelope draw
+        # one per curve (beta, delta, c) of the grid, 3 pairs x 3 amplitudes: none per cell, sweep cell or envelope draw
+        assert built == ["RiskParams"] * 9
 
 
 def test_params_flags():
-    assert RiskParams(n=10, p=1, sigma2=1.0, beta=2, delta=2, c=1.0).satisfies_hm
-    assert not RiskParams(n=10, p=1, sigma2=1.0, beta=0.6, delta=2, c=1.0).satisfies_hm
-    assert not RiskParams(n=10, p=1, sigma2=1.0, beta=0.2, delta=0.7, c=1.0).satisfies_hm
-    assert not RiskParams(n=10, p=1, sigma2=1.0, beta=1, delta=2, c=1.0).satisfies_lb
+    assert minimax_window(2, 2)
+    assert not minimax_window(0.6, 2)
+    assert not minimax_window(0.2, 0.7)
+    assert not lower_bound_window(1, 2)
+    # on columns, cell by cell
+    assert minimax_window(np.array([2, 0.6, 0.2, 1]), np.array([2, 2, 0.7, 2])).tolist() == [True, False, False, True]
+    assert lower_bound_window(np.array([2, 1]), np.array([2, 2])).tolist() == [True, False]
