@@ -218,8 +218,10 @@ def cmd_oracle(args) -> int:
     if not 0 < args.sigma2 < math.inf:
         errors.append("sigma2: not positive or not finite")
     _fail_on(errors)
+    start = time.perf_counter()
     spectrum, tasks = scenarios.build_ensemble(spec)
-    mt_risk, st_risk, rho, search = oracles.compare(spec.n, spectrum.gamma, tasks.h[None], args.sigma2)
+    times = {"draw": time.perf_counter() - start}
+    mt_risk, st_risk, rho, search = oracles.compare(spec.n, spectrum.gamma, tasks.h[None], args.sigma2, times=times)
     lam, value = search.lam.tolist(), search.value.tolist()
     # how each search ended: winning candidate, Newton evaluations, final |lam g'| / g (null at a boundary)
     records = [{"source": optimize.SOURCES[code], "iterations": k, "stationarity": None if math.isnan(s) else s}
@@ -241,6 +243,7 @@ def cmd_oracle(args) -> int:
     if formula is not None and spec.c1 > 0:
         payload["rho_formula"] = formula(spec.p, spec.delta1, spec.c2 / spec.c1)
     render.write_json(args.out, payload)
+    print(_run_summary(search) + _stage_times(times), file=sys.stderr)
     print(f"rho = {payload['rho']!r} -> {args.out}")
     return 0
 

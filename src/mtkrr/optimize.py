@@ -3,14 +3,14 @@
 Every oracle computed in this package reduces to minimizing, over a single
 regularization parameter ``lam >= 0``, a function of the form
 
-    g(lam) = n lam^2 sum_i s_i / (g_i + n lam)^2            (bias)
-           + (v / n) sum_i (g_i / (g_i + n lam))^2          (variance)
+    g(lam) = (1/n) sum_i s_i b_i^2 + (v/n) sum_i a_i^2          (bias + variance)
 
-where ``g_i`` are the (nonnegative) kernel eigenvalues, ``s_i`` the squared
-signal coefficients along the corresponding eigendirections, and ``v`` the
-effective noise variance.  The multi-task mean part, the multi-task variance
-part, each single-task risk, and the polynomial-decay template risk are all
-instances of this family; they differ only in ``s`` and ``v``.
+with b_i = n lam / (g_i + n lam) and a_i = g_i / (g_i + n lam), where ``g_i``
+are the (nonnegative) kernel eigenvalues, ``s_i`` the squared signal
+coefficients along the corresponding eigendirections, and ``v`` the effective
+noise variance.  The multi-task mean part, the multi-task variance part, each
+single-task risk, and the polynomial-decay template risk are all instances
+of this family; they differ only in ``s`` and ``v``.
 
 ``minimize_profiles`` minimizes a stack of such curves in one pass and
 returns one ``Search``: one array per field, entry k for row k.  It works in
@@ -246,12 +246,12 @@ def _scan(gamma, signal, spectrum, x_grid, points, first, stop, bias, squares, c
         target[row, points[at]] = bias[pair[row], points[at]]
 
 
-def _limits(n, gamma, signal, noise, spectrum, curve) -> tuple[np.ndarray, np.ndarray]:
-    """The exact risks at lam = 0 and lam = +inf of every row.
+def _projector(n, gamma, signal, noise, spectrum, curve) -> tuple[np.ndarray, np.ndarray]:
+    """The bias and variance at lam = 0 of every row, where the smoother projects onto the range of the kernel.
 
-    At lam = 0 directions with g = 0 keep their signal as bias and every other direction
-    contributes v / n of variance; at lam = +inf all the signal is bias.  Each row's signal on
-    the null directions is gathered contiguously, so its sum is the row's own whatever the stack.
+    Directions with g = 0 keep their signal as bias and every other direction contributes v / n of
+    variance.  Each row's signal on the null directions is gathered contiguously, so its sum is the
+    row's own whatever the stack.
     """
     null = gamma == 0
     rank = (gamma.shape[1] - np.count_nonzero(null, axis=1)).astype(float)
@@ -259,7 +259,7 @@ def _limits(n, gamma, signal, noise, spectrum, curve) -> tuple[np.ndarray, np.nd
     for j in np.flatnonzero(null.any(axis=1)):
         mine = np.flatnonzero(spectrum == j)
         kept[mine] = _sum(signal[curve[mine][:, None], np.flatnonzero(null[j])])
-    return kept / n + noise / n * rank[spectrum], _sum(signal)[curve] / n
+    return kept / n, noise / n * rank[spectrum]
 
 
 def _open_coarse_cells(n, bias, var, zero, limit) -> np.ndarray:
@@ -358,7 +358,8 @@ def minimize_profiles(
         everywhere = np.zeros(rows, dtype=np.intp)
         _scan(gamma, signal, spectrum, x_grid, COARSE, everywhere, everywhere + len(COARSE), bias, squares, curve,
               pairs)
-        zero, limit = _limits(n, gamma, signal, noise, spectrum, curve)
+        # the exact risks at lam = 0 and at lam = +inf, where all the signal is bias
+        zero, limit = np.add(*_projector(n, gamma, signal, noise, spectrum, curve)), _sum(signal)[curve] / n
         open_ = _open_coarse_cells(n, bias[:, COARSE], noise[:, None] * squares[:, COARSE][spectrum], zero, limit)
         # each row's window: its first open coarse cell to its last, widened by the halo; lo > hi if none is open
         lo = np.maximum(COARSE[open_.argmax(axis=1)] - HALO, 0)

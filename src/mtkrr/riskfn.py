@@ -32,7 +32,7 @@ from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from .optimize import BLOCK_ELEMENTS, Search, minimize_profiles
+from .optimize import BLOCK_ELEMENTS, Search, _projector, _squares, _sum, minimize_profiles
 from .scenarios import power_law
 
 
@@ -117,14 +117,13 @@ class Bounds:
 
 
 def template_parts(n, lam, beta, delta, c, noise) -> tuple[np.ndarray, np.ndarray]:
-    """Bias n lam^2 S1 and variance noise / n S2 of the template at every lam of the 1-D ``lam``: the one evaluator of its sums.
+    """Bias sum s b^2 / n and variance noise / n sum a^2 of the template at every lam of the 1-D ``lam``.
 
-    S1 = sum_i s_i / d_i^2 and S2 = sum_i (gamma_i / d_i)^2, with d_i = gamma_i + n lam, gamma_i = n i^(-2 beta)
-    and s_i = (c n) i^(-2 delta); noise is sigma2 / p.  The other arguments are scalars or arrays of the
-    length of ``lam``, one template per row, and each row is 0 past its own n, so the padding adds exact
-    zeros.  A row at lam = 0 is the projector onto the range of the kernel: directions whose eigenvalue
-    underflows to 0 keep their signal as bias and add no variance.  An unpadded row is the scalar formula
-    at its lam, operation for operation and so bit for bit; temporaries stay within ``BLOCK_ELEMENTS`` doubles.
+    The eigenvalues are gamma_i = n i^(-2 beta), the squared signal coefficients s_i = (c n) i^(-2 delta), and
+    noise is sigma2 / p; the other arguments are scalars or arrays of the length of ``lam``, one template per
+    row, each row 0 past its own n.  b^2 and sum a^2 come from the grid scan's ``optimize._squares``, so every
+    value is the engine's, in blocks of ``BLOCK_ELEMENTS`` doubles.  A row at lam = 0 is ``optimize._projector``:
+    directions whose eigenvalue underflows to 0 keep their signal as bias and add no variance.
     """
     lam = np.asarray(lam, dtype=float)
     n, beta, delta, c, noise = (np.asarray(v, dtype=float).reshape(-1, 1) for v in (n, beta, delta, c, noise))
@@ -133,20 +132,17 @@ def template_parts(n, lam, beta, delta, c, noise) -> tuple[np.ndarray, np.ndarra
     gamma = np.broadcast_to(np.where(inside, n * i ** (-2.0 * beta), 0.0), (len(lam), len(i)))
     signal = np.broadcast_to(np.where(inside, c * n * i ** (-2.0 * delta), 0.0), gamma.shape)
     n, noise = np.broadcast_to(n[:, 0], lam.shape), np.broadcast_to(noise[:, 0], lam.shape)
-    zero = np.flatnonzero(lam == 0)
-    x = n * lam
-    x[zero] = math.inf  # every term of a lam = 0 row is then 0, without a warning; the projector replaces it below
     bias, var = np.empty(len(lam)), np.empty(len(lam))
     step = max(1, BLOCK_ELEMENTS // len(i))
-    for lo in range(0, len(lam), step):
-        r = slice(lo, lo + step)
-        d = gamma[r] + x[r, None]
-        terms = np.square(d)  # then every step in place: two temporaries per block
-        bias[r] = n[r] * lam[r] * lam[r] * np.sum(np.divide(signal[r], terms, out=terms), axis=1)
-        var[r] = noise[r] / n[r] * np.sum(np.square(np.divide(gamma[r], d, out=d), out=d), axis=1)
-    for k in zero.tolist():
-        g, s = gamma[k, :int(n[k])], signal[k, :int(n[k])]
-        bias[k], var[k] = s[g == 0].sum() / n[k], noise[k] / n[k] * np.count_nonzero(g)
+    with np.errstate(invalid="ignore"):  # 0 / 0 in a lam = 0 row, which the projector replaces below
+        for lo in range(0, len(lam), step):
+            r = slice(lo, lo + step)
+            bb, squares = _squares(gamma[r], n[r, None] * lam[r, None])
+            bias[r] = _sum(signal[r, None] * bb)[:, 0] / n[r]
+            var[r] = noise[r] / n[r] * squares[:, 0]
+    zero = np.flatnonzero(lam == 0)
+    rows = np.arange(len(zero))
+    bias[zero], var[zero] = _projector(n[zero], gamma[zero], signal[zero], noise[zero], rows, rows)
     return bias, var
 
 

@@ -602,7 +602,9 @@ def risk_curve_rows(params: RiskParams, points: int, lambda_min: float | None = 
     """The rows of the ``risk-curve`` CSV, header first: lambda = 0, then ``points`` log-spaced lambdas.
 
     A bound not given is that end of the oracle's search bracket.  Each row is (lambda, risk, bias,
-    variance) from ``template_profile(params).parts(lam)``, one lambda at a time.
+    variance) of ``template_profile(params)``, one lambda at a time, in the arithmetic of the engine's grid
+    scan: with x = n lam, b = x / (g + x) and a = g / (g + x), the bias is sum s b^2 / n and the variance
+    v / n sum a^2.  At lam = 0 it is ``RidgeRiskProfile.parts``' projector rule.
     """
     profile = template_profile(params)
     t_lo, t_hi = optimize.spectrum_bracket(profile.n, profile.gamma)
@@ -610,7 +612,13 @@ def risk_curve_rows(params: RiskParams, points: int, lambda_min: float | None = 
     lam_max = math.exp(t_hi[0]) if lambda_max is None else lambda_max
     rows = [("lambda", "risk", "bias", "variance")]
     for lam in [0.0] + [float(v) for v in np.geomspace(lam_min, lam_max, points)]:
-        bias, var = profile.parts(lam)
+        if lam == 0:
+            bias, var = profile.parts(lam)
+        else:
+            x = profile.n * lam
+            d = profile.gamma + x
+            bias = float(np.sum(profile.signal * (x / d) ** 2) / profile.n)
+            var = profile.noise / profile.n * float(np.sum((profile.gamma / d) ** 2))
         rows.append((lam, bias + var, bias, var))
     return rows
 

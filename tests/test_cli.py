@@ -21,8 +21,7 @@ import mtkrr
 from mtkrr.cli import _envelope, build_parser, main, parse_args
 from mtkrr.render import emit_heatmap, emit_table, write_csv
 from mtkrr.riskfn import RiskParams
-from mtkrr.optimize import spectrum_bracket
-from mtkrr.scenarios import ScenarioKind, ScenarioSpec, build_ensemble, power_law
+from mtkrr.scenarios import ScenarioKind, ScenarioSpec, build_ensemble
 from conftest import compare_one, stack
 from reference import envelope_per_draw, risk_curve_rows, run_experiment
 
@@ -84,22 +83,21 @@ class TestRiskCurve:
         assert r_star * (1 - 1e-12) <= risks[k] <= r_star * (1 + 1e-4)
 
     def test_a_risk_that_is_not_finite_is_an_error(self, tmp_path, capsys):
-        # beta = 100: at the default bracket's low end, exp(-600), d_i^2 underflows to 0 and the bias is inf or nan
+        # c = 1e308: the signal amplitude c n overflows, so the bias is not finite from the first row, lambda = 0
         out = tmp_path / "curve.csv"
-        argv = ["risk-curve", "--n", "50", "--p", "3", "--beta", "100", "--delta", "2", "--c", "1", "--out", str(out)]
-        assert main(argv) == 1
+        argv = ["risk-curve", "--n", "50", "--p", "3", "--beta", "100", "--delta", "2", "--out", str(out)]
+        assert main([*argv, "--c", "1e308"]) == 1
         captured = capsys.readouterr()
-        lam_min = math.exp(spectrum_bracket(50, power_law(50, 100.0))[0][0])
-        assert captured.err == (f"error: the template risk is not finite at lambda {lam_min!r}; "
-                                "narrow the lambda range\n")
+        assert captured.err == "error: the template risk is not finite at lambda 0.0; narrow the lambda range\n"
         assert captured.out == "" and list(tmp_path.iterdir()) == []
-        # the same template on a finite range is written
-        assert main([*argv, "--lambda-min", "1e-3", "--lambda-max", "1"]) == 0
-        assert all(math.isfinite(float(value)) for row in read_csv(out)[1:] for value in row)
+        # the same template at c = 1 is finite on the whole default bracket: b = x / (g + x) does not underflow
+        assert main([*argv, "--c", "1"]) == 0
+        rows = read_csv(out)[1:]
+        assert len(rows) == 201 and all(math.isfinite(float(value)) for row in rows for value in row)
 
 
 class TestRiskCurveIsTheScalarCurve:
-    """The ``risk-curve`` CSV is, byte for byte, ``RidgeRiskProfile.parts`` one lambda at a time (``risk_curve_rows``)."""
+    """The ``risk-curve`` CSV is, byte for byte, the engine's arithmetic one lambda at a time (``risk_curve_rows``)."""
 
     @staticmethod
     def check(n, p, sigma2, beta, delta, c, points, lambda_min=None, lambda_max=None):
@@ -119,6 +117,7 @@ class TestRiskCurveIsTheScalarCurve:
         (40, 5, 2.0, 2.0, 2.0, 1.0, 200, None, None),  # the defaults
         (30, 1, 1.0, 2.0, 2.0, 0.0, 50, None, None),  # c = 0: pure noise
         (50, 3, 1.0, 100.0, 2.0, 1.0, 20, 1e-3, 1.0),  # eigenvalues from i = 42 on underflow to 0: the lam = 0 row
+        (50, 3, 1.0, 100.0, 2.0, 1.0, 200, None, None),  # the default bracket, down to exp(-600): b^2 stays finite
         (50, 3, 1.0, 100.0, 2.0, 0.0, 5, 1e-3, 1.0),
         (12, 2, 0.5, 1.5, 1.0, 3.0, 0, None, None),  # --points 0: the lam = 0 row alone
         (50, 4, 1.0, 2.0, 2.0, 1.0, 101, 1e-3, 1.0),  # explicit bounds
@@ -666,6 +665,22 @@ class TestRunSummary:
         ]
         emit_heatmap(sum(grid, []), "delta2", [1.5, 2.5], "c2", [0.1, 0.5, 1.0], str(tmp_path / "expected.csv"))
         assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
+    def test_oracle_prints_the_summary_to_stderr(self, tmp_path, capsys):
+        out = tmp_path / "o.json"
+        argv = ["oracle", "--kind", "setting_a", "--n", "30", "--p", "4", "--c1", "1", "--c2", "0.5", "--delta1", "2"]
+        assert main([*argv, "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        # the p + 2 = 6 searches of the one replicate, then the wall times of the draw, the row build and the search
+        assert re.fullmatch(r"searches 6: zero \d+, limit \d+, newton \d+, grid \d+; max_iter hits \d+; "
+                            r"newton evaluations (median [\d.]+, max \d+|none); open-cell searches \d+; "
+                            r"stage ms draw [\d.]+, rows [\d.]+, search [\d.]+\n", captured.err)
+        assert captured.out == f"rho = {json.loads(out.read_text())['rho']!r} -> {out}\n"
+        search = json.loads(out.read_text())["search"]
+        sources = [record["source"] for record in [search["mean"], search["variance"], *search["tasks"]]]
+        counts = dict(part.rsplit(" ", 1) for part in captured.err.split(": ", 1)[1].split("; ")[0].split(", "))
+        assert {name: int(count) for name, count in counts.items()} == {
+            name: sources.count(name) for name in ("zero", "limit", "newton", "grid")}
 
     def test_experiment_prints_the_summary_to_stderr(self, tmp_path, capsys):
         cfg = TestExperimentCommand().write_config(tmp_path)

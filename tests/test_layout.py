@@ -26,34 +26,45 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _definitions(tree: ast.Module, module):
-    """(qualified name, bare name) of every public function, class and method of ``module``.
+    """(qualified name, key of its uses) of every public function, class and method of ``module``.
 
+    A top-level definition's uses are keyed ``module.name`` and a method's ``.name`` (see ``_references``).
     A function bound by a top-level assignment (``gen = make(...)``) counts too.
     """
+    stem = module.__name__.rpartition(".")[2]
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-            yield node.name, node.name
+            yield node.name, f"{stem}.{node.name}"
             if isinstance(node, ast.ClassDef):
                 for member in node.body:
                     if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
-                        yield f"{node.name}.{member.name}", member.name
+                        yield f"{node.name}.{member.name}", f".{member.name}"
         elif isinstance(node, ast.Assign):
             names = [name.id for target in node.targets for name in ast.walk(target) if isinstance(name, ast.Name)]
             for name in names:
                 if not name.startswith("_") and inspect.isfunction(getattr(module, name, None)):
-                    yield name, name
+                    yield name, f"{stem}.{name}"
 
 
-def _references(tree: ast.Module) -> Counter:
-    """Every use of a name in the module: bare names, attributes and imported names."""
+def _references(tree: ast.Module, stem: str) -> Counter:
+    """Every use in module ``stem`` of a name that may resolve to a package definition.
+
+    A name resolves to a top-level definition, keyed ``module.name``, where it is loaded in its own
+    module, read as an attribute of a package module imported by ``from . import``, or imported by
+    ``from .module import``.  Any other attribute, keyed ``.name``, may be a method: an attribute that
+    shares a function's name (a dataclass field, say) is no use of the function.
+    """
+    modules = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None for alias in node.names}
     used = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            used[node.id] += 1
+            used[f"{stem}.{node.id}"] += 1
         elif isinstance(node, ast.Attribute):
-            used[node.attr] += 1
-        elif isinstance(node, ast.ImportFrom):
-            used.update(alias.name for alias in node.names)
+            module = modules.get(node.value.id) if isinstance(node.value, ast.Name) else None
+            used[f"{module or ''}.{node.attr}"] += 1
+        elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+            used.update(f"{node.module}.{alias.name}" for alias in node.names)
     return used
 
 
@@ -67,11 +78,21 @@ def test_every_public_definition_is_used_by_the_package_or_the_readme():
     modules = {path: importlib.import_module("mtkrr" if path.stem == "__init__" else f"mtkrr.{path.stem}")
                for path in sorted(PACKAGE.glob("*.py"))}
     trees = {path: ast.parse(path.read_text()) for path in modules}
-    used = sum((_references(tree) for path, tree in trees.items() if path.stem != "__init__"), Counter())
+    used = sum((_references(tree, path.stem) for path, tree in trees.items() if path.stem != "__init__"), Counter())
     readme = _readme_names()
-    unused = [f"{path.stem}.{name}" for path, tree in trees.items()
-              for name, bare in _definitions(tree, modules[path]) if not used[bare] and bare not in readme]
+    unused = [f"{path.stem}.{name}" for path, tree in trees.items() for name, key in _definitions(tree, modules[path])
+              if not used[key] and name.rpartition(".")[2] not in readme]
     assert not unused, f"defined in src/mtkrr but used only outside it (move to tests/reference.py): {unused}"
+
+
+def test_a_field_that_shares_a_function_name_is_no_use_of_it():
+    """Only a name that resolves to a package definition counts as its use (``riskfn.epsilon_cap`` once shared
+    its name with the field ``Bounds.epsilon_cap``, which no guard could then tell apart)."""
+    tree = ast.parse("from . import riskfn\nfrom .optimize import Search\n"
+                     "def run(bounds):\n    return bounds.epsilon_cap, riskfn.kappa(2, 2), Search, run\n")
+    used = _references(tree, "cli")
+    assert used["riskfn.epsilon_cap"] == 0 and used[".epsilon_cap"] == 1
+    assert used["riskfn.kappa"] == used["optimize.Search"] == used["cli.run"] == 1
 
 
 def test_no_module_builds_the_dense_operator():
@@ -141,7 +162,7 @@ def test_a_search_result_is_columnar():
 
 
 def test_the_template_has_one_array_evaluator():
-    """``riskfn.template_parts`` forms the template's sums: no module defines or names the scalar references.
+    """``riskfn.template_parts`` forms the template's sums with the engine's: no module names a scalar reference.
 
     ``RidgeRiskProfile`` (one curve at one lambda), ``template_profile`` and ``synth_spectrum`` are
     validation oracles in ``tests/reference.py``.
@@ -150,14 +171,22 @@ def test_the_template_has_one_array_evaluator():
              for name in ("RidgeRiskProfile", "template_profile", "synth_spectrum")
              if re.search(rf"\b{name}\b", path.read_text())]
     assert not named, f"modules of src/mtkrr define or name a scalar template reference: {named}"
+    # and it squares nothing itself: b^2 and sum a^2 come from the grid scan's ``optimize._squares``
+    [parts] = [top for top in ast.parse((PACKAGE / "riskfn.py").read_text()).body
+               if getattr(top, "name", None) == "template_parts"]
+    squares = [ast.unparse(node) for node in ast.walk(parts)
+               if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "square"
+               or isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow) and ast.unparse(node.right) == "2"]
+    assert not squares, f"riskfn.template_parts squares a term itself: {squares}"
 
 
 def test_the_search_keeps_its_signature_and_one_pruned_grid_scan():
     """``minimize_profiles`` takes no pruning or grid knob, and the package scans the risk grid in one place.
 
     Grid values are formed only by ``optimize._squares`` inside ``optimize._scan``, and ``_scan`` runs only
-    in ``minimize_profiles``: once over the ``COARSE`` points and once over the ``FINE`` points.  The
-    unpruned 64-point scan is a validation oracle in ``tests/reference.py``.
+    in ``minimize_profiles``: once over the ``COARSE`` points and once over the ``FINE`` points.  The one
+    other call of ``_squares`` is ``riskfn.template_parts``, so the template curve has the grid scan's
+    arithmetic.  The unpruned 64-point scan is a validation oracle in ``tests/reference.py``.
     """
     from mtkrr.optimize import minimize_profiles
 
@@ -173,7 +202,7 @@ def test_the_search_keeps_its_signature_and_one_pruned_grid_scan():
                                   ast.unparse(node.args[4]) if len(node.args) > 4 else None))
     squares = sorted(where for where, func, _ in calls if func.endswith("_squares"))
     scans = sorted((where, points) for where, func, points in calls if func.endswith("_scan"))
-    assert squares == ["optimize._scan"], f"grid values formed outside optimize._scan: {squares}"
+    assert squares == ["optimize._scan", "riskfn.template_parts"], f"risk values formed elsewhere: {squares}"
     assert scans == [("optimize.minimize_profiles", "COARSE"), ("optimize.minimize_profiles", "FINE")], scans
 
 
