@@ -190,6 +190,8 @@ def cmd_risk_curve(args) -> int:
     params = _risk_params(errors, n=args.n, p=args.p, sigma2=args.sigma2, beta=args.beta, delta=args.delta, c=args.c)
     if args.points < 0:
         errors.append(f"--points: must be nonnegative, got {args.points}")
+    if params and not math.isfinite(params.c * params.n):  # c n, the signal coefficient at i = 1 and the largest
+        errors.append(f"--c: the signal amplitude c n is not finite at n = {params.n}, got {args.c!r}")
     _fail_on(errors)
     # a bound not given is that end of the oracle's search bracket, so the grid reaches the minimum
     t_lo, t_hi = optimize.spectrum_bracket(params.n, scenarios.power_law(params.n, params.beta))
@@ -203,8 +205,9 @@ def cmd_risk_curve(args) -> int:
         risk = bias + var
     finite = np.isfinite(risk) & np.isfinite(bias) & np.isfinite(var)
     if not finite.all():
-        raise FloatingPointError(f"the template risk is not finite at lambda {lams[int(np.argmin(finite))]!r}; "
-                                 "narrow the lambda range")
+        lam = lams[int(np.argmin(finite))]
+        advice = "; narrow the lambda range" if lam > 0 else ""  # the lambda = 0 row is written whatever the range
+        raise FloatingPointError(f"the template risk is not finite at lambda {lam!r}{advice}")
     render.write_csv(args.out, [("lambda", "risk", "bias", "variance"),
                                 *zip(lams, risk.tolist(), bias.tolist(), var.tolist())])
     print(f"wrote {len(lams)} rows to {args.out}")

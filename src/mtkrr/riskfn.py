@@ -19,9 +19,12 @@ of int_0^inf u^(a-1)/(1+u)^2 du = B(a, 2-a) with a in (0, 2) (DLMF 5.12.3),
 and by the reflection formula (DLMF 5.5.3) B(a, 2-a) = pi w / sin(pi w) with
 w = 1 - a.  The lower-bound constant alpha uses the mass fraction of u in
 [0, 1], which the substitution v = u/(1+u) turns into the regularized
-incomplete beta function I_(1/2)(a, 2-a) (DLMF 8.17.1).  Production
-evaluates these closed forms; the test suite checks them against adaptive
-numerical integration of v^(a-1) (1-v)^(1-a) over (0, 1) and (0, 1/2).
+incomplete beta function I_(1/2)(a, 2-a) (DLMF 8.17.1): J(a) / B(a, 2-a),
+with J(a) = int_0^1 u^(a-1)/(1+u)^2 du = 1/2 + (1-a) beta(a) (integrate
+d/du[u^a/(1+u)] over [0, 1]) and beta(a) = [psi((a+1)/2) - psi(a/2)] / 2
+(Gradshteyn and Ryzhik 8.37).  Production evaluates these closed forms; the
+test suite checks them against mpmath and against adaptive numerical
+integration of v^(a-1) (1-v)^(1-a) over (0, 1) and (0, 1/2).
 """
 
 from __future__ import annotations
@@ -164,10 +167,21 @@ def _tail_integral(a: float) -> float:
 
 
 def _unit_fraction(a: float) -> float:
-    """Share of the tail integral carried by u in [0, 1]: I_(1/2)(a, 2-a)."""
-    from scipy.special import betainc  # imported here: the rest of the package needs numpy only
+    """Share of the tail integral carried by u in [0, 1]: I_(1/2)(a, 2-a) = J(a) / B(a, 2-a).
 
-    return float(betainc(a, 2.0 - a, 0.5))
+    The psi difference d = psi(y + 1/2) - psi(y) at y = a/2 is summed as one quantity, never as two psi values
+    that cancel: the recurrence psi(y+1) = psi(y) + 1/y (DLMF 5.5.2) adds the positive terms 1/(2 y (y+1/2))
+    until y >= 16, then d ~ 1/(2y) + sum_k (2 - 2^(1-2k)) B_2k / (2k y^2k), the difference of DLMF 5.11.2 and
+    of 5.11.8 at h = 1/2 (B_2k(1/2) by 24.4.27).  The first term left out is below 1e-17.
+    """
+    whole = _tail_integral(a)
+    y, d = a / 2, 0.0
+    while y < 16:
+        d += 1 / (2 * y * (y + 0.5))
+        y += 1.0
+    x = 1 / (y * y)
+    d += 0.5 / y + x * (1 / 8 + x * (-1 / 64 + x * (1 / 128 + x * (-17 / 2048 + x * (31 / 2048 - x * 691 / 16384)))))
+    return (0.5 + (1.0 - a) * d / 2) / whole
 
 
 def _i1_exponent(beta: float, delta: float) -> float:

@@ -83,12 +83,20 @@ class TestRiskCurve:
         assert r_star * (1 - 1e-12) <= risks[k] <= r_star * (1 + 1e-4)
 
     def test_a_risk_that_is_not_finite_is_an_error(self, tmp_path, capsys):
-        # c = 1e308: the signal amplitude c n overflows, so the bias is not finite from the first row, lambda = 0
+        # c = 1e308: the signal amplitude c n overflows, which no lambda range can help, so it is --c's config error
         out = tmp_path / "curve.csv"
         argv = ["risk-curve", "--n", "50", "--p", "3", "--beta", "100", "--delta", "2", "--out", str(out)]
         assert main([*argv, "--c", "1e308"]) == 1
         captured = capsys.readouterr()
-        assert captured.err == "error: the template risk is not finite at lambda 0.0; narrow the lambda range\n"
+        assert captured.err == "config error: --c: the signal amplitude c n is not finite at n = 50, got 1e+308\n"
+        assert captured.out == "" and list(tmp_path.iterdir()) == []
+        # c n = 5e307 is finite, but at delta = 0.51 the bias sum overflows once b ~ 1, from a lambda > 0 on
+        assert main(["risk-curve", "--n", "50", "--p", "3", "--beta", "100", "--delta", "0.51", "--c", "1e306",
+                     "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        failing = re.fullmatch(r"error: the template risk is not finite at lambda (\S+); narrow the lambda range\n",
+                               captured.err)
+        assert failing and float(failing[1]) > 0
         assert captured.out == "" and list(tmp_path.iterdir()) == []
         # the same template at c = 1 is finite on the whole default bracket: b = x / (g + x) does not underflow
         assert main([*argv, "--c", "1"]) == 0
@@ -351,7 +359,7 @@ class TestVerifyBounds:
         f"PASS property-4 regime flip: sweep labels {['REGULARIZE'] * 9 + ['TRIVIAL_NOISE'] * 4}",
         'PASS s2 integral envelope: 40 random (n, lam, beta) draws',
         'PASS s1 integral envelope: 40 random (n, lam, beta, delta) draws',
-        'PASS alpha constant: alpha(2,2) = 0.33039176809103693',
+        'PASS alpha constant: alpha(2,2) = 0.3303917680910371',
     ]
 
     def test_the_found_grid_fails_property_3_with_these_lines(self, tmp_path, capsys):
@@ -380,7 +388,8 @@ class TestVerifyBounds:
         assert "FAIL" not in capsys.readouterr().out
 
     def test_default_output_is_pinned(self, tmp_path, capsys):
-        # a change of numerics (alpha without scipy, say) has to edit these lines, and declare it
+        # a change of numerics has to edit these lines, and declare it; alpha(2,2) is 1 ulp above the
+        # correctly rounded 0.33039176809103704
         assert main(["verify-bounds", "--out", str(tmp_path / "v.txt")]) == 0
         assert capsys.readouterr().out.splitlines() == DEFAULT_BOUNDS_OUTPUT
         assert (tmp_path / "v.txt").read_text().splitlines() == DEFAULT_BOUNDS_OUTPUT
@@ -393,7 +402,7 @@ DEFAULT_BOUNDS_OUTPUT = [
     "PASS property-4 regime flip: sweep labels " + str(["REGULARIZE"] * 9 + ["TRIVIAL_NOISE"] * 4),
     "PASS s2 integral envelope: 40 random (n, lam, beta) draws",
     "PASS s1 integral envelope: 40 random (n, lam, beta, delta) draws",
-    "PASS alpha constant: alpha(2,2) = 0.33039176809103693",
+    "PASS alpha constant: alpha(2,2) = 0.3303917680910371",
 ]
 
 
@@ -1070,7 +1079,7 @@ class TestOutOfMemory:
 
 
 class TestStartUp:
-    """The CLI imports numpy only; scipy loads only where alpha needs it, and never its integrators."""
+    """The package runs on numpy alone: no command loads a scipy module, alpha's verify-bounds included."""
 
     @staticmethod
     def fresh_python(code: str) -> str:
@@ -1086,7 +1095,7 @@ class TestStartUp:
         assert out == "[]"
 
     def test_setting_b_commands_leave_scipy_unloaded(self, tmp_path):
-        # the spline kernel's zeta values come from Bernoulli numbers: only riskfn's alpha needs scipy
+        # the spline kernel's zeta values come from Bernoulli numbers, not from scipy's zeta
         config = tmp_path / "table.ini"
         config.write_text(f"[table]\nkind = setting_b\nn = 12\np = 3\nc1 = 1.0\ndelta1 = 2.0\n"
                           f"beta_or_m_values = 1, 3\nc2_values = 0.25\nsigma2 = 1.0\nn_rep = 2\nseed = 5\n"
@@ -1100,11 +1109,11 @@ class TestStartUp:
         assert out.splitlines()[-1] == "0 []"
         assert (tmp_path / "oracle.json").exists() and (tmp_path / "table.csv").exists()
 
-    def test_verify_bounds_never_loads_the_integrators(self, tmp_path):
+    def test_default_verify_bounds_leaves_scipy_unloaded(self, tmp_path):
+        # alpha's unit-interval fractions are riskfn's closed form, not scipy's betainc
         out = self.fresh_python(
             "import sys\nfrom mtkrr.cli import main\n"
-            "rc = main(['verify-bounds', '--n-values', '50', '--p-values', '1,4', '--c-values', '1',\n"
-            f"           '--bd-pairs', '2:2', '--out', {str(tmp_path / 'bounds.txt')!r}])\n"
-            "print(rc, 'scipy.integrate' in sys.modules)")
-        assert out.splitlines()[-1] == "0 False"
-        assert "PASS alpha constant" in (tmp_path / "bounds.txt").read_text()
+            f"rc = main(['verify-bounds', '--out', {str(tmp_path / 'bounds.txt')!r}])\n"
+            "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        assert out.splitlines()[-1] == "0 []"
+        assert (tmp_path / "bounds.txt").read_text().splitlines() == DEFAULT_BOUNDS_OUTPUT

@@ -1,4 +1,4 @@
-"""Layout guards: the package holds no code that only the tests use, keeps the dense route off the hot path, one module forks on setting B, one module imports scipy, one module lays out a comparison, one function reads the sweep configs, one module writes files, a search has one columnar result type and one pruned grid scan, the template has one array evaluator, and no module draws from a numpy stream but for verify-bounds' fixed envelope sample.
+"""Layout guards: the package holds no code that only the tests use, keeps the dense route off the hot path, one module forks on setting B, no module imports scipy, one module lays out a comparison, one function reads the sweep configs, one module writes files, a search has one columnar result type and one pruned grid scan, the template has one array evaluator, and no module draws from a numpy stream but for verify-bounds' fixed envelope sample.
 
 A public function, class or method defined in ``src/mtkrr`` counts as used
 only if a package module other than ``__init__.py`` references it, or a
@@ -111,13 +111,13 @@ def test_only_scenarios_names_the_spline_setting():
     assert not forks, f"modules other than scenarios.py name ScenarioKind.SETTING_B: {forks}"
 
 
-def test_only_riskfn_imports_scipy():
-    """scipy is imported by ``riskfn`` alone, for alpha's ``betainc``; every other module needs numpy only."""
-    importers = [f"{path.name}: {ast.unparse(node)}" for path in sorted(PACKAGE.glob("*.py")) if path.name != "riskfn.py"
+def test_no_module_imports_scipy():
+    """The package needs numpy alone: scipy serves only the tests' quadrature, ``zeta`` and ``betainc`` oracles."""
+    importers = [f"{path.name}: {ast.unparse(node)}" for path in sorted(PACKAGE.glob("*.py"))
                  for node in ast.walk(ast.parse(path.read_text()))
                  if isinstance(node, ast.Import) and any(alias.name.split(".")[0] == "scipy" for alias in node.names)
                  or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy"]
-    assert not importers, f"modules other than riskfn.py import scipy: {importers}"
+    assert not importers, f"package modules import scipy: {importers}"
 
 
 def test_only_oracles_lays_out_a_comparison():
