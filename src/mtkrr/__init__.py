@@ -8,9 +8,8 @@ scenario generators used by the Monte Carlo comparison harness.
 
 from .experiments import ExperimentReport, pvalue_pi1, pvalue_pi2
 from .optimize import Search, minimize_profiles
-from .oracles import compare, rho_formula_1out, rho_formula_2points
+from .oracles import rho_formula_1out, rho_formula_2points
 from .riskfn import (
-    BoundReport,
     Bounds,
     Regime,
     RiskParams,
@@ -18,7 +17,6 @@ from .riskfn import (
     integral_i1,
     integral_i2,
     kappa,
-    minimize_risk,
     minimize_risks,
 )
 from .scenarios import ScenarioKind, ScenarioSpec, build_ensemble, derive_seed

@@ -221,10 +221,11 @@ def cmd_oracle(args) -> int:
     if not 0 < args.sigma2 < math.inf:
         errors.append("sigma2: not positive or not finite")
     _fail_on(errors)
-    start = time.perf_counter()
-    spectrum, tasks = scenarios.build_ensemble(spec)
+    start = time.perf_counter()  # one replicate of the sweeps' path: draw, rows, search
+    gamma, _, chunks = scenarios.draw([spec], [[spec.seed]])
     times = {"draw": time.perf_counter() - start}
-    mt_risk, st_risk, rho, search = oracles.compare(spec.n, spectrum.gamma, tasks.h[None], args.sigma2, times=times)
+    signal, noise = oracles.stacked_rows(chunks, 1, spec.n, spec.p, args.sigma2, times)
+    mt_risk, st_risk, rho, search = oracles.search_comparisons(spec.n, gamma, signal, noise, times=times)
     lam, value = search.lam.tolist(), search.value.tolist()
     # how each search ended: winning candidate, Newton evaluations, final |lam g'| / g (null at a boundary)
     records = [{"source": optimize.SOURCES[code], "iterations": k, "stationarity": None if math.isnan(s) else s}
@@ -372,7 +373,7 @@ def cmd_verify_bounds(args) -> int:
     bounds, search = riskfn.minimize_risks(n, p, np.full(len(grid), sigma2), *grid[:, 2:].T)  # one engine call per n
     times = {"grid": time.perf_counter() - start}
     r_star, lam, upper, lower, cap = (column[:cells] for column in (
-        bounds.r_star, bounds.lambda_star, bounds.upper, bounds.lower, bounds.epsilon_cap))
+        search.value, search.lam, bounds.upper, bounds.lower, bounds.epsilon_cap))
     upper_cells, cap_cells = upper > 0, np.isfinite(cap)  # the bounds are nan outside their windows
     lower_cells = (n[:cells] * p[:cells] / sigma2 >= args.lower_threshold) & (lower > 0)
     worst_upper = float(np.max((r_star - upper)[upper_cells] / upper[upper_cells], initial=-math.inf))

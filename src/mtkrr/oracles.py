@@ -41,15 +41,19 @@ def stacked_rows(chunks: Iterable[tuple[slice, np.ndarray]], reps: int, n: int, 
     ``chunks`` yields (rows, h), replicates ``rows`` (a slice) and their (len, n, p) coefficients, as
     ``scenarios.draw`` does.  ``comparison_rows`` writes each chunk's rows into their slice of the one
     block, so only the block grows with ``reps``, and each chunk is released before the next is drawn.
-    With ``times``, the seconds spent drawing the chunks are added to ``draw``, and those spent building
-    their rows go in as ``rows``.
+    A chunk with a coefficient that is not finite is an error; a row that overflows is built quietly and
+    left to the search, which names the first row that is not finite.  With ``times``, the seconds spent
+    drawing the chunks are added to ``draw``, and those spent building their rows go in as ``rows``.
     """
     signal, noise = np.empty((reps, p + 2, n)), None
     drawn = built = 0.0
     start = time.perf_counter()
     for rows, h in chunks:
         middle = time.perf_counter()
-        _, noise = comparison_rows(h, sigma2, out=signal[rows])
+        if not np.isfinite(h).all():
+            raise ValueError("task coefficients must be finite")
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, noise = comparison_rows(h, sigma2, out=signal[rows])
         del h
         end = time.perf_counter()
         drawn, built, start = drawn + middle - start, built + end - middle, end
@@ -81,25 +85,6 @@ def search_comparisons(n: int, gamma: np.ndarray, signal: np.ndarray, noise: np.
         raise ZeroDivisionError("single-task oracle risk is zero; the ratio is undefined")
     mt_risk = values[:, 0] + values[:, 1]
     return mt_risk, st_risk, mt_risk / st_risk, search
-
-
-def compare(n: int, gamma: np.ndarray, h: np.ndarray, sigma2: float, spectrum: np.ndarray | None = None,
-            times: dict[str, float] | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray, Search]:
-    """Both oracles and rho of each replicate of an (R, n, p) block, replicate r on ``gamma[spectrum[r]]``.
-
-    The rows of the whole block (``comparison_rows``) go to ``search_comparisons``, which returns the
-    multi-task risk, the single-task risk and rho of each replicate and the one stacked ``Search``; a
-    work list drawn in chunks takes ``stacked_rows`` instead.  Without ``spectrum`` every replicate
-    searches on spectrum 0.  A block the caller holds no reference to is freed once its rows are built,
-    before the search.  With ``times``, the wall times in seconds of the row build and of the search go
-    in as ``rows`` and ``search``.
-    """
-    start = time.perf_counter()
-    signal, noise = comparison_rows(h, sigma2)
-    del h
-    if times is not None:
-        times["rows"] = time.perf_counter() - start
-    return search_comparisons(n, gamma, signal, noise, spectrum, times)
 
 
 def rho_formula_2points(p: int, delta: float, r: float) -> float:

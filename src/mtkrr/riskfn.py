@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,43 +80,23 @@ def lower_bound_window(beta, delta):
     return (1 < 2 * delta) & (2 * delta < 4 * beta)
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """Optimized template risk with its theoretical envelope."""
-
-    r_star: float
-    lambda_star: float
-    upper: float
-    lower: float
-    epsilon_cap: float
-    regime: Regime
-    kappa: float
-    alpha: float
-
-
 REGIMES = tuple(Regime)  # the regime of each code in ``Bounds.regime``
 
 
 @dataclass(frozen=True)
 class Bounds:
-    """Optimized template risks with their envelopes: one array per ``BoundReport`` field, entry k for cell k.
+    """The theoretical envelope of optimized template risks, one array per field, entry k for cell k.
 
-    ``regime`` holds codes into ``REGIMES``.
+    The minimum itself, risk and lambda, is the ``Search`` of the same cells.  ``regime`` holds codes into
+    ``REGIMES``.
     """
 
-    r_star: np.ndarray
-    lambda_star: np.ndarray
     upper: np.ndarray
     lower: np.ndarray
     epsilon_cap: np.ndarray
     regime: np.ndarray
     kappa: np.ndarray
     alpha: np.ndarray
-
-    def report(self, k: int) -> BoundReport:
-        """Cell k as a ``BoundReport``."""
-        cell = {field.name: getattr(self, field.name)[k].item() for field in fields(self)}
-        return BoundReport(**{**cell, "regime": REGIMES[cell["regime"]]})
 
 
 def template_parts(n, lam, beta, delta, c, noise) -> tuple[np.ndarray, np.ndarray]:
@@ -227,15 +207,16 @@ def alpha_constant(beta: float, delta: float) -> float:
 
 
 def minimize_risks(n, p, sigma2, beta, delta, c) -> tuple[Bounds, Search]:
-    """Optimize the template risk of every cell and attach its envelope and regime; return the bounds and the search.
+    """Optimize the template risk of every cell, and give its envelope and regime: the bounds, then the search.
 
     Cell k is (n[k], p[k], sigma2[k], beta[k], delta[k], c[k]), from equal-length columns of valid
     ``RiskParams`` values.  Cells of one n are searched in one ``minimize_profiles`` call, one spectrum per
     distinct beta and one signal row per distinct (beta, delta, c), which names the cells' shared curve;
-    the returned ``Search`` holds every cell's row in grid order, each bit-identical to the cell's search
-    alone.  kappa and alpha run once per distinct (beta, delta).  The bounds are the bits of the scalar
-    formulas: their powers are Python's ``**``, cell by cell (numpy's may differ in the last bit), and the
-    rest is correctly rounded in both, so it runs on the columns.  Bounds that require the minimax (resp.
+    the returned ``Search`` is the template oracle: every cell's minimum (``value`` at ``lam``) in grid
+    order, each row bit-identical to the cell's search alone.  kappa and alpha run once per distinct
+    (beta, delta).  The bounds are the bits of the scalar formulas: their powers are Python's ``**``, cell
+    by cell (numpy's may differ in the last bit), and the rest is correctly rounded in both, so it runs on
+    the columns.  Bounds that require the minimax (resp.
     lower-bound) window are nan outside it instead of being extrapolated.
     """
     # n and p as floats: every product and quotient of them is then the scalar formula's, rounded once
@@ -273,13 +254,7 @@ def minimize_risks(n, p, sigma2, beta, delta, c) -> tuple[Bounds, Search]:
         cap = np.where(s < 1, s / (1 - s), math.nan)  # the cap solves C eps^2 / (1 + eps)^2 = 2^(1/2d) rate
     regularize = (lam >= threshold) & np.isfinite(rate) & (rate > 0) & (rate / 4 <= value) & (value <= 4 * rate)
     trivial = (lam <= threshold) & (sigma2 / (4 * p) <= value) & (value <= sigma2 / p)
-    return Bounds(r_star=value, lambda_star=lam,
-                  upper=np.where(hm, np.minimum(coefficient * rate, sigma2 / p), math.nan),
+    return Bounds(upper=np.where(hm, np.minimum(coefficient * rate, sigma2 / p), math.nan),
                   lower=np.where(lb, np.minimum(alpha * rate, sigma2 / (4 * p)), math.nan),
                   epsilon_cap=cap, regime=np.select((regularize, trivial), (0, 1), 2),  # codes into REGIMES
                   kappa=kap, alpha=alpha), Search(lam, value, grad, iterations, source, open_cells)
-
-
-def minimize_risk(params: RiskParams) -> BoundReport:
-    """One cell of ``minimize_risks``: the template minimum with its envelope and regime."""
-    return minimize_risks(*([value] for value in astuple(params)))[0].report(0)

@@ -8,8 +8,8 @@ from scipy.integrate import quad
 
 from mtkrr.estimators import multitask_rows, singletask_rows
 from mtkrr.optimize import SOURCES, Search, minimize_profiles
-from mtkrr.oracles import compare
-from mtkrr.riskfn import BoundReport, Bounds, RiskParams
+from mtkrr.oracles import comparison_rows, search_comparisons
+from mtkrr.riskfn import RiskParams
 from mtkrr.spectral import KernelSpectrum, TaskEnsemble
 from reference import MeanVarianceProfile, RidgeRiskProfile
 
@@ -103,11 +103,6 @@ def columns(grid: list[RiskParams]) -> tuple[np.ndarray, ...]:
     return tuple(np.array([getattr(params, field.name) for params in grid]) for field in fields(RiskParams))
 
 
-def bound_reports(bounds: Bounds) -> list[BoundReport]:
-    """The cells of ``bounds``, one ``BoundReport`` each."""
-    return [bounds.report(k) for k in range(len(bounds.r_star))]
-
-
 def search_one(profile: RidgeRiskProfile) -> Search:
     """Minimize one ridge risk curve over lam in [0, +inf]: a one-row ``minimize_profiles``."""
     return minimize_profiles(profile.n, profile.gamma, profile.signal[None, :], np.array([profile.noise]))
@@ -128,12 +123,17 @@ def value_grid(profile: RidgeRiskProfile, lams: np.ndarray) -> np.ndarray:
 
 
 # Each oracle searched alone: the reference the stacked search of
-# ``mtkrr.oracles.compare`` (all p + 2 curves of every replicate in one pass) is compared against.
+# ``mtkrr.oracles.search_comparisons`` (all p + 2 curves of every replicate in one pass) is compared against.
 
 
 def compare_one(spectrum: KernelSpectrum, tasks: TaskEnsemble, sigma2: float):
-    """``compare`` on one ensemble: its multi-task risk, single-task risk and rho, and its p + 2 searches."""
-    mt_risk, st_risk, rho, search = compare(spectrum.n, spectrum.gamma, tasks.h[None], sigma2)
+    """The comparison of one ensemble: its multi-task risk, single-task risk and rho, and its p + 2 searches.
+
+    The rows come straight from the ensemble's coefficients (``comparison_rows``), not from the chunks of
+    ``scenarios.draw`` that every command reads: a route independent of the draw.
+    """
+    mt_risk, st_risk, rho, search = search_comparisons(spectrum.n, spectrum.gamma,
+                                                       *comparison_rows(tasks.h[None], sigma2))
     return float(mt_risk[0]), float(st_risk[0]), float(rho[0]), search
 
 

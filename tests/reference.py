@@ -24,7 +24,9 @@ and projection with the per-replicate setting-B draw (``eigendecompose_kernel``,
 ``project_tasks``, ``per_replicate_setting_b``), the per-draw sum-vs-integral
 envelope of ``verify-bounds`` (``envelope_per_draw``), the envelope and regime
 of one template cell in Python floats (``scalar_report``, with the rate
-``minimax_rate`` and the cap ``epsilon_cap``), the scalar evaluator of a
+``minimax_rate`` and the cap ``epsilon_cap``), the template oracle cell by
+cell (``BoundReport``: ``bound_reports`` of a grid, ``minimize_risk`` of one
+cell), the scalar evaluator of a
 ridge risk curve (``RidgeRiskProfile``, whose ``parts`` gives the bias and
 variance at one lambda, 0 and +inf included), the template as such a curve
 (``template_profile``, on the spectrum ``synth_spectrum``) and the ``risk-curve``
@@ -37,7 +39,7 @@ checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -45,8 +47,8 @@ from mtkrr.estimators import multitask_rows
 from mtkrr.experiments import ExperimentReport, run_experiments
 from mtkrr import optimize
 from mtkrr.optimize import Search
-from mtkrr.riskfn import (BoundReport, Regime, RiskParams, alpha_constant, integral_i1, integral_i2, kappa,
-                          lower_bound_window, minimax_window)
+from mtkrr.riskfn import (REGIMES, Bounds, Regime, RiskParams, alpha_constant, integral_i1, integral_i2, kappa,
+                          lower_bound_window, minimax_window, minimize_risks)
 from mtkrr.scenarios import ScenarioSpec, _uniform, draw, periodic_kernel_value, power_law
 from mtkrr.spectral import (
     EIGENVALUE_CLAMP,
@@ -625,6 +627,33 @@ def risk_curve_rows(params: RiskParams, points: int, lambda_min: float | None = 
 
 # ---------------------------------------------------------------------------
 # the envelope of one template cell in scalar arithmetic: the oracle of ``riskfn.minimize_risks``' columns
+
+
+@dataclass(frozen=True)
+class BoundReport:
+    """One template cell: its minimum (r_star at lambda_star) with its theoretical envelope and regime."""
+
+    r_star: float
+    lambda_star: float
+    upper: float
+    lower: float
+    epsilon_cap: float
+    regime: Regime
+    kappa: float
+    alpha: float
+
+
+def bound_reports(bounds: Bounds, search: Search) -> list[BoundReport]:
+    """The cells of ``minimize_risks``' bounds and search, one ``BoundReport`` each."""
+    return [BoundReport(r_star, lambda_star, upper, lower, cap, REGIMES[regime], kap, alpha)
+            for r_star, lambda_star, upper, lower, cap, regime, kap, alpha in zip(
+                search.value.tolist(), search.lam.tolist(), bounds.upper.tolist(), bounds.lower.tolist(),
+                bounds.epsilon_cap.tolist(), bounds.regime.tolist(), bounds.kappa.tolist(), bounds.alpha.tolist())]
+
+
+def minimize_risk(params: RiskParams) -> BoundReport:
+    """One cell of ``minimize_risks``: the template minimum with its envelope and regime."""
+    return bound_reports(*minimize_risks(*([value] for value in astuple(params))))[0]
 
 
 class NoEpsilonCapError(RuntimeError):

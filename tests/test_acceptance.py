@@ -22,7 +22,6 @@ from mtkrr.riskfn import (
     integral_i1,
     integral_i2,
     kappa,
-    minimize_risk,
 )
 from mtkrr.scenarios import ScenarioKind, ScenarioSpec, build_ensemble
 from reference import (
@@ -30,6 +29,7 @@ from reference import (
     df_and_bias,
     eigendecompose_kernel,
     mean_variance_profile,
+    minimize_risk,
     project_tasks,
     risk_direct,
     risk_spectral,

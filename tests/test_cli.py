@@ -10,7 +10,6 @@ import resource
 import subprocess
 import sys
 import tempfile
-import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +22,7 @@ from mtkrr.render import emit_heatmap, emit_table, write_csv
 from mtkrr.riskfn import RiskParams
 from mtkrr.scenarios import ScenarioKind, ScenarioSpec, build_ensemble
 from conftest import compare_one, stack
-from reference import envelope_per_draw, risk_curve_rows, run_experiment
+from reference import envelope_per_draw, minimize_risk, risk_curve_rows, run_experiment
 
 
 def read_csv(path):
@@ -78,7 +77,7 @@ class TestRiskCurve:
                      "--out", str(out)]) == 0
         risks = [float(row[1]) for row in read_csv(out)[1:]]
         k = int(np.argmin(risks))
-        r_star = mtkrr.minimize_risk(mtkrr.RiskParams(n=50, p=100, sigma2=1.0, beta=4, delta=2, c=1000.0)).r_star
+        r_star = minimize_risk(RiskParams(n=50, p=100, sigma2=1.0, beta=4, delta=2, c=1000.0)).r_star
         assert 1 < k < len(risks) - 1  # an interior grid point, not lambda = 0 or an end of the grid
         assert r_star * (1 - 1e-12) <= risks[k] <= r_star * (1 + 1e-4)
 
@@ -168,12 +167,16 @@ class TestOracleCommand:
             assert record["source"] == "newton" and record["iterations"] >= 1
             assert 0 <= record["stationarity"] <= 1e-10
 
-    def test_payload_is_the_library_comparison(self, tmp_path):
+    @pytest.mark.parametrize("seed", [0, 3, 2**40 + 7])
+    @pytest.mark.parametrize("kind", [kind.value for kind in ScenarioKind])
+    def test_payload_is_the_library_comparison(self, tmp_path, kind, seed):
+        # the command draws through scenarios.draw; the reference compares build_ensemble's coefficients
+        delta2 = 1.5 if kind in ("setting_c", "setting_d") else None
         out = tmp_path / "o.json"
-        assert main(["oracle", "--kind", "setting_c", "--n", "30", "--p", "4", "--c1", "1", "--c2", "0.5",
-                     "--delta1", "2", "--delta2", "1.5", "--seed", "3", "--out", str(out)]) == 0
+        assert main(["oracle", "--kind", kind, "--n", "30", "--p", "4", "--c1", "1", "--c2", "0.5", "--delta1", "2",
+                     *(["--delta2", str(delta2)] if delta2 else []), "--seed", str(seed), "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
-        spec = ScenarioSpec(kind=ScenarioKind.SETTING_C, n=30, p=4, c1=1.0, c2=0.5, delta1=2.0, delta2=1.5, seed=3)
+        spec = ScenarioSpec(kind=ScenarioKind(kind), n=30, p=4, c1=1.0, c2=0.5, delta1=2.0, delta2=delta2, seed=seed)
         mt_risk, st_risk, rho, search = compare_one(*build_ensemble(spec), 1.0)
         assert (payload["mt_risk"], payload["st_risk"], payload["rho"]) == (mt_risk, st_risk, rho)
         assert [payload["lambda_star"], payload["mu_star"], *payload["st_lambdas"]] == search.lam.tolist()
@@ -1035,14 +1038,28 @@ class TestArithmeticErrors:
         assert rc == 1
         assert "error: single-task oracle risk is zero" in capsys.readouterr().err
 
-    def test_oracle_with_a_non_finite_risk(self, tmp_path, capsys):
-        # the squared signal overflows: the search reports it instead of returning inf or nan
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            rc = main(["oracle", "--kind", "setting_a", "--n", "20", "--p", "3", "--c1", "1e308",
-                       "--c2", "0", "--delta1", "2", "--out", str(tmp_path / "o.json")])
-        assert rc == 1
-        assert "error: risk evaluation is not finite" in capsys.readouterr().err
+    @pytest.mark.parametrize("flags, message", [
+        # the squared signal overflows, quietly: the search reports it instead of returning inf or nan
+        (["--kind", "setting_a", "--n", "20", "--p", "3", "--c1", "1e308", "--c2", "0", "--delta1", "2"],
+         "risk evaluation is not finite on row 0"),
+        (["--kind", "setting_a", "--n", "50", "--p", "3", "--c1", "1e308", "--c2", "1e308", "--delta1", "0.1"],
+         "risk evaluation is not finite on row 0"),
+        # sqrt(n c2) overflows in the draw: the row build rejects the coefficients
+        (["--kind", "setting_d", "--n", "50", "--p", "3", "--c1", "1", "--c2", "1e308", "--delta1", "1",
+          "--delta2", "1"], "task coefficients must be finite"),
+    ])
+    def test_oracle_with_a_non_finite_risk(self, tmp_path, capsys, flags, message):
+        # pytest turns a RuntimeWarning into an error, so no numpy warning reaches stderr either
+        assert main(["oracle", *flags, "--out", str(tmp_path / "o.json")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_experiment_with_coefficients_that_are_not_finite(self, tmp_path, capsys):
+        cfg = TestExperimentCommand().write_config(tmp_path, kind="setting_d", n="50", p="3", c1="1", c2="1e308",
+                                                   delta1="1", delta2="1")
+        assert main(["experiment", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == "error: task coefficients must be finite\n"
+        assert list(tmp_path.iterdir()) == [cfg]
 
     def test_experiment_with_zero_signal(self, tmp_path, capsys):
         cfg = TestExperimentCommand().write_config(tmp_path, c1="0", c2="0")

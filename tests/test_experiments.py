@@ -9,7 +9,7 @@ import pytest
 from mtkrr import oracles, scenarios
 from mtkrr.experiments import Z_975, pvalue_pi1, pvalue_pi2, run_experiments
 from mtkrr.optimize import Search
-from mtkrr.oracles import compare, comparison_rows
+from mtkrr.oracles import comparison_rows, search_comparisons
 from mtkrr.render import emit_heatmap, emit_table, write_report_json
 from mtkrr.scenarios import ScenarioKind, ScenarioSpec, build_ensemble, derive_seed, derive_seeds, draw
 from conftest import bits, compare_one
@@ -200,7 +200,8 @@ class TestChunkedDraw:
                  for k, c2 in enumerate((0.1, 1.0, 0.5))]
         seeds = derive_seeds(np.repeat([spec.seed for spec in specs], 4), np.tile(np.arange(4), 3)).reshape(3, 4)
         gamma, owner, h = draw_block(specs, seeds)
-        _, _, rho, every = compare(12, gamma, h, 0.7, spectrum=owner)  # every replicate drawn and searched
+        # every replicate drawn and searched
+        _, _, rho, every = search_comparisons(12, gamma, *comparison_rows(h, 0.7), spectrum=owner)
         rows, original = [], oracles.minimize_profiles
         monkeypatch.setattr(oracles, "minimize_profiles",
                             lambda *args, **kwargs: rows.append(len(args[3])) or original(*args, **kwargs))

@@ -1,4 +1,4 @@
-"""Layout guards: the package holds no code that only the tests use, keeps the dense route off the hot path, one module forks on setting B, no module imports scipy, one module lays out a comparison, one function reads the sweep configs, one module writes files, a search has one columnar result type and one pruned grid scan, the template has one array evaluator, and no module draws from a numpy stream but for verify-bounds' fixed envelope sample.
+"""Layout guards: the package holds no code that only the tests use, keeps the dense route off the hot path, one module forks on setting B, no module imports scipy, one module lays out a comparison, every command draws through ``scenarios.draw``, one function reads the sweep configs, one module writes files, a search and the template oracle have one columnar result type, a search has one pruned grid scan, the template has one array evaluator, and no module draws from a numpy stream but for verify-bounds' fixed envelope sample.
 
 A public function, class or method defined in ``src/mtkrr`` counts as used
 only if a package module other than ``__init__.py`` references it, or a
@@ -121,11 +121,22 @@ def test_no_module_imports_scipy():
 
 
 def test_only_oracles_lays_out_a_comparison():
-    """Only ``oracles.compare`` reads the p + 2 layout of a comparison: no other module calls ``comparison_rows``."""
+    """Only ``oracles`` reads the p + 2 layout of a comparison: no other module calls ``comparison_rows``."""
     callers = [f"{path.name}: {ast.unparse(node)}" for path in sorted(PACKAGE.glob("*.py")) if path.name != "oracles.py"
                for node in ast.walk(ast.parse(path.read_text()))
                if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "comparison_rows"]
     assert not callers, f"modules other than oracles.py call comparison_rows: {callers}"
+
+
+def test_every_command_draws_through_the_work_list():
+    """``oracle`` and the sweeps draw through ``scenarios.draw``: no package module calls ``build_ensemble``.
+
+    ``build_ensemble`` stays the library's one-ensemble form, with its setting-B basis (README example).
+    """
+    callers = [f"{path.name}: {ast.unparse(node)}" for path in sorted(PACKAGE.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "build_ensemble"]
+    assert not callers, f"package modules call build_ensemble: {callers}"
 
 
 def test_only_the_sweep_runs_experiments():
@@ -156,9 +167,13 @@ def test_only_render_writes_files():
 
 
 def test_a_search_result_is_columnar():
-    """``minimize_profiles`` returns one ``Search`` of arrays: no module defines or names the per-row ``ProfileMinimum``."""
-    named = [path.name for path in sorted(PACKAGE.glob("*.py")) if re.search(r"\bProfileMinimum\b", path.read_text())]
-    assert not named, f"modules of src/mtkrr define or name ProfileMinimum: {named}"
+    """``minimize_profiles`` returns one ``Search`` of arrays, and the template oracle of ``minimize_risks`` is that
+    ``Search`` beside the envelope: no module defines or names the per-row ``ProfileMinimum``, the per-cell
+    ``BoundReport`` or its one-cell ``minimize_risk`` (test helpers in ``tests/reference.py``)."""
+    named = [(path.name, name) for path in sorted(PACKAGE.glob("*.py"))
+             for name in ("ProfileMinimum", "BoundReport", "minimize_risk")
+             if re.search(rf"\b{name}\b", path.read_text())]
+    assert not named, f"modules of src/mtkrr define or name a per-row or per-cell oracle result: {named}"
 
 
 def test_the_template_has_one_array_evaluator():
@@ -235,7 +250,7 @@ def test_readme_library_example_runs(capsys):
     section = README.read_text().split("## Library example", 1)[1]
     code = re.search(r"```python\n(.*?)```", section, flags=re.S).group(1)
     exec(compile(code, "README.md (Library example)", "exec"), {})
-    assert len(capsys.readouterr().out.splitlines()) == 2  # rho, then r_star, lambda_star and the regime
+    assert len(capsys.readouterr().out.splitlines()) == 2  # rho, then one template cell
 
 
 def test_readme_config_schema_runs(tmp_path):

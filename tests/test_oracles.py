@@ -7,11 +7,11 @@ from conftest import bits, compare_one, oracle_multitask, oracle_singletask, row
 from hypothesis import strategies as st
 
 from mtkrr.oracles import rho_formula_1out, rho_formula_2points
-from mtkrr.riskfn import RiskParams, alpha_constant, kappa, minimize_risk
+from mtkrr.riskfn import RiskParams, alpha_constant, kappa
 from mtkrr.scenarios import ScenarioKind, ScenarioSpec, build_ensemble
 from mtkrr.spectral import KernelSpectrum, TaskEnsemble
 from reference import (MeanVarianceProfile, RidgeRiskProfile, df_and_bias, hm_bound_rhs, mean_variance_profile,
-                       synth_spectrum)
+                       minimize_risk, synth_spectrum)
 
 
 def two_cluster_spec(n, p, c1, c2, delta, beta):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import (bits, bound_reports, columns, minimize_profile, quad_kappa, quad_tail_integral, rows, s1, s2,
+from conftest import (bits, columns, minimize_profile, quad_kappa, quad_tail_integral, rows, s1, s2,
                       search_one, stack, value_grid)
 from hypothesis import given
 from hypothesis import strategies as st
@@ -22,17 +22,16 @@ from mtkrr.riskfn import (
     kappa,
     lower_bound_window,
     minimax_window,
-    minimize_risk,
     minimize_risks,
     template_parts,
 )
 from mtkrr.scenarios import power_law
-from reference import (NoEpsilonCapError, RidgeRiskProfile, epsilon_cap, minimax_rate, risk_r, scalar_report,
-                       template_profile)
+from reference import (NoEpsilonCapError, RidgeRiskProfile, bound_reports, epsilon_cap, minimax_rate, minimize_risk,
+                       risk_r, scalar_report, template_profile)
 
 
 def cap_of(params: RiskParams) -> float:
-    """The localization cap from the rate as ``minimize_risk`` forms it."""
+    """The localization cap from the rate as ``minimize_risks`` forms it."""
     return epsilon_cap(params, minimax_rate(params, kappa(params.beta, params.delta)))
 
 
@@ -258,10 +257,10 @@ class TestMinimizeRisk:
         pairs = [(2.0, 2.0), (1.0, 2.4), (0.3, 2.0)]  # lb window, hm only, neither
         grid = [RiskParams(n=n, p=p, sigma2=1.0, beta=beta, delta=delta, c=c)
                 for n in (20, 50) for p in (1, 5) for beta, delta in pairs for c in (0.5, 2.0)]
-        bounds, _ = riskfn.minimize_risks(*columns(grid))
+        bounds, search = riskfn.minimize_risks(*columns(grid))
         assert sorted(calls["kappa"]) == [(1.0, 2.4), (2.0, 2.0)]
         assert calls["alpha_constant"] == [(2.0, 2.0)]
-        for params, report in zip(grid, bound_reports(bounds), strict=True):
+        for params, report in zip(grid, bound_reports(bounds, search), strict=True):
             inside = minimax_window(params.beta, params.delta)
             assert report.kappa == kappa(params.beta, params.delta) if inside else math.isnan(report.kappa)
 
@@ -507,10 +506,10 @@ class TestMinimizeRisks:
     @given(grid=template_grids(), data=st.data())
     def test_each_cell_as_alone_in_any_order(self, grid, data):
         bounds, search = minimize_risks(*columns(grid))
-        reports = bound_reports(bounds)
+        reports = bound_reports(bounds, search)
         alone = [minimize_risks(*columns([params])) for params in grid]
         # repr is exact for floats and equal for every nan: bit-equal, NaN-aware; so are a search's column bytes
-        assert repr(reports) == repr([cell_bounds.report(0) for cell_bounds, _ in alone])
+        assert repr(reports) == repr([bound_reports(*cell)[0] for cell in alone])
         cells = [bits(search, [k]) for k in range(len(grid))]
         assert cells == [bits(cell_search) for _, cell_search in alone]
         # and the curve is the one risk-curve tabulates
@@ -518,7 +517,7 @@ class TestMinimizeRisks:
         assert repr(minimize_risk(grid[0])) == repr(reports[0])
         order = data.draw(st.permutations(range(len(grid))))
         shuffled_bounds, shuffled = minimize_risks(*columns([grid[k] for k in order]))
-        assert repr(bound_reports(shuffled_bounds)) == repr([reports[k] for k in order])
+        assert repr(bound_reports(shuffled_bounds, shuffled)) == repr([reports[k] for k in order])
         assert bits(shuffled) == bits(search, order)
         for params, report in zip(grid, reports):
             assert report.r_star <= brute_force_minimum(params) * (1 + 1e-9)
@@ -526,10 +525,10 @@ class TestMinimizeRisks:
     @given(grid=template_grids())
     def test_every_column_is_the_scalar_arithmetic_of_its_cell(self, grid):
         # the powers cell by cell with Python's **, the rest on the columns: each bound is the scalar formula's bits
-        bounds, _ = minimize_risks(*columns(grid))
-        assert repr(bound_reports(bounds)) == repr([
+        bounds, search = minimize_risks(*columns(grid))
+        assert repr(bound_reports(bounds, search)) == repr([
             scalar_report(params, r_star, lambda_star)
-            for params, r_star, lambda_star in zip(grid, bounds.r_star.tolist(), bounds.lambda_star.tolist())])
+            for params, r_star, lambda_star in zip(grid, search.value.tolist(), search.lam.tolist())])
 
     @pytest.mark.parametrize("column, bad", [(0, 0), (1, 0), (2, 0.0), (2, math.inf), (3, -1.0), (4, math.nan),
                                              (5, -1.0), (5, math.inf)])
@@ -541,7 +540,7 @@ class TestMinimizeRisks:
 
     def test_empty_grid(self):
         bounds, search = minimize_risks(*columns([]))
-        assert bound_reports(bounds) == [] and rows(search) == []
+        assert bound_reports(bounds, search) == [] and rows(search) == []
 
 
 class TestEngineInputs:
