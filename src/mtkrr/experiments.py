@@ -65,26 +65,32 @@ def pvalue_pi2(mean_ratio: float, std_ratio: float, n_scale: int) -> float:
     return _phi(math.sqrt(n_scale) * (mean_ratio - 1.0) / std_ratio)
 
 
-def _report(spec: ScenarioSpec, sigma2: float, n_rep: int, arr: np.ndarray, pi2_scale: str):
-    """Aggregate the oracle ratios of one spec's replicates into its report."""
-    finite = np.isfinite(arr)
-    if not finite.all():
-        raise FloatingPointError(f"replicate {int(np.argmin(finite))} produced a non-finite oracle ratio")
-    b_bar = float(np.mean(arr < 1.0))
-    mean = float(arr.mean())
-    scale = n_rep if pi2_scale == "N" else spec.n
-    if n_rep > 1:
-        std = float(arr.std(ddof=1))
-        pi2 = pvalue_pi2(mean, std, scale) if std > 0 else (0.0 if mean < 1 else 1.0)
-        half = Z_975 / math.sqrt(n_rep) * std
-        ci95 = (mean - half, mean + half)
-    else:
-        # single replicate: dispersion and the CLT statistic are undefined
-        std = pi2 = math.nan
-        ci95 = (math.nan, math.nan)
-    return ExperimentReport(spec=spec, sigma2=sigma2, n_rep=n_rep, ratios=tuple(arr.tolist()), b_bar=b_bar,
-                            pi1=pvalue_pi1(b_bar, n_rep), mean_ratio=mean, std_ratio=std, pi2=pi2, ci95=ci95,
-                            pi2_scale=pi2_scale)
+def _reports(specs: list[ScenarioSpec], sigma2: float, n_rep: int, rho: np.ndarray, pi2_scale: str):
+    """Aggregate the oracle ratios of every spec's replicates, an (S, n_rep) block, into one report per spec.
+
+    Each statistic is formed for every spec at once, reduced along the contiguous replicate axis, so each
+    spec's bits are those of its own ratios alone.
+    """
+    finite = np.isfinite(rho)
+    bad = np.flatnonzero(~finite.all(axis=1))
+    if bad.size:
+        raise FloatingPointError(f"replicate {int(np.argmin(finite[bad[0]]))} produced a non-finite oracle ratio")
+    b_bar = np.mean(rho < 1.0, axis=1).tolist()
+    mean = rho.mean(axis=1).tolist()
+    # single replicate: dispersion and the CLT statistic are undefined
+    std = rho.std(axis=1, ddof=1).tolist() if n_rep > 1 else [math.nan] * len(specs)
+    reports = []
+    for spec, ratios, b, m, s in zip(specs, rho.tolist(), b_bar, mean, std):
+        if n_rep > 1:
+            pi2 = pvalue_pi2(m, s, n_rep if pi2_scale == "N" else spec.n) if s > 0 else (0.0 if m < 1 else 1.0)
+            half = Z_975 / math.sqrt(n_rep) * s
+            ci95 = (m - half, m + half)
+        else:
+            pi2, ci95 = math.nan, (math.nan, math.nan)
+        reports.append(ExperimentReport(spec=spec, sigma2=sigma2, n_rep=n_rep, ratios=tuple(ratios), b_bar=b,
+                                        pi1=pvalue_pi1(b, n_rep), mean_ratio=m, std_ratio=s, pi2=pi2, ci95=ci95,
+                                        pi2_scale=pi2_scale))
+    return reports
 
 
 def run_experiments(specs: list[ScenarioSpec], sigma2: float, n_rep: int,
@@ -126,6 +132,6 @@ def run_experiments(specs: list[ScenarioSpec], sigma2: float, n_rep: int,
         rho = np.repeat(rho, n_rep)
         columns = (getattr(search, column.name).reshape(len(specs), -1) for column in fields(Search))
         search = Search(*(np.tile(column, n_rep).ravel() for column in columns))
-    reports = [_report(spec, sigma2, n_rep, rho[k * n_rep:(k + 1) * n_rep], pi2_scale) for k, spec in enumerate(specs)]
+    reports = _reports(specs, sigma2, n_rep, rho.reshape(len(specs), n_rep), pi2_scale)
     times["report"] = time.perf_counter() - start
     return reports, search, times

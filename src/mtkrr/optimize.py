@@ -18,33 +18,54 @@ t = log lam.  Each spectrum's bracket is [g_min+/n, g_max/n] (smallest
 positive and largest eigenvalue) widened by ``BRACKET_DECADES`` on each
 side, so the search follows the scale of the spectrum.  A 64-point log grid
 over the bracket locates every candidate basin of every row, but most of it
-lies in the two widenings, far from any minimum, so it is scanned in two
-passes.  The coarse pass evaluates every ``COARSE_STEP``-th grid point and
-both pairs of end points, keeping the bias sum apart from the variance sum.
-The bias does not decrease as lam grows and the variance does not increase
-(Hoerl and Kennard, Technometrics 1970), so on a coarse cell [t_a, t_b] the
-curve is at least B(t_a) + V(t_b).  A cell is open when that bound reaches
-the row's best value so far (the limits and the coarse values, inflated by
-``BOUND_MARGIN`` for rounding); the fine pass evaluates the grid only from
-the row's first open cell to its last, plus ``HALO`` points on each side.
-A grid point is a basin only if it and both its neighbours were evaluated.
-A pruned cell can hold neither the winner nor a grid value its basin needs,
-and every evaluated value has the arithmetic of the full scan, so winners
-are what the full 64-point scan finds, bit for bit.  All basins are then
-refined together by a safeguarded Newton iteration on dR/dt (a step that
-would leave the basin's bracket, or meets unusable curvature, becomes a
-bisection).  A basin stops on the relative rule |lam g'(lam)| <= tol g(lam),
-which reads the same at every scale of the eigenvalues, the signal and the
-noise.  The exact limits lam = 0 and lam = +inf compete with the interior
-candidates, so degenerate rows (zero signal, zero noise) resolve to the
-right boundary.  g is not convex in general, which is why every basin is
-refined rather than just the best grid point.
+lies in the two widenings, far from any minimum, so it is scanned in passes
+that keep the bias sum apart from the variance sum.  The bias does not
+decrease as lam grows and the variance does not increase (Hoerl and
+Kennard, Technometrics 1970), so on a cell [t_a, t_b] the curve is at least
+B(t_a) + V(t_b).  The first pass evaluates only the interior points 8, 16,
+..., 56, the ends of eight cells: the first cell starts at lam = 0 and the
+last ends at lam = +inf, with the exact limits as their ends (the bias of
+the projection at lam = 0, and no variance at +inf).  A cell is open when
+its bound reaches the row's best value so far (the limits and every value
+evaluated, inflated by ``BOUND_MARGIN`` for rounding).  The last pass
+evaluates the rest of the grid only from the row's first open cell to its
+last, plus ``HALO`` points on each side, so the grid ends 0, 1, 62 and 63
+are evaluated only when they fall in that window.  Rows at least
+``MIDDLE_PASS_WIDTH`` wide take a middle pass in between: it evaluates the
+even points in the same window, then tests the step-2 cells against the
+improved best value (a cell only inside an open cell of the first pass),
+and the last pass, over point 0 and the odd points, follows the open
+step-2 cells.  A grid point is a basin only if it and both its neighbours
+were evaluated.  A pruned cell can hold neither the winner nor a grid value
+its basin needs, and every evaluated value has the arithmetic of the full
+scan, so winners are what the full 64-point scan finds, bit for bit.  A
+smooth curve's row evaluates about 25 of the 64 points on two passes, and
+about 19 on three (7 + 8 + 4).
+
+The middle pass costs one more scan call and the retest, 0.1 to 0.25 ms a
+call whatever the width, and saves about ten evaluations per row, each of
+width products at about 1.2 ns a product (2-core Xeon, numpy 2.4).  Timed
+with the pass on and off, interleaved, on stacks of 11 to 88 power-law
+comparison rows cut to each width, it breaks even near width 600 with 44
+to 88 rows, 900 with 22 and 1150 with 11, and cuts the whole search by a
+quarter at width 2000 with 88 rows.  ``MIDDLE_PASS_WIDTH`` is the first
+power of two above the break-even of 22 rows, one comparison of 20 tasks.
+
+All basins are then refined together by a safeguarded Newton iteration on
+dR/dt (a step that would leave the basin's bracket, or meets unusable
+curvature, becomes a bisection).  A basin stops on the relative rule
+|lam g'(lam)| <= tol g(lam), which reads the same at every scale of the
+eigenvalues, the signal and the noise.  The exact limits lam = 0 and
+lam = +inf compete with the interior candidates, so degenerate rows (zero
+signal, zero noise) resolve to the right boundary.  g is not convex in
+general, which is why every basin is refined rather than just the best grid
+point.
 
 Each row's arithmetic depends on that row alone: reductions run over the
 contiguous eigen-axis, never through BLAS, the grid depends only on the
 row's spectrum, and the points evaluated depend only on the row's own
-coarse values.  A row therefore gets bit-identical results alone, in any
-stack, and in any order.  Rows that the caller names with one signal row
+values and its width.  A row therefore gets bit-identical results alone, in
+any stack, and in any order.  Rows that the caller names with one signal row
 (``curve``) and one spectrum differ only in their noise, so their bias sums
 are formed once, over the union of their windows; each row then keeps only
 its own window's values, and gets the bits and basins it gets alone.
@@ -59,11 +80,16 @@ from dataclasses import dataclass
 import numpy as np
 
 DEFAULT_GRID_POINTS = 64
-COARSE_STEP = 8  # the coarse pass takes every 8th grid point, and points 0, 1, 62 and 63
+COARSE_STEP = 8  # the first pass takes the interior grid points 8, 16, ..., 56
+MIDDLE_STEP = 2  # the middle pass takes the other even points from 2 to 62
 HALO = 2  # grid points evaluated beyond each end of a row's open cells: a basin's neighbours
+# rows at least this wide take the middle pass: above its measured break-even, where its fixed cost (one more
+# scan call and the retest of the step-2 cells) meets about ten fewer evaluations per row of width products each
+MIDDLE_PASS_WIDTH = 1024
 BOUND_MARGIN = 1e-9  # relative: far above the rounding of the bias and variance sums in a cell bound
-# a row whose bias sum at the right end plus variance sum at the left end exceeds this might overflow
-# between its coarse points, so every cell of it stays open and the finiteness check sees the whole grid
+# a row whose signal sum plus lam = 0 variance sum (each at least its sum at every grid point) exceeds this
+# might overflow between its evaluated points, so every cell of it stays open and the finiteness check sees
+# the whole grid
 HEADROOM = np.finfo(float).max / 2
 DEFAULT_GRAD_TOL = 1e-10  # relative; a basin can end about tol^2 g^2 / (2 d2g/dt2) above its minimum
 DEFAULT_MAX_ITER = 100
@@ -74,9 +100,15 @@ T_LIMIT = 600.0  # |log lam| cap: lam stays a normal double even one grid step p
 T_STEP_TOL = 1e-12  # a step in log lam this small ends a basin's search
 SOURCES = ("zero", "limit", "newton", "grid")  # the candidates of a search, in order of precedence
 BLOCK_ELEMENTS = 1 << 15  # doubles per temporary (256 KB): cache-sized, and memory stays flat whatever the stack
-_coarse = {*range(0, DEFAULT_GRID_POINTS, COARSE_STEP), 1, DEFAULT_GRID_POINTS - 2, DEFAULT_GRID_POINTS - 1}
-COARSE = np.array(sorted(_coarse))  # the grid points of the coarse pass
-FINE = np.array([i for i in range(DEFAULT_GRID_POINTS) if i not in _coarse])  # and of the fine pass
+_GRID = np.arange(DEFAULT_GRID_POINTS)
+COARSE = _GRID[COARSE_STEP::COARSE_STEP]  # the grid points of the first pass
+MIDDLE = np.array([i for i in _GRID[MIDDLE_STEP::MIDDLE_STEP].tolist() if i % COARSE_STEP])  # of the middle pass
+LAST = np.array([i for i in _GRID.tolist() if i % MIDDLE_STEP or not i])  # of the last pass after it: 0 and the odds
+FINE = np.array([i for i in _GRID.tolist() if i % COARSE_STEP or not i])  # of the last pass of a row that skips it
+# each pass's grid points and the step of the cells retested after it (0: none, the last pass), with and
+# without the middle pass
+PASSES = ((COARSE, COARSE_STEP), (MIDDLE, MIDDLE_STEP), (LAST, 0))
+NARROW_PASSES = ((COARSE, COARSE_STEP), (FINE, 0))
 
 
 @dataclass(frozen=True)
@@ -262,32 +294,35 @@ def _projector(n, gamma, signal, noise, spectrum, curve) -> tuple[np.ndarray, np
     return kept / n, noise / n * rank[spectrum]
 
 
-def _open_coarse_cells(n, bias, var, zero, limit) -> np.ndarray:
-    """Which coarse cells of each row can hold a value at or below the row's best value so far.
+def _open_cells(bias, var, bias0, best, parent) -> np.ndarray:
+    """Which cells of a pass can hold a value at or below ``best``, each row's best value so far.
 
-    ``bias`` and ``var`` are sum s b^2 and v sum a^2 at the ``COARSE`` points.  On the cell [t_a, t_b]
-    the curve is at least (bias(t_a) + var(t_b)) / n, because the bias does not decrease and the
-    variance does not increase as lam grows; the cell is open when that bound is at most the smallest
-    of ``zero``, ``limit`` and the coarse values, inflated by ``BOUND_MARGIN``.  A row that might
-    overflow between its coarse points (see ``HEADROOM``) keeps every cell open.
+    ``bias`` and ``var`` are B = sum s b^2 / n and V = v sum a^2 / n at the pass's ends t_s, t_2s, ..., t_64-s
+    (s = 64 / cells), nan where not evaluated.  Cell c is [t_cs, t_(c+1)s], where t_0 stands for lam = 0 and
+    t_64 for lam = +inf.  The bias does not decrease and the variance does not increase as lam grows, so on
+    a cell the curve is at least B(t_a) + V(t_b), with the exact limits at the ends: ``bias0``, the bias at
+    lam = 0, and no variance at lam = +inf.  A cell is open when that bound is at most ``best`` inflated by
+    ``BOUND_MARGIN``, and only inside an open cell of ``parent``, the cells the pass before tested.
     """
-    best = np.minimum(np.minimum(zero, limit), ((bias + var) / n).min(axis=1))
-    open_ = (bias[:, :-1] + var[:, 1:]) / n <= best[:, None] * (1 + BOUND_MARGIN)
-    open_[~(bias[:, -1] + var[:, 0] <= HEADROOM)] = True
+    bound = np.empty((len(bias), bias.shape[1] + 1))
+    bound[:, 0] = bias0 + var[:, 0]
+    np.add(bias[:, :-1], var[:, 1:], out=bound[:, 1:-1])
+    bound[:, -1] = bias[:, -1]
+    open_ = bound <= best[:, None] * (1 + BOUND_MARGIN)
+    open_ &= np.repeat(parent, bound.shape[1] // parent.shape[1], axis=1)
     return open_
 
 
-def _check_finite(vals, lo, hi, zero, limit) -> None:
+def _check_finite(vals, zero, limit) -> None:
     """Raise ``FloatingPointError`` naming the first row with a value that is not finite where it was evaluated.
 
-    A row is evaluated at the ``COARSE`` points and from ``lo`` to ``hi``.  A nan or infinite input shows
-    in a limit or at every point, and a row that might overflow between its coarse points is evaluated
-    everywhere, so the check sees every row whose full 64-point scan would not be finite.
+    ``vals`` is nan where a point was not evaluated.  A nan or infinite input shows in a limit or at every
+    point, the ``COARSE`` points included, which every row evaluates; finite inputs make nonnegative sums,
+    which overflow to +inf, never to nan; and a row that might overflow between its evaluated points is
+    evaluated everywhere.  So the check sees every row whose full 64-point scan would not be finite.
     """
-    points = np.arange(DEFAULT_GRID_POINTS)
-    evaluated = (lo[:, None] <= points) & (points <= hi[:, None])
-    evaluated[:, COARSE] = True
-    finite = (np.isfinite(vals) | ~evaluated).all(axis=1) & np.isfinite(zero) & np.isfinite(limit)
+    finite = ~(np.isinf(vals).any(axis=1) | np.isnan(vals[:, COARSE]).any(axis=1))
+    finite &= np.isfinite(zero) & np.isfinite(limit)
     if not finite.all():
         raise FloatingPointError(f"risk evaluation is not finite on row {int(np.flatnonzero(~finite)[0])}")
 
@@ -355,18 +390,31 @@ def minimize_profiles(
     # named rows of one (curve, spectrum) pair share a scan: the first row of each pair, and each row's pair
     pairs = np.unique(curve * len(gamma) + spectrum, return_index=True, return_inverse=True)[1:] if named else None
     with np.errstate(over="ignore", invalid="ignore"):  # a row that is not finite is reported below
-        everywhere = np.zeros(rows, dtype=np.intp)
-        _scan(gamma, signal, spectrum, x_grid, COARSE, everywhere, everywhere + len(COARSE), bias, squares, curve,
-              pairs)
-        # the exact risks at lam = 0 and at lam = +inf, where all the signal is bias
-        zero, limit = np.add(*_projector(n, gamma, signal, noise, spectrum, curve)), _sum(signal)[curve] / n
-        open_ = _open_coarse_cells(n, bias[:, COARSE], noise[:, None] * squares[:, COARSE][spectrum], zero, limit)
-        # each row's window: its first open coarse cell to its last, widened by the halo; lo > hi if none is open
-        lo = np.maximum(COARSE[open_.argmax(axis=1)] - HALO, 0)
-        hi = np.minimum(COARSE[open_.shape[1] - open_[:, ::-1].argmax(axis=1)] + HALO, DEFAULT_GRID_POINTS - 1)
-        hi[~open_.any(axis=1)] = -1
-        _scan(gamma, signal, spectrum, x_grid, FINE, np.searchsorted(FINE, lo), np.searchsorted(FINE, hi, side="right"),
-              bias, squares, curve, pairs)
+        # the exact risks at lam = 0 and at lam = +inf, where all the signal is bias; a row that might overflow
+        # (see HEADROOM) has no best value, so every cell of it stays open
+        bias0, var0 = _projector(n, gamma, signal, noise, spectrum, curve)
+        zero, limit = bias0 + var0, _sum(signal)[curve] / n
+        best_limit, may_overflow = np.minimum(zero, limit), ~(limit + var0 <= HEADROOM / n)
+        passes = PASSES if gamma.shape[1] >= MIDDLE_PASS_WIDTH else NARROW_PASSES
+        first, stop = np.zeros(rows, dtype=np.intp), np.full(rows, len(COARSE))  # the first pass: every row everywhere
+        open_ = np.ones((rows, 1), dtype=bool)  # one cell, from lam = 0 to +inf
+        for k, (points, step) in enumerate(passes):
+            _scan(gamma, signal, spectrum, x_grid, points, first, stop, bias, squares, curve, pairs)
+            if not step:
+                break
+            # retest on the cells between the multiples of step, which hold every point evaluated so far
+            ends = _GRID[step::step]
+            b, v = bias[:, ends] / n, noise[:, None] * squares[:, ends][spectrum] / n
+            best = np.minimum(best_limit, np.fmin.reduce(b + v, axis=1))
+            best[may_overflow] = np.inf
+            open_ = _open_cells(b, v, bias0, best, open_)
+            del b, v
+            # the next pass's window: from the first open cell to the last, widened by the halo; empty if none is open
+            lo = step * open_.argmax(axis=1) - HALO
+            lo[~open_.any(axis=1)] = DEFAULT_GRID_POINTS
+            hi = step * (open_.shape[1] - open_[:, ::-1].argmax(axis=1)) + HALO
+            following = passes[k + 1][0]
+            first, stop = np.searchsorted(following, lo), np.searchsorted(following, hi, side="right")
         # in row blocks: each cell's bound B(t_i) + V(t_i+1), nan where an end was not evaluated, then the values
         # over the bias sums.  Only a cell whose bound is below every candidate but Newton's can end up open.
         grid_min, candidates = np.empty(rows), []
@@ -379,13 +427,13 @@ def minimize_profiles(
             np.add(bias[r], var, out=vals[r])
             vals[r] /= n
             grid_min[r] = np.fmin.reduce(vals[r], axis=1)
-            upper = np.minimum(np.minimum(zero[r], limit[r]), grid_min[r]) * (1 - BOUND_MARGIN)
+            upper = np.minimum(best_limit[r], grid_min[r]) * (1 - BOUND_MARGIN)
             row, cell = np.nonzero(bound < upper[:, None])
             candidates.append((row + k, cell, bound[row, cell]))
             del var, bound
     row, cell, row_bound = (np.concatenate(part) for part in zip(*candidates))
-    _check_finite(vals, lo, hi, zero, limit)
-    del candidates, x_grid, squares, everywhere, open_, lo, hi  # the scan's arrays go before Newton's
+    _check_finite(vals, zero, limit)
+    del candidates, x_grid, squares, open_, best, lo, hi, first, stop  # the scan's arrays go before Newton's
 
     # every grid-local minimum among the evaluated points (nan compares false) marks a basin worth refining;
     # the grid argmin is one of them unless a limit wins the row.  Newton starts at the vertex of the parabola

@@ -110,6 +110,12 @@ def mean_variance(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     with hbar_i the plain row mean (= mu_i / sqrt(p)).  Computed directly from
     row sums, never materializing the p x p rotation that diagonalizes the
     task-coupling matrix.  Both reduce along the contiguous task axis, so each
-    replicate of a block gets the bits of its n x p slice alone.
+    replicate of a block gets the bits of its n x p slice alone.  The task sum
+    is formed once; the variance then takes ``np.var``'s own steps from it
+    (divide by p, subtract, square, sum, divide by p), so it has its bits.
     """
-    return h.sum(axis=-1) / math.sqrt(h.shape[-1]), np.var(h, axis=-1)
+    p = h.shape[-1]
+    total = h.sum(axis=-1)
+    spread = h - (total / p)[..., None]
+    np.square(spread, out=spread)
+    return total / math.sqrt(p), spread.sum(axis=-1) / p

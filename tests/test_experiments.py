@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mtkrr import oracles, scenarios
-from mtkrr.experiments import Z_975, pvalue_pi1, pvalue_pi2, run_experiments
+from mtkrr.experiments import Z_975, _reports, pvalue_pi1, pvalue_pi2, run_experiments
 from mtkrr.optimize import Search
 from mtkrr.oracles import comparison_rows, search_comparisons
 from mtkrr.render import emit_heatmap, emit_table, write_report_json
@@ -70,16 +70,23 @@ class TestRunExperiment:
         assert report.pi1 in (0.0, math.exp(-2 * (report.b_bar - 0.5) ** 2))
 
     def test_statistics_recompute_from_ratios(self):
-        report = run_experiment(quick_spec(kind=ScenarioKind.SETTING_A, c2=1.0), sigma2=1.0, n_rep=25)
-        arr = np.array(report.ratios)
-        assert report.b_bar == float(np.mean(arr < 1))
-        assert report.pi1 == pvalue_pi1(report.b_bar, 25)
-        assert report.mean_ratio == pytest.approx(float(arr.mean()), rel=1e-15)
-        assert report.std_ratio == pytest.approx(float(arr.std(ddof=1)), rel=1e-12)
-        half = Z_975 / math.sqrt(25) * report.std_ratio
-        assert report.ci95[0] == pytest.approx(report.mean_ratio - half, rel=1e-12)
-        assert report.ci95[1] == pytest.approx(report.mean_ratio + half, rel=1e-12)
+        # every spec of a run gets, bit for bit, the statistics numpy forms from its own ratios alone
+        specs = [quick_spec(kind=ScenarioKind.SETTING_A, c2=c2) for c2 in (1.0, 0.3, 0.05)]
+        for report in run_experiments(specs, 1.0, 25)[0]:
+            arr = np.array(report.ratios)
+            assert report.b_bar == float(np.mean(arr < 1))
+            assert report.pi1 == pvalue_pi1(report.b_bar, 25)
+            assert report.mean_ratio == float(arr.mean())
+            assert report.std_ratio == float(arr.std(ddof=1))
+            half = Z_975 / math.sqrt(25) * report.std_ratio
+            assert report.ci95[0] == pytest.approx(report.mean_ratio - half, rel=1e-12)
+            assert report.ci95[1] == pytest.approx(report.mean_ratio + half, rel=1e-12)
         assert abs(Z_975 - 1.959964) < 1e-6
+
+    def test_a_ratio_that_is_not_finite_names_its_replicate(self):
+        rho = np.array([[0.5, 0.6, 0.7], [0.5, math.inf, math.nan]])
+        with pytest.raises(FloatingPointError, match="replicate 1 produced a non-finite oracle ratio"):
+            _reports([quick_spec(), quick_spec(seed=1)], 1.0, 3, rho, "N")
 
     def test_bit_reproducible(self, tmp_path):
         spec = quick_spec(kind=ScenarioKind.SETTING_A, c2=0.5, seed=777)

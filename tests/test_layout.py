@@ -199,10 +199,12 @@ def test_the_search_keeps_its_signature_and_one_pruned_grid_scan():
     """``minimize_profiles`` takes no pruning or grid knob, and the package scans the risk grid in one place.
 
     Grid values are formed only by ``optimize._squares`` inside ``optimize._scan``, and ``_scan`` runs only
-    in ``minimize_profiles``: once over the ``COARSE`` points and once over the ``FINE`` points.  The one
-    other call of ``_squares`` is ``riskfn.template_parts``, so the template curve has the grid scan's
-    arithmetic.  The unpruned 64-point scan is a validation oracle in ``tests/reference.py``.
+    in ``minimize_profiles``, once per pass over that pass's grid points.  The passes with the middle pass
+    (``PASSES``) and without it (``NARROW_PASSES``) each take every grid point once.  The one other call of
+    ``_squares`` is ``riskfn.template_parts``, so the template curve has the grid scan's arithmetic.  The
+    unpruned 64-point scan is a validation oracle in ``tests/reference.py``.
     """
+    from mtkrr import optimize
     from mtkrr.optimize import minimize_profiles
 
     parameters = inspect.signature(minimize_profiles).parameters
@@ -218,7 +220,10 @@ def test_the_search_keeps_its_signature_and_one_pruned_grid_scan():
     squares = sorted(where for where, func, _ in calls if func.endswith("_squares"))
     scans = sorted((where, points) for where, func, points in calls if func.endswith("_scan"))
     assert squares == ["optimize._scan", "riskfn.template_parts"], f"risk values formed elsewhere: {squares}"
-    assert scans == [("optimize.minimize_profiles", "COARSE"), ("optimize.minimize_profiles", "FINE")], scans
+    assert scans == [("optimize.minimize_profiles", "points")], scans
+    grid = list(range(optimize.DEFAULT_GRID_POINTS))
+    for passes in (optimize.PASSES, optimize.NARROW_PASSES):
+        assert sorted(i for points, _ in passes for i in points.tolist()) == grid, passes
 
 
 # the one numpy stream in the package: verify-bounds' envelope is a fixed verification sample that must not be re-seeded

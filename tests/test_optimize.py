@@ -1,4 +1,6 @@
+import contextlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -9,9 +11,21 @@ from conftest import bits, minimize_profile, rows, search_one, value_grid
 from reference import RidgeRiskProfile, certified_lower_bound, full_scan_minimize_profiles
 
 from mtkrr import optimize
-from mtkrr.optimize import BRACKET_DECADES, COARSE, DEFAULT_GRID_POINTS, _curve, minimize_profiles
+from mtkrr.optimize import BRACKET_DECADES, DEFAULT_GRID_POINTS, _curve, minimize_profiles
 from mtkrr.oracles import comparison_rows
 from mtkrr.scenarios import ScenarioKind, ScenarioSpec, build_ensemble
+
+
+# the middle pass of the grid scan forced on at every width, and off at every width (most stacks here are narrow)
+MIDDLE_PASS = pytest.mark.parametrize("middle_pass_width", [0, sys.maxsize], ids=["middle pass on", "middle pass off"])
+
+
+@contextlib.contextmanager
+def middle_pass(width):
+    """``optimize.MIDDLE_PASS_WIDTH`` set to ``width`` inside the block."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(optimize, "MIDDLE_PASS_WIDTH", width)
+        yield
 
 
 def sample_profile(seed: int, n: int = 30) -> RidgeRiskProfile:
@@ -291,7 +305,9 @@ def test_non_finite_risk_is_an_arithmetic_error(bad):
         minimize_profiles(n, np.linspace(2.0, 1.0, n), signal, np.ones(2))
 
 
-def test_a_signal_near_the_largest_double_that_overflows_is_an_arithmetic_error():
+@MIDDLE_PASS
+def test_a_signal_near_the_largest_double_that_overflows_is_an_arithmetic_error(middle_pass_width, monkeypatch):
+    monkeypatch.setattr(optimize, "MIDDLE_PASS_WIDTH", middle_pass_width)
     n = 5
     signal = np.ones((2, n))
     signal[1] = 1e308  # finite, but the bias sums overflow
@@ -299,10 +315,12 @@ def test_a_signal_near_the_largest_double_that_overflows_is_an_arithmetic_error(
         minimize_profiles(n, np.linspace(2.0, 1.0, n), signal, np.ones(2))
 
 
-def test_an_overflow_between_the_coarse_points_is_an_arithmetic_error():
-    # bias and variance sums are finite at both grid ends and at every coarse point, and so are both
-    # limits; only grid points 36 to 39, inside cells the bound prunes, overflow.  Such a row keeps its
-    # whole grid, so the check sees what the full scan sees.
+@MIDDLE_PASS
+def test_an_overflow_between_the_coarse_points_is_an_arithmetic_error(middle_pass_width, monkeypatch):
+    # bias and variance sums are finite at both grid ends and at every point of the first pass, and so
+    # are both limits; only grid points 36 to 39, inside cells the bound prunes, overflow.  Such a row
+    # keeps its whole grid, so the check sees what the full scan sees.
+    monkeypatch.setattr(optimize, "MIDDLE_PASS_WIDTH", middle_pass_width)
     big = np.finfo(float).max
     gamma = np.array([1.0, 1e-10, 1e-16])
     signal = np.array([[1.0, 1.0, 1.0], [0.05 * big, 0.9 * big, 0.0]])
@@ -383,19 +401,24 @@ def assert_as_the_full_scan(n, gamma, signal, noise, spectrum):
         assert getattr(pruned, field).tobytes() == getattr(full, field).tobytes(), field
 
 
+@MIDDLE_PASS
 @given(stacks())
-def test_the_pruned_scan_finds_what_the_full_scan_finds(stack):
-    assert_as_the_full_scan(*stack)
+def test_the_pruned_scan_finds_what_the_full_scan_finds(middle_pass_width, stack):
+    with middle_pass(middle_pass_width):
+        assert_as_the_full_scan(*stack)
 
 
+@MIDDLE_PASS
 @given(multi_basin_stacks())
-def test_the_pruned_scan_finds_what_the_full_scan_finds_on_multi_basin_curves(stack):
-    assert_as_the_full_scan(*stack)
+def test_the_pruned_scan_finds_what_the_full_scan_finds_on_multi_basin_curves(middle_pass_width, stack):
+    with middle_pass(middle_pass_width):
+        assert_as_the_full_scan(*stack)
 
 
+@MIDDLE_PASS
 @pytest.mark.parametrize("width, spectra_count", [(300, 12), (3000, 2)])
-def test_the_pruned_scan_finds_what_the_full_scan_finds_in_blocks(width, spectra_count):
-    # wide rows split the coarse pass into blocks of spectra and rows, and the fine pass into chunks of points
+def test_the_pruned_scan_finds_what_the_full_scan_finds_in_blocks(middle_pass_width, width, spectra_count):
+    # wide rows split the first pass into blocks of spectra and rows, and the later passes into chunks of points
     rng = np.random.default_rng(width)
     i = np.arange(1, width + 1, dtype=float)
     gamma = np.array([10.0 ** rng.uniform(-3, 3) * i ** -rng.uniform(1.0, 6.0) for _ in range(spectra_count)])
@@ -403,7 +426,8 @@ def test_the_pruned_scan_finds_what_the_full_scan_finds_in_blocks(width, spectra
     signal = 10.0 ** rng.uniform(-3, 3, (rows, 1)) * i ** -rng.uniform(0.6, 6.0, (rows, 1))
     signal[::5, width // 2:width // 2 + 2] = 1e3 * signal[::5, :1]  # a second cluster: two basins
     spectrum = rng.integers(0, spectra_count, rows)
-    assert_as_the_full_scan(width, gamma, signal, 10.0 ** rng.uniform(-4, 1, rows), spectrum)
+    with middle_pass(middle_pass_width):
+        assert_as_the_full_scan(width, gamma, signal, 10.0 ** rng.uniform(-4, 1, rows), spectrum)
 
 
 @pytest.mark.parametrize("m", [2.0, 3.0])
@@ -416,8 +440,10 @@ def test_open_cells_count_the_cells_a_periodic_spline_search_leaves_open(m):
     assert minimize_profiles(40, spectrum.gamma, signal.reshape(-1, 40), noise).open_cells.max() > 1
 
 
-def test_a_row_with_null_eigenvalues_is_bit_identical_alone_and_stacked():
+@MIDDLE_PASS
+def test_a_row_with_null_eigenvalues_is_bit_identical_alone_and_stacked(middle_pass_width, monkeypatch):
     # the lam = 0 risk sums the signal of the null directions row by row, however many rows share the spectrum
+    monkeypatch.setattr(optimize, "MIDDLE_PASS_WIDTH", middle_pass_width)
     n = 25
     gamma = np.zeros(n)
     gamma[0] = 1.0
@@ -430,49 +456,56 @@ def test_a_row_with_null_eigenvalues_is_bit_identical_alone_and_stacked():
         bits(search_one(RidgeRiskProfile(n=n, gamma=gamma, signal=signal[k], noise=noise[k]))) for k in range(6)]
 
 
+@MIDDLE_PASS
 @given(stacks())
-def test_pruned_cells_hold_nothing_below_the_winner_and_open_cells_keep_their_basins(stack):
+def test_pruned_cells_hold_nothing_below_the_winner_and_open_cells_keep_their_basins(middle_pass_width, stack):
     """What the pruning drops: cells the bound keeps above the value, and basins whose brackets lie in them.
 
-    The bound B(t_i) + V(t_i+1) of every grid cell inside a pruned coarse cell, evaluated afresh, is at or
-    above the value found.  Around every open coarse cell [c, c'], each grid point from c - 1 to c' + 1 is
-    evaluated with both its neighbours, so a basin whose Newton bracket meets the cell is refined.
+    Every pass but the last tests the cells between its ends, the first cell from lam = 0 and the last to
+    lam = +inf.  The bound B(t_a) + V(t_b) of every cell a pass prunes, evaluated afresh with the exact
+    limits at the outer ends, is at or above the value found.  Around every open cell [a, b] of the last
+    tested pass, each grid point from a - 1 to b + 1 is evaluated with both its neighbours, so a basin whose
+    Newton bracket meets the cell is refined.
     """
     n, gamma, signal, noise, spectrum = stack
-    opened, scanned = [], []
-    open_coarse_cells, scan = optimize._open_coarse_cells, optimize._scan
+    tested, scanned = [], []
+    open_cells, scan = optimize._open_cells, optimize._scan
 
     def spy_open(*args):
-        opened.append(open_coarse_cells(*args))
-        return opened[-1]
+        tested.append(open_cells(*args))
+        return tested[-1]
 
     def spy_scan(gamma, signal, spectrum, x_grid, points, first, stop, *out):
         scanned.append((points, first.copy(), stop.copy()))
         scan(gamma, signal, spectrum, x_grid, points, first, stop, *out)
 
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(optimize, "_open_coarse_cells", spy_open)
+    with middle_pass(middle_pass_width), pytest.MonkeyPatch.context() as patch:
+        patch.setattr(optimize, "_open_cells", spy_open)
         patch.setattr(optimize, "_scan", spy_scan)
         found = minimize_profiles(n, gamma, signal, noise, spectrum=spectrum)
-    [open_] = opened
+    assert len(tested) == len(scanned) - 1 == (2 if middle_pass_width == 0 else 1)
     t_lo, t_hi = optimize.spectrum_bracket(n, gamma)
     t_grid = t_lo[:, None] + np.arange(DEFAULT_GRID_POINTS) * ((t_hi - t_lo) / (DEFAULT_GRID_POINTS - 1))[:, None]
     for k, value in enumerate(found.value.tolist()):
+        g = gamma[spectrum[k]]
         x = n * np.exp(t_grid[spectrum[k]])[:, None]
-        d = gamma[spectrum[k]] + x
-        bias = np.sum(signal[k] * (x / d) ** 2, axis=1) / n
-        var = noise[k] * np.sum((gamma[spectrum[k]] / d) ** 2, axis=1) / n
+        # B and V at lam = 0, at the 64 grid points and at lam = +inf: entry i + 1 is grid point i
+        bias = np.concatenate(([signal[k, g == 0].sum()], np.sum(signal[k] * (x / (g + x)) ** 2, axis=1),
+                               [signal[k].sum()])) / n
+        var = noise[k] * np.concatenate(([np.count_nonzero(g)], np.sum((g / (g + x)) ** 2, axis=1), [0.0])) / n
         evaluated = np.ones(DEFAULT_GRID_POINTS + 2, dtype=bool)  # the padding beyond both grid ends counts
         evaluated[1:-1] = False
         for points, first, stop in scanned:
             evaluated[1 + points[first[k]:stop[k]]] = True
-        for cell in range(len(COARSE) - 1):
-            if open_[k, cell]:
-                i = np.arange(max(COARSE[cell] - 1, 0), min(COARSE[cell + 1] + 2, DEFAULT_GRID_POINTS))
-                assert (evaluated[i] & evaluated[i + 1] & evaluated[i + 2]).all(), (k, cell)
-            else:
-                i = np.arange(COARSE[cell], COARSE[cell + 1])
-                assert (bias[i] + var[i + 1] >= value).all(), (k, cell)
+        for open_ in tested:
+            step = DEFAULT_GRID_POINTS // open_.shape[1]
+            for cell, is_open in enumerate(open_[k].tolist()):
+                a, b = cell * step, (cell + 1) * step  # grid points; 0 also stands for lam = 0, 64 for lam = +inf
+                if not is_open:
+                    assert bias[a + 1 if cell else 0] + var[b + 1] >= value, (k, step, cell)
+                elif open_ is tested[-1]:
+                    i = np.arange(max(a - 1, 0), min(b + 2, DEFAULT_GRID_POINTS))
+                    assert (evaluated[i] & evaluated[i + 1] & evaluated[i + 2]).all(), (k, step, cell)
 
 
 @st.composite
@@ -508,26 +541,29 @@ def search_and_basins(search) -> tuple[optimize.Search, list[bytes]]:
     return found, [basins[rows == k].tobytes() for k in range(len(found.value))]
 
 
+@MIDDLE_PASS
 @given(shared_curve_stacks())
-def test_rows_sharing_a_curve_and_a_spectrum_get_what_each_gets_alone(stack):
+def test_rows_sharing_a_curve_and_a_spectrum_get_what_each_gets_alone(middle_pass_width, stack):
     """Named rows of one (curve, spectrum) pair share one grid scan over the union of their windows; each row
     still gets the bits of its search alone, and the same Newton basins: its values outside its own window
     are never seen."""
     n, gamma, signal, noise, spectrum, curve = stack
-    named, named_basins = search_and_basins(
-        lambda: minimize_profiles(n, gamma, signal, noise, spectrum=spectrum, curve=curve))
-    repeated, repeated_basins = search_and_basins(
-        lambda: minimize_profiles(n, gamma, signal[curve], noise, spectrum=spectrum))
-    alone = [search_and_basins(lambda k=k: minimize_profiles(n, gamma[spectrum[k]], signal[curve[k]][None],
-                                                               noise[k:k + 1]))
-             for k in range(len(noise))]
+    with middle_pass(middle_pass_width):
+        named, named_basins = search_and_basins(
+            lambda: minimize_profiles(n, gamma, signal, noise, spectrum=spectrum, curve=curve))
+        repeated, repeated_basins = search_and_basins(
+            lambda: minimize_profiles(n, gamma, signal[curve], noise, spectrum=spectrum))
+        alone = [search_and_basins(lambda k=k: minimize_profiles(n, gamma[spectrum[k]], signal[curve[k]][None],
+                                                                   noise[k:k + 1]))
+                 for k in range(len(noise))]
     assert bits(named) == bits(repeated)
     assert [bits(named, [k]) for k in range(len(noise))] == [bits(search) for search, _ in alone]
     assert named_basins == repeated_basins == [basins for _, [basins] in alone]
 
 
 def test_the_grid_scan_is_pruned(monkeypatch):
-    """A smooth curve's search evaluates the risk at fewer than two thirds of the grid points."""
+    """A smooth curve's search evaluates the risk at fewer than two thirds of the grid points, and a smooth
+    width-2000 power-law curve, which takes the middle pass, at most 21 of them."""
     evaluated = []
     squares = optimize._squares
 
@@ -539,3 +575,10 @@ def test_the_grid_scan_is_pruned(monkeypatch):
     prof = sample_profile(0)
     assert minimize_profile(prof).source == "newton"
     assert sum(evaluated) < DEFAULT_GRID_POINTS * 2 / 3
+    evaluated.clear()
+    n = 2000
+    i = np.arange(1, n + 1, dtype=float)
+    assert n >= optimize.MIDDLE_PASS_WIDTH
+    wide = RidgeRiskProfile(n=n, gamma=n * i ** -3.0, signal=n * i ** -5.0, noise=1.0)
+    assert minimize_profile(wide).source == "newton"
+    assert sum(evaluated) <= 21

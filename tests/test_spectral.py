@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from conftest import random_orthogonal, random_psd
 
-from mtkrr.spectral import KernelSpectrum, NotPSDError, TaskEnsemble, eigendecompose_kernels
+from mtkrr.spectral import KernelSpectrum, NotPSDError, TaskEnsemble, eigendecompose_kernels, mean_variance
 from reference import eigendecompose_kernel, kernel_matrix, mean_variance_profile, project_tasks, reconstruct_tasks
 
 
@@ -181,6 +181,17 @@ class TestMeanVarianceProfile:
         prof = mean_variance_profile(TaskEnsemble(n=int(n), p=int(p), h=h))
         lhs = np.sum(prof.mu**2 + p * prof.varsigma2)
         assert abs(lhs - np.sum(h**2)) < 1e-9 * max(1.0, np.sum(h**2))
+
+    @pytest.mark.parametrize("shape", [(6, 1), (9, 5), (3, 40, 20), (2, 7, 33)])
+    def test_the_profiles_have_the_bits_of_a_row_sum_and_np_var(self, shape):
+        # the task sum is formed once and the variance takes np.var's steps from it: each replicate of a
+        # block, at every scale, gets the bits of h.sum / sqrt(p) and np.var of its own n x p slice
+        rng = np.random.default_rng(len(shape) * shape[-1])
+        h = rng.standard_normal(shape) * np.exp(rng.uniform(-30, 30, shape))
+        mu, varsigma2 = mean_variance(h)
+        assert mu.tobytes() == (h.sum(axis=-1) / math.sqrt(shape[-1])).tobytes()
+        assert varsigma2.tobytes() == np.var(h, axis=-1).tobytes()
+        assert all(mean_variance(h[r])[1].tobytes() == varsigma2[r].tobytes() for r in range(len(h)))
 
     def test_variance_matches_rotated_coordinates(self):
         # nu = P h_row with P a Householder reflection sending e1 to 1/sqrt(p):
