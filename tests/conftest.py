@@ -1,11 +1,14 @@
+import contextlib
 import math
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
+import pytest
 from hypothesis import settings
 from scipy.integrate import quad
 
+from mtkrr import optimize
 from mtkrr.estimators import multitask_rows, singletask_rows
 from mtkrr.optimize import SOURCES, Search, minimize_profiles
 from mtkrr.oracles import comparison_rows, search_comparisons
@@ -101,6 +104,18 @@ def stack(results: list):
 def columns(grid: list[RiskParams]) -> tuple[np.ndarray, ...]:
     """The template cells of ``grid`` as the columns (n, p, sigma2, beta, delta, c) that ``minimize_risks`` takes."""
     return tuple(np.array([getattr(params, field.name) for params in grid]) for field in fields(RiskParams))
+
+
+@contextlib.contextmanager
+def parabola_start():
+    """Inside the block, Newton starts every basin at the vertex of the parabola through its three grid values.
+
+    ``optimize._model_start`` is patched to return its fallback, the parabola's shift, so a search's result
+    with and without the start model can be compared with no switch in the package.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(optimize, "_model_start", lambda *args: args[-1])
+        yield
 
 
 def search_one(profile: RidgeRiskProfile) -> Search:

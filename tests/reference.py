@@ -431,6 +431,14 @@ def full_scan_minimize_profiles(n: int, gamma: np.ndarray, signal: np.ndarray, n
     when it lies more than two steps from the winner and its bound
     B(t_i) + V(t_i+1) is below the value.  The pruned engine must agree with
     it bit for bit, column by column.
+
+    Newton starts where the engine starts it (``optimize._model_start``), from
+    the same bits: the per-spectrum sums of a^2 are kept as ``squares`` and the
+    model forms V = noise / n * squares from them.  The engine may fall back to
+    the parabola vertex where this scan does not: in a basin one of whose five
+    points at-2 .. at+2 the engine pruned.  Such a basin lies in a pruned cell,
+    whose bound is above the row's best value, so it always loses to the row's
+    winner and no column can tell the two starts apart.
     """
     points = optimize.DEFAULT_GRID_POINTS
     gamma = np.atleast_2d(np.asarray(gamma, dtype=float))
@@ -444,6 +452,7 @@ def full_scan_minimize_profiles(n: int, gamma: np.ndarray, signal: np.ndarray, n
     padded = np.full((rows, points + 2), np.inf)
     vals = padded[:, 1:-1]
     bias, var, zero, limit = np.empty((rows, points)), np.empty((rows, points)), np.empty(rows), np.empty(rows)
+    squares = np.empty((len(gamma), points))  # sum a^2 of each spectrum, as the engine keeps it for the start model
     chunk = max(1, optimize.BLOCK_ELEMENTS // gamma.shape[1])
     for j, g in enumerate(gamma):
         mine = np.flatnonzero(spectrum == j)
@@ -453,7 +462,7 @@ def full_scan_minimize_profiles(n: int, gamma: np.ndarray, signal: np.ndarray, n
             a = g / d
             bb = np.divide(x, d, out=d)
             bb *= bb
-            aa = optimize._sum(np.multiply(a, a, out=a))
+            aa = squares[j, c:c + chunk] = optimize._sum(np.multiply(a, a, out=a))
             block = max(1, optimize.BLOCK_ELEMENTS // bb.size)
             for k in range(0, len(mine), block):
                 r = mine[k:k + block]
@@ -476,6 +485,7 @@ def full_scan_minimize_profiles(n: int, gamma: np.ndarray, signal: np.ndarray, n
     curvature = f0 - 2.0 * f1 + f2
     curved = (curvature > 0) & (curvature < np.inf)
     shift = np.where(curved, 0.5 * (f0 - f2) / np.where(curved, curvature, 1.0), 0.0)
+    shift = optimize._model_start(n, noise, spectrum, vals, squares, basin_row, basin_at, shift)
     t_end, r_end, g_end, iters = optimize._newton(n, gamma, signal, noise, spectrum, np.arange(rows), basin_row,
                                                   centre - width, centre + shift * width, centre + width)
 
@@ -573,19 +583,27 @@ def per_replicate_setting_b(specs: list[ScenarioSpec], words: np.ndarray, eps: n
 # the sum-vs-integral envelope one draw at a time: the oracle of the block ``cli._envelope``
 
 
-def envelope_per_draw(rng: np.random.Generator, draws: int = 40) -> tuple[tuple[bool, bool], np.ndarray]:
-    """The two envelope checks of ``verify-bounds`` (S2, then S1) and the sums (n var, bias / lam^2) of each draw.
-
-    Each draw builds the template profile at C = sigma2 = p = 1, so bias = lam^2 S1 and variance = S2 / n;
-    ``sums`` has one column per draw.
-    """
-    s1_ok = s2_ok = True
-    sums = np.empty((2, draws))
-    for k in range(draws):
+def envelope_sample(rng: np.random.Generator, draws: int = 40) -> list[tuple[float, float, int, float]]:
+    """(beta, delta, n, lam) of ``draws`` envelope draws from ``rng``, in order: how ``cli.ENVELOPE_SAMPLE`` was drawn."""
+    sample = []
+    for _ in range(draws):
         beta = float(rng.uniform(0.8, 4.0))
         delta = float(rng.uniform(0.6, min(2 * beta - 0.05, 3.0)))
         n = int(rng.integers(5, 400))
         lam = float(10 ** rng.uniform(-8, 2))
+        sample.append((beta, delta, n, lam))
+    return sample
+
+
+def envelope_per_draw(sample) -> tuple[tuple[bool, bool], np.ndarray]:
+    """The two envelope checks of ``verify-bounds`` (S2, then S1) and the sums (n var, bias / lam^2) of each draw.
+
+    Each (beta, delta, n, lam) draw of ``sample`` builds the template profile at C = sigma2 = p = 1, so
+    bias = lam^2 S1 and variance = S2 / n; ``sums`` has one column per draw.
+    """
+    s1_ok = s2_ok = True
+    sums = np.empty((2, len(sample)))
+    for k, (beta, delta, n, lam) in enumerate(sample):
         i2 = integral_i2(beta)
         i1 = integral_i1(beta, delta)
         bias, var = template_profile(RiskParams(n, 1, 1.0, beta, delta, 1.0)).parts(lam)

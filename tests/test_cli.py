@@ -17,12 +17,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import mtkrr
-from mtkrr.cli import _envelope, build_parser, main, parse_args
+from mtkrr.cli import ENVELOPE_SAMPLE, _envelope, build_parser, main, parse_args
 from mtkrr.render import emit_heatmap, emit_table, write_csv
 from mtkrr.riskfn import RiskParams
 from mtkrr.scenarios import ScenarioKind, ScenarioSpec, build_ensemble
 from conftest import compare_one, stack
-from reference import envelope_per_draw, minimize_risk, risk_curve_rows, run_experiment
+from reference import envelope_per_draw, envelope_sample, minimize_risk, risk_curve_rows, run_experiment
 
 
 def read_csv(path):
@@ -413,21 +413,26 @@ class TestEnvelope:
     """The envelope's block of 40 padded draws against each draw's own template profile (``envelope_per_draw``)."""
 
     @staticmethod
-    def check(seed):
-        sums, caps = _envelope(np.random.default_rng(seed))
-        ok, expected = envelope_per_draw(np.random.default_rng(seed))
+    def check(sample):
+        sums, caps = _envelope(sample)
+        ok, expected = envelope_per_draw(sample)
         assert sums.shape == caps.shape == expected.shape == (2, 40)
         assert tuple((sums <= caps).all(axis=1).tolist()) == ok
         # the padding adds exact zeros, so only the order of the additions differs (measured 5e-16)
         np.testing.assert_allclose(sums, expected, rtol=1e-13, atol=0)
         return ok
 
+    def test_the_fixed_sample_is_the_first_40_draws_of_its_generator(self):
+        # every draw bit for bit, in order: the literal table is the sample the generator drew
+        assert list(ENVELOPE_SAMPLE) == envelope_sample(np.random.default_rng(20240811))
+        assert [tuple(map(type, draw)) for draw in ENVELOPE_SAMPLE] == [(float, float, int, float)] * 40
+
     def test_default_sample_passes_as_each_draw_alone(self):
-        assert self.check(20240811) == (True, True)
+        assert self.check(ENVELOPE_SAMPLE) == (True, True)
 
     @given(seed=st.integers(0, 2**64 - 1))
     def test_any_generator_seed_matches_each_draw_alone(self, seed):
-        self.check(seed)
+        self.check(envelope_sample(np.random.default_rng(seed)))
 
 
 class TestArgumentHandling:
@@ -1096,7 +1101,8 @@ class TestOutOfMemory:
 
 
 class TestStartUp:
-    """The package runs on numpy alone: no command loads a scipy module, alpha's verify-bounds included."""
+    """The package runs on numpy alone: no command loads a scipy module, alpha's verify-bounds included, and a
+    default verify-bounds loads no numpy.random either."""
 
     @staticmethod
     def fresh_python(code: str) -> str:
@@ -1127,10 +1133,11 @@ class TestStartUp:
         assert (tmp_path / "oracle.json").exists() and (tmp_path / "table.csv").exists()
 
     def test_default_verify_bounds_leaves_scipy_unloaded(self, tmp_path):
-        # alpha's unit-interval fractions are riskfn's closed form, not scipy's betainc
+        # alpha's unit-interval fractions are riskfn's closed form, not scipy's betainc, and the envelope's
+        # fixed sample is a literal table, not draws from numpy.random
         out = self.fresh_python(
             "import sys\nfrom mtkrr.cli import main\n"
             f"rc = main(['verify-bounds', '--out', {str(tmp_path / 'bounds.txt')!r}])\n"
-            "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m.startswith('numpy.random')))")
         assert out.splitlines()[-1] == "0 []"
         assert (tmp_path / "bounds.txt").read_text().splitlines() == DEFAULT_BOUNDS_OUTPUT

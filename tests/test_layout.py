@@ -1,4 +1,4 @@
-"""Layout guards: the package holds no code that only the tests use, keeps the dense route off the hot path, one module forks on setting B, no module imports scipy, one module lays out a comparison, every command draws through ``scenarios.draw``, one function reads the sweep configs, one module writes files, a search and the template oracle have one columnar result type, a search has one pruned grid scan, the template has one array evaluator, and no module draws from a numpy stream but for verify-bounds' fixed envelope sample.
+"""Layout guards: the package holds no code that only the tests use, keeps the dense route off the hot path, one module forks on setting B, no module imports scipy, one module lays out a comparison, every command draws through ``scenarios.draw``, one function reads the sweep configs, one module writes files, a search and the template oracle have one columnar result type, a search has one pruned grid scan, one start of its basins and one Newton iteration, the template has one array evaluator, and no module draws from a numpy stream.
 
 A public function, class or method defined in ``src/mtkrr`` counts as used
 only if a package module other than ``__init__.py`` references it, or a
@@ -226,8 +226,16 @@ def test_the_search_keeps_its_signature_and_one_pruned_grid_scan():
         assert sorted(i for points, _ in passes for i in points.tolist()) == grid, passes
 
 
-# the one numpy stream in the package: verify-bounds' envelope is a fixed verification sample that must not be re-seeded
-PERMITTED_STREAMS = [("cli.py", "cmd_verify_bounds", "default_rng")]
+def test_the_search_starts_its_basins_once_and_refines_them_once():
+    """``minimize_profiles`` places every basin's start with one ``_model_start`` call and refines every basin with
+    one ``_newton`` call, and no other package function calls either: one start and one Newton iteration."""
+    calls = Counter()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] in ("_model_start", "_newton"):
+                    calls[(f"{path.stem}.{getattr(top, 'name', '<module>')}", ast.unparse(node.func))] += 1
+    assert calls == {("optimize.minimize_profiles", "_model_start"): 1, ("optimize.minimize_profiles", "_newton"): 1}
 
 
 def test_no_module_draws_from_a_numpy_stream():
@@ -235,7 +243,8 @@ def test_no_module_draws_from_a_numpy_stream():
 
     No package module names ``rng_for`` or ``_rademacher`` or calls a numpy ``SeedSequence``, ``Generator``,
     ``default_rng`` or ``RandomState``: the hash is the one seed derivation, and numpy's own streams are the test
-    oracle in ``tests/reference.py``.  The one exception is ``PERMITTED_STREAMS``.
+    oracle in ``tests/reference.py``.  verify-bounds' fixed envelope sample is a literal table
+    (``cli.ENVELOPE_SAMPLE``), not a stream.
     """
     streams = []
     for path in sorted(PACKAGE.glob("*.py")):
@@ -246,8 +255,7 @@ def test_no_module_draws_from_a_numpy_stream():
                 if name in ("rng_for", "_rademacher") or called in ("SeedSequence", "Generator", "default_rng",
                                                                      "RandomState"):
                     streams.append((path.name, getattr(top, "name", "<module>"), name or called))
-    assert [site for site in streams if site not in PERMITTED_STREAMS] == [], \
-        f"package code draws from a per-replicate numpy stream: {streams}"
+    assert streams == [], f"package code draws from a per-replicate numpy stream: {streams}"
 
 
 def test_readme_library_example_runs(capsys):

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from conftest import bits, minimize_profile, rows, search_one, value_grid
+from conftest import bits, minimize_profile, parabola_start, rows, search_one, value_grid
 from reference import RidgeRiskProfile, certified_lower_bound, full_scan_minimize_profiles
 
 from mtkrr import optimize
-from mtkrr.optimize import BRACKET_DECADES, DEFAULT_GRID_POINTS, _curve, minimize_profiles
+from mtkrr.optimize import BRACKET_DECADES, DEFAULT_GRID_POINTS, SOURCES, _curve, minimize_profiles
 from mtkrr.oracles import comparison_rows
 from mtkrr.scenarios import ScenarioKind, ScenarioSpec, build_ensemble
 
@@ -582,3 +582,188 @@ def test_the_grid_scan_is_pruned(monkeypatch):
     wide = RidgeRiskProfile(n=n, gamma=n * i ** -3.0, signal=n * i ** -5.0, noise=1.0)
     assert minimize_profile(wide).source == "newton"
     assert sum(evaluated) <= 21
+
+
+# ---------------------------------------------------------------------------
+# Newton's start: the minimum of the bias-variance model of the basin's five grid values
+
+
+def newton_basins(search) -> tuple[optimize.Search, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """What calling ``search`` returns, each basin's grid point, whether it starts at the parabola vertex (the
+    model's fallback), and each basin's Newton result: its final (t, R, dR/dt) and its evaluation count."""
+    model, newton, seen = optimize._model_start, optimize._newton, {}
+
+    def spy_model(*args):
+        seen["at"], start = args[6].copy(), model(*args)
+        seen["fallback"] = start == args[-1]
+        return start
+
+    def spy_newton(*args):
+        seen["newton"] = newton(*args)
+        return seen["newton"]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(optimize, "_model_start", spy_model)
+        patch.setattr(optimize, "_newton", spy_newton)
+        found = search()
+    return found, seen["at"], seen["fallback"], np.array(seen["newton"][:3]).T, seen["newton"][3]
+
+
+def smooth_row():
+    """One row's values and sums of a^2 on the 64-point grid at n = noise = 1, as the scan leaves them:
+    B = e^(t/4) and V = 4 e^(-t/4) in grid steps t from point 30, so the minimum lies at point 30 + 4 ln 2."""
+    t = np.arange(DEFAULT_GRID_POINTS) - 30.0
+    bias, var = np.exp(t / 4), 4.0 * np.exp(-t / 4)
+    return (bias + var)[None, :], var[None, :]
+
+
+def model_start(vals, squares, at, noise=1.0):
+    """``optimize._model_start`` of one basin of one row at grid point ``at``, with the fallback 0.25."""
+    zero = np.zeros(1, dtype=np.intp)
+    return float(optimize._model_start(1.0, np.array([noise]), zero, vals, squares, zero, np.array([at]),
+                                       np.array([0.25]))[0])
+
+
+def test_the_start_model_finds_the_minimum_of_a_log_linear_bias_and_variance():
+    vals, squares = smooth_row()
+    # log B and log V are linear in t here, so the model is exact: its minimum is at 30 + 4 ln 2 = 32.77
+    assert model_start(vals, squares, 33) == pytest.approx(4 * math.log(2) - 3, abs=1e-12)
+    assert model_start(vals, squares, 32) == pytest.approx(4 * math.log(2) - 2, abs=1e-12)
+
+
+def test_the_newton_step_on_the_model_follows_a_curved_log_bias():
+    # B = e^(t/4 + t^2/64), V = 4 e^(-t/4): the log-linear closed form alone lands 0.027 steps past the minimum,
+    # and one Newton step on the quartic model brings the start within 1e-4 steps of it
+    t = np.arange(DEFAULT_GRID_POINTS) - 30.0
+    bias, var = np.exp(t / 4 + t**2 / 64), 4.0 * np.exp(-t / 4)
+    lo, hi = 1.0, 3.0  # the minimum solves (1/4 + t/32) e^(t/4 + t^2/64) = e^(-t/4)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if (0.25 + mid / 32) * math.exp(mid / 4 + mid**2 / 64) < math.exp(-mid / 4) else (lo, mid)
+    assert abs(model_start((bias + var)[None, :], var[None, :], 32) - (lo - 2.0)) < 1e-4
+
+
+@pytest.mark.parametrize("case", ["grid point 0", "grid point 1", "grid point 62", "grid point 63",
+                                  "a point not evaluated", "zero variance", "bias not positive",
+                                  "start outside the bracket"])
+def test_the_start_model_falls_back_to_the_parabola_vertex(case):
+    vals, squares = smooth_row()
+    at, noise = 33, 1.0
+    if case.startswith("grid point"):
+        at = int(case.split()[-1])
+    elif case == "a point not evaluated":
+        vals[0, 35] = np.nan
+    elif case == "zero variance":
+        noise = 0.0
+    elif case == "bias not positive":
+        squares[0, 31] = vals[0, 31]  # V = value: B = 0, whose log is -inf
+    else:
+        at = 36  # the model's minimum lies 3.2 steps below: outside the basin's bracket (-1, 1)
+    with np.errstate(divide="raise", over="raise", invalid="raise"):  # the model's logs of zero and nans stay quiet
+        assert model_start(vals, squares, at, noise) == 0.25
+
+
+def single_direction(k: int) -> tuple:
+    """A one-eigenvalue row whose minimum lies on grid point ``k``: lam* = noise / signal at g = n."""
+    n, step = 10, 2 * BRACKET_DECADES * math.log(10) / (DEFAULT_GRID_POINTS - 1)
+    ratio = math.exp(-BRACKET_DECADES * math.log(10) + k * step)
+    return n, np.array([float(n)]), np.array([[1.0]]), np.array([ratio])
+
+
+def degenerate_rows() -> tuple:
+    """A zero-signal row (its bias is 0) and a zero-noise row (its variance is 0) on one spectrum."""
+    n = 12
+    gamma = n * np.arange(1, n + 1, dtype=float) ** -3.0
+    return n, gamma, np.vstack([np.zeros(n), np.ones(n)]), np.array([1.0, 0.0])
+
+
+@pytest.mark.parametrize("case", ["zero signal and zero noise", "basin at grid point 0", "basin at grid point 1",
+                                  "basin at grid point 62", "basin at grid point 63"])
+def test_a_search_whose_basins_fall_back_is_the_parabola_start_search(case):
+    stack = degenerate_rows() if case.startswith("zero") else single_direction(int(case.split()[-1]))
+    found, at, fallback, _, _ = newton_basins(lambda: minimize_profiles(*stack))
+    if not case.startswith("zero"):
+        assert at.tolist() == [int(case.split()[-1])]
+    assert fallback.all()
+    with parabola_start():
+        assert bits(minimize_profiles(*stack)) == bits(found)
+
+
+def test_the_basins_that_start_model_reaches_take_it():
+    # grid points 2 and 61 are the first and last whose five points lie on the grid
+    for k in (2, 61):
+        _, at, fallback, _, _ = newton_basins(lambda: minimize_profiles(*single_direction(k)))
+        assert at.tolist() == [k] and not fallback.any()
+
+
+def test_a_basin_with_a_pruned_point_starts_at_the_parabola_vertex():
+    # two basins: the winner at grid point 29, and one at 41 whose point 43 lies in a pruned cell, beyond the row's
+    # window.  That basin starts where the parabola start puts it and ends with the same bits; the winner does not.
+    n = 17
+    signal = np.zeros(n)
+    signal[4], signal[12] = 7.0, 0.6
+    stack = (n, np.arange(1, n + 1, dtype=float) ** -3.8, signal[None, :], np.array([0.45]))
+    found, at, fallback, ends, counts = newton_basins(lambda: minimize_profiles(*stack))
+    with parabola_start():
+        vertex, vertex_at, _, vertex_ends, vertex_counts = newton_basins(lambda: minimize_profiles(*stack))
+    assert at.tolist() == vertex_at.tolist() == [29, 41] and fallback.tolist() == [False, True]
+    assert ends[1].tobytes() == vertex_ends[1].tobytes() and counts[1] == vertex_counts[1]
+    assert ends[0].tobytes() != vertex_ends[0].tobytes()
+    assert found.source.tolist() == vertex.source.tolist() == [SOURCES.index("newton")]
+    assert found.value[0] == pytest.approx(vertex.value[0], rel=1e-15)
+
+
+def stop_rule_slack(n, gamma, signal, noise, spectrum, search) -> np.ndarray:
+    """How far above its basin's minimum each row's value may end under the stop rule, plus rounding.
+
+    A basin stops once |dg/dt| <= tol g, which holds up to about tol^2 g^2 / (2 d2g/dt2) above the minimum;
+    twice that, plus 1e-15 g, bounds how far two searches of one basin from two starts can end apart.  Rows
+    won by a limit are exact: no slack.
+    """
+    inner = np.flatnonzero(search.source >= SOURCES.index("newton"))
+    bend = _curve(n, np.atleast_2d(gamma), signal, noise, spectrum, np.arange(len(noise)), inner,
+                  n * search.lam[inner])[2]
+    slack = np.zeros(len(noise))
+    slack[inner] = optimize.DEFAULT_GRAD_TOL**2 * search.value[inner] ** 2 / np.abs(bend) + 1e-15 * search.value[inner]
+    return slack
+
+
+def assert_as_the_parabola_start(stack):
+    """Each row keeps its open-cell count and, but for what the stop rule leaves open, its source and value.
+
+    A row may trade a grid win for a Newton win or back only where the two values lie within the stop
+    rule's slack of each other; every value stays within that slack of the parabola start's.
+    """
+    found = minimize_profiles(*stack)
+    with parabola_start():
+        vertex = minimize_profiles(*stack)
+    assert found.open_cells.tolist() == vertex.open_cells.tolist()
+    slack = stop_rule_slack(*stack, vertex)
+    assert (np.abs(found.value - vertex.value) <= slack).all(), (found.value - vertex.value, slack)
+    moved = found.source != vertex.source
+    assert set(found.source[moved].tolist()) | set(vertex.source[moved].tolist()) <= {2, 3}
+
+
+@given(stacks())
+def test_the_start_model_moves_no_source_and_no_value_beyond_rounding(stack):
+    assert_as_the_parabola_start(stack)
+
+
+@given(multi_basin_stacks())
+def test_the_start_model_moves_no_source_and_no_value_beyond_rounding_on_multi_basin_curves(stack):
+    assert_as_the_parabola_start(stack)
+
+
+def test_the_start_model_saves_newton_evaluations_on_a_wide_stack():
+    """A width-2000 power-law stack of 22 rows takes at most 3.3 Newton evaluations per basin (2.6 here; 4.2
+    from the parabola vertex), and every basin reaches the model."""
+    n = 2000
+    i = np.arange(1, n + 1, dtype=float)
+    signal = np.array([n * i ** (-2.0 * delta) for delta in np.linspace(1.0, 3.0, 22)])
+    stack = (n, n * i ** -3.0, signal, np.geomspace(0.01, 10.0, 22))
+    _, _, fallback, _, counts = newton_basins(lambda: minimize_profiles(*stack))
+    assert len(counts) == 22 and not fallback.any()
+    assert counts.mean() <= 3.3
+    with parabola_start():
+        _, _, _, _, vertex_counts = newton_basins(lambda: minimize_profiles(*stack))
+    assert vertex_counts.mean() >= 4.0
