@@ -167,8 +167,13 @@ def _run_summary(search: optimize.Search) -> str:
 
 
 def _stage_times(times: dict[str, float]) -> str:
-    """The summary line's ending: each stage's wall time in milliseconds."""
-    return "; stage ms " + ", ".join(f"{stage} {1e3 * seconds:.1f}" for stage, seconds in times.items())
+    """The summary line's ending: each stage's wall time in milliseconds, its sub-stages (``stage.sub``) in brackets."""
+    subs: dict[str, list[str]] = {}
+    for name, seconds in times.items():
+        stage, _, sub = name.partition(".")
+        subs.setdefault(stage, []).extend([f"{sub} {1e3 * seconds:.1f}"] if sub else [])
+    return "; stage ms " + ", ".join(f"{stage} {1e3 * times[stage]:.1f}" + (f" ({', '.join(parts)})" if parts else "")
+                                     for stage, parts in subs.items())
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,49 @@ evaluations on ``heatmap_small``, 281 on ``experiment_wide``, 194 on
 ``table_spline`` and 311 on ``verify_bounds``, against 7263, 352, 242 and
 487 from the parabola vertex; the median per search is 3 (was 4).
 
+On rows at least ``MIDDLE_PASS_WIDTH`` wide, Newton sums only the head of
+each spectrum entry by entry and the rest from its moments (``_split``).  An
+entry with g << x = n lam adds power series in u = g/x to R, dR/dt and
+d2R/dt2.  Each basin fixes its cutoff once, from its bracket's low end
+x_a, below which Newton never goes: its tail is every entry with
+g <= U_C x_a (``TAIL_RATIO``, U_C = 1e-4), so u <= U_C wherever Newton
+goes.  Its head is the spectrum's first, largest entries, as many as lie
+above the cutoff rounded up to a power of two from ``HEAD_MIN`` = 64; the
+entries up to that length are summed exactly, never padded, so the head
+depends on the basin alone and basins of one head length are summed
+together by ``_curve``.  The tail adds its series through the moments
+sum s g^k (k <= K + 1) and sum g^k (2 <= k <= K + 3), K = ``TAIL_ORDER``
+= 5, taken once per basin (sum g^k once per spectrum and head length): each
+Newton round is one Horner pass in w = x_a/x.  Every series alternates with
+terms falling by a factor of at most 6u, so its remainder is below
+its first dropped term: at most 196 u^(K+1), about 2e-22, of its tail term
+(d2R/dt2's signal series; the others are smaller), inside the cruder
+C(K+3, 3) U_C^K = 6e-19.  What is left is rounding: a pairwise sum over m
+entries errs by about log2(m) eps of the sum of its terms' magnitudes
+(Higham, Accuracy and Stability of Numerical Algorithms, 2002, ch. 4), in
+the full-width sum as in the split one.  So Newton values on wide rows move
+in their last bits (at most 5.8e-16 relative on ``experiment_wide``, seeds
+0, 5, 17 and 23, with no source or iteration count changed), and a winner
+can change between two candidates within rounding of each other.  The grid
+scan keeps its full-width arithmetic, so the basins and the grid values
+are what they were.  Rows narrower than the gate, basins with no head
+shorter than their row, and basins on a spectrum not in descending order
+(no package caller makes one: ``spectral`` sorts its eigenvalues and
+``KernelSpectrum`` rejects unsorted ones) keep the full-width ``_curve``
+bit for bit.  Timed with the split on and off, interleaved, on the
+``experiment_wide`` stack cut to each width and row count (one basin per
+row; one BLAS thread, 2-core Xeon, numpy 2.4), Newton breaks even near
+width 450 with 88 rows, 550 with 44, below 1024 with 22 and near 1400 with
+11; at width 2000 with 88 rows it takes a third of the full-width time.
+Smaller stacks do not repay the split's fixed cost, its set-up and one
+``_curve`` call per head length each round: with 6 rows or fewer Newton
+takes 0.2 to 0.55 ms longer at widths 1024 to 2000, and ``oracle`` (p + 2
+= 6 rows) at n = 1100 and 2000 spends a median 0.05 to 0.45 ms more in its
+search, in a run of 0.15 s.  The gate is the width alone, because a gate
+that counted the stack's rows or basins would give a row other bits alone
+than in a stack; it is the middle pass's, from which the split pays on
+stacks of 22 rows or more.
+
 A basin stops on the relative rule |lam g'(lam)| <= tol g(lam), which reads
 the same at every scale of the eigenvalues, the signal and the noise.  With
 t = log lam the rule is |dg/dt| <= tol g, so a basin ends at most about
@@ -95,6 +138,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,7 +148,8 @@ COARSE_STEP = 8  # the first pass takes the interior grid points 8, 16, ..., 56
 MIDDLE_STEP = 2  # the middle pass takes the other even points from 2 to 62
 HALO = 2  # grid points evaluated beyond each end of a row's open cells: a basin's neighbours
 # rows at least this wide take the middle pass: above its measured break-even, where its fixed cost (one more
-# scan call and the retest of the step-2 cells) meets about ten fewer evaluations per row of width products each
+# scan call and the retest of the step-2 cells) meets about ten fewer evaluations per row of width products each.
+# Newton's head and tail split (``_split``) takes the same gate: from it the split pays on stacks of 22 rows or more.
 MIDDLE_PASS_WIDTH = 1024
 BOUND_MARGIN = 1e-9  # relative: far above the rounding of the bias and variance sums in a cell bound
 # a row whose signal sum plus lam = 0 variance sum (each at least its sum at every grid point) exceeds this
@@ -120,6 +165,10 @@ T_LIMIT = 600.0  # |log lam| cap: lam stays a normal double even one grid step p
 T_STEP_TOL = 1e-12  # a step in log lam this small ends a basin's search
 SOURCES = ("zero", "limit", "newton", "grid")  # the candidates of a search, in order of precedence
 BLOCK_ELEMENTS = 1 << 15  # doubles per temporary (256 KB): cache-sized, and memory stays flat whatever the stack
+# Newton on rows at least MIDDLE_PASS_WIDTH wide sums each basin's tail, its entries g <= TAIL_RATIO x_a, from moments
+TAIL_RATIO = 1e-4  # U_C: u = g / x stays at most this on the tail wherever Newton goes in the basin
+TAIL_ORDER = 5  # K: the moments sum s g^k for k <= K + 1 and sum g^k for 2 <= k <= K + 3
+HEAD_MIN = 64  # the shortest head; every head is a power of two long
 _GRID = np.arange(DEFAULT_GRID_POINTS)
 # the five grid points around each grid point that its basin's start model reads (clipped to the grid), and
 # whether all five lie on the grid
@@ -133,6 +182,20 @@ FINE = np.array([i for i in _GRID.tolist() if i % COARSE_STEP or not i])  # of t
 # without the middle pass
 PASSES = ((COARSE, COARSE_STEP), (MIDDLE, MIDDLE_STEP), (LAST, 0))
 NARROW_PASSES = ((COARSE, COARSE_STEP), (FINE, 0))
+
+
+def _series(p: int, m: int) -> np.ndarray:
+    """The coefficients of u^k, k = 0 .. K + 3, of the Taylor series of u^p (1 + u)^-m."""
+    return np.array([(-1) ** (k - p) * math.comb(k - p + m - 1, m - 1) if k >= p else 0
+                     for k in range(TAIL_ORDER + 4)], dtype=float)
+
+
+# the summands of n R, n/2 dR/dt and n/2 d2R/dt2 as power series in u = g / x: b^2 = (1+u)^-2, a^2 = u^2 (1+u)^-2,
+# ab (s b - v a) = (s u - v u^2)(1+u)^-3 and ab (a - b)(s b - v a) + (ab)^2 (s + v) = (s (2u^2 - u) + v (2u^2 - u^3))
+# (1+u)^-4.  Column k multiplies s u^k (the signal series, cut after k = K + 1) and v u^k (the noise series).
+_SIGNAL_SERIES = np.array([_series(0, 2), _series(1, 3), 2.0 * _series(2, 4) - _series(1, 4)])
+_SIGNAL_SERIES[:, TAIL_ORDER + 2:] = 0.0
+_NOISE_SERIES = np.array([_series(2, 2), -_series(2, 3), 2.0 * _series(2, 4) - _series(3, 4)])
 
 
 @dataclass(frozen=True)
@@ -169,7 +232,10 @@ def _curve(n: int, gamma, signal, noise, spectrum, curve, rows, x):
     With a = g/(g + x) and b = x/(g + x):  R = (sum s b^2 + v sum a^2)/n,
     dR/dt = (2/n) sum ab (s b - v a), and
     d2R/dt2 = (2/n) sum [ab (a - b)(s b - v a) + (ab)^2 (s + v)].
-    R is computed exactly as in the grid scan of ``minimize_profiles``.
+    R has the summands of the grid scan of ``minimize_profiles``, summed over
+    the columns given: the whole eigen-axis here gives the grid scan's R
+    exactly, and Newton on wide rows passes only the head of each spectrum
+    (``_split``).
     """
     out = np.empty((3, len(rows)))
     block = max(1, BLOCK_ELEMENTS // (4 * gamma.shape[1]))  # the buffer of the four summands is one block
@@ -203,20 +269,98 @@ def _sum(values: np.ndarray) -> np.ndarray:
     return np.add.reduce(values, axis=-1)
 
 
+def _split(n, gamma, signal, noise, spectrum, curve, rows, a):
+    """Newton's evaluation of the basins (row ``rows[i]``, bracket low end t = ``a[i]``): a function of (basins, t).
+
+    ``evaluate(live, t)`` returns R, dR/dt and d2R/dt2 (3 x len(live)) of the basins ``live`` at the points
+    t = log lam.  A row narrower than ``MIDDLE_PASS_WIDTH`` is evaluated by ``_curve`` over its whole
+    eigen-axis.  A basin of a wider row is split once, here: its head is the shortest power of two from
+    ``HEAD_MIN`` of its spectrum's first, largest entries that holds every entry g > ``TAIL_RATIO`` x_a,
+    x_a = n e^a; a basin with no head shorter than its row, or on a spectrum not in descending order, keeps
+    the whole row.  Basins of one head length form a group, whose heads ``_curve`` sums.  The tail, every
+    entry past the head, adds its Taylor series in u = g / x, a
+    polynomial in w = x_a / x <= 1 whose coefficients are the moments sum s g^k (k <= K + 1) and
+    sum g^k (2 <= k <= K + 3) of the tail scaled by x_a^-k.  The powers are taken of g / c, c the tail's
+    largest entry, and then scaled by (c / x_a)^k <= U_C^k, so that none overflows at any scale; sum g^k is
+    formed once per spectrum and head length, and sum s g^k in row blocks straight from the signal.
+    """
+    m, width = len(rows), gamma.shape[1]
+    lengths = [HEAD_MIN << k for k in range(width.bit_length()) if HEAD_MIN << k < width]
+    if width < MIDDLE_PASS_WIDTH or not lengths:
+        return lambda live, t: _curve(n, gamma, signal, noise, spectrum, curve, rows[live], n * np.exp(t))
+    x_a = n * np.exp(a)
+    count = np.full(m, width)  # the entries g > TAIL_RATIO x_a of each basin's spectrum, all of them if not sorted
+    # the spectra in use, by bincount: np.unique loads numpy.ma on its first call, 10 ms of a one-shot command
+    for j in np.flatnonzero(np.bincount(spectrum[rows], minlength=len(gamma))).tolist():
+        if (gamma[j, 1:] <= gamma[j, :-1]).all():
+            mine = np.flatnonzero(spectrum[rows] == j)
+            count[mine] = np.searchsorted(-gamma[j], -TAIL_RATIO * x_a[mine])
+    which = np.searchsorted(lengths, count)  # len(lengths): no head shorter than the row
+    heads, group = [(gamma, signal)], np.zeros(m, dtype=np.intp)  # group 0: the whole row
+    tail = np.zeros((3, m, TAIL_ORDER + 4))
+    for k, length in enumerate(lengths):
+        split = np.flatnonzero(which == k)
+        if not split.size:
+            continue
+        heads.append((gamma[:, :length], signal[:, :length]))
+        group[split] = len(heads) - 1
+        for j in np.flatnonzero(np.bincount(spectrum[rows[split]], minlength=len(gamma))).tolist():
+            mine = split[spectrum[rows[split]] == j]
+            g = gamma[j, length:]
+            c = g[0]  # at most TAIL_RATIO x_a; a tail of zeros keeps its powers 0^k
+            g = g / c if c > 0 else g
+            signal_moments, moments = np.zeros((len(mine), TAIL_ORDER + 4)), np.zeros(TAIL_ORDER + 4)
+            power = np.ones_like(g)
+            for p in range(1, TAIL_ORDER + 4):
+                power *= g
+                moments[p] = _sum(power)
+            block = max(1, BLOCK_ELEMENTS // len(g))
+            for lo in range(0, len(mine), block):
+                s = signal[curve[rows[mine[lo:lo + block]]], length:]
+                signal_moments[lo:lo + block, 0] = _sum(s)
+                for p in range(1, TAIL_ORDER + 2):
+                    s *= g
+                    signal_moments[lo:lo + block, p] = _sum(s)
+            tail[:, mine] = _SIGNAL_SERIES[:, None] * signal_moments + _NOISE_SERIES[:, None] * (
+                noise[rows[mine], None] * moments)
+            tail[:, mine] *= (c / x_a[mine, None]) ** np.arange(TAIL_ORDER + 4)
+    tail[0] /= n
+    tail[1:] *= 2.0 / n
+
+    def evaluate(live, t):
+        out, x, member = np.empty((3, len(live))), n * np.exp(t), group[live]
+        for k, head in enumerate(heads):
+            mine = np.flatnonzero(member == k)
+            if mine.size:
+                out[:, mine] = _curve(n, *head, noise, spectrum, curve, rows[live[mine]], x[mine])
+        split = np.flatnonzero(member)
+        w, series = np.exp(a[live[split]] - t[split]), tail[:, live[split]]
+        poly = series[..., -1]
+        for k in range(TAIL_ORDER + 2, -1, -1):  # Horner's scheme
+            poly = poly * w + series[..., k]
+        out[:, split] += poly
+        return out
+
+    return evaluate
+
+
 def _newton(n, gamma, signal, noise, spectrum, curve, rows, a, x, b):
     """Safeguarded Newton on dR/dt for every basin (row, bracket [a, b], start x) at once.
 
     Returns the final t, R and dR/dt of each basin and its iteration count.
     A basin stops when |dR/dt| <= ``DEFAULT_GRAD_TOL`` R, when its step
     shrinks below ``T_STEP_TOL``, or after ``DEFAULT_MAX_ITER`` evaluations.
+    Each evaluation is ``_split``'s, set up once from the brackets' low ends:
+    no step leaves a bracket, so Newton never goes below its low end.
     """
     m = len(rows)
     t_end, r_end, g_end = np.empty(m), np.empty(m), np.empty(m)
     iterations = np.full(m, DEFAULT_MAX_ITER)
     live = np.arange(m)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        evaluate = _split(n, gamma, signal, noise, spectrum, curve, rows, a)
         for it in range(1, DEFAULT_MAX_ITER + 1):
-            risk, g1, g2 = _curve(n, gamma, signal, noise, spectrum, curve, rows[live], n * np.exp(x))
+            risk, g1, g2 = evaluate(live, x)
             up = g1 > 0
             a, b = np.where(up, a, x), np.where(up, x, b)
             # x is now an end of [a, b], so a step that is uphill (g2 <= 0) or too long falls outside
@@ -411,6 +555,7 @@ def minimize_profiles(
     noise: np.ndarray,
     spectrum: np.ndarray | None = None,
     curve: np.ndarray | None = None,
+    times: dict[str, float] | None = None,
 ) -> Search:
     """Minimize a stack of ridge risk curves over lam in [0, +inf]; row k's result is entry k of each column.
 
@@ -420,8 +565,12 @@ def minimize_profiles(
     every row on spectrum 0); ``signal`` holds signal rows (curves x width)
     and ``curve`` maps rows to them (default: row k on signal row k).  Rows
     named with one curve and one spectrum share their grid scan.  A basin
-    stops when |lam g'| <= ``DEFAULT_GRAD_TOL`` g.
+    stops when |lam g'| <= ``DEFAULT_GRAD_TOL`` g.  With ``times``, the wall
+    time in seconds of the call goes in as three consecutive stages: ``scan``
+    (the checks and the grid scan), ``model`` (the basins and their starts)
+    and ``newton`` (Newton and the winners).
     """
+    start = time.perf_counter()
     gamma = np.atleast_2d(np.asarray(gamma, dtype=float))
     signal = np.asarray(signal, dtype=float)
     noise = np.asarray(noise, dtype=float)
@@ -499,6 +648,7 @@ def minimize_profiles(
     row, cell, row_bound = (np.concatenate(part) for part in zip(*candidates))
     _check_finite(vals, zero, limit)
     del candidates, x_grid, open_, best, lo, hi, first, stop  # the scan's arrays go before Newton's
+    scanned = time.perf_counter()
 
     # every grid-local minimum among the evaluated points (nan compares false) marks a basin worth refining;
     # the grid argmin is one of them unless a limit wins the row.  Newton starts at the minimum of the basin's
@@ -513,6 +663,7 @@ def minimize_profiles(
     shift = np.where(curved, 0.5 * (f0 - f2) / np.where(curved, curvature, 1.0), 0.0)
     shift = _model_start(n, noise, spectrum, vals, squares, basin_row, basin_at, shift)
     del squares
+    modelled = time.perf_counter()
     t_end, r_end, g_end, iters = _newton(n, gamma, signal, noise, spectrum, curve, basin_row,
                                          centre - width, centre + shift * width, centre + width)
 
@@ -545,4 +696,6 @@ def minimize_profiles(
     # open cells: a cell [t_i, t_i+1] more than two steps from the winner whose bound B(t_i) + V(t_i+1) lies
     # below the value.  A cell with an end not evaluated lies in a pruned coarse cell, above the value: closed.
     open_ = (row_bound < value[row] * (1 - BOUND_MARGIN)) & ((cell + 1 < at[row] - 2) | (cell > at[row] + 2))
+    if times is not None:
+        times.update(scan=scanned - start, model=modelled - scanned, newton=time.perf_counter() - modelled)
     return Search(lam, value, grad, np.where(source == 2, iterations, 0), source, np.bincount(row[open_], minlength=rows))

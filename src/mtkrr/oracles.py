@@ -71,14 +71,16 @@ def search_comparisons(n: int, gamma: np.ndarray, signal: np.ndarray, noise: np.
     Replicate r searches on ``gamma[spectrum[r]]``, or on spectrum 0 without ``spectrum``.  Returns the
     multi-task risk, the single-task risk (the task minima summed left to right, not pairwise) and rho,
     one per replicate, and the one stacked ``Search``: mean part, variance part, each task, per replicate.
-    With ``times``, the wall time in seconds of the search goes in as ``search``.
+    With ``times``, the wall time in seconds of the search goes in as ``search``, and the stages of
+    ``minimize_profiles`` as its sub-stages ``search.scan``, ``search.model`` and ``search.newton``.
     """
     start = time.perf_counter()
     reps, p = signal.shape[0], signal.shape[1] - 2
-    owner = None if spectrum is None else np.repeat(spectrum, p + 2)
-    search = minimize_profiles(n, gamma, signal.reshape(-1, n), np.tile(noise, reps), spectrum=owner)
+    owner, stages = None if spectrum is None else np.repeat(spectrum, p + 2), None if times is None else {}
+    search = minimize_profiles(n, gamma, signal.reshape(-1, n), np.tile(noise, reps), spectrum=owner, times=stages)
     if times is not None:
         times["search"] = time.perf_counter() - start
+        times.update((f"search.{stage}", seconds) for stage, seconds in stages.items())
     values = search.value.reshape(reps, p + 2)
     st_risk = np.add.accumulate(values[:, 2:], axis=1)[:, -1] / p
     if (st_risk <= 0).any():

@@ -1,5 +1,6 @@
 import contextlib
 import math
+import sys
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -115,6 +116,20 @@ def parabola_start():
     """
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(optimize, "_model_start", lambda *args: args[-1])
+        yield
+
+
+@contextlib.contextmanager
+def full_width():
+    """Inside the block, Newton evaluates every row over its whole eigen-axis, as the grid scan does.
+
+    ``optimize.MIDDLE_PASS_WIDTH``, the gate of Newton's head and tail split, is patched above every width,
+    so a search's result with and without the split can be compared with no switch in the package.  The
+    gate also turns off the grid scan's middle pass, which leaves every winner's bits (the pruned scan finds
+    what the full scan finds, middle pass or not).
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(optimize, "MIDDLE_PASS_WIDTH", sys.maxsize)
         yield
 
 

@@ -688,10 +688,15 @@ class TestRunSummary:
         argv = ["oracle", "--kind", "setting_a", "--n", "30", "--p", "4", "--c1", "1", "--c2", "0.5", "--delta1", "2"]
         assert main([*argv, "--out", str(out)]) == 0
         captured = capsys.readouterr()
-        # the p + 2 = 6 searches of the one replicate, then the wall times of the draw, the row build and the search
-        assert re.fullmatch(r"searches 6: zero \d+, limit \d+, newton \d+, grid \d+; max_iter hits \d+; "
-                            r"newton evaluations (median [\d.]+, max \d+|none); open-cell searches \d+; "
-                            r"stage ms draw [\d.]+, rows [\d.]+, search [\d.]+\n", captured.err)
+        # the p + 2 = 6 searches of the one replicate, then the wall times of the draw, the row build and the search,
+        # and the search's own stages: the grid scan, the basins' start model, and Newton with the winners
+        stages = re.fullmatch(r"searches 6: zero \d+, limit \d+, newton \d+, grid \d+; max_iter hits \d+; "
+                              r"newton evaluations (median [\d.]+, max \d+|none); open-cell searches \d+; "
+                              r"stage ms draw [\d.]+, rows [\d.]+, search ([\d.]+) "
+                              r"\(scan ([\d.]+), model ([\d.]+), newton ([\d.]+)\)\n", captured.err)
+        assert stages
+        search, *parts = map(float, stages.groups()[1:])
+        assert abs(sum(parts) - search) <= 0.25  # each printed to 0.1 ms
         assert captured.out == f"rho = {json.loads(out.read_text())['rho']!r} -> {out}\n"
         search = json.loads(out.read_text())["search"]
         sources = [record["source"] for record in [search["mean"], search["variance"], *search["tasks"]]]

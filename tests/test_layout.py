@@ -1,4 +1,4 @@
-"""Layout guards: the package holds no code that only the tests use, keeps the dense route off the hot path, one module forks on setting B, no module imports scipy, one module lays out a comparison, every command draws through ``scenarios.draw``, one function reads the sweep configs, one module writes files, a search and the template oracle have one columnar result type, a search has one pruned grid scan, one start of its basins and one Newton iteration, the template has one array evaluator, and no module draws from a numpy stream.
+"""Layout guards: the package holds no code that only the tests use, keeps the dense route off the hot path, one module forks on setting B, no module imports scipy, one module lays out a comparison, every command draws through ``scenarios.draw``, one function reads the sweep configs, one module writes files, a search and the template oracle have one columnar result type, a search has one pruned grid scan, one start of its basins and one Newton iteration with one head and tail split, the template has one array evaluator, and no module draws from a numpy stream.
 
 A public function, class or method defined in ``src/mtkrr`` counts as used
 only if a package module other than ``__init__.py`` references it, or a
@@ -196,7 +196,7 @@ def test_the_template_has_one_array_evaluator():
 
 
 def test_the_search_keeps_its_signature_and_one_pruned_grid_scan():
-    """``minimize_profiles`` takes no pruning or grid knob, and the package scans the risk grid in one place.
+    """``minimize_profiles`` takes no pruning, grid or split knob, and the package scans the risk grid in one place.
 
     Grid values are formed only by ``optimize._squares`` inside ``optimize._scan``, and ``_scan`` runs only
     in ``minimize_profiles``, once per pass over that pass's grid points.  The passes with the middle pass
@@ -208,8 +208,8 @@ def test_the_search_keeps_its_signature_and_one_pruned_grid_scan():
     from mtkrr.optimize import minimize_profiles
 
     parameters = inspect.signature(minimize_profiles).parameters
-    assert list(parameters) == ["n", "gamma", "signal", "noise", "spectrum", "curve"]
-    assert parameters["spectrum"].default is None and parameters["curve"].default is None
+    assert list(parameters) == ["n", "gamma", "signal", "noise", "spectrum", "curve", "times"]
+    assert parameters["spectrum"].default is parameters["curve"].default is parameters["times"].default is None
     calls = []
     for path in sorted(PACKAGE.glob("*.py")):
         for top in ast.parse(path.read_text()).body:
@@ -236,6 +236,24 @@ def test_the_search_starts_its_basins_once_and_refines_them_once():
                 if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] in ("_model_start", "_newton"):
                     calls[(f"{path.stem}.{getattr(top, 'name', '<module>')}", ast.unparse(node.func))] += 1
     assert calls == {("optimize.minimize_profiles", "_model_start"): 1, ("optimize.minimize_profiles", "_newton"): 1}
+
+
+def test_newton_sets_up_its_split_once_and_no_module_imports_a_test_helper():
+    """``_newton`` sets up the head and tail of its basins with one ``_split`` call, and no other package function
+    calls ``_split``; no package module imports mpmath or a test helper (``conftest``, ``reference``), so no
+    switch of the split's gate or of its series lives in the package."""
+    calls, imports = Counter(), []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "_split":
+                    calls[(f"{path.stem}.{getattr(top, 'name', '<module>')}", ast.unparse(node.func))] += 1
+                names = [alias.name for alias in node.names] if isinstance(node, ast.Import) else \
+                    [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+                imports += [(path.name, name) for name in names
+                            if name.split(".")[0] in ("mpmath", "conftest", "reference", "tests")]
+    assert calls == {("optimize._newton", "_split"): 1}
+    assert imports == [], f"package modules import a test helper: {imports}"
 
 
 def test_no_module_draws_from_a_numpy_stream():

@@ -4,14 +4,15 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import bits, minimize_profile, parabola_start, rows, search_one, value_grid
+from conftest import bits, full_width, minimize_profile, parabola_start, rows, search_one, value_grid
 from reference import RidgeRiskProfile, certified_lower_bound, full_scan_minimize_profiles
 
 from mtkrr import optimize
-from mtkrr.optimize import BRACKET_DECADES, DEFAULT_GRID_POINTS, SOURCES, _curve, minimize_profiles
+from mtkrr.optimize import (BRACKET_DECADES, DEFAULT_GRID_POINTS, SOURCES, TAIL_ORDER, TAIL_RATIO, _curve,
+                             minimize_profiles)
 from mtkrr.oracles import comparison_rows
 from mtkrr.scenarios import ScenarioKind, ScenarioSpec, build_ensemble
 
@@ -168,6 +169,33 @@ def profiles(draw, n=None):
     return RidgeRiskProfile(n=n, gamma=gamma, signal=signal, noise=10.0 ** draw(decades))
 
 
+@st.composite
+def wide_stacks(draw, min_rows=1):
+    """(n, spectra, signal, noise, spectrum): rows at least ``MIDDLE_PASS_WIDTH`` wide, drawn from a seed.
+
+    Each of one to three spectra is a power law over 1e-6..1e6, shuffled, or with a tail of null eigenvalues;
+    each row's signal is a power law with random weights, or zero, and its noise is drawn over 1e-6..1e6, or
+    zero.  The arrays come from a numpy generator on a drawn seed: hypothesis draws only their shape.
+    """
+    width = draw(st.integers(min_value=optimize.MIDDLE_PASS_WIDTH, max_value=optimize.MIDDLE_PASS_WIDTH + 200))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    i = np.arange(1, width + 1, dtype=float)
+    gamma = []
+    for kind in draw(st.lists(st.sampled_from(("decay", "shuffled", "null tail")), min_size=1, max_size=3)):
+        g = 10.0 ** draw(decades) * i ** (-2.0 * draw(st.floats(min_value=0.5, max_value=3.5)))
+        if kind == "shuffled":
+            g = rng.permutation(g)
+        elif kind == "null tail":
+            g[draw(st.integers(min_value=1, max_value=width - 1)):] = 0.0
+        gamma.append(g)
+    kinds = draw(st.lists(st.sampled_from(("decay", "decay", "zero signal", "zero noise")), min_size=min_rows,
+                          max_size=6))
+    signal = np.array([(kind != "zero signal") * 10.0 ** draw(decades) * rng.uniform(0.0, 1.0, width)
+                       * i ** (-2.0 * draw(st.floats(min_value=0.3, max_value=3.0))) for kind in kinds])
+    noise = np.array([(kind != "zero noise") * 10.0 ** draw(decades) for kind in kinds])
+    return width, np.array(gamma), signal, noise, rng.integers(0, len(gamma), len(kinds))
+
+
 def brute_force_minimum(prof: RidgeRiskProfile) -> float:
     """Dense log grid over the engine's bracket widened by 3 more decades, plus both limits."""
     positive = prof.gamma[prof.gamma > 0]
@@ -195,9 +223,8 @@ def test_scaling_gamma_and_lambda_together_leaves_the_oracle_unchanged(prof, log
         assert scaled.lam == pytest.approx(c * best.lam, rel=1e-4)
 
 
-@given(st.integers(min_value=2, max_value=30).flatmap(
-    lambda n: st.lists(profiles(n=n), min_size=2, max_size=6)), st.randoms(use_true_random=False))
-def test_each_row_is_bit_identical_alone_in_any_stack_and_order(profs, rnd):
+def assert_each_row_alone(profs: list[RidgeRiskProfile], rnd):
+    """Each row of ``profs`` gets the same bits alone, stacked, shuffled, and on the first row's spectrum."""
     n = profs[0].n
     gammas = np.vstack([prof.gamma for prof in profs])
     signal = np.vstack([prof.signal for prof in profs])
@@ -215,6 +242,21 @@ def test_each_row_is_bit_identical_alone_in_any_stack_and_order(profs, rnd):
     assert [bits(shared, [k]) for k in range(len(profs))] == [
         bits(search_one(RidgeRiskProfile(n=n, gamma=gammas[0], signal=prof.signal, noise=prof.noise)))
         for prof in profs]
+
+
+@given(st.integers(min_value=2, max_value=30).flatmap(
+    lambda n: st.lists(profiles(n=n), min_size=2, max_size=6)), st.randoms(use_true_random=False))
+def test_each_row_is_bit_identical_alone_in_any_stack_and_order(profs, rnd):
+    assert_each_row_alone(profs, rnd)
+
+
+@settings(max_examples=15)
+@given(st.data(), st.randoms(use_true_random=False))
+def test_each_wide_row_is_bit_identical_alone_in_any_stack_and_order(data, rnd):
+    # rows at least the gate wide: Newton sums each basin's head and its tail's series (``optimize._split``)
+    n, gamma, signal, noise, spectrum = data.draw(wide_stacks(min_rows=2))
+    assert_each_row_alone([RidgeRiskProfile(n=n, gamma=gamma[j], signal=row, noise=v)
+                           for j, row, v in zip(spectrum.tolist(), signal, noise.tolist())], rnd)
 
 
 # ---------------------------------------------------------------------------
@@ -767,3 +809,201 @@ def test_the_start_model_saves_newton_evaluations_on_a_wide_stack():
     with parabola_start():
         _, _, _, _, vertex_counts = newton_basins(lambda: minimize_profiles(*stack))
     assert vertex_counts.mean() >= 4.0
+
+
+# ---------------------------------------------------------------------------
+# Newton on wide rows: the head of each spectrum, and the series of its tail
+
+
+def assert_as_full_width(n, gamma, signal, noise, spectrum):
+    """Each row keeps its source, Newton evaluations and open cells, and its value within 1e-15 of the full width.
+
+    A source may move only where two candidates lie within that rounding of each other: hypothesis found a
+    row whose Newton basin ends about one unit in the last place below the lam = +inf limit with the split,
+    and not below it at full width.
+    """
+    split = minimize_profiles(n, gamma, signal, noise, spectrum=spectrum)
+    with full_width():
+        full = minimize_profiles(n, gamma, signal, noise, spectrum=spectrum)
+    assert split.open_cells.tolist() == full.open_cells.tolist()
+    assert (np.abs(split.value - full.value) <= 1e-15 * full.value).all(), (split.value - full.value) / full.value
+    kept = split.source == full.source
+    assert split.iterations[kept].tolist() == full.iterations[kept].tolist()
+    return split, kept
+
+
+@given(wide_stacks())
+def test_the_split_keeps_every_source_and_iteration_count_and_every_value_to_rounding(stack):
+    assert_as_full_width(*stack)
+
+
+def power_law_stack(width: int, rows: int = 22):
+    """Comparison-like rows on the spectrum n i^-4: signal decays from 1.5 to 3 and noise from 0.1 to 10."""
+    i = np.arange(1, width + 1, dtype=float)
+    signal = np.array([width * i ** (-2.0 * delta) for delta in np.linspace(1.5, 3.0, rows)])
+    return width, width * i ** -4.0, signal, np.geomspace(0.1, 10.0, rows), np.zeros(rows, dtype=np.intp)
+
+
+def curve_widths(stack) -> list[int]:
+    """The widths ``_curve`` evaluates in a search of ``stack``, one entry per call."""
+    widths, curve = [], optimize._curve
+
+    def spy(n, gamma, *args):
+        widths.append(gamma.shape[1])
+        return curve(n, gamma, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(optimize, "_curve", spy)
+        minimize_profiles(*stack)
+    return widths
+
+
+def test_newton_on_a_wide_stack_evaluates_only_heads():
+    # every basin of a width-2000 power-law stack has a head of a power of two from 64 entries, far below the width
+    stack = power_law_stack(2000)
+    widths = curve_widths(stack)
+    assert widths and set(widths) <= {64, 128, 256, 512}
+    assert assert_as_full_width(*stack)[1].all()
+
+
+@pytest.mark.parametrize("width", [optimize.HEAD_MIN + 1, optimize.MIDDLE_PASS_WIDTH - 1])
+def test_rows_narrower_than_the_gate_keep_the_full_width_bits(width):
+    stack = power_law_stack(width)
+    assert set(curve_widths(stack)) <= {width}
+    found = minimize_profiles(*stack)
+    with full_width():
+        assert bits(minimize_profiles(*stack)) == bits(found)
+
+
+def test_a_basin_with_no_head_shorter_than_its_row_keeps_the_full_width_bits():
+    # a flat spectrum: every entry lies above the cutoff wherever the basin is, so no head is shorter than the row
+    width = optimize.MIDDLE_PASS_WIDTH
+    stack = (width, np.ones(width), np.ones((2, width)), np.array([0.5, 2.0]))
+    assert set(curve_widths(stack)) == {width}
+    found = minimize_profiles(*stack)
+    with full_width():
+        assert bits(minimize_profiles(*stack)) == bits(found)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_a_shuffled_wide_spectrum_gives_the_sorted_values(seed):
+    # a spectrum not in descending order keeps its whole row in Newton: shuffled eigen-entries, with their signal,
+    # give the sorted search's values, which the split evaluates from heads
+    n, gamma, signal, noise, spectrum = power_law_stack(1500, rows=8)
+    perm = np.random.default_rng(seed).permutation(n)
+    assert set(curve_widths((n, gamma[perm], signal[:, perm], noise, spectrum))) == {n}
+    ordered, kept = assert_as_full_width(n, gamma, signal, noise, spectrum)
+    shuffled, kept_shuffled = assert_as_full_width(n, gamma[perm], signal[:, perm], noise, spectrum)
+    assert kept.all() and kept_shuffled.all()
+    assert shuffled.source.tolist() == ordered.source.tolist()
+    assert shuffled.iterations.tolist() == ordered.iterations.tolist()
+    assert (np.abs(shuffled.value - ordered.value) <= 1e-15 * ordered.value).all()
+
+
+def test_newton_splits_each_basin_at_its_bracket_low_end():
+    """``_split`` takes the low ends of the brackets that Newton gets, below which no Newton step goes."""
+    seen, split, newton = {}, optimize._split, optimize._newton
+
+    def spy_split(*args):
+        seen["split"] = args[-1].copy()
+        return split(*args)
+
+    def spy_newton(*args):
+        seen["newton"] = args[7].copy()
+        return newton(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(optimize, "_split", spy_split)
+        patch.setattr(optimize, "_newton", spy_newton)
+        minimize_profiles(*power_law_stack(1200))
+    assert seen["split"].tobytes() == seen["newton"].tobytes()
+
+
+# the rounding of a sum over a row of 1024 entries: pairwise summation errs by at most about log2(1024) eps of the
+# sum of the absolute values of its summands (Higham, Accuracy and Stability of Numerical Algorithms, 2002, ch. 4),
+# and the scaling by n and back adds a few eps more
+ROUNDING = (math.log2(1024) + 6) * np.finfo(float).eps / 2
+
+SUMMANDS = {  # n R, n/2 dR/dt and n/2 d2R/dt2 of one entry, as functions of a = u/(1+u) and b = 1/(1+u)
+    "R": lambda a, b, s, v: s * b**2 + v * a**2,
+    "dR/dt": lambda a, b, s, v: a * b * (s * b - v * a),
+    "d2R/dt2": lambda a, b, s, v: a * b * (a - b) * (s * b - v * a) + (a * b) ** 2 * (s + v),
+}
+
+
+def exact_and_truncated(mpmath, gamma, signal, noise, x, head):
+    """The three summand sums over the whole row, exactly, and with every entry from ``head`` on replaced by the
+    Taylor polynomial in u = g/x of its summand: signal terms through u^(K+1), noise terms through u^(K+3).
+    Each comes with the sum of the absolute values of its summands, the scale of its rounding."""
+    def summand(name, u, s, v):
+        return SUMMANDS[name](u / (1 + u), 1 / (1 + u), s, v)
+
+    out = {}
+    for name in SUMMANDS:
+        taylor = [mpmath.taylor(lambda u: summand(name, u, s, v), 0, TAIL_ORDER + 3) for s, v in ((1, 0), (0, 1))]
+        exact = truncated = scale = mpmath.mpf(0)
+        for i, (g, s) in enumerate(zip(gamma.tolist(), signal.tolist())):
+            u = mpmath.mpf(g) / mpmath.mpf(x)
+            term = summand(name, u, mpmath.mpf(s), mpmath.mpf(noise))
+            exact, scale = exact + term, scale + abs(term)
+            if i < head:
+                truncated += term
+            else:
+                truncated += s * mpmath.polyval(taylor[0][TAIL_ORDER + 1::-1], u)
+                truncated += noise * mpmath.polyval(taylor[1][::-1], u)
+        out[name] = (exact, truncated, scale)
+    return out
+
+
+def split_evaluation(n, gamma, signal, noise, t_a):
+    """R, dR/dt and d2R/dt2 of one basin (bracket low end ``t_a``) of a one-row stack at t = t_a, through ``_split``,
+    scaled as ``SUMMANDS`` (n R, n/2 dR/dt, n/2 d2R/dt2)."""
+    zero = np.zeros(1, dtype=np.intp)
+    t = np.array([t_a])
+    out = optimize._split(n, gamma[None], signal[None], np.array([noise]), zero, zero, zero, t)(zero, t)[:, 0]
+    return dict(zip(SUMMANDS, (n * out[0], n / 2 * out[1], n / 2 * out[2])))
+
+
+def test_head_plus_tail_is_the_exact_sum_where_the_tail_starts_at_the_cutoff():
+    """At x = x_a, the tail's largest entry lies exactly at u = U_C: the split sums agree with the exact sums
+    (mpmath, 40 digits) to rounding: ``ROUNDING`` of the sum of the absolute values of the summands."""
+    mpmath = pytest.importorskip("mpmath")
+    width, head = optimize.MIDDLE_PASS_WIDTH, 128
+    i = np.arange(1, width + 1, dtype=float)
+    gamma, signal, noise = width * i ** -2.5, width * i ** -1.5, 0.7
+    x_a = gamma[head] / TAIL_RATIO  # 128 entries above the cutoff: the head is 128 long, and the tail's first at U_C
+    assert x_a * TAIL_RATIO == gamma[head]
+    found = split_evaluation(width, gamma, signal, noise, math.log(x_a / width))
+    with mpmath.workdps(40):
+        sums = exact_and_truncated(mpmath, gamma, signal, noise, x_a, head)
+        for name, (exact, _, scale) in sums.items():
+            assert abs(found[name] - exact) <= ROUNDING * scale, (name, float((found[name] - exact) / scale))
+
+
+@pytest.mark.parametrize("count", [70, 128, 300])
+def test_the_tail_is_the_taylor_polynomial_of_its_summands(count, monkeypatch):
+    """With the cutoff raised to U_C = 0.2, each term of the series shows: the split sums are the exact head plus the
+    Taylor polynomial of every tail summand to rounding, with the head the shortest power of two from 64 that
+    holds the ``count`` entries above the cutoff.  A dropped term, or a cutoff moved by one grid step, fails."""
+    mpmath = pytest.importorskip("mpmath")
+    monkeypatch.setattr(optimize, "TAIL_RATIO", 0.2)
+    width = optimize.MIDDLE_PASS_WIDTH
+    i = np.arange(1, width + 1, dtype=float)
+    gamma, signal, noise = i**-2.0, i**-1.5, 0.3
+    x_a = 1.0 / (0.2 * (count + 0.5) ** 2)  # g = i^-2 > 0.2 x_a for the first ``count`` entries
+    head = max(optimize.HEAD_MIN, 1 << (count - 1).bit_length())
+    t_a = math.log(x_a / width)
+    found = split_evaluation(width, gamma, signal, noise, t_a)
+    # Newton's first evaluation, at the bracket's low end, is the same; its bracket is two grid steps wide
+    t_lo, t_hi = optimize.spectrum_bracket(width, gamma)
+    step = float((t_hi - t_lo)[0]) / (DEFAULT_GRID_POINTS - 1)
+    monkeypatch.setattr(optimize, "DEFAULT_MAX_ITER", 1)
+    zero = np.zeros(1, dtype=np.intp)
+    _, risk, slope, _ = optimize._newton(width, gamma[None], signal[None], np.array([noise]), zero, zero, zero,
+                                         np.array([t_a]), np.array([t_a]), np.array([t_a + 2 * step]))
+    assert (width * risk[0], width / 2 * slope[0]) == (found["R"], found["dR/dt"])
+    with mpmath.workdps(40):
+        sums = exact_and_truncated(mpmath, gamma, signal, noise, x_a, head)
+        for name, (exact, truncated, scale) in sums.items():
+            assert abs(found[name] - truncated) <= ROUNDING * scale, (name, float((found[name] - truncated) / scale))
+            assert abs(exact - truncated) > 1e-12 * scale  # the series' remainder shows at this cutoff

@@ -6,7 +6,7 @@ from hypothesis import assume, given
 from conftest import bits, compare_one, oracle_multitask, oracle_singletask, rows, value_grid
 from hypothesis import strategies as st
 
-from mtkrr.oracles import rho_formula_1out, rho_formula_2points
+from mtkrr.oracles import comparison_rows, rho_formula_1out, rho_formula_2points, search_comparisons
 from mtkrr.riskfn import RiskParams, alpha_constant, kappa
 from mtkrr.scenarios import ScenarioKind, ScenarioSpec, build_ensemble
 from mtkrr.spectral import KernelSpectrum, TaskEnsemble
@@ -139,6 +139,17 @@ class TestCompare:
         assert bits(mt.search) == bits(search, slice(0, 2)) and bits(st_oracle.search) == bits(search, slice(2, None))
         for best in rows(search):
             assert best.source == "newton" and 1 <= best.iterations and best.stationarity <= 1e-10
+
+    @pytest.mark.parametrize("n", [30, 1100])
+    def test_the_search_stages_sum_to_the_search(self, n):
+        # scan, model and newton follow one another inside the search, so together they take no longer than it
+        spec = two_cluster_spec(n, 4, 1.0, 0.5, 2.0, 2.0)
+        signal, noise = comparison_rows(build_ensemble(spec)[1].h[None], 1.0)
+        times = {"draw": 0.0}
+        search_comparisons(n, synth_spectrum(n, 2.0).gamma, signal, noise, times=times)
+        assert list(times) == ["draw", "search", "search.scan", "search.model", "search.newton"]
+        parts = times["search.scan"] + times["search.model"] + times["search.newton"]
+        assert 0 < parts <= times["search"]
 
     @given(st.integers(min_value=2, max_value=6), st.integers(min_value=0, max_value=2**32 - 1),
            st.floats(min_value=-3.0, max_value=3.0), st.permutations(range(6)))
