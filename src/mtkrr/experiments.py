@@ -5,7 +5,8 @@ Each replicate generates a fresh ensemble from a derived sub-seed, computes
 the exact multi-task and single-task oracle risks, and records their ratio.
 ``run_experiments`` takes a command's whole work list (every spec, every
 replicate), draws its replicates in chunks straight into one block of search
-rows, and compares them all in one stacked search, in one process.  Each
+rows, and compares them all in one stacked search, in one process; the
+replicates ``scenarios.draw`` gives one spectrum share its grid scan.  Each
 search is bit-identical in any stack and aggregation is an ordered reduction
 over replicate index, so a spec's report is the same in any work list.
 """
@@ -122,11 +123,7 @@ def run_experiments(specs: list[ScenarioSpec], sigma2: float, n_rep: int,
     gamma, owner, chunks = draw(specs, seeds.reshape(len(specs), reps))
     times = {"draw": time.perf_counter() - start}
     signal, noise = stacked_rows(chunks, len(owner), specs[0].n, specs[0].p, sigma2, times)
-    # spectra equal bit for bit, such as every cell of a synthetic sweep at one (n, beta), share one grid scan
-    start = time.perf_counter()
-    _, first, which = np.unique(gamma.view(f"V{gamma.strides[0]}").ravel(), return_index=True, return_inverse=True)
-    times["draw"] += time.perf_counter() - start
-    _, _, rho, search = search_comparisons(specs[0].n, gamma[first], signal, noise, spectrum=which[owner], times=times)
+    _, _, rho, search = search_comparisons(specs[0].n, gamma, signal, noise, spectrum=owner, times=times)
     start = time.perf_counter()
     if reps < n_rep:  # each spec's ratio and p + 2 searches, repeated for its every replicate
         rho = np.repeat(rho, n_rep)

@@ -15,23 +15,8 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from .estimators import multitask_rows, singletask_rows
+from .estimators import comparison_rows
 from .optimize import Search, minimize_profiles
-from .spectral import mean_variance
-
-
-def comparison_rows(h: np.ndarray, sigma2: float, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Signal rows and noise levels of the p + 2 searches of one comparison: mean part, variance part, tasks.
-
-    ``h`` holds the task coefficients, n x p, or an (R, n, p) block of R replicates with signal
-    (R, p + 2, n), each replicate's rows bit-identical to those of its ensemble alone.  The rows are
-    written into ``out`` when it is given; no temporary is larger than ``h``.
-    """
-    p = h.shape[-1]
-    signal = np.empty(h.shape[:-2] + (p + 2, h.shape[-2])) if out is None else out
-    _, mt_noise = multitask_rows(*mean_variance(h), sigma2, p, out=signal[..., :2, :])
-    _, st_noise = singletask_rows(h, sigma2, out=signal[..., 2:, :])
-    return signal, np.concatenate((mt_noise, st_noise))
 
 
 def stacked_rows(chunks: Iterable[tuple[slice, np.ndarray]], reps: int, n: int, p: int, sigma2: float,
@@ -44,8 +29,10 @@ def stacked_rows(chunks: Iterable[tuple[slice, np.ndarray]], reps: int, n: int, 
     A chunk with a coefficient that is not finite is an error; a row that overflows is built quietly and
     left to the search, which names the first row that is not finite.  With ``times``, the seconds spent
     drawing the chunks are added to ``draw``, and those spent building their rows go in as ``rows``.
+    The noise levels depend on (sigma2, p) alone, so they are given with no chunk too.
     """
-    signal, noise = np.empty((reps, p + 2, n)), None
+    signal = np.empty((reps, p + 2, n))
+    noise = comparison_rows(np.empty((0, n, p)), sigma2, out=signal[:0])[1]
     drawn = built = 0.0
     start = time.perf_counter()
     for rows, h in chunks:
@@ -53,7 +40,7 @@ def stacked_rows(chunks: Iterable[tuple[slice, np.ndarray]], reps: int, n: int, 
         if not np.isfinite(h).all():
             raise ValueError("task coefficients must be finite")
         with np.errstate(over="ignore", invalid="ignore"):
-            _, noise = comparison_rows(h, sigma2, out=signal[rows])
+            comparison_rows(h, sigma2, out=signal[rows])
         del h
         end = time.perf_counter()
         drawn, built, start = drawn + middle - start, built + end - middle, end

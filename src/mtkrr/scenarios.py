@@ -345,7 +345,7 @@ _TASK_BLOCKS = {ScenarioKind.H2POINTS: _h2points, ScenarioKind.H1OUT: _h1out, Sc
 
 
 def draw(specs: list[ScenarioSpec], seeds) -> tuple[np.ndarray, np.ndarray, Iterator[tuple[slice, np.ndarray]]]:
-    """Spectra (k, n), each replicate's spectrum index, and the task coefficients of a work list in chunks.
+    """Distinct spectra (k, n), each replicate's index into them, and a work list's task coefficients in chunks.
 
     ``seeds`` is an (S, R) array: replicate r of ``specs[k]`` is replicate k R + r of the work list, drawn
     from its own stream keyed by ``seeds[k, r]``, and its coefficients are the ensemble of that spec with
@@ -354,18 +354,19 @@ def draw(specs: list[ScenarioSpec], seeds) -> tuple[np.ndarray, np.ndarray, Iter
     may span specs: about ``BLOCK_ELEMENTS`` task values (at least one replicate) for the synthetic kinds,
     whose sign block each spec scales in place on its own segment, and the blocks of ``BLOCK_ELEMENTS``
     // n^2 replicates of the periodic-spline setting, which reads n input words first and projects.  A
-    chunk is dropped by the draw once the next is asked for.  Each synthetic spec gets one polynomial-decay
-    spectrum with beta = beta_or_m; the periodic-spline setting draws one spectrum per replicate and
-    writes it into its row of the spectra as its chunk is drawn, dropping the basis (``build_ensemble``
-    keeps the basis of one replicate).
+    chunk is dropped by the draw once the next is asked for.  The synthetic kinds get one spectrum
+    ``power_law(n, beta_or_m)`` per distinct ``beta_or_m``, in order of first use; the periodic-spline
+    setting draws one per replicate and writes it into its row of the spectra as its chunk is drawn,
+    dropping the basis (``build_ensemble`` keeps the basis of one replicate).
     """
     seeds = np.asarray(seeds, dtype=np.uint64).reshape(len(specs), -1)
     kind, n, p = specs[0].kind, specs[0].n, specs[0].p
     if kind is ScenarioKind.SETTING_B:
         gamma, owner, per = np.empty((seeds.size, n)), np.arange(seeds.size), max(1, BLOCK_ELEMENTS // (n * n))
     else:
-        gamma = np.array([power_law(n, spec.beta_or_m) for spec in specs])
-        owner, per = np.repeat(np.arange(len(specs)), seeds.shape[1]), max(1, BLOCK_ELEMENTS // (n * p))
+        first: dict[float, int] = {}  # each distinct beta_or_m and its index, in order of first use
+        owner = np.repeat([first.setdefault(spec.beta_or_m, len(first)) for spec in specs], seeds.shape[1])
+        gamma, per = np.array([power_law(n, beta) for beta in first]), max(1, BLOCK_ELEMENTS // (n * p))
     keys = _keys(seeds.ravel()) if kind in RANDOM_KINDS else None
     return gamma, owner, _chunks(specs, seeds.shape[1], keys, per, gamma)
 

@@ -1,14 +1,13 @@
 """Spectral representation of a multi-task regression problem.
 
-The kernel matrix K is diagonalized once, task signals are rotated into the
-kernel eigenbasis, and the whole analysis then works with three vectors per
-problem: the eigenvalues ``gamma_i``, the task-mean profile ``mu_i`` and the
-between-task variance profile ``varsigma2_i``.
+The kernel matrix K is diagonalized once and the task signals are rotated
+into the kernel eigenbasis, so the whole analysis works with the eigenvalues
+``gamma_i`` and the n x p task coefficients ``h_i^j``.  The rows of every
+risk curve are built from these by ``estimators.comparison_rows``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,20 +101,3 @@ def eigendecompose_kernels(K: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("basis rows are not orthonormal")
     return np.take_along_axis(w, order, axis=1), basis
 
-
-def mean_variance(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and between-task variance profiles of coefficients h (n x p, or (R, n, p) for R replicates).
-
-    mu_i = sum_j h_i^j / sqrt(p) and varsigma2_i = (1/p) sum_j (h_i^j - hbar_i)^2
-    with hbar_i the plain row mean (= mu_i / sqrt(p)).  Computed directly from
-    row sums, never materializing the p x p rotation that diagonalizes the
-    task-coupling matrix.  Both reduce along the contiguous task axis, so each
-    replicate of a block gets the bits of its n x p slice alone.  The task sum
-    is formed once; the variance then takes ``np.var``'s own steps from it
-    (divide by p, subtract, square, sum, divide by p), so it has its bits.
-    """
-    p = h.shape[-1]
-    total = h.sum(axis=-1)
-    spread = h - (total / p)[..., None]
-    np.square(spread, out=spread)
-    return total / math.sqrt(p), spread.sum(axis=-1) / p

@@ -10,12 +10,12 @@ from hypothesis import settings
 from scipy.integrate import quad
 
 from mtkrr import optimize
-from mtkrr.estimators import multitask_rows, singletask_rows
+from mtkrr.estimators import comparison_rows
 from mtkrr.optimize import SOURCES, Search, minimize_profiles
-from mtkrr.oracles import comparison_rows, search_comparisons
+from mtkrr.oracles import search_comparisons
 from mtkrr.riskfn import RiskParams
 from mtkrr.spectral import KernelSpectrum, TaskEnsemble
-from reference import MeanVarianceProfile, RidgeRiskProfile
+from reference import RidgeRiskProfile
 
 # Property tests draw a fixed set of examples: the same ones on every run, no
 # example database, and no per-example deadline, so the suite stays
@@ -167,15 +167,15 @@ def compare_one(spectrum: KernelSpectrum, tasks: TaskEnsemble, sigma2: float):
     return float(mt_risk[0]), float(st_risk[0]), float(rho[0]), search
 
 
-def mean_part_profile(spectrum: KernelSpectrum, profile: MeanVarianceProfile, sigma2: float, p: int) -> RidgeRiskProfile:
-    """Risk curve in lam for the task-mean component (row 0 of ``multitask_rows``)."""
-    signal, noise = multitask_rows(profile.mu, profile.varsigma2, sigma2, p)
+def mean_part_profile(spectrum: KernelSpectrum, tasks: TaskEnsemble, sigma2: float) -> RidgeRiskProfile:
+    """Risk curve in lam for the task-mean component (row 0 of ``comparison_rows``)."""
+    signal, noise = comparison_rows(tasks.h, sigma2)
     return RidgeRiskProfile(n=spectrum.n, gamma=spectrum.gamma, signal=signal[0], noise=noise[0])
 
 
-def variance_part_profile(spectrum: KernelSpectrum, profile: MeanVarianceProfile, sigma2: float, p: int) -> RidgeRiskProfile:
-    """Risk curve in mu for the between-task component (row 1 of ``multitask_rows``)."""
-    signal, noise = multitask_rows(profile.mu, profile.varsigma2, sigma2, p)
+def variance_part_profile(spectrum: KernelSpectrum, tasks: TaskEnsemble, sigma2: float) -> RidgeRiskProfile:
+    """Risk curve in mu for the between-task component (row 1 of ``comparison_rows``)."""
+    signal, noise = comparison_rows(tasks.h, sigma2)
     return RidgeRiskProfile(n=spectrum.n, gamma=spectrum.gamma, signal=signal[1], noise=noise[1])
 
 
@@ -197,18 +197,19 @@ class STOracle:
     search: Search  # one search per task
 
 
-def oracle_multitask(spectrum: KernelSpectrum, profile: MeanVarianceProfile, sigma2: float, p: int) -> MTOracle:
-    """Independently minimize the mean part over lam and the variance part over mu."""
-    signal, noise = multitask_rows(profile.mu, profile.varsigma2, sigma2, p)
-    search = minimize_profiles(spectrum.n, spectrum.gamma, signal, noise)
+def oracle_multitask(spectrum: KernelSpectrum, tasks: TaskEnsemble, sigma2: float) -> MTOracle:
+    """Minimize the mean part over lam and the variance part over mu apart: rows 0 and 1 of ``comparison_rows``."""
+    signal, noise = comparison_rows(tasks.h, sigma2)
+    search = minimize_profiles(spectrum.n, spectrum.gamma, signal[:2], noise[:2])
     (lambda_star, mu_star), (mean, var) = search.lam.tolist(), search.value.tolist()
     return MTOracle(lambda_star=lambda_star, mu_star=mu_star, risk=mean + var, mean_part=mean, var_part=var,
                     search=search)
 
 
 def oracle_singletask(spectrum: KernelSpectrum, tasks: TaskEnsemble, sigma2: float) -> STOracle:
-    """Per-task oracle ridge risks, averaged over the p tasks."""
-    search = minimize_profiles(spectrum.n, spectrum.gamma, *singletask_rows(tasks.h, sigma2))
+    """Per-task oracle ridge risks, averaged over the p tasks (rows 2.. of ``comparison_rows``)."""
+    signal, noise = comparison_rows(tasks.h, sigma2)
+    search = minimize_profiles(spectrum.n, spectrum.gamma, signal[2:], noise[2:])
     risks = search.value.tolist()
     return STOracle(lambdas=tuple(search.lam.tolist()), risk=sum(risks) / len(risks), per_task=tuple(risks),
                     search=search)

@@ -43,7 +43,6 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from mtkrr.estimators import multitask_rows
 from mtkrr.experiments import ExperimentReport, run_experiments
 from mtkrr import optimize
 from mtkrr.optimize import Search
@@ -56,7 +55,6 @@ from mtkrr.spectral import (
     KernelSpectrum,
     NotPSDError,
     TaskEnsemble,
-    mean_variance,
 )
 
 DENSE_SIZE_CAP = 512  # the O((np)^3) route exists only for cross-validation
@@ -206,8 +204,12 @@ def reconstruct_tasks(spectrum: KernelSpectrum, tasks: TaskEnsemble) -> np.ndarr
 
 
 def mean_variance_profile(tasks: TaskEnsemble) -> MeanVarianceProfile:
-    """Split an ensemble into its mean and between-task variance profiles (see ``mean_variance``)."""
-    return MeanVarianceProfile(*mean_variance(tasks.h))
+    """Split an ensemble into its mean profile mu_i = sqrt(p) hbar_i and between-task variance profile.
+
+    Plain numpy formulas, independent of the package's ``estimators.comparison_rows``: its rows 0 and 1
+    (mu^2 / p and varsigma2) agree with these to rounding, not bit for bit.
+    """
+    return MeanVarianceProfile(tasks.h.mean(axis=1) * math.sqrt(tasks.p), tasks.h.var(axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -333,10 +335,10 @@ def risk_spectral(
         raise ValueError("noise variance must be positive")
     if p < 1:
         raise ValueError("p must be a positive integer")
-    signal, noise = multitask_rows(profile.mu, profile.varsigma2, sigma2, p)
     n, gamma = spectrum.n, spectrum.gamma
-    b1, v1 = RidgeRiskProfile(n=n, gamma=gamma, signal=signal[0], noise=noise[0]).parts(lam)  # mean part
-    b2, v2 = RidgeRiskProfile(n=n, gamma=gamma, signal=signal[1], noise=noise[1]).parts(mu)  # between-task part
+    b1, v1 = RidgeRiskProfile(n=n, gamma=gamma, signal=profile.mu**2 / p, noise=sigma2 / p).parts(lam)  # mean part
+    b2, v2 = RidgeRiskProfile(n=n, gamma=gamma, signal=profile.varsigma2,  # between-task part
+                              noise=(p - 1) * sigma2 / p).parts(mu)
     return RiskBreakdown.of(b1 + b2, v1 + v2)
 
 

@@ -264,11 +264,10 @@ def test_criterion_09_oracle_vs_grid():
                             beta_or_m=float(rng.uniform(1.0, 3.0)))
         spectrum = synth_spectrum(n, spec.beta_or_m)
         tasks = build_ensemble(spec)[1]
-        profile = mean_variance_profile(tasks)
-        mt = oracle_multitask(spectrum, profile, 1.0, p)
+        mt = oracle_multitask(spectrum, tasks, 1.0)
         grid = np.geomspace(1e-9, 1e3, 200)
-        g1 = value_grid(mean_part_profile(spectrum, profile, 1.0, p), grid)
-        g2 = value_grid(variance_part_profile(spectrum, profile, 1.0, p), grid)
+        g1 = value_grid(mean_part_profile(spectrum, tasks, 1.0), grid)
+        g2 = value_grid(variance_part_profile(spectrum, tasks, 1.0), grid)
         grid_min = float((g1[:, None] + g2[None, :]).min())
         worst = max(worst, (mt.risk - grid_min) / grid_min)
     _criterion(9, worst <= 1e-7, f"worst (optimizer - grid)/grid = {worst:.2e} over 20 instances")

@@ -216,17 +216,16 @@ class TestRiskSpectral:
         for lam in (1e-3, 0.1, 5.0):
             r1 = risk_spectral(spectrum, prof, lam, 0.01, 1.0, 3)
             r2 = risk_spectral(spectrum, prof, lam, 10.0, 1.0, 3)
-            mean_bias, mean_var = mean_part_profile(spectrum, prof, 1.0, 3).parts(lam)
-            v1 = variance_part_profile(spectrum, prof, 1.0, 3).parts(0.01)
-            v2 = variance_part_profile(spectrum, prof, 1.0, 3).parts(10.0)
+            mean_bias, mean_var = mean_part_profile(spectrum, tasks, 1.0).parts(lam)
+            v1 = variance_part_profile(spectrum, tasks, 1.0).parts(0.01)
+            v2 = variance_part_profile(spectrum, tasks, 1.0).parts(10.0)
             assert r1.total == pytest.approx(mean_bias + mean_var + v1[0] + v1[1], rel=1e-12)
             assert r2.total == pytest.approx(mean_bias + mean_var + v2[0] + v2[1], rel=1e-12)
 
     def test_monotone_bias_and_variance(self):
         spectrum, tasks = random_instance(6, n=6, p=2)
-        prof = mean_variance_profile(tasks)
         grid = np.geomspace(1e-6, 1e2, 40)
-        mean = mean_part_profile(spectrum, prof, 1.0, 2)
+        mean = mean_part_profile(spectrum, tasks, 1.0)
         biases = np.array([mean.parts(l)[0] for l in grid])
         variances = np.array([mean.parts(l)[1] for l in grid])
         assert np.all(np.diff(biases) >= -1e-15)

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from mtkrr import oracles, scenarios
+from mtkrr.estimators import comparison_rows
 from mtkrr.experiments import Z_975, _reports, pvalue_pi1, pvalue_pi2, run_experiments
 from mtkrr.optimize import Search
-from mtkrr.oracles import comparison_rows, search_comparisons
+from mtkrr.oracles import search_comparisons
 from mtkrr.render import emit_heatmap, emit_table, write_report_json
 from mtkrr.scenarios import ScenarioKind, ScenarioSpec, build_ensemble, derive_seed, derive_seeds, draw
 from conftest import bits, compare_one
@@ -216,6 +217,30 @@ class TestChunkedDraw:
         assert rows == [len(specs) * (p + 2)]
         assert bits(search) == bits(every)
         assert [report.ratios for report in reports] == [tuple(rho[4 * k:4 * k + 4].tolist()) for k in range(3)]
+
+    def test_draw_gives_one_spectrum_per_distinct_beta(self):
+        # every cell of a c2 x delta2 sweep at one beta shares one spectrum; a beta axis that repeats a value
+        # draws each distinct beta once, in order of first use
+        def work_list(kind, cells):
+            specs = [quick_spec(kind=kind, n=12, p=3, seed=derive_seed(9, k), **cell) for k, cell in enumerate(cells)]
+            seeds = derive_seeds(np.repeat([spec.seed for spec in specs], 2), np.tile(np.arange(2), len(specs)))
+            return specs, draw(specs, seeds.reshape(len(specs), 2))
+
+        sweep = [dict(c2=c2, delta2=d2) for c2 in (0.1, 1.0) for d2 in (1.5, 2.5)]
+        _, (gamma, owner, _) = work_list(ScenarioKind.SETTING_C, sweep)
+        assert gamma.tobytes() == scenarios.power_law(12, 2.0).tobytes() and owner.tolist() == [0] * 8
+        specs, (gamma, owner, _) = work_list(ScenarioKind.SETTING_A, [dict(beta_or_m=b) for b in (1.5, 2.0, 1.5)])
+        assert gamma.tobytes() == np.array([scenarios.power_law(12, b) for b in (1.5, 2.0)]).tobytes()
+        assert owner.tolist() == [0, 0, 1, 1, 0, 0]
+        # the shared spectra change no report: each spec's is the one it gets alone
+        assert run_experiments(specs, 0.7, 2)[0] == [run_experiment(spec, 0.7, 2) for spec in specs]
+
+    def test_stacked_rows_give_the_noise_levels_without_a_chunk(self):
+        signal, noise = oracles.stacked_rows(iter(()), 0, 12, 3, 0.7)
+        assert signal.shape == (0, 5, 12)
+        assert noise.tobytes() == comparison_rows(np.ones((12, 3)), 0.7)[1].tobytes()
+        h = np.arange(72.0).reshape(2, 12, 3)
+        assert oracles.stacked_rows(iter([(slice(0, 2), h)]), 2, 12, 3, 0.7)[1].tobytes() == noise.tobytes()
 
     def test_a_run_holds_little_beyond_its_row_block(self):
         spec = quick_spec(kind=ScenarioKind.SETTING_A, n=500, p=20, c2=0.5, seed=5)

@@ -121,7 +121,7 @@ def test_no_module_imports_scipy():
 
 
 def test_only_oracles_lays_out_a_comparison():
-    """Only ``oracles`` reads the p + 2 layout of a comparison: no other module calls ``comparison_rows``."""
+    """``estimators.comparison_rows`` builds the p + 2 rows of a comparison, and only ``oracles`` calls it."""
     callers = [f"{path.name}: {ast.unparse(node)}" for path in sorted(PACKAGE.glob("*.py")) if path.name != "oracles.py"
                for node in ast.walk(ast.parse(path.read_text()))
                if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "comparison_rows"]

@@ -13,7 +13,7 @@ from reference import RidgeRiskProfile, certified_lower_bound, full_scan_minimiz
 from mtkrr import optimize
 from mtkrr.optimize import (BRACKET_DECADES, DEFAULT_GRID_POINTS, SOURCES, TAIL_ORDER, TAIL_RATIO, _curve,
                              minimize_profiles)
-from mtkrr.oracles import comparison_rows
+from mtkrr.estimators import comparison_rows
 from mtkrr.scenarios import ScenarioKind, ScenarioSpec, build_ensemble
 
 

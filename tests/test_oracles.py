@@ -6,11 +6,12 @@ from hypothesis import assume, given
 from conftest import bits, compare_one, oracle_multitask, oracle_singletask, rows, value_grid
 from hypothesis import strategies as st
 
-from mtkrr.oracles import comparison_rows, rho_formula_1out, rho_formula_2points, search_comparisons
+from mtkrr.estimators import comparison_rows
+from mtkrr.oracles import rho_formula_1out, rho_formula_2points, search_comparisons
 from mtkrr.riskfn import RiskParams, alpha_constant, kappa
 from mtkrr.scenarios import ScenarioKind, ScenarioSpec, build_ensemble
 from mtkrr.spectral import KernelSpectrum, TaskEnsemble
-from reference import (MeanVarianceProfile, RidgeRiskProfile, df_and_bias, hm_bound_rhs, mean_variance_profile,
+from reference import (RidgeRiskProfile, df_and_bias, hm_bound_rhs, mean_variance_profile,
                        minimize_risk, synth_spectrum)
 
 
@@ -22,8 +23,7 @@ class TestOracleMultitask:
     def test_identical_tasks_shrink_the_variance_part_away(self):
         spec = two_cluster_spec(30, 4, 1.0, 0.0, 2.0, 2.0)
         spectrum = synth_spectrum(30, 2.0)
-        profile = mean_variance_profile(build_ensemble(spec)[1])
-        mt = oracle_multitask(spectrum, profile, 1.0, 4)
+        mt = oracle_multitask(spectrum, build_ensemble(spec)[1], 1.0)
         assert math.isinf(mt.mu_star)
         assert mt.var_part == 0.0
         assert mt.risk == mt.mean_part
@@ -33,8 +33,7 @@ class TestOracleMultitask:
         n, p, c, beta, delta = 200, 2, 1.0, 2.0, 2.0
         spec = two_cluster_spec(n, p, c, c, delta, beta)
         spectrum = synth_spectrum(n, beta)
-        profile = mean_variance_profile(build_ensemble(spec)[1])
-        mt = oracle_multitask(spectrum, profile, 1.0, p)
+        mt = oracle_multitask(spectrum, build_ensemble(spec)[1], 1.0)
         kap = kappa(beta, delta)
         alpha = alpha_constant(beta, delta)
         bracket = c ** (1 / (2 * delta)) + (p - 1) ** (1 - 1 / (2 * delta)) * c ** (1 / (2 * delta))
@@ -47,27 +46,32 @@ class TestOracleMultitask:
         n, p = 40, 4
         spec = two_cluster_spec(n, p, float(10 ** rng.uniform(-1, 1)), float(10 ** rng.uniform(-2, 2)), 2.0, 2.0)
         spectrum = synth_spectrum(n, 2.0)
-        profile = mean_variance_profile(build_ensemble(spec)[1])
-        mt = oracle_multitask(spectrum, profile, 1.0, p)
+        tasks = build_ensemble(spec)[1]
+        mt = oracle_multitask(spectrum, tasks, 1.0)
         from conftest import mean_part_profile, variance_part_profile
 
         grid = np.geomspace(1e-9, 1e3, 200)
-        g1 = value_grid(mean_part_profile(spectrum, profile, 1.0, p), grid)
-        g2 = value_grid(variance_part_profile(spectrum, profile, 1.0, p), grid)
+        g1 = value_grid(mean_part_profile(spectrum, tasks, 1.0), grid)
+        g2 = value_grid(variance_part_profile(spectrum, tasks, 1.0), grid)
         grid_min = float((g1[:, None] + g2[None, :]).min())
         assert mt.risk <= grid_min * (1 + 1e-7)
 
     def test_mean_search_ignores_variance_profile(self):
+        # tasks m - d, m, m + d with m and d multiples of 2^-20 below 2^6: every sum is exact, so the task
+        # mean m (mu = sqrt(3 n) i^-2) is the same bit for bit whatever the between-task variance 2 d^2 / 3
         n, p = 25, 3
         spectrum = synth_spectrum(n, 2.0)
         i = np.arange(1, n + 1, dtype=float)
-        mu = np.sqrt(n * p) * i**-2.0
-        base = MeanVarianceProfile(mu=mu, varsigma2=n * i**-3.0)
-        bumped = MeanVarianceProfile(mu=mu, varsigma2=2.5 * n * i**-1.5)
-        a = oracle_multitask(spectrum, base, 1.0, p)
-        b = oracle_multitask(spectrum, bumped, 1.0, p)
+
+        def tasks(d):
+            m, d = (np.round(np.ldexp(x, 20)) / 2**20 for x in (np.sqrt(n) * i**-2.0, d))
+            return TaskEnsemble(n=n, p=p, h=m[:, None] + d[:, None] * np.array([-1.0, 0.0, 1.0]))
+
+        a = oracle_multitask(spectrum, tasks(np.sqrt(1.5 * n) * i**-1.5), 1.0)
+        b = oracle_multitask(spectrum, tasks(np.sqrt(3.75 * n) * i**-0.75), 1.0)
         assert a.lambda_star == b.lambda_star
         assert a.mean_part == b.mean_part
+        assert a.var_part < b.var_part
 
 
 class TestOracleSingletask:
@@ -134,7 +138,7 @@ class TestCompare:
         spectrum, tasks = synth_spectrum(30, 2.0), build_ensemble(spec)[1]
         search = compare_one(spectrum, tasks, 1.0)[3]
         assert len(rows(search)) == 6
-        mt = oracle_multitask(spectrum, mean_variance_profile(tasks), 1.0, 4)
+        mt = oracle_multitask(spectrum, tasks, 1.0)
         st_oracle = oracle_singletask(spectrum, tasks, 1.0)
         assert bits(mt.search) == bits(search, slice(0, 2)) and bits(st_oracle.search) == bits(search, slice(2, None))
         for best in rows(search):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from conftest import random_orthogonal, random_psd
 
-from mtkrr.spectral import KernelSpectrum, NotPSDError, TaskEnsemble, eigendecompose_kernels, mean_variance
+from mtkrr.estimators import comparison_rows
+from mtkrr.spectral import KernelSpectrum, NotPSDError, TaskEnsemble, eigendecompose_kernels
 from reference import eigendecompose_kernel, kernel_matrix, mean_variance_profile, project_tasks, reconstruct_tasks
 
 
@@ -184,14 +185,31 @@ class TestMeanVarianceProfile:
 
     @pytest.mark.parametrize("shape", [(6, 1), (9, 5), (3, 40, 20), (2, 7, 33)])
     def test_the_profiles_have_the_bits_of_a_row_sum_and_np_var(self, shape):
-        # the task sum is formed once and the variance takes np.var's steps from it: each replicate of a
-        # block, at every scale, gets the bits of h.sum / sqrt(p) and np.var of its own n x p slice
+        # comparison_rows forms the task sum once and the variance takes np.var's steps from it: at every
+        # scale, rows 0 and 1 have the bits of (h.sum / sqrt(p))^2 / p and np.var, rows 2.. those of h^2,
+        # and each replicate of a block gets the rows of its own n x p slice
         rng = np.random.default_rng(len(shape) * shape[-1])
         h = rng.standard_normal(shape) * np.exp(rng.uniform(-30, 30, shape))
-        mu, varsigma2 = mean_variance(h)
-        assert mu.tobytes() == (h.sum(axis=-1) / math.sqrt(shape[-1])).tobytes()
-        assert varsigma2.tobytes() == np.var(h, axis=-1).tobytes()
-        assert all(mean_variance(h[r])[1].tobytes() == varsigma2[r].tobytes() for r in range(len(h)))
+        signal, _ = comparison_rows(h, 1.0)
+        assert signal[..., 0, :].tobytes() == (np.square(h.sum(axis=-1) / math.sqrt(shape[-1])) / shape[-1]).tobytes()
+        assert signal[..., 1, :].tobytes() == np.var(h, axis=-1).tobytes()
+        assert signal[..., 2:, :].tobytes() == np.square(np.swapaxes(h, -1, -2)).tobytes()
+        if h.ndim == 3:
+            assert all(comparison_rows(h[r], 1.0)[0].tobytes() == signal[r].tobytes() for r in range(len(h)))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_the_rows_agree_with_the_plain_profiles(self, seed):
+        # the package's rows against the reference's own formulas (h.mean * sqrt(p), h.var), to rounding
+        rng = np.random.default_rng(seed)
+        n, p = int(rng.integers(1, 30)), int(rng.integers(1, 8))
+        h = rng.standard_normal((n, p)) * np.exp(rng.uniform(-20, 20)) + rng.uniform(-3, 3) * (seed % 2)
+        prof = mean_variance_profile(TaskEnsemble(n=n, p=p, h=h))
+        signal, noise = comparison_rows(h, 0.7)
+        atol = 1e-14 * float(np.max(np.sum(h**2, axis=1)))
+        np.testing.assert_allclose(signal[0], prof.mu**2 / p, rtol=1e-13, atol=atol)
+        np.testing.assert_allclose(signal[1], prof.varsigma2, rtol=1e-13, atol=atol)
+        np.testing.assert_array_equal(signal[2:], h.T**2)
+        np.testing.assert_allclose(noise, [0.7 / p, 0.7 * (p - 1) / p] + [0.7] * p, rtol=1e-15)
 
     def test_variance_matches_rotated_coordinates(self):
         # nu = P h_row with P a Householder reflection sending e1 to 1/sqrt(p):
