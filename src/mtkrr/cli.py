@@ -420,9 +420,10 @@ def cmd_verify_bounds(args) -> int:
     all_ok = True
 
     # Property 1/2/3: optimized risk against its envelope, over the cells inside each property's window
-    start = time.perf_counter()
-    bounds, search = riskfn.minimize_risks(n, p, np.full(len(grid), sigma2), *grid[:, 2:].T)  # one engine call per n
-    times = {"grid": time.perf_counter() - start}
+    start, stages = time.perf_counter(), {}
+    bounds, search = riskfn.minimize_risks(n, p, np.full(len(grid), sigma2), *grid[:, 2:].T,  # one engine call per n
+                                           times=stages)
+    times = {"grid": time.perf_counter() - start, **{f"grid.{stage}": seconds for stage, seconds in stages.items()}}
     r_star, lam, upper, lower, cap = (column[:cells] for column in (
         search.value, search.lam, bounds.upper, bounds.lower, bounds.epsilon_cap))
     upper_cells, cap_cells = upper > 0, np.isfinite(cap)  # the bounds are nan outside their windows

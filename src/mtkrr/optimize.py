@@ -67,48 +67,53 @@ evaluations on ``heatmap_small``, 281 on ``experiment_wide``, 194 on
 ``table_spline`` and 311 on ``verify_bounds``, against 7263, 352, 242 and
 487 from the parabola vertex; the median per search is 3 (was 4).
 
-On rows at least ``MIDDLE_PASS_WIDTH`` wide, Newton sums only the head of
-each spectrum entry by entry and the rest from its moments (``_split``).  An
+On rows at least ``MIDDLE_PASS_WIDTH`` wide, the grid scan and Newton sum
+only the head of each spectrum entry by entry and the rest from moments.  An
 entry with g << x = n lam adds power series in u = g/x to R, dR/dt and
-d2R/dt2.  Each basin fixes its cutoff once, from its bracket's low end
-x_a, below which Newton never goes: its tail is every entry with
-g <= U_C x_a (``TAIL_RATIO``, U_C = 1e-4), so u <= U_C wherever Newton
-goes.  Its head is the spectrum's first, largest entries, as many as lie
-above the cutoff rounded up to a power of two from ``HEAD_MIN`` = 64; the
-entries up to that length are summed exactly, never padded, so the head
-depends on the basin alone and basins of one head length are summed
-together by ``_curve``.  The tail adds its series through the moments
-sum s g^k (k <= K + 1) and sum g^k (2 <= k <= K + 3), K = ``TAIL_ORDER``
-= 5, taken once per basin (sum g^k once per spectrum and head length): each
-Newton round is one Horner pass in w = x_a/x.  Every series alternates with
-terms falling by a factor of at most 6u, so its remainder is below
-its first dropped term: at most 196 u^(K+1), about 2e-22, of its tail term
-(d2R/dt2's signal series; the others are smaller), inside the cruder
-C(K+3, 3) U_C^K = 6e-19.  What is left is rounding: a pairwise sum over m
-entries errs by about log2(m) eps of the sum of its terms' magnitudes
-(Higham, Accuracy and Stability of Numerical Algorithms, 2002, ch. 4), in
-the full-width sum as in the split one.  So Newton values on wide rows move
-in their last bits (at most 5.8e-16 relative on ``experiment_wide``, seeds
-0, 5, 17 and 23, with no source or iteration count changed), and a winner
-can change between two candidates within rounding of each other.  The grid
-scan keeps its full-width arithmetic, so the basins and the grid values
-are what they were.  Rows narrower than the gate, basins with no head
-shorter than their row, and basins on a spectrum not in descending order
-(no package caller makes one: ``spectral`` sorts its eigenvalues and
-``KernelSpectrum`` rejects unsorted ones) keep the full-width ``_curve``
-bit for bit.  Timed with the split on and off, interleaved, on the
-``experiment_wide`` stack cut to each width and row count (one basin per
-row; one BLAS thread, 2-core Xeon, numpy 2.4), Newton breaks even near
-width 450 with 88 rows, 550 with 44, below 1024 with 22 and near 1400 with
-11; at width 2000 with 88 rows it takes a third of the full-width time.
-Smaller stacks do not repay the split's fixed cost, its set-up and one
-``_curve`` call per head length each round: with 6 rows or fewer Newton
-takes 0.2 to 0.55 ms longer at widths 1024 to 2000, and ``oracle`` (p + 2
-= 6 rows) at n = 1100 and 2000 spends a median 0.05 to 0.45 ms more in its
-search, in a run of 0.15 s.  The gate is the width alone, because a gate
-that counted the stack's rows or basins would give a row other bits alone
-than in a stack; it is the middle pass's, from which the split pays on
-stacks of 22 rows or more.
+d2R/dt2.  Past ``HEAD_MIN`` = 64 the eigen-axis is cut at the powers of two
+into segments [64, 128), [128, 256), ..., [2^j, width), and one table per
+search (``_tails``) holds each segment's moments, scaled by c, its first and
+largest entry: sum s (g/c)^k (k <= K + 1) of each (curve, spectrum) pair and
+sum (g/c)^k (k <= K + 3) of each spectrum, K = ``TAIL_ORDER`` = 5, each summed
+pairwise over its segment.  At a point x the head is the shortest power of
+two from 64 that holds every entry g > U_C x (``TAIL_RATIO``, U_C = 1e-4),
+never padded, so u <= U_C on the tail, which is whole segments.  The grid
+scan sums each point's head exactly and adds the b^2 series of its tail
+segments, sum (-1)^k (k + 1) (c/x)^k sum s (g/c)^k; the variance sum keeps
+its full width.  Newton fixes each basin's head once, at its bracket's low
+end x_a, below which it never goes; basins of one head length are summed
+together by ``_curve``, and each round adds one Horner pass in w = x_a/x over
+the segments' moments past the head, scaled by (c/x_a)^k and summed.  Every
+series alternates with terms falling by a factor of at most 6u, so its
+remainder is below its first dropped term: 8 u^(K+2), at most 8e-28, of the
+scan's tail terms, and at most 196 u^(K+1), about 2e-22, of Newton's (d2R/dt2's
+signal series; the others are smaller), inside the cruder C(K+3, 3) U_C^K =
+6e-19.  What is left is rounding: a pairwise sum over m entries errs by about
+log2(m) eps/2 of the sum of its terms' magnitudes (Higham, Accuracy and
+Stability of Numerical Algorithms, 2002, ch. 4).  A grid value's terms are
+positive, so its bias sum errs by about (log2 m + 7) eps/2 relative: its head
+of h < m entries by (log2 h + 4) eps/2 (each term has four roundings), its
+tail by (log2 L + 7) eps/2 (segments of L < m/2 entries, and the pairwise sum
+of their (K + 2) per-segment series terms), against (log2 m + 4) eps/2 for
+the full-width sum.  So grid and Newton values on wide rows move in their
+last bits (at most 5.8e-16 relative on ``experiment_wide``, seeds 0, 5, 17
+and 23, with no source, iteration count or open cell changed), and a winner
+can change between two candidates within rounding of each other.  Rows
+narrower than the gate, points and basins with no head shorter than their
+row, and spectra not in descending order (no package caller makes one:
+``spectral`` sorts its eigenvalues and ``KernelSpectrum`` rejects unsorted
+ones) keep the full-width arithmetic bit for bit.  Timed with Newton's split
+on and off, interleaved, on the ``experiment_wide`` stack cut to each width
+and row count (one basin per row; one BLAS thread, 2-core Xeon, numpy 2.4),
+Newton breaks even near width 450 with 88 rows, 550 with 44, below 1024 with
+22 and near 1400 with 11.  Small stacks do not repay the table's fixed cost,
+a few numpy calls per segment and row block, and the scan's per run of one
+head: ``oracle`` (p + 2 = 6 rows) at n = 1100 and 2000 spends a median 0.05
+to 0.8 ms more in its search than when Newton alone split its rows, in a
+run of 0.15 s.  The gate is the width alone, because a gate that counted the
+stack's rows or basins would give a row other bits alone than in a stack;
+it is the middle pass's, from which the split pays on stacks of 22 rows or
+more.
 
 A basin stops on the relative rule |lam g'(lam)| <= tol g(lam), which reads
 the same at every scale of the eigenvalues, the signal and the noise.  With
@@ -140,6 +145,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -149,7 +155,8 @@ MIDDLE_STEP = 2  # the middle pass takes the other even points from 2 to 62
 HALO = 2  # grid points evaluated beyond each end of a row's open cells: a basin's neighbours
 # rows at least this wide take the middle pass: above its measured break-even, where its fixed cost (one more
 # scan call and the retest of the step-2 cells) meets about ten fewer evaluations per row of width products each.
-# Newton's head and tail split (``_split``) takes the same gate: from it the split pays on stacks of 22 rows or more.
+# The head and tail split of the grid scan and Newton (``_tails``) takes the same gate: from it the split pays on
+# stacks of 22 rows or more.
 MIDDLE_PASS_WIDTH = 1024
 BOUND_MARGIN = 1e-9  # relative: far above the rounding of the bias and variance sums in a cell bound
 # a row whose signal sum plus lam = 0 variance sum (each at least its sum at every grid point) exceeds this
@@ -165,10 +172,11 @@ T_LIMIT = 600.0  # |log lam| cap: lam stays a normal double even one grid step p
 T_STEP_TOL = 1e-12  # a step in log lam this small ends a basin's search
 SOURCES = ("zero", "limit", "newton", "grid")  # the candidates of a search, in order of precedence
 BLOCK_ELEMENTS = 1 << 15  # doubles per temporary (256 KB): cache-sized, and memory stays flat whatever the stack
-# Newton on rows at least MIDDLE_PASS_WIDTH wide sums each basin's tail, its entries g <= TAIL_RATIO x_a, from moments
-TAIL_RATIO = 1e-4  # U_C: u = g / x stays at most this on the tail wherever Newton goes in the basin
-TAIL_ORDER = 5  # K: the moments sum s g^k for k <= K + 1 and sum g^k for 2 <= k <= K + 3
-HEAD_MIN = 64  # the shortest head; every head is a power of two long
+# on rows at least MIDDLE_PASS_WIDTH wide, the scan at a grid point x and Newton in a basin above x_a sum the tail,
+# the entries past a head that holds every g > TAIL_RATIO x (or x_a), from moments
+TAIL_RATIO = 1e-4  # U_C: u = g / x stays at most this on the tail at the grid point, and wherever Newton goes
+TAIL_ORDER = 5  # K: the moments sum s g^k for k <= K + 1 and sum g^k for k <= K + 3
+HEAD_MIN = 64  # the shortest head; every head is a power of two long, or the whole row
 _GRID = np.arange(DEFAULT_GRID_POINTS)
 # the five grid points around each grid point that its basin's start model reads (clipped to the grid), and
 # whether all five lie on the grid
@@ -196,6 +204,7 @@ def _series(p: int, m: int) -> np.ndarray:
 _SIGNAL_SERIES = np.array([_series(0, 2), _series(1, 3), 2.0 * _series(2, 4) - _series(1, 4)])
 _SIGNAL_SERIES[:, TAIL_ORDER + 2:] = 0.0
 _NOISE_SERIES = np.array([_series(2, 2), -_series(2, 3), 2.0 * _series(2, 4) - _series(3, 4)])
+_POWERS = np.arange(TAIL_ORDER + 4)  # the powers k of u in the series
 
 
 @dataclass(frozen=True)
@@ -269,61 +278,143 @@ def _sum(values: np.ndarray) -> np.ndarray:
     return np.add.reduce(values, axis=-1)
 
 
-def _split(n, gamma, signal, noise, spectrum, curve, rows, a):
+class _Tails(NamedTuple):
+    """The tail moments of a search on wide rows (``_tails``): what ``_scan`` and ``_split`` read past a head.
+
+    Segment i is [``bounds[i]``, ``bounds[i + 1]``), and c = ``scale[j, i]`` is its first, largest entry on
+    spectrum j.  ``signal[e, k, i]`` is sum s (g/c)^k (k <= K + 1) over segment i of entry e, a (curve,
+    spectrum) pair of the stack, and ``moments[j, k, i]`` is sum (g/c)^k (k <= K + 3) of spectrum j; stack row
+    r reads entry ``entry[r]``.  Spectra not in ``descending`` order have no moments.  At grid point p of
+    spectrum j, ``first[j, p]`` is the first tail segment (``_first_tail``), and ``weights[j, p, k, i]`` the
+    factor (-1)^k (k + 1) (c / x)^k of the b^2 series of segment i from that one on.
+    """
+
+    bounds: np.ndarray
+    descending: np.ndarray
+    scale: np.ndarray
+    signal: np.ndarray
+    moments: np.ndarray
+    entry: np.ndarray
+    first: np.ndarray
+    weights: np.ndarray
+
+
+def _tails(gamma, signal, spectrum, curve, entry, x_grid) -> _Tails | None:
+    """The tail-moment table of a search, or None on rows narrower than ``MIDDLE_PASS_WIDTH``.
+
+    Entry e is the signal row ``curve[e]`` on the spectrum ``spectrum[e]``, and stack row r reads entry
+    ``entry[r]``.  The eigen-axis past ``HEAD_MIN`` is cut at the powers of two into segments [64, 128),
+    [128, 256), ..., [2^j, width), so that a head a power of two long leaves a tail of whole segments.  Each
+    segment's entries are scaled by its first, c, so that g / c <= 1 and no power overflows (a segment of
+    zeros keeps its powers 0^k), and each moment is summed pairwise by ``_sum`` over its segment: sum (g/c)^k
+    once per spectrum, and sum s (g/c)^k in row blocks straight from the signal.  Each grid point (x of
+    ``x_grid``) gets its first tail segment and its b^2 series' factors, taken once for every pass.
+    """
+    width = gamma.shape[1]
+    bounds = np.array([HEAD_MIN << k for k in range(width.bit_length()) if HEAD_MIN << k < width] + [width])
+    if width < MIDDLE_PASS_WIDTH or len(bounds) == 1:
+        return None
+    segments = list(zip((bounds[:-1] - HEAD_MIN).tolist(), (bounds[1:] - HEAD_MIN).tolist()))
+    descending = (gamma[:, 1:] <= gamma[:, :-1]).all(axis=1)
+    scale = gamma[:, bounds[:-1]]
+    signal_moments = np.zeros((len(curve), TAIL_ORDER + 2, len(segments)))
+    moments = np.zeros((len(gamma), TAIL_ORDER + 4, len(segments)))
+    used = np.bincount(spectrum, minlength=len(gamma)) > 0  # not np.unique, which loads numpy.ma on its first call
+    first = np.full(x_grid.shape, len(segments))
+    weights = np.zeros(x_grid.shape + (TAIL_ORDER + 2, len(segments)))
+    for j in np.flatnonzero(used & descending).tolist():
+        first[j] = _first_tail(gamma, bounds, j, x_grid[j])
+        ratio = np.where(np.arange(len(segments)) >= first[j, :, None], scale[j] / x_grid[j, :, None], 0.0)
+        weights[j] = _SIGNAL_SERIES[0, :TAIL_ORDER + 2, None] * ratio[:, None, :] ** _POWERS[:TAIL_ORDER + 2, None]
+        g = gamma[j, HEAD_MIN:] / np.repeat(np.where(scale[j] > 0, scale[j], 1.0), np.diff(bounds))
+        power = np.empty((TAIL_ORDER + 4, len(g)))
+        power[0] = 1.0
+        for k in range(1, TAIL_ORDER + 4):
+            np.multiply(power[k - 1], g, out=power[k])
+        mine = np.flatnonzero(spectrum == j)
+        for i, (lo, hi) in enumerate(segments):
+            moments[j, :, i] = _sum(power[:, lo:hi])
+            block = max(1, BLOCK_ELEMENTS // (hi - lo))
+            for start in range(0, len(mine), block):
+                entries = mine[start:start + block]
+                s, part = signal[curve[entries], HEAD_MIN + lo:HEAD_MIN + hi], np.empty((TAIL_ORDER + 2, len(entries)))
+                for k in range(TAIL_ORDER + 2):
+                    if k:
+                        s *= g[lo:hi]
+                    part[k] = _sum(s)
+                signal_moments[entries, :, i] = part.T
+    return _Tails(bounds, descending, scale, signal_moments, moments, entry, first, weights)
+
+
+def _first_tail(gamma, bounds, j, x) -> np.ndarray:
+    """The first tail segment (of ``bounds``) of the descending spectrum j at each point x: its head is the shortest
+    power of two from ``HEAD_MIN`` that holds every entry g > ``TAIL_RATIO`` x, so u = g / x <= U_C on the tail.
+    The number of segments, no tail, where no head is shorter than the row."""
+    return np.searchsorted(bounds[:-1], np.searchsorted(-gamma[j], -TAIL_RATIO * x))
+
+
+def _tail_bias(moments, weights) -> np.ndarray:
+    """The b^2 series of the tail at each point: sum s b^2 over the tail segments of each row, from their moments
+    (rows x (K + 2) x segments) and the points' factors ``weights`` (points x (K + 2) x segments), summed
+    pairwise over the (K + 2) segments terms of each row and point, in row blocks within ``BLOCK_ELEMENTS``."""
+    out = np.empty((len(moments), len(weights)))
+    step = max(1, BLOCK_ELEMENTS // weights.size)
+    for k in range(0, len(moments), step):
+        out[k:k + step] = _sum((moments[k:k + step, None] * weights).reshape(-1, len(weights), weights[0].size))
+    return out
+
+
+def _runs(tails, j, points, c, moments) -> list[tuple]:
+    """The grid points ``points`` of spectrum j, the first at position c of its pass, in runs of one head.
+
+    Each run is (start, stop, head length, the tail's series (``_tail_bias``) at its points of each row whose
+    segments' ``moments`` are given, or None where the head is the whole row).  The head shortens as x grows.
+    """
+    first, last, runs = tails.first[j, points], len(tails.bounds) - 1, []
+    cuts = [0, *(np.flatnonzero(first[1:] != first[:-1]) + 1).tolist(), len(points)]
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        at = first[a]
+        series = None if at == last else _tail_bias(moments[:, :, at:], tails.weights[j, points[a:b], :, at:])
+        runs.append((c + a, c + b, int(tails.bounds[at]), series))
+    return runs
+
+
+def _split(n, gamma, signal, noise, spectrum, curve, rows, a, tails):
     """Newton's evaluation of the basins (row ``rows[i]``, bracket low end t = ``a[i]``): a function of (basins, t).
 
     ``evaluate(live, t)`` returns R, dR/dt and d2R/dt2 (3 x len(live)) of the basins ``live`` at the points
-    t = log lam.  A row narrower than ``MIDDLE_PASS_WIDTH`` is evaluated by ``_curve`` over its whole
-    eigen-axis.  A basin of a wider row is split once, here: its head is the shortest power of two from
-    ``HEAD_MIN`` of its spectrum's first, largest entries that holds every entry g > ``TAIL_RATIO`` x_a,
-    x_a = n e^a; a basin with no head shorter than its row, or on a spectrum not in descending order, keeps
-    the whole row.  Basins of one head length form a group, whose heads ``_curve`` sums.  The tail, every
-    entry past the head, adds its Taylor series in u = g / x, a
-    polynomial in w = x_a / x <= 1 whose coefficients are the moments sum s g^k (k <= K + 1) and
-    sum g^k (2 <= k <= K + 3) of the tail scaled by x_a^-k.  The powers are taken of g / c, c the tail's
-    largest entry, and then scaled by (c / x_a)^k <= U_C^k, so that none overflows at any scale; sum g^k is
-    formed once per spectrum and head length, and sum s g^k in row blocks straight from the signal.
+    t = log lam.  Without a tail table (rows narrower than ``MIDDLE_PASS_WIDTH``) every basin is evaluated
+    by ``_curve`` over its whole eigen-axis.  Otherwise each basin is split once, here, at x_a = n e^a: its
+    head is ``_first_tail``'s at x_a (a basin with no head shorter than its row, or on a spectrum not in
+    descending order, keeps the whole row), and basins of one head length form a group, whose heads
+    ``_curve`` sums.  The tail adds its Taylor series in u = g / x, a polynomial in w = x_a / x <= 1 whose
+    coefficients are the moments sum s g^k (k <= K + 1) and sum g^k (2 <= k <= K + 3) of the tail scaled
+    by x_a^-k: each segment's moments from the table, times (c / x_a)^k <= U_C^k, summed over the segments
+    past the head.
     """
-    m, width = len(rows), gamma.shape[1]
-    lengths = [HEAD_MIN << k for k in range(width.bit_length()) if HEAD_MIN << k < width]
-    if width < MIDDLE_PASS_WIDTH or not lengths:
+    m = len(rows)
+    if tails is None:
         return lambda live, t: _curve(n, gamma, signal, noise, spectrum, curve, rows[live], n * np.exp(t))
     x_a = n * np.exp(a)
-    count = np.full(m, width)  # the entries g > TAIL_RATIO x_a of each basin's spectrum, all of them if not sorted
-    # the spectra in use, by bincount: np.unique loads numpy.ma on its first call, 10 ms of a one-shot command
-    for j in np.flatnonzero(np.bincount(spectrum[rows], minlength=len(gamma))).tolist():
-        if (gamma[j, 1:] <= gamma[j, :-1]).all():
-            mine = np.flatnonzero(spectrum[rows] == j)
-            count[mine] = np.searchsorted(-gamma[j], -TAIL_RATIO * x_a[mine])
-    which = np.searchsorted(lengths, count)  # len(lengths): no head shorter than the row
+    last = len(tails.bounds) - 1
+    which = np.full(m, last)  # each basin's first tail segment; ``last``: no tail
+    for j in np.flatnonzero(np.bincount(spectrum[rows], minlength=len(gamma)) * tails.descending).tolist():
+        mine = np.flatnonzero(spectrum[rows] == j)
+        which[mine] = _first_tail(gamma, tails.bounds, j, x_a[mine])
     heads, group = [(gamma, signal)], np.zeros(m, dtype=np.intp)  # group 0: the whole row
     tail = np.zeros((3, m, TAIL_ORDER + 4))
-    for k, length in enumerate(lengths):
+    for k, length in enumerate(tails.bounds[:-1].tolist()):
         split = np.flatnonzero(which == k)
         if not split.size:
             continue
         heads.append((gamma[:, :length], signal[:, :length]))
         group[split] = len(heads) - 1
-        for j in np.flatnonzero(np.bincount(spectrum[rows[split]], minlength=len(gamma))).tolist():
-            mine = split[spectrum[rows[split]] == j]
-            g = gamma[j, length:]
-            c = g[0]  # at most TAIL_RATIO x_a; a tail of zeros keeps its powers 0^k
-            g = g / c if c > 0 else g
-            signal_moments, moments = np.zeros((len(mine), TAIL_ORDER + 4)), np.zeros(TAIL_ORDER + 4)
-            power = np.ones_like(g)
-            for p in range(1, TAIL_ORDER + 4):
-                power *= g
-                moments[p] = _sum(power)
-            block = max(1, BLOCK_ELEMENTS // len(g))
-            for lo in range(0, len(mine), block):
-                s = signal[curve[rows[mine[lo:lo + block]]], length:]
-                signal_moments[lo:lo + block, 0] = _sum(s)
-                for p in range(1, TAIL_ORDER + 2):
-                    s *= g
-                    signal_moments[lo:lo + block, p] = _sum(s)
-            tail[:, mine] = _SIGNAL_SERIES[:, None] * signal_moments + _NOISE_SERIES[:, None] * (
-                noise[rows[mine], None] * moments)
-            tail[:, mine] *= (c / x_a[mine, None]) ** np.arange(TAIL_ORDER + 4)
+        r = rows[split]
+        power = (tails.scale[spectrum[r], k:] / x_a[split, None])[:, None, :] ** _POWERS[:, None]
+        signal_moments = _sum(power[:, :TAIL_ORDER + 2] * tails.signal[tails.entry[r], :, k:])
+        moments = _sum(power * tails.moments[spectrum[r], :, k:])
+        tail[:, split, :TAIL_ORDER + 2] = _SIGNAL_SERIES[:, None, :TAIL_ORDER + 2] * signal_moments
+        tail[:, split] += _NOISE_SERIES[:, None] * (noise[r, None] * moments)
     tail[0] /= n
     tail[1:] *= 2.0 / n
 
@@ -344,21 +435,22 @@ def _split(n, gamma, signal, noise, spectrum, curve, rows, a):
     return evaluate
 
 
-def _newton(n, gamma, signal, noise, spectrum, curve, rows, a, x, b):
+def _newton(n, gamma, signal, noise, spectrum, curve, rows, a, x, b, tails):
     """Safeguarded Newton on dR/dt for every basin (row, bracket [a, b], start x) at once.
 
     Returns the final t, R and dR/dt of each basin and its iteration count.
     A basin stops when |dR/dt| <= ``DEFAULT_GRAD_TOL`` R, when its step
     shrinks below ``T_STEP_TOL``, or after ``DEFAULT_MAX_ITER`` evaluations.
-    Each evaluation is ``_split``'s, set up once from the brackets' low ends:
-    no step leaves a bracket, so Newton never goes below its low end.
+    Each evaluation is ``_split``'s, set up once from the brackets' low ends and
+    the tail table ``tails``: no step leaves a bracket, so Newton never goes
+    below its low end.
     """
     m = len(rows)
     t_end, r_end, g_end = np.empty(m), np.empty(m), np.empty(m)
     iterations = np.full(m, DEFAULT_MAX_ITER)
     live = np.arange(m)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        evaluate = _split(n, gamma, signal, noise, spectrum, curve, rows, a)
+        evaluate = _split(n, gamma, signal, noise, spectrum, curve, rows, a, tails)
         for it in range(1, DEFAULT_MAX_ITER + 1):
             risk, g1, g2 = evaluate(live, x)
             up = g1 > 0
@@ -394,7 +486,7 @@ def _squares(gamma: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return bb, _sum(np.multiply(a, a, out=a))
 
 
-def _scan(gamma, signal, spectrum, x_grid, points, first, stop, bias, squares, curve, pairs=None) -> None:
+def _scan(gamma, signal, spectrum, x_grid, points, first, stop, bias, squares, curve, pairs=None, tails=None) -> None:
     """Fill ``bias`` (sum s b^2 of each row) and ``squares`` (sum a^2 of each spectrum) at the grid points of windows.
 
     Row k is evaluated at the grid points ``points[first[k]:stop[k]]``.  Rows go in groups of one window
@@ -403,6 +495,10 @@ def _scan(gamma, signal, spectrum, x_grid, points, first, stop, bias, squares, c
     the group's rows, several are gathered row by row.  Every temporary stays within ``BLOCK_ELEMENTS``.
     With ``pairs`` (the first row of each distinct (curve, spectrum) pair, and each row's pair), each pair's
     bias sums are formed once, over the union of its rows' windows, and each row takes those of its own.
+    With the tail table ``tails`` (wide rows), a block is one spectrum, and each point's bias sum is its
+    head's terms, ``_first_tail``'s head at that point, plus the series of its tail segments, taken once per
+    run of one head for all the block's rows (``_runs``); the rows here, the pairs if given, are the
+    table's entries.
     """
     live = np.flatnonzero(stop > first)
     if pairs is not None:  # from here on, the rows are the pairs, each at the first row of its pair
@@ -415,8 +511,9 @@ def _scan(gamma, signal, spectrum, x_grid, points, first, stop, bias, squares, c
         live = np.flatnonzero(stop > first)
     if not live.size:
         return
-    per = max(1, BLOCK_ELEMENTS // (len(points) * gamma.shape[1]))  # spectra per block
-    chunk = max(1, BLOCK_ELEMENTS // gamma.shape[1])  # points per chunk: all of them unless a block is one spectrum
+    width = gamma.shape[1]
+    per = 1 if tails is not None else max(1, BLOCK_ELEMENTS // (len(points) * width))  # spectra per block
+    chunk = max(1, BLOCK_ELEMENTS // width)  # points per chunk: all of them unless a block is one spectrum
     base = len(points) + 1
     key = ((spectrum // per) * base + first) * base + stop  # by block, then window start, then window end
     order = live[np.argsort(key[live], kind="stable")]
@@ -427,19 +524,37 @@ def _scan(gamma, signal, spectrum, x_grid, points, first, stop, bias, squares, c
         windows = [(k // base % base, k % base, k0, k1) for k, k0, k1 in windows]
         lo, hi = block * per, min(block * per + per, len(gamma))
         begin, end = windows[0][0], max(window[1] for window in windows)
+        held = windows[0][2], windows[-1][3]  # the block's rows: order[held[0]:held[1]]
+        moments = None if tails is None else tails.signal[order[held[0]:held[1]]]
         for c in range(begin, end, chunk):
             cols = points[c:min(c + chunk, end)]
             bb, squares[lo:hi, cols] = _squares(gamma[lo:hi], x_grid[lo:hi, cols])
+            if tails is None:
+                for a, b, k0, k1 in windows:
+                    a, b = max(a, c), min(b, c + len(cols))
+                    if a >= b:
+                        continue
+                    part = bb[:, a - c:b - c]
+                    step = max(1, BLOCK_ELEMENTS // part[0].size)
+                    for k in range(k0, k1, step):
+                        r = order[k:min(k + step, k1)]
+                        table = part[0] if hi - lo == 1 else part[spectrum[r] - lo]
+                        bias[r[:, None], points[a:b]] = _sum(signal[curve[r]][:, None, :] * table)
+                continue
+            runs = _runs(tails, lo, cols, c, moments)  # wide rows: the points in runs of one head
             for a, b, k0, k1 in windows:
-                a, b = max(a, c), min(b, c + len(cols))
-                if a >= b:
-                    continue
-                part = bb[:, a - c:b - c]
-                step = max(1, BLOCK_ELEMENTS // part[0].size)
-                for k in range(k0, k1, step):
-                    r = order[k:min(k + step, k1)]
-                    table = part[0] if hi - lo == 1 else part[spectrum[r] - lo]
-                    bias[r[:, None], points[a:b]] = _sum(signal[curve[r]][:, None, :] * table)
+                for start, stop, length, series in runs:
+                    u, v = max(a, start), min(b, stop)
+                    if u >= v:
+                        continue
+                    part = bb[0, u - c:v - c, :length]
+                    step = max(1, BLOCK_ELEMENTS // part.size)
+                    for k in range(k0, k1, step):
+                        r = order[k:min(k + step, k1)]
+                        sums = _sum(signal[curve[r], :length][:, None, :] * part)
+                        if series is not None:  # the tail's series beside the head's terms
+                            sums += series[k - held[0]:k - held[0] + len(r), u - start:v - start]
+                        bias[r[:, None], points[u:v]] = sums
     if pairs is not None:  # each row takes its pair's sums over its own window
         at = np.arange(len(points))
         row, at = np.nonzero((own[0][:, None] <= at) & (at < own[1][:, None]))
@@ -603,6 +718,9 @@ def minimize_profiles(
     squares = np.full((len(gamma), DEFAULT_GRID_POINTS), np.nan)
     # named rows of one (curve, spectrum) pair share a scan: the first row of each pair, and each row's pair
     pairs = np.unique(curve * len(gamma) + spectrum, return_index=True, return_inverse=True)[1:] if named else None
+    # one tail-moment table per search, one entry per (curve, spectrum) pair, read by the scan and by Newton
+    leads, entry = pairs if named else (np.arange(rows),) * 2
+    tails = _tails(gamma, signal, spectrum[leads], curve[leads], entry, x_grid)
     with np.errstate(over="ignore", invalid="ignore"):  # a row that is not finite is reported below
         # the exact risks at lam = 0 and at lam = +inf, where all the signal is bias; a row that might overflow
         # (see HEADROOM) has no best value, so every cell of it stays open
@@ -613,7 +731,7 @@ def minimize_profiles(
         first, stop = np.zeros(rows, dtype=np.intp), np.full(rows, len(COARSE))  # the first pass: every row everywhere
         open_ = np.ones((rows, 1), dtype=bool)  # one cell, from lam = 0 to +inf
         for k, (points, step) in enumerate(passes):
-            _scan(gamma, signal, spectrum, x_grid, points, first, stop, bias, squares, curve, pairs)
+            _scan(gamma, signal, spectrum, x_grid, points, first, stop, bias, squares, curve, pairs, tails)
             if not step:
                 break
             # retest on the cells between the multiples of step, which hold every point evaluated so far
@@ -665,7 +783,7 @@ def minimize_profiles(
     del squares
     modelled = time.perf_counter()
     t_end, r_end, g_end, iters = _newton(n, gamma, signal, noise, spectrum, curve, basin_row,
-                                         centre - width, centre + shift * width, centre + width)
+                                         centre - width, centre + shift * width, centre + width, tails)
 
     # per row: the first best basin; then zero, limit, newton and grid in that order of precedence.  A row
     # without a basin among its evaluated points has no grid value at or below its best coarse candidate

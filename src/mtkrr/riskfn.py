@@ -206,7 +206,7 @@ def alpha_constant(beta: float, delta: float) -> float:
     return min(_unit_fraction(1 / (2 * beta)), _unit_fraction(_i1_exponent(beta, delta)))
 
 
-def minimize_risks(n, p, sigma2, beta, delta, c) -> tuple[Bounds, Search]:
+def minimize_risks(n, p, sigma2, beta, delta, c, times: dict[str, float] | None = None) -> tuple[Bounds, Search]:
     """Optimize the template risk of every cell, and give its envelope and regime: the bounds, then the search.
 
     Cell k is (n[k], p[k], sigma2[k], beta[k], delta[k], c[k]), from equal-length columns of valid
@@ -218,6 +218,8 @@ def minimize_risks(n, p, sigma2, beta, delta, c) -> tuple[Bounds, Search]:
     by cell (numpy's may differ in the last bit), and the rest is correctly rounded in both, so it runs on
     the columns.  Bounds that require the minimax (resp.
     lower-bound) window are nan outside it instead of being extrapolated.
+    With ``times``, the stages of every ``minimize_profiles`` call (``scan``,
+    ``model`` and ``newton``, in seconds) are added to its entries.
     """
     # n and p as floats: every product and quotient of them is then the scalar formula's, rounded once
     n, p, sigma2, beta, delta, c = (np.asarray(v, dtype=float) for v in (n, p, sigma2, beta, delta, c))
@@ -234,8 +236,11 @@ def minimize_risks(n, p, sigma2, beta, delta, c) -> tuple[Bounds, Search]:
         _, head, curve = np.unique(curves[cells], return_index=True, return_inverse=True)
         deltas, power = np.unique(delta[cells[head]], return_inverse=True)
         signal = (c[cells[head]] * size)[:, None] * np.array([i ** (-2.0 * d) for d in deltas.tolist()])[power]
+        stages = None if times is None else {}
         found = minimize_profiles(size, np.array([power_law(size, b) for b in betas.tolist()]), signal,
-                                  sigma2[cells] / p[cells], spectrum=spectrum, curve=curve)
+                                  sigma2[cells] / p[cells], spectrum=spectrum, curve=curve, times=stages)
+        for stage, seconds in (stages or {}).items():
+            times[stage] = times.get(stage, 0.0) + seconds
         lam[cells], value[cells], grad[cells] = found.lam, found.value, found.grad
         iterations[cells], source[cells], open_cells[cells] = found.iterations, found.source, found.open_cells
     hm, lb = minimax_window(beta, delta), lower_bound_window(beta, delta)

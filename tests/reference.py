@@ -432,7 +432,12 @@ def full_scan_minimize_profiles(n: int, gamma: np.ndarray, signal: np.ndarray, n
     on the stack; here, as in the engine, each row's sum is its own.)  ``open_cells`` is counted over the whole grid: a cell is open
     when it lies more than two steps from the winner and its bound
     B(t_i) + V(t_i+1) is below the value.  The pruned engine must agree with
-    it bit for bit, column by column.
+    it bit for bit, column by column.  On rows at least
+    ``optimize.MIDDLE_PASS_WIDTH`` wide each point's bias sum has the engine's
+    own per-point arithmetic: the terms of the head that the tail table
+    (``optimize._tails``) rules for that point, summed exactly, plus the b^2
+    series of its tail segments (``optimize._tail_bias``), and Newton reads the
+    same table.
 
     Newton starts where the engine starts it (``optimize._model_start``), from
     the same bits: the per-spectrum sums of a^2 are kept as ``squares`` and the
@@ -455,6 +460,7 @@ def full_scan_minimize_profiles(n: int, gamma: np.ndarray, signal: np.ndarray, n
     vals = padded[:, 1:-1]
     bias, var, zero, limit = np.empty((rows, points)), np.empty((rows, points)), np.empty(rows), np.empty(rows)
     squares = np.empty((len(gamma), points))  # sum a^2 of each spectrum, as the engine keeps it for the start model
+    tails = optimize._tails(gamma, signal, spectrum, np.arange(rows), np.arange(rows), n * np.exp(t_grid))
     chunk = max(1, optimize.BLOCK_ELEMENTS // gamma.shape[1])
     for j, g in enumerate(gamma):
         mine = np.flatnonzero(spectrum == j)
@@ -468,8 +474,17 @@ def full_scan_minimize_profiles(n: int, gamma: np.ndarray, signal: np.ndarray, n
             block = max(1, optimize.BLOCK_ELEMENTS // bb.size)
             for k in range(0, len(mine), block):
                 r = mine[k:k + block]
-                bias[r, c:c + chunk] = optimize._sum(signal[r][:, None, :] * bb)
                 var[r, c:c + chunk] = noise[r, None] * aa
+                if tails is None:
+                    bias[r, c:c + chunk] = optimize._sum(signal[r][:, None, :] * bb)
+                    continue
+                # the engine's arithmetic at each point: its head's terms, and the series of its tail's segments
+                for i, at in enumerate(tails.first[j, c:c + chunk].tolist()):
+                    length = int(tails.bounds[at])
+                    bias[r, c + i] = optimize._sum(signal[r, :length] * bb[i, :length])
+                    if length < len(g):
+                        weights = tails.weights[j, c + i:c + i + 1, :, at:]
+                        bias[r, c + i] += optimize._tail_bias(tails.signal[r, :, at:], weights)[:, 0]
         null = g == 0
         kept = optimize._sum(np.ascontiguousarray(signal[mine][:, null]))  # row by row, pairwise, whatever the stack
         zero[mine] = kept / n + noise[mine] / n * float(len(g) - np.count_nonzero(null))
@@ -489,7 +504,7 @@ def full_scan_minimize_profiles(n: int, gamma: np.ndarray, signal: np.ndarray, n
     shift = np.where(curved, 0.5 * (f0 - f2) / np.where(curved, curvature, 1.0), 0.0)
     shift = optimize._model_start(n, noise, spectrum, vals, squares, basin_row, basin_at, shift)
     t_end, r_end, g_end, iters = optimize._newton(n, gamma, signal, noise, spectrum, np.arange(rows), basin_row,
-                                                  centre - width, centre + shift * width, centre + width)
+                                                  centre - width, centre + shift * width, centre + width, tails)
 
     order = np.lexsort((np.arange(len(basin_row)), r_end, basin_row))
     first = order[np.concatenate(([True], basin_row[order][1:] != basin_row[order][:-1]))]

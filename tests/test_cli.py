@@ -721,14 +721,19 @@ class TestRunSummary:
         stacked = capsys.readouterr()
         summary = stacked.err.strip().splitlines()[-1]
         assert summary.startswith(f"searches {searches}: zero ")
-        assert re.search(r"; open-cell searches \d+; stage ms grid [\d.]+, envelope [\d.]+, render [\d.]+$", summary)
+        # the grid stage, then its searches' own stages summed over its engine calls, each printed to 0.1 ms
+        stages = re.search(r"; open-cell searches \d+; stage ms grid ([\d.]+) \(scan ([\d.]+), model ([\d.]+), "
+                           r"newton ([\d.]+)\), envelope [\d.]+, render [\d.]+$", summary)
+        assert stages
+        grid_ms, *parts = map(float, stages.groups())
+        assert sum(parts) <= grid_ms + 0.2  # each of the four printed values rounded by up to 0.05 ms
         assert "searches" not in stacked.out
         assert code == 0 or "FAIL property-3 lower bound: worst relative margin -2.248e-01 " in stacked.out
         # the same command with every cell searched alone, as before the cells were stacked
         original = mtkrr.riskfn.minimize_risks
 
-        def one_by_one(*grid):
-            cells = [original(*(column[k:k + 1] for column in grid)) for k in range(len(grid[0]))]
+        def one_by_one(*grid, times=None):
+            cells = [original(*(column[k:k + 1] for column in grid), times=times) for k in range(len(grid[0]))]
             return stack([bounds for bounds, _ in cells]), stack([search for _, search in cells])
 
         monkeypatch.setattr(mtkrr.riskfn, "minimize_risks", one_by_one)

@@ -1,4 +1,4 @@
-"""Layout guards: the package holds no code that only the tests use, keeps the dense route off the hot path, one module forks on setting B, no module imports scipy, one module lays out a comparison, every command draws through ``scenarios.draw``, one function reads the sweep configs, one module writes files, a search and the template oracle have one columnar result type, a search has one pruned grid scan, one start of its basins and one Newton iteration with one head and tail split, the template has one array evaluator, and no module draws from a numpy stream.
+"""Layout guards: the package holds no code that only the tests use, keeps the dense route off the hot path, one module forks on setting B, no module imports scipy, one module lays out a comparison, every command draws through ``scenarios.draw``, one function reads the sweep configs, one module writes files, a search and the template oracle have one columnar result type, a search has one pruned grid scan, one start of its basins and one Newton iteration with one head and tail split, one table of tail moments that the scan and Newton read, the template has one array evaluator, and no module draws from a numpy stream.
 
 A public function, class or method defined in ``src/mtkrr`` counts as used
 only if a package module other than ``__init__.py`` references it, or a
@@ -254,6 +254,32 @@ def test_newton_sets_up_its_split_once_and_no_module_imports_a_test_helper():
                             if name.split(".")[0] in ("mpmath", "conftest", "reference", "tests")]
     assert calls == {("optimize._newton", "_split"): 1}
     assert imports == [], f"package modules import a test helper: {imports}"
+
+
+def test_one_table_holds_the_tail_moments_and_the_scan_and_newton_read_it():
+    """``optimize._tails`` builds a search's table of tail moments, and only ``minimize_profiles`` calls it, once;
+    ``_scan`` and ``_split`` take it as ``tails`` and are the package's readers of its signal moments; and no other
+    package function slices the eigen-axis (the last) of ``gamma`` or ``signal`` from past its start, so no module
+    sums tail moments anywhere else."""
+    from mtkrr import optimize
+
+    calls, readers, tail_slices = Counter(), set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            where = f"{path.stem}.{getattr(top, 'name', '<module>')}"
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "_tails":
+                    calls[where] += 1
+                elif isinstance(node, ast.Attribute) and ast.unparse(node) == "tails.signal":
+                    readers.add(where)
+                elif (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+                      and node.value.id in ("gamma", "signal") and isinstance(node.slice, ast.Tuple)
+                      and isinstance(node.slice.elts[-1], ast.Slice) and node.slice.elts[-1].lower is not None):
+                    tail_slices.add(where)
+    assert calls == {"optimize.minimize_profiles": 1}, calls
+    assert readers == {"optimize._scan", "optimize._split"}, readers
+    assert all("tails" in inspect.signature(getattr(optimize, name)).parameters for name in ("_scan", "_split"))
+    assert tail_slices == {"optimize._tails"}, tail_slices
 
 
 def test_no_module_draws_from_a_numpy_stream():

@@ -572,9 +572,9 @@ def search_and_basins(search) -> tuple[optimize.Search, list[bytes]]:
     """The ``Search`` that calling ``search`` returns, and the bytes of each row's Newton basins (bracket, start)."""
     calls, newton = [], optimize._newton
 
-    def spy(n, gamma, signal, noise, spectrum, curve, rows, a, x, b):
+    def spy(n, gamma, signal, noise, spectrum, curve, rows, a, x, b, tails):
         calls.append((rows.copy(), np.array((a, x, b)).T.copy()))
-        return newton(n, gamma, signal, noise, spectrum, curve, rows, a, x, b)
+        return newton(n, gamma, signal, noise, spectrum, curve, rows, a, x, b, tails)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(optimize, "_newton", spy)
@@ -905,7 +905,7 @@ def test_newton_splits_each_basin_at_its_bracket_low_end():
     seen, split, newton = {}, optimize._split, optimize._newton
 
     def spy_split(*args):
-        seen["split"] = args[-1].copy()
+        seen["split"] = args[7].copy()
         return split(*args)
 
     def spy_newton(*args):
@@ -960,7 +960,8 @@ def split_evaluation(n, gamma, signal, noise, t_a):
     scaled as ``SUMMANDS`` (n R, n/2 dR/dt, n/2 d2R/dt2)."""
     zero = np.zeros(1, dtype=np.intp)
     t = np.array([t_a])
-    out = optimize._split(n, gamma[None], signal[None], np.array([noise]), zero, zero, zero, t)(zero, t)[:, 0]
+    tails = optimize._tails(gamma[None], signal[None], zero, zero, zero, grid_x(n, gamma[None]))
+    out = optimize._split(n, gamma[None], signal[None], np.array([noise]), zero, zero, zero, t, tails)(zero, t)[:, 0]
     return dict(zip(SUMMANDS, (n * out[0], n / 2 * out[1], n / 2 * out[2])))
 
 
@@ -1000,10 +1001,117 @@ def test_the_tail_is_the_taylor_polynomial_of_its_summands(count, monkeypatch):
     monkeypatch.setattr(optimize, "DEFAULT_MAX_ITER", 1)
     zero = np.zeros(1, dtype=np.intp)
     _, risk, slope, _ = optimize._newton(width, gamma[None], signal[None], np.array([noise]), zero, zero, zero,
-                                         np.array([t_a]), np.array([t_a]), np.array([t_a + 2 * step]))
+                                         np.array([t_a]), np.array([t_a]), np.array([t_a + 2 * step]),
+                                         optimize._tails(gamma[None], signal[None], zero, zero, zero,
+                                                         grid_x(width, gamma[None])))
     assert (width * risk[0], width / 2 * slope[0]) == (found["R"], found["dR/dt"])
     with mpmath.workdps(40):
         sums = exact_and_truncated(mpmath, gamma, signal, noise, x_a, head)
         for name, (exact, truncated, scale) in sums.items():
             assert abs(found[name] - truncated) <= ROUNDING * scale, (name, float((found[name] - truncated) / scale))
             assert abs(exact - truncated) > 1e-12 * scale  # the series' remainder shows at this cutoff
+
+
+# ---------------------------------------------------------------------------
+# the grid scan on wide rows: each point's head, and the b^2 series of its tail's segments
+
+
+def grid_x(n, gamma):
+    """x = n lam at the 64 grid points of each spectrum, as the search forms them."""
+    t_lo, t_hi = optimize.spectrum_bracket(n, gamma)
+    delta = (t_hi - t_lo) / (DEFAULT_GRID_POINTS - 1)
+    return n * np.exp(t_lo[:, None] + np.arange(DEFAULT_GRID_POINTS) * delta[:, None])
+
+
+def scanned_bias(n, gamma, signal, noise, spectrum) -> tuple[optimize.Search, np.ndarray]:
+    """The search of a stack and its grid scan's bias sums sum s b^2, nan where the scan evaluated no point."""
+    seen, scan = {}, optimize._scan
+
+    def spy(gamma, signal, spectrum, x_grid, points, first, stop, bias, *rest):
+        scan(gamma, signal, spectrum, x_grid, points, first, stop, bias, *rest)
+        seen["bias"] = bias.copy()
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(optimize, "_scan", spy)
+        found = minimize_profiles(n, gamma, signal, noise, spectrum=spectrum)
+    return found, seen["bias"]
+
+
+def scan_tolerance(width: int) -> float:
+    """The relative distance the ``optimize`` docstring allows between a split grid value and the full-width one:
+    (log2 m + 7) eps/2 of rounding for the split sum and (log2 m + 4) eps/2 for the full-width one."""
+    return (2 * math.log2(width) + 11) * np.finfo(float).eps / 2
+
+
+@given(wide_stacks())
+def test_every_split_grid_value_is_the_full_width_value_to_rounding(stack):
+    """Every bias sum the scan evaluates on a wide row lies within ``scan_tolerance`` of the full-width sum at that
+    point (``_squares`` and ``_sum`` over the whole eigen-axis), and the whole search keeps its sources, open cells and
+    iteration counts against the search at full width (``assert_as_full_width``)."""
+    n, gamma, signal, noise, spectrum = stack
+    found, bias = scanned_bias(n, gamma, signal, noise, spectrum)
+    bb, _ = optimize._squares(gamma, grid_x(n, gamma))
+    full = np.array([optimize._sum(row * bb[j]) for row, j in zip(signal, spectrum.tolist())])
+    seen = ~np.isnan(bias)
+    assert seen.any(axis=1).all()
+    assert (np.abs(bias - full)[seen] <= scan_tolerance(n) * full[seen]).all()
+    split, kept = assert_as_full_width(*stack)
+    assert bits(split) == bits(found)
+
+
+def test_a_grid_point_whose_tail_starts_at_the_cutoff_is_the_exact_sum():
+    """At a grid point x whose first tail entry lies exactly at u = g / x = U_C, the scan's bias sum (a head of 128
+    entries, and the series of its five tail segments) agrees with the exact sum (mpmath, 40 digits) within the
+    rounding the ``optimize`` docstring states, (log2 m + 7) eps/2."""
+    mpmath = pytest.importorskip("mpmath")
+    width, head = 2000, 128
+    i = np.arange(1, width + 1, dtype=float)
+    gamma, signal = width * i ** -3.0, width * i ** -1.2
+    x = grid_x(width, gamma[None])[0]
+    count = np.searchsorted(-gamma, -TAIL_RATIO * x)
+    [p] = np.flatnonzero((count > head // 2) & (count <= head))[:1]
+    gamma[count[p]:head + 1] = TAIL_RATIO * x[p]  # the tail's first entry at the cutoff; the count and bracket stay
+    assert (np.diff(gamma) <= 0).all() and np.searchsorted(-gamma, -TAIL_RATIO * x[p]) == count[p]
+    assert (grid_x(width, gamma[None])[0] == x).all() and gamma[head] / x[p] == TAIL_RATIO
+    zero, points = np.zeros(1, dtype=np.intp), np.array([p])
+    tails = optimize._tails(gamma[None], signal[None], zero, zero, zero, x[None])
+    bias, squares = np.full((1, DEFAULT_GRID_POINTS), np.nan), np.full((1, DEFAULT_GRID_POINTS), np.nan)
+    optimize._scan(gamma[None], signal[None], zero, x[None], points, zero, zero + 1, bias, squares, zero, None, tails)
+    assert np.flatnonzero(~np.isnan(bias)).tolist() == [p]
+    with mpmath.workdps(40):
+        xp = mpmath.mpf(x[p])
+        exact = mpmath.fsum(mpmath.mpf(s) * (xp / (mpmath.mpf(g) + xp)) ** 2
+                            for g, s in zip(gamma.tolist(), signal.tolist()))
+        error = abs(mpmath.mpf(bias[0, p]) - exact) / exact
+    assert error <= (math.log2(width) + 7) * np.finfo(float).eps / 2, float(error)
+
+
+@pytest.mark.parametrize("signal_power", [1.2, 1.5])
+def test_each_grid_value_is_its_head_plus_the_taylor_polynomial_of_its_tail(signal_power, monkeypatch):
+    """With the cutoff raised to U_C = 0.2 every series term shows: each bias sum the scan evaluates is the exact sum
+    over the head that ``_first_tail`` rules for its point (the shortest power of two from 64 that holds every entry
+    g > 0.2 x) plus, over every later entry, s times the b^2 polynomial sum_(k <= K + 1) (-1)^k (k + 1) u^k.  A
+    dropped moment, a segment scaled by another entry, a boundary moved by one, or a head taken from a
+    neighbouring point fails."""
+    monkeypatch.setattr(optimize, "TAIL_RATIO", 0.2)
+    width = optimize.MIDDLE_PASS_WIDTH
+    i = np.arange(1, width + 1, dtype=float)
+    gamma, signal = i**-2.0, i**-signal_power
+    found, bias = scanned_bias(width, gamma[None], signal[None], np.array([0.05]), np.zeros(1, dtype=np.intp))
+    x = grid_x(width, gamma[None])[0]
+    points = np.flatnonzero(~np.isnan(bias[0]))
+    exact_gap, split_points = 0.0, 0
+    for p in points.tolist():
+        u = gamma / x[p]
+        count = int(np.count_nonzero(gamma > 0.2 * x[p]))
+        head = max(optimize.HEAD_MIN, 1 << max(count - 1, 0).bit_length())
+        exact = signal / (1 + u) ** 2
+        if head >= width:
+            assert bias[0, p] == pytest.approx(exact.sum(), rel=1e-13)
+            continue
+        split_points += 1
+        polynomial = sum((-1) ** k * (k + 1) * u[head:] ** k for k in range(TAIL_ORDER + 2))
+        expected = exact[:head].sum() + (signal[head:] * polynomial).sum()
+        assert bias[0, p] == pytest.approx(expected, rel=1e-13), p
+        exact_gap = max(exact_gap, abs(expected - exact.sum()) / exact.sum())
+    assert split_points >= 3 and exact_gap > 1e-9  # the series' remainder shows at this cutoff

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -542,6 +543,19 @@ class TestMinimizeRisks:
         bounds, search = minimize_risks(*columns([]))
         assert bound_reports(bounds, search) == [] and rows(search) == []
 
+    def test_the_search_stages_of_every_n_add_up_to_no_more_than_the_call(self):
+        # each n is one engine call, whose three stages follow one another: their sums over the calls take no longer
+        # than the whole call, and the stages do not change the result
+        cells = [[50, 200, 800, 50], [1, 4, 1, 2], [1.0, 1.0, 1.0, 0.5], [2.0, 2.0, 3.0, 2.0], [2.0, 2.5, 2.0, 2.0],
+                 [1.0, 1.0, 1.0, 2.0]]
+        times = {}
+        start = time.perf_counter()
+        bounds, search = minimize_risks(*cells, times=times)
+        elapsed = time.perf_counter() - start
+        assert list(times) == ["scan", "model", "newton"]
+        assert 0 < sum(times.values()) <= elapsed
+        assert repr(bound_reports(bounds, search)) == repr(bound_reports(*minimize_risks(*cells)))
+
 
 class TestEngineInputs:
     @given(grid=template_grids())
@@ -550,9 +564,9 @@ class TestEngineInputs:
 
         calls = []
 
-        def capture(n, gamma, signal, noise, spectrum=None, curve=None):
+        def capture(n, gamma, signal, noise, spectrum=None, curve=None, times=None):
             calls.append((n, gamma.copy(), signal.copy(), noise.copy(), spectrum.copy(), curve.copy()))
-            return minimize_profiles(n, gamma, signal, noise, spectrum, curve)
+            return minimize_profiles(n, gamma, signal, noise, spectrum, curve, times)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(riskfn, "minimize_profiles", capture)
