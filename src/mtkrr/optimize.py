@@ -38,13 +38,17 @@ and the last pass, over point 0 and the odd points, follows the open
 step-2 cells.  A grid point is a basin only if it and both its neighbours
 were evaluated.  A pruned cell can hold neither the winner nor a grid value
 its basin needs, and every evaluated value has the arithmetic of the full
-scan, so winners are what the full 64-point scan finds, bit for bit.  A
-smooth curve's row evaluates about 25 of the 64 points on two passes, and
-about 19 on three (7 + 8 + 4).
+scan, whatever the pass (each point's bias sum a dot product of ``_dot``,
+its variance sum pairwise by ``_sum``), so winners are what the full
+64-point scan finds, bit for bit.  A smooth curve's row evaluates about 25
+of the 64 points on two passes, and about 19 on three (7 + 8 + 4).
 
 The middle pass costs one more scan call and the retest, 0.1 to 0.25 ms a
 call whatever the width, and saves about ten evaluations per row, each of
-width products at about 1.2 ns a product (2-core Xeon, numpy 2.4).  Timed
+width products at about 1.2 ns a product (2-core Xeon, numpy 2.4) when it
+was timed, as a broadcast product and a pairwise sum; as dot products
+(``_dot``) they cost about 0.3 ns, and the break-even below has not been
+timed again.  Timed
 with the pass on and off, interleaved, on stacks of 11 to 88 power-law
 comparison rows cut to each width, it breaks even near width 600 with 44
 to 88 rows, 900 with 22 and 1150 with 11, and cuts the whole search by a
@@ -88,21 +92,39 @@ series alternates with terms falling by a factor of at most 6u, so its
 remainder is below its first dropped term: 8 u^(K+2), at most 8e-28, of the
 scan's tail terms, and at most 196 u^(K+1), about 2e-22, of Newton's (d2R/dt2's
 signal series; the others are smaller), inside the cruder C(K+3, 3) U_C^K =
-6e-19.  What is left is rounding: a pairwise sum over m entries errs by about
-log2(m) eps/2 of the sum of its terms' magnitudes (Higham, Accuracy and
-Stability of Numerical Algorithms, 2002, ch. 4).  A grid value's terms are
-positive, so its bias sum errs by about (log2 m + 7) eps/2 relative: its head
-of h < m entries by (log2 h + 4) eps/2 (each term has four roundings), its
-tail by (log2 L + 7) eps/2 (segments of L < m/2 entries, and the pairwise sum
-of their (K + 2) per-segment series terms), against (log2 m + 4) eps/2 for
-the full-width sum.  So grid and Newton values on wide rows move in their
-last bits (at most 5.8e-16 relative on ``experiment_wide``, seeds 0, 5, 17
-and 23, with no source, iteration count or open cell changed), and a winner
-can change between two candidates within rounding of each other.  Rows
-narrower than the gate, points and basins with no head shorter than their
-row, and spectra not in descending order (no package caller makes one:
-``spectral`` sorts its eigenvalues and ``KernelSpectrum`` rejects unsorted
-ones) keep the full-width arithmetic bit for bit.  Timed with Newton's split
+6e-19.  What is left is rounding.  A sum of positive terms in which no term
+meets more than d additions errs by at most d u relative, u = eps/2 (Higham,
+Accuracy and Stability of Numerical Algorithms, 2002, ch. 4).  A pairwise sum
+over m entries (``_sum``: Newton's ``_curve``, the tail table, ``_squares``'
+sum a^2, the limits) thus errs by about log2(m) u, and Newton's sums on wide
+rows by (log2 m + 7) u relative (head, and the pairwise sum of the tail's
+series terms over segments of L < m/2 entries), against (log2 m + 4) u at
+full width (each term has four roundings).  The grid scan's bias sums are
+per-row dot products (``_dot``): numpy's sum-of-products loop runs each
+chunk of at most C = ``DOT_CHUNK`` = 1024 entries in a fixed number of SIMD
+lanes, each lane in order, so a term meets at most C - 1 additions there (all
+of them where numpy has no SIMD), and the pairwise sum of the ceil(m/C)
+chunk sums adds at most log2 ceil(m/C) + 26 more (numpy's pairwise sum
+keeps eight accumulators over blocks of 128).  With its product, a dot of
+positive terms errs by at most (C + 28 + log2 ceil(m/C)) u relative: the
+bound of an ordered sum, which the chunks keep from growing with the width.
+On random terms the lanes keep it far lower: at most 1.3 eps at m = 50 and
+4.8 eps at m = 2000 against 1.35 and 0.8 eps pairwise (exact sums, worst
+of 200 draws; numpy 2.4's x86-64 loop takes two lanes, with no fused
+multiply-add).  With the four roundings of each b^2 term, the
+tail's series and the assembly of the value, every evaluated value, grid
+point or Newton's, errs by at most ``ROUNDING`` = (C + 64) u, about
+1.2e-13 relative, at any width below 2^40.  So grid values on wide rows
+move from their full-width ones by up to that, Newton values by their last
+bits (at most 5.8e-16 relative on ``experiment_wide``, seeds 0, 5, 17 and
+23, with no source, iteration count or open cell changed), and the grid
+values of every row move in their last bits from a pairwise scan's, so
+basins, starts and open cells may move where two values lie within rounding
+of each other.  Rows narrower than the gate, points and basins with no head
+shorter than their row, and spectra not in descending order (no package
+caller makes one: ``spectral`` sorts its eigenvalues and ``KernelSpectrum``
+rejects unsorted ones) keep the full-width arithmetic bit for bit.  Timed
+with Newton's split
 on and off, interleaved, on the ``experiment_wide`` stack cut to each width
 and row count (one basin per row; one BLAS thread, 2-core Xeon, numpy 2.4),
 Newton breaks even near width 450 with 88 rows, 550 with 44, below 1024 with
@@ -125,15 +147,21 @@ ordinary curvature, and larger only where the curve is nearly flat in t
 one basin end within that tolerance of each other, so a grid point can win
 a row from one start and Newton from the other.  The exact limits lam = 0
 and lam = +inf compete with the interior candidates, so degenerate rows
-(zero signal, zero noise) resolve to the right boundary.  g is not convex in
-general, which is why every basin is refined rather than just the best grid
-point.
+(zero signal, zero noise) resolve to the right boundary.  An interior
+candidate, Newton's or the grid's, takes a row from the limits only if it is
+lower than the better limit by more than ``ROUNDING`` relative: the limits
+are exact, and a basin that ends within rounding of one would otherwise win
+or lose its row on its last bits.  g is not convex in general, which is why
+every basin is refined rather than just the best grid point.
 
 Each row's arithmetic depends on that row alone: reductions run over the
-contiguous eigen-axis, never through BLAS, the grid depends only on the
-row's spectrum, and the points evaluated depend only on the row's own
-values and its width.  A row therefore gets bit-identical results alone, in
-any stack, and in any order.  Rows that the caller names with one signal row
+contiguous eigen-axis, pairwise (``_sum``) or as numpy's own dot loop
+(``_dot``), never through BLAS, whose ``ddot`` and ``dgemm`` (behind
+``np.dot``, ``matmul``, ``vecdot``, ``tensordot`` and ``einsum`` with
+``optimize``) give bits that depend on the BLAS build, its kernel dispatch
+and its threads; the grid depends only on the row's spectrum, and the points
+evaluated depend only on the row's own values and its width.  A row
+therefore gets bit-identical results alone, in any stack, and in any order.  Rows that the caller names with one signal row
 (``curve``) and one spectrum differ only in their noise, so their bias sums
 are formed once, over the union of their windows; each row then keeps only
 its own window's values, and gets the bits and basins it gets alone.
@@ -177,6 +205,9 @@ BLOCK_ELEMENTS = 1 << 15  # doubles per temporary (256 KB): cache-sized, and mem
 TAIL_RATIO = 1e-4  # U_C: u = g / x stays at most this on the tail at the grid point, and wherever Newton goes
 TAIL_ORDER = 5  # K: the moments sum s g^k for k <= K + 1 and sum g^k for k <= K + 3
 HEAD_MIN = 64  # the shortest head; every head is a power of two long, or the whole row
+DOT_CHUNK = 1024  # entries per sum of numpy's sum-of-products loop in ``_dot``; the chunks' sums are added pairwise
+# relative: above the rounding of every evaluated value, grid or Newton, at any width (module docstring)
+ROUNDING = (DOT_CHUNK + 64) * np.finfo(float).eps / 2
 _GRID = np.arange(DEFAULT_GRID_POINTS)
 # the five grid points around each grid point that its basin's start model reads (clipped to the grid), and
 # whether all five lie on the grid
@@ -241,10 +272,11 @@ def _curve(n: int, gamma, signal, noise, spectrum, curve, rows, x):
     With a = g/(g + x) and b = x/(g + x):  R = (sum s b^2 + v sum a^2)/n,
     dR/dt = (2/n) sum ab (s b - v a), and
     d2R/dt2 = (2/n) sum [ab (a - b)(s b - v a) + (ab)^2 (s + v)].
-    R has the summands of the grid scan of ``minimize_profiles``, summed over
-    the columns given: the whole eigen-axis here gives the grid scan's R
-    exactly, and Newton on wide rows passes only the head of each spectrum
-    (``_split``).
+    R has the summands of the grid scan of ``minimize_profiles``, summed
+    pairwise over the columns given (Newton on wide rows passes only the head
+    of each spectrum, ``_split``).  The scan forms its bias sum as a dot
+    product (``_dot``), so over the whole eigen-axis R is the grid scan's to
+    ``ROUNDING``, not bit for bit.
     """
     out = np.empty((3, len(rows)))
     block = max(1, BLOCK_ELEMENTS // (4 * gamma.shape[1]))  # the buffer of the four summands is one block
@@ -276,6 +308,27 @@ def _curve(n: int, gamma, signal, noise, spectrum, curve, rows, x):
 def _sum(values: np.ndarray) -> np.ndarray:
     """Sum over the last (contiguous) axis: numpy's pairwise summation, row by row."""
     return np.add.reduce(values, axis=-1)
+
+
+def _dot(signal: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """sum_j s[r, j] t[p, j] of each row r and point p: rows x points.
+
+    ``table`` is shared by the rows (points x m) or gathered row by row (rows x points x m).  numpy's own C
+    sum-of-products loops (``np.einsum``, literal subscripts, no ``optimize``) form each sum over the
+    eigen-axis in a fixed order of SIMD lanes, never through BLAS, so its bits depend on that row and
+    point alone, whatever the stack, the table's form or the view.  The axis is summed in chunks of at
+    most ``DOT_CHUNK`` entries, whose sums ``_sum`` adds pairwise, so the rounding does not grow with the
+    width (the module docstring).
+    """
+    def sums(signal, table):
+        return np.einsum("rj,pj->rp", signal, table) if table.ndim == 2 else np.einsum("rj,rpj->rp", signal, table)
+
+    width = signal.shape[-1]
+    if width <= DOT_CHUNK:
+        return sums(signal, table)
+    cuts = range(DOT_CHUNK, width, DOT_CHUNK)
+    chunks = zip(np.split(signal, cuts, axis=-1), np.split(table, cuts, axis=-1))
+    return _sum(np.stack([sums(*chunk) for chunk in chunks], axis=-1))
 
 
 class _Tails(NamedTuple):
@@ -534,12 +587,12 @@ def _scan(gamma, signal, spectrum, x_grid, points, first, stop, bias, squares, c
                     a, b = max(a, c), min(b, c + len(cols))
                     if a >= b:
                         continue
-                    part = bb[:, a - c:b - c]
-                    step = max(1, BLOCK_ELEMENTS // part[0].size)
+                    part, shared = bb[:, a - c:b - c], hi - lo == 1
+                    step = max(1, BLOCK_ELEMENTS // (width if shared else part[0].size))
                     for k in range(k0, k1, step):
                         r = order[k:min(k + step, k1)]
-                        table = part[0] if hi - lo == 1 else part[spectrum[r] - lo]
-                        bias[r[:, None], points[a:b]] = _sum(signal[curve[r]][:, None, :] * table)
+                        table = part[0] if shared else part[spectrum[r] - lo]
+                        bias[r[:, None], points[a:b]] = _dot(signal[curve[r]], table)
                 continue
             runs = _runs(tails, lo, cols, c, moments)  # wide rows: the points in runs of one head
             for a, b, k0, k1 in windows:
@@ -548,10 +601,10 @@ def _scan(gamma, signal, spectrum, x_grid, points, first, stop, bias, squares, c
                     if u >= v:
                         continue
                     part = bb[0, u - c:v - c, :length]
-                    step = max(1, BLOCK_ELEMENTS // part.size)
+                    step = max(1, BLOCK_ELEMENTS // length)
                     for k in range(k0, k1, step):
                         r = order[k:min(k + step, k1)]
-                        sums = _sum(signal[curve[r], :length][:, None, :] * part)
+                        sums = _dot(signal[curve[r], :length], part)
                         if series is not None:  # the tail's series beside the head's terms
                             sums += series[k - held[0]:k - held[0] + len(r), u - start:v - start]
                         bias[r[:, None], points[u:v]] = sums
@@ -797,6 +850,9 @@ def minimize_profiles(
     iterations[basin_row[head]] = iters[head]
     candidates = np.array((zero, limit, newton, grid_min))  # in the order of SOURCES
     source = candidates.argmin(axis=0)  # the first of equal candidates wins
+    # but an interior candidate takes a row from the exact limits only if lower by more than the rounding
+    tie = (source >= 2) & ~(candidates[source, np.arange(rows)] < best_limit * (1 - ROUNDING))
+    source[tie] = candidates[:2].argmin(axis=0)[tie]
     grid = np.flatnonzero(source == 3)
     # the winner's position in grid steps: -inf for lam = 0, +inf for lam = +inf
     at = np.where(source == 0, -math.inf, math.inf)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .optimize import BLOCK_ELEMENTS, Search, _projector, _squares, _sum, minimize_profiles
+from .optimize import BLOCK_ELEMENTS, Search, _dot, _projector, _squares, minimize_profiles
 from .scenarios import power_law
 
 
@@ -104,8 +104,9 @@ def template_parts(n, lam, beta, delta, c, noise) -> tuple[np.ndarray, np.ndarra
 
     The eigenvalues are gamma_i = n i^(-2 beta), the squared signal coefficients s_i = (c n) i^(-2 delta), and
     noise is sigma2 / p; the other arguments are scalars or arrays of the length of ``lam``, one template per
-    row, each row 0 past its own n.  b^2 and sum a^2 come from the grid scan's ``optimize._squares``, so every
-    value is the engine's, in blocks of ``BLOCK_ELEMENTS`` doubles.  A row at lam = 0 is ``optimize._projector``:
+    row, each row 0 past its own n.  b^2 and sum a^2 come from the grid scan's ``optimize._squares`` and the bias
+    sum s b^2 from its dot product ``optimize._dot`` (numpy's own loop, never BLAS), so every value is the engine's,
+    in blocks of ``BLOCK_ELEMENTS`` doubles.  A row at lam = 0 is ``optimize._projector``:
     directions whose eigenvalue underflows to 0 keep their signal as bias and add no variance.
     """
     lam = np.asarray(lam, dtype=float)
@@ -121,7 +122,7 @@ def template_parts(n, lam, beta, delta, c, noise) -> tuple[np.ndarray, np.ndarra
         for lo in range(0, len(lam), step):
             r = slice(lo, lo + step)
             bb, squares = _squares(gamma[r], n[r, None] * lam[r, None])
-            bias[r] = _sum(signal[r, None] * bb)[:, 0] / n[r]
+            bias[r] = _dot(signal[r], bb)[:, 0] / n[r]
             var[r] = noise[r] / n[r] * squares[:, 0]
     zero = np.flatnonzero(lam == 0)
     rows = np.arange(len(zero))

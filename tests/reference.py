@@ -476,12 +476,12 @@ def full_scan_minimize_profiles(n: int, gamma: np.ndarray, signal: np.ndarray, n
                 r = mine[k:k + block]
                 var[r, c:c + chunk] = noise[r, None] * aa
                 if tails is None:
-                    bias[r, c:c + chunk] = optimize._sum(signal[r][:, None, :] * bb)
+                    bias[r, c:c + chunk] = optimize._dot(signal[r], bb)
                     continue
                 # the engine's arithmetic at each point: its head's terms, and the series of its tail's segments
                 for i, at in enumerate(tails.first[j, c:c + chunk].tolist()):
                     length = int(tails.bounds[at])
-                    bias[r, c + i] = optimize._sum(signal[r, :length] * bb[i, :length])
+                    bias[r, c + i] = optimize._dot(signal[r, :length], bb[i:i + 1, :length])[:, 0]
                     if length < len(g):
                         weights = tails.weights[j, c + i:c + i + 1, :, at:]
                         bias[r, c + i] += optimize._tail_bias(tails.signal[r, :, at:], weights)[:, 0]
@@ -510,6 +510,9 @@ def full_scan_minimize_profiles(n: int, gamma: np.ndarray, signal: np.ndarray, n
     first = order[np.concatenate(([True], basin_row[order][1:] != basin_row[order][:-1]))]
     candidates = np.array((zero, limit, r_end[first], vals.min(axis=1)))
     source = candidates.argmin(axis=0)
+    # an interior candidate takes a row from the exact limits only if lower by more than the rounding
+    tie = (source >= 2) & ~(candidates[source, np.arange(rows)] < np.minimum(zero, limit) * (1 - optimize.ROUNDING))
+    source[tie] = candidates[:2].argmin(axis=0)[tie]
     t, g = t_end[first], g_end[first]
     at = np.where(source == 0, -math.inf, math.inf)  # the winner's position in grid steps
     at[source == 2] = ((t - t_lo[spectrum]) / delta[spectrum])[source == 2]
@@ -640,8 +643,8 @@ def risk_curve_rows(params: RiskParams, points: int, lambda_min: float | None = 
 
     A bound not given is that end of the oracle's search bracket.  Each row is (lambda, risk, bias,
     variance) of ``template_profile(params)``, one lambda at a time, in the arithmetic of the engine's grid
-    scan: with x = n lam, b = x / (g + x) and a = g / (g + x), the bias is sum s b^2 / n and the variance
-    v / n sum a^2.  At lam = 0 it is ``RidgeRiskProfile.parts``' projector rule.
+    scan: with x = n lam, b = x / (g + x) and a = g / (g + x), the bias is sum s b^2 / n, its sum the scan's
+    dot product ``optimize._dot``, and the variance v / n sum a^2.  At lam = 0 it is ``RidgeRiskProfile.parts``' projector rule.
     """
     profile = template_profile(params)
     t_lo, t_hi = optimize.spectrum_bracket(profile.n, profile.gamma)
@@ -654,7 +657,7 @@ def risk_curve_rows(params: RiskParams, points: int, lambda_min: float | None = 
         else:
             x = profile.n * lam
             d = profile.gamma + x
-            bias = float(np.sum(profile.signal * (x / d) ** 2) / profile.n)
+            bias = float(optimize._dot(profile.signal[None], (x / d)[None, None] ** 2)[0, 0] / profile.n)
             var = profile.noise / profile.n * float(np.sum((profile.gamma / d) ** 2))
         rows.append((lam, bias + var, bias, var))
     return rows

@@ -1,4 +1,4 @@
-"""Layout guards: the package holds no code that only the tests use, keeps the dense route off the hot path, one module forks on setting B, no module imports scipy, one module lays out a comparison, every command draws through ``scenarios.draw``, one function reads the sweep configs, one module writes files, a search and the template oracle have one columnar result type, a search has one pruned grid scan, one start of its basins and one Newton iteration with one head and tail split, one table of tail moments that the scan and Newton read, the template has one array evaluator, and no module draws from a numpy stream.
+"""Layout guards: the package holds no code that only the tests use, keeps the dense route off the hot path, one module forks on setting B, no module imports scipy, one module lays out a comparison, every command draws through ``scenarios.draw``, one function reads the sweep configs, one module writes files, a search and the template oracle have one columnar result type, a search has one pruned grid scan, one start of its basins and one Newton iteration with one head and tail split, one table of tail moments that the scan and Newton read, the template has one array evaluator, numpy's own loop forms the grid scan's dot products and no risk sum goes through BLAS, and no module draws from a numpy stream.
 
 A public function, class or method defined in ``src/mtkrr`` counts as used
 only if a package module other than ``__init__.py`` references it, or a
@@ -198,11 +198,11 @@ def test_the_template_has_one_array_evaluator():
 def test_the_search_keeps_its_signature_and_one_pruned_grid_scan():
     """``minimize_profiles`` takes no pruning, grid or split knob, and the package scans the risk grid in one place.
 
-    Grid values are formed only by ``optimize._squares`` inside ``optimize._scan``, and ``_scan`` runs only
-    in ``minimize_profiles``, once per pass over that pass's grid points.  The passes with the middle pass
-    (``PASSES``) and without it (``NARROW_PASSES``) each take every grid point once.  The one other call of
-    ``_squares`` is ``riskfn.template_parts``, so the template curve has the grid scan's arithmetic.  The
-    unpruned 64-point scan is a validation oracle in ``tests/reference.py``.
+    Grid values are formed only by ``optimize._squares`` and ``optimize._dot`` inside ``optimize._scan``, and
+    ``_scan`` runs only in ``minimize_profiles``, once per pass over that pass's grid points.  The passes with
+    the middle pass (``PASSES``) and without it (``NARROW_PASSES``) each take every grid point once.  The one
+    other caller of ``_squares`` and ``_dot`` is ``riskfn.template_parts``, so the template curve has the grid
+    scan's arithmetic.  The unpruned 64-point scan is a validation oracle in ``tests/reference.py``.
     """
     from mtkrr import optimize
     from mtkrr.optimize import minimize_profiles
@@ -214,12 +214,14 @@ def test_the_search_keeps_its_signature_and_one_pruned_grid_scan():
     for path in sorted(PACKAGE.glob("*.py")):
         for top in ast.parse(path.read_text()).body:
             for node in ast.walk(top):
-                if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] in ("_squares", "_scan"):
+                if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] in ("_squares", "_dot", "_scan"):
                     calls.append((f"{path.stem}.{getattr(top, 'name', '<module>')}", ast.unparse(node.func),
                                   ast.unparse(node.args[4]) if len(node.args) > 4 else None))
     squares = sorted(where for where, func, _ in calls if func.endswith("_squares"))
     scans = sorted((where, points) for where, func, points in calls if func.endswith("_scan"))
+    dots = sorted(where for where, func, _ in calls if func.endswith("_dot"))
     assert squares == ["optimize._scan", "riskfn.template_parts"], f"risk values formed elsewhere: {squares}"
+    assert dots == ["optimize._scan", "optimize._scan", "riskfn.template_parts"], f"bias sums formed elsewhere: {dots}"
     assert scans == [("optimize.minimize_profiles", "points")], scans
     grid = list(range(optimize.DEFAULT_GRID_POINTS))
     for passes in (optimize.PASSES, optimize.NARROW_PASSES):
@@ -280,6 +282,31 @@ def test_one_table_holds_the_tail_moments_and_the_scan_and_newton_read_it():
     assert readers == {"optimize._scan", "optimize._split"}, readers
     assert all("tails" in inspect.signature(getattr(optimize, name)).parameters for name in ("_scan", "_split"))
     assert tail_slices == {"optimize._tails"}, tail_slices
+
+
+def test_numpy_forms_the_scans_dot_products_and_no_risk_sum_goes_through_blas():
+    """``np.einsum`` appears only in ``optimize._dot``, with literal subscripts and no keyword (so no ``optimize=``):
+    numpy's own sum-of-products loop forms the grid scan's dot products, with bits that depend on the row alone.
+    ``dot``, ``vdot``, ``inner``, ``matmul``, ``vecdot``, ``tensordot`` and the ``@`` operator, whose bits depend on
+    the BLAS build, its kernel dispatch and its threads, appear only where a scenario's eigenbasis is made and
+    checked: ``scenarios._setting_b``'s projection and ``spectral``'s orthogonality checks."""
+    einsums, blas = [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            where = f"{path.stem}.{getattr(top, 'name', '<module>')}"
+            for node in ast.walk(top):
+                called = ast.unparse(node.func).split(".")[-1] if isinstance(node, ast.Call) else None
+                if called == "einsum":
+                    einsums.append((where, node))
+                elif (called in ("dot", "vdot", "inner", "matmul", "vecdot", "tensordot")
+                      or isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)):
+                    blas.add(where)
+    assert {where for where, _ in einsums} == {"optimize._dot"}, einsums
+    for _, call in einsums:
+        subscripts = call.args[0] if call.args else None
+        assert isinstance(subscripts, ast.Constant) and isinstance(subscripts.value, str), ast.unparse(call)
+        assert not call.keywords, ast.unparse(call)
+    assert blas == {"scenarios._setting_b", "spectral.KernelSpectrum", "spectral.eigendecompose_kernels"}, blas
 
 
 def test_no_module_draws_from_a_numpy_stream():
