@@ -18,42 +18,31 @@ t = log lam.  Each spectrum's bracket is [g_min+/n, g_max/n] (smallest
 positive and largest eigenvalue) widened by ``BRACKET_DECADES`` on each
 side, so the search follows the scale of the spectrum.  A 64-point log grid
 over the bracket locates every candidate basin of every row, but most of it
-lies in the two widenings, far from any minimum, so it is scanned in passes
-that keep the bias sum apart from the variance sum.  The bias does not
-decrease as lam grows and the variance does not increase (Hoerl and
+lies in the two widenings, far from any minimum, so it is scanned in two
+passes that keep the bias sum apart from the variance sum.  The bias does
+not decrease as lam grows and the variance does not increase (Hoerl and
 Kennard, Technometrics 1970), so on a cell [t_a, t_b] the curve is at least
-B(t_a) + V(t_b).  The first pass evaluates only the interior points 8, 16,
+B(t_a) + V(t_b).  The first pass evaluates only the ``COARSE`` points 8, 16,
 ..., 56, the ends of eight cells: the first cell starts at lam = 0 and the
 last ends at lam = +inf, with the exact limits as their ends (the bias of
 the projection at lam = 0, and no variance at +inf).  A cell is open when
 its bound reaches the row's best value so far (the limits and every value
-evaluated, inflated by ``BOUND_MARGIN`` for rounding).  The last pass
-evaluates the rest of the grid only from the row's first open cell to its
-last, plus ``HALO`` points on each side, so the grid ends 0, 1, 62 and 63
-are evaluated only when they fall in that window.  Rows at least
-``MIDDLE_PASS_WIDTH`` wide take a middle pass in between: it evaluates the
-even points in the same window, then tests the step-2 cells against the
-improved best value (a cell only inside an open cell of the first pass),
-and the last pass, over point 0 and the odd points, follows the open
-step-2 cells.  A grid point is a basin only if it and both its neighbours
-were evaluated.  A pruned cell can hold neither the winner nor a grid value
-its basin needs, and every evaluated value has the arithmetic of the full
-scan, whatever the pass (each point's bias sum a dot product of ``_dot``,
-its variance sum pairwise by ``_sum``), so winners are what the full
-64-point scan finds, bit for bit.  A smooth curve's row evaluates about 25
-of the 64 points on two passes, and about 19 on three (7 + 8 + 4).
-
-The middle pass costs one more scan call and the retest, 0.1 to 0.25 ms a
-call whatever the width, and saves about ten evaluations per row, each of
-width products at about 1.2 ns a product (2-core Xeon, numpy 2.4) when it
-was timed, as a broadcast product and a pairwise sum; as dot products
-(``_dot``) they cost about 0.3 ns, and the break-even below has not been
-timed again.  Timed
-with the pass on and off, interleaved, on stacks of 11 to 88 power-law
-comparison rows cut to each width, it breaks even near width 600 with 44
-to 88 rows, 900 with 22 and 1150 with 11, and cuts the whole search by a
-quarter at width 2000 with 88 rows.  ``MIDDLE_PASS_WIDTH`` is the first
-power of two above the break-even of 22 rows, one comparison of 20 tasks.
+evaluated, inflated by ``BOUND_MARGIN`` for rounding).  The second pass
+evaluates the rest of the grid (``FINE``) only from the row's first open
+cell to its last, plus ``HALO`` points on each side, so the grid ends 0, 1,
+62 and 63 are evaluated only when they fall in that window.  A grid point is
+a basin only if it and both its neighbours were evaluated.  A pruned cell
+can hold neither the winner nor a grid value its basin needs, and every
+evaluated value has the arithmetic of the full scan, whichever the pass
+(each point's bias sum a dot product of ``_dot``, its variance sum pairwise
+by ``_sum``), so winners are what the full 64-point scan finds, bit for bit.
+A smooth curve's row evaluates about 25 of the 64 points (7 + 18 on
+``experiment_wide``).  Every width takes these two passes: a middle pass
+over the even points, with the cells tested again, saved about six points
+a row on rows 1024 wide or more, but with each wide point summing only its
+head it no longer paid: the ``experiment_wide`` search takes 4.8 to 4.9 ms
+without it against 4.9 to 5.1 ms with it (medians of 41 calls, seeds 0, 5
+and 17; one BLAS thread, 2-core Xeon, numpy 2.4).
 
 All basins are then refined together by a safeguarded Newton iteration on
 dR/dt (a step that would leave the basin's bracket, or meets unusable
@@ -71,7 +60,7 @@ evaluations on ``heatmap_small``, 281 on ``experiment_wide``, 194 on
 ``table_spline`` and 311 on ``verify_bounds``, against 7263, 352, 242 and
 487 from the parabola vertex; the median per search is 3 (was 4).
 
-On rows at least ``MIDDLE_PASS_WIDTH`` wide, the grid scan and Newton sum
+On rows at least ``SPLIT_WIDTH`` wide, the grid scan and Newton sum
 only the head of each spectrum entry by entry and the rest from moments.  An
 entry with g << x = n lam adds power series in u = g/x to R, dR/dt and
 d2R/dt2.  Past ``HEAD_MIN`` = 64 the eigen-axis is cut at the powers of two
@@ -124,8 +113,7 @@ of each other.  Rows narrower than the gate, points and basins with no head
 shorter than their row, and spectra not in descending order (no package
 caller makes one: ``spectral`` sorts its eigenvalues and ``KernelSpectrum``
 rejects unsorted ones) keep the full-width arithmetic bit for bit.  Timed
-with Newton's split
-on and off, interleaved, on the ``experiment_wide`` stack cut to each width
+with Newton's split on and off, interleaved, on the ``experiment_wide`` stack cut to each width
 and row count (one basin per row; one BLAS thread, 2-core Xeon, numpy 2.4),
 Newton breaks even near width 450 with 88 rows, 550 with 44, below 1024 with
 22 and near 1400 with 11.  Small stacks do not repay the table's fixed cost,
@@ -134,8 +122,8 @@ head: ``oracle`` (p + 2 = 6 rows) at n = 1100 and 2000 spends a median 0.05
 to 0.8 ms more in its search than when Newton alone split its rows, in a
 run of 0.15 s.  The gate is the width alone, because a gate that counted the
 stack's rows or basins would give a row other bits alone than in a stack;
-it is the middle pass's, from which the split pays on stacks of 22 rows or
-more.
+``SPLIT_WIDTH`` = 1024, from which the split pays on stacks of 22 rows or
+more, is read by ``_tails`` alone.
 
 A basin stops on the relative rule |lam g'(lam)| <= tol g(lam), which reads
 the same at every scale of the eigenvalues, the signal and the noise.  With
@@ -179,13 +167,8 @@ import numpy as np
 
 DEFAULT_GRID_POINTS = 64
 COARSE_STEP = 8  # the first pass takes the interior grid points 8, 16, ..., 56
-MIDDLE_STEP = 2  # the middle pass takes the other even points from 2 to 62
 HALO = 2  # grid points evaluated beyond each end of a row's open cells: a basin's neighbours
-# rows at least this wide take the middle pass: above its measured break-even, where its fixed cost (one more
-# scan call and the retest of the step-2 cells) meets about ten fewer evaluations per row of width products each.
-# The head and tail split of the grid scan and Newton (``_tails``) takes the same gate: from it the split pays on
-# stacks of 22 rows or more.
-MIDDLE_PASS_WIDTH = 1024
+SPLIT_WIDTH = 1024  # rows this wide split the scan and Newton into a head and a tail (``_tails``, module docstring)
 BOUND_MARGIN = 1e-9  # relative: far above the rounding of the bias and variance sums in a cell bound
 # a row whose signal sum plus lam = 0 variance sum (each at least its sum at every grid point) exceeds this
 # might overflow between its evaluated points, so every cell of it stays open and the finiteness check sees
@@ -200,7 +183,7 @@ T_LIMIT = 600.0  # |log lam| cap: lam stays a normal double even one grid step p
 T_STEP_TOL = 1e-12  # a step in log lam this small ends a basin's search
 SOURCES = ("zero", "limit", "newton", "grid")  # the candidates of a search, in order of precedence
 BLOCK_ELEMENTS = 1 << 15  # doubles per temporary (256 KB): cache-sized, and memory stays flat whatever the stack
-# on rows at least MIDDLE_PASS_WIDTH wide, the scan at a grid point x and Newton in a basin above x_a sum the tail,
+# on rows at least SPLIT_WIDTH wide, the scan at a grid point x and Newton in a basin above x_a sum the tail,
 # the entries past a head that holds every g > TAIL_RATIO x (or x_a), from moments
 TAIL_RATIO = 1e-4  # U_C: u = g / x stays at most this on the tail at the grid point, and wherever Newton goes
 TAIL_ORDER = 5  # K: the moments sum s g^k for k <= K + 1 and sum g^k for k <= K + 3
@@ -214,13 +197,7 @@ _GRID = np.arange(DEFAULT_GRID_POINTS)
 _FIVE = np.clip(_GRID + np.arange(-HALO, HALO + 1)[:, None], 0, DEFAULT_GRID_POINTS - 1)
 _INSIDE = (_GRID >= HALO) & (_GRID < DEFAULT_GRID_POINTS - HALO)
 COARSE = _GRID[COARSE_STEP::COARSE_STEP]  # the grid points of the first pass
-MIDDLE = np.array([i for i in _GRID[MIDDLE_STEP::MIDDLE_STEP].tolist() if i % COARSE_STEP])  # of the middle pass
-LAST = np.array([i for i in _GRID.tolist() if i % MIDDLE_STEP or not i])  # of the last pass after it: 0 and the odds
-FINE = np.array([i for i in _GRID.tolist() if i % COARSE_STEP or not i])  # of the last pass of a row that skips it
-# each pass's grid points and the step of the cells retested after it (0: none, the last pass), with and
-# without the middle pass
-PASSES = ((COARSE, COARSE_STEP), (MIDDLE, MIDDLE_STEP), (LAST, 0))
-NARROW_PASSES = ((COARSE, COARSE_STEP), (FINE, 0))
+FINE = np.array([i for i in _GRID.tolist() if i % COARSE_STEP or not i])  # of the second: the rest
 
 
 def _series(p: int, m: int) -> np.ndarray:
@@ -353,7 +330,7 @@ class _Tails(NamedTuple):
 
 
 def _tails(gamma, signal, spectrum, curve, entry, x_grid) -> _Tails | None:
-    """The tail-moment table of a search, or None on rows narrower than ``MIDDLE_PASS_WIDTH``.
+    """The tail-moment table of a search, or None on rows narrower than ``SPLIT_WIDTH``.
 
     Entry e is the signal row ``curve[e]`` on the spectrum ``spectrum[e]``, and stack row r reads entry
     ``entry[r]``.  The eigen-axis past ``HEAD_MIN`` is cut at the powers of two into segments [64, 128),
@@ -365,7 +342,7 @@ def _tails(gamma, signal, spectrum, curve, entry, x_grid) -> _Tails | None:
     """
     width = gamma.shape[1]
     bounds = np.array([HEAD_MIN << k for k in range(width.bit_length()) if HEAD_MIN << k < width] + [width])
-    if width < MIDDLE_PASS_WIDTH or len(bounds) == 1:
+    if width < SPLIT_WIDTH or len(bounds) == 1:
         return None
     segments = list(zip((bounds[:-1] - HEAD_MIN).tolist(), (bounds[1:] - HEAD_MIN).tolist()))
     descending = (gamma[:, 1:] <= gamma[:, :-1]).all(axis=1)
@@ -436,7 +413,7 @@ def _split(n, gamma, signal, noise, spectrum, curve, rows, a, tails):
     """Newton's evaluation of the basins (row ``rows[i]``, bracket low end t = ``a[i]``): a function of (basins, t).
 
     ``evaluate(live, t)`` returns R, dR/dt and d2R/dt2 (3 x len(live)) of the basins ``live`` at the points
-    t = log lam.  Without a tail table (rows narrower than ``MIDDLE_PASS_WIDTH``) every basin is evaluated
+    t = log lam.  Without a tail table (rows narrower than ``SPLIT_WIDTH``) every basin is evaluated
     by ``_curve`` over its whole eigen-axis.  Otherwise each basin is split once, here, at x_a = n e^a: its
     head is ``_first_tail``'s at x_a (a basin with no head shorter than its row, or on a spectrum not in
     descending order, keeps the whole row), and basins of one head length form a group, whose heads
@@ -548,10 +525,11 @@ def _scan(gamma, signal, spectrum, x_grid, points, first, stop, bias, squares, c
     the group's rows, several are gathered row by row.  Every temporary stays within ``BLOCK_ELEMENTS``.
     With ``pairs`` (the first row of each distinct (curve, spectrum) pair, and each row's pair), each pair's
     bias sums are formed once, over the union of its rows' windows, and each row takes those of its own.
-    With the tail table ``tails`` (wide rows), a block is one spectrum, and each point's bias sum is its
-    head's terms, ``_first_tail``'s head at that point, plus the series of its tail segments, taken once per
-    run of one head for all the block's rows (``_runs``); the rows here, the pairs if given, are the
-    table's entries.
+    Each chunk's points go in runs of one head, and each point's bias sum is a dot product (``_dot``) over
+    its head.  Without the tail table ``tails`` (narrow rows) a chunk is one run whose head is the whole row.
+    With it (wide rows), a block is one spectrum, and a point's head is ``_first_tail``'s at that point; its
+    sum adds the series of its tail segments, taken once per run for all the block's rows (``_runs``); the
+    rows here, the pairs if given, are the table's entries.
     """
     live = np.flatnonzero(stop > first)
     if pairs is not None:  # from here on, the rows are the pairs, each at the first row of its pair
@@ -582,29 +560,18 @@ def _scan(gamma, signal, spectrum, x_grid, points, first, stop, bias, squares, c
         for c in range(begin, end, chunk):
             cols = points[c:min(c + chunk, end)]
             bb, squares[lo:hi, cols] = _squares(gamma[lo:hi], x_grid[lo:hi, cols])
-            if tails is None:
-                for a, b, k0, k1 in windows:
-                    a, b = max(a, c), min(b, c + len(cols))
-                    if a >= b:
-                        continue
-                    part, shared = bb[:, a - c:b - c], hi - lo == 1
-                    step = max(1, BLOCK_ELEMENTS // (width if shared else part[0].size))
-                    for k in range(k0, k1, step):
-                        r = order[k:min(k + step, k1)]
-                        table = part[0] if shared else part[spectrum[r] - lo]
-                        bias[r[:, None], points[a:b]] = _dot(signal[curve[r]], table)
-                continue
-            runs = _runs(tails, lo, cols, c, moments)  # wide rows: the points in runs of one head
+            # the points in runs of one head; narrow rows have one run, whose head is the whole row
+            runs = [(c, c + len(cols), width, None)] if tails is None else _runs(tails, lo, cols, c, moments)
             for a, b, k0, k1 in windows:
                 for start, stop, length, series in runs:
                     u, v = max(a, start), min(b, stop)
                     if u >= v:
                         continue
-                    part = bb[0, u - c:v - c, :length]
-                    step = max(1, BLOCK_ELEMENTS // length)
+                    part, shared = bb[:, u - c:v - c, :length], hi - lo == 1
+                    step = max(1, BLOCK_ELEMENTS // (length if shared else part[0].size))
                     for k in range(k0, k1, step):
                         r = order[k:min(k + step, k1)]
-                        sums = _dot(signal[curve[r], :length], part)
+                        sums = _dot(signal[curve[r], :length], part[0] if shared else part[spectrum[r] - lo])
                         if series is not None:  # the tail's series beside the head's terms
                             sums += series[k - held[0]:k - held[0] + len(r), u - start:v - start]
                         bias[r[:, None], points[u:v]] = sums
@@ -630,23 +597,20 @@ def _projector(n, gamma, signal, noise, spectrum, curve) -> tuple[np.ndarray, np
     return kept / n, noise / n * rank[spectrum]
 
 
-def _open_cells(bias, var, bias0, best, parent) -> np.ndarray:
-    """Which cells of a pass can hold a value at or below ``best``, each row's best value so far.
+def _open_cells(bias, var, bias0, best) -> np.ndarray:
+    """Which of the eight coarse cells can hold a value at or below ``best``, each row's best value so far.
 
-    ``bias`` and ``var`` are B = sum s b^2 / n and V = v sum a^2 / n at the pass's ends t_s, t_2s, ..., t_64-s
-    (s = 64 / cells), nan where not evaluated.  Cell c is [t_cs, t_(c+1)s], where t_0 stands for lam = 0 and
-    t_64 for lam = +inf.  The bias does not decrease and the variance does not increase as lam grows, so on
-    a cell the curve is at least B(t_a) + V(t_b), with the exact limits at the ends: ``bias0``, the bias at
-    lam = 0, and no variance at lam = +inf.  A cell is open when that bound is at most ``best`` inflated by
-    ``BOUND_MARGIN``, and only inside an open cell of ``parent``, the cells the pass before tested.
+    ``bias`` and ``var`` are B = sum s b^2 / n and V = v sum a^2 / n at the ``COARSE`` points t_8, t_16, ...,
+    t_56.  Cell c is [t_8c, t_8(c+1)], where t_0 stands for lam = 0 and t_64 for lam = +inf.  The bias does
+    not decrease and the variance does not increase as lam grows, so on a cell the curve is at least
+    B(t_a) + V(t_b), with the exact limits at the ends: ``bias0``, the bias at lam = 0, and no variance at
+    lam = +inf.  A cell is open when that bound is at most ``best`` inflated by ``BOUND_MARGIN``.
     """
     bound = np.empty((len(bias), bias.shape[1] + 1))
     bound[:, 0] = bias0 + var[:, 0]
     np.add(bias[:, :-1], var[:, 1:], out=bound[:, 1:-1])
     bound[:, -1] = bias[:, -1]
-    open_ = bound <= best[:, None] * (1 + BOUND_MARGIN)
-    open_ &= np.repeat(parent, bound.shape[1] // parent.shape[1], axis=1)
-    return open_
+    return bound <= best[:, None] * (1 + BOUND_MARGIN)
 
 
 def _model_start(n, noise, spectrum, vals, squares, row, at, shift) -> np.ndarray:
@@ -749,8 +713,12 @@ def minimize_profiles(
     if (signal.ndim != 2 or signal.shape[1] != gamma.shape[1]
             or not noise.shape == spectrum.shape == curve.shape == (rows,)):
         raise ValueError("need signal curves x width, gamma spectra x width, and noise, spectrum and curve per row")
+    if not rows:
+        raise ValueError("need at least one row to minimize")
+    if not gamma.shape[1]:
+        raise ValueError("need spectra at least one eigenvalue wide")
     for index, count, name in ((spectrum, len(gamma), "spectrum"), (curve, len(signal), "curve")):
-        if rows and not 0 <= index.min() <= index.max() < count:
+        if not 0 <= index.min() <= index.max() < count:
             raise ValueError(f"{name} indices must lie in [0, {count})")
     if n <= 0:
         raise ValueError("n must be positive")
@@ -762,7 +730,7 @@ def minimize_profiles(
     t_grid = t_lo[:, None] + np.arange(DEFAULT_GRID_POINTS) * delta[:, None]
 
     # the grid scan: bias sums sum s b^2 per row and variance sums sum a^2 per spectrum, nan where not evaluated.
-    # Every evaluated value is (sum s b^2 + v sum a^2) / n, reduced along the eigen-axis, whatever the pass.
+    # Every evaluated value is (sum s b^2 + v sum a^2) / n, reduced along the eigen-axis, whichever the pass.
     # The bias sums are held where the values go, with +inf beyond both grid ends for the basin search.
     x_grid = n * np.exp(t_grid)
     padded = np.full((rows, DEFAULT_GRID_POINTS + 2), np.inf)
@@ -780,26 +748,20 @@ def minimize_profiles(
         bias0, var0 = _projector(n, gamma, signal, noise, spectrum, curve)
         zero, limit = bias0 + var0, _sum(signal)[curve] / n
         best_limit, may_overflow = np.minimum(zero, limit), ~(limit + var0 <= HEADROOM / n)
-        passes = PASSES if gamma.shape[1] >= MIDDLE_PASS_WIDTH else NARROW_PASSES
-        first, stop = np.zeros(rows, dtype=np.intp), np.full(rows, len(COARSE))  # the first pass: every row everywhere
-        open_ = np.ones((rows, 1), dtype=bool)  # one cell, from lam = 0 to +inf
-        for k, (points, step) in enumerate(passes):
-            _scan(gamma, signal, spectrum, x_grid, points, first, stop, bias, squares, curve, pairs, tails)
-            if not step:
-                break
-            # retest on the cells between the multiples of step, which hold every point evaluated so far
-            ends = _GRID[step::step]
-            b, v = bias[:, ends] / n, noise[:, None] * squares[:, ends][spectrum] / n
-            best = np.minimum(best_limit, np.fmin.reduce(b + v, axis=1))
-            best[may_overflow] = np.inf
-            open_ = _open_cells(b, v, bias0, best, open_)
-            del b, v
-            # the next pass's window: from the first open cell to the last, widened by the halo; empty if none is open
-            lo = step * open_.argmax(axis=1) - HALO
-            lo[~open_.any(axis=1)] = DEFAULT_GRID_POINTS
-            hi = step * (open_.shape[1] - open_[:, ::-1].argmax(axis=1)) + HALO
-            following = passes[k + 1][0]
-            first, stop = np.searchsorted(following, lo), np.searchsorted(following, hi, side="right")
+        # the first pass: every row at the coarse points, then each row's best value so far and its open cells
+        _scan(gamma, signal, spectrum, x_grid, COARSE, np.zeros(rows, dtype=np.intp), np.full(rows, len(COARSE)),
+              bias, squares, curve, pairs, tails)
+        b, v = bias[:, COARSE] / n, noise[:, None] * squares[:, COARSE][spectrum] / n
+        best = np.minimum(best_limit, np.fmin.reduce(b + v, axis=1))
+        best[may_overflow] = np.inf
+        open_ = _open_cells(b, v, bias0, best)
+        del b, v
+        # the second pass: the rest of the grid from the first open cell to the last and the halo; none if none is open
+        lo = COARSE_STEP * open_.argmax(axis=1) - HALO
+        lo[~open_.any(axis=1)] = DEFAULT_GRID_POINTS
+        hi = COARSE_STEP * (open_.shape[1] - open_[:, ::-1].argmax(axis=1)) + HALO
+        _scan(gamma, signal, spectrum, x_grid, FINE, np.searchsorted(FINE, lo), np.searchsorted(FINE, hi, side="right"),
+              bias, squares, curve, pairs, tails)
         # in row blocks: each cell's bound B(t_i) + V(t_i+1), nan where an end was not evaluated, then the values
         # over the bias sums.  Only a cell whose bound is below every candidate but Newton's can end up open.
         grid_min, candidates = np.empty(rows), []
@@ -818,7 +780,7 @@ def minimize_profiles(
             del var, bound
     row, cell, row_bound = (np.concatenate(part) for part in zip(*candidates))
     _check_finite(vals, zero, limit)
-    del candidates, x_grid, open_, best, lo, hi, first, stop  # the scan's arrays go before Newton's
+    del candidates, x_grid, open_, best, lo, hi  # the scan's arrays go before Newton's
     scanned = time.perf_counter()
 
     # every grid-local minimum among the evaluated points (nan compares false) marks a basin worth refining;

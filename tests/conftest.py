@@ -123,14 +123,13 @@ def parabola_start():
 def full_width():
     """Inside the block, the grid scan and Newton evaluate every row over its whole eigen-axis.
 
-    ``optimize.MIDDLE_PASS_WIDTH``, the gate of the tail-moment table that splits the scan's points and
-    Newton's basins into a head and a tail, is patched above every width, so a search's result with and
-    without the split can be compared with no switch in the package.  The gate also turns off the grid
-    scan's middle pass, which leaves every winner's bits (the pruned scan finds what the full scan finds,
-    middle pass or not).
+    ``optimize.SPLIT_WIDTH``, the gate of the tail-moment table that splits the scan's points and Newton's
+    basins into a head and a tail, is patched above every width, so a search's result with and without the
+    split can be compared with no switch in the package.  The gate changes nothing else: every width takes
+    the same two-pass grid scan.
     """
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(optimize, "MIDDLE_PASS_WIDTH", sys.maxsize)
+        patch.setattr(optimize, "SPLIT_WIDTH", sys.maxsize)
         yield
 
 

@@ -433,7 +433,7 @@ def full_scan_minimize_profiles(n: int, gamma: np.ndarray, signal: np.ndarray, n
     when it lies more than two steps from the winner and its bound
     B(t_i) + V(t_i+1) is below the value.  The pruned engine must agree with
     it bit for bit, column by column.  On rows at least
-    ``optimize.MIDDLE_PASS_WIDTH`` wide each point's bias sum has the engine's
+    ``optimize.SPLIT_WIDTH`` wide each point's bias sum has the engine's
     own per-point arithmetic: the terms of the head that the tail table
     (``optimize._tails``) rules for that point, summed exactly, plus the b^2
     series of its tail segments (``optimize._tail_bias``), and Newton reads the

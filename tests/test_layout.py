@@ -1,4 +1,4 @@
-"""Layout guards: the package holds no code that only the tests use, keeps the dense route off the hot path, one module forks on setting B, no module imports scipy, one module lays out a comparison, every command draws through ``scenarios.draw``, one function reads the sweep configs, one module writes files, a search and the template oracle have one columnar result type, a search has one pruned grid scan, one start of its basins and one Newton iteration with one head and tail split, one table of tail moments that the scan and Newton read, the template has one array evaluator, numpy's own loop forms the grid scan's dot products and no risk sum goes through BLAS, and no module draws from a numpy stream.
+"""Layout guards: the package holds no code that only the tests use, keeps the dense route off the hot path, one module forks on setting B, no module imports scipy, one module lays out a comparison, every command draws through ``scenarios.draw``, one function reads the sweep configs, one module writes files, a search and the template oracle have one columnar result type, a search has one two-pass pruned grid scan, one width gate of its head and tail split, one start of its basins and one Newton iteration with one head and tail split, one table of tail moments that the scan and Newton read, the template has one array evaluator, numpy's own loop forms the grid scan's dot products and no risk sum goes through BLAS, and no module draws from a numpy stream.
 
 A public function, class or method defined in ``src/mtkrr`` counts as used
 only if a package module other than ``__init__.py`` references it, or a
@@ -199,10 +199,11 @@ def test_the_search_keeps_its_signature_and_one_pruned_grid_scan():
     """``minimize_profiles`` takes no pruning, grid or split knob, and the package scans the risk grid in one place.
 
     Grid values are formed only by ``optimize._squares`` and ``optimize._dot`` inside ``optimize._scan``, and
-    ``_scan`` runs only in ``minimize_profiles``, once per pass over that pass's grid points.  The passes with
-    the middle pass (``PASSES``) and without it (``NARROW_PASSES``) each take every grid point once.  The one
-    other caller of ``_squares`` and ``_dot`` is ``riskfn.template_parts``, so the template curve has the grid
-    scan's arithmetic.  The unpruned 64-point scan is a validation oracle in ``tests/reference.py``.
+    ``_scan`` runs only in ``minimize_profiles``, twice: over ``COARSE`` and then over ``FINE``, which are
+    disjoint and together take every grid point, whatever the width.  ``_scan`` forms every row's bias sums,
+    narrow or wide, at one call of ``_dot``.  The one other caller of ``_squares`` and ``_dot`` is
+    ``riskfn.template_parts``, so the template curve has the grid scan's arithmetic.  The unpruned 64-point
+    scan is a validation oracle in ``tests/reference.py``.
     """
     from mtkrr import optimize
     from mtkrr.optimize import minimize_profiles
@@ -216,16 +217,30 @@ def test_the_search_keeps_its_signature_and_one_pruned_grid_scan():
             for node in ast.walk(top):
                 if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] in ("_squares", "_dot", "_scan"):
                     calls.append((f"{path.stem}.{getattr(top, 'name', '<module>')}", ast.unparse(node.func),
-                                  ast.unparse(node.args[4]) if len(node.args) > 4 else None))
-    squares = sorted(where for where, func, _ in calls if func.endswith("_squares"))
-    scans = sorted((where, points) for where, func, points in calls if func.endswith("_scan"))
-    dots = sorted(where for where, func, _ in calls if func.endswith("_dot"))
+                                  ast.unparse(node.args[4]) if len(node.args) > 4 else None, node.lineno))
+    squares = sorted(where for where, func, _, _ in calls if func.endswith("_squares"))
+    scans = [(where, points) for where, func, points, _ in sorted(calls, key=lambda call: call[3])
+             if func.endswith("_scan")]
+    dots = sorted(where for where, func, _, _ in calls if func.endswith("_dot"))
     assert squares == ["optimize._scan", "riskfn.template_parts"], f"risk values formed elsewhere: {squares}"
-    assert dots == ["optimize._scan", "optimize._scan", "riskfn.template_parts"], f"bias sums formed elsewhere: {dots}"
-    assert scans == [("optimize.minimize_profiles", "points")], scans
-    grid = list(range(optimize.DEFAULT_GRID_POINTS))
-    for passes in (optimize.PASSES, optimize.NARROW_PASSES):
-        assert sorted(i for points, _ in passes for i in points.tolist()) == grid, passes
+    assert dots == ["optimize._scan", "riskfn.template_parts"], f"bias sums formed elsewhere: {dots}"
+    assert scans == [("optimize.minimize_profiles", "COARSE"), ("optimize.minimize_profiles", "FINE")], scans
+    coarse, fine = optimize.COARSE.tolist(), optimize.FINE.tolist()
+    assert not set(coarse) & set(fine)
+    assert sorted(coarse + fine) == list(range(optimize.DEFAULT_GRID_POINTS))
+
+
+def test_only_the_tail_table_reads_the_split_width():
+    """``optimize.SPLIT_WIDTH`` is read only in ``optimize._tails``: whether a search splits its rows into a head
+    and a tail is one decision, the table's, and no other package function forks on the width."""
+    reads = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id == "SPLIT_WIDTH"
+                        or isinstance(node, ast.Attribute) and node.attr == "SPLIT_WIDTH"):
+                    reads.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    assert reads == {"optimize._tails"}, reads
 
 
 def test_the_search_starts_its_basins_once_and_refines_them_once():

@@ -17,15 +17,16 @@ from mtkrr.estimators import comparison_rows
 from mtkrr.scenarios import ScenarioKind, ScenarioSpec, build_ensemble
 
 
-# the middle pass of the grid scan forced on at every width, and off at every width (most stacks here are narrow)
-MIDDLE_PASS = pytest.mark.parametrize("middle_pass_width", [0, sys.maxsize], ids=["middle pass on", "middle pass off"])
+# the head and tail split of the grid scan and Newton forced on at every width past ``HEAD_MIN``, and off at every
+# width (most stacks here are narrow)
+SPLIT_ON_OFF = pytest.mark.parametrize("split_width", [0, sys.maxsize], ids=["split on", "split off"])
 
 
 @contextlib.contextmanager
-def middle_pass(width):
-    """``optimize.MIDDLE_PASS_WIDTH`` set to ``width`` inside the block."""
+def split_gate(width):
+    """``optimize.SPLIT_WIDTH`` set to ``width`` inside the block."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(optimize, "MIDDLE_PASS_WIDTH", width)
+        patch.setattr(optimize, "SPLIT_WIDTH", width)
         yield
 
 
@@ -171,13 +172,13 @@ def profiles(draw, n=None):
 
 @st.composite
 def wide_stacks(draw, min_rows=1):
-    """(n, spectra, signal, noise, spectrum): rows at least ``MIDDLE_PASS_WIDTH`` wide, drawn from a seed.
+    """(n, spectra, signal, noise, spectrum): rows at least ``SPLIT_WIDTH`` wide, drawn from a seed.
 
     Each of one to three spectra is a power law over 1e-6..1e6, shuffled, or with a tail of null eigenvalues;
     each row's signal is a power law with random weights, or zero, and its noise is drawn over 1e-6..1e6, or
     zero.  The arrays come from a numpy generator on a drawn seed: hypothesis draws only their shape.
     """
-    width = draw(st.integers(min_value=optimize.MIDDLE_PASS_WIDTH, max_value=optimize.MIDDLE_PASS_WIDTH + 200))
+    width = draw(st.integers(min_value=optimize.SPLIT_WIDTH, max_value=optimize.SPLIT_WIDTH + 200))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     i = np.arange(1, width + 1, dtype=float)
     gamma = []
@@ -347,9 +348,9 @@ def test_non_finite_risk_is_an_arithmetic_error(bad):
         minimize_profiles(n, np.linspace(2.0, 1.0, n), signal, np.ones(2))
 
 
-@MIDDLE_PASS
-def test_a_signal_near_the_largest_double_that_overflows_is_an_arithmetic_error(middle_pass_width, monkeypatch):
-    monkeypatch.setattr(optimize, "MIDDLE_PASS_WIDTH", middle_pass_width)
+@SPLIT_ON_OFF
+def test_a_signal_near_the_largest_double_that_overflows_is_an_arithmetic_error(split_width, monkeypatch):
+    monkeypatch.setattr(optimize, "SPLIT_WIDTH", split_width)
     n = 5
     signal = np.ones((2, n))
     signal[1] = 1e308  # finite, but the bias sums overflow
@@ -357,12 +358,12 @@ def test_a_signal_near_the_largest_double_that_overflows_is_an_arithmetic_error(
         minimize_profiles(n, np.linspace(2.0, 1.0, n), signal, np.ones(2))
 
 
-@MIDDLE_PASS
-def test_an_overflow_between_the_coarse_points_is_an_arithmetic_error(middle_pass_width, monkeypatch):
+@SPLIT_ON_OFF
+def test_an_overflow_between_the_coarse_points_is_an_arithmetic_error(split_width, monkeypatch):
     # bias and variance sums are finite at both grid ends and at every point of the first pass, and so
     # are both limits; only grid points 36 to 39, inside cells the bound prunes, overflow.  Such a row
     # keeps its whole grid, so the check sees what the full scan sees.
-    monkeypatch.setattr(optimize, "MIDDLE_PASS_WIDTH", middle_pass_width)
+    monkeypatch.setattr(optimize, "SPLIT_WIDTH", split_width)
     big = np.finfo(float).max
     gamma = np.array([1.0, 1e-10, 1e-16])
     signal = np.array([[1.0, 1.0, 1.0], [0.05 * big, 0.9 * big, 0.0]])
@@ -379,6 +380,16 @@ def test_stack_shape_and_sign_errors():
         minimize_profiles(3, np.ones(3), np.ones((2, 3)), np.array([1.0, -1.0]))
     with pytest.raises(ValueError, match="spectrum indices"):
         minimize_profiles(3, np.ones((2, 3)), np.ones((2, 3)), np.ones(2), spectrum=np.array([0, -1]))
+
+
+def test_a_stack_of_no_rows_is_a_value_error():
+    with pytest.raises(ValueError, match="need at least one row to minimize"):
+        minimize_profiles(10, np.ones(10), np.empty((0, 10)), np.empty(0))
+
+
+def test_a_spectrum_of_no_eigenvalues_is_a_value_error():
+    with pytest.raises(ValueError, match="need spectra at least one eigenvalue wide"):
+        minimize_profiles(10, np.empty(0), np.empty((1, 0)), np.ones(1))
 
 
 # ---------------------------------------------------------------------------
@@ -443,23 +454,23 @@ def assert_as_the_full_scan(n, gamma, signal, noise, spectrum):
         assert getattr(pruned, field).tobytes() == getattr(full, field).tobytes(), field
 
 
-@MIDDLE_PASS
+@SPLIT_ON_OFF
 @given(stacks())
-def test_the_pruned_scan_finds_what_the_full_scan_finds(middle_pass_width, stack):
-    with middle_pass(middle_pass_width):
+def test_the_pruned_scan_finds_what_the_full_scan_finds(split_width, stack):
+    with split_gate(split_width):
         assert_as_the_full_scan(*stack)
 
 
-@MIDDLE_PASS
+@SPLIT_ON_OFF
 @given(multi_basin_stacks())
-def test_the_pruned_scan_finds_what_the_full_scan_finds_on_multi_basin_curves(middle_pass_width, stack):
-    with middle_pass(middle_pass_width):
+def test_the_pruned_scan_finds_what_the_full_scan_finds_on_multi_basin_curves(split_width, stack):
+    with split_gate(split_width):
         assert_as_the_full_scan(*stack)
 
 
-@MIDDLE_PASS
+@SPLIT_ON_OFF
 @pytest.mark.parametrize("width, spectra_count", [(300, 12), (3000, 2)])
-def test_the_pruned_scan_finds_what_the_full_scan_finds_in_blocks(middle_pass_width, width, spectra_count):
+def test_the_pruned_scan_finds_what_the_full_scan_finds_in_blocks(split_width, width, spectra_count):
     # wide rows split the first pass into blocks of spectra and rows, and the later passes into chunks of points
     rng = np.random.default_rng(width)
     i = np.arange(1, width + 1, dtype=float)
@@ -468,7 +479,7 @@ def test_the_pruned_scan_finds_what_the_full_scan_finds_in_blocks(middle_pass_wi
     signal = 10.0 ** rng.uniform(-3, 3, (rows, 1)) * i ** -rng.uniform(0.6, 6.0, (rows, 1))
     signal[::5, width // 2:width // 2 + 2] = 1e3 * signal[::5, :1]  # a second cluster: two basins
     spectrum = rng.integers(0, spectra_count, rows)
-    with middle_pass(middle_pass_width):
+    with split_gate(split_width):
         assert_as_the_full_scan(width, gamma, signal, 10.0 ** rng.uniform(-4, 1, rows), spectrum)
 
 
@@ -482,10 +493,10 @@ def test_open_cells_count_the_cells_a_periodic_spline_search_leaves_open(m):
     assert minimize_profiles(40, spectrum.gamma, signal.reshape(-1, 40), noise).open_cells.max() > 1
 
 
-@MIDDLE_PASS
-def test_a_row_with_null_eigenvalues_is_bit_identical_alone_and_stacked(middle_pass_width, monkeypatch):
+@SPLIT_ON_OFF
+def test_a_row_with_null_eigenvalues_is_bit_identical_alone_and_stacked(split_width, monkeypatch):
     # the lam = 0 risk sums the signal of the null directions row by row, however many rows share the spectrum
-    monkeypatch.setattr(optimize, "MIDDLE_PASS_WIDTH", middle_pass_width)
+    monkeypatch.setattr(optimize, "SPLIT_WIDTH", split_width)
     n = 25
     gamma = np.zeros(n)
     gamma[0] = 1.0
@@ -498,16 +509,16 @@ def test_a_row_with_null_eigenvalues_is_bit_identical_alone_and_stacked(middle_p
         bits(search_one(RidgeRiskProfile(n=n, gamma=gamma, signal=signal[k], noise=noise[k]))) for k in range(6)]
 
 
-@MIDDLE_PASS
+@SPLIT_ON_OFF
 @given(stacks())
-def test_pruned_cells_hold_nothing_below_the_winner_and_open_cells_keep_their_basins(middle_pass_width, stack):
+def test_pruned_cells_hold_nothing_below_the_winner_and_open_cells_keep_their_basins(split_width, stack):
     """What the pruning drops: cells the bound keeps above the value, and basins whose brackets lie in them.
 
-    Every pass but the last tests the cells between its ends, the first cell from lam = 0 and the last to
-    lam = +inf.  The bound B(t_a) + V(t_b) of every cell a pass prunes, evaluated afresh with the exact
-    limits at the outer ends, is at or above the value found.  Around every open cell [a, b] of the last
-    tested pass, each grid point from a - 1 to b + 1 is evaluated with both its neighbours, so a basin whose
-    Newton bracket meets the cell is refined.
+    The first pass tests the eight cells between its ends, the first cell from lam = 0 and the last to
+    lam = +inf, and the second pass tests none.  The bound B(t_a) + V(t_b) of every cell the first pass
+    prunes, evaluated afresh with the exact limits at the outer ends, is at or above the value found.  Around
+    every open cell [a, b], each grid point from a - 1 to b + 1 is evaluated with both its neighbours, so a
+    basin whose Newton bracket meets the cell is refined.
     """
     n, gamma, signal, noise, spectrum = stack
     tested, scanned = [], []
@@ -521,11 +532,11 @@ def test_pruned_cells_hold_nothing_below_the_winner_and_open_cells_keep_their_ba
         scanned.append((points, first.copy(), stop.copy()))
         scan(gamma, signal, spectrum, x_grid, points, first, stop, *out)
 
-    with middle_pass(middle_pass_width), pytest.MonkeyPatch.context() as patch:
+    with split_gate(split_width), pytest.MonkeyPatch.context() as patch:
         patch.setattr(optimize, "_open_cells", spy_open)
         patch.setattr(optimize, "_scan", spy_scan)
         found = minimize_profiles(n, gamma, signal, noise, spectrum=spectrum)
-    assert len(tested) == len(scanned) - 1 == (2 if middle_pass_width == 0 else 1)
+    assert len(tested) == len(scanned) - 1 == 1
     t_lo, t_hi = optimize.spectrum_bracket(n, gamma)
     t_grid = t_lo[:, None] + np.arange(DEFAULT_GRID_POINTS) * ((t_hi - t_lo) / (DEFAULT_GRID_POINTS - 1))[:, None]
     for k, value in enumerate(found.value.tolist()):
@@ -539,15 +550,15 @@ def test_pruned_cells_hold_nothing_below_the_winner_and_open_cells_keep_their_ba
         evaluated[1:-1] = False
         for points, first, stop in scanned:
             evaluated[1 + points[first[k]:stop[k]]] = True
-        for open_ in tested:
-            step = DEFAULT_GRID_POINTS // open_.shape[1]
-            for cell, is_open in enumerate(open_[k].tolist()):
-                a, b = cell * step, (cell + 1) * step  # grid points; 0 also stands for lam = 0, 64 for lam = +inf
-                if not is_open:
-                    assert bias[a + 1 if cell else 0] + var[b + 1] >= value, (k, step, cell)
-                elif open_ is tested[-1]:
-                    i = np.arange(max(a - 1, 0), min(b + 2, DEFAULT_GRID_POINTS))
-                    assert (evaluated[i] & evaluated[i + 1] & evaluated[i + 2]).all(), (k, step, cell)
+        [open_] = tested
+        step = DEFAULT_GRID_POINTS // open_.shape[1]
+        for cell, is_open in enumerate(open_[k].tolist()):
+            a, b = cell * step, (cell + 1) * step  # grid points; 0 also stands for lam = 0, 64 for lam = +inf
+            if not is_open:
+                assert bias[a + 1 if cell else 0] + var[b + 1] >= value, (k, cell)
+            else:
+                i = np.arange(max(a - 1, 0), min(b + 2, DEFAULT_GRID_POINTS))
+                assert (evaluated[i] & evaluated[i + 1] & evaluated[i + 2]).all(), (k, cell)
 
 
 @st.composite
@@ -583,14 +594,14 @@ def search_and_basins(search) -> tuple[optimize.Search, list[bytes]]:
     return found, [basins[rows == k].tobytes() for k in range(len(found.value))]
 
 
-@MIDDLE_PASS
+@SPLIT_ON_OFF
 @given(shared_curve_stacks())
-def test_rows_sharing_a_curve_and_a_spectrum_get_what_each_gets_alone(middle_pass_width, stack):
+def test_rows_sharing_a_curve_and_a_spectrum_get_what_each_gets_alone(split_width, stack):
     """Named rows of one (curve, spectrum) pair share one grid scan over the union of their windows; each row
     still gets the bits of its search alone, and the same Newton basins: its values outside its own window
     are never seen."""
     n, gamma, signal, noise, spectrum, curve = stack
-    with middle_pass(middle_pass_width):
+    with split_gate(split_width):
         named, named_basins = search_and_basins(
             lambda: minimize_profiles(n, gamma, signal, noise, spectrum=spectrum, curve=curve))
         repeated, repeated_basins = search_and_basins(
@@ -605,7 +616,7 @@ def test_rows_sharing_a_curve_and_a_spectrum_get_what_each_gets_alone(middle_pas
 
 def test_the_grid_scan_is_pruned(monkeypatch):
     """A smooth curve's search evaluates the risk at fewer than two thirds of the grid points, and a smooth
-    width-2000 power-law curve, which takes the middle pass, at most 21 of them."""
+    width-2000 power-law curve 25 of them: the 7 coarse points, then 18 of the rest around its open cells."""
     evaluated = []
     squares = optimize._squares
 
@@ -620,10 +631,10 @@ def test_the_grid_scan_is_pruned(monkeypatch):
     evaluated.clear()
     n = 2000
     i = np.arange(1, n + 1, dtype=float)
-    assert n >= optimize.MIDDLE_PASS_WIDTH
+    assert n >= optimize.SPLIT_WIDTH
     wide = RidgeRiskProfile(n=n, gamma=n * i ** -3.0, signal=n * i ** -5.0, noise=1.0)
     assert minimize_profile(wide).source == "newton"
-    assert sum(evaluated) <= 21
+    assert sum(evaluated) == 25
 
 
 # ---------------------------------------------------------------------------
@@ -868,7 +879,7 @@ def test_newton_on_a_wide_stack_evaluates_only_heads():
     assert assert_as_full_width(*stack)[1].all()
 
 
-@pytest.mark.parametrize("width", [optimize.HEAD_MIN + 1, optimize.MIDDLE_PASS_WIDTH - 1])
+@pytest.mark.parametrize("width", [optimize.HEAD_MIN + 1, optimize.SPLIT_WIDTH - 1])
 def test_rows_narrower_than_the_gate_keep_the_full_width_bits(width):
     stack = power_law_stack(width)
     assert set(curve_widths(stack)) <= {width}
@@ -879,7 +890,7 @@ def test_rows_narrower_than_the_gate_keep_the_full_width_bits(width):
 
 def test_a_basin_with_no_head_shorter_than_its_row_keeps_the_full_width_bits():
     # a flat spectrum: every entry lies above the cutoff wherever the basin is, so no head is shorter than the row
-    width = optimize.MIDDLE_PASS_WIDTH
+    width = optimize.SPLIT_WIDTH
     stack = (width, np.ones(width), np.ones((2, width)), np.array([0.5, 2.0]))
     assert set(curve_widths(stack)) == {width}
     found = minimize_profiles(*stack)
@@ -971,7 +982,7 @@ def test_head_plus_tail_is_the_exact_sum_where_the_tail_starts_at_the_cutoff():
     """At x = x_a, the tail's largest entry lies exactly at u = U_C: the split sums agree with the exact sums
     (mpmath, 40 digits) to rounding: ``ROUNDING`` of the sum of the absolute values of the summands."""
     mpmath = pytest.importorskip("mpmath")
-    width, head = optimize.MIDDLE_PASS_WIDTH, 128
+    width, head = optimize.SPLIT_WIDTH, 128
     i = np.arange(1, width + 1, dtype=float)
     gamma, signal, noise = width * i ** -2.5, width * i ** -1.5, 0.7
     x_a = gamma[head] / TAIL_RATIO  # 128 entries above the cutoff: the head is 128 long, and the tail's first at U_C
@@ -990,7 +1001,7 @@ def test_the_tail_is_the_taylor_polynomial_of_its_summands(count, monkeypatch):
     holds the ``count`` entries above the cutoff.  A dropped term, or a cutoff moved by one grid step, fails."""
     mpmath = pytest.importorskip("mpmath")
     monkeypatch.setattr(optimize, "TAIL_RATIO", 0.2)
-    width = optimize.MIDDLE_PASS_WIDTH
+    width = optimize.SPLIT_WIDTH
     i = np.arange(1, width + 1, dtype=float)
     gamma, signal, noise = i**-2.0, i**-1.5, 0.3
     x_a = 1.0 / (0.2 * (count + 0.5) ** 2)  # g = i^-2 > 0.2 x_a for the first ``count`` entries
@@ -1098,7 +1109,7 @@ def test_each_grid_value_is_its_head_plus_the_taylor_polynomial_of_its_tail(sign
     dropped moment, a segment scaled by another entry, a boundary moved by one, or a head taken from a
     neighbouring point fails."""
     monkeypatch.setattr(optimize, "TAIL_RATIO", 0.2)
-    width = optimize.MIDDLE_PASS_WIDTH
+    width = optimize.SPLIT_WIDTH
     i = np.arange(1, width + 1, dtype=float)
     gamma, signal = i**-2.0, i**-signal_power
     found, bias = scanned_bias(width, gamma[None], signal[None], np.array([0.05]), np.zeros(1, dtype=np.intp))
