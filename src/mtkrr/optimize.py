@@ -16,131 +16,96 @@ of this family; they differ only in ``s`` and ``v``.
 returns one ``Search``: one array per field, entry k for row k.  It works in
 t = log lam.  Each spectrum's bracket is [g_min+/n, g_max/n] (smallest
 positive and largest eigenvalue) widened by ``BRACKET_DECADES`` on each
-side, so the search follows the scale of the spectrum.  A 64-point log grid
-over the bracket locates every candidate basin of every row, but most of it
-lies in the two widenings, far from any minimum, so it is scanned in two
-passes that keep the bias sum apart from the variance sum.  The bias does
-not decrease as lam grows and the variance does not increase (Hoerl and
-Kennard, Technometrics 1970), so on a cell [t_a, t_b] the curve is at least
-B(t_a) + V(t_b).  The first pass evaluates only the ``COARSE`` points 8, 16,
-..., 56, the ends of eight cells: the first cell starts at lam = 0 and the
-last ends at lam = +inf, with the exact limits as their ends (the bias of
-the projection at lam = 0, and no variance at +inf).  A cell is open when
-its bound reaches the row's best value so far (the limits and every value
-evaluated, inflated by ``BOUND_MARGIN`` for rounding).  The second pass
-evaluates the rest of the grid (``FINE``) only from the row's first open
-cell to its last, plus ``HALO`` points on each side, so the grid ends 0, 1,
-62 and 63 are evaluated only when they fall in that window.  A grid point is
-a basin only if it and both its neighbours were evaluated.  A pruned cell
+side, so the search follows the scale of the spectrum.
+
+A 64-point log grid over the bracket locates every candidate basin of every
+row.  Most of it lies in the two widenings, far from any minimum, so it is
+scanned in two passes that keep the bias sum apart from the variance sum.
+The bias does not decrease as lam grows and the variance does not increase
+(Hoerl and Kennard, Technometrics 1970), so on a cell [t_a, t_b] the curve
+is at least B(t_a) + V(t_b).  The first pass evaluates only the ``COARSE``
+points 8, 16, ..., 56, the ends of eight cells: the first cell starts at
+lam = 0 and the last ends at lam = +inf, with the exact limits as their ends
+(the bias of the projection at lam = 0, and no variance at +inf).  A cell is
+open when its bound reaches the row's best value so far (the limits and
+every value evaluated, inflated by ``BOUND_MARGIN`` for rounding).  The
+second pass evaluates the rest of the grid (``FINE``) only from the row's
+first open cell to its last, plus ``HALO`` points on each side.  A grid point
+is a basin only if it and both its neighbours were evaluated.  A pruned cell
 can hold neither the winner nor a grid value its basin needs, and every
-evaluated value has the arithmetic of the full scan, whichever the pass
-(each point's bias sum a dot product of ``_dot``, its variance sum pairwise
-by ``_sum``), so winners are what the full 64-point scan finds, bit for bit.
-A smooth curve's row evaluates about 25 of the 64 points (7 + 18 on
-``experiment_wide``).  Every width takes these two passes: a middle pass
-over the even points, with the cells tested again, saved about six points
-a row on rows 1024 wide or more, but with each wide point summing only its
-head it no longer paid: the ``experiment_wide`` search takes 4.8 to 4.9 ms
-without it against 4.9 to 5.1 ms with it (medians of 41 calls, seeds 0, 5
-and 17; one BLAS thread, 2-core Xeon, numpy 2.4).
+evaluated value has the arithmetic of the full scan, whichever the pass, so
+winners are what the full 64-point scan finds, bit for bit.
 
 All basins are then refined together by a safeguarded Newton iteration on
 dR/dt (a step that would leave the basin's bracket, or meets unusable
 curvature, becomes a bisection).  Each basin starts at the minimum of its
-own bias-variance model: at its five grid points at-2 .. at+2 the scan
-holds V = v sum a^2 / n apart from B, the value less V; log B and log V
-are each the quartic through their five values, and the start is the
-closed-form minimum of the log-linear model plus one Newton step on the
-quartic model (``_model_start``).  A basin within two points of a grid
-end, with one of its five points not evaluated, with B or V not positive,
-or whose start is not finite or not strictly inside its bracket starts at
-the vertex of the parabola through its three grid values instead.  On the
-benchmark workloads (mean of seeds 0, 5 and 17) a command makes 5656 Newton
-evaluations on ``heatmap_small``, 281 on ``experiment_wide``, 194 on
-``table_spline`` and 311 on ``verify_bounds``, against 7263, 352, 242 and
-487 from the parabola vertex; the median per search is 3 (was 4).
+own bias-variance model (``_model_start``), or where that model fails at the
+vertex of the parabola through its three grid values.
 
-On rows at least ``SPLIT_WIDTH`` wide, the grid scan and Newton sum
-only the head of each spectrum entry by entry and the rest from moments.  An
-entry with g << x = n lam adds power series in u = g/x to R, dR/dt and
-d2R/dt2.  Past ``HEAD_MIN`` = 64 the eigen-axis is cut at the powers of two
-into segments [64, 128), [128, 256), ..., [2^j, width), and one table per
-search (``_tails``) holds each segment's moments, scaled by c, its first and
+On rows at least ``SPLIT_WIDTH`` wide, the grid scan and Newton sum only the
+head of each spectrum entry by entry and the rest from moments.  An entry
+with g << x = n lam adds power series in u = g/x to R, dR/dt and d2R/dt2.
+Past ``HEAD_MIN`` = 64 the eigen-axis is cut at the powers of two into
+segments [64, 128), [128, 256), ..., [2^j, width), and one table per search
+(``_tails``) holds each segment's moments, scaled by c, its first and
 largest entry: sum s (g/c)^k (k <= K + 1) of each (curve, spectrum) pair and
-sum (g/c)^k (k <= K + 3) of each spectrum, K = ``TAIL_ORDER`` = 5, each summed
-pairwise over its segment.  At a point x the head is the shortest power of
-two from 64 that holds every entry g > U_C x (``TAIL_RATIO``, U_C = 1e-4),
-never padded, so u <= U_C on the tail, which is whole segments.  The grid
-scan sums each point's head exactly and adds the b^2 series of its tail
-segments, sum (-1)^k (k + 1) (c/x)^k sum s (g/c)^k; the variance sum keeps
-its full width.  Newton fixes each basin's head once, at its bracket's low
-end x_a, below which it never goes; basins of one head length are summed
-together by ``_curve``, and each round adds one Horner pass in w = x_a/x over
-the segments' moments past the head, scaled by (c/x_a)^k and summed.  Every
-series alternates with terms falling by a factor of at most 6u, so its
-remainder is below its first dropped term: 8 u^(K+2), at most 8e-28, of the
-scan's tail terms, and at most 196 u^(K+1), about 2e-22, of Newton's (d2R/dt2's
-signal series; the others are smaller), inside the cruder C(K+3, 3) U_C^K =
-6e-19.  What is left is rounding.  A sum of positive terms in which no term
-meets more than d additions errs by at most d u relative, u = eps/2 (Higham,
-Accuracy and Stability of Numerical Algorithms, 2002, ch. 4).  A pairwise sum
-over m entries (``_sum``: Newton's ``_curve``, the tail table, ``_squares``'
-sum a^2, the limits) thus errs by about log2(m) u, and Newton's sums on wide
-rows by (log2 m + 7) u relative (head, and the pairwise sum of the tail's
-series terms over segments of L < m/2 entries), against (log2 m + 4) u at
-full width (each term has four roundings).  The grid scan's bias sums are
-per-row dot products (``_dot``): numpy's sum-of-products loop runs each
-chunk of at most C = ``DOT_CHUNK`` = 1024 entries in a fixed number of SIMD
-lanes, each lane in order, so a term meets at most C - 1 additions there (all
-of them where numpy has no SIMD), and the pairwise sum of the ceil(m/C)
-chunk sums adds at most log2 ceil(m/C) + 26 more (numpy's pairwise sum
-keeps eight accumulators over blocks of 128).  With its product, a dot of
-positive terms errs by at most (C + 28 + log2 ceil(m/C)) u relative: the
-bound of an ordered sum, which the chunks keep from growing with the width.
-On random terms the lanes keep it far lower: at most 1.3 eps at m = 50 and
-4.8 eps at m = 2000 against 1.35 and 0.8 eps pairwise (exact sums, worst
-of 200 draws; numpy 2.4's x86-64 loop takes two lanes, with no fused
-multiply-add).  With the four roundings of each b^2 term, the
+sum (g/c)^k (k <= K + 3) of each spectrum, K = ``TAIL_ORDER`` = 5.  At a
+point x the head is the shortest power of two from 64 that holds every entry
+g > U_C x (``TAIL_RATIO``, U_C = 1e-4), never padded, so u <= U_C on the
+tail, which is whole segments.  The grid scan sums each point's head exactly
+and adds the series of its tail segments: sum (-1)^k (k + 1) (c/x)^k
+sum s (g/c)^k to the bias sum, and sum (-1)^k (k - 1) (c/x)^k sum (g/c)^k
+(k >= 2) to the variance sum.  Newton fixes each basin's head once, at its
+bracket's low end x_a, below which it never goes; each round adds one Horner
+pass in w = x_a/x over the segments' moments past the head, scaled by
+(c/x_a)^k.  Rows narrower than the gate, points and basins with no head
+shorter than their row, and spectra not in descending order (``spectral``
+sorts its eigenvalues) keep the full-width arithmetic bit for bit.  The gate
+is the width alone: a gate that counted the stack's rows or basins would
+give a row other bits alone than in a stack.
+
+Every series alternates with terms falling by a factor of at most 6u, so its
+remainder is below its first dropped term: 8 u^(K+2), at most 8e-28
+relative, of the scan's bias and variance series, and at most
+196 u^(K+1), about 2e-22, of Newton's.  What is left is rounding.  A sum of
+positive terms in which no term meets more than d additions errs by at most
+d u relative, u = eps/2 (Higham, Accuracy and Stability of Numerical
+Algorithms, 2002, ch. 4).  A pairwise sum over m entries (``_sum``) thus
+errs by about log2(m) u.  Newton's sums and the scan's variance sums on wide
+rows err by at most (log2 m + 7) u relative (the head, and the pairwise sum
+of the tail's series terms over segments of fewer than m/2 entries) plus the
+series' remainder, against (log2 m + 4) u at full width (each term has four
+roundings).  The scan's bias sums and the table's signal moments are dot
+products (``_dot``): numpy's sum-of-products loop runs each chunk of at most
+C = ``DOT_CHUNK`` = 1024 entries in a fixed number of SIMD lanes, each lane
+in order, so a term meets at most C - 1 additions there (all of them where
+numpy has no SIMD), and the pairwise sum of the ceil(m/C) chunk sums adds at
+most log2 ceil(m/C) + 26 more (numpy's pairwise sum keeps eight accumulators
+over blocks of 128).  With its product, a dot of positive terms errs by at
+most (C + 28 + log2 ceil(m/C)) u relative to the exact sum of its rounded
+products, whatever the width.  With the four roundings of each b^2 term, the
 tail's series and the assembly of the value, every evaluated value, grid
-point or Newton's, errs by at most ``ROUNDING`` = (C + 64) u, about
-1.2e-13 relative, at any width below 2^40.  So grid values on wide rows
-move from their full-width ones by up to that, Newton values by their last
-bits (at most 5.8e-16 relative on ``experiment_wide``, seeds 0, 5, 17 and
-23, with no source, iteration count or open cell changed), and the grid
-values of every row move in their last bits from a pairwise scan's, so
-basins, starts and open cells may move where two values lie within rounding
-of each other.  Rows narrower than the gate, points and basins with no head
-shorter than their row, and spectra not in descending order (no package
-caller makes one: ``spectral`` sorts its eigenvalues and ``KernelSpectrum``
-rejects unsorted ones) keep the full-width arithmetic bit for bit.  Timed
-with Newton's split on and off, interleaved, on the ``experiment_wide`` stack cut to each width
-and row count (one basin per row; one BLAS thread, 2-core Xeon, numpy 2.4),
-Newton breaks even near width 450 with 88 rows, 550 with 44, below 1024 with
-22 and near 1400 with 11.  Small stacks do not repay the table's fixed cost,
-a few numpy calls per segment and row block, and the scan's per run of one
-head: ``oracle`` (p + 2 = 6 rows) at n = 1100 and 2000 spends a median 0.05
-to 0.8 ms more in its search than when Newton alone split its rows, in a
-run of 0.15 s.  The gate is the width alone, because a gate that counted the
-stack's rows or basins would give a row other bits alone than in a stack;
-``SPLIT_WIDTH`` = 1024, from which the split pays on stacks of 22 rows or
-more, is read by ``_tails`` alone.
+point or Newton's, errs by at most ``ROUNDING`` = (C + 64) u, about 1.2e-13
+relative, at any width below 2^40.  So values on wide rows move from their
+full-width ones by up to that, and the grid values of every row move in
+their last bits from a pairwise scan's, so basins, starts and open cells may
+move where two values lie within rounding of each other.
 
 A basin stops on the relative rule |lam g'(lam)| <= tol g(lam), which reads
 the same at every scale of the eigenvalues, the signal and the noise.  With
 t = log lam the rule is |dg/dt| <= tol g, so a basin ends at most about
 tol^2 g^2 / (2 d2g/dt2) above its minimum: a relative tolerance of
 tol^2 g / (2 d2g/dt2), far below rounding (about 1e-20) on a curve of
-ordinary curvature, and larger only where the curve is nearly flat in t
-(2.4e-12 on one ``heatmap_small`` search, at lam near 6e5).  Two starts of
-one basin end within that tolerance of each other, so a grid point can win
-a row from one start and Newton from the other.  The exact limits lam = 0
-and lam = +inf compete with the interior candidates, so degenerate rows
-(zero signal, zero noise) resolve to the right boundary.  An interior
-candidate, Newton's or the grid's, takes a row from the limits only if it is
-lower than the better limit by more than ``ROUNDING`` relative: the limits
-are exact, and a basin that ends within rounding of one would otherwise win
-or lose its row on its last bits.  g is not convex in general, which is why
-every basin is refined rather than just the best grid point.
+ordinary curvature, and larger only where the curve is nearly flat in t.
+Two starts of one basin end within that tolerance of each other, so a grid
+point can win a row from one start and Newton from the other.  The exact
+limits lam = 0 and lam = +inf compete with the interior candidates, so
+degenerate rows (zero signal, zero noise) resolve to the right boundary.  An
+interior candidate, Newton's or the grid's, takes a row from the limits only
+if it is lower than the better limit by more than ``ROUNDING`` relative: the
+limits are exact, and a basin that ends within rounding of one would
+otherwise win or lose its row on its last bits.  g is not convex in general,
+which is why every basin is refined rather than just the best grid point.
 
 Each row's arithmetic depends on that row alone: reductions run over the
 contiguous eigen-axis, pairwise (``_sum``) or as numpy's own dot loop
@@ -149,10 +114,11 @@ contiguous eigen-axis, pairwise (``_sum``) or as numpy's own dot loop
 ``optimize``) give bits that depend on the BLAS build, its kernel dispatch
 and its threads; the grid depends only on the row's spectrum, and the points
 evaluated depend only on the row's own values and its width.  A row
-therefore gets bit-identical results alone, in any stack, and in any order.  Rows that the caller names with one signal row
-(``curve``) and one spectrum differ only in their noise, so their bias sums
-are formed once, over the union of their windows; each row then keeps only
-its own window's values, and gets the bits and basins it gets alone.
+therefore gets bit-identical results alone, in any stack, and in any order.
+Rows that the caller names with one signal row (``curve``) and one spectrum
+differ only in their noise, so their bias sums are formed once, over the
+union of their windows; each row then keeps only its own window's values,
+and gets the bits and basins it gets alone.
 """
 
 from __future__ import annotations
@@ -303,9 +269,10 @@ def _dot(signal: np.ndarray, table: np.ndarray) -> np.ndarray:
     width = signal.shape[-1]
     if width <= DOT_CHUNK:
         return sums(signal, table)
-    cuts = range(DOT_CHUNK, width, DOT_CHUNK)
-    chunks = zip(np.split(signal, cuts, axis=-1), np.split(table, cuts, axis=-1))
-    return _sum(np.stack([sums(*chunk) for chunk in chunks], axis=-1))
+    out = np.empty((len(signal), table.shape[-2], -(-width // DOT_CHUNK)))  # rows x points x chunks
+    for c, lo in enumerate(range(0, width, DOT_CHUNK)):
+        out[..., c] = sums(signal[:, lo:lo + DOT_CHUNK], table[..., lo:lo + DOT_CHUNK])
+    return _sum(out)
 
 
 class _Tails(NamedTuple):
@@ -315,8 +282,10 @@ class _Tails(NamedTuple):
     spectrum j.  ``signal[e, k, i]`` is sum s (g/c)^k (k <= K + 1) over segment i of entry e, a (curve,
     spectrum) pair of the stack, and ``moments[j, k, i]`` is sum (g/c)^k (k <= K + 3) of spectrum j; stack row
     r reads entry ``entry[r]``.  Spectra not in ``descending`` order have no moments.  At grid point p of
-    spectrum j, ``first[j, p]`` is the first tail segment (``_first_tail``), and ``weights[j, p, k, i]`` the
-    factor (-1)^k (k + 1) (c / x)^k of the b^2 series of segment i from that one on.
+    spectrum j, ``first[j, p]`` is the first tail segment (``_first_tail``), ``weights[j, p, k, i]`` the factor
+    (-1)^k (k + 1) (c / x)^k of the b^2 series of segment i from that one on, and ``squares[j, p]`` the a^2
+    series of the tail, sum (-1)^k (k - 1) (c / x)^k sum (g/c)^k (2 <= k <= K + 3) over its segments: 0 where
+    no head is shorter than the row.
     """
 
     bounds: np.ndarray
@@ -327,6 +296,7 @@ class _Tails(NamedTuple):
     entry: np.ndarray
     first: np.ndarray
     weights: np.ndarray
+    squares: np.ndarray
 
 
 def _tails(gamma, signal, spectrum, curve, entry, x_grid) -> _Tails | None:
@@ -336,9 +306,10 @@ def _tails(gamma, signal, spectrum, curve, entry, x_grid) -> _Tails | None:
     ``entry[r]``.  The eigen-axis past ``HEAD_MIN`` is cut at the powers of two into segments [64, 128),
     [128, 256), ..., [2^j, width), so that a head a power of two long leaves a tail of whole segments.  Each
     segment's entries are scaled by its first, c, so that g / c <= 1 and no power overflows (a segment of
-    zeros keeps its powers 0^k), and each moment is summed pairwise by ``_sum`` over its segment: sum (g/c)^k
-    once per spectrum, and sum s (g/c)^k in row blocks straight from the signal.  Each grid point (x of
-    ``x_grid``) gets its first tail segment and its b^2 series' factors, taken once for every pass.
+    zeros keeps its powers 0^k).  Each sum (g/c)^k is summed pairwise by ``_sum`` over its segment, once per
+    spectrum, and each sum s (g/c)^k is a dot product (``_dot``) of the signal with those powers, in row
+    blocks within ``BLOCK_ELEMENTS``.  Each grid point (x of ``x_grid``) gets its first tail segment, its b^2
+    series' factors and its a^2 series, taken once for both passes.
     """
     width = gamma.shape[1]
     bounds = np.array([HEAD_MIN << k for k in range(width.bit_length()) if HEAD_MIN << k < width] + [width])
@@ -351,11 +322,12 @@ def _tails(gamma, signal, spectrum, curve, entry, x_grid) -> _Tails | None:
     moments = np.zeros((len(gamma), TAIL_ORDER + 4, len(segments)))
     used = np.bincount(spectrum, minlength=len(gamma)) > 0  # not np.unique, which loads numpy.ma on its first call
     first = np.full(x_grid.shape, len(segments))
-    weights = np.zeros(x_grid.shape + (TAIL_ORDER + 2, len(segments)))
+    weights, squares = np.zeros(x_grid.shape + (TAIL_ORDER + 2, len(segments))), np.zeros(x_grid.shape)
     for j in np.flatnonzero(used & descending).tolist():
         first[j] = _first_tail(gamma, bounds, j, x_grid[j])
         ratio = np.where(np.arange(len(segments)) >= first[j, :, None], scale[j] / x_grid[j, :, None], 0.0)
-        weights[j] = _SIGNAL_SERIES[0, :TAIL_ORDER + 2, None] * ratio[:, None, :] ** _POWERS[:TAIL_ORDER + 2, None]
+        factors = ratio[:, None, :] ** _POWERS[:, None]
+        weights[j] = _SIGNAL_SERIES[0, :TAIL_ORDER + 2, None] * factors[:, :TAIL_ORDER + 2]
         g = gamma[j, HEAD_MIN:] / np.repeat(np.where(scale[j] > 0, scale[j], 1.0), np.diff(bounds))
         power = np.empty((TAIL_ORDER + 4, len(g)))
         power[0] = 1.0
@@ -367,13 +339,11 @@ def _tails(gamma, signal, spectrum, curve, entry, x_grid) -> _Tails | None:
             block = max(1, BLOCK_ELEMENTS // (hi - lo))
             for start in range(0, len(mine), block):
                 entries = mine[start:start + block]
-                s, part = signal[curve[entries], HEAD_MIN + lo:HEAD_MIN + hi], np.empty((TAIL_ORDER + 2, len(entries)))
-                for k in range(TAIL_ORDER + 2):
-                    if k:
-                        s *= g[lo:hi]
-                    part[k] = _sum(s)
-                signal_moments[entries, :, i] = part.T
-    return _Tails(bounds, descending, scale, signal_moments, moments, entry, first, weights)
+                signal_moments[entries, :, i] = _dot(signal[curve[entries], HEAD_MIN + lo:HEAD_MIN + hi],
+                                                     power[:TAIL_ORDER + 2, lo:hi])
+        # the segments before the first tail segment have factors 0: the series' coefficients of u^0 and u^1 are 0
+        squares[j] = _tail_series(moments[j:j + 1], _NOISE_SERIES[0, :, None] * factors)[0]
+    return _Tails(bounds, descending, scale, signal_moments, moments, entry, first, weights, squares)
 
 
 def _first_tail(gamma, bounds, j, x) -> np.ndarray:
@@ -383,10 +353,10 @@ def _first_tail(gamma, bounds, j, x) -> np.ndarray:
     return np.searchsorted(bounds[:-1], np.searchsorted(-gamma[j], -TAIL_RATIO * x))
 
 
-def _tail_bias(moments, weights) -> np.ndarray:
-    """The b^2 series of the tail at each point: sum s b^2 over the tail segments of each row, from their moments
-    (rows x (K + 2) x segments) and the points' factors ``weights`` (points x (K + 2) x segments), summed
-    pairwise over the (K + 2) segments terms of each row and point, in row blocks within ``BLOCK_ELEMENTS``."""
+def _tail_series(moments, weights) -> np.ndarray:
+    """A series of the tail at each point: sum over the tail segments of each row, from their moments (rows x k x
+    segments) and the points' factors ``weights`` (points x k x segments), summed pairwise over the k x segments
+    terms of each row and point, in row blocks within ``BLOCK_ELEMENTS``."""
     out = np.empty((len(moments), len(weights)))
     step = max(1, BLOCK_ELEMENTS // weights.size)
     for k in range(0, len(moments), step):
@@ -397,15 +367,16 @@ def _tail_bias(moments, weights) -> np.ndarray:
 def _runs(tails, j, points, c, moments) -> list[tuple]:
     """The grid points ``points`` of spectrum j, the first at position c of its pass, in runs of one head.
 
-    Each run is (start, stop, head length, the tail's series (``_tail_bias``) at its points of each row whose
-    segments' ``moments`` are given, or None where the head is the whole row).  The head shortens as x grows.
+    Each run is (start, stop, head length, the b^2 series (``_tail_series``) at its points of each row whose
+    segments' ``moments`` are given, the spectrum's a^2 series at its points), the two series None where the
+    head is the whole row.  The head shortens as x grows.
     """
     first, last, runs = tails.first[j, points], len(tails.bounds) - 1, []
     cuts = [0, *(np.flatnonzero(first[1:] != first[:-1]) + 1).tolist(), len(points)]
     for a, b in zip(cuts[:-1], cuts[1:]):
-        at = first[a]
-        series = None if at == last else _tail_bias(moments[:, :, at:], tails.weights[j, points[a:b], :, at:])
-        runs.append((c + a, c + b, int(tails.bounds[at]), series))
+        at, run = first[a], points[a:b]
+        series = None if at == last else _tail_series(moments[:, :, at:], tails.weights[j, run, :, at:])
+        runs.append((c + a, c + b, int(tails.bounds[at]), series, None if at == last else tails.squares[j, run]))
     return runs
 
 
@@ -520,16 +491,17 @@ def _scan(gamma, signal, spectrum, x_grid, points, first, stop, bias, squares, c
     """Fill ``bias`` (sum s b^2 of each row) and ``squares`` (sum a^2 of each spectrum) at the grid points of windows.
 
     Row k is evaluated at the grid points ``points[first[k]:stop[k]]``.  Rows go in groups of one window
-    and one block of spectra, sorted by window start; a block's b^2 is formed once, in chunks of points,
-    over the union of its windows, and each group takes its slice: one spectrum's b^2 broadcasts over
-    the group's rows, several are gathered row by row.  Every temporary stays within ``BLOCK_ELEMENTS``.
-    With ``pairs`` (the first row of each distinct (curve, spectrum) pair, and each row's pair), each pair's
-    bias sums are formed once, over the union of its rows' windows, and each row takes those of its own.
-    Each chunk's points go in runs of one head, and each point's bias sum is a dot product (``_dot``) over
-    its head.  Without the tail table ``tails`` (narrow rows) a chunk is one run whose head is the whole row.
-    With it (wide rows), a block is one spectrum, and a point's head is ``_first_tail``'s at that point; its
-    sum adds the series of its tail segments, taken once per run for all the block's rows (``_runs``); the
-    rows here, the pairs if given, are the table's entries.
+    and one block of spectra, sorted by window start.  A block's points, the union of its windows, go in
+    chunks, and a chunk's points in runs of one head; a run's b^2 and a^2 are formed once, over its head
+    (``_squares``), and each group takes its slice: one spectrum's b^2 broadcasts over the group's rows,
+    several are gathered row by row.  Every temporary stays within ``BLOCK_ELEMENTS``.  With ``pairs`` (the
+    first row of each distinct (curve, spectrum) pair, and each row's pair), each pair's bias sums are formed
+    once, over the union of its rows' windows, and each row takes those of its own.  A point's bias sum is a
+    dot product (``_dot``) over its head, and its variance sum the pairwise sum of a^2 over its head.  Without
+    the tail table ``tails`` (narrow rows) a chunk is one run whose head is the whole row.  With it (wide
+    rows), a block is one spectrum, a point's head is ``_first_tail``'s at that point, and both sums add the
+    series of its tail segments, taken once per run (``_runs``) for all the block's rows and for the spectrum;
+    the rows here, the pairs if given, are the table's entries.
     """
     live = np.flatnonzero(stop > first)
     if pairs is not None:  # from here on, the rows are the pairs, each at the first row of its pair
@@ -559,15 +531,17 @@ def _scan(gamma, signal, spectrum, x_grid, points, first, stop, bias, squares, c
         moments = None if tails is None else tails.signal[order[held[0]:held[1]]]
         for c in range(begin, end, chunk):
             cols = points[c:min(c + chunk, end)]
-            bb, squares[lo:hi, cols] = _squares(gamma[lo:hi], x_grid[lo:hi, cols])
             # the points in runs of one head; narrow rows have one run, whose head is the whole row
-            runs = [(c, c + len(cols), width, None)] if tails is None else _runs(tails, lo, cols, c, moments)
-            for a, b, k0, k1 in windows:
-                for start, stop, length, series in runs:
+            runs = [(c, c + len(cols), width, None, None)] if tails is None else _runs(tails, lo, cols, c, moments)
+            for start, stop, length, series, tail_squares in runs:
+                run = points[start:stop]
+                bb, head_squares = _squares(gamma[lo:hi, :length], x_grid[lo:hi, run])
+                squares[lo:hi, run] = head_squares if tail_squares is None else head_squares + tail_squares
+                for a, b, k0, k1 in windows:
                     u, v = max(a, start), min(b, stop)
                     if u >= v:
                         continue
-                    part, shared = bb[:, u - c:v - c, :length], hi - lo == 1
+                    part, shared = bb[:, u - start:v - start], hi - lo == 1
                     step = max(1, BLOCK_ELEMENTS // (length if shared else part[0].size))
                     for k in range(k0, k1, step):
                         r = order[k:min(k + step, k1)]

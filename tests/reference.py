@@ -15,7 +15,8 @@ the Kronecker-inverse formula is not, and it has no size cap.
 
 Also here: a certifier of the engine's global minima
 (``certified_lower_bound``), the oracle search with the unpruned 64-point
-grid scan (``full_scan_minimize_profiles``), the one-spec form of
+grid scan (``full_scan_minimize_profiles``), the grid scan's dot product
+with its chunks cut by ``np.split`` (``split_dot``), the one-spec form of
 ``mtkrr.experiments.run_experiments`` and the chunks of ``scenarios.draw``
 joined into one block (``draw_block``), the degrees-of-freedom diagnostic
 ``df_and_bias``, numpy's own per-replicate streams (``rng_for``, ``rademacher``
@@ -417,6 +418,27 @@ def certified_lower_bound(profile: RidgeRiskProfile, value: float, gap: float = 
 
 
 # ---------------------------------------------------------------------------
+# the grid scan's dot product as it was first written
+
+
+def split_dot(signal: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """``optimize._dot`` with its chunks cut by ``np.split`` and their sums joined by ``np.stack``.
+
+    The chunks of ``optimize.DOT_CHUNK`` entries and their pairwise sum are the engine's; only the way the
+    chunks are cut and gathered differs, so the two must agree bit for bit.
+    """
+    def sums(signal, table):
+        return np.einsum("rj,pj->rp", signal, table) if table.ndim == 2 else np.einsum("rj,rpj->rp", signal, table)
+
+    width = signal.shape[-1]
+    if width <= optimize.DOT_CHUNK:
+        return sums(signal, table)
+    cuts = range(optimize.DOT_CHUNK, width, optimize.DOT_CHUNK)
+    chunks = zip(np.split(signal, cuts, axis=-1), np.split(table, cuts, axis=-1))
+    return optimize._sum(np.stack([sums(*chunk) for chunk in chunks], axis=-1))
+
+
+# ---------------------------------------------------------------------------
 # the oracle search with the full grid scan
 
 
@@ -436,8 +458,9 @@ def full_scan_minimize_profiles(n: int, gamma: np.ndarray, signal: np.ndarray, n
     ``optimize.SPLIT_WIDTH`` wide each point's bias sum has the engine's
     own per-point arithmetic: the terms of the head that the tail table
     (``optimize._tails``) rules for that point, summed exactly, plus the b^2
-    series of its tail segments (``optimize._tail_bias``), and Newton reads the
-    same table.
+    series of its tail segments (``optimize._tail_series``), and each variance
+    sum the pairwise sum of a^2 over that head plus the a^2 series of the
+    tail; Newton reads the same table.
 
     Newton starts where the engine starts it (``optimize._model_start``), from
     the same bits: the per-spectrum sums of a^2 are kept as ``squares`` and the
@@ -470,11 +493,18 @@ def full_scan_minimize_profiles(n: int, gamma: np.ndarray, signal: np.ndarray, n
             a = g / d
             bb = np.divide(x, d, out=d)
             bb *= bb
-            aa = squares[j, c:c + chunk] = optimize._sum(np.multiply(a, a, out=a))
+            aa = np.multiply(a, a, out=a)
+            squares[j, c:c + chunk] = optimize._sum(aa)
+            # on wide rows, the engine's arithmetic at each point with a tail: its head's a^2, and the series of its
+            # tail's segments
+            for i, at in enumerate([] if tails is None else tails.first[j, c:c + chunk].tolist()):
+                length = int(tails.bounds[at])
+                if length < len(g):
+                    squares[j, c + i] = optimize._sum(aa[i, :length]) + tails.squares[j, c + i]
             block = max(1, optimize.BLOCK_ELEMENTS // bb.size)
             for k in range(0, len(mine), block):
                 r = mine[k:k + block]
-                var[r, c:c + chunk] = noise[r, None] * aa
+                var[r, c:c + chunk] = noise[r, None] * squares[j, c:c + chunk]
                 if tails is None:
                     bias[r, c:c + chunk] = optimize._dot(signal[r], bb)
                     continue
@@ -484,7 +514,7 @@ def full_scan_minimize_profiles(n: int, gamma: np.ndarray, signal: np.ndarray, n
                     bias[r, c + i] = optimize._dot(signal[r, :length], bb[i:i + 1, :length])[:, 0]
                     if length < len(g):
                         weights = tails.weights[j, c + i:c + i + 1, :, at:]
-                        bias[r, c + i] += optimize._tail_bias(tails.signal[r, :, at:], weights)[:, 0]
+                        bias[r, c + i] += optimize._tail_series(tails.signal[r, :, at:], weights)[:, 0]
         null = g == 0
         kept = optimize._sum(np.ascontiguousarray(signal[mine][:, null]))  # row by row, pairwise, whatever the stack
         zero[mine] = kept / n + noise[mine] / n * float(len(g) - np.count_nonzero(null))

@@ -201,9 +201,10 @@ def test_the_search_keeps_its_signature_and_one_pruned_grid_scan():
     Grid values are formed only by ``optimize._squares`` and ``optimize._dot`` inside ``optimize._scan``, and
     ``_scan`` runs only in ``minimize_profiles``, twice: over ``COARSE`` and then over ``FINE``, which are
     disjoint and together take every grid point, whatever the width.  ``_scan`` forms every row's bias sums,
-    narrow or wide, at one call of ``_dot``.  The one other caller of ``_squares`` and ``_dot`` is
-    ``riskfn.template_parts``, so the template curve has the grid scan's arithmetic.  The unpruned 64-point
-    scan is a validation oracle in ``tests/reference.py``.
+    narrow or wide, at one call of ``_dot``.  The other callers of ``_squares`` and ``_dot`` are
+    ``riskfn.template_parts``, so the template curve has the grid scan's arithmetic, and ``_tails``, whose
+    signal moments are dot products of ``_dot``.  The unpruned 64-point scan is a validation oracle in
+    ``tests/reference.py``.
     """
     from mtkrr import optimize
     from mtkrr.optimize import minimize_profiles
@@ -223,7 +224,7 @@ def test_the_search_keeps_its_signature_and_one_pruned_grid_scan():
              if func.endswith("_scan")]
     dots = sorted(where for where, func, _, _ in calls if func.endswith("_dot"))
     assert squares == ["optimize._scan", "riskfn.template_parts"], f"risk values formed elsewhere: {squares}"
-    assert dots == ["optimize._scan", "riskfn.template_parts"], f"bias sums formed elsewhere: {dots}"
+    assert dots == ["optimize._scan", "optimize._tails", "riskfn.template_parts"], f"dots elsewhere: {dots}"
     assert scans == [("optimize.minimize_profiles", "COARSE"), ("optimize.minimize_profiles", "FINE")], scans
     coarse, fine = optimize.COARSE.tolist(), optimize.FINE.tolist()
     assert not set(coarse) & set(fine)
@@ -277,7 +278,8 @@ def test_one_table_holds_the_tail_moments_and_the_scan_and_newton_read_it():
     """``optimize._tails`` builds a search's table of tail moments, and only ``minimize_profiles`` calls it, once;
     ``_scan`` and ``_split`` take it as ``tails`` and are the package's readers of its signal moments; and no other
     package function slices the eigen-axis (the last) of ``gamma`` or ``signal`` from past its start, so no module
-    sums tail moments anywhere else."""
+    sums tail moments anywhere else: ``_dot`` alone also cuts the signal, into the chunks that together cover its
+    whole axis."""
     from mtkrr import optimize
 
     calls, readers, tail_slices = Counter(), set(), set()
@@ -296,7 +298,7 @@ def test_one_table_holds_the_tail_moments_and_the_scan_and_newton_read_it():
     assert calls == {"optimize.minimize_profiles": 1}, calls
     assert readers == {"optimize._scan", "optimize._split"}, readers
     assert all("tails" in inspect.signature(getattr(optimize, name)).parameters for name in ("_scan", "_split"))
-    assert tail_slices == {"optimize._tails"}, tail_slices
+    assert tail_slices == {"optimize._tails", "optimize._dot"}, tail_slices
 
 
 def test_numpy_forms_the_scans_dot_products_and_no_risk_sum_goes_through_blas():

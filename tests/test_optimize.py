@@ -1,4 +1,5 @@
 import contextlib
+import json
 import math
 import sys
 
@@ -8,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import bits, full_width, minimize_profile, parabola_start, rows, search_one, value_grid
-from reference import RidgeRiskProfile, certified_lower_bound, full_scan_minimize_profiles
+from reference import RidgeRiskProfile, certified_lower_bound, full_scan_minimize_profiles, split_dot
 
 from mtkrr import optimize
 from mtkrr.optimize import (BRACKET_DECADES, DEFAULT_GRID_POINTS, SOURCES, TAIL_ORDER, TAIL_RATIO, _curve,
@@ -1036,18 +1037,19 @@ def grid_x(n, gamma):
     return n * np.exp(t_lo[:, None] + np.arange(DEFAULT_GRID_POINTS) * delta[:, None])
 
 
-def scanned_bias(n, gamma, signal, noise, spectrum) -> tuple[optimize.Search, np.ndarray]:
-    """The search of a stack and its grid scan's bias sums sum s b^2, nan where the scan evaluated no point."""
+def scanned_sums(n, gamma, signal, noise, spectrum) -> tuple[optimize.Search, np.ndarray, np.ndarray]:
+    """The search of a stack and its grid scan's bias sums sum s b^2 of each row and variance sums sum a^2 of each
+    spectrum, nan where the scan evaluated no point."""
     seen, scan = {}, optimize._scan
 
-    def spy(gamma, signal, spectrum, x_grid, points, first, stop, bias, *rest):
-        scan(gamma, signal, spectrum, x_grid, points, first, stop, bias, *rest)
-        seen["bias"] = bias.copy()
+    def spy(gamma, signal, spectrum, x_grid, points, first, stop, bias, squares, *rest):
+        scan(gamma, signal, spectrum, x_grid, points, first, stop, bias, squares, *rest)
+        seen["bias"], seen["squares"] = bias.copy(), squares.copy()
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(optimize, "_scan", spy)
         found = minimize_profiles(n, gamma, signal, noise, spectrum=spectrum)
-    return found, seen["bias"]
+    return found, seen["bias"], seen["squares"]
 
 
 def scan_tolerance(width: int) -> float:
@@ -1057,20 +1059,53 @@ def scan_tolerance(width: int) -> float:
     return optimize.ROUNDING + (math.log2(width) + 4) * np.finfo(float).eps / 2
 
 
+def variance_tolerance(width: int) -> float:
+    """The relative distance the ``optimize`` docstring allows between a split variance sum and the pairwise
+    full-width sum: (log2 m + 7) eps/2 and the series' remainder 8 U_C^(K+2) for the split sum (its head pairwise,
+    its tail's a^2 series), and (log2 m + 4) eps/2 for the full-width one."""
+    return (2 * math.log2(width) + 11) * np.finfo(float).eps / 2 + 8 * TAIL_RATIO ** (TAIL_ORDER + 2)
+
+
 @given(wide_stacks())
 def test_every_split_grid_value_is_the_full_width_value_to_rounding(stack):
     """Every bias sum the scan evaluates on a wide row lies within ``scan_tolerance`` of the full-width sum at that
-    point (``_squares`` and ``_sum`` over the whole eigen-axis), and the whole search keeps its sources, open cells and
-    iteration counts against the search at full width (``assert_as_full_width``)."""
+    point (``_squares`` and ``_sum`` over the whole eigen-axis), every variance sum within ``variance_tolerance`` of
+    its full-width sum, and the whole search keeps its sources, open cells and iteration counts against the search
+    at full width (``assert_as_full_width``)."""
     n, gamma, signal, noise, spectrum = stack
-    found, bias = scanned_bias(n, gamma, signal, noise, spectrum)
-    bb, _ = optimize._squares(gamma, grid_x(n, gamma))
+    found, bias, squares = scanned_sums(n, gamma, signal, noise, spectrum)
+    bb, full_squares = optimize._squares(gamma, grid_x(n, gamma))
     full = np.array([optimize._sum(row * bb[j]) for row, j in zip(signal, spectrum.tolist())])
     seen = ~np.isnan(bias)
     assert seen.any(axis=1).all()
     assert (np.abs(bias - full)[seen] <= scan_tolerance(n) * full[seen]).all()
+    seen = ~np.isnan(squares)
+    assert seen[spectrum].any(axis=1).all()
+    assert (np.abs(squares - full_squares)[seen] <= variance_tolerance(n) * full_squares[seen]).all()
     split, kept = assert_as_full_width(*stack)
     assert bits(split) == bits(found)
+
+
+@given(wide_stacks())
+def test_the_tail_tables_moments_lie_within_the_dot_products_rounding(stack):
+    """Each moment of the tail table lies within ``optimize.ROUNDING``, the bound of ``_dot``, of the exact sum
+    (``math.fsum``) of its rounded terms over its segment: sum s (g/c)^k (k <= K + 1) of each row, a dot product of
+    the signal with the powers of g/c, and sum (g/c)^k (k <= K + 3) of each spectrum, summed pairwise; the powers
+    are formed as the table forms them, each from the one below."""
+    n, gamma, signal, noise, spectrum = stack
+    rows = np.arange(len(noise))
+    tails = optimize._tails(gamma, signal, spectrum, rows, rows, grid_x(n, gamma))
+    used = np.flatnonzero(tails.descending & (np.bincount(spectrum, minlength=len(gamma)) > 0))
+    for i, (lo, hi) in enumerate(zip(tails.bounds[:-1].tolist(), tails.bounds[1:].tolist())):
+        for j in used.tolist():
+            power = np.ones((TAIL_ORDER + 4, hi - lo))
+            for k in range(1, TAIL_ORDER + 4):
+                power[k] = power[k - 1] * (gamma[j, lo:hi] / (gamma[j, lo] if gamma[j, lo] > 0 else 1.0))
+            exact = np.array([math.fsum(p.tolist()) for p in power])
+            assert (np.abs(tails.moments[j, :, i] - exact) <= optimize.ROUNDING * exact).all(), (i, j)
+            for r in np.flatnonzero(spectrum == j).tolist():
+                exact = np.array([math.fsum((signal[r, lo:hi] * p).tolist()) for p in power[:TAIL_ORDER + 2]])
+                assert (np.abs(tails.signal[r, :, i] - exact) <= optimize.ROUNDING * exact).all(), (i, r)
 
 
 def test_a_grid_point_whose_tail_starts_at_the_cutoff_is_the_exact_sum():
@@ -1105,14 +1140,17 @@ def test_a_grid_point_whose_tail_starts_at_the_cutoff_is_the_exact_sum():
 def test_each_grid_value_is_its_head_plus_the_taylor_polynomial_of_its_tail(signal_power, monkeypatch):
     """With the cutoff raised to U_C = 0.2 every series term shows: each bias sum the scan evaluates is the exact sum
     over the head that ``_first_tail`` rules for its point (the shortest power of two from 64 that holds every entry
-    g > 0.2 x) plus, over every later entry, s times the b^2 polynomial sum_(k <= K + 1) (-1)^k (k + 1) u^k.  A
-    dropped moment, a segment scaled by another entry, a boundary moved by one, or a head taken from a
+    g > 0.2 x) plus, over every later entry, s times the b^2 polynomial sum_(k <= K + 1) (-1)^k (k + 1) u^k, and
+    each variance sum the exact sum of a^2 over that head plus the a^2 polynomial
+    sum_(2 <= k <= K + 3) (-1)^k (k - 1) u^k over every later entry.  A dropped moment, a segment scaled by
+    another entry, a series read from another segment, a boundary moved by one, or a head taken from a
     neighbouring point fails."""
     monkeypatch.setattr(optimize, "TAIL_RATIO", 0.2)
     width = optimize.SPLIT_WIDTH
     i = np.arange(1, width + 1, dtype=float)
     gamma, signal = i**-2.0, i**-signal_power
-    found, bias = scanned_bias(width, gamma[None], signal[None], np.array([0.05]), np.zeros(1, dtype=np.intp))
+    found, bias, squares = scanned_sums(width, gamma[None], signal[None], np.array([0.05]),
+                                        np.zeros(1, dtype=np.intp))
     x = grid_x(width, gamma[None])[0]
     points = np.flatnonzero(~np.isnan(bias[0]))
     exact_gap, split_points = 0.0, 0
@@ -1120,15 +1158,20 @@ def test_each_grid_value_is_its_head_plus_the_taylor_polynomial_of_its_tail(sign
         u = gamma / x[p]
         count = int(np.count_nonzero(gamma > 0.2 * x[p]))
         head = max(optimize.HEAD_MIN, 1 << max(count - 1, 0).bit_length())
-        exact = signal / (1 + u) ** 2
+        exact, exact_squares = signal / (1 + u) ** 2, (u / (1 + u)) ** 2
         if head >= width:
             assert bias[0, p] == pytest.approx(exact.sum(), rel=1e-13)
+            assert squares[0, p] == pytest.approx(exact_squares.sum(), rel=1e-13)
             continue
         split_points += 1
         polynomial = sum((-1) ** k * (k + 1) * u[head:] ** k for k in range(TAIL_ORDER + 2))
         expected = exact[:head].sum() + (signal[head:] * polynomial).sum()
         assert bias[0, p] == pytest.approx(expected, rel=1e-13), p
         exact_gap = max(exact_gap, abs(expected - exact.sum()) / exact.sum())
+        polynomial = sum((-1) ** k * (k - 1) * u[head:] ** k for k in range(2, TAIL_ORDER + 4))
+        expected = exact_squares[:head].sum() + polynomial.sum()
+        assert squares[0, p] == pytest.approx(expected, rel=1e-13), p
+        exact_gap = max(exact_gap, abs(expected - exact_squares.sum()) / exact_squares.sum())
     assert split_points >= 3 and exact_gap > 1e-9  # the series' remainder shows at this cutoff
 
 
@@ -1136,7 +1179,10 @@ def test_each_grid_value_is_its_head_plus_the_taylor_polynomial_of_its_tail(sign
 # the grid scan's bias sums: per-row dot products (``optimize._dot``)
 
 
-@pytest.mark.parametrize("width", [1, 2, 3, 50, 64, 127, 128, 129, 1023, 1024, 1025, 2000])
+DOT_WIDTHS = [1025, 2047, 2048, 3000, 4097, 12800]  # past ``DOT_CHUNK``: one chunk and one entry, ... 12.5 chunks
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 50, 64, 127, 128, 129, 1023, 1024, 2000] + DOT_WIDTHS)
 def test_a_dot_product_has_the_bits_of_its_row_and_point_alone(width):
     """Each row and point of ``_dot`` gets the same bits alone, in any stack and order, from a shared table or one
     gathered row by row, and from the scan's views of its b^2 block (``bb[0, u - c:v - c, :length]``: a run of
@@ -1160,6 +1206,21 @@ def test_a_dot_product_has_the_bits_of_its_row_and_point_alone(width):
     expected = np.where(odd[:, None], found, optimize._dot(signal, other))
     assert optimize._dot(signal, gathered).tobytes() == expected.tobytes()
     assert optimize._dot(signal[perm], gathered[perm]).tobytes() == expected[perm].tobytes()
+
+
+@pytest.mark.parametrize("width", DOT_WIDTHS)
+def test_a_dot_product_has_the_bits_of_its_chunks_cut_by_split_and_joined_by_stack(width):
+    """``_dot`` writes each chunk's sums into one array before it sums them pairwise; ``reference.split_dot`` cuts
+    the chunks with ``np.split`` and joins their sums with ``np.stack``.  They agree byte for byte, from a shared
+    table, a gathered one, and the scan's views of its b^2 block (a run of points and a head of a wider row)."""
+    rng = np.random.default_rng(width)
+    signal = rng.random((5, width + 3)) * 10.0 ** rng.uniform(-6.0, 6.0, (5, 1))
+    bb = rng.random((2, 9, width + 5))
+    cases = {"shared": (signal[:, :width], bb[0, 2:7, :width]),
+             "contiguous": (np.ascontiguousarray(signal[:, :width]), np.ascontiguousarray(bb[0, 2:7, :width])),
+             "gathered": (signal[:, :width], bb[np.arange(5) % 2, 1:4, :width])}
+    for name, (rows, table) in cases.items():
+        assert optimize._dot(rows, table).tobytes() == split_dot(rows, table).tobytes(), name
 
 
 def dot_error(signal: np.ndarray, table: np.ndarray) -> float:
@@ -1204,3 +1265,53 @@ def test_an_unchunked_dot_product_fails_the_stated_rounding_past_the_chunk(monke
     assert dot_error(signal, table) <= optimize.ROUNDING
     monkeypatch.setattr(optimize, "DOT_CHUNK", sys.maxsize)
     assert dot_error(signal, table) > optimize.ROUNDING
+
+
+# ---------------------------------------------------------------------------
+# the engine's fixed cost: C-level calls (numpy functions and builtins) per search, a budget pinned to the numpy
+# build that ``golden.json`` records, since numpy's Python wrappers move the count between versions
+
+CALL_BUDGET = {"6 rows, width 50": 257, "6 rows, width 2000": 704, "6 spectra x 7 rows, width 40": 316}
+
+
+def budget_stacks() -> dict:
+    """The stacks of ``CALL_BUDGET``: an ``oracle``-like stack of p + 2 = 6 rows on one spectrum, narrow and wide, and
+    a ``table_spline``-like stack of 7 rows on each of 6 spectra."""
+    i = np.arange(1, 41, dtype=float)
+    rng = np.random.default_rng(40)
+    gamma = np.array([40.0 * i ** -(2.0 * m) for m in (1.0, 1.0, 2.0, 2.0, 3.0, 3.0)]) * rng.uniform(0.5, 2.0, (6, 1))
+    signal = rng.uniform(0.0, 1.0, (42, 40)) * i ** -rng.uniform(1.0, 4.0, (42, 1))
+    return {"6 rows, width 50": power_law_stack(50, rows=6), "6 rows, width 2000": power_law_stack(2000, rows=6),
+            "6 spectra x 7 rows, width 40": (40, gamma, signal, 10.0 ** rng.uniform(-2, 1, 42), np.arange(42) // 7)}
+
+
+def c_calls(n, gamma, signal, noise, spectrum) -> int:
+    """The C-level calls that one ``minimize_profiles`` call makes, counted with ``sys.setprofile``."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        count += event == "c_call"
+
+    sys.setprofile(profile)
+    try:
+        minimize_profiles(n, gamma, signal, noise, spectrum=spectrum)
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+def test_a_search_makes_the_budgeted_number_of_c_level_calls():
+    """A search's C-level calls are a budget: a change that adds calls to a small stack's search says so and moves
+    ``CALL_BUDGET``.  The counts hold on the numpy build that ``golden.json`` records."""
+    import golden
+
+    recorded = json.loads(golden.GOLDEN.read_text())
+    platform = {key: recorded[key] for key in golden.platform_key()}
+    if platform != golden.platform_key():
+        pytest.skip(f"budget counted with {platform}, not {golden.platform_key()}: numpy's wrappers move the count")
+    found = {}
+    for name, stack in budget_stacks().items():
+        minimize_profiles(*stack[:4], spectrum=stack[4])  # a first call may load numpy submodules
+        found[name] = c_calls(*stack)
+    assert found == CALL_BUDGET
