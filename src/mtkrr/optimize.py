@@ -368,15 +368,15 @@ def _runs(tails, j, points, c, moments) -> list[tuple]:
     """The grid points ``points`` of spectrum j, the first at position c of its pass, in runs of one head.
 
     Each run is (start, stop, head length, the b^2 series (``_tail_series``) at its points of each row whose
-    segments' ``moments`` are given, the spectrum's a^2 series at its points), the two series None where the
-    head is the whole row.  The head shortens as x grows.
+    segments' ``moments`` are given, or None where the head is the whole row, and the spectrum's a^2 series at
+    its points, 0 there).  The head shortens as x grows.
     """
     first, last, runs = tails.first[j, points], len(tails.bounds) - 1, []
     cuts = [0, *(np.flatnonzero(first[1:] != first[:-1]) + 1).tolist(), len(points)]
     for a, b in zip(cuts[:-1], cuts[1:]):
         at, run = first[a], points[a:b]
         series = None if at == last else _tail_series(moments[:, :, at:], tails.weights[j, run, :, at:])
-        runs.append((c + a, c + b, int(tails.bounds[at]), series, None if at == last else tails.squares[j, run]))
+        runs.append((c + a, c + b, int(tails.bounds[at]), series, tails.squares[j, run]))
     return runs
 
 
