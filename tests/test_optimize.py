@@ -1179,20 +1179,20 @@ def test_each_grid_value_is_its_head_plus_the_taylor_polynomial_of_its_tail(sign
 # the grid scan's bias sums: per-row dot products (``optimize._dot``)
 
 
-DOT_WIDTHS = [1025, 2047, 2048, 3000, 4097, 12800]  # past ``DOT_CHUNK``: one chunk and one entry, ... 12.5 chunks
-
-
-@pytest.mark.parametrize("width", [1, 2, 3, 50, 64, 127, 128, 129, 1023, 1024, 2000] + DOT_WIDTHS)
+@pytest.mark.parametrize("width", [1, 2, 3, 50, 64, 127, 128, 129, 1023, 1024, 1025, 2000, 2047, 2048, 3000, 4097,
+                                   12800])
 def test_a_dot_product_has_the_bits_of_its_row_and_point_alone(width):
     """Each row and point of ``_dot`` gets the same bits alone, in any stack and order, from a shared table or one
     gathered row by row, and from the scan's views of its b^2 block (``bb[0, u - c:v - c, :length]``: a run of
-    points and a head of a wider row) or a contiguous copy."""
+    points and a head of a wider row) or a contiguous copy; and the bits of ``reference.split_dot``, which cuts the
+    chunks with ``np.split`` and joins their sums with ``np.stack``."""
     rng = np.random.default_rng(width)
     signal = rng.random((7, width)) * 10.0 ** rng.uniform(-6.0, 6.0, (7, 1))
     bb = rng.random((2, 9, width + 5))  # a block of b^2: spectra x points x a row wider than the head
     table, other = bb[0, 2:7, :width], bb[1, 2:7, :width]
     found = optimize._dot(signal, table)
     assert found.shape == (7, 5)
+    assert found.tobytes() == split_dot(signal, table).tobytes()
     for r in range(7):
         assert optimize._dot(signal[r:r + 1], table).tobytes() == found[r:r + 1].tobytes()
         for p in range(5):
@@ -1204,23 +1204,8 @@ def test_a_dot_product_has_the_bits_of_its_row_and_point_alone(width):
     odd = np.arange(7) % 2 == 1
     gathered = np.where(odd[:, None, None], table, other)
     expected = np.where(odd[:, None], found, optimize._dot(signal, other))
-    assert optimize._dot(signal, gathered).tobytes() == expected.tobytes()
+    assert optimize._dot(signal, gathered).tobytes() == expected.tobytes() == split_dot(signal, gathered).tobytes()
     assert optimize._dot(signal[perm], gathered[perm]).tobytes() == expected[perm].tobytes()
-
-
-@pytest.mark.parametrize("width", DOT_WIDTHS)
-def test_a_dot_product_has_the_bits_of_its_chunks_cut_by_split_and_joined_by_stack(width):
-    """``_dot`` writes each chunk's sums into one array before it sums them pairwise; ``reference.split_dot`` cuts
-    the chunks with ``np.split`` and joins their sums with ``np.stack``.  They agree byte for byte, from a shared
-    table, a gathered one, and the scan's views of its b^2 block (a run of points and a head of a wider row)."""
-    rng = np.random.default_rng(width)
-    signal = rng.random((5, width + 3)) * 10.0 ** rng.uniform(-6.0, 6.0, (5, 1))
-    bb = rng.random((2, 9, width + 5))
-    cases = {"shared": (signal[:, :width], bb[0, 2:7, :width]),
-             "contiguous": (np.ascontiguousarray(signal[:, :width]), np.ascontiguousarray(bb[0, 2:7, :width])),
-             "gathered": (signal[:, :width], bb[np.arange(5) % 2, 1:4, :width])}
-    for name, (rows, table) in cases.items():
-        assert optimize._dot(rows, table).tobytes() == split_dot(rows, table).tobytes(), name
 
 
 def dot_error(signal: np.ndarray, table: np.ndarray) -> float:
