@@ -6,7 +6,9 @@ Each case runs one ``mtkrr`` command in process, in a fresh directory:
   ``table_spline`` at seeds 0, 5 and 17, and ``verify_bounds``), with their
   configs written here as the benchmark writes them;
 - ``oracle`` for the six scenario kinds at n = 50 and n = 1100;
-- ``verify-bounds`` on the grid ``--bd-pairs 3:5.5 --n-values 50,200``.
+- ``verify-bounds`` on the grid ``--bd-pairs 3:5.5 --n-values 50,200``, and
+  at n = 51 200 alone, whose rows are wide enough to scan one grid point at
+  a time.
 
 A case records its exit code and, for every data file, its stdout and its
 stderr summary (each line up to ``; stage ms``, which carries wall times),
@@ -86,8 +88,9 @@ def cases() -> dict:
             found[f"oracle {kind} n {n}"] = lambda out, kind=kind, n=n, delta2=delta2: (
                 ["oracle", "--kind", kind, "--n", str(n), "--p", "4", "--c1", "1", "--c2", "0.5", "--delta1", "2",
                  *delta2, "--seed", "5", "--out", str(out / "oracle.json")], ["oracle.json"])
-    for name, grid in (("verify_bounds", []), ("verify-bounds 3:5.5 at n 50,200",
-                                               ["--bd-pairs", "3:5.5", "--n-values", "50,200"])):
+    for name, grid in (("verify_bounds", []),
+                       ("verify-bounds 3:5.5 at n 50,200", ["--bd-pairs", "3:5.5", "--n-values", "50,200"]),
+                       ("verify-bounds 3:5.5 at n 51200", ["--bd-pairs", "3:5.5", "--n-values", "51200"])):
         found[name] = lambda out, grid=grid: (["verify-bounds", *grid, "--out", str(out / "bounds.txt")],
                                               ["bounds.txt"])
     return found
