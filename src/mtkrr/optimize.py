@@ -52,8 +52,10 @@ largest entry: sum s (g/c)^k (k <= K + 1) of each (curve, spectrum) pair and
 sum (g/c)^k (k <= K + 3) of each spectrum, K = ``TAIL_ORDER`` = 5.  At a
 point x the head is the shortest power of two from 64 that holds every entry
 g > U_C x (``TAIL_RATIO``, U_C = 1e-4), never padded, so u <= U_C on the
-tail, which is whole segments.  The grid scan sums each point's head exactly
-and adds the series of its tail segments: sum (-1)^k (k + 1) (c/x)^k
+tail, which is whole segments.  The table holds the data alone: ``_runs``
+forms each point's head, its factors (c/x)^k and its series where the point
+is evaluated, at any x.  The grid scan sums each point's head exactly and
+adds the series of its tail segments: sum (-1)^k (k + 1) (c/x)^k
 sum s (g/c)^k to the bias sum, and sum (-1)^k (k - 1) (c/x)^k sum (g/c)^k
 (k >= 2) to the variance sum.  Newton fixes each basin's head once, at its
 bracket's low end x_a, below which it never goes; each round adds one Horner
@@ -276,16 +278,13 @@ def _dot(signal: np.ndarray, table: np.ndarray) -> np.ndarray:
 
 
 class _Tails(NamedTuple):
-    """The tail moments of a search on wide rows (``_tails``): what ``_scan`` and ``_split`` read past a head.
+    """The tail moments of a search on wide rows (``_tails``): what ``_runs`` and ``_split`` read past a head.
 
     Segment i is [``bounds[i]``, ``bounds[i + 1]``), and c = ``scale[j, i]`` is its first, largest entry on
     spectrum j.  ``signal[e, k, i]`` is sum s (g/c)^k (k <= K + 1) over segment i of entry e, a (curve,
     spectrum) pair of the stack, and ``moments[j, k, i]`` is sum (g/c)^k (k <= K + 3) of spectrum j; stack row
-    r reads entry ``entry[r]``.  Spectra not in ``descending`` order have no moments.  At grid point p of
-    spectrum j, ``first[j, p]`` is the first tail segment (``_first_tail``), ``weights[j, p, k, i]`` the factor
-    (-1)^k (k + 1) (c / x)^k of the b^2 series of segment i from that one on, and ``squares[j, p]`` the a^2
-    series of the tail, sum (-1)^k (k - 1) (c / x)^k sum (g/c)^k (2 <= k <= K + 3) over its segments: 0 where
-    no head is shorter than the row.
+    r reads entry ``entry[r]``.  Spectra not in ``descending`` order have no moments.  The table holds the
+    data alone: ``_runs`` forms a point's head and series wherever it is evaluated, on the grid or off it.
     """
 
     bounds: np.ndarray
@@ -294,12 +293,9 @@ class _Tails(NamedTuple):
     signal: np.ndarray
     moments: np.ndarray
     entry: np.ndarray
-    first: np.ndarray
-    weights: np.ndarray
-    squares: np.ndarray
 
 
-def _tails(gamma, signal, spectrum, curve, entry, x_grid) -> _Tails | None:
+def _tails(gamma, signal, spectrum, curve, entry) -> _Tails | None:
     """The tail-moment table of a search, or None on rows narrower than ``SPLIT_WIDTH``.
 
     Entry e is the signal row ``curve[e]`` on the spectrum ``spectrum[e]``, and stack row r reads entry
@@ -308,8 +304,7 @@ def _tails(gamma, signal, spectrum, curve, entry, x_grid) -> _Tails | None:
     segment's entries are scaled by its first, c, so that g / c <= 1 and no power overflows (a segment of
     zeros keeps its powers 0^k).  Each sum (g/c)^k is summed pairwise by ``_sum`` over its segment, once per
     spectrum, and each sum s (g/c)^k is a dot product (``_dot``) of the signal with those powers, in row
-    blocks within ``BLOCK_ELEMENTS``.  Each grid point (x of ``x_grid``) gets its first tail segment, its b^2
-    series' factors and its a^2 series, taken once for both passes.
+    blocks within ``BLOCK_ELEMENTS``.
     """
     width = gamma.shape[1]
     bounds = np.array([HEAD_MIN << k for k in range(width.bit_length()) if HEAD_MIN << k < width] + [width])
@@ -321,13 +316,7 @@ def _tails(gamma, signal, spectrum, curve, entry, x_grid) -> _Tails | None:
     signal_moments = np.zeros((len(curve), TAIL_ORDER + 2, len(segments)))
     moments = np.zeros((len(gamma), TAIL_ORDER + 4, len(segments)))
     used = np.bincount(spectrum, minlength=len(gamma)) > 0  # not np.unique, which loads numpy.ma on its first call
-    first = np.full(x_grid.shape, len(segments))
-    weights, squares = np.zeros(x_grid.shape + (TAIL_ORDER + 2, len(segments))), np.zeros(x_grid.shape)
     for j in np.flatnonzero(used & descending).tolist():
-        first[j] = _first_tail(gamma, bounds, j, x_grid[j])
-        ratio = np.where(np.arange(len(segments)) >= first[j, :, None], scale[j] / x_grid[j, :, None], 0.0)
-        factors = ratio[:, None, :] ** _POWERS[:, None]
-        weights[j] = _SIGNAL_SERIES[0, :TAIL_ORDER + 2, None] * factors[:, :TAIL_ORDER + 2]
         g = gamma[j, HEAD_MIN:] / np.repeat(np.where(scale[j] > 0, scale[j], 1.0), np.diff(bounds))
         power = np.empty((TAIL_ORDER + 4, len(g)))
         power[0] = 1.0
@@ -341,9 +330,7 @@ def _tails(gamma, signal, spectrum, curve, entry, x_grid) -> _Tails | None:
                 entries = mine[start:start + block]
                 signal_moments[entries, :, i] = _dot(signal[curve[entries], HEAD_MIN + lo:HEAD_MIN + hi],
                                                      power[:TAIL_ORDER + 2, lo:hi])
-        # the segments before the first tail segment have factors 0: the series' coefficients of u^0 and u^1 are 0
-        squares[j] = _tail_series(moments[j:j + 1], _NOISE_SERIES[0, :, None] * factors)[0]
-    return _Tails(bounds, descending, scale, signal_moments, moments, entry, first, weights, squares)
+    return _Tails(bounds, descending, scale, signal_moments, moments, entry)
 
 
 def _first_tail(gamma, bounds, j, x) -> np.ndarray:
@@ -364,19 +351,26 @@ def _tail_series(moments, weights) -> np.ndarray:
     return out
 
 
-def _runs(tails, j, points, c, moments) -> list[tuple]:
-    """The grid points ``points`` of spectrum j, the first at position c of its pass, in runs of one head.
+def _runs(gamma, tails, j, x, start, moments) -> list[tuple]:
+    """The points x of spectrum j, the first at position ``start`` of its pass, in runs of one head: any points.
 
-    Each run is (start, stop, head length, the b^2 series (``_tail_series``) at its points of each row whose
-    segments' ``moments`` are given, or None where the head is the whole row, and the spectrum's a^2 series at
-    its points, 0 there).  The head shortens as x grows.
+    Each point's head is ``_first_tail``'s (the whole row on a spectrum not in descending order), and its
+    factors are (c / x)^k of every segment, 0 before its first tail segment (the series' coefficients of u^0
+    and u^1 are 0 there).  Each run is (start, stop, head length, the b^2 series (``_tail_series``) at its
+    points of each row whose segments' ``moments`` are given, or None where the head is the whole row, and the
+    spectrum's a^2 series at its points, 0 there).  The head shortens as x grows.
     """
-    first, last, runs = tails.first[j, points], len(tails.bounds) - 1, []
-    cuts = [0, *(np.flatnonzero(first[1:] != first[:-1]) + 1).tolist(), len(points)]
+    last = len(tails.bounds) - 1
+    first = _first_tail(gamma, tails.bounds, j, x) if tails.descending[j] else np.full(len(x), last)
+    ratio = np.where(np.arange(last) >= first[:, None], tails.scale[j] / x[:, None], 0.0)
+    factors = ratio[:, None, :] ** _POWERS[:, None]
+    weights = _SIGNAL_SERIES[0, :TAIL_ORDER + 2, None] * factors[:, :TAIL_ORDER + 2]
+    squares = _tail_series(tails.moments[j:j + 1], _NOISE_SERIES[0, :, None] * factors)[0]
+    cuts, runs = [0, *(np.flatnonzero(first[1:] != first[:-1]) + 1).tolist(), len(x)], []
     for a, b in zip(cuts[:-1], cuts[1:]):
-        at, run = first[a], points[a:b]
-        series = None if at == last else _tail_series(moments[:, :, at:], tails.weights[j, run, :, at:])
-        runs.append((c + a, c + b, int(tails.bounds[at]), series, tails.squares[j, run]))
+        at = first[a]
+        series = None if at == last else _tail_series(moments[:, :, at:], weights[a:b, :, at:])
+        runs.append((start + a, start + b, int(tails.bounds[at]), series, squares[a:b]))
     return runs
 
 
@@ -492,16 +486,17 @@ def _scan(gamma, signal, spectrum, x_grid, points, first, stop, bias, squares, c
 
     Row k is evaluated at the grid points ``points[first[k]:stop[k]]``.  Rows go in groups of one window
     and one block of spectra, sorted by window start.  A block's points, the union of its windows, go in
-    chunks, and a chunk's points in runs of one head; a run's b^2 and a^2 are formed once, over its head
-    (``_squares``), and each group takes its slice: one spectrum's b^2 broadcasts over the group's rows,
-    several are gathered row by row.  Every temporary stays within ``BLOCK_ELEMENTS``.  With ``pairs`` (the
-    first row of each distinct (curve, spectrum) pair, and each row's pair), each pair's bias sums are formed
-    once, over the union of its rows' windows, and each row takes those of its own.  A point's bias sum is a
-    dot product (``_dot``) over its head, and its variance sum the pairwise sum of a^2 over its head.  Without
-    the tail table ``tails`` (narrow rows) a chunk is one run whose head is the whole row.  With it (wide
-    rows), a block is one spectrum, a point's head is ``_first_tail``'s at that point, and both sums add the
-    series of its tail segments, taken once per run (``_runs``) for all the block's rows and for the spectrum;
-    the rows here, the pairs if given, are the table's entries.
+    runs of one head, and a run's points in chunks of as many points as its head allows; a chunk's b^2 and
+    a^2 are formed once, over its head (``_squares``), and each group takes its slice: one spectrum's b^2
+    broadcasts over the group's rows, several are gathered row by row.  Every temporary stays within
+    ``BLOCK_ELEMENTS``.  With ``pairs`` (the first row of each distinct (curve, spectrum) pair, and each row's
+    pair), each pair's bias sums are formed once, over the union of its rows' windows, and each row takes
+    those of its own.  A point's bias sum is a dot product (``_dot``) over its head, and its variance sum the
+    pairwise sum of a^2 over its head.  Without the tail table ``tails`` (narrow rows) a block is one run
+    whose head is the whole row.  With it (wide rows), a block is one spectrum, and ``_runs``, called once
+    over the block's points, gives each point's head and the series of its tail segments, which both sums
+    add, for all the block's rows and for the spectrum; the rows here, the pairs if given, are the table's
+    entries.
     """
     live = np.flatnonzero(stop > first)
     if pairs is not None:  # from here on, the rows are the pairs, each at the first row of its pair
@@ -516,7 +511,6 @@ def _scan(gamma, signal, spectrum, x_grid, points, first, stop, bias, squares, c
         return
     width = gamma.shape[1]
     per = 1 if tails is not None else max(1, BLOCK_ELEMENTS // (len(points) * width))  # spectra per block
-    chunk = max(1, BLOCK_ELEMENTS // width)  # points per chunk: all of them unless a block is one spectrum
     base = len(points) + 1
     key = ((spectrum // per) * base + first) * base + stop  # by block, then window start, then window end
     order = live[np.argsort(key[live], kind="stable")]
@@ -528,20 +522,22 @@ def _scan(gamma, signal, spectrum, x_grid, points, first, stop, bias, squares, c
         lo, hi = block * per, min(block * per + per, len(gamma))
         begin, end = windows[0][0], max(window[1] for window in windows)
         held = windows[0][2], windows[-1][3]  # the block's rows: order[held[0]:held[1]]
-        moments = None if tails is None else tails.signal[order[held[0]:held[1]]]
-        for c in range(begin, end, chunk):
-            cols = points[c:min(c + chunk, end)]
-            # the points in runs of one head; narrow rows have one run, whose head is the whole row
-            runs = [(c, c + len(cols), width, None, None)] if tails is None else _runs(tails, lo, cols, c, moments)
-            for start, stop, length, series, tail_squares in runs:
-                run = points[start:stop]
-                bb, head_squares = _squares(gamma[lo:hi, :length], x_grid[lo:hi, run])
-                squares[lo:hi, run] = head_squares if tail_squares is None else head_squares + tail_squares
+        # the window's points in runs of one head; narrow rows have one run, whose head is the whole row
+        runs = [(begin, end, width, None, None)] if tails is None else \
+            _runs(gamma, tails, lo, x_grid[lo, points[begin:end]], begin, tails.signal[order[held[0]:held[1]]])
+        for start, stop, length, series, tail_squares in runs:
+            chunk = max(1, BLOCK_ELEMENTS // ((hi - lo) * length))  # points per chunk
+            for c in range(start, stop, chunk):
+                d = min(c + chunk, stop)
+                cols = points[c:d]
+                bb, head_squares = _squares(gamma[lo:hi, :length], x_grid[lo:hi, cols])
+                squares[lo:hi, cols] = head_squares if tail_squares is None else \
+                    head_squares + tail_squares[c - start:d - start]
                 for a, b, k0, k1 in windows:
-                    u, v = max(a, start), min(b, stop)
+                    u, v = max(a, c), min(b, d)
                     if u >= v:
                         continue
-                    part, shared = bb[:, u - start:v - start], hi - lo == 1
+                    part, shared = bb[:, u - c:v - c], hi - lo == 1
                     step = max(1, BLOCK_ELEMENTS // (length if shared else part[0].size))
                     for k in range(k0, k1, step):
                         r = order[k:min(k + step, k1)]
@@ -715,7 +711,7 @@ def minimize_profiles(
     pairs = np.unique(curve * len(gamma) + spectrum, return_index=True, return_inverse=True)[1:] if named else None
     # one tail-moment table per search, one entry per (curve, spectrum) pair, read by the scan and by Newton
     leads, entry = pairs if named else (np.arange(rows),) * 2
-    tails = _tails(gamma, signal, spectrum[leads], curve[leads], entry, x_grid)
+    tails = _tails(gamma, signal, spectrum[leads], curve[leads], entry)
     with np.errstate(over="ignore", invalid="ignore"):  # a row that is not finite is reported below
         # the exact risks at lam = 0 and at lam = +inf, where all the signal is bias; a row that might overflow
         # (see HEADROOM) has no best value, so every cell of it stays open

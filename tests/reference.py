@@ -456,9 +456,10 @@ def full_scan_minimize_profiles(n: int, gamma: np.ndarray, signal: np.ndarray, n
     B(t_i) + V(t_i+1) is below the value.  The pruned engine must agree with
     it bit for bit, column by column.  On rows at least
     ``optimize.SPLIT_WIDTH`` wide each point's bias sum has the engine's
-    own per-point arithmetic: the terms of the head that the tail table
-    (``optimize._tails``) rules for that point, summed exactly, plus the b^2
-    series of its tail segments (``optimize._tail_series``), and each variance
+    own per-point arithmetic: the terms of the head that ``optimize._first_tail``
+    rules for that point, summed exactly, plus the b^2 series of its tail
+    segments (``optimize._tail_series`` of the tail table's moments,
+    ``optimize._tails``, and the point's factors (c / x)^k), and each variance
     sum the pairwise sum of a^2 over that head plus the a^2 series of the
     tail; Newton reads the same table.
 
@@ -483,7 +484,7 @@ def full_scan_minimize_profiles(n: int, gamma: np.ndarray, signal: np.ndarray, n
     vals = padded[:, 1:-1]
     bias, var, zero, limit = np.empty((rows, points)), np.empty((rows, points)), np.empty(rows), np.empty(rows)
     squares = np.empty((len(gamma), points))  # sum a^2 of each spectrum, as the engine keeps it for the start model
-    tails = optimize._tails(gamma, signal, spectrum, np.arange(rows), np.arange(rows), n * np.exp(t_grid))
+    tails = optimize._tails(gamma, signal, spectrum, np.arange(rows), np.arange(rows))
     chunk = max(1, optimize.BLOCK_ELEMENTS // gamma.shape[1])
     for j, g in enumerate(gamma):
         mine = np.flatnonzero(spectrum == j)
@@ -495,26 +496,29 @@ def full_scan_minimize_profiles(n: int, gamma: np.ndarray, signal: np.ndarray, n
             bb *= bb
             aa = np.multiply(a, a, out=a)
             squares[j, c:c + chunk] = optimize._sum(aa)
-            # on wide rows, the engine's arithmetic at each point with a tail: its head's a^2, and the series of its
-            # tail's segments
-            for i, at in enumerate([] if tails is None else tails.first[j, c:c + chunk].tolist()):
-                length = int(tails.bounds[at])
-                if length < len(g):
-                    squares[j, c + i] = optimize._sum(aa[i, :length]) + tails.squares[j, c + i]
+            # on wide rows, the engine's arithmetic at each point with a tail: its first tail segment, the factors
+            # (c / x)^k of every segment (0 before that one), and from them and the table's moments its head's a^2
+            # plus its tail's a^2 series, and its head's b^2 terms plus the b^2 series of each row
+            heads = []
+            if tails is not None and tails.descending[j]:
+                last = len(tails.bounds) - 1
+                first = optimize._first_tail(gamma, tails.bounds, j, x[:, 0])
+                ratio = np.where(np.arange(last) >= first[:, None], tails.scale[j] / x, 0.0)
+                factors = ratio[:, None, :] ** optimize._POWERS[:, None]
+                signal_terms = optimize.TAIL_ORDER + 2
+                weights = optimize._SIGNAL_SERIES[0, :signal_terms, None] * factors[:, :signal_terms]
+                a2 = optimize._tail_series(tails.moments[j:j + 1], optimize._NOISE_SERIES[0, :, None] * factors)[0]
+                heads = [(i, at, int(tails.bounds[at])) for i, at in enumerate(first.tolist()) if at < last]
+                for i, at, length in heads:
+                    squares[j, c + i] = optimize._sum(aa[i, :length]) + a2[i]
             block = max(1, optimize.BLOCK_ELEMENTS // bb.size)
             for k in range(0, len(mine), block):
                 r = mine[k:k + block]
                 var[r, c:c + chunk] = noise[r, None] * squares[j, c:c + chunk]
-                if tails is None:
-                    bias[r, c:c + chunk] = optimize._dot(signal[r], bb)
-                    continue
-                # the engine's arithmetic at each point: its head's terms, and the series of its tail's segments
-                for i, at in enumerate(tails.first[j, c:c + chunk].tolist()):
-                    length = int(tails.bounds[at])
+                bias[r, c:c + chunk] = optimize._dot(signal[r], bb)
+                for i, at, length in heads:
                     bias[r, c + i] = optimize._dot(signal[r, :length], bb[i:i + 1, :length])[:, 0]
-                    if length < len(g):
-                        weights = tails.weights[j, c + i:c + i + 1, :, at:]
-                        bias[r, c + i] += optimize._tail_series(tails.signal[r, :, at:], weights)[:, 0]
+                    bias[r, c + i] += optimize._tail_series(tails.signal[r, :, at:], weights[i:i + 1, :, at:])[:, 0]
         null = g == 0
         kept = optimize._sum(np.ascontiguousarray(signal[mine][:, null]))  # row by row, pairwise, whatever the stack
         zero[mine] = kept / n + noise[mine] / n * float(len(g) - np.count_nonzero(null))

@@ -974,7 +974,7 @@ def split_evaluation(n, gamma, signal, noise, t_a):
     scaled as ``SUMMANDS`` (n R, n/2 dR/dt, n/2 d2R/dt2)."""
     zero = np.zeros(1, dtype=np.intp)
     t = np.array([t_a])
-    tails = optimize._tails(gamma[None], signal[None], zero, zero, zero, grid_x(n, gamma[None]))
+    tails = optimize._tails(gamma[None], signal[None], zero, zero, zero)
     out = optimize._split(n, gamma[None], signal[None], np.array([noise]), zero, zero, zero, t, tails)(zero, t)[:, 0]
     return dict(zip(SUMMANDS, (n * out[0], n / 2 * out[1], n / 2 * out[2])))
 
@@ -1016,8 +1016,7 @@ def test_the_tail_is_the_taylor_polynomial_of_its_summands(count, monkeypatch):
     zero = np.zeros(1, dtype=np.intp)
     _, risk, slope, _ = optimize._newton(width, gamma[None], signal[None], np.array([noise]), zero, zero, zero,
                                          np.array([t_a]), np.array([t_a]), np.array([t_a + 2 * step]),
-                                         optimize._tails(gamma[None], signal[None], zero, zero, zero,
-                                                         grid_x(width, gamma[None])))
+                                         optimize._tails(gamma[None], signal[None], zero, zero, zero))
     assert (width * risk[0], width / 2 * slope[0]) == (found["R"], found["dR/dt"])
     with mpmath.workdps(40):
         sums = exact_and_truncated(mpmath, gamma, signal, noise, x_a, head)
@@ -1094,7 +1093,7 @@ def test_the_tail_tables_moments_lie_within_the_dot_products_rounding(stack):
     are formed as the table forms them, each from the one below."""
     n, gamma, signal, noise, spectrum = stack
     rows = np.arange(len(noise))
-    tails = optimize._tails(gamma, signal, spectrum, rows, rows, grid_x(n, gamma))
+    tails = optimize._tails(gamma, signal, spectrum, rows, rows)
     used = np.flatnonzero(tails.descending & (np.bincount(spectrum, minlength=len(gamma)) > 0))
     for i, (lo, hi) in enumerate(zip(tails.bounds[:-1].tolist(), tails.bounds[1:].tolist())):
         for j in used.tolist():
@@ -1124,7 +1123,7 @@ def test_a_grid_point_whose_tail_starts_at_the_cutoff_is_the_exact_sum():
     assert (np.diff(gamma) <= 0).all() and np.searchsorted(-gamma, -TAIL_RATIO * x[p]) == count[p]
     assert (grid_x(width, gamma[None])[0] == x).all() and gamma[head] / x[p] == TAIL_RATIO
     zero, points = np.zeros(1, dtype=np.intp), np.array([p])
-    tails = optimize._tails(gamma[None], signal[None], zero, zero, zero, x[None])
+    tails = optimize._tails(gamma[None], signal[None], zero, zero, zero)
     bias, squares = np.full((1, DEFAULT_GRID_POINTS), np.nan), np.full((1, DEFAULT_GRID_POINTS), np.nan)
     optimize._scan(gamma[None], signal[None], zero, x[None], points, zero, zero + 1, bias, squares, zero, None, tails)
     assert np.flatnonzero(~np.isnan(bias)).tolist() == [p]
@@ -1256,7 +1255,7 @@ def test_an_unchunked_dot_product_fails_the_stated_rounding_past_the_chunk(monke
 # the engine's fixed cost: C-level calls (numpy functions and builtins) per search, a budget pinned to the numpy
 # build that ``golden.json`` records, since numpy's Python wrappers move the count between versions
 
-CALL_BUDGET = {"6 rows, width 50": 257, "6 rows, width 2000": 704, "6 spectra x 7 rows, width 40": 316}
+CALL_BUDGET = {"6 rows, width 50": 255, "6 rows, width 2000": 693, "6 spectra x 7 rows, width 40": 314}
 
 
 def budget_stacks() -> dict:
