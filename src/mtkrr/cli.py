@@ -409,6 +409,9 @@ def cmd_verify_bounds(args) -> int:
     if n_values and p_values:
         for beta, delta, c in dict.fromkeys((beta, delta, c) for beta, delta in bd_pairs for c in c_values):
             _risk_params(errors, n=n_values[0], p=p_values[0], sigma2=sigma2, beta=beta, delta=delta, c=c)
+        # c n, the largest signal coefficient of a cell, as risk-curve checks it
+        errors += [f"--c-values: the signal amplitude c n is not finite at n = {max(n_values)}, got {c!r}"
+                   for c in c_values if math.isfinite(c) and not math.isfinite(c * max(n_values))]
     _fail_on(errors)
     # the grid's cells in the order beta:delta, n, p, c, then property 4's p-sweep at fixed n, as columns
     grid = np.array([(n, p, beta, delta, c) for beta, delta in bd_pairs for n in n_values for p in p_values

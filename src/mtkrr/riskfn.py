@@ -236,7 +236,8 @@ def minimize_risks(n, p, sigma2, beta, delta, c, times: dict[str, float] | None 
         betas, spectrum = np.unique(beta[cells], return_inverse=True)
         _, head, curve = np.unique(curves[cells], return_index=True, return_inverse=True)
         deltas, power = np.unique(delta[cells[head]], return_inverse=True)
-        signal = (c[cells[head]] * size)[:, None] * np.array([i ** (-2.0 * d) for d in deltas.tolist()])[power]
+        with np.errstate(over="ignore"):  # a signal that overflows is the search's to name: its row is not finite
+            signal = (c[cells[head]] * size)[:, None] * np.array([i ** (-2.0 * d) for d in deltas.tolist()])[power]
         stages = None if times is None else {}
         found = minimize_profiles(size, np.array([power_law(size, b) for b in betas.tolist()]), signal,
                                   sigma2[cells] / p[cells], spectrum=spectrum, curve=curve, times=stages)
@@ -250,9 +251,11 @@ def minimize_risks(n, p, sigma2, beta, delta, c, times: dict[str, float] | None 
                  for pair, (inside_hm, inside_lb) in dict(zip(pairs, zip(hm.tolist(), lb.tolist()))).items()}
     kap, alpha = np.array([constants[pair] for pair in pairs]).reshape(-1, 2).T
     e = 1 / (2 * delta)
-    # the minimax rate (n p / sigma2)^(1/2d - 1) C^(1/2d) kappa, nan outside its window, where its power may overflow
-    rate = np.array([x ** (f - 1) * amplitude ** f * k if inside else math.nan for x, f, amplitude, k, inside
-                     in zip((n * p / sigma2).tolist(), e.tolist(), c.tolist(), kap.tolist(), hm.tolist())])
+    # the minimax rate (n p / sigma2)^(1/2d - 1) C^(1/2d) kappa, nan outside its window, where its power may overflow;
+    # n p / sigma2 may overflow to inf, where the rate is 0
+    with np.errstate(over="ignore"):
+        rate = np.array([x ** (f - 1) * amplitude ** f * k if inside else math.nan for x, f, amplitude, k, inside
+                         in zip((n * p / sigma2).tolist(), e.tolist(), c.tolist(), kap.tolist(), hm.tolist())])
     coefficient = np.array([2 ** f if inside else math.nan for f, inside in zip(e.tolist(), hm.tolist())])  # 2^(1/2d)
     threshold = np.array([float(size) ** (-2.0 * b) for size, b in zip(n.tolist(), beta.tolist())])  # n^(-2 beta)
     with np.errstate(divide="ignore", invalid="ignore"):  # c = 0 and cells outside the window give nan

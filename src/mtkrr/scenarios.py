@@ -248,6 +248,7 @@ def _setting_d(spec: ScenarioSpec, eps: np.ndarray) -> None:
 _PI_DIGITS = ("3.14159265358979323846264338327950288419716939937510"
               "58209749445923078164062862089986280348253421170679821480865")
 _ZETA_ONE = 54  # from this even s on, zeta(s) - 1 < 2^-53 and zeta(s) rounds to 1.0
+_LAST_TERM = 88  # past this j, 1/(2j)! (the product of doubles below) underflows to 0, and so does every coefficient
 
 
 @functools.cache
@@ -255,7 +256,9 @@ def _spline_coefficients(m: int) -> np.ndarray:
     """Horner coefficients of the order-m kernel in (|theta| - pi)^2, constant first: -(-1)^j 2 eta(2m - 2j) / (2j)!.
 
     zeta(2k) = (-1)^(k+1) B_2k (2 pi)^(2k) / (2 (2k)!) (DLMF 25.6.2; zeta(0) = -1/2), from the Bernoulli
-    numbers in rational arithmetic, rounded once: the doubles ``scipy.special.zeta`` gives.  Read-only.
+    numbers in rational arithmetic, rounded once: the doubles ``scipy.special.zeta`` gives.  They stop at
+    j = ``_LAST_TERM``: every later coefficient is exactly 0, and Horner's rule on leading zeros adds exact
+    zeros, so the kernel keeps its bits while its cost stops growing with m.  Read-only.
     """
     from fractions import Fraction  # imported here: only setting B needs it, and it costs start-up time
 
@@ -264,8 +267,8 @@ def _spline_coefficients(m: int) -> np.ndarray:
         bernoulli.append(-sum(math.comb(k + 1, i) * b for i, b in enumerate(bernoulli)) / (k + 1))
     two_pi = 2 * Fraction(_PI_DIGITS)
     zeta = [float((-1) ** (k + 1) * bernoulli[2 * k] * two_pi ** (2 * k) / (2 * math.factorial(2 * k)))
-            if 2 * k < _ZETA_ONE else 1.0 for k in range(m, -1, -1)]
-    j = np.arange(m + 1)
+            if 2 * k < _ZETA_ONE else 1.0 for k in range(m, max(m - _LAST_TERM, 0) - 1, -1)]
+    j = np.arange(len(zeta))
     s = 2.0 * (m - j)
     with np.errstate(under="ignore"):  # for large m, 1/(2j)! and the high-order terms fall below the smallest double
         inv_fact = np.cumprod(np.concatenate(([1.0], 1.0 / ((2.0 * j[1:]) * (2.0 * j[1:] - 1.0)))))
@@ -283,9 +286,9 @@ def periodic_kernel_value(theta: np.ndarray, m: int) -> np.ndarray:
     reads -sum_{j=0..m} (-u^2)^j 2 eta(2m - 2j) / (2j)!, with the Dirichlet eta
     function eta(s) = (1 - 2^(1-s)) zeta(s) and eta(0) = 1/2, and is evaluated
     by Horner's rule in u^2 on coefficients computed once per m, in place and
-    step for step as numpy's ``polyval``.  Every integer m >= 1 is supported:
-    for large m the high-order coefficients underflow to zero and the kernel
-    tends to 2 cos(theta).
+    step for step as numpy's ``polyval``.  Every integer m >= 1 is supported,
+    at a cost that stops growing past m = 88, where the higher coefficients
+    underflow to zero; for large m the kernel tends to 2 cos(theta).
     """
     if not float(m).is_integer() or m < 1:
         raise ValueError("smoothness order m must be an integer >= 1")

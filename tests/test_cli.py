@@ -316,6 +316,14 @@ class TestVerifyBounds:
         assert "FAIL" not in report
         assert "PASS alpha constant" in capsys.readouterr().out
 
+    def test_an_amplitude_that_overflows_is_a_config_error(self, tmp_path, capsys):
+        # c n overflows at the grid's largest n, as risk-curve's --c does: a config error, and no numpy warning
+        argv = ["verify-bounds", "--n-values", "5", "--out", str(tmp_path / "v.txt")]
+        assert main([*argv, "--c-values", "1,1e308"]) == 1
+        err = capsys.readouterr().err
+        assert err == "config error: --c-values: the signal amplitude c n is not finite at n = 5, got 1e+308\n"
+        assert "Warning" not in err and list(tmp_path.iterdir()) == []
+
     def test_divergent_noise_integral_is_a_cell_outside_the_window(self, tmp_path, capsys):
         # beta = 0.2 passes 1 < 2 delta < 4 beta + 1, but I2 diverges: nan bounds, not an error
         argv = ["verify-bounds", "--n-values", "50", "--bd-pairs", "0.2:0.7", "--out", str(tmp_path / "v.txt")]

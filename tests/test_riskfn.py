@@ -531,6 +531,14 @@ class TestMinimizeRisks:
             scalar_report(params, r_star, lambda_star)
             for params, r_star, lambda_star in zip(grid, search.value.tolist(), search.lam.tolist())])
 
+    def test_an_overflow_raises_no_warning(self):
+        # n p / sigma2 overflows to inf, where the rate is 0; pytest turns any RuntimeWarning into an error
+        bounds, search = minimize_risks([50], [10**7], [1e-300], [2.0], [2.0], [1.0])
+        assert bounds.upper[0] == 0.0 and np.isfinite(search.value[0])
+        # c n overflows: the search names the row, as it does every row that is not finite
+        with pytest.raises(FloatingPointError, match="not finite on row 0"):
+            minimize_risks([5], [1], [1.0], [2.0], [2.0], [1e308])
+
     @pytest.mark.parametrize("column, bad", [(0, 0), (1, 0), (2, 0.0), (2, math.inf), (3, -1.0), (4, math.nan),
                                              (5, -1.0), (5, math.inf)])
     def test_a_cell_that_is_no_risk_params_is_an_error(self, column, bad):

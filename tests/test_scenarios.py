@@ -330,8 +330,17 @@ class TestSettingBBlocks:
             with np.errstate(under="ignore"):
                 inv_fact = np.cumprod(np.concatenate(([1.0], 1.0 / ((2.0 * j[1:]) * (2.0 * j[1:] - 1.0)))))
                 expected = (-1.0) ** (j + 1) * (2.0 - np.exp2(2.0 - s)) * zeta(s) * inv_fact
-            assert np.array_equal(_spline_coefficients(m), expected), m
+            coef = _spline_coefficients(m)  # past j = 88 every coefficient is 0 and is left out
+            assert np.array_equal(coef, expected[:len(coef)]) and not expected[len(coef):].any(), m
         assert not _spline_coefficients(3).flags.writeable
+
+    def test_coefficients_stop_where_the_factorial_underflows(self):
+        """Every coefficient past j = 88 is 0, so a high order costs what order 200 costs, with the same bits."""
+        coef = _spline_coefficients(10**6)
+        assert len(coef) < 100 and np.array_equal(coef, _spline_coefficients(200))
+        theta = np.linspace(-2 * np.pi, 2 * np.pi, 501)
+        assert np.array_equal(periodic_kernel_value(theta, 10**6).view(np.int64),
+                              periodic_kernel_value(theta, 200).view(np.int64))
 
     def test_kernel_is_numpys_polyval_of_the_coefficients(self):
         theta = np.linspace(-2 * np.pi, 2 * np.pi, 4001)
