@@ -19,7 +19,7 @@ from .riskfn import (
     kappa,
     minimize_risks,
 )
-from .scenarios import ScenarioKind, ScenarioSpec, build_ensemble, derive_seed
+from .scenarios import ScenarioKind, ScenarioSpec, build_ensemble, derive_seeds
 from .spectral import KernelSpectrum, TaskEnsemble
 
 __version__ = "0.1.0"

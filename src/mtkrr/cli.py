@@ -107,7 +107,7 @@ def _sweep(
     ``experiment``, ``table`` and ``heatmap`` all run through here;
     ``experiment`` is the one-cell case, with no overrides and the empty
     path.  Each cell is the section's scenario keys with ``overrides``
-    applied and the seed ``derive_seed(seed, *path)``, or the section's seed
+    applied and the seed ``derive_seeds`` gives (seed, path), or the section's seed
     itself for the empty path; the cells share one path length, so their
     seeds are one ``derive_seeds`` pass.  ``sigma2`` and ``n_rep`` are read by
     ``_fields`` like every other key.  The caller's ``errors`` (its own

@@ -153,11 +153,6 @@ def derive_seeds(seeds, path) -> np.ndarray:
     return _seed_hash(seeds, path, 1)[0]
 
 
-def derive_seed(seed: int, *path: int) -> int:
-    """64-bit sub-seed addressed by (seed, path): the seed of a replicate or a sweep cell; ``derive_seeds`` of one."""
-    return int(derive_seeds([seed], [[k] for k in path])[0])
-
-
 def power_law(n: int, beta: float) -> np.ndarray:
     """gamma_i = n i^(-2 beta) for i = 1..n: the synthetic kinds' and the risk template's spectrum."""
     i = np.arange(1, n + 1, dtype=float)

@@ -12,7 +12,7 @@ from mtkrr.experiments import Z_975, _reports, pvalue_pi1, pvalue_pi2, run_exper
 from mtkrr.optimize import Search
 from mtkrr.oracles import search_comparisons
 from mtkrr.render import emit_heatmap, emit_table, write_report_json
-from mtkrr.scenarios import ScenarioKind, ScenarioSpec, build_ensemble, derive_seed, derive_seeds, draw
+from mtkrr.scenarios import ScenarioKind, ScenarioSpec, build_ensemble, derive_seeds, draw
 from conftest import bits, compare_one
 from reference import draw_block, numpy_setting_b, run_experiment
 
@@ -105,8 +105,8 @@ class TestRunExperiment:
     def test_stacked_replicates_equal_one_comparison_each(self, kind, extra):
         spec = quick_spec(kind=kind, c2=0.3, seed=31, p=3, **extra)
         report = run_experiment(spec, sigma2=0.5, n_rep=5)
-        alone = [compare_one(*build_ensemble(replace(spec, seed=derive_seed(spec.seed, i))), 0.5)[2]
-                 for i in range(5)]
+        alone = [compare_one(*build_ensemble(replace(spec, seed=seed)), 0.5)[2]
+                 for seed in derive_seeds([spec.seed] * 5, np.arange(5)).tolist()]
         assert list(report.ratios) == alone
 
     @pytest.mark.parametrize("p", [8, 20])
@@ -114,8 +114,8 @@ class TestRunExperiment:
         # numpy's pairwise sum over the tasks can differ from Python's sum in the last bit from p = 8 on
         spec = quick_spec(kind=ScenarioKind.SETTING_A, c2=0.3, seed=57, p=p)
         report = run_experiment(spec, sigma2=0.5, n_rep=8)
-        alone = [compare_one(*build_ensemble(replace(spec, seed=derive_seed(spec.seed, i))), 0.5)[2]
-                 for i in range(8)]
+        alone = [compare_one(*build_ensemble(replace(spec, seed=seed)), 0.5)[2]
+                 for seed in derive_seeds([spec.seed] * 8, np.arange(8)).tolist()]
         assert list(report.ratios) == alone
 
     @pytest.mark.parametrize("kind, extra", [
@@ -128,11 +128,11 @@ class TestRunExperiment:
     ])
     def test_block_rows_are_each_replicates_comparison_rows(self, kind, extra):
         spec = quick_spec(**{"kind": kind, "c2": 0.3, "seed": 71, "p": 3, **extra})
-        gamma, owner, h = draw_block([spec], [[derive_seed(spec.seed, r) for r in range(6)]])
+        seeds = derive_seeds([spec.seed] * 6, np.arange(6))
+        gamma, owner, h = draw_block([spec], seeds[None])
         signal, noise = comparison_rows(h, 0.5)
         assert signal.shape == (6, spec.p + 2, spec.n)
-        for r in range(6):
-            seed = derive_seed(spec.seed, r)
+        for r, seed in enumerate(seeds.tolist()):
             alone_spectrum, alone = build_ensemble(replace(spec, seed=seed))
             alone_signal, alone_noise = comparison_rows(alone.h, 0.5)
             assert np.array_equal(signal[r], alone_signal)
@@ -152,7 +152,8 @@ class TestRunExperiment:
         (ScenarioKind.SETTING_A, [dict(beta_or_m=b, c2=0.5) for b in (1.5, 2.0, 1.5)]),  # distinct spectra
     ])
     def test_whole_sweep_equals_each_cell_alone(self, kind, axis):
-        specs = [quick_spec(**{"kind": kind, "p": 3, "seed": derive_seed(8, k), **cell}) for k, cell in enumerate(axis)]
+        seeds = derive_seeds([8] * len(axis), np.arange(len(axis))).tolist()
+        specs = [quick_spec(**{"kind": kind, "p": 3, "seed": seed, **cell}) for seed, cell in zip(seeds, axis)]
         reports, search, _ = run_experiments(specs, 0.7, 4)
         assert reports == [run_experiment(spec, 0.7, 4) for spec in specs]
         assert len(search.value) == len(specs) * 4 * (specs[0].p + 2)
@@ -189,8 +190,8 @@ class TestChunkedDraw:
         (ScenarioKind.H1OUT, [dict(c2=c2) for c2 in (0.1, 1.0, 0.5)]),
     ])
     def test_chunk_boundaries_change_no_report_and_no_search(self, kind, axis, monkeypatch):
-        specs = [quick_spec(**{"kind": kind, "n": 12, "p": 3, "seed": derive_seed(9, k), **cell})
-                 for k, cell in enumerate(axis)]
+        specs = [quick_spec(**{"kind": kind, "n": 12, "p": 3, "seed": seed, **cell})
+                 for seed, cell in zip(derive_seeds([9] * len(axis), np.arange(len(axis))).tolist(), axis)]
         reports, search, _ = run_experiments(specs, 0.7, 4)  # one chunk: 12 replicates are far below a block
         # three replicates per chunk: four chunks, two of them across specs, and 4 replicates per spec
         monkeypatch.setattr(scenarios, "BLOCK_ELEMENTS", 3 * 12 * (12 if kind is ScenarioKind.SETTING_B else 3))
@@ -204,8 +205,8 @@ class TestChunkedDraw:
     @pytest.mark.parametrize("kind, p", [(ScenarioKind.H2POINTS, 4), (ScenarioKind.H1OUT, 3)])
     def test_a_deterministic_kind_searches_p_plus_2_rows_per_spec(self, kind, p, monkeypatch):
         # every replicate of an h2points or h1out spec is the same: one is searched, and stands for all four
-        specs = [quick_spec(kind=kind, n=12, p=p, c2=c2, seed=derive_seed(9, k))
-                 for k, c2 in enumerate((0.1, 1.0, 0.5))]
+        specs = [quick_spec(kind=kind, n=12, p=p, c2=c2, seed=seed)
+                 for seed, c2 in zip(derive_seeds([9] * 3, np.arange(3)).tolist(), (0.1, 1.0, 0.5))]
         seeds = derive_seeds(np.repeat([spec.seed for spec in specs], 4), np.tile(np.arange(4), 3)).reshape(3, 4)
         gamma, owner, h = draw_block(specs, seeds)
         # every replicate drawn and searched
@@ -222,7 +223,8 @@ class TestChunkedDraw:
         # every cell of a c2 x delta2 sweep at one beta shares one spectrum; a beta axis that repeats a value
         # draws each distinct beta once, in order of first use
         def work_list(kind, cells):
-            specs = [quick_spec(kind=kind, n=12, p=3, seed=derive_seed(9, k), **cell) for k, cell in enumerate(cells)]
+            specs = [quick_spec(kind=kind, n=12, p=3, seed=seed, **cell)
+                     for seed, cell in zip(derive_seeds([9] * len(cells), np.arange(len(cells))).tolist(), cells)]
             seeds = derive_seeds(np.repeat([spec.seed for spec in specs], 2), np.tile(np.arange(2), len(specs)))
             return specs, draw(specs, seeds.reshape(len(specs), 2))
 

@@ -19,7 +19,6 @@ from mtkrr.scenarios import (
     _stream,
     _uniform,
     build_ensemble,
-    derive_seed,
     derive_seeds,
     draw,
     periodic_kernel_value,
@@ -152,7 +151,7 @@ class TestSettingA:
     def test_sign_field_is_balanced_in_the_long_run(self):
         # 400 replicates of 50 x 5 signs; with c1 = 0 and c2 = 1 each coefficient carries its sign
         spec = spec_of(ScenarioKind.SETTING_A, n=50, p=5, c1=0.0, c2=1.0, seed=123)
-        _, _, h = draw_block([spec], [[derive_seed(spec.seed, r) for r in range(400)]])
+        _, _, h = draw_block([spec], derive_seeds([spec.seed] * 400, np.arange(400))[None])
         draws = np.sign(h)
         assert draws.size == 100_000 and np.all(np.abs(draws) == 1.0)
         assert abs(draws.mean()) < 0.02
@@ -253,8 +252,9 @@ class TestSettingBBlocks:
 
     @staticmethod
     def work_list(n, p, orders, reps):
-        specs = [spec_of(ScenarioKind.SETTING_B, n=n, p=p, beta_or_m=float(m), c2=0.1 + 0.3 * k,
-                         seed=derive_seed(11, k)) for k, m in enumerate(orders)]
+        cells = derive_seeds([11] * len(orders), np.arange(len(orders))).tolist()
+        specs = [spec_of(ScenarioKind.SETTING_B, n=n, p=p, beta_or_m=float(m), c2=0.1 + 0.3 * k, seed=seed)
+                 for k, (m, seed) in enumerate(zip(orders, cells))]
         seeds = derive_seeds(np.repeat([spec.seed for spec in specs], reps), np.tile(np.arange(reps), len(specs)))
         return specs, seeds
 
@@ -436,7 +436,7 @@ class TestSeedHashAgainstNumpy:
     @pytest.mark.parametrize("seed", EDGE_SEEDS)
     @pytest.mark.parametrize("path", [(), (0,), (7,), (2**32 - 1,), (3, 4), (0, 2**32 - 1), tuple(range(8))])
     def test_edge_seeds_and_paths(self, seed, path):
-        assert derive_seed(seed, *path) == numpy_seed(seed, *path)
+        assert derive_seeds([seed], [[k] for k in path]).tolist() == [numpy_seed(seed, *path)]
 
     @given(columns=st.lists(st.tuples(seeds_64, st.lists(st.integers(min_value=0, max_value=2**32 - 1),
                                                          min_size=3, max_size=3)), min_size=1, max_size=8),
@@ -498,8 +498,8 @@ class TestSeedHashAgainstNumpy:
 
     @pytest.mark.parametrize("n, p, m", [(1, 1, 1), (5, 3, 2), (12, 4, 3)])
     def test_setting_b_work_list_is_each_replicates_numpy_ensemble(self, n, p, m):
-        specs = [spec_of(ScenarioKind.SETTING_B, n=n, p=p, beta_or_m=float(m), c2=c2, seed=derive_seed(4, k))
-                 for k, c2 in enumerate((0.25, 1.0))]
+        specs = [spec_of(ScenarioKind.SETTING_B, n=n, p=p, beta_or_m=float(m), c2=c2, seed=seed)
+                 for seed, c2 in zip(derive_seeds([4] * 2, np.arange(2)).tolist(), (0.25, 1.0))]
         seeds = derive_seeds(np.repeat([spec.seed for spec in specs], 3), np.tile(np.arange(3), 2)).reshape(2, 3)
         gamma, owner, h = draw_block(specs, seeds)
         assert owner.tolist() == list(range(6)) and gamma.shape == (6, n) and h.shape == (6, n, p)
@@ -512,22 +512,21 @@ class TestSeedHashAgainstNumpy:
 
     def test_a_path_entry_past_32_bits_is_rejected(self):
         with pytest.raises(ValueError, match="32 unsigned bits"):
-            derive_seed(5, 2**32)
+            derive_seeds([5], [[2**32]])
         with pytest.raises(ValueError, match="at most 8"):
-            derive_seed(5, *range(9))
+            derive_seeds([5], np.arange(9)[:, None])
 
 
 class TestReplicateDerivation:
     def test_deterministic_and_distinct(self):
         spec = spec_of(ScenarioKind.SETTING_A, seed=31337)
-        s0a, s0b = replace(spec, seed=derive_seed(spec.seed, 0)), replace(spec, seed=derive_seed(spec.seed, 0))
-        s1 = replace(spec, seed=derive_seed(spec.seed, 1))
+        s0a, s0b, s1 = (replace(spec, seed=seed) for seed in derive_seeds([spec.seed] * 3, [0, 0, 1]).tolist())
         assert s0a == s0b
         assert s0a.seed != s1.seed
         assert s0a.seed != spec.seed
 
     def test_replicates_change_the_draw(self):
         spec = spec_of(ScenarioKind.SETTING_A, seed=31337)
-        h0 = build_ensemble(replace(spec, seed=derive_seed(spec.seed, 0)))[1].h
-        h1 = build_ensemble(replace(spec, seed=derive_seed(spec.seed, 1)))[1].h
+        h0, h1 = (build_ensemble(replace(spec, seed=seed))[1].h
+                  for seed in derive_seeds([spec.seed] * 2, [0, 1]).tolist())
         assert not np.array_equal(h0, h1)
