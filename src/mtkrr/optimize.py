@@ -484,19 +484,19 @@ def _squares(gamma: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _scan(gamma, signal, spectrum, x_grid, points, first, stop, bias, squares, curve, pairs=None, tails=None) -> None:
     """Fill ``bias`` (sum s b^2 of each row) and ``squares`` (sum a^2 of each spectrum) at the grid points of windows.
 
-    Row k is evaluated at the grid points ``points[first[k]:stop[k]]``.  Rows go in groups of one window
-    and one block of spectra, sorted by window start.  A block's points, the union of its windows, go in
-    runs of one head, and a run's points in chunks of as many points as its head allows; a chunk's b^2 and
-    a^2 are formed once, over its head (``_squares``), and each group takes its slice: one spectrum's b^2
-    broadcasts over the group's rows, several are gathered row by row.  Every temporary stays within
-    ``BLOCK_ELEMENTS``.  With ``pairs`` (the first row of each distinct (curve, spectrum) pair, and each row's
-    pair), each pair's bias sums are formed once, over the union of its rows' windows, and each row takes
-    those of its own.  A point's bias sum is a dot product (``_dot``) over its head, and its variance sum the
-    pairwise sum of a^2 over its head.  Without the tail table ``tails`` (narrow rows) a block is one run
-    whose head is the whole row.  With it (wide rows), a block is one spectrum, and ``_runs``, called once
-    over the block's points, gives each point's head and the series of its tail segments, which both sums
-    add, for all the block's rows and for the spectrum; the rows here, the pairs if given, are the table's
-    entries.
+    Row k is evaluated at the grid points ``points[first[k]:stop[k]]``.  Rows go in groups of one window and one
+    block of spectra, sorted by window start.  A block's points, the union of its windows, go in runs of one
+    head, and a run's points in chunks of as many points as its head allows; a chunk's b^2 and a^2 are formed
+    once, over its head (``_squares``), and each group takes its slice: one spectrum's b^2 broadcasts over the
+    group's rows, several are gathered row by row.  Every temporary of terms stays within ``BLOCK_ELEMENTS``; a
+    block's tail series hold one value per row and point, as ``bias`` does.  With ``pairs`` (the first row of
+    each distinct (curve, spectrum) pair, and each row's pair), each pair's bias sums are formed once, over the
+    union of its rows' windows, and each row takes those of its own.  A point's bias sum is a dot product
+    (``_dot``) over its head, and its variance sum the pairwise sum of a^2 over its head.  Without the tail
+    table ``tails`` (narrow rows) a block is one run whose head is the whole row.  With it (wide rows), a block
+    is one spectrum, and ``_runs``, called once over the block's points, gives each point's head and the series
+    of its tail segments, which both sums add, for all the block's rows and for the spectrum; the rows here, the
+    pairs if given, are the table's entries.
     """
     live = np.flatnonzero(stop > first)
     if pairs is not None:  # from here on, the rows are the pairs, each at the first row of its pair
