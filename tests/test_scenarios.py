@@ -252,9 +252,9 @@ class TestSettingBBlocks:
 
     @staticmethod
     def work_list(n, p, orders, reps):
-        cells = derive_seeds([11] * len(orders), np.arange(len(orders))).tolist()
+        cell_seeds = derive_seeds([11] * len(orders), np.arange(len(orders))).tolist()
         specs = [spec_of(ScenarioKind.SETTING_B, n=n, p=p, beta_or_m=float(m), c2=0.1 + 0.3 * k, seed=seed)
-                 for k, (m, seed) in enumerate(zip(orders, cells))]
+                 for k, (m, seed) in enumerate(zip(orders, cell_seeds))]
         seeds = derive_seeds(np.repeat([spec.seed for spec in specs], reps), np.tile(np.arange(reps), len(specs)))
         return specs, seeds
 
