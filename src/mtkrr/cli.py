@@ -424,7 +424,7 @@ def cmd_verify_bounds(args) -> int:
 
     # Property 1/2/3: optimized risk against its envelope, over the cells inside each property's window
     start, stages = time.perf_counter(), {}
-    bounds, search = riskfn.minimize_risks(n, p, np.full(len(grid), sigma2), *grid[:, 2:].T,  # one engine call per n
+    bounds, search = riskfn.minimize_risks(n, p, np.full(len(grid), sigma2), *grid[:, 2:].T,  # one engine call
                                            times=stages)
     times = {"grid": time.perf_counter() - start, **{f"grid.{stage}": seconds for stage, seconds in stages.items()}}
     r_star, lam, upper, lower, cap = (column[:cells] for column in (

@@ -109,6 +109,11 @@ limits are exact, and a basin that ends within rounding of one would
 otherwise win or lose its row on its last bits.  g is not convex in general,
 which is why every basin is refined rather than just the best grid point.
 
+A row's n and width can be its spectrum's own (``minimize_profiles``): the
+search then runs every stage that sums over the eigen-axis once per width
+class, on views as wide as the class's n, so a row is searched as in a stack
+of its class alone.
+
 Each row's arithmetic depends on that row alone: reductions run over the
 contiguous eigen-axis, pairwise (``_sum``) or as numpy's own dot loop
 (``_dot``), never through BLAS, whose ``ddot`` and ``dgemm`` (behind
@@ -443,6 +448,8 @@ def _newton(n, gamma, signal, noise, spectrum, curve, rows, a, x, b, tails):
     m = len(rows)
     t_end, r_end, g_end = np.empty(m), np.empty(m), np.empty(m)
     iterations = np.full(m, DEFAULT_MAX_ITER)
+    if not m:
+        return t_end, r_end, g_end, iterations
     live = np.arange(m)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         evaluate = _split(n, gamma, signal, noise, spectrum, curve, rows, a, tails)
@@ -586,9 +593,10 @@ def _open_cells(bias, var, bias0, best) -> np.ndarray:
 def _model_start(n, noise, spectrum, vals, squares, row, at, shift) -> np.ndarray:
     """Newton's start in each basin (row, grid point at), in grid steps from ``at``; ``shift`` where the model fails.
 
-    At the five grid points at-2 .. at+2 the variance is V = noise / n * squares and the bias B is the
-    value less V.  log B and log V are each the quartic through their five points (u in grid steps), and
-    the start is the minimizer of B + V under that model: the closed form of the log-linear model
+    ``n`` is a scalar or one value per basin.  At the five grid points at-2 .. at+2 the variance is
+    V = noise / n * squares and the bias B is the value less V.  log B and log V are each the quartic through
+    their five points (u in grid steps), and the start is the minimizer of B + V under that model: the closed
+    form of the log-linear model
     B0 e^(b1 u) + V0 e^(v1 u), u0 = (ln(-v1 / b1) + ln V0 - ln B0) / (b1 - v1), then one Newton step on the
     quartic model from u0.  The basin keeps ``shift`` (the parabola vertex) when it lies within two points
     of a grid end, when one of its five points was not evaluated (nan), when B or V is not positive, or
@@ -624,8 +632,10 @@ def _model_start(n, noise, spectrum, vals, squares, row, at, shift) -> np.ndarra
     return np.where(usable & (np.abs(u) < 1.0), u, shift)  # nan fails the comparison
 
 
-def _check_finite(vals, zero, limit) -> None:
+def _check_finite(vals, zero, limit, order=None) -> None:
     """Raise ``FloatingPointError`` naming the first row with a value that is not finite where it was evaluated.
+
+    With ``order``, row k of the arrays is the caller's row ``order[k]``, and the first is the caller's.
 
     ``vals`` is nan where a point was not evaluated.  A nan or infinite input shows in a limit or at every
     point, the ``COARSE`` points included, which every row evaluates; finite inputs make nonnegative sums,
@@ -635,23 +645,98 @@ def _check_finite(vals, zero, limit) -> None:
     finite = ~(np.isinf(vals).any(axis=1) | np.isnan(vals[:, COARSE]).any(axis=1))
     finite &= np.isfinite(zero) & np.isfinite(limit)
     if not finite.all():
-        raise FloatingPointError(f"risk evaluation is not finite on row {int(np.flatnonzero(~finite)[0])}")
+        bad = np.flatnonzero(~finite)
+        first = bad[0] if order is None else order[bad].min()
+        raise FloatingPointError(f"risk evaluation is not finite on row {int(first)}")
 
 
-def spectrum_bracket(n: int, gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The search bracket [t_lo, t_hi] in t = log lam of each spectrum (row of ``gamma``), capped at ``T_LIMIT``."""
+def spectrum_bracket(n, gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The search bracket [t_lo, t_hi] in t = log lam of each spectrum (row of ``gamma``), capped at ``T_LIMIT``.
+
+    ``n`` is a scalar or one value per spectrum; zeros past a spectrum's own entries change nothing.
+    """
     gamma = np.atleast_2d(np.asarray(gamma, dtype=float))
     gmax = gamma.max(axis=1)
     gmin = np.where(gamma > 0, gamma, np.inf).min(axis=1)
     flat = gmax == 0  # no positive eigenvalue: the curve is constant in lam
-    gmin[flat] = gmax[flat] = n
+    if flat.any():
+        gmin[flat] = gmax[flat] = np.broadcast_to(n, flat.shape)[flat]
     widen = BRACKET_DECADES * math.log(10.0)
     t_lo, t_hi = np.log(gmin / n) - widen, np.log(gmax / n) + widen
     return np.maximum(t_lo, -T_LIMIT), np.minimum(t_hi, T_LIMIT)
 
 
+class _Class(NamedTuple):
+    """One width class of a search: first what ``_projector``, ``_curve`` and ``_newton`` take, on the class's own
+    width (its n, its spectra, every signal row, and its rows' noise, spectra within the class and curves), then
+    the slices of its spectra and its rows in the stack, its (curve, spectrum) pairs and its tail table."""
+
+    n: float
+    gamma: np.ndarray
+    signal: np.ndarray
+    noise: np.ndarray
+    spectrum: np.ndarray
+    curve: np.ndarray
+    spectra: slice
+    rows: slice
+    pairs: tuple | None
+    tails: _Tails | None
+
+
+def _width_classes(n, gamma, signal, noise, spectrum, curve, named):
+    """Check ``n`` and sort the stack into width classes, each a slice of the spectra and a slice of the rows.
+
+    A scalar n is one class: every spectrum and every row, at the whole width.  With one n per spectrum, each
+    n_j is an integer from 1 to the width, a named curve lies on spectra of one n, and the spectra and then the
+    rows go in ascending order of n (stable); class n has width n.  Returns gamma, signal, noise, spectrum and
+    curve in that order (where no curve is named, the signal moves with the rows: row k reads signal row k), each
+    spectrum's n (floats), ``order`` (the caller's row at each position, None if no row moved) and each class
+    with rows as (n, width, spectra, rows).
+    """
+    size = np.asarray(n, dtype=float)
+    if not size.ndim:
+        if size <= 0:
+            raise ValueError("n must be positive")
+        whole = (n, gamma.shape[1], slice(0, len(gamma)), slice(0, len(curve)))
+        return gamma, signal, noise, spectrum, curve, size.repeat(len(gamma)), None, [whole]
+    if size.shape != (len(gamma),) or not np.all((size > 0) & (size == np.floor(size))):
+        raise ValueError("n must be positive, or one positive integer per spectrum")
+    if size.max() > gamma.shape[1]:
+        raise ValueError(f"a spectrum's n must be at most the width {gamma.shape[1]}")
+    if named:
+        seen = np.empty(len(signal))
+        seen[curve] = size[spectrum]
+        if (seen[curve] != size[spectrum]).any():
+            raise ValueError("a curve is named on spectra of two widths")
+    if (size[1:] < size[:-1]).any():
+        rank = np.argsort(size, kind="stable")
+        gamma, size, spectrum = gamma[rank], size[rank], np.argsort(rank)[spectrum]
+    order, row = None, size[spectrum]
+    if (row[1:] < row[:-1]).any():
+        order = np.argsort(row, kind="stable")
+        noise, spectrum, row = noise[order], spectrum[order], row[order]
+        if named:
+            curve = curve[order]
+        else:
+            signal = signal[order]
+    edges = [0, *(np.flatnonzero(size[1:] != size[:-1]) + 1).tolist(), len(size)]
+    widths = size[edges[:-1]]
+    starts, stops = np.searchsorted(row, widths).tolist(), np.searchsorted(row, widths, side="right").tolist()
+    classes = [(int(w), int(w), slice(a, b), slice(u, v))
+               for w, a, b, u, v in zip(widths.tolist(), edges[:-1], edges[1:], starts, stops) if u < v]
+    return gamma, signal, noise, spectrum, curve, size, order, classes
+
+
+def _slices(rows, views) -> list[tuple[int, int]]:
+    """The part [u, w) of the ascending stack rows ``rows`` that lies in each class of ``views``."""
+    if len(views) == 1:
+        return [(0, len(rows))]
+    stops = np.searchsorted(rows, [view.rows.stop for view in views]).tolist()
+    return list(zip([0, *stops[:-1]], stops))
+
+
 def minimize_profiles(
-    n: int,
+    n,
     gamma: np.ndarray,
     signal: np.ndarray,
     noise: np.ndarray,
@@ -666,7 +751,17 @@ def minimize_profiles(
     width, or one 1-D spectrum) and ``spectrum`` maps rows to them (default:
     every row on spectrum 0); ``signal`` holds signal rows (curves x width)
     and ``curve`` maps rows to them (default: row k on signal row k).  Rows
-    named with one curve and one spectrum share their grid scan.  A basin
+    named with one curve and one spectrum share their grid scan.  ``n`` is
+    the sample size of every spectrum, or one integer n_j per spectrum: then
+    spectrum j holds its n_j eigenvalues in its first n_j entries, zeros
+    after them, and every row on it is searched at n_j over those entries
+    alone; no sum reads a signal row past them.  The search sorts the spectra
+    and their rows by n once, so that each width class is a slice: the
+    projector and the lam = +inf limit, the tail table, both scan passes,
+    Newton and the gradient of grid winners run class by class on views n_j
+    wide, and the rest once over every row with each row's own n.  So every
+    row gets the bits of its class searched alone.  A curve named on spectra
+    of two n, or an n_j above the width, is a ``ValueError``.  A basin
     stops when |lam g'| <= ``DEFAULT_GRAD_TOL`` g.  With ``times``, the wall
     time in seconds of the call goes in as three consecutive stages: ``scan``
     (the checks and the grid scan), ``model`` (the basins and their starts)
@@ -690,38 +785,59 @@ def minimize_profiles(
     for index, count, name in ((spectrum, len(gamma), "spectrum"), (curve, len(signal), "curve")):
         if not 0 <= index.min() <= index.max() < count:
             raise ValueError(f"{name} indices must lie in [0, {count})")
-    if n <= 0:
-        raise ValueError("n must be positive")
     if gamma.min() < 0 or signal.min() < 0 or noise.min() < 0:
         raise ValueError("eigenvalues, signal energies and noise must be nonnegative")
+    gamma, signal, noise, spectrum, curve, size, order, classes = _width_classes(n, gamma, signal, noise, spectrum,
+                                                                                 curve, named)
+    n_row = size[spectrum]  # each row's n, wherever it divides or scales outside the classes
 
-    t_lo, t_hi = spectrum_bracket(n, gamma)
+    t_lo, t_hi = spectrum_bracket(size, gamma)
     delta = (t_hi - t_lo) / (DEFAULT_GRID_POINTS - 1)
     t_grid = t_lo[:, None] + np.arange(DEFAULT_GRID_POINTS) * delta[:, None]
 
     # the grid scan: bias sums sum s b^2 per row and variance sums sum a^2 per spectrum, nan where not evaluated.
     # Every evaluated value is (sum s b^2 + v sum a^2) / n, reduced along the eigen-axis, whichever the pass.
     # The bias sums are held where the values go, with +inf beyond both grid ends for the basin search.
-    x_grid = n * np.exp(t_grid)
+    x_grid = size[:, None] * np.exp(t_grid)
     padded = np.full((rows, DEFAULT_GRID_POINTS + 2), np.inf)
     bias = vals = padded[:, 1:-1]
     bias[...] = np.nan
     squares = np.full((len(gamma), DEFAULT_GRID_POINTS), np.nan)
-    # named rows of one (curve, spectrum) pair share a scan: the first row of each pair, and each row's pair
-    pairs = np.unique(curve * len(gamma) + spectrum, return_index=True, return_inverse=True)[1:] if named else None
-    # one tail-moment table per search, one entry per (curve, spectrum) pair, read by the scan and by Newton
-    leads, entry = pairs if named else (np.arange(rows),) * 2
-    tails = _tails(gamma, signal, spectrum[leads], curve[leads], entry)
+    # named rows of one (curve, spectrum) pair share a scan: the first row of each pair, and each row's pair.  The
+    # pairs of a class are a slice, since its spectra are.
+    if named:
+        keys, lead, pair = np.unique(spectrum * len(signal) + curve, return_index=True, return_inverse=True)
+    views, (bias0, var0, limit) = [], np.empty((3, rows))
     with np.errstate(over="ignore", invalid="ignore"):  # a row that is not finite is reported below
-        # the exact risks at lam = 0 and at lam = +inf, where all the signal is bias; a row that might overflow
-        # (see HEADROOM) has no best value, so every cell of it stays open
-        bias0, var0 = _projector(n, gamma, signal, noise, spectrum, curve)
-        zero, limit = bias0 + var0, _sum(signal)[curve] / n
-        best_limit, may_overflow = np.minimum(zero, limit), ~(limit + var0 <= HEADROOM / n)
+        for n_k, width, spectra, part in classes:
+            own, curves, pairs = spectrum[part] - spectra.start, curve[part], None
+            if named:
+                p0, p1 = np.searchsorted(keys, [spectra.start * len(signal), spectra.stop * len(signal)]).tolist()
+                pairs = lead[p0:p1] - part.start, pair[part] - p0
+            # one tail-moment table per class, one entry per (curve, spectrum) pair, read by the scan and by Newton
+            leads, entry = pairs if named else (np.arange(part.stop - part.start),) * 2
+            class_gamma, class_signal = gamma[spectra, :width], signal[:, :width]
+            view = _Class(n_k, class_gamma, class_signal, noise[part], own, curves, spectra, part, pairs,
+                          _tails(class_gamma, class_signal, own[leads], curves[leads], entry))
+            views.append(view)
+            # the exact risks at lam = 0 and at lam = +inf, where all the signal is bias
+            bias0[part], var0[part] = _projector(*view[:6])
+            if named:  # each pair's signal sum, its rows gathered in blocks within BLOCK_ELEMENTS
+                step = max(1, BLOCK_ELEMENTS // width)
+                sums = [_sum(class_signal[curves[leads[k:k + step]]]) for k in range(0, len(leads), step)]
+                limit[part] = np.concatenate(sums)[entry] / n_k
+            else:
+                limit[part] = _sum(class_signal[part]) / n_k
+        zero = bias0 + var0
+        # a row that might overflow (see HEADROOM) has no best value, so every cell of it stays open
+        best_limit, may_overflow = np.minimum(zero, limit), ~(limit + var0 <= HEADROOM / n_row)
         # the first pass: every row at the coarse points, then each row's best value so far and its open cells
-        _scan(gamma, signal, spectrum, x_grid, COARSE, np.zeros(rows, dtype=np.intp), np.full(rows, len(COARSE)),
-              bias, squares, curve, pairs, tails)
-        b, v = bias[:, COARSE] / n, noise[:, None] * squares[:, COARSE][spectrum] / n
+        for view in views:
+            count = len(view.noise)
+            _scan(view.gamma, view.signal, view.spectrum, x_grid[view.spectra], COARSE, np.zeros(count, dtype=np.intp),
+                  np.full(count, len(COARSE)), bias[view.rows], squares[view.spectra], view.curve, view.pairs,
+                  view.tails)
+        b, v = bias[:, COARSE] / n_row[:, None], noise[:, None] * squares[:, COARSE][spectrum] / n_row[:, None]
         best = np.minimum(best_limit, np.fmin.reduce(b + v, axis=1))
         best[may_overflow] = np.inf
         open_ = _open_cells(b, v, bias0, best)
@@ -730,8 +846,10 @@ def minimize_profiles(
         lo = COARSE_STEP * open_.argmax(axis=1) - HALO
         lo[~open_.any(axis=1)] = DEFAULT_GRID_POINTS
         hi = COARSE_STEP * (open_.shape[1] - open_[:, ::-1].argmax(axis=1)) + HALO
-        _scan(gamma, signal, spectrum, x_grid, FINE, np.searchsorted(FINE, lo), np.searchsorted(FINE, hi, side="right"),
-              bias, squares, curve, pairs, tails)
+        begin, end = np.searchsorted(FINE, lo), np.searchsorted(FINE, hi, side="right")
+        for view in views:
+            _scan(view.gamma, view.signal, view.spectrum, x_grid[view.spectra], FINE, begin[view.rows],
+                  end[view.rows], bias[view.rows], squares[view.spectra], view.curve, view.pairs, view.tails)
         # in row blocks: each cell's bound B(t_i) + V(t_i+1), nan where an end was not evaluated, then the values
         # over the bias sums.  Only a cell whose bound is below every candidate but Newton's can end up open.
         grid_min, candidates = np.empty(rows), []
@@ -740,44 +858,51 @@ def minimize_profiles(
             r = slice(k, k + step)
             var = noise[r, None] * (squares if len(gamma) == 1 else squares[spectrum[r]])  # v sum a^2
             bound = np.add(bias[r, :-1], var[:, 1:])
-            bound /= n
+            bound /= n_row[r, None]
             np.add(bias[r], var, out=vals[r])
-            vals[r] /= n
+            vals[r] /= n_row[r, None]
             grid_min[r] = np.fmin.reduce(vals[r], axis=1)
             upper = np.minimum(best_limit[r], grid_min[r]) * (1 - BOUND_MARGIN)
-            row, cell = np.nonzero(bound < upper[:, None])
-            candidates.append((row + k, cell, bound[row, cell]))
+            hit = np.flatnonzero(bound < upper[:, None])
+            row, cell = np.divmod(hit, DEFAULT_GRID_POINTS - 1)
+            candidates.append((row + k, cell, bound.ravel()[hit]))
             del var, bound
     row, cell, row_bound = (np.concatenate(part) for part in zip(*candidates))
-    _check_finite(vals, zero, limit)
-    del candidates, x_grid, open_, best, lo, hi  # the scan's arrays go before Newton's
+    _check_finite(vals, zero, limit, order)
+    del candidates, x_grid, open_, best, lo, hi, begin, end  # the scan's arrays go before Newton's
     scanned = time.perf_counter()
 
     # every grid-local minimum among the evaluated points (nan compares false) marks a basin worth refining;
     # the grid argmin is one of them unless a limit wins the row.  Newton starts at the minimum of the basin's
-    # bias-variance model, or else at the vertex of the parabola through its three grid values.
-    left, mid, right = padded[:, :-2], vals, padded[:, 2:]
-    basin_row, basin_at = np.nonzero((mid <= left) & (mid <= right))
-    f0, f1, f2 = left[basin_row, basin_at], mid[basin_row, basin_at], right[basin_row, basin_at]
+    # bias-variance model, or else at the vertex of the parabola through its three grid values.  Over the flat
+    # padded values, the +inf beyond each grid end is no basin, and position i + 1 is grid point i % 66 of row
+    # i // 66.
+    flat = padded.ravel()
+    hit = np.flatnonzero((flat[1:-1] <= flat[:-2]) & (flat[1:-1] <= flat[2:]))
+    basin_row, basin_at = np.divmod(hit, DEFAULT_GRID_POINTS + 2)
+    f0, f1, f2 = flat[hit], flat[hit + 1], flat[hit + 2]
     width = delta[spectrum[basin_row]]
     centre = t_grid[spectrum[basin_row], basin_at]
     curvature = f0 - 2.0 * f1 + f2  # +inf at a grid end: that basin starts at the end point
     curved = (curvature > 0) & (curvature < np.inf)
     shift = np.where(curved, 0.5 * (f0 - f2) / np.where(curved, curvature, 1.0), 0.0)
-    shift = _model_start(n, noise, spectrum, vals, squares, basin_row, basin_at, shift)
+    shift = _model_start(n_row[basin_row], noise, spectrum, vals, squares, basin_row, basin_at, shift)
     del squares
     modelled = time.perf_counter()
-    t_end, r_end, g_end, iters = _newton(n, gamma, signal, noise, spectrum, curve, basin_row,
-                                         centre - width, centre + shift * width, centre + width, tails)
+    # Newton class by class: the basins of a class are a slice, since its rows are
+    a, x, b = centre - width, centre + shift * width, centre + width
+    parts = [_newton(*view[:6], basin_row[u:w] - view.rows.start, a[u:w], x[u:w], b[u:w], view.tails)
+             for view, (u, w) in zip(views, _slices(basin_row, views))]
+    t_end, r_end, g_end, iters = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
 
     # per row: the first best basin; then zero, limit, newton and grid in that order of precedence.  A row
     # without a basin among its evaluated points has no grid value at or below its best coarse candidate
     # outside pruned cells, so one of its limits wins it, as in the full scan.
     t, g, newton, iterations = np.zeros(rows), np.zeros(rows), np.full(rows, math.inf), np.zeros(rows, dtype=np.intp)
-    order = np.lexsort((np.arange(len(basin_row)), r_end, basin_row))
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = basin_row[order][1:] != basin_row[order][:-1]
-    head = order[first]
+    ranked = np.lexsort((np.arange(len(basin_row)), r_end, basin_row))
+    first = np.ones(len(ranked), dtype=bool)
+    first[1:] = basin_row[ranked][1:] != basin_row[ranked][:-1]
+    head = ranked[first]
     t[basin_row[head]], g[basin_row[head]], newton[basin_row[head]] = t_end[head], g_end[head], r_end[head]
     iterations[basin_row[head]] = iters[head]
     candidates = np.array((zero, limit, newton, grid_min))  # in the order of SOURCES
@@ -793,7 +918,8 @@ def minimize_profiles(
     if grid.size:  # rare, so the common case skips this evaluation
         at[grid] = np.nanargmin(vals[grid], axis=1)
         t[grid] = t_grid[spectrum[grid], at[grid].astype(np.intp)]
-        g[grid] = _curve(n, gamma, signal, noise, spectrum, curve, grid, n * np.exp(t[grid]))[1]
+        for view, (u, w) in zip(views, _slices(grid, views)):
+            g[grid[u:w]] = _curve(*view[:6], grid[u:w] - view.rows.start, view.n * np.exp(t[grid[u:w]]))[1]
     lam, grad = np.where(source == 0, 0.0, math.inf), np.full(rows, math.nan)
     inner = np.flatnonzero(source >= 2)
     lam[inner] = [math.exp(x) for x in t[inner].tolist()]  # not np.exp, which may differ in the last bit
@@ -802,6 +928,10 @@ def minimize_profiles(
     # open cells: a cell [t_i, t_i+1] more than two steps from the winner whose bound B(t_i) + V(t_i+1) lies
     # below the value.  A cell with an end not evaluated lies in a pruned coarse cell, above the value: closed.
     open_ = (row_bound < value[row] * (1 - BOUND_MARGIN)) & ((cell + 1 < at[row] - 2) | (cell > at[row] + 2))
+    columns = (lam, value, grad, np.where(source == 2, iterations, 0), source, np.bincount(row[open_], minlength=rows))
+    if order is not None:  # back to the caller's rows
+        back = np.argsort(order)
+        columns = [column[back] for column in columns]
     if times is not None:
         times.update(scan=scanned - start, model=modelled - scanned, newton=time.perf_counter() - modelled)
-    return Search(lam, value, grad, np.where(source == 2, iterations, 0), source, np.bincount(row[open_], minlength=rows))
+    return Search(*columns)

@@ -36,7 +36,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .optimize import BLOCK_ELEMENTS, Search, _dot, _projector, _squares, minimize_profiles
-from .scenarios import power_law
 
 
 class DivergentIntegralError(ValueError):
@@ -130,6 +129,20 @@ def template_parts(n, lam, beta, delta, c, noise) -> tuple[np.ndarray, np.ndarra
     return bias, var
 
 
+def _template_rows(size, exponent, scale, width) -> np.ndarray:
+    """Row k is scale[k] i^(-2 exponent[k]) for i = 1 .. size[k], then zeros up to ``width``.
+
+    Each power i^(-2 exponent) is formed once per distinct (size, exponent), over i = 1 .. size, as
+    ``scenarios.power_law`` forms it, and each row is written over its own size alone.
+    """
+    out, powers = np.zeros((len(size), width)), {}
+    for row, m, e, a in zip(out, size, exponent, scale):
+        if (m, e) not in powers:
+            powers[m, e] = np.arange(1, m + 1, dtype=float) ** (-2.0 * e)
+        np.multiply(a, powers[m, e], out=row[:m])
+    return out
+
+
 def _tail_integral(a: float) -> float:
     """int_0^inf u^(a-1)/(1+u)^2 du = B(a, 2-a) = pi w / sin(pi w) with w = 1 - a.
 
@@ -207,19 +220,46 @@ def alpha_constant(beta: float, delta: float) -> float:
     return min(_unit_fraction(1 / (2 * beta)), _unit_fraction(_i1_exponent(beta, delta)))
 
 
+def _template_search(n, noise, beta, delta, c, times) -> Search:
+    """The template oracle of every cell, in one ``minimize_profiles`` call (none for no cell).
+
+    The spectra are the distinct (n, beta), n i^(-2 beta), and the signal rows the distinct curves
+    (n, beta, delta, c), (c n) i^(-2 delta), which the cells name; each is n wide and padded with zeros to the
+    largest n, and the engine takes each spectrum's n.
+    """
+    if not len(n):
+        return Search(*np.empty((3, 0)), *np.empty((3, 0), dtype=np.intp))
+    sizes, betas = n.astype(int).tolist(), beta.tolist()
+    spectra = sorted(set(zip(sizes, betas)))  # in ascending n, the engine's order of width classes
+    index = {key: j for j, key in enumerate(spectra)}
+    spectrum = np.array([index[key] for key in zip(sizes, betas)])
+    # the curves by their bytes, so that c = -0.0 and c = 0.0 stay apart
+    _, head, curve = np.unique(np.stack((n, beta, delta, c), axis=1).view("V32").ravel(), return_index=True,
+                               return_inverse=True)
+    width, (spectrum_n, spectrum_beta) = max(sizes), zip(*spectra)
+    gamma = _template_rows(spectrum_n, spectrum_beta, spectrum_n, width)
+    with np.errstate(over="ignore"):  # a signal that overflows is the search's to name: its row is not finite
+        signal = _template_rows(n[head].astype(int).tolist(), delta[head].tolist(), (c[head] * n[head]).tolist(),
+                                width)
+    stages = None if times is None else {}
+    search = minimize_profiles(spectrum_n, gamma, signal, noise, spectrum=spectrum, curve=curve, times=stages)
+    for stage, seconds in (stages or {}).items():
+        times[stage] = times.get(stage, 0.0) + seconds
+    return search
+
+
 def minimize_risks(n, p, sigma2, beta, delta, c, times: dict[str, float] | None = None) -> tuple[Bounds, Search]:
     """Optimize the template risk of every cell, and give its envelope and regime: the bounds, then the search.
 
     Cell k is (n[k], p[k], sigma2[k], beta[k], delta[k], c[k]), from equal-length columns of valid
-    ``RiskParams`` values.  Cells of one n are searched in one ``minimize_profiles`` call, one spectrum per
-    distinct beta and one signal row per distinct (beta, delta, c), which names the cells' shared curve;
+    ``RiskParams`` values.  Every cell is searched in one ``minimize_profiles`` call (``_template_search``);
     the returned ``Search`` is the template oracle: every cell's minimum (``value`` at ``lam``) in grid
     order, each row bit-identical to the cell's search alone.  kappa and alpha run once per distinct
     (beta, delta).  The bounds are the bits of the scalar formulas: their powers are Python's ``**``, cell
     by cell (numpy's may differ in the last bit), and the rest is correctly rounded in both, so it runs on
     the columns.  Bounds that require the minimax (resp.
     lower-bound) window are nan outside it instead of being extrapolated.
-    With ``times``, the stages of every ``minimize_profiles`` call (``scan``,
+    With ``times``, the stages of the ``minimize_profiles`` call (``scan``,
     ``model`` and ``newton``, in seconds) are added to its entries.
     """
     # n and p as floats: every product and quotient of them is then the scalar formula's, rounded once
@@ -227,24 +267,7 @@ def minimize_risks(n, p, sigma2, beta, delta, c, times: dict[str, float] | None 
     if not (np.all((n >= 1) & (p >= 1) & (c >= 0)) and np.all(np.isfinite([sigma2, beta, delta, c]))
             and np.all(np.minimum(np.minimum(sigma2, beta), delta) > 0)):
         raise ValueError("each cell needs n, p >= 1, positive finite sigma2, beta and delta, and a finite c >= 0")
-    lam, value, grad = np.empty((3, len(n)))
-    iterations, source, open_cells = np.empty((3, len(n)), dtype=np.intp)
-    curves = np.stack((beta, delta, c), axis=1).view("V24").ravel()
-    for size in dict.fromkeys(n.tolist()):
-        cells = np.flatnonzero(n == size)
-        i = np.arange(1, size + 1, dtype=float)
-        betas, spectrum = np.unique(beta[cells], return_inverse=True)
-        _, head, curve = np.unique(curves[cells], return_index=True, return_inverse=True)
-        deltas, power = np.unique(delta[cells[head]], return_inverse=True)
-        with np.errstate(over="ignore"):  # a signal that overflows is the search's to name: its row is not finite
-            signal = (c[cells[head]] * size)[:, None] * np.array([i ** (-2.0 * d) for d in deltas.tolist()])[power]
-        stages = None if times is None else {}
-        found = minimize_profiles(size, np.array([power_law(size, b) for b in betas.tolist()]), signal,
-                                  sigma2[cells] / p[cells], spectrum=spectrum, curve=curve, times=stages)
-        for stage, seconds in (stages or {}).items():
-            times[stage] = times.get(stage, 0.0) + seconds
-        lam[cells], value[cells], grad[cells] = found.lam, found.value, found.grad
-        iterations[cells], source[cells], open_cells[cells] = found.iterations, found.source, found.open_cells
+    search = _template_search(n, sigma2 / p, beta, delta, c, times)
     hm, lb = minimax_window(beta, delta), lower_bound_window(beta, delta)
     pairs = list(zip(beta.tolist(), delta.tolist()))
     constants = {pair: (kappa(*pair) if inside_hm else math.nan, alpha_constant(*pair) if inside_lb else math.nan)
@@ -261,9 +284,10 @@ def minimize_risks(n, p, sigma2, beta, delta, c, times: dict[str, float] | None 
     with np.errstate(divide="ignore", invalid="ignore"):  # c = 0 and cells outside the window give nan
         s = np.sqrt(coefficient * rate / c)
         cap = np.where(s < 1, s / (1 - s), math.nan)  # the cap solves C eps^2 / (1 + eps)^2 = 2^(1/2d) rate
+    lam, value = search.lam, search.value
     regularize = (lam >= threshold) & np.isfinite(rate) & (rate > 0) & (rate / 4 <= value) & (value <= 4 * rate)
     trivial = (lam <= threshold) & (sigma2 / (4 * p) <= value) & (value <= sigma2 / p)
     return Bounds(upper=np.where(hm, np.minimum(coefficient * rate, sigma2 / p), math.nan),
                   lower=np.where(lb, np.minimum(alpha * rate, sigma2 / (4 * p)), math.nan),
                   epsilon_cap=cap, regime=np.select((regularize, trivial), (0, 1), 2),  # codes into REGIMES
-                  kappa=kap, alpha=alpha), Search(lam, value, grad, iterations, source, open_cells)
+                  kappa=kap, alpha=alpha), search

@@ -660,14 +660,16 @@ class TestOneEngineCall:
         rows = {"experiment": 6 * (3 + 2), "table": 4 * 2 * (3 + 2), "heatmap": 6 * 3 * (3 + 2)}[command]
         assert engine_calls == [rows]
 
-    def test_verify_bounds_calls_the_engine_once_per_n(self, tmp_path, engine_calls):
-        # the default grid: 3 pairs x 4 p x 3 c at each of n = 50, 200, 800, with the 13-cell p-sweep at n = 50
-        assert main(["verify-bounds", "--out", str(tmp_path / "bounds.txt")]) == 0
-        assert engine_calls == [36 + 13, 36, 36]
-        # a grid with no n = 50 cell: the sweep gets a call of its own
-        engine_calls.clear()
-        assert main(["verify-bounds", "--n-values", "200,800", "--out", str(tmp_path / "bounds.txt")]) == 0
-        assert engine_calls == [36, 36, 13]
+    @pytest.mark.parametrize("grid, rows, code", [
+        ([], 3 * 3 * 4 * 3 + 13, 0),  # the default: 3 pairs x 3 n x 4 p x 3 c, with the 13-cell p-sweep at n = 50
+        # property 3 fails on this grid (ROADMAP item 4)
+        (["--bd-pairs", "3:5.5,2:3.5,4:7.5", "--n-values", "50,200,800,3200"], 3 * 4 * 4 * 3 + 13, 2),
+        (["--n-values", "200,800"], 3 * 2 * 4 * 3 + 13, 0),  # no n = 50 cell: the sweep joins the same call
+    ])
+    def test_verify_bounds_calls_the_engine_once(self, tmp_path, engine_calls, grid, rows, code):
+        # every n, and the sweep, in one call
+        assert main(["verify-bounds", *grid, "--out", str(tmp_path / "bounds.txt")]) == code
+        assert engine_calls == [rows]
 
 
 class TestRunSummary:

@@ -1,7 +1,10 @@
 import contextlib
+import io
 import json
 import math
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1255,21 +1258,46 @@ def test_an_unchunked_dot_product_fails_the_stated_rounding_past_the_chunk(monke
 # the engine's fixed cost: C-level calls (numpy functions and builtins) per search, a budget pinned to the numpy
 # build that ``golden.json`` records, since numpy's Python wrappers move the count between versions
 
-CALL_BUDGET = {"6 rows, width 50": 255, "6 rows, width 2000": 693, "6 spectra x 7 rows, width 40": 314}
+CALL_BUDGET = {"6 rows, width 50": 277, "6 rows, width 2000": 715, "6 spectra x 7 rows, width 40": 336,
+               "verify-bounds default grid, 121 rows at n = 50, 200 and 800": 880}
+
+
+def verify_bounds_stack() -> tuple:
+    """The one stack that ``verify-bounds`` on its default grid searches: (n per spectrum, gamma, signal, noise,
+    spectrum, curve)."""
+    from mtkrr import riskfn
+    from mtkrr.cli import main
+
+    found = []
+
+    def capture(n, gamma, signal, noise, spectrum=None, curve=None, times=None):
+        found.append((n, gamma, signal, noise, spectrum, curve))
+        return minimize_profiles(n, gamma, signal, noise, spectrum, curve, times)
+
+    with tempfile.TemporaryDirectory() as out, pytest.MonkeyPatch.context() as patch, \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        patch.setattr(riskfn, "minimize_profiles", capture)
+        assert main(["verify-bounds", "--out", str(Path(out) / "bounds.txt")]) == 0
+    [stack] = found
+    return stack
 
 
 def budget_stacks() -> dict:
-    """The stacks of ``CALL_BUDGET``: an ``oracle``-like stack of p + 2 = 6 rows on one spectrum, narrow and wide, and
-    a ``table_spline``-like stack of 7 rows on each of 6 spectra."""
+    """The stacks of ``CALL_BUDGET``, as (n, gamma, signal, noise, spectrum, curve): an ``oracle``-like stack of
+    p + 2 = 6 rows on one spectrum, narrow and wide, a ``table_spline``-like stack of 7 rows on each of 6 spectra,
+    and the default ``verify-bounds`` grid, whose spectra have three n and whose rows name their curves."""
     i = np.arange(1, 41, dtype=float)
     rng = np.random.default_rng(40)
     gamma = np.array([40.0 * i ** -(2.0 * m) for m in (1.0, 1.0, 2.0, 2.0, 3.0, 3.0)]) * rng.uniform(0.5, 2.0, (6, 1))
     signal = rng.uniform(0.0, 1.0, (42, 40)) * i ** -rng.uniform(1.0, 4.0, (42, 1))
-    return {"6 rows, width 50": power_law_stack(50, rows=6), "6 rows, width 2000": power_law_stack(2000, rows=6),
-            "6 spectra x 7 rows, width 40": (40, gamma, signal, 10.0 ** rng.uniform(-2, 1, 42), np.arange(42) // 7)}
+    return {"6 rows, width 50": (*power_law_stack(50, rows=6), None),
+            "6 rows, width 2000": (*power_law_stack(2000, rows=6), None),
+            "6 spectra x 7 rows, width 40": (40, gamma, signal, 10.0 ** rng.uniform(-2, 1, 42), np.arange(42) // 7,
+                                             None),
+            "verify-bounds default grid, 121 rows at n = 50, 200 and 800": verify_bounds_stack()}
 
 
-def c_calls(n, gamma, signal, noise, spectrum) -> int:
+def c_calls(n, gamma, signal, noise, spectrum, curve) -> int:
     """The C-level calls that one ``minimize_profiles`` call makes, counted with ``sys.setprofile``."""
     count = 0
 
@@ -1279,7 +1307,7 @@ def c_calls(n, gamma, signal, noise, spectrum) -> int:
 
     sys.setprofile(profile)
     try:
-        minimize_profiles(n, gamma, signal, noise, spectrum=spectrum)
+        minimize_profiles(n, gamma, signal, noise, spectrum=spectrum, curve=curve)
     finally:
         sys.setprofile(None)
     return count
@@ -1296,6 +1324,77 @@ def test_a_search_makes_the_budgeted_number_of_c_level_calls():
         pytest.skip(f"budget counted with {platform}, not {golden.platform_key()}: numpy's wrappers move the count")
     found = {}
     for name, stack in budget_stacks().items():
-        minimize_profiles(*stack[:4], spectrum=stack[4])  # a first call may load numpy submodules
+        minimize_profiles(*stack[:4], spectrum=stack[4], curve=stack[5])  # a first call may load numpy submodules
         found[name] = c_calls(*stack)
     assert found == CALL_BUDGET
+
+
+# ---------------------------------------------------------------------------
+# one n per spectrum: the search in width classes
+
+
+def mixed_width_stack(seed: int = 0) -> tuple:
+    """(n per spectrum, gamma, signal, noise, spectrum, curve): two power-law spectra and three named curves at each
+    of n = 3200, 50 and 200 (in that order, so the search sorts them), padded with zeros to 3200, and two rows of
+    random noise on each (curve, spectrum) pair of one n, shuffled.  The n = 3200 class is at least
+    ``SPLIT_WIDTH`` wide."""
+    rng = np.random.default_rng(seed)
+    sizes, width = (3200, 50, 200), 3200
+    assert width >= optimize.SPLIT_WIDTH
+    n, gamma, signal = [], np.zeros((2 * len(sizes), width)), np.zeros((3 * len(sizes), width))
+    for k, size in enumerate(sizes):
+        i = np.arange(1, size + 1, dtype=float)
+        n += [size, size]
+        gamma[2 * k:2 * k + 2, :size] = [size * i ** (-2.0 * beta) for beta in (1.0, 2.0)]
+        signal[3 * k:3 * k + 3, :size] = [rng.uniform(0.5, 2.0) * size * i ** (-2.0 * delta)
+                                          for delta in (1.5, 2.5, 3.5)]
+    cells = [(c, j, noise) for c in range(len(signal)) for j in range(len(gamma)) if c // 3 == j // 2
+             for noise in 10.0 ** rng.uniform(-3.0, 1.0, 2)]
+    curve, spectrum, noise = zip(*[cells[k] for k in rng.permutation(len(cells))])
+    return np.array(n), gamma, signal, np.array(noise), np.array(spectrum), np.array(curve)
+
+
+def test_each_row_of_a_mixed_width_stack_gets_the_bits_of_its_class_alone():
+    """With one n per spectrum, every row gets what the search of its width class alone gives it, column for column;
+    each class gets its own tail table (only the one at least ``SPLIT_WIDTH`` wide builds one); the signal past a
+    curve's n is never read; and rows that name no curve get the same bits."""
+    n, gamma, signal, noise, spectrum, curve = mixed_width_stack()
+    tables, tails = [], optimize._tails
+
+    def spy(gamma, *args):
+        table = tails(gamma, *args)
+        tables.append((gamma.shape[1], table is not None))
+        return table
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(optimize, "_tails", spy)
+        found = minimize_profiles(n, gamma, signal, noise, spectrum=spectrum, curve=curve)
+    assert tables == [(50, False), (200, False), (3200, True)]
+    assert set(found.source.tolist()) >= {SOURCES.index("newton")}
+    for size in (50, 200, 3200):
+        mine = np.flatnonzero(n[spectrum] == size)
+        spectra, own_spectrum = np.unique(spectrum[mine], return_inverse=True)
+        curves, own_curve = np.unique(curve[mine], return_inverse=True)
+        alone = minimize_profiles(size, gamma[spectra, :size], signal[curves, :size], noise[mine],
+                                  spectrum=own_spectrum, curve=own_curve)
+        assert bits(found, mine) == bits(alone), size
+    garbage = signal.copy()
+    for c, size in enumerate(np.repeat((3200, 50, 200), 3).tolist()):
+        garbage[c, size:] = 7.0
+    assert bits(minimize_profiles(n, gamma, garbage, noise, spectrum=spectrum, curve=curve)) == bits(found)
+    assert bits(minimize_profiles(n, gamma, signal[curve], noise, spectrum=spectrum)) == bits(found)
+
+
+@pytest.mark.parametrize("n, curve, message", [
+    ([50, 60], [0, 1], "at most the width 50"),
+    ([50.5, 40], [0, 1], "one positive integer per spectrum"),
+    ([0, 40], [0, 1], "one positive integer per spectrum"),
+    ([-40, 40], [0, 1], "one positive integer per spectrum"),
+    ([math.nan, 40], [0, 1], "one positive integer per spectrum"),
+    ([40, 40, 40], [0, 1], "one positive integer per spectrum"),  # one n too many
+    ([30, 50], [0, 0], "a curve is named on spectra of two widths"),
+])
+def test_an_invalid_n_per_spectrum_is_a_value_error(n, curve, message):
+    gamma, signal = np.array([np.linspace(2.0, 1.0, 50)] * 2), np.ones((2, 50))
+    with pytest.raises(ValueError, match=message):
+        minimize_profiles(np.array(n), gamma, signal, np.ones(2), spectrum=np.array([0, 1]), curve=np.array(curve))

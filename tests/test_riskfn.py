@@ -552,8 +552,8 @@ class TestMinimizeRisks:
         assert bound_reports(bounds, search) == [] and rows(search) == []
 
     def test_the_search_stages_of_every_n_add_up_to_no_more_than_the_call(self):
-        # each n is one engine call, whose three stages follow one another: their sums over the calls take no longer
-        # than the whole call, and the stages do not change the result
+        # every cell is in one engine call, whose three stages follow one another: they take no longer than the
+        # whole call, and the stages do not change the result
         cells = [[50, 200, 800, 50], [1, 4, 1, 2], [1.0, 1.0, 1.0, 0.5], [2.0, 2.0, 3.0, 2.0], [2.0, 2.5, 2.0, 2.0],
                  [1.0, 1.0, 1.0, 2.0]]
         times = {}
@@ -573,23 +573,26 @@ class TestEngineInputs:
         calls = []
 
         def capture(n, gamma, signal, noise, spectrum=None, curve=None, times=None):
-            calls.append((n, gamma.copy(), signal.copy(), noise.copy(), spectrum.copy(), curve.copy()))
+            calls.append((np.array(n), gamma.copy(), signal.copy(), noise.copy(), spectrum.copy(), curve.copy()))
             return minimize_profiles(n, gamma, signal, noise, spectrum, curve, times)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(riskfn, "minimize_profiles", capture)
             minimize_risks(*columns(grid))
-        assert [n for n, *_ in calls] == list(dict.fromkeys(params.n for params in grid))
-        for n, gamma, signal, noise, spectrum, curve in calls:
-            cells = [params for params in grid if params.n == n]
-            # one signal row per distinct curve (beta, delta, c), which its cells name
-            assert signal.shape == (len({(params.beta, params.delta, params.c) for params in cells}), n)
-            assert noise.shape == spectrum.shape == curve.shape == (len(cells),)
-            for row, params in enumerate(cells):
-                profile = template_profile(params)
-                assert signal[curve[row]].tobytes() == profile.signal.tobytes()
-                assert gamma[spectrum[row]].tobytes() == profile.gamma.tobytes()
-                assert noise[row] == params.sigma2 / params.p
+        # one call for every cell: one spectrum per distinct (n, beta), each with its own n, and one signal row per
+        # distinct curve (n, beta, delta, c), which its cells name; both padded with zeros to the largest n
+        [(n, gamma, signal, noise, spectrum, curve)] = calls
+        width = max(params.n for params in grid)
+        assert gamma.shape == (len({(params.n, params.beta) for params in grid}), width)
+        assert signal.shape == (len({(params.n, params.beta, params.delta, params.c) for params in grid}), width)
+        assert noise.shape == spectrum.shape == curve.shape == (len(grid),)
+        for row, params in enumerate(grid):
+            profile = template_profile(params)
+            assert n[spectrum[row]] == params.n
+            assert signal[curve[row], :params.n].tobytes() == profile.signal.tobytes()
+            assert gamma[spectrum[row], :params.n].tobytes() == profile.gamma.tobytes()
+            assert not signal[curve[row], params.n:].any() and not gamma[spectrum[row], params.n:].any()
+            assert noise[row] == params.sigma2 / params.p
 
     def test_verify_bounds_builds_no_spectrum_and_no_profile(self, monkeypatch, tmp_path):
         from mtkrr.cli import main
