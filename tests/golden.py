@@ -8,7 +8,11 @@ Each case runs one ``mtkrr`` command in process, in a fresh directory:
 - ``oracle`` for the six scenario kinds at n = 50 and n = 1100;
 - ``verify-bounds`` on the grid ``--bd-pairs 3:5.5 --n-values 50,200``, and
   at n = 51 200 alone, whose rows are wide enough to scan one grid point at
-  a time.
+  a time;
+- ``risk-curve`` at n = 50 and n = 2000;
+- the template checks: ``risk-curve`` with a bad n and delta, and
+  ``verify-bounds`` with a bad beta and c, each exiting 1 with its config
+  errors.
 
 A case records its exit code and, for every data file, its stdout and its
 stderr summary (each line up to ``; stage ms``, which carries wall times),
@@ -93,6 +97,16 @@ def cases() -> dict:
                        ("verify-bounds 3:5.5 at n 51200", ["--bd-pairs", "3:5.5", "--n-values", "51200"])):
         found[name] = lambda out, grid=grid: (["verify-bounds", *grid, "--out", str(out / "bounds.txt")],
                                               ["bounds.txt"])
+    for n in (50, 2000):
+        found[f"risk-curve n {n}"] = lambda out, n=n: (
+            ["risk-curve", "--n", str(n), "--beta", "2", "--delta", "2", "--c", "1", "--out", str(out / "risk.csv")],
+            ["risk.csv"])
+    # rejected templates: no data file, the config errors on stderr
+    found["risk-curve bad n and delta"] = lambda out: (
+        ["risk-curve", "--n", "0", "--p", "1", "--beta", "2", "--delta", "-2", "--c", "1", "--out",
+         str(out / "risk.csv")], [])
+    found["verify-bounds bad beta and c"] = lambda out: (
+        ["verify-bounds", "--bd-pairs", "0:2,2:2", "--c-values=1,-1", "--out", str(out / "bounds.txt")], [])
     return found
 
 
