@@ -12,7 +12,6 @@ from .oracles import rho_formula_1out, rho_formula_2points
 from .riskfn import (
     Bounds,
     Regime,
-    RiskParams,
     alpha_constant,
     integral_i1,
     integral_i2,

@@ -180,33 +180,26 @@ def _stage_times(times: dict[str, float]) -> str:
 # subcommands
 
 
-def _risk_params(errors: list[str], **values) -> riskfn.RiskParams | None:
-    """The template parameters; an invalid value becomes a config error naming its key, reported once."""
-    try:
-        return riskfn.RiskParams(**values)
-    except ValueError as exc:
-        if str(exc) not in errors:
-            errors.append(str(exc))
-        return None
-
-
 def cmd_risk_curve(args) -> int:
-    errors: list[str] = []
-    params = _risk_params(errors, n=args.n, p=args.p, sigma2=args.sigma2, beta=args.beta, delta=args.delta, c=args.c)
+    errors = riskfn.cell_errors(args.n, args.p, args.sigma2, args.beta, args.delta, args.c)
+    template_ok = not errors
     if args.points < 0:
         errors.append(f"--points: must be nonnegative, got {args.points}")
-    if params and not math.isfinite(params.c * params.n):  # c n, the signal coefficient at i = 1 and the largest
-        errors.append(f"--c: the signal amplitude c n is not finite at n = {params.n}, got {args.c!r}")
+    if template_ok and not math.isfinite(args.c * args.n):  # c n, the signal coefficient at i = 1 and the largest
+        errors.append(f"--c: the signal amplitude c n is not finite at n = {args.n}, got {args.c!r}")
     _fail_on(errors)
     # a bound not given is that end of the oracle's search bracket, so the grid reaches the minimum
-    t_lo, t_hi = optimize.spectrum_bracket(params.n, scenarios.power_law(params.n, params.beta))
+    t_lo, t_hi = optimize.spectrum_bracket(args.n, scenarios.power_law(args.n, args.beta))
     lam_min = math.exp(t_lo[0]) if args.lambda_min is None else args.lambda_min
     lam_max = math.exp(t_hi[0]) if args.lambda_max is None else args.lambda_max
-    _fail_on([f"{key} must be positive and finite" for key, lam in (("lambda-min", lam_min), ("lambda-max", lam_max))
-              if not 0 < lam < math.inf])
+    errors = [f"{key} must be positive and finite" for key, lam in (("lambda-min", lam_min), ("lambda-max", lam_max))
+              if not 0 < lam < math.inf]
+    if not errors and lam_min > lam_max:
+        errors.append(f"--lambda-min must not exceed --lambda-max, got {lam_min!r} > {lam_max!r}")
+    _fail_on(errors)
     lams = [0.0] + [float(v) for v in np.geomspace(lam_min, lam_max, args.points)]
     with np.errstate(all="ignore"):  # a row that is not finite is reported below, and nothing is written
-        bias, var = riskfn.template_parts(params.n, lams, params.beta, params.delta, params.c, params.sigma2 / params.p)
+        bias, var = riskfn.template_parts(args.n, lams, args.beta, args.delta, args.c, args.sigma2 / args.p)
         risk = bias + var
     finite = np.isfinite(risk) & np.isfinite(bias) & np.isfinite(var)
     if not finite.all():
@@ -405,10 +398,11 @@ def cmd_verify_bounds(args) -> int:
     if not math.isfinite(args.lower_threshold):
         errors.append(f"--lower-threshold: must be finite, got {args.lower_threshold!r}")
     sigma2 = args.sigma2
-    # a cell's first error depends on its curve (beta, delta, c) alone: one RiskParams per curve lists them in order
+    # a cell's first error depends on its curve (beta, delta, c) alone: one column per curve lists them in order
     if n_values and p_values:
-        for beta, delta, c in dict.fromkeys((beta, delta, c) for beta, delta in bd_pairs for c in c_values):
-            _risk_params(errors, n=n_values[0], p=p_values[0], sigma2=sigma2, beta=beta, delta=delta, c=c)
+        curves = dict.fromkeys((beta, delta, c) for beta, delta in bd_pairs for c in c_values)
+        cells = np.array([(n_values[0], p_values[0], sigma2, *curve) for curve in curves]).reshape(-1, 6)
+        errors += riskfn.cell_errors(*cells.T)
         # c n, the largest signal coefficient of a cell, as risk-curve checks it
         errors += [f"--c-values: the signal amplitude c n is not finite at n = {max(n_values)}, got {c!r}"
                    for c in c_values if math.isfinite(c) and not math.isfinite(c * max(n_values))]

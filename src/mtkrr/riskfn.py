@@ -48,25 +48,26 @@ class Regime(enum.Enum):
     UNDETERMINED = "UNDETERMINED"
 
 
-@dataclass(frozen=True)
-class RiskParams:
-    """Parameters (n, p, sigma2, beta, delta, C) of the template risk."""
+# the message of each template rule, in the order a cell's rules are checked
+_RULES = ("n and p must be positive integers", "sigma2 must be positive and finite", "beta must be positive and finite",
+          "delta must be positive and finite", "c must be nonnegative and finite")
 
-    n: int
-    p: int
-    sigma2: float
-    beta: float
-    delta: float
-    c: float
 
-    def __post_init__(self):
-        if self.n < 1 or self.p < 1:
-            raise ValueError("n and p must be positive integers")
-        for key in ("sigma2", "beta", "delta"):
-            if not 0 < getattr(self, key) < math.inf:
-                raise ValueError(f"{key} must be positive and finite")
-        if not 0 <= self.c < math.inf:
-            raise ValueError("c must be nonnegative and finite")
+def cell_errors(n, p, sigma2, beta, delta, c) -> list[str]:
+    """The broken template rules of cells (n, p, sigma2, beta, delta, c), given as scalars or equal-length columns.
+
+    n and p are finite integers >= 1, sigma2, beta and delta positive and finite, and c nonnegative and finite.
+    Each cell that breaks a rule gives the message of its first broken rule (``_RULES``); the messages come once
+    each, in cell order, and the list is empty when every cell is valid.
+    """
+    cells = np.array((n, p, sigma2, beta, delta, c), dtype=float).reshape(6, -1)
+    valid = (cells > 0) & (cells < math.inf)
+    valid[5] |= cells[5] == 0  # c may be 0
+    valid[:2] &= np.floor(cells[:2]) == cells[:2]  # an integer above 0 is at least 1
+    if valid.all():
+        return []
+    rules = np.vstack((valid[0] & valid[1], valid[2:]))  # one row per message of _RULES
+    return list(dict.fromkeys(_RULES[k] for k in np.argmin(rules, axis=0)[~rules.all(axis=0)].tolist()))
 
 
 def minimax_window(beta, delta):
@@ -241,32 +242,27 @@ def _template_search(n, noise, beta, delta, c, times) -> Search:
     with np.errstate(over="ignore"):  # a signal that overflows is the search's to name: its row is not finite
         signal = _template_rows(n[head].astype(int).tolist(), delta[head].tolist(), (c[head] * n[head]).tolist(),
                                 width)
-    stages = None if times is None else {}
-    search = minimize_profiles(spectrum_n, gamma, signal, noise, spectrum=spectrum, curve=curve, times=stages)
-    for stage, seconds in (stages or {}).items():
-        times[stage] = times.get(stage, 0.0) + seconds
-    return search
+    return minimize_profiles(spectrum_n, gamma, signal, noise, spectrum=spectrum, curve=curve, times=times)
 
 
 def minimize_risks(n, p, sigma2, beta, delta, c, times: dict[str, float] | None = None) -> tuple[Bounds, Search]:
     """Optimize the template risk of every cell, and give its envelope and regime: the bounds, then the search.
 
-    Cell k is (n[k], p[k], sigma2[k], beta[k], delta[k], c[k]), from equal-length columns of valid
-    ``RiskParams`` values.  Every cell is searched in one ``minimize_profiles`` call (``_template_search``);
-    the returned ``Search`` is the template oracle: every cell's minimum (``value`` at ``lam``) in grid
-    order, each row bit-identical to the cell's search alone.  kappa and alpha run once per distinct
-    (beta, delta).  The bounds are the bits of the scalar formulas: their powers are Python's ``**``, cell
-    by cell (numpy's may differ in the last bit), and the rest is correctly rounded in both, so it runs on
-    the columns.  Bounds that require the minimax (resp.
-    lower-bound) window are nan outside it instead of being extrapolated.
-    With ``times``, the stages of the ``minimize_profiles`` call (``scan``,
-    ``model`` and ``newton``, in seconds) are added to its entries.
+    Cell k is (n[k], p[k], sigma2[k], beta[k], delta[k], c[k]), from equal-length columns; if a cell breaks a
+    template rule, the first message of ``cell_errors`` is raised as a ``ValueError``.  Every cell is searched in
+    one ``minimize_profiles`` call (``_template_search``); the returned ``Search`` is the template oracle: every
+    cell's minimum (``value`` at ``lam``) in grid order, each row bit-identical to the cell's search alone.  kappa
+    and alpha run once per distinct (beta, delta).  The bounds are the bits of the scalar formulas: their powers
+    are Python's ``**``, cell by cell (numpy's may differ in the last bit), and the rest is correctly rounded in
+    both, so it runs on the columns.  Bounds that require the minimax (resp. lower-bound) window are nan outside
+    it instead of being extrapolated.  With ``times``, the stages of the ``minimize_profiles`` call (``scan``,
+    ``model`` and ``newton``, in seconds) overwrite its entries.
     """
     # n and p as floats: every product and quotient of them is then the scalar formula's, rounded once
     n, p, sigma2, beta, delta, c = (np.asarray(v, dtype=float) for v in (n, p, sigma2, beta, delta, c))
-    if not (np.all((n >= 1) & (p >= 1) & (c >= 0)) and np.all(np.isfinite([sigma2, beta, delta, c]))
-            and np.all(np.minimum(np.minimum(sigma2, beta), delta) > 0)):
-        raise ValueError("each cell needs n, p >= 1, positive finite sigma2, beta and delta, and a finite c >= 0")
+    errors = cell_errors(n, p, sigma2, beta, delta, c)
+    if errors:
+        raise ValueError(errors[0])
     search = _template_search(n, sigma2 / p, beta, delta, c, times)
     hm, lb = minimax_window(beta, delta), lower_bound_window(beta, delta)
     pairs = list(zip(beta.tolist(), delta.tolist()))

@@ -13,9 +13,8 @@ from mtkrr import optimize
 from mtkrr.estimators import comparison_rows
 from mtkrr.optimize import SOURCES, Search, minimize_profiles
 from mtkrr.oracles import search_comparisons
-from mtkrr.riskfn import RiskParams
 from mtkrr.spectral import KernelSpectrum, TaskEnsemble
-from reference import RidgeRiskProfile
+from reference import RidgeRiskProfile, RiskParams
 
 # Property tests draw a fixed set of examples: the same ones on every run, no
 # example database, and no per-example deadline, so the suite stays

@@ -27,7 +27,7 @@ envelope of ``verify-bounds`` (``envelope_per_draw``), the envelope and regime
 of one template cell in Python floats (``scalar_report``, with the rate
 ``minimax_rate`` and the cap ``epsilon_cap``), the template oracle cell by
 cell (``BoundReport``: ``bound_reports`` of a grid, ``minimize_risk`` of one
-cell), the scalar evaluator of a
+cell, and the record of one cell ``RiskParams``), the scalar evaluator of a
 ridge risk curve (``RidgeRiskProfile``, whose ``parts`` gives the bias and
 variance at one lambda, 0 and +inf included), the template as such a curve
 (``template_profile``, on the spectrum ``synth_spectrum``) and the ``risk-curve``
@@ -47,7 +47,7 @@ import numpy as np
 from mtkrr.experiments import ExperimentReport, run_experiments
 from mtkrr import optimize
 from mtkrr.optimize import Search
-from mtkrr.riskfn import (REGIMES, Bounds, Regime, RiskParams, alpha_constant, integral_i1, integral_i2, kappa,
+from mtkrr.riskfn import (REGIMES, Bounds, Regime, alpha_constant, cell_errors, integral_i1, integral_i2, kappa,
                           lower_bound_window, minimax_window, minimize_risks)
 from mtkrr.scenarios import ScenarioSpec, _uniform, draw, periodic_kernel_value, power_law
 from mtkrr.spectral import (
@@ -63,6 +63,24 @@ DENSE_SIZE_CAP = 512  # the O((np)^3) route exists only for cross-validation
 
 # ---------------------------------------------------------------------------
 # spectra and profiles
+
+
+@dataclass(frozen=True)
+class RiskParams:
+    """Parameters (n, p, sigma2, beta, delta, C) of one template cell; an invalid cell raises its first
+    ``riskfn.cell_errors`` message."""
+
+    n: int
+    p: int
+    sigma2: float
+    beta: float
+    delta: float
+    c: float
+
+    def __post_init__(self):
+        errors = cell_errors(self.n, self.p, self.sigma2, self.beta, self.delta, self.c)
+        if errors:
+            raise ValueError(errors[0])
 
 
 def synth_spectrum(n: int, beta: float) -> KernelSpectrum:

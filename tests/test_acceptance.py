@@ -17,7 +17,6 @@ from conftest import mean_part_profile, oracle_multitask, quad_kappa, random_psd
 
 from mtkrr.oracles import rho_formula_1out, rho_formula_2points
 from mtkrr.riskfn import (
-    RiskParams,
     alpha_constant,
     integral_i1,
     integral_i2,
@@ -26,6 +25,7 @@ from mtkrr.riskfn import (
 from mtkrr.scenarios import ScenarioKind, ScenarioSpec, build_ensemble
 from reference import (
     RegularizerAV,
+    RiskParams,
     df_and_bias,
     eigendecompose_kernel,
     mean_variance_profile,

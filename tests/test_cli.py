@@ -19,10 +19,10 @@ from hypothesis import strategies as st
 import mtkrr
 from mtkrr.cli import ENVELOPE_SAMPLE, _envelope, build_parser, main, parse_args
 from mtkrr.render import emit_heatmap, emit_table, write_csv
-from mtkrr.riskfn import RiskParams
 from mtkrr.scenarios import ScenarioKind, ScenarioSpec, build_ensemble
 from conftest import compare_one, stack
-from reference import envelope_per_draw, envelope_sample, minimize_risk, risk_curve_rows, run_experiment
+from reference import (RiskParams, envelope_per_draw, envelope_sample, minimize_risk, risk_curve_rows,
+                       run_experiment)
 
 
 def read_csv(path):
@@ -55,6 +55,17 @@ class TestRiskCurve:
         captured = capsys.readouterr()
         assert captured.err == "config error: --points: must be nonnegative, got -3\n"
         assert captured.out == "" and list(tmp_path.iterdir()) == []
+
+    def test_an_inverted_lambda_range_is_a_config_error(self, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        argv = ["risk-curve", "--n", "30", "--beta", "2", "--delta", "2", "--c", "1", "--out", str(out)]
+        assert main([*argv, "--lambda-min", "1", "--lambda-max", "0.5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "config error: --lambda-min must not exceed --lambda-max, got 1.0 > 0.5\n"
+        assert captured.out == "" and list(tmp_path.iterdir()) == []
+        # equal bounds stay allowed: every grid point is that lambda
+        assert main([*argv, "--lambda-min", "0.5", "--lambda-max", "0.5", "--points", "3"]) == 0
+        assert [row[0] for row in read_csv(out)[1:]] == ["0.0", "0.5", "0.5", "0.5"]
 
     def test_curve_minimum_matches_oracle(self, tmp_path):
         curve = tmp_path / "curve.csv"
@@ -128,7 +139,7 @@ class TestRiskCurveIsTheScalarCurve:
         (50, 3, 1.0, 100.0, 2.0, 0.0, 5, 1e-3, 1.0),
         (12, 2, 0.5, 1.5, 1.0, 3.0, 0, None, None),  # --points 0: the lam = 0 row alone
         (50, 4, 1.0, 2.0, 2.0, 1.0, 101, 1e-3, 1.0),  # explicit bounds
-        (60, 2, 1.0, 0.5, 0.5, 1e3, 33, 10.0, 1e-6),  # a descending grid, and exponents of -1
+        (60, 2, 1.0, 0.5, 0.5, 1e3, 33, 1e-6, 10.0),  # exponents of -1
         (2000, 1, 1.0, 1.0, 1.5, 1.0, 7, None, None),  # blocks of 16 lambdas
         (20000, 1, 1.0, 0.75, 1.0, 1.0, 3, None, None),  # one lambda per block, longer than numpy's buffer
     ])
@@ -137,7 +148,8 @@ class TestRiskCurveIsTheScalarCurve:
 
     @given(n=st.integers(1, 400), p=st.integers(1, 20), log_sigma2=st.floats(-2, 2), beta=st.floats(0.3, 6),
            delta=st.floats(0.3, 6), c=st.one_of(st.sampled_from([0.0, 1e-3, 1.0, 1e3]), st.floats(0, 10)),
-           points=st.integers(0, 40), bounds=st.one_of(st.none(), st.tuples(st.floats(-8, 4), st.floats(-8, 4))))
+           points=st.integers(0, 40),
+           bounds=st.one_of(st.none(), st.tuples(st.floats(-8, 4), st.floats(-8, 4)).map(sorted)))
     def test_any_template(self, n, p, log_sigma2, beta, delta, c, points, bounds):
         lambda_min, lambda_max = (None, None) if bounds is None else (10.0 ** bounds[0], 10.0 ** bounds[1])
         self.check(n, p, 10.0**log_sigma2, beta, delta, c, points, lambda_min, lambda_max)

@@ -176,6 +176,22 @@ def test_a_search_result_is_columnar():
     assert not named, f"modules of src/mtkrr define or name a per-row or per-cell oracle result: {named}"
 
 
+def test_the_template_rules_are_written_once():
+    """``riskfn.cell_errors`` checks the template's parameters on columns, and it alone states their rules: no module
+    names the one-cell record ``RiskParams`` (a test helper in ``tests/reference.py``), each rule's message is
+    written once in ``riskfn``, the CLI writes none of them and wraps no ``riskfn`` call in ``try``."""
+    from mtkrr.riskfn import _RULES
+
+    texts = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    named = [name for name, text in texts.items() if re.search(r"\bRiskParams\b", text)]
+    assert not named, f"modules of src/mtkrr name RiskParams: {named}"
+    assert [texts["riskfn.py"].count(f'"{message}"') for message in _RULES] == [1] * len(_RULES)
+    assert not [message for message in _RULES if message in texts["cli.py"]]
+    wrapped = [ast.unparse(node.body[0]) for node in ast.walk(ast.parse(texts["cli.py"])) if isinstance(node, ast.Try)
+               and any(isinstance(sub, ast.Name) and sub.id == "riskfn" for part in node.body for sub in ast.walk(part))]
+    assert not wrapped, f"the CLI wraps a riskfn call in try: {wrapped}"
+
+
 def test_the_template_has_one_array_evaluator():
     """``riskfn.template_parts`` forms the template's sums with the engine's: no module names a scalar reference.
 

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from mtkrr.estimators import comparison_rows
 from mtkrr.oracles import rho_formula_1out, rho_formula_2points, search_comparisons
-from mtkrr.riskfn import RiskParams, alpha_constant, kappa
+from mtkrr.riskfn import alpha_constant, kappa
 from mtkrr.scenarios import ScenarioKind, ScenarioSpec, build_ensemble
 from mtkrr.spectral import KernelSpectrum, TaskEnsemble
-from reference import (RidgeRiskProfile, df_and_bias, hm_bound_rhs, mean_variance_profile,
+from reference import (RidgeRiskProfile, RiskParams, df_and_bias, hm_bound_rhs, mean_variance_profile,
                        minimize_risk, synth_spectrum)
 
 

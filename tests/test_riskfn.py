@@ -13,11 +13,11 @@ from mtkrr.optimize import minimize_profiles, spectrum_bracket
 from mtkrr.riskfn import (
     DivergentIntegralError,
     Regime,
-    RiskParams,
     _i1_exponent,
     _tail_integral,
     _unit_fraction,
     alpha_constant,
+    cell_errors,
     integral_i1,
     integral_i2,
     kappa,
@@ -27,8 +27,8 @@ from mtkrr.riskfn import (
     template_parts,
 )
 from mtkrr.scenarios import power_law
-from reference import (NoEpsilonCapError, RidgeRiskProfile, bound_reports, epsilon_cap, minimax_rate, minimize_risk,
-                       risk_r, scalar_report, template_profile)
+from reference import (NoEpsilonCapError, RidgeRiskProfile, RiskParams, bound_reports, epsilon_cap, minimax_rate,
+                       minimize_risk, risk_r, scalar_report, template_profile)
 
 
 def cap_of(params: RiskParams) -> float:
@@ -539,12 +539,17 @@ class TestMinimizeRisks:
         with pytest.raises(FloatingPointError, match="not finite on row 0"):
             minimize_risks([5], [1], [1.0], [2.0], [2.0], [1e308])
 
-    @pytest.mark.parametrize("column, bad", [(0, 0), (1, 0), (2, 0.0), (2, math.inf), (3, -1.0), (4, math.nan),
-                                             (5, -1.0), (5, math.inf)])
-    def test_a_cell_that_is_no_risk_params_is_an_error(self, column, bad):
+    @pytest.mark.parametrize("column, bad, message", [
+        (0, 0, "n and p must be positive integers"), (1, 0, "n and p must be positive integers"),
+        (2, 0.0, "sigma2 must be positive and finite"), (2, math.inf, "sigma2 must be positive and finite"),
+        (3, -1.0, "beta must be positive and finite"), (4, math.nan, "delta must be positive and finite"),
+        (5, -1.0, "c must be nonnegative and finite"), (5, math.inf, "c must be nonnegative and finite"),
+        # counts that are no integers: n = 50.9 would build the spectrum at n = 50 but scale the rest at 50.9
+        (0, 50.9, "n and p must be positive integers"), (1, 1.5, "n and p must be positive integers")])
+    def test_a_cell_that_is_no_risk_params_is_an_error(self, column, bad, message):
         cells = [[50, 50], [1, 2], [1.0, 1.0], [2.0, 2.0], [2.0, 2.0], [1.0, 1.0]]
         cells[column][1] = bad
-        with pytest.raises(ValueError, match="each cell needs"):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             minimize_risks(*cells)
 
     def test_empty_grid(self):
@@ -563,6 +568,37 @@ class TestMinimizeRisks:
         assert list(times) == ["scan", "model", "newton"]
         assert 0 < sum(times.values()) <= elapsed
         assert repr(bound_reports(bounds, search)) == repr(bound_reports(*minimize_risks(*cells)))
+
+
+# values that break a template rule somewhere: zero, negative, fractional, not finite, and the smallest double
+BAD_VALUES = [0.0, -0.0, -1.0, 0.5, 2.5, 5e-324, math.nan, math.inf, -math.inf]
+
+
+def first_broken_rule(n, p, sigma2, beta, delta, c) -> str | None:
+    """The template's rules for one cell, written out in Python floats, in the order they are checked."""
+    if not all(float(count).is_integer() and count >= 1 for count in (n, p)):  # nan and inf are not integers
+        return "n and p must be positive integers"
+    for key, value in (("sigma2", sigma2), ("beta", beta), ("delta", delta)):
+        if not 0 < value < math.inf:
+            return f"{key} must be positive and finite"
+    return None if 0 <= c < math.inf else "c must be nonnegative and finite"
+
+
+class TestCellErrors:
+    @given(cells=st.lists(st.tuples(*(st.one_of(st.sampled_from(good), st.sampled_from(BAD_VALUES))
+                                      for good in ([1, 7, 50], [1, 3], [0.5, 1.0], [2.0, 0.3], [2.0, 0.7], [0.0, 1.0]))),
+                          max_size=8))
+    def test_each_cells_first_message_once_in_cell_order(self, cells):
+        def raised(cell):
+            try:
+                RiskParams(*cell)
+            except ValueError as exc:
+                return str(exc)
+            return None
+
+        alone = [raised(cell) for cell in cells]
+        assert alone == [first_broken_rule(*cell) for cell in cells]
+        assert cell_errors(*np.array(cells, dtype=float).reshape(-1, 6).T) == list(dict.fromkeys(filter(None, alone)))
 
 
 class TestEngineInputs:
@@ -606,8 +642,8 @@ class TestEngineInputs:
         assert built == ["RiskParams", "KernelSpectrum", "RidgeRiskProfile"]
         built.clear()
         assert main(["verify-bounds", "--out", str(tmp_path / "v.txt")]) == 0
-        # one per curve (beta, delta, c) of the grid, 3 pairs x 3 amplitudes: none per cell, sweep cell or envelope draw
-        assert built == ["RiskParams"] * 9
+        # the template's parameters are checked on columns (riskfn.cell_errors): no object per curve, cell or draw
+        assert built == []
 
 
 def test_params_flags():
